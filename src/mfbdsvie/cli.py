@@ -37,7 +37,7 @@ from .drivers import (
     TerminalSpec,
     ZPart,
 )
-from .errors import CheckFailure, Error, InputError, IoError, ValidationError
+from .errors import Error, InputError, IoError, ValidationError
 from .fields import BetaWeight, l_beta_norm, m_beta_norm
 from .lattice import build_lattice
 from .particles import convergence_study
@@ -62,8 +62,6 @@ def _require_keys(obj, allowed, required, where):
 
 def _num(obj, key, where, default=None):
     if key not in obj:
-        if default is None:
-            raise InputError(f"{where}: missing number '{key}'")
         return default
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -193,7 +191,7 @@ def build_base_scenario(doc) -> tuple[Scenario, float, int]:
     solver_cfg = doc.get("solver", {})
     sc = Scenario(
         lat, driver, terminal,
-        beta=solver_cfg.get("beta"),
+        beta=_num(solver_cfg, "beta", "solver"),
         safety=_num(solver_cfg, "safety", "solver", 1.5),
     )
     tol = _num(solver_cfg, "tol", "solver", 1e-10)
@@ -293,7 +291,7 @@ def _run_compare(doc, out_dir: Path) -> tuple[int, list[str]]:
         zeta2=parse_terminal(cfg["zeta2"], "comparison.zeta2"),
         zetabar=parse_terminal(cfg["zetabar"], "comparison.zetabar")
         if "zetabar" in cfg else None,
-        beta=solver_cfg.get("beta"),
+        beta=_num(solver_cfg, "beta", "solver"),
         safety=_num(solver_cfg, "safety", "solver", 1.5),
         tol=_num(solver_cfg, "tol", "solver", 1e-12),
         max_iter=int(_num(solver_cfg, "max_iter", "solver", 300)),
@@ -336,7 +334,7 @@ def _run_risk(doc, out_dir: Path) -> tuple[int, list[str]]:
         lat, _time_fn(cfg["rate"], "risk.rate"),
         h=parse_zpart(cfg.get("h"), "risk.h"),
         g=parse_zpart(cfg.get("g"), "risk.g"),
-        beta=solver_cfg.get("beta"),
+        beta=_num(solver_cfg, "beta", "solver"),
         safety=_num(solver_cfg, "safety", "solver", 1.5),
         tol=_num(solver_cfg, "tol", "solver", 1e-12),
         max_iter=int(_num(solver_cfg, "max_iter", "solver", 300)),
@@ -463,9 +461,6 @@ def run(subcommand: str, scenario_path: str, out_dir: str,
     except (InputError, ValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except CheckFailure as exc:
-        print(f"check failure: {exc}", file=sys.stderr)
-        return 2
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -42,8 +42,6 @@ class FrozenMeanDriver(DriverSpec):
         self.dt = dt
         self.lipschitz_c = base.lipschitz_c
         self.lipschitz_alpha = base.lipschitz_alpha
-        self.malliavin_l1 = base.malliavin_l1
-        self.malliavin_l2 = base.malliavin_l2
 
     def _frozen(self, s: float) -> float:
         j = int(round(s / self.dt))
@@ -99,8 +97,6 @@ class _CombinedDriver(DriverSpec):
         self.g_spec = g_spec
         self.lipschitz_c = f_spec.lipschitz_c
         self.lipschitz_alpha = g_spec.lipschitz_alpha
-        self.malliavin_l1 = max(f_spec.malliavin_l1, g_spec.malliavin_l1)
-        self.malliavin_l2 = max(f_spec.malliavin_l2, g_spec.malliavin_l2)
 
     def f_values(self, t, s, *args):
         return self.f_spec.f_values(t, s, *args)

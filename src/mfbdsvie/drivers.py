@@ -89,8 +89,6 @@ class DriverSpec:
 
     lipschitz_c: float
     lipschitz_alpha: float
-    malliavin_l1: float
-    malliavin_l2: float
 
     def f_values(self, t, s, y, z, z_rev, mean_y, mean_z, mean_z_rev):
         raise NotImplementedError
@@ -114,7 +112,7 @@ class LinearDriver(DriverSpec):
     has_partials = True
 
     def __init__(self, f=None, g=None, f_source=None, g_source=None,
-                 c=None, alpha=None, l1=0.0, l2=0.0):
+                 c=None, alpha=None):
         self.f_coefs = {k: float((f or {}).get(k, 0.0)) for k in ARG_NAMES}
         self.g_coefs = {k: float((g or {}).get(k, 0.0)) for k in ARG_NAMES}
         unknown = set(f or {}) | set(g or {})
@@ -132,8 +130,6 @@ class LinearDriver(DriverSpec):
                 self.g_coefs.values()
             )
         )
-        self.malliavin_l1 = float(l1)
-        self.malliavin_l2 = float(l2)
 
     def f_values(self, t, s, *args):
         out = self.f_source(t, s)
@@ -248,8 +244,7 @@ class RiskDriver(DriverSpec):
 
     def __init__(self, rate, h: ZPart | None = None, g: ZPart | None = None,
                  rate_bound: float | None = None,
-                 c: float | None = None, alpha: float | None = None,
-                 l1: float = 0.0, l2: float = 0.0):
+                 c: float | None = None, alpha: float | None = None):
         self.rate = _as_time_fn(rate)
         self.h = h or ZPart()
         self.g = g or ZPart()
@@ -263,8 +258,6 @@ class RiskDriver(DriverSpec):
         analytic_a = max(self.g.lipschitz ** 2, self.g.lipschitz)
         self.lipschitz_c = float(c) if c is not None else analytic_c
         self.lipschitz_alpha = float(alpha) if alpha is not None else analytic_a
-        self.malliavin_l1 = float(l1)
-        self.malliavin_l2 = float(l2)
 
     @property
     def has_partials(self) -> bool:
@@ -293,14 +286,12 @@ class CustomDriver(DriverSpec):
 
     family = "custom"
 
-    def __init__(self, f, g, c, alpha, l1=0.0, l2=0.0, partials=None):
+    def __init__(self, f, g, c, alpha, partials=None):
         self._f = f
         self._g = g
         self._partials = partials
         self.lipschitz_c = float(c)
         self.lipschitz_alpha = float(alpha)
-        self.malliavin_l1 = float(l1)
-        self.malliavin_l2 = float(l2)
 
     @property
     def has_partials(self) -> bool:

@@ -2,8 +2,9 @@
 
 Every library-raised error derives from :class:`Error`, so callers can
 catch one base class.  Validation-type errors (bad inputs, broken
-preconditions) and check-type errors (a verified property failed) are
-kept distinct because the command line front end maps them to different
+preconditions) derive from :class:`ValidationError`; every other error
+(a fixed point not reached, a monotone chain that rose) is a failed
+computation.  The command line front end maps the two kinds to different
 exit codes.
 """
 
@@ -70,10 +71,6 @@ class NoConvergence(Error):
 
 class MonotonicityBroken(Error):
     """The monotone auxiliary chain increased beyond rounding slack."""
-
-
-class CheckFailure(Error):
-    """A verification run found a violated property."""
 
 
 class IoError(Error):

@@ -147,11 +147,14 @@ def zero_kernel(lat: LatticeSpec) -> VolterraKernel:
     return VolterraKernel(lat, rows)
 
 
-def representation_row(y_i: MeasurableRV, j: int) -> MeasurableRV:
-    """Lower-triangle kernel value E[Y_i dW_j | (j, j)] / dt."""
+def representation_row(y_i: MeasurableRV, j: int, lane: int = 0) -> MeasurableRV:
+    """Lower-triangle kernel value E[Y_i dW_j | (j, j)] / dt.
+
+    dW_j is the forward increment of the given lane at step j.
+    """
     lat = y_i.lattice
-    coeff = condexp(y_i * w_increment(lat, j), time_field(lat, j))
-    return coeff * (1.0 / lat.dt)
+    wj = w_increment(lat, lat.bit_of(j, lane))
+    return condexp(y_i * wj, time_field(lat, j)) * (1.0 / lat.dt)
 
 
 def m_extend(y: AdaptedPath, z_delta: VolterraKernel) -> VolterraKernel:

@@ -40,25 +40,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, ValidationError
-from .fields import (
-    AdaptedPath,
-    VolterraKernel,
-    pair_sup_diff,
-    representation_row,
-)
+from .errors import ValidationError
+from .fields import AdaptedPath, VolterraKernel, zero_kernel, zero_path
 from .lattice import (
     MeasurableRV,
     b_increment,
     condexp,
     expectation,
     flip_derivative,
-    lift,
     time_field,
     w_increment,
-    zero_rv,
 )
-from .solver import Scenario
+from .solver import (
+    Scenario,
+    evaluate_driver,
+    frozen_args,
+    iterate,
+    means,
+    split_row,
+    sup_distance,
+)
 
 
 def flip_solution(y: AdaptedPath, z: VolterraKernel, r_idx: int
@@ -73,20 +74,6 @@ def flip_solution(y: AdaptedPath, z: VolterraKernel, r_idx: int
         for i in range(lat.n_steps + 1)
     ])
     return dy, dz
-
-
-def _partials_rv(sc: Scenario, t: float, s: float,
-                 a_y: MeasurableRV, a_z: MeasurableRV, a_zr: MeasurableRV,
-                 m_y: float, m_z: float, m_zr: float) -> list[MeasurableRV]:
-    """The twelve coefficient fields as lattice variables."""
-    f = a_y.field.join(a_z.field).join(a_zr.field)
-    p = sc.driver.partials(t, s, lift(a_y, f).values, lift(a_z, f).values,
-                           lift(a_zr, f).values, m_y, m_z, m_zr)
-    out = []
-    for comp in p:
-        v = np.broadcast_to(np.asarray(comp, dtype=float), f.table_shape)
-        out.append(MeasurableRV(f, np.array(v)))
-    return out
 
 
 @dataclass
@@ -118,50 +105,40 @@ def build_linearized(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
         raise ValidationError(f"flip slot {r_idx} outside 0..{n - 1}")
     if sc.terminal.family not in ("deterministic", "affine", "smooth"):
         raise ValidationError("terminal family has no flip derivative")
-    ey = [expectation(y[i]) for i in range(n + 1)]
-    ez = [[expectation(z.at(i, j)) for j in range(n)] for i in range(n + 1)]
-    zero = zero_rv(lat)
+    ey, ez = means(y, z)
     f_coef = [[None] * n for _ in range(n + 1)]
     g_coef = [[None] * n for _ in range(n + 1)]
     for i in range(n + 1):
+        t = lat.node(i)
         for j in range(i, n):
-            f_coef[i][j] = _partials_rv(
-                sc, lat.node(i), lat.node(j),
-                y[j], z.at(i, j), z.at(j, i),
-                ey[j], ez[i][j], ez[j][i],
-            )[:6]
-            jr = j + 1
-            g_coef[i][j] = _partials_rv(
-                sc, lat.node(i), lat.node(jr),
-                y[jr], z.at(i, jr) if jr < n else zero, z.at(jr, i),
-                ey[jr], ez[i][jr] if jr < n else 0.0, ez[jr][i],
-            )[6:]
+            left, right = frozen_args(y, z, ey, ez, i, j)
+            f_coef[i][j] = evaluate_driver(sc.driver.partials, t, lat.node(j),
+                                           left)[:6]
+            g_coef[i][j] = evaluate_driver(sc.driver.partials, t,
+                                           lat.node(j + 1), right)[6:]
     source = [flip_derivative(sc.zeta[i], r_idx) for i in range(n + 1)]
     return LinearizedScenario(sc, y, z, r_idx, f_coef, g_coef, source)
 
 
-def _linearized_phi(ls: LinearizedScenario, u, v, eu, ev, i: int,
-                    include_swapped: bool) -> MeasurableRV:
+def _dot(coefs, args, slots) -> MeasurableRV:
+    acc = coefs[slots[0]] * args[slots[0]]
+    for k in slots[1:]:
+        acc = acc + coefs[k] * args[k]
+    return acc
+
+
+def _linearized_phi(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
+                    eu, ev, i: int, include_swapped: bool) -> MeasurableRV:
     """Row-i driver sums of the flip equation over slots >= max(i, r)."""
     lat = ls.scenario.lattice
-    n, dt = lat.n_steps, lat.dt
-    r = ls.r_idx
-    zero = zero_rv(lat)
+    # argument slots in accumulation order: y, z, mean_y, mean_z, then the
+    # swapped-kernel pair (z_rev, mean_z_rev), left out on the pinned rows
+    slots = (0, 1, 3, 4, 2, 5) if include_swapped else (0, 1, 3, 4)
     phi = ls.source[i]
-    for j in range(max(i, r), n):
-        fy, fz, fzr, fmy, fmz, fmzr = ls.f_coef[i][j]
-        term = fy * u[j] + fz * v[i][j] + fmy * eu[j] + fmz * ev[i][j]
-        if include_swapped:
-            term = term + fzr * v[j][i] + fmzr * ev[j][i]
-        phi = phi + term * dt
-        gy, gz, gzr, gmy, gmz, gmzr = ls.g_coef[i][j]
-        jr = j + 1
-        v_right = v[i][jr] if jr < n else zero
-        ev_right = ev[i][jr] if jr < n else 0.0
-        gterm = gy * u[jr] + gz * v_right + gmy * eu[jr] + gmz * ev_right
-        if include_swapped:
-            gterm = gterm + gzr * v[jr][i] + gmzr * ev[jr][i]
-        phi = phi + gterm * b_increment(lat, j)
+    for j in range(max(i, ls.r_idx), lat.n_steps):
+        left, right = frozen_args(u, v, eu, ev, i, j)
+        phi = phi + _dot(ls.f_coef[i][j], left, slots) * lat.dt
+        phi = phi + _dot(ls.g_coef[i][j], right, slots) * b_increment(lat, j)
     return phi
 
 
@@ -175,50 +152,27 @@ def solve_linearized(ls: LinearizedScenario, tol: float = 1e-12,
     (their path component is zero and columns below r stay zero, the
     shape the entrywise flip produces).
     """
-    sc = ls.scenario
-    lat = sc.lattice
-    n, dt = lat.n_steps, lat.dt
+    lat = ls.scenario.lattice
     r = ls.r_idx
-    u = [condexp(zero_rv(lat), time_field(lat, i)) for i in range(n + 1)]
-    v = [[condexp(zero_rv(lat), time_field(lat, j)) for j in range(n)]
-         for i in range(n + 1)]
-    for _ in range(max_iter):
-        eu = [expectation(ui) for ui in u]
-        ev = [[expectation(v[i][j]) for j in range(n)] for i in range(n + 1)]
-        new_u, new_v = [], []
-        for i in range(n + 1):
-            phi = _linearized_phi(ls, u, v, eu, ev, i, include_swapped=True)
-            row = []
-            # kernel column r is blind to the flipped increment for every
-            # row of every kernel, so it stays structurally zero here
-            if i > r:
-                ui = condexp(phi, time_field(lat, i))
-                for j in range(n):
-                    if j >= i:
-                        zij = condexp(phi * w_increment(lat, j),
-                                      time_field(lat, j)) * (1.0 / dt)
-                    elif j > r:
-                        zij = representation_row(ui, j)
-                    else:
-                        zij = condexp(zero_rv(lat), time_field(lat, j))
-                    row.append(zij)
-            else:
-                ui = condexp(zero_rv(lat), time_field(lat, i))
-                for j in range(n):
-                    if j > r:
-                        zij = condexp(phi * w_increment(lat, j),
-                                      time_field(lat, j)) * (1.0 / dt)
-                    else:
-                        zij = condexp(zero_rv(lat), time_field(lat, j))
-                    row.append(zij)
-            new_u.append(ui)
-            new_v.append(row)
-        prev = AdaptedPath(lat, u), VolterraKernel(lat, v)
-        cur = AdaptedPath(lat, new_u), VolterraKernel(lat, new_v)
-        u, v = new_u, new_v
-        if pair_sup_diff(*cur, *prev) <= tol:
-            return cur
-    raise NoConvergence(f"linearized solve exhausted max_iter={max_iter}")
+    zero_y, zero_z = zero_path(lat), zero_kernel(lat)
+
+    def step(pair):
+        u, v = pair
+        eu, ev = means(u, v)
+        ys, rows = [], []
+        for i in range(lat.n_steps + 1):
+            yi, row = split_row(
+                _linearized_phi(ls, u, v, eu, ev, i, include_swapped=True), i)
+            # the entrywise flip's shape: kernel column r is blind to the
+            # flipped increment in every kernel, so columns <= r stay zero,
+            # and so does the path at rows <= r
+            row[:r + 1] = zero_z.z[i][:r + 1]
+            ys.append(yi if i > r else zero_y[i])
+            rows.append(row)
+        return AdaptedPath(lat, ys), VolterraKernel(lat, rows)
+
+    pair, _, _ = iterate(step, (zero_y, zero_z), sup_distance, tol, max_iter)
+    return pair
 
 
 @dataclass
@@ -273,15 +227,12 @@ def check_delta_equation(ls: LinearizedScenario,
     n, r = lat.n_steps, ls.r_idx
     if u is None or v is None:
         u, v = flip_solution(ls.base_y, ls.base_z, r)
-    eu = [expectation(u[i]) for i in range(n + 1)]
-    ev = [[expectation(v.at(i, j)) for j in range(n)] for i in range(n + 1)]
-    u_list = [u[i] for i in range(n + 1)]
-    v_list = [[v.at(i, j) for j in range(n)] for i in range(n + 1)]
+    eu, ev = means(u, v)
     rows = []
     worst = 0.0
     l2 = 0.0
     for i in range(r + 1):
-        acc = _linearized_phi(ls, u_list, v_list, eu, ev, i,
+        acc = _linearized_phi(ls, u, v, eu, ev, i,
                               include_swapped=False)
         for j in range(r, n):
             acc = acc - v.at(i, j) * w_increment(lat, j)

@@ -22,25 +22,22 @@ decreasing trend in n is a deterministic statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import DriverSpec, TerminalSpec
-from .errors import JointSpaceTooLarge, NoConvergence, ValidationError
-from .lattice import (
-    LatticeSpec,
-    MeasurableRV,
-    SigmaField,
-    b_increment,
-    condexp,
-    lift,
-    full_field,
-    time_field,
-    w_increment,
-    zero_rv,
+from .drivers import DriverSpec, TerminalSpec, terminal_rv
+from .errors import JointSpaceTooLarge, ValidationError
+from .fields import AdaptedPath, VolterraKernel, zero_kernel, zero_path
+from .lattice import LatticeSpec, MeasurableRV, SigmaField, full_field, lift
+from .solver import (
+    Scenario,
+    assemble_phi,
+    iterate,
+    picard_solve,
+    split_row,
+    sup_distance,
 )
-from .solver import Scenario, picard_solve
 
 JOINT_PATH_GUARD = 1 << 24
 
@@ -77,18 +74,6 @@ class ParticleConfig:
         )
 
 
-def _particle_terminal_rv(term: TerminalSpec, joint: LatticeSpec, i: int,
-                          lane: int) -> MeasurableRV:
-    codes = np.arange(1 << joint.n_bits)
-    total = np.zeros(codes.shape, dtype=float)
-    for step in range(joint.n_steps):
-        j = joint.bit_of(step, lane)
-        total += 2.0 * ((codes >> j) & 1) - 1.0
-    vals = term.value(joint.node(i), joint.inc * total)
-    f = SigmaField(joint, joint.n_bits, joint.n_bits)
-    return MeasurableRV(f, np.asarray(vals, dtype=float)[:, None])
-
-
 @dataclass
 class ParticleReport:
     iterations: int
@@ -105,76 +90,32 @@ def solve_particles(pc: ParticleConfig
     the particle-swap permutation.
     """
     joint = pc.joint_lattice()
-    n, npart, dt = joint.n_steps, pc.n_particles, joint.dt
-    zetas = [
-        [_particle_terminal_rv(pc.terminal, joint, i, p) for i in range(n + 1)]
-        for p in range(npart)
-    ]
-    zero = zero_rv(joint)
-    y = [[condexp(zero, time_field(joint, i)) for i in range(n + 1)]
-         for _ in range(npart)]
-    z = [[[condexp(zero, time_field(joint, j)) for j in range(n)]
-          for i in range(n + 1)] for _ in range(npart)]
+    n = joint.n_steps
+    zetas = [[terminal_rv(pc.terminal, joint, i, lane=p) for i in range(n + 1)]
+             for p in range(pc.n_particles)]
 
-    iterations = 0
-    sup = np.inf
-    for _ in range(pc.max_iter):
-        mean_y = [_empirical_mean([y[p][i] for p in range(npart)])
+    def step(pairs):
+        # particle p solves the frozen map with its own lane's increments
+        # and the empirical means over all particles as mean arguments
+        mean_y = [_empirical_mean([y[i] for y, _ in pairs])
                   for i in range(n + 1)]
-        mean_z = [[_empirical_mean([z[p][i][j] for p in range(npart)])
+        mean_z = [[_empirical_mean([z.at(i, j) for _, z in pairs])
                    for j in range(n)] for i in range(n + 1)]
-        new_y, new_z = [], []
-        for p in range(npart):
-            rows_y, rows_z = [], []
-            for i in range(n + 1):
-                phi = zetas[p][i]
-                for j in range(i, n):
-                    fij = _joint_driver_eval(
-                        pc.driver.f_values, joint, i, j,
-                        y[p][j], z[p][i][j], z[p][j][i],
-                        mean_y[j], mean_z[i][j], mean_z[j][i],
-                    )
-                    phi = phi + fij * dt
-                    jr = j + 1
-                    gij = _joint_driver_eval(
-                        pc.driver.g_values, joint, i, jr,
-                        y[p][jr], z[p][i][jr] if jr < n else zero,
-                        z[p][jr][i],
-                        mean_y[jr],
-                        mean_z[i][jr] if jr < n else zero,
-                        mean_z[jr][i],
-                    )
-                    phi = phi + gij * b_increment(joint, joint.bit_of(j, p))
-                yi = condexp(phi, time_field(joint, i))
-                rows_y.append(yi)
-                row = []
-                for j in range(n):
-                    wj = w_increment(joint, joint.bit_of(j, p))
-                    if j >= i:
-                        row.append(
-                            condexp(phi * wj, time_field(joint, j)) * (1.0 / dt)
-                        )
-                    else:
-                        row.append(
-                            condexp(yi * wj, time_field(joint, j)) * (1.0 / dt)
-                        )
-                rows_z.append(row)
-            new_y.append(rows_y)
-            new_z.append(rows_z)
-        sup = 0.0
-        for p in range(npart):
-            for i in range(n + 1):
-                sup = max(sup, (new_y[p][i] - y[p][i]).max_abs())
-                for j in range(n):
-                    sup = max(sup, (new_z[p][i][j] - z[p][i][j]).max_abs())
-        y, z = new_y, new_z
-        iterations += 1
-        if sup <= pc.tol:
-            break
-    else:
-        raise NoConvergence(
-            f"particle fixed point exhausted max_iter={pc.max_iter}"
-        )
+        new = []
+        for p, (y, z) in enumerate(pairs):
+            ys, rows = zip(*(
+                split_row(assemble_phi(pc.driver, zetas[p][i], y, z,
+                                       mean_y, mean_z, i, lane=p), i, lane=p)
+                for i in range(n + 1)))
+            new.append((AdaptedPath(joint, ys), VolterraKernel(joint, rows)))
+        return new
+
+    def distance(new, old):
+        return max(sup_distance(a, b) for a, b in zip(new, old))
+
+    start = [(zero_path(joint), zero_kernel(joint))] * pc.n_particles
+    pairs, iterations, sup = iterate(step, start, distance, pc.tol, pc.max_iter)
+    y = [list(yp.y) for yp, _ in pairs]
     report = ParticleReport(
         iterations=iterations,
         sup_diff=sup,
@@ -188,19 +129,6 @@ def _empirical_mean(rvs: list[MeasurableRV]) -> MeasurableRV:
     for rv in rvs[1:]:
         out = out + rv
     return out * (1.0 / len(rvs))
-
-
-def _joint_driver_eval(fn, joint, i, s_idx, a_y, a_z, a_zr, m_y, m_z, m_zr):
-    """Driver evaluation where the mean arguments are joint variables."""
-    f = a_y.field.join(a_z.field).join(a_zr.field)
-    f = f.join(m_y.field).join(m_z.field).join(m_zr.field)
-    vals = fn(
-        joint.node(i), joint.node(s_idx),
-        lift(a_y, f).values, lift(a_z, f).values, lift(a_zr, f).values,
-        lift(m_y, f).values, lift(m_z, f).values, lift(m_zr, f).values,
-    )
-    v = np.broadcast_to(np.asarray(vals, dtype=float), f.table_shape)
-    return MeasurableRV(f, np.array(v))
 
 
 def _swap_permutation(joint: LatticeSpec, p: int, q: int) -> np.ndarray:

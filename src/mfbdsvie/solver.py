@@ -24,6 +24,13 @@ states) the split is exact pathwise:
 
 which is what `residual` measures with self-consistent arguments.
 
+The map is written once and shared: `frozen_args` reads the driver
+arguments (the only place that knows the right-node convention),
+`assemble_phi` builds Phi_i, `split_row` splits it, and `iterate` is the
+Picard loop.  The linearized flip equation (malliavin) and the particle
+system (particles) are the same map with other coefficients, other
+means and other lanes.
+
 Iterating the map from (0, 0) contracts in the beta-weighted norm once
 beta clears the threshold; the report keeps the successive-difference
 trace so the empirical ratios can be held against the theoretical
@@ -126,47 +133,113 @@ def _weight_mass(lat: LatticeSpec, beta: float) -> float:
     return sum(w.at(lat.node(i)) * lat.dt for i in range(lat.n_steps + 1))
 
 
-def _eval_rv(fn: Callable, t: float, s: float,
-             a_y: MeasurableRV, a_z: MeasurableRV, a_zr: MeasurableRV,
-             m_y: float, m_z: float, m_zr: float) -> MeasurableRV:
-    """Pathwise driver evaluation on lifted tables."""
-    f = a_y.field.join(a_z.field).join(a_zr.field)
-    v = fn(t, s, lift(a_y, f).values, lift(a_z, f).values,
-           lift(a_zr, f).values, m_y, m_z, m_zr)
-    v = np.broadcast_to(np.asarray(v, dtype=float), f.table_shape)
-    return MeasurableRV(f, np.array(v))
+def evaluate_driver(fn: Callable, t: float, s: float, args: tuple):
+    """fn(t, s, *args) as lattice variables on the join of the arguments.
+
+    Lattice-variable arguments are lifted to the join of their fields and
+    scalar arguments pass through, so the same call serves scalar means and
+    the particles' random-variable empirical means.  A tuple result (the
+    twelve partials) gives one lattice variable per component.
+    """
+    rvs = [a for a in args if isinstance(a, MeasurableRV)]
+    f = rvs[0].field
+    for a in rvs[1:]:
+        f = f.join(a.field)
+    out = fn(t, s, *[lift(a, f).values if isinstance(a, MeasurableRV) else a
+                     for a in args])
+
+    def as_rv(v):
+        v = np.broadcast_to(np.asarray(v, dtype=float), f.table_shape)
+        return MeasurableRV(f, np.array(v))
+
+    return [as_rv(v) for v in out] if isinstance(out, tuple) else as_rv(out)
 
 
-def _assemble_phi(sc: Scenario, y: AdaptedPath, z: VolterraKernel, i: int,
-                  ey, ez) -> MeasurableRV:
-    lat = sc.lattice
-    n, dt = lat.n_steps, lat.dt
-    phi = sc.zeta[i]
-    zero = zero_rv(lat)
-    for j in range(i, n):
-        # the loop body only runs for i <= j <= n-1, so the swapped
-        # kernel indices (j, i) and (j+1, i) are always in range
-        fij = _eval_rv(
-            sc.driver.f_values, lat.node(i), lat.node(j),
-            y[j], z.at(i, j), z.at(j, i),
-            ey[j], ez[i][j], ez[j][i],
-        )
-        phi = phi + fij * dt
-        jr = j + 1
-        z_right = z.at(i, jr) if jr < n else zero
-        ez_right = ez[i][jr] if jr < n else 0.0
-        gij = _eval_rv(
-            sc.driver.g_values, lat.node(i), lat.node(jr),
-            y[jr], z_right, z.at(jr, i),
-            ey[jr], ez_right, ez[jr][i],
-        )
-        phi = phi + gij * b_increment(lat, j)
+def frozen_args(y: AdaptedPath, z: VolterraKernel, ey, ez, i: int, j: int
+                ) -> tuple[tuple, tuple]:
+    """Frozen driver arguments of row i at slot j: (left, right).
+
+    left feeds f at the left node (t_i, s_j); right feeds g at the right
+    node (t_i, s_{j+1}), with kernel column N (and its mean) read as zero,
+    so that dB_j is independent of the integrand.  Each tuple is in driver
+    order (y, z, z_rev, mean_y, mean_z, mean_z_rev).  j ranges over
+    i..N-1, so the swapped indices (j, i) and (j+1, i) are in range.
+    """
+    jr = j + 1
+    last = jr == y.lattice.n_steps
+    left = (y[j], z.at(i, j), z.at(j, i), ey[j], ez[i][j], ez[j][i])
+    right = (y[jr], 0.0 if last else z.at(i, jr), z.at(jr, i),
+             ey[jr], 0.0 if last else ez[i][jr], ez[jr][i])
+    return left, right
+
+
+def assemble_phi(driver: DriverSpec, zeta_i: MeasurableRV, y: AdaptedPath,
+                 z: VolterraKernel, ey, ez, i: int, lane: int = 0
+                 ) -> MeasurableRV:
+    """Phi_i: zeta_i plus the f dt and g dB_j sums over slots j >= i.
+
+    The backward increments are the given lane's.
+    """
+    lat = y.lattice
+    t = lat.node(i)
+    phi = zeta_i
+    for j in range(i, lat.n_steps):
+        left, right = frozen_args(y, z, ey, ez, i, j)
+        f = evaluate_driver(driver.f_values, t, lat.node(j), left)
+        phi = phi + f * lat.dt
+        g = evaluate_driver(driver.g_values, t, lat.node(j + 1), right)
+        phi = phi + g * b_increment(lat, lat.bit_of(j, lane))
     return phi
 
 
-def _means(y: AdaptedPath, z: VolterraKernel):
-    lat = y.lattice
-    n = lat.n_steps
+def split_row(phi: MeasurableRV, i: int, lane: int = 0
+              ) -> tuple[MeasurableRV, list[MeasurableRV]]:
+    """Y_i and kernel row i from Phi_i against one lane's forward walk.
+
+    Y_i = E[Phi_i | (i, i)]; the upper triangle j >= i is
+    E[Phi_i dW_j | (j, j)] / dt and the lower triangle j < i is the
+    representation of Y_i (the M-extension).
+    """
+    lat = phi.lattice
+    yi = condexp(phi, time_field(lat, i))
+    row = [representation_row(yi, j, lane) for j in range(i)]
+    for j in range(i, lat.n_steps):
+        wj = w_increment(lat, lat.bit_of(j, lane))
+        row.append(condexp(phi * wj, time_field(lat, j)) * (1.0 / lat.dt))
+    return yi, row
+
+
+def iterate(step: Callable, start, distance: Callable, tol: float,
+            max_iter: int):
+    """Picard loop: apply step until distance(new, old) <= tol.
+
+    Returns (state, iterations, last distance).
+    """
+    if not tol > 0:
+        raise ValidationError(f"tol={tol} must be > 0")
+    if not max_iter >= 1:
+        raise ValidationError(f"max_iter={max_iter} must be >= 1")
+    state = start
+    for k in range(1, max_iter + 1):
+        new = step(state)
+        d = distance(new, state)
+        state = new
+        if d <= tol:
+            return state, k, d
+    raise NoConvergence(
+        f"max_iter={max_iter} hit with successive difference {d:.3e} "
+        f"> tol={tol}"
+    )
+
+
+def sup_distance(new, old) -> float:
+    """Pathwise sup-norm distance between two (path, kernel) pairs."""
+    return pair_sup_diff(*new, *old)
+
+
+def means(y: AdaptedPath, z: VolterraKernel):
+    """Expectations of every path and kernel entry (the mean arguments)."""
+    n = y.lattice.n_steps
     ey = [expectation(y[i]) for i in range(n + 1)]
     ez = [[expectation(z.at(i, j)) for j in range(n)] for i in range(n + 1)]
     return ey, ez
@@ -182,42 +255,23 @@ def gamma_map(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
     triangles either way.
     """
     lat = sc.lattice
-    n, dt = lat.n_steps, lat.dt
-    ey, ez = _means(y, z)
-    new_y = []
-    rows = []
-    for i in range(n + 1):
-        phi = _assemble_phi(sc, y, z, i, ey, ez)
-        yi = condexp(phi, time_field(lat, i))
-        new_y.append(yi)
-        row = []
-        for j in range(n):
-            if j >= i:
-                zij = condexp(phi * w_increment(lat, j), time_field(lat, j))
-                row.append(zij * (1.0 / dt))
-            else:
-                row.append(representation_row(yi, j) if extend
-                           else condexp(zero_rv(lat), time_field(lat, j)))
+    ey, ez = means(y, z)
+    ys, rows = [], []
+    for i in range(lat.n_steps + 1):
+        phi = assemble_phi(sc.driver, sc.zeta[i], y, z, ey, ez, i)
+        yi, row = split_row(phi, i)
+        if not extend:
+            row[:i] = [condexp(zero_rv(lat), time_field(lat, j))
+                       for j in range(i)]
+        ys.append(yi)
         rows.append(row)
-    return AdaptedPath(lat, new_y), VolterraKernel(lat, rows)
+    return AdaptedPath(lat, ys), VolterraKernel(lat, rows)
 
 
 def representation_pair(sc: Scenario) -> tuple[AdaptedPath, VolterraKernel]:
     """The source-free solution: conditional terminal plus its kernel."""
     lat = sc.lattice
-    n, dt = lat.n_steps, lat.dt
-    ys, rows = [], []
-    for i in range(n + 1):
-        yi = condexp(sc.zeta[i], time_field(lat, i))
-        ys.append(yi)
-        row = []
-        for j in range(n):
-            if j >= i:
-                zij = condexp(sc.zeta[i] * w_increment(lat, j), time_field(lat, j))
-                row.append(zij * (1.0 / dt))
-            else:
-                row.append(representation_row(yi, j))
-        rows.append(row)
+    ys, rows = zip(*(split_row(sc.zeta[i], i) for i in range(lat.n_steps + 1)))
     return AdaptedPath(lat, ys), VolterraKernel(lat, rows)
 
 
@@ -225,10 +279,10 @@ def residual(sc: Scenario, y: AdaptedPath, z: VolterraKernel) -> float:
     """Worst pathwise defect of the equation with self-consistent args."""
     lat = sc.lattice
     n = lat.n_steps
-    ey, ez = _means(y, z)
+    ey, ez = means(y, z)
     worst = 0.0
     for i in range(n + 1):
-        acc = _assemble_phi(sc, y, z, i, ey, ez) - y[i]
+        acc = assemble_phi(sc.driver, sc.zeta[i], y, z, ey, ez, i) - y[i]
         for j in range(i, n):
             acc = acc - z.at(i, j) * w_increment(lat, j)
         worst = max(worst, acc.max_abs())
@@ -240,33 +294,19 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
                  defer_extension: bool = False
                  ) -> tuple[AdaptedPath, VolterraKernel, SolverReport]:
     """Iterate the map until the successive difference drops below tol."""
-    if not tol > 0:
-        raise ValidationError(f"tol={tol} must be > 0")
     lat = sc.lattice
     w = BetaWeight(sc.beta)
     scale = 1.0 / np.sqrt(_weight_mass(lat, sc.beta))
-    if start is None:
-        y, z = zero_path(lat), zero_kernel(lat)
-    else:
-        y, z = start
     diffs: list[float] = []
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        y2, z2 = gamma_map(sc, y, z, extend=not defer_extension)
-        diffs.append(scale * m_beta_norm(*pair_diff(y2, z2, y, z), w))
-        sup = pair_sup_diff(y2, z2, y, z)
-        y, z = y2, z2
-        iterations += 1
-        if sup <= tol:
-            converged = True
-            break
-    if not converged:
-        tail = diffs[-1] / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0 else float("inf")
-        raise NoConvergence(
-            f"max_iter={max_iter} hit with weighted diff={diffs[-1]:.3e}, "
-            f"last ratio={tail:.3f}"
-        )
+
+    def step(pair):
+        new = gamma_map(sc, *pair, extend=not defer_extension)
+        diffs.append(scale * m_beta_norm(*pair_diff(*new, *pair), w))
+        return new
+
+    if start is None:
+        start = zero_path(lat), zero_kernel(lat)
+    (y, z), iterations, _ = iterate(step, start, sup_distance, tol, max_iter)
     if defer_extension:
         z = m_extend(y, z)
     ratios = [
@@ -322,28 +362,20 @@ def stability_compare(sc1: Scenario, sc2: Scenario,
     for i in range(n + 1):
         dz = sc1.zeta[i] - sc2.zeta[i]
         zeta_term += w.at(lat.node(i)) * expectation(dz * dz) * dt
-    ey, ez = _means(y2, z2)
+    ey, ez = means(y2, z2)
     f_term = g_term = 0.0
-    zero = zero_rv(lat)
+    d1, d2 = sc1.driver, sc2.driver
     for i in range(n + 1):
+        t = lat.node(i)
         for j in range(i, n):
-            args = (
-                y2[j], z2.at(i, j), z2.at(j, i),
-                ey[j], ez[i][j], ez[j][i],
-            )
-            df = _eval_rv(sc1.driver.f_values, lat.node(i), lat.node(j), *args) \
-                - _eval_rv(sc2.driver.f_values, lat.node(i), lat.node(j), *args)
-            f_term += w.at(lat.node(j)) * expectation(df * df) * dt * dt
-            jr = j + 1
-            rargs = (
-                y2[jr], z2.at(i, jr) if jr < n else zero,
-                z2.at(jr, i),
-                ey[jr], ez[i][jr] if jr < n else 0.0,
-                ez[jr][i],
-            )
-            dg = _eval_rv(sc1.driver.g_values, lat.node(i), lat.node(jr), *rargs) \
-                - _eval_rv(sc2.driver.g_values, lat.node(i), lat.node(jr), *rargs)
-            g_term += w.at(lat.node(j)) * expectation(dg * dg) * dt * dt
+            left, right = frozen_args(y2, z2, ey, ez, i, j)
+            s, sr = lat.node(j), lat.node(j + 1)
+            df = (evaluate_driver(d1.f_values, t, s, left)
+                  - evaluate_driver(d2.f_values, t, s, left))
+            f_term += w.at(s) * expectation(df * df) * dt * dt
+            dg = (evaluate_driver(d1.g_values, t, sr, right)
+                  - evaluate_driver(d2.g_values, t, sr, right))
+            g_term += w.at(s) * expectation(dg * dg) * dt * dt
     rhs = zeta_term + f_term + g_term
     ratio = lhs / rhs if rhs > 0 else 0.0
     return StabilityReport(lhs=lhs, zeta_term=zeta_term, f_term=f_term,

@@ -72,6 +72,13 @@ class TestSolve:
         p.write_text("{not json")
         assert run("solve", str(p), str(tmp_path / "out")) == 1
 
+    def test_zero_max_iter_is_input_error(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["solver"]["max_iter"] = 0
+        path = write_scenario(tmp_path, doc)
+        assert run("solve", str(path), str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.startswith("input error:")
+
 
 class TestCompare:
     def compare_doc(self, a_y=0.2):
@@ -153,6 +160,19 @@ class TestMalliavinAndParticles:
         assert run("particles", str(path), str(out)) == 0
         header = (out / "particles.csv").read_text().splitlines()[0]
         assert header == "n,t_idx,e_n"
+
+
+class TestSolverSection:
+    @pytest.mark.parametrize("sub, doc", [
+        ("solve", base_doc()),
+        ("compare", TestCompare().compare_doc()),
+        ("risk", TestRisk().risk_doc()),
+    ])
+    def test_non_numeric_beta_is_input_error(self, tmp_path, capsys, sub, doc):
+        doc["solver"]["beta"] = "x"
+        path = write_scenario(tmp_path, doc)
+        assert run(sub, str(path), str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.startswith("input error:")
 
 
 class TestDeterminism:

@@ -307,3 +307,39 @@ class TestResidualExamples:
             MeasurableRV(y[0].field, bumped), y[1], y[2]
         ])
         assert residual(sc, y_pert, z) >= eps * (1.0 - 1e-9)
+
+
+class TestIterationLimits:
+    """Every fixed-point solve shares one check on tol and max_iter."""
+
+    DRIVER = LinearDriver(f={"y": -0.3, "mean_y": 0.2}, g={"z": 0.04})
+    TERMINAL = TerminalSpec(phi=0.3, theta=0.6)
+
+    @classmethod
+    def picard(cls, tol, max_iter):
+        picard_solve(make(2, 1.0, cls.DRIVER, cls.TERMINAL), tol=tol,
+                     max_iter=max_iter)
+
+    @classmethod
+    def linearized(cls, tol, max_iter):
+        from mfbdsvie.malliavin import build_linearized, solve_linearized
+
+        sc = make(2, 1.0, cls.DRIVER, cls.TERMINAL)
+        y, z, _ = picard_solve(sc, tol=1e-12)
+        solve_linearized(build_linearized(sc, y, z, 0), tol=tol,
+                         max_iter=max_iter)
+
+    @classmethod
+    def particles(cls, tol, max_iter):
+        from mfbdsvie.particles import ParticleConfig, solve_particles
+
+        solve_particles(ParticleConfig(
+            n_particles=2, lattice=build_lattice(2, 1.0), driver=cls.DRIVER,
+            terminal=cls.TERMINAL, tol=tol, max_iter=max_iter))
+
+    @pytest.mark.parametrize("solver", ["picard", "linearized", "particles"])
+    @pytest.mark.parametrize("tol, max_iter",
+                             [(1e-12, 0), (1e-12, -3), (0.0, 50), (-1e-3, 50)])
+    def test_bad_limits_rejected(self, solver, tol, max_iter):
+        with pytest.raises(errors.ValidationError):
+            getattr(self, solver)(tol, max_iter)
