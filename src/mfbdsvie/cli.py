@@ -8,10 +8,10 @@ Scenario files are JSON documents with sections
     solver    {beta?, safety?, tol?, max_iter?}
 
 plus one optional section per subcommand (comparison, risk, malliavin,
-particles).  Unknown keys anywhere are rejected before any computation
-runs.  Every output is written under --out as CSV plus a summary text
-block; runs are fully deterministic, so repeated invocations produce
-byte-identical files.
+particles).  Unknown keys, non-finite numbers and non-integer counts
+are rejected before any computation runs.  Every output is written
+under --out as CSV plus a summary text block; runs are fully
+deterministic, so repeated invocations produce byte-identical files.
 
 Exit codes: 0 all checks passed, 1 input or validation trouble,
 2 a verified property failed.
@@ -31,6 +31,7 @@ from . import comparison as cmp_mod
 from . import malliavin as mal_mod
 from . import risk as risk_mod
 from .drivers import (
+    ARG_NAMES,
     DriverSpec,
     LinearDriver,
     RiskDriver,
@@ -60,50 +61,78 @@ def _require_keys(obj, allowed, required, where):
         raise InputError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _num(obj, key, where, default=None):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InputError(f"{where}.{key}: expected a number")
+def _number(v, where):
+    """A finite JSON number as a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not abs(v) <= sys.float_info.max:
+        raise InputError(f"{where}: expected a finite number")
     return float(v)
 
 
+def _integer(v, where):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise InputError(f"{where}: expected an integer")
+    return v
+
+
+def _num(obj, key, where, default=None):
+    return default if key not in obj else _number(obj[key], f"{where}.{key}")
+
+
+def _int(obj, key, where, default=None):
+    return default if key not in obj else _integer(obj[key], f"{where}.{key}")
+
+
+def _numbers(v, where, size):
+    if not isinstance(v, list) or len(v) != size:
+        raise InputError(f"{where}: expected a list of {size} numbers")
+    return [_number(x, f"{where}[{k}]") for k, x in enumerate(v)]
+
+
 def _time_fn(cfg, where):
-    """Deterministic time profiles: a number or {const|affine: ...}."""
-    if isinstance(cfg, (int, float)) and not isinstance(cfg, bool):
-        return float(cfg)
+    """Deterministic time profiles: a number or {const|affine: [c0, c1]}."""
+    if not isinstance(cfg, dict):
+        return _number(cfg, where)
     _require_keys(cfg, ("const", "affine"), (), where)
     if "const" in cfg:
-        return float(cfg["const"])
-    c0, c1 = cfg["affine"]
-    return lambda t, a=float(c0), b=float(c1): a + b * t
+        return _num(cfg, "const", where)
+    c0, c1 = _numbers(cfg.get("affine"), f"{where}.affine", 2)
+    return lambda t, a=c0, b=c1: a + b * t
 
 
 def _surface_fn(cfg, where):
     """Source profiles phi(t, s): a number or {const|affine_ts: [c,ct,cs]}."""
     if cfg is None:
         return None
-    if isinstance(cfg, (int, float)) and not isinstance(cfg, bool):
-        return float(cfg)
+    if not isinstance(cfg, dict):
+        return _number(cfg, where)
     _require_keys(cfg, ("const", "affine_ts"), (), where)
     if "const" in cfg:
-        return float(cfg["const"])
-    c0, ct, cs = (float(v) for v in cfg["affine_ts"])
+        return _num(cfg, "const", where)
+    c0, ct, cs = _numbers(cfg.get("affine_ts"), f"{where}.affine_ts", 3)
     return lambda t, s: c0 + ct * t + cs * s
+
+
+def _coefs(cfg, where):
+    """Linear coefficient map {argument: number}."""
+    if cfg is None:
+        return None
+    _require_keys(cfg, ARG_NAMES, (), where)
+    return {k: _num(cfg, k, where) for k in cfg}
 
 
 def parse_driver(cfg, where="driver") -> DriverSpec:
     _require_keys(cfg, ("family", "params", "c", "alpha"), ("family",), where)
     family = cfg.get("family")
     params = cfg.get("params", {})
-    c = cfg.get("c")
-    alpha = cfg.get("alpha")
+    c = _num(cfg, "c", where)
+    alpha = _num(cfg, "alpha", where)
     if family == "linear":
         _require_keys(params, ("f", "g", "f_source", "g_source"), (),
                       f"{where}.params")
         return LinearDriver(
-            f=params.get("f"), g=params.get("g"),
+            f=_coefs(params.get("f"), f"{where}.f"),
+            g=_coefs(params.get("g"), f"{where}.g"),
             f_source=_surface_fn(params.get("f_source"), f"{where}.f_source"),
             g_source=_surface_fn(params.get("g_source"), f"{where}.g_source"),
             c=c, alpha=alpha,
@@ -115,7 +144,7 @@ def parse_driver(cfg, where="driver") -> DriverSpec:
             rate=_time_fn(params["rate"], f"{where}.rate"),
             h=parse_zpart(params.get("h"), f"{where}.h"),
             g=parse_zpart(params.get("g"), f"{where}.g"),
-            rate_bound=params.get("rate_bound"),
+            rate_bound=_num(params, "rate_bound", f"{where}.params"),
             c=c, alpha=alpha,
         )
     raise InputError(f"{where}.family: unknown family '{family}'")
@@ -125,8 +154,8 @@ def parse_zpart(cfg, where) -> ZPart:
     if cfg is None:
         return ZPart()
     _require_keys(cfg, ("kind", "k0", "k1"), ("kind",), where)
-    return ZPart(kind=cfg["kind"], k0=float(cfg.get("k0", 0.0)),
-                 k1=float(cfg.get("k1", 0.0)))
+    return ZPart(kind=cfg["kind"], k0=_num(cfg, "k0", where, 0.0),
+                 k1=_num(cfg, "k1", where, 0.0))
 
 
 def parse_terminal(cfg, where="terminal") -> TerminalSpec:
@@ -181,9 +210,14 @@ def load_scenario_file(path: Path) -> dict:
     return doc
 
 
+def _lattice(doc):
+    cfg = doc["lattice"]
+    return build_lattice(_int(cfg, "n_steps", "lattice"),
+                         _num(cfg, "horizon", "lattice"))
+
+
 def build_base_scenario(doc) -> tuple[Scenario, float, int]:
-    lat_cfg = doc["lattice"]
-    lat = build_lattice(int(lat_cfg["n_steps"]), float(lat_cfg["horizon"]))
+    lat = _lattice(doc)
     if "driver" not in doc or "terminal" not in doc:
         raise InputError("scenario: solve needs driver and terminal sections")
     driver = parse_driver(doc["driver"])
@@ -195,7 +229,7 @@ def build_base_scenario(doc) -> tuple[Scenario, float, int]:
         safety=_num(solver_cfg, "safety", "solver", 1.5),
     )
     tol = _num(solver_cfg, "tol", "solver", 1e-10)
-    max_iter = int(_num(solver_cfg, "max_iter", "solver", 200))
+    max_iter = _int(solver_cfg, "max_iter", "solver", 200)
     return sc, tol, max_iter
 
 
@@ -277,8 +311,7 @@ def _run_compare(doc, out_dir: Path) -> tuple[int, list[str]]:
         ("f1", "fbar", "f2", "zeta1", "zeta2"),
         "comparison",
     )
-    lat_cfg = doc["lattice"]
-    lat = build_lattice(int(lat_cfg["n_steps"]), float(lat_cfg["horizon"]))
+    lat = _lattice(doc)
     solver_cfg = doc.get("solver", {})
     cs = cmp_mod.ComparisonScenario(
         lattice=lat,
@@ -294,13 +327,13 @@ def _run_compare(doc, out_dir: Path) -> tuple[int, list[str]]:
         beta=_num(solver_cfg, "beta", "solver"),
         safety=_num(solver_cfg, "safety", "solver", 1.5),
         tol=_num(solver_cfg, "tol", "solver", 1e-12),
-        max_iter=int(_num(solver_cfg, "max_iter", "solver", 300)),
+        max_iter=_int(solver_cfg, "max_iter", "solver", 300),
     )
     verdict = cmp_mod.compare_solve(cs)
     write_csv(out_dir / "compare.csv", ["t_idx", "min_gap"],
               list(enumerate(verdict.min_gap_by_node)))
     lines = [f"min_gap: {_fmt(verdict.min_gap)}"]
-    p_max = int(cfg.get("p_max", 0))
+    p_max = _int(cfg, "p_max", "comparison", 0)
     if p_max > 0:
         chain = cmp_mod.monotone_iteration(cs, p_max)
         rows = []
@@ -327,8 +360,7 @@ def _run_risk(doc, out_dir: Path) -> tuple[int, list[str]]:
         ("rate", "payoff"),
         "risk",
     )
-    lat_cfg = doc["lattice"]
-    lat = build_lattice(int(lat_cfg["n_steps"]), float(lat_cfg["horizon"]))
+    lat = _lattice(doc)
     solver_cfg = doc.get("solver", {})
     rs = risk_mod.RiskSpec(
         lat, _time_fn(cfg["rate"], "risk.rate"),
@@ -337,8 +369,8 @@ def _run_risk(doc, out_dir: Path) -> tuple[int, list[str]]:
         beta=_num(solver_cfg, "beta", "solver"),
         safety=_num(solver_cfg, "safety", "solver", 1.5),
         tol=_num(solver_cfg, "tol", "solver", 1e-12),
-        max_iter=int(_num(solver_cfg, "max_iter", "solver", 300)),
-        rate_bound=cfg.get("rate_bound"),
+        max_iter=_int(solver_cfg, "max_iter", "solver", 300),
+        rate_bound=_num(cfg, "rate_bound", "risk"),
     )
     p1 = risk_mod.PayoffStream(parse_terminal(cfg["payoff"], "risk.payoff"))
     p2 = None
@@ -355,7 +387,7 @@ def _run_risk(doc, out_dir: Path) -> tuple[int, list[str]]:
     axioms = cfg.get("axioms", ["translation"])
     shift = _num(cfg, "shift", "risk", 1.0)
     lam = _num(cfg, "lambda", "risk", 0.5)
-    t_idx = int(_num(cfg, "t_idx", "risk", 0))
+    t_idx = _int(cfg, "t_idx", "risk", 0)
     reports = []
     for name in axioms:
         if name == "translation":
@@ -399,7 +431,8 @@ def _run_malliavin(doc, out_dir: Path) -> tuple[int, list[str]]:
     _require_keys(cfg, ("r_idx",), (), "malliavin")
     y, z, _ = picard_solve(sc, tol=tol, max_iter=max_iter)
     n = sc.lattice.n_steps
-    r_list = [int(cfg["r_idx"])] if "r_idx" in cfg else list(range(n))
+    r = _int(cfg, "r_idx", "malliavin")
+    r_list = list(range(n)) if r is None else [r]
     rows = []
     worst = 0.0
     for r in r_list:
@@ -419,7 +452,11 @@ def _run_particles(doc, out_dir: Path) -> tuple[int, list[str]]:
     sc, tol, max_iter = build_base_scenario(doc)
     cfg = doc.get("particles", {})
     _require_keys(cfg, ("n_list",), (), "particles")
-    n_list = [int(v) for v in cfg.get("n_list", [1, 2, 3])]
+    n_list = cfg.get("n_list", [1, 2, 3])
+    if not isinstance(n_list, list):
+        raise InputError("particles.n_list: expected a list")
+    n_list = [_integer(v, f"particles.n_list[{k}]")
+              for k, v in enumerate(n_list)]
     rows = convergence_study(sc, n_list, tol=tol, max_iter=max_iter)
     write_csv(out_dir / "particles.csv", ["n", "t_idx", "e_n"], rows)
     sums = {}

@@ -70,8 +70,6 @@ class ComparisonScenario:
     zeta1: TerminalSpec
     zeta2: TerminalSpec
     zetabar: TerminalSpec | None = None
-    monotone_y: bool = True
-    monotone_mean: bool = True
     beta: float | None = None
     safety: float = 1.5
     tol: float = 1e-12
@@ -83,7 +81,7 @@ class ComparisonScenario:
     def scenario(self, which: str) -> Scenario:
         driver = {"1": self.f1, "2": self.f2}[which]
         term = {"1": self.zeta1, "2": self.zeta2}[which]
-        return Scenario(self.lattice, _withg(driver, self.g),
+        return Scenario(self.lattice, _CombinedDriver(driver, self.g),
                         term, beta=self.beta, safety=self.safety)
 
 
@@ -103,10 +101,6 @@ class _CombinedDriver(DriverSpec):
 
     def g_values(self, t, s, *args):
         return self.g_spec.g_values(t, s, *args)
-
-
-def _withg(f_spec: DriverSpec, g_spec: DriverSpec) -> DriverSpec:
-    return _CombinedDriver(f_spec, g_spec)
 
 
 @dataclass
@@ -165,8 +159,7 @@ def check_hypotheses(cs: ComparisonScenario, n_samples: int = 400,
         term_gap = max(term_gap, float(np.max(d.values)))
     report = HypothesesReport(
         worst_order_low=float(lo), worst_order_high=float(hi),
-        worst_monotone_y=float(my) if cs.monotone_y else 0.0,
-        worst_monotone_mean=float(mm) if cs.monotone_mean else 0.0,
+        worst_monotone_y=float(my), worst_monotone_mean=float(mm),
         worst_reduced_form=float(rf),
         worst_terminal_order=float(term_gap),
     )
@@ -221,7 +214,7 @@ def monotone_iteration(cs: ComparisonScenario, p_max: int
     zetabar = cs.middle_terminal()
     for p in range(1, p_max + 1):
         mu = [float(np.mean(chain[-1][i].values)) for i in range(lat.n_steps + 1)]
-        frozen = FrozenMeanDriver(_withg(cs.fbar, cs.g), mu, lat.dt)
+        frozen = FrozenMeanDriver(_CombinedDriver(cs.fbar, cs.g), mu, lat.dt)
         sc = Scenario(lat, frozen, zetabar, beta=cs.beta, safety=cs.safety)
         yp, _, _ = picard_solve(sc, tol=cs.tol, max_iter=cs.max_iter)
         for i in range(lat.n_steps + 1):

@@ -45,7 +45,6 @@ from .lattice import (
     SigmaField,
     condexp,
     expectation,
-    measurable_wrt,
     time_field,
     w_increment,
     zero_rv,
@@ -166,20 +165,8 @@ def m_extend(y: AdaptedPath, z_delta: VolterraKernel) -> VolterraKernel:
     lat = y.lattice
     if z_delta.lattice != lat:
         raise LatticeMismatch("path and kernel on different lattices")
-    rows = []
-    for i in range(lat.n_steps + 1):
-        row = []
-        for j in range(lat.n_steps):
-            if j >= i:
-                zij = z_delta.at(i, j)
-                if not measurable_wrt(zij, time_field(lat, j)):
-                    raise MeasurabilityViolation(
-                        f"upper-triangle entry ({i}, {j}) not measurable"
-                    )
-                row.append(zij)
-            else:
-                row.append(representation_row(y[i], j))
-        rows.append(row)
+    rows = [[z_delta.at(i, j) if j >= i else representation_row(y[i], j)
+             for j in range(lat.n_steps)] for i in range(lat.n_steps + 1)]
     return VolterraKernel(lat, rows)
 
 

@@ -22,6 +22,12 @@ conditional expectations are exact finite averages over the unknown
 axes, so every identity checked downstream holds to rounding error
 only; no regression or Monte Carlo noise enters anywhere.
 
+`bit_view(x, f)` owns this layout: it reshapes the table of x to one
+axis per increment the finer field f knows, W increments f.w_upto-1
+down to 0, then B increments M-1 down to f.b_from, size 1 where x is
+blind.  Views on one field broadcast together and reshape for free to
+f.table_shape; arithmetic, lifts and driver arguments are built on it.
+
 A lattice may carry several independent walk pairs per time step
 ("lanes"); the interacting particle system uses one lane per particle
 on a joint lattice, with time-node fields at multiples of the lane
@@ -204,7 +210,8 @@ class MeasurableRV:
             if self.lattice != other.lattice:
                 raise LatticeMismatch("operands on different lattices")
             f = self.field.join(other.field)
-            return MeasurableRV(f, op(lift(self, f).values, lift(other, f).values))
+            out = op(bit_view(self, f), bit_view(other, f))
+            return MeasurableRV(f, out.reshape(f.table_shape))
         return MeasurableRV(self.field, op(self.values, float(other)))
 
     def __add__(self, other):
@@ -287,22 +294,28 @@ def _check_bit(lat: LatticeSpec, j: int) -> None:
 # -- lifting and conditioning ---------------------------------------------
 
 
-def lift(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
-    """Re-express x on the finer field f (no information change)."""
-    a1, b1 = x.field.w_upto, x.field.b_from
-    a2, b2 = f.w_upto, f.b_from
+def bit_view(x: MeasurableRV, f: SigmaField) -> np.ndarray:
+    """x's table with one axis per increment f knows (see module doc)."""
+    a, b = x.field.w_upto, x.field.b_from
     if not f.contains(x.field):
         raise MeasurabilityViolation(
-            f"cannot lift ({a1},{b1}) onto non-refining ({a2},{b2})"
+            f"cannot lift ({a},{b}) onto non-refining ({f.w_upto},{f.b_from})"
         )
-    v = x.values
-    if a2 > a1:
-        # new W bits are the high part of the W index: tile whole blocks
-        v = np.tile(v, (1 << (a2 - a1), 1))
-    if b2 < b1:
-        # new B bits are the low part of the B index: repeat each entry
-        v = np.repeat(v, 1 << (b1 - b2), axis=1)
-    return MeasurableRV(f, v)
+    known = a + x.lattice.n_bits - b
+    return x.values.reshape((1,) * (f.w_upto - a) + (2,) * known
+                            + (1,) * (b - f.b_from))
+
+
+def fill_table(v, f: SigmaField) -> np.ndarray:
+    """A value broadcasting against f's bit axes, as f's C-ordered table."""
+    axes = f.w_upto + f.lattice.n_bits - f.b_from
+    return np.ascontiguousarray(
+        np.broadcast_to(v, (2,) * axes).reshape(f.table_shape))
+
+
+def lift(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
+    """Re-express x on the finer field f (no information change)."""
+    return MeasurableRV(f, fill_table(bit_view(x, f), f))
 
 
 def condexp(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
@@ -338,26 +351,22 @@ def expectation(x: MeasurableRV) -> float:
 # -- dependence audits -----------------------------------------------------
 
 
+def _varies(x: MeasurableRV, axis: int) -> bool:
+    v = bit_view(x, x.field)
+    return bool(np.any(v.take(0, axis) != v.take(1, axis)))
+
+
 def depends_on_w_bit(x: MeasurableRV, j: int) -> bool:
     """True when the value table actually varies with W increment j."""
     _check_bit(x.lattice, j)
-    a = x.field.w_upto
-    if j >= a:
-        return False
-    v = x.values.reshape(1 << (a - j - 1), 2, 1 << j, x.values.shape[1])
-    return bool(np.any(v[:, 0] != v[:, 1]))
+    return j < x.field.w_upto and _varies(x, x.field.w_upto - 1 - j)
 
 
 def depends_on_b_bit(x: MeasurableRV, j: int) -> bool:
     """True when the value table actually varies with B increment j."""
     _check_bit(x.lattice, j)
-    b = x.field.b_from
-    m = x.lattice.n_bits
-    if j < b:
-        return False
-    p = j - b
-    v = x.values.reshape(x.values.shape[0], 1 << (m - b - p - 1), 2, 1 << p)
-    return bool(np.any(v[:, :, 0] != v[:, :, 1]))
+    a, m = x.field.w_upto, x.lattice.n_bits
+    return j >= x.field.b_from and _varies(x, a + m - 1 - j)
 
 
 def measurable_wrt(x: MeasurableRV, f: SigmaField) -> bool:
@@ -448,7 +457,5 @@ def flip_derivative(x: MeasurableRV, j: int) -> MeasurableRV:
     a = x.field.w_upto
     if j >= a:
         return MeasurableRV(x.field, np.zeros_like(x.values))
-    v = x.values.reshape(1 << (a - j - 1), 2, 1 << j, x.values.shape[1])
-    d = (v[:, 1] - v[:, 0]) / (2.0 * x.lattice.inc)
-    out = np.stack([d, d], axis=1).reshape(x.values.shape)
-    return MeasurableRV(x.field, out)
+    d = np.diff(bit_view(x, x.field), axis=a - 1 - j) / (2.0 * x.lattice.inc)
+    return MeasurableRV(x.field, fill_table(d, x.field))

@@ -161,12 +161,12 @@ def solve_linearized(ls: LinearizedScenario, tol: float = 1e-12,
         eu, ev = means(u, v)
         ys, rows = [], []
         for i in range(lat.n_steps + 1):
-            yi, row = split_row(
-                _linearized_phi(ls, u, v, eu, ev, i, include_swapped=True), i)
             # the entrywise flip's shape: kernel column r is blind to the
             # flipped increment in every kernel, so columns <= r stay zero,
             # and so does the path at rows <= r
-            row[:r + 1] = zero_z.z[i][:r + 1]
+            yi, row = split_row(
+                _linearized_phi(ls, u, v, eu, ev, i, include_swapped=True), i,
+                first=r + 1)
             ys.append(yi if i > r else zero_y[i])
             rows.append(row)
         return AdaptedPath(lat, ys), VolterraKernel(lat, rows)

@@ -29,7 +29,14 @@ import numpy as np
 from .drivers import DriverSpec, TerminalSpec, terminal_rv
 from .errors import JointSpaceTooLarge, ValidationError
 from .fields import AdaptedPath, VolterraKernel, zero_kernel, zero_path
-from .lattice import LatticeSpec, MeasurableRV, SigmaField, full_field, lift
+from .lattice import (
+    LatticeSpec,
+    MeasurableRV,
+    bit_view,
+    fill_table,
+    full_field,
+    lift,
+)
 from .solver import (
     Scenario,
     assemble_phi,
@@ -131,32 +138,24 @@ def _empirical_mean(rvs: list[MeasurableRV]) -> MeasurableRV:
     return out * (1.0 / len(rvs))
 
 
-def _swap_permutation(joint: LatticeSpec, p: int, q: int) -> np.ndarray:
-    """Code permutation swapping the increments of particles p and q."""
-    codes = np.arange(1 << joint.n_bits)
-    out = codes.copy()
-    for step in range(joint.n_steps):
-        bp, bq = joint.bit_of(step, p), joint.bit_of(step, q)
-        vp = (codes >> bp) & 1
-        vq = (codes >> bq) & 1
-        out &= ~((1 << bp) | (1 << bq))
-        out |= (vq << bp) | (vp << bq)
-    return out
-
-
 def _exchangeability_defect(pc: ParticleConfig, joint: LatticeSpec,
                             y: list) -> float:
     """Worst pathwise defect of Y under swapping two particle labels."""
     if pc.n_particles == 1:
         return 0.0
-    perm = _swap_permutation(joint, 0, 1)
-    worst = 0.0
+    m = joint.n_bits
     ff = full_field(joint)
+    # bit views hold bit m-1-k at axis k of each half (W, then B): swap the
+    # axes of particles 0 and 1 at every step
+    swap = list(range(2 * m))
+    for step in range(joint.n_steps):
+        k = m - 1 - joint.bit_of(step, 0)  # particle 1 sits at axis k - 1
+        for a in (k, k + m):
+            swap[a], swap[a - 1] = swap[a - 1], swap[a]
+    worst = 0.0
     for i in range(joint.n_steps + 1):
-        a = lift(y[0][i], ff).values
-        b = lift(y[1][i], ff).values
-        swapped = a[np.ix_(perm, perm)]
-        worst = max(worst, float(np.max(np.abs(swapped - b))))
+        d = bit_view(y[0][i], ff).transpose(swap) - bit_view(y[1][i], ff)
+        worst = max(worst, float(np.max(np.abs(d))))
     return worst
 
 
@@ -164,15 +163,12 @@ def lift_single_to_joint(rv: MeasurableRV, single: LatticeSpec,
                          joint: LatticeSpec, lane: int) -> np.ndarray:
     """Full-path table of a single-lattice variable on the joint lattice,
     reading only the given lane's increments."""
-    m_single, m_joint = single.n_bits, joint.n_bits
-    ff = SigmaField(single, m_single, 0)
-    base = lift(rv, ff).values
-    codes = np.arange(1 << m_joint)
-    extract = np.zeros(codes.shape, dtype=int)
-    for step in range(single.n_steps):
-        bit = (codes >> joint.bit_of(step, lane)) & 1
-        extract |= bit << step
-    return base[extract[:, None], extract[None, :]]
+    view = bit_view(rv, full_field(single))
+    # each single-lattice bit axis becomes its step's group of lane axes
+    # (lanes descending), with size 1 for the other lanes
+    above, below = (1,) * (joint.lanes - 1 - lane), (1,) * lane
+    shape = [k for d in view.shape for k in (*above, d, *below)]
+    return fill_table(view.reshape(shape), full_field(joint))
 
 
 def convergence_study(base: Scenario, n_list: list[int],

@@ -70,8 +70,10 @@ from .lattice import (
     LatticeSpec,
     MeasurableRV,
     b_increment,
+    bit_view,
     condexp,
     expectation,
+    fill_table,
     lift,
     time_field,
     w_increment,
@@ -136,21 +138,20 @@ def _weight_mass(lat: LatticeSpec, beta: float) -> float:
 def evaluate_driver(fn: Callable, t: float, s: float, args: tuple):
     """fn(t, s, *args) as lattice variables on the join of the arguments.
 
-    Lattice-variable arguments are lifted to the join of their fields and
-    scalar arguments pass through, so the same call serves scalar means and
-    the particles' random-variable empirical means.  A tuple result (the
-    twelve partials) gives one lattice variable per component.
+    Lattice-variable arguments are passed as bit views on the join of their
+    fields and scalar arguments pass through, so the same call serves scalar
+    means and the particles' random-variable empirical means.  A tuple
+    result (the twelve partials) gives one lattice variable per component.
     """
     rvs = [a for a in args if isinstance(a, MeasurableRV)]
     f = rvs[0].field
     for a in rvs[1:]:
         f = f.join(a.field)
-    out = fn(t, s, *[lift(a, f).values if isinstance(a, MeasurableRV) else a
+    out = fn(t, s, *[bit_view(a, f) if isinstance(a, MeasurableRV) else a
                      for a in args])
 
     def as_rv(v):
-        v = np.broadcast_to(np.asarray(v, dtype=float), f.table_shape)
-        return MeasurableRV(f, np.array(v))
+        return MeasurableRV(f, fill_table(v, f))
 
     return [as_rv(v) for v in out] if isinstance(out, tuple) else as_rv(out)
 
@@ -192,18 +193,20 @@ def assemble_phi(driver: DriverSpec, zeta_i: MeasurableRV, y: AdaptedPath,
     return phi
 
 
-def split_row(phi: MeasurableRV, i: int, lane: int = 0
+def split_row(phi: MeasurableRV, i: int, lane: int = 0, first: int = 0
               ) -> tuple[MeasurableRV, list[MeasurableRV]]:
     """Y_i and kernel row i from Phi_i against one lane's forward walk.
 
     Y_i = E[Phi_i | (i, i)]; the upper triangle j >= i is
     E[Phi_i dW_j | (j, j)] / dt and the lower triangle j < i is the
-    representation of Y_i (the M-extension).
+    representation of Y_i (the M-extension).  Columns j < first are zero
+    tables and are not computed.
     """
     lat = phi.lattice
     yi = condexp(phi, time_field(lat, i))
-    row = [representation_row(yi, j, lane) for j in range(i)]
-    for j in range(i, lat.n_steps):
+    row = [lift(zero_rv(lat), time_field(lat, j)) for j in range(first)]
+    row += [representation_row(yi, j, lane) for j in range(first, i)]
+    for j in range(max(i, first), lat.n_steps):
         wj = w_increment(lat, lat.bit_of(j, lane))
         row.append(condexp(phi * wj, time_field(lat, j)) * (1.0 / lat.dt))
     return yi, row
@@ -259,10 +262,7 @@ def gamma_map(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
     ys, rows = [], []
     for i in range(lat.n_steps + 1):
         phi = assemble_phi(sc.driver, sc.zeta[i], y, z, ey, ez, i)
-        yi, row = split_row(phi, i)
-        if not extend:
-            row[:i] = [condexp(zero_rv(lat), time_field(lat, j))
-                       for j in range(i)]
+        yi, row = split_row(phi, i, first=0 if extend else i)
         ys.append(yi)
         rows.append(row)
     return AdaptedPath(lat, ys), VolterraKernel(lat, rows)

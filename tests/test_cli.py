@@ -175,6 +175,44 @@ class TestSolverSection:
         assert capsys.readouterr().err.startswith("input error:")
 
 
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestMalformedNumbers:
+    """Each malformed number fails at parse time, before any output."""
+
+    @pytest.mark.parametrize("path, value", [
+        (("solver", "tol"), float("inf")),
+        (("lattice", "n_steps"), 2.7),
+        (("lattice", "n_steps"), "3"),
+        (("driver", "params", "f"), {"y": "a"}),
+        (("driver", "params", "f_source"), {"affine_ts": [1]}),
+        (("terminal",), {"family": "smooth", "params": {
+            "smooth": [{"kind": "tanh", "coef": {"affine": [1]}}]}}),
+        (("terminal", "params", "phi"), float("nan")),
+    ], ids=["inf_tol", "fractional_n_steps", "string_n_steps",
+            "string_coefficient", "short_affine_ts", "short_affine_coef",
+            "nan_phi"])
+    def test_rejected_at_parse(self, tmp_path, capsys, monkeypatch, path,
+                               value):
+        def never(*args, **kwargs):
+            raise AssertionError("the solver ran on malformed input")
+
+        monkeypatch.setattr("mfbdsvie.cli.picard_solve", never)
+        path = write_scenario(tmp_path, _set(base_doc(), path, value))
+        out = tmp_path / "out"
+        assert run("solve", str(path), str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert "Traceback" not in err
+        assert not (out / "summary.txt").exists()
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         doc = base_doc()
