@@ -41,10 +41,14 @@ from .drivers import (
 from .errors import Error, InputError, IoError, ValidationError
 from .fields import BetaWeight, l_beta_norm, m_beta_norm
 from .lattice import build_lattice
-from .particles import convergence_study
+from .particles import MAX_PARTICLES, convergence_study
 from .solver import Scenario, picard_solve
 
 SUBCOMMANDS = ("solve", "compare", "risk", "malliavin", "particles", "norms")
+AXIOMS = ("translation", "past_independence", "monotonicity", "convexity",
+          "positive_homogeneity", "subadditivity")
+NEEDS_PAYOFF2 = ("past_independence", "monotonicity", "convexity",
+                 "subadditivity")
 
 
 # -- schema walking ---------------------------------------------------------
@@ -72,6 +76,13 @@ def _number(v, where):
 def _integer(v, where):
     if isinstance(v, bool) or not isinstance(v, int):
         raise InputError(f"{where}: expected an integer")
+    return v
+
+
+def _in_range(v, where, lo, hi):
+    """An integer in lo..hi."""
+    if not lo <= _integer(v, where) <= hi:
+        raise InputError(f"{where}: {v} outside {lo}..{hi}")
     return v
 
 
@@ -166,6 +177,8 @@ def parse_terminal(cfg, where="terminal") -> TerminalSpec:
     phi = _time_fn(params.get("phi", 0.0), f"{where}.phi")
     theta = params.get("theta")
     smooth_cfg = params.get("smooth", [])
+    if not isinstance(smooth_cfg, list):
+        raise InputError(f"{where}.smooth: expected a list of objects")
     if family == "deterministic":
         if theta is not None or smooth_cfg:
             raise InputError(f"{where}: deterministic family takes phi only")
@@ -329,11 +342,11 @@ def _run_compare(doc, out_dir: Path) -> tuple[int, list[str]]:
         tol=_num(solver_cfg, "tol", "solver", 1e-12),
         max_iter=_int(solver_cfg, "max_iter", "solver", 300),
     )
+    p_max = _int(cfg, "p_max", "comparison", 0)
     verdict = cmp_mod.compare_solve(cs)
     write_csv(out_dir / "compare.csv", ["t_idx", "min_gap"],
               list(enumerate(verdict.min_gap_by_node)))
     lines = [f"min_gap: {_fmt(verdict.min_gap)}"]
-    p_max = _int(cfg, "p_max", "comparison", 0)
     if p_max > 0:
         chain = cmp_mod.monotone_iteration(cs, p_max)
         rows = []
@@ -378,16 +391,22 @@ def _run_risk(doc, out_dir: Path) -> tuple[int, list[str]]:
         p2 = risk_mod.PayoffStream(
             parse_terminal(cfg["payoff2"], "risk.payoff2")
         )
+    axioms = cfg.get("axioms", ["translation"])
+    if not isinstance(axioms, list) or any(a not in AXIOMS for a in axioms):
+        raise InputError(f"risk.axioms: expected a list of names from "
+                         f"{list(AXIOMS)}")
+    for name in axioms:
+        if p2 is None and name in NEEDS_PAYOFF2:
+            raise InputError(f"risk: {name} needs payoff2")
+    shift = _num(cfg, "shift", "risk", 1.0)
+    lam = _num(cfg, "lambda", "risk", 0.5)
+    t_idx = _in_range(cfg.get("t_idx", 0), "risk.t_idx", 0, lat.n_steps)
     profile = risk_mod.rho(rs, p1)
     write_csv(out_dir / "rho.csv", ["t_idx", "mean", "min", "max"],
               [(i, float(np.mean(profile[i].values)),
                 float(np.min(profile[i].values)),
                 float(np.max(profile[i].values)))
                for i in range(lat.n_steps + 1)])
-    axioms = cfg.get("axioms", ["translation"])
-    shift = _num(cfg, "shift", "risk", 1.0)
-    lam = _num(cfg, "lambda", "risk", 0.5)
-    t_idx = _int(cfg, "t_idx", "risk", 0)
     reports = []
     for name in axioms:
         if name == "translation":
@@ -395,25 +414,15 @@ def _run_risk(doc, out_dir: Path) -> tuple[int, list[str]]:
             write_csv(out_dir / "translation.csv",
                       ["t_idx", "difference", "predicted", "gap"], rep.rows)
         elif name == "past_independence":
-            if p2 is None:
-                raise InputError("risk: past_independence needs payoff2")
             rep = risk_mod.axiom_past_independence(rs, p1, p2, t_idx)
         elif name == "monotonicity":
-            if p2 is None:
-                raise InputError("risk: monotonicity needs payoff2")
             rep = risk_mod.axiom_monotonicity(rs, p1, p2)
         elif name == "convexity":
-            if p2 is None:
-                raise InputError("risk: convexity needs payoff2")
             rep = risk_mod.axiom_convexity(rs, p1, p2, lam)
         elif name == "positive_homogeneity":
             rep = risk_mod.axiom_positive_homogeneity(rs, p1, lam)
-        elif name == "subadditivity":
-            if p2 is None:
-                raise InputError("risk: subadditivity needs payoff2")
+        else:  # subadditivity
             rep = risk_mod.axiom_subadditivity(rs, p1, p2)
-        else:
-            raise InputError(f"risk.axioms: unknown axiom '{name}'")
         reports.append(rep)
     write_csv(out_dir / "risk_axioms.csv",
               ["axiom", "worst_violation", "pass"],
@@ -429,10 +438,10 @@ def _run_malliavin(doc, out_dir: Path) -> tuple[int, list[str]]:
     sc, tol, max_iter = build_base_scenario(doc)
     cfg = doc.get("malliavin", {})
     _require_keys(cfg, ("r_idx",), (), "malliavin")
-    y, z, _ = picard_solve(sc, tol=tol, max_iter=max_iter)
     n = sc.lattice.n_steps
-    r = _int(cfg, "r_idx", "malliavin")
-    r_list = list(range(n)) if r is None else [r]
+    r_list = (list(range(n)) if "r_idx" not in cfg
+              else [_in_range(cfg["r_idx"], "malliavin.r_idx", 0, n - 1)])
+    y, z, _ = picard_solve(sc, tol=tol, max_iter=max_iter)
     rows = []
     worst = 0.0
     for r in r_list:
@@ -453,9 +462,9 @@ def _run_particles(doc, out_dir: Path) -> tuple[int, list[str]]:
     cfg = doc.get("particles", {})
     _require_keys(cfg, ("n_list",), (), "particles")
     n_list = cfg.get("n_list", [1, 2, 3])
-    if not isinstance(n_list, list):
-        raise InputError("particles.n_list: expected a list")
-    n_list = [_integer(v, f"particles.n_list[{k}]")
+    if not isinstance(n_list, list) or not n_list:
+        raise InputError("particles.n_list: expected a non-empty list")
+    n_list = [_in_range(v, f"particles.n_list[{k}]", 1, MAX_PARTICLES)
               for k, v in enumerate(n_list)]
     rows = convergence_study(sc, n_list, tol=tol, max_iter=max_iter)
     write_csv(out_dir / "particles.csv", ["n", "t_idx", "e_n"], rows)

@@ -16,7 +16,9 @@ which makes the reconstruction
 
 hold exactly on every path: conditioning at (j, j) with j < i keeps all
 the B information Y_i carries, so the representation coefficients are
-the exact pathwise ones.
+the exact pathwise ones.  `split_row` and `m_extend` get every
+coefficient of a row from one backward sweep over the W bits
+(`lattice.clark_ocone_sweep`).
 
 Two weighted norms measure pairs.  The restricted norm sums kernel
 entries over the upper triangle only; the full norm sums everything.
@@ -38,13 +40,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LatticeMismatch, MeasurabilityViolation, ValidationError
+from .errors import (
+    IndexOutOfRange,
+    LatticeMismatch,
+    MeasurabilityViolation,
+    ValidationError,
+)
 from .lattice import (
     LatticeSpec,
     MeasurableRV,
     SigmaField,
+    clark_ocone_sweep,
     condexp,
     expectation,
+    lift,
     time_field,
     w_increment,
     zero_rv,
@@ -146,14 +155,31 @@ def zero_kernel(lat: LatticeSpec) -> VolterraKernel:
     return VolterraKernel(lat, rows)
 
 
+def split_row(phi: MeasurableRV, i: int, lane: int = 0, first: int = 0
+              ) -> tuple[MeasurableRV, list[MeasurableRV]]:
+    """Y_i and kernel row i from Phi_i against one lane's forward walk.
+
+    Y_i = E[Phi_i | (i, i)]; the upper triangle j >= i is
+    E[Phi_i dW_j | (j, j)] / dt and the lower triangle j < i is the
+    representation of Y_i (the M-extension), all from one backward sweep
+    over the W bits (the discrete Clark-Ocone formula).  Columns j < first
+    are zero tables and are not computed.
+    """
+    lat = phi.lattice
+    yi, cols = clark_ocone_sweep(phi, i, lane, first)
+    return yi, [cols[j] if j in cols else lift(zero_rv(lat), time_field(lat, j))
+                for j in range(lat.n_steps)]
+
+
 def representation_row(y_i: MeasurableRV, j: int, lane: int = 0) -> MeasurableRV:
     """Lower-triangle kernel value E[Y_i dW_j | (j, j)] / dt.
 
     dW_j is the forward increment of the given lane at step j.
     """
     lat = y_i.lattice
-    wj = w_increment(lat, lat.bit_of(j, lane))
-    return condexp(y_i * wj, time_field(lat, j)) * (1.0 / lat.dt)
+    if not 0 <= j < lat.n_steps:
+        raise IndexOutOfRange(f"slot {j} outside 0..{lat.n_steps - 1}")
+    return split_row(y_i, 0, lane, first=j)[1][j]
 
 
 def m_extend(y: AdaptedPath, z_delta: VolterraKernel) -> VolterraKernel:
@@ -165,8 +191,11 @@ def m_extend(y: AdaptedPath, z_delta: VolterraKernel) -> VolterraKernel:
     lat = y.lattice
     if z_delta.lattice != lat:
         raise LatticeMismatch("path and kernel on different lattices")
-    rows = [[z_delta.at(i, j) if j >= i else representation_row(y[i], j)
-             for j in range(lat.n_steps)] for i in range(lat.n_steps + 1)]
+    rows = []
+    for i in range(lat.n_steps + 1):
+        _, lower = clark_ocone_sweep(y[i], i)
+        rows.append([lower[j] if j < i else z_delta.at(i, j)
+                     for j in range(lat.n_steps)])
     return VolterraKernel(lat, rows)
 
 

@@ -26,7 +26,10 @@ only; no regression or Monte Carlo noise enters anywhere.
 axis per increment the finer field f knows, W increments f.w_upto-1
 down to 0, then B increments M-1 down to f.b_from, size 1 where x is
 blind.  Views on one field broadcast together and reshape for free to
-f.table_shape; arithmetic, lifts and driver arguments are built on it.
+f.table_shape; arithmetic, lifts and driver arguments are built on it,
+and `from_bit_view` turns such a view back into a variable on the
+coarsest field it needs.  Tables the package builds are write-locked
+and kept, never copied; only a caller's writable array is copied.
 
 A lattice may carry several independent walk pairs per time step
 ("lanes"); the interacting particle system uses one lane per particle
@@ -172,6 +175,8 @@ class MeasurableRV:
     values has shape field.table_shape; entries are the exact values on
     each combination of known increments.  Instances are immutable:
     every operation returns a fresh object and tables are write-locked.
+    A writable array is copied; a read-only one, such as a table the
+    package has just built and locked with `_owned`, is kept as it is.
     """
 
     __slots__ = ("field", "values")
@@ -201,7 +206,7 @@ class MeasurableRV:
     @staticmethod
     def constant(lat: LatticeSpec, value: float) -> MeasurableRV:
         f = trivial_field(lat)
-        return MeasurableRV(f, np.full(f.table_shape, float(value)))
+        return MeasurableRV(f, _owned(np.full(f.table_shape, float(value))))
 
     # -- elementwise algebra (operands lifted to the join field) --------
 
@@ -211,8 +216,8 @@ class MeasurableRV:
                 raise LatticeMismatch("operands on different lattices")
             f = self.field.join(other.field)
             out = op(bit_view(self, f), bit_view(other, f))
-            return MeasurableRV(f, out.reshape(f.table_shape))
-        return MeasurableRV(self.field, op(self.values, float(other)))
+            return MeasurableRV(f, _owned(out.reshape(f.table_shape)))
+        return MeasurableRV(self.field, _owned(op(self.values, float(other))))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -231,7 +236,7 @@ class MeasurableRV:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return MeasurableRV(self.field, -self.values)
+        return MeasurableRV(self.field, _owned(-self.values))
 
     def map(self, func: Callable[[np.ndarray], np.ndarray]) -> MeasurableRV:
         """Apply a vectorised pointwise function."""
@@ -248,6 +253,12 @@ class MeasurableRV:
         return float(np.max(np.abs(self.values)))
 
 
+def _owned(table: np.ndarray) -> np.ndarray:
+    """Write-lock a table only the package holds, so it is kept, not copied."""
+    table.flags.writeable = False
+    return table
+
+
 def zero_rv(lat: LatticeSpec) -> MeasurableRV:
     return MeasurableRV.constant(lat, 0.0)
 
@@ -258,7 +269,7 @@ def w_increment(lat: LatticeSpec, j: int) -> MeasurableRV:
     f = SigmaField(lat, j + 1, lat.n_bits)
     w = np.arange(1 << (j + 1))
     signs = 2.0 * ((w >> j) & 1) - 1.0
-    return MeasurableRV(f, (lat.inc * signs)[:, None])
+    return MeasurableRV(f, _owned((lat.inc * signs)[:, None]))
 
 
 def b_increment(lat: LatticeSpec, j: int) -> MeasurableRV:
@@ -267,7 +278,7 @@ def b_increment(lat: LatticeSpec, j: int) -> MeasurableRV:
     f = SigmaField(lat, 0, j)
     c = np.arange(1 << (lat.n_bits - j))
     signs = 2.0 * (c & 1) - 1.0
-    return MeasurableRV(f, (lat.inc * signs)[None, :])
+    return MeasurableRV(f, _owned((lat.inc * signs)[None, :]))
 
 
 def w_level(lat: LatticeSpec, i: int) -> MeasurableRV:
@@ -307,15 +318,53 @@ def bit_view(x: MeasurableRV, f: SigmaField) -> np.ndarray:
 
 
 def fill_table(v, f: SigmaField) -> np.ndarray:
-    """A value broadcasting against f's bit axes, as f's C-ordered table."""
+    """A value broadcasting against f's bit axes, as f's C-ordered table.
+
+    The result is read-only: a fresh table, or a view of v when v already
+    is one.
+    """
     axes = f.w_upto + f.lattice.n_bits - f.b_from
-    return np.ascontiguousarray(
-        np.broadcast_to(v, (2,) * axes).reshape(f.table_shape))
+    return _owned(np.ascontiguousarray(
+        np.broadcast_to(v, (2,) * axes).reshape(f.table_shape)))
+
+
+def from_bit_view(v, f: SigmaField) -> MeasurableRV:
+    """The variable whose bit view on f is v, on the coarsest field it needs.
+
+    v broadcasts against f's bit axes (a driver output, a scalar).  Size-1
+    axes at the top of the W axes and at the bottom of the B axes are
+    increments v is blind to, so they are dropped from the field.
+    """
+    axes = f.w_upto + f.lattice.n_bits - f.b_from
+    shape = (1,) * (axes - np.ndim(v)) + np.shape(v)
+
+    def blind(dims):  # leading size-1 axes
+        return next((k for k, d in enumerate(dims) if d != 1), len(dims))
+
+    top, bottom = blind(shape[:f.w_upto]), blind(shape[f.w_upto:][::-1])
+    g = SigmaField(f.lattice, f.w_upto - top, f.b_from + bottom)
+    return MeasurableRV(g, fill_table(np.reshape(v, shape[top:axes - bottom]), g))
 
 
 def lift(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
     """Re-express x on the finer field f (no information change)."""
     return MeasurableRV(f, fill_table(bit_view(x, f), f))
+
+
+def _onto(v: np.ndarray, field: SigmaField, f: SigmaField) -> MeasurableRV:
+    """The table v of a `field` variable conditioned on f.
+
+    The W increments >= f.w_upto are the top bits of the W index and the
+    B increments < f.b_from the low bits of the B index; both are averaged
+    out, and the result is lifted onto f.
+    """
+    a, b = field.w_upto, field.b_from
+    if a > f.w_upto:
+        v = v.reshape(1 << (a - f.w_upto), -1, v.shape[1]).mean(axis=0)
+    if b < f.b_from:
+        v = v.reshape(v.shape[0], -1, 1 << (f.b_from - b)).mean(axis=2)
+    coarse = SigmaField(f.lattice, min(a, f.w_upto), max(b, f.b_from))
+    return lift(MeasurableRV(coarse, _owned(v)), f)
 
 
 def condexp(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
@@ -327,20 +376,47 @@ def condexp(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
     """
     if x.lattice != f.lattice:
         raise LatticeMismatch("value and field on different lattices")
-    a1, b1 = x.field.w_upto, x.field.b_from
-    a2, b2 = f.w_upto, f.b_from
-    v = x.values
-    if a2 < a1:
-        # unknown W bits [a2, a1) are the high part of the W index
-        v = v.reshape(1 << (a1 - a2), 1 << a2, v.shape[1]).mean(axis=0)
-    if b2 > b1:
-        # unknown B bits [b1, b2) are the low part of the B index
-        n_keep = 1 << (x.lattice.n_bits - b2)
-        v = v.reshape(v.shape[0], n_keep, 1 << (b2 - b1)).mean(axis=2)
-    reduced = MeasurableRV(
-        SigmaField(x.lattice, min(a1, a2), max(b1, b2)), v
-    )
-    return lift(reduced, f)
+    return _onto(x.values, x.field, f)
+
+
+def clark_ocone_sweep(x: MeasurableRV, i: int, lane: int = 0, first: int = 0
+                      ) -> tuple[MeasurableRV, dict[int, MeasurableRV]]:
+    """Y_i = E[x | (i, i)] and the kernel coefficients of x in one sweep.
+
+    The discrete Clark-Ocone formula: the sweep walks the W bits of x from
+    the highest down.  At the given lane's bit of a step j >= first, the
+    halved difference over that bit divided by inc, conditioned on the
+    slot field (j, j), is E[x dW_j | (j, j)] / dt; then the bit is
+    averaged out.  Y_i falls out, conditioned on (i, i), once the bits of
+    steps >= i are averaged, and the sweep continues on Y_i, so the
+    columns j < i are the representation of Y_i.  Every step costs one
+    pass over a table half the size of the last, O(size of x) in all.
+
+    Returns Y_i and the computed columns by step: columns before first,
+    and those at bits x is blind to (zero), are left out.
+    """
+    lat = x.lattice
+    cols = {}
+
+    def descend(u: MeasurableRV, stop: int):
+        # columns at the bits [stop, w_upto) of u; u averaged over them.
+        # v holds sums over the bits passed, so it is scaled only when read
+        v, a, b, scale = u.values, u.field.w_upto, u.field.b_from, 1.0
+        for k in range(a - 1, stop - 1, -1):
+            pair = v.reshape(2, -1, v.shape[1])  # bit k tops the W index
+            j = k // lat.lanes
+            if k == lat.bit_of(j, lane) and j >= first:
+                zj = _onto(pair[1] - pair[0], SigmaField(lat, k, b),
+                           time_field(lat, j))
+                cols[j] = zj * (0.5 * scale / lat.inc)
+            v = pair[0] + pair[1]
+            scale *= 0.5
+        return v, SigmaField(lat, min(a, stop), b), scale
+
+    v, field, scale = descend(x, i * lat.lanes)
+    yi = _onto(v, field, time_field(lat, i)) * scale
+    descend(yi, 0)
+    return yi, cols
 
 
 def expectation(x: MeasurableRV) -> float:
@@ -456,6 +532,6 @@ def flip_derivative(x: MeasurableRV, j: int) -> MeasurableRV:
     _check_bit(x.lattice, j)
     a = x.field.w_upto
     if j >= a:
-        return MeasurableRV(x.field, np.zeros_like(x.values))
+        return MeasurableRV(x.field, _owned(np.zeros_like(x.values)))
     d = np.diff(bit_view(x, x.field), axis=a - 1 - j) / (2.0 * x.lattice.inc)
     return MeasurableRV(x.field, fill_table(d, x.field))

@@ -47,6 +47,7 @@ from .solver import (
 )
 
 JOINT_PATH_GUARD = 1 << 24
+MAX_PARTICLES = 3
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,9 @@ class ParticleConfig:
     max_iter: int = 300
 
     def __post_init__(self):
-        if not 1 <= self.n_particles <= 3:
+        if not 1 <= self.n_particles <= MAX_PARTICLES:
             raise ValidationError(
-                f"n_particles={self.n_particles} outside 1..3"
+                f"n_particles={self.n_particles} outside 1..{MAX_PARTICLES}"
             )
         if self.lattice.lanes != 1:
             raise ValidationError("pass a single-lane template lattice")

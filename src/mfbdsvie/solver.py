@@ -26,10 +26,21 @@ which is what `residual` measures with self-consistent arguments.
 
 The map is written once and shared: `frozen_args` reads the driver
 arguments (the only place that knows the right-node convention),
-`assemble_phi` builds Phi_i, `split_row` splits it, and `iterate` is the
-Picard loop.  The linearized flip equation (malliavin) and the particle
-system (particles) are the same map with other coefficients, other
-means and other lanes.
+`assemble_phi` builds Phi_i, `split_row` (from fields) splits it, and
+`iterate` is the Picard loop.  The linearized flip equation (malliavin)
+and the particle system (particles) are the same map with other
+coefficients, other means and other lanes.
+
+One application costs O(4^N), a few passes over the Phi tables, whose
+sizes halve from row to row.  `assemble_phi` adds the slot terms
+f dt + g dB_j in ascending j, so the running sum grows through the
+fields (j + 1, i) and every addition is paid at its own size; each
+driver output sits on the coarsest field it needs, and zeta_i, on the
+widest field, comes last.  `split_row` is one backward sweep over the W
+bits of Phi_i (the discrete Clark-Ocone formula): at bit j, the halved
+difference over the bit divided by inc, averaged over the B bits
+[i, j), is Z_ij, and then the bit is averaged out; Y_i falls out at bit
+i, and the sweep goes on over Y_i for the lower triangle.
 
 Iterating the map from (0, 0) contracts in the beta-weighted norm once
 beta clears the threshold; the report keeps the successive-difference
@@ -62,7 +73,7 @@ from .fields import (
     m_extend,
     pair_diff,
     pair_sup_diff,
-    representation_row,
+    split_row,
     zero_kernel,
     zero_path,
 )
@@ -71,13 +82,9 @@ from .lattice import (
     MeasurableRV,
     b_increment,
     bit_view,
-    condexp,
     expectation,
-    fill_table,
-    lift,
-    time_field,
+    from_bit_view,
     w_increment,
-    zero_rv,
 )
 
 
@@ -136,11 +143,13 @@ def _weight_mass(lat: LatticeSpec, beta: float) -> float:
 
 
 def evaluate_driver(fn: Callable, t: float, s: float, args: tuple):
-    """fn(t, s, *args) as lattice variables on the join of the arguments.
+    """fn(t, s, *args) as lattice variables.
 
     Lattice-variable arguments are passed as bit views on the join of their
     fields and scalar arguments pass through, so the same call serves scalar
-    means and the particles' random-variable empirical means.  A tuple
+    means and the particles' random-variable empirical means.  Each output
+    lives on the coarsest field its view needs (a constant partial on the
+    trivial field), so later arithmetic is paid at that size.  A tuple
     result (the twelve partials) gives one lattice variable per component.
     """
     rvs = [a for a in args if isinstance(a, MeasurableRV)]
@@ -149,11 +158,9 @@ def evaluate_driver(fn: Callable, t: float, s: float, args: tuple):
         f = f.join(a.field)
     out = fn(t, s, *[bit_view(a, f) if isinstance(a, MeasurableRV) else a
                      for a in args])
-
-    def as_rv(v):
-        return MeasurableRV(f, fill_table(v, f))
-
-    return [as_rv(v) for v in out] if isinstance(out, tuple) else as_rv(out)
+    if isinstance(out, tuple):
+        return [from_bit_view(v, f) for v in out]
+    return from_bit_view(out, f)
 
 
 def frozen_args(y: AdaptedPath, z: VolterraKernel, ey, ez, i: int, j: int
@@ -177,39 +184,23 @@ def frozen_args(y: AdaptedPath, z: VolterraKernel, ey, ez, i: int, j: int
 def assemble_phi(driver: DriverSpec, zeta_i: MeasurableRV, y: AdaptedPath,
                  z: VolterraKernel, ey, ez, i: int, lane: int = 0
                  ) -> MeasurableRV:
-    """Phi_i: zeta_i plus the f dt and g dB_j sums over slots j >= i.
+    """Phi_i: the slot terms f dt + g dB_j over slots j >= i, then zeta_i.
 
-    The backward increments are the given lane's.
+    The slot terms are added in ascending j, so the running sum grows
+    through the fields (j + 1, i) and each addition is paid at its own
+    field's size; zeta_i, on the terminal field, comes last.  The backward
+    increments are the given lane's.
     """
     lat = y.lattice
     t = lat.node(i)
-    phi = zeta_i
+    phi = None
     for j in range(i, lat.n_steps):
         left, right = frozen_args(y, z, ey, ez, i, j)
-        f = evaluate_driver(driver.f_values, t, lat.node(j), left)
-        phi = phi + f * lat.dt
-        g = evaluate_driver(driver.g_values, t, lat.node(j + 1), right)
-        phi = phi + g * b_increment(lat, lat.bit_of(j, lane))
-    return phi
-
-
-def split_row(phi: MeasurableRV, i: int, lane: int = 0, first: int = 0
-              ) -> tuple[MeasurableRV, list[MeasurableRV]]:
-    """Y_i and kernel row i from Phi_i against one lane's forward walk.
-
-    Y_i = E[Phi_i | (i, i)]; the upper triangle j >= i is
-    E[Phi_i dW_j | (j, j)] / dt and the lower triangle j < i is the
-    representation of Y_i (the M-extension).  Columns j < first are zero
-    tables and are not computed.
-    """
-    lat = phi.lattice
-    yi = condexp(phi, time_field(lat, i))
-    row = [lift(zero_rv(lat), time_field(lat, j)) for j in range(first)]
-    row += [representation_row(yi, j, lane) for j in range(first, i)]
-    for j in range(max(i, first), lat.n_steps):
-        wj = w_increment(lat, lat.bit_of(j, lane))
-        row.append(condexp(phi * wj, time_field(lat, j)) * (1.0 / lat.dt))
-    return yi, row
+        term = (evaluate_driver(driver.f_values, t, lat.node(j), left) * lat.dt
+                + evaluate_driver(driver.g_values, t, lat.node(j + 1), right)
+                * b_increment(lat, lat.bit_of(j, lane)))
+        phi = term if phi is None else phi + term
+    return zeta_i if phi is None else phi + zeta_i
 
 
 def iterate(step: Callable, start, distance: Callable, tol: float,
@@ -283,8 +274,12 @@ def residual(sc: Scenario, y: AdaptedPath, z: VolterraKernel) -> float:
     worst = 0.0
     for i in range(n + 1):
         acc = assemble_phi(sc.driver, sc.zeta[i], y, z, ey, ez, i) - y[i]
-        for j in range(i, n):
-            acc = acc - z.at(i, j) * w_increment(lat, j)
+        if i < n:
+            # the martingale sum grows through the fields (j + 1, i) like Phi_i
+            mart = z.at(i, i) * w_increment(lat, i)
+            for j in range(i + 1, n):
+                mart = mart + z.at(i, j) * w_increment(lat, j)
+            acc = acc - mart
         worst = max(worst, acc.max_abs())
     return worst
 

@@ -2,7 +2,10 @@
 
 Everything here works directly on full path enumerations with raw bit
 arithmetic and NumPy least squares; nothing imports solver internals,
-so agreement between the two sides is meaningful.
+so agreement between the two sides is meaningful.  The one exception is
+the last section: a per-slot split and a zeta-first assembly built on
+the package's primitives, the references for the backward sweep of
+`split_row` and the ascending assembly of `assemble_phi`.
 
 Conventions (the discretisation contract, restated independently):
   * path = (w_bits, b_bits); bit j set means increment j equals +inc;
@@ -19,6 +22,17 @@ Conventions (the discretisation contract, restated independently):
 from __future__ import annotations
 
 import numpy as np
+
+from mfbdsvie.fields import VolterraKernel
+from mfbdsvie.lattice import (
+    b_increment,
+    condexp,
+    lift,
+    time_field,
+    w_increment,
+    zero_rv,
+)
+from mfbdsvie.solver import evaluate_driver, frozen_args
 
 
 def inc_of(bits: int, j: int, inc: float) -> float:
@@ -313,3 +327,50 @@ class ParticleLinearSystem:
             for p in range(self.npart)
         ]
         return y, resid
+
+
+# -- reference split and assembly --------------------------------------------
+#
+# One conditional expectation per kernel entry and every addition at the
+# terminal field: slower, and independent of the sweep.
+
+
+def condexp_representation_row(y_i, j, lane=0):
+    """E[Y_i dW_j | (j, j)] / dt with one conditional expectation."""
+    lat = y_i.lattice
+    wj = w_increment(lat, lat.bit_of(j, lane))
+    return condexp(y_i * wj, time_field(lat, j)) * (1.0 / lat.dt)
+
+
+def condexp_split_row(phi, i, lane=0, first=0):
+    """Y_i and kernel row i, one conditional expectation per column."""
+    lat = phi.lattice
+    yi = condexp(phi, time_field(lat, i))
+    row = [lift(zero_rv(lat), time_field(lat, j)) for j in range(first)]
+    row += [condexp_representation_row(yi, j, lane) for j in range(first, i)]
+    for j in range(max(i, first), lat.n_steps):
+        wj = w_increment(lat, lat.bit_of(j, lane))
+        row.append(condexp(phi * wj, time_field(lat, j)) * (1.0 / lat.dt))
+    return yi, row
+
+
+def condexp_m_extend(y, z_delta):
+    """Lower triangle from condexp_representation_row, upper kept."""
+    lat = y.lattice
+    rows = [[z_delta.at(i, j) if j >= i else condexp_representation_row(y[i], j)
+             for j in range(lat.n_steps)] for i in range(lat.n_steps + 1)]
+    return VolterraKernel(lat, rows)
+
+
+def zeta_first_assemble_phi(driver, zeta_i, y, z, ey, ez, i, lane=0):
+    """Phi_i summed from zeta_i, so every addition is at the widest field."""
+    lat = y.lattice
+    t = lat.node(i)
+    phi = zeta_i
+    for j in range(i, lat.n_steps):
+        left, right = frozen_args(y, z, ey, ez, i, j)
+        f = evaluate_driver(driver.f_values, t, lat.node(j), left)
+        phi = phi + f * lat.dt
+        g = evaluate_driver(driver.g_values, t, lat.node(j + 1), right)
+        phi = phi + g * b_increment(lat, lat.bit_of(j, lane))
+    return phi

@@ -258,3 +258,62 @@ class TestEmission:
 
         with pytest.raises(errors.IoError):
             write_csv(tmp_path, ["a"], [])  # target is a directory
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("computation ran on malformed input")
+
+
+def _assert_input_error(tmp_path, capsys, sub, doc):
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "out"
+    assert run(sub, str(path), str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+    assert not (out / "summary.txt").exists()
+
+
+class TestIndexRanges:
+    """Out-of-range indices fail at parse time, before any computation."""
+
+    @pytest.mark.parametrize("sub, cfg, computes", [
+        ("malliavin", {"r_idx": 5}, "picard_solve"),
+        ("malliavin", {"r_idx": -1}, "picard_solve"),
+        ("risk", {"t_idx": 9}, "risk_mod.rho"),
+        ("particles", {"n_list": []}, "convergence_study"),
+        ("particles", {"n_list": [1, 0]}, "convergence_study"),
+    ], ids=["r_idx_past_last_slot", "negative_r_idx", "t_idx_past_horizon",
+            "empty_n_list", "zero_particles"])
+    def test_rejected_before_computing(self, tmp_path, capsys, monkeypatch,
+                                       sub, cfg, computes):
+        monkeypatch.setattr(f"mfbdsvie.cli.{computes}", _never)
+        doc = TestRisk().risk_doc() if sub == "risk" else base_doc()
+        if sub == "risk":
+            # past independence is the axiom that reads t_idx
+            cfg = dict(doc["risk"], axioms=["past_independence"],
+                       payoff2={"family": "deterministic",
+                                "params": {"phi": 2.0}}, **cfg)
+        doc[sub] = cfg
+        _assert_input_error(tmp_path, capsys, sub, doc)
+
+
+class TestMalformedSections:
+    """A wrongly typed section value fails at parse time, no traceback."""
+
+    def test_smooth_must_be_a_list(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("mfbdsvie.cli.picard_solve", _never)
+        doc = _set(base_doc(), ("terminal",),
+                   {"family": "smooth", "params": {"smooth": 3}})
+        _assert_input_error(tmp_path, capsys, "solve", doc)
+
+    @pytest.mark.parametrize("axioms", [3, ["translation", "unknown"],
+                                        ["monotonicity"]],
+                             ids=["not_a_list", "unknown_name",
+                                  "missing_payoff2"])
+    def test_axioms_checked_before_computing(self, tmp_path, capsys,
+                                             monkeypatch, axioms):
+        monkeypatch.setattr("mfbdsvie.cli.risk_mod.rho", _never)
+        doc = TestRisk().risk_doc()
+        doc["risk"]["axioms"] = axioms
+        _assert_input_error(tmp_path, capsys, "risk", doc)

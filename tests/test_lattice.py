@@ -1,5 +1,7 @@
 """Exact probability-space checks: fields, conditioning, integrals, flips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,8 @@ from mfbdsvie.lattice import (
     expectation,
     flip_derivative,
     forward_integral,
+    full_field,
+    lift,
     measurable_wrt,
     time_field,
     w_increment,
@@ -325,3 +329,46 @@ class TestDependenceAudits:
         )
         assert measurable_wrt(wide, SigmaField(lat, 1, 2))
         assert not measurable_wrt(wide, SigmaField(lat, 0, 2))
+
+
+class TestTableOwnership:
+    def test_writable_input_is_copied(self):
+        lat = build_lattice(2, 1.0)
+        f = time_field(lat, 1)
+        arr = np.arange(4.0).reshape(f.table_shape)
+        rv = MeasurableRV(f, arr)
+        arr[:] = -1.0
+        assert np.array_equal(rv.values, np.arange(4.0).reshape(f.table_shape))
+        assert not rv.values.flags.writeable
+        with pytest.raises(ValueError):
+            rv.values[0, 0] = 5.0
+
+    def test_results_are_read_only(self):
+        lat = build_lattice(2, 1.0)
+        x = w_increment(lat, 0) * b_increment(lat, 1) + 0.5
+        for rv in (x, -x, x - 1.0, condexp(x, time_field(lat, 1)),
+                   flip_derivative(x, 0), MeasurableRV.constant(lat, 2.0)):
+            assert not rv.values.flags.writeable
+
+    def test_built_tables_are_kept_not_copied(self):
+        # traced numpy allocations: a copy would double the peak
+        lat = build_lattice(8, 1.0)
+        f = full_field(lat)
+        x = MeasurableRV(f, np.ones(f.table_shape))
+        small = MeasurableRV.constant(lat, 1.0)
+        ops = {"add": lambda: x + x, "neg": lambda: -x,
+               "scale": lambda: x * 2.0, "lift": lambda: lift(small, f),
+               "condexp": lambda: condexp(x, SigmaField(lat, 8, 1))}
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            for name, op in ops.items():
+                tracemalloc.reset_peak()
+                base, _ = tracemalloc.get_traced_memory()
+                out = op()
+                _, peak = tracemalloc.get_traced_memory()
+                assert peak - base <= 1.25 * out.values.nbytes, name
+                del out
+        finally:
+            if started:
+                tracemalloc.stop()
