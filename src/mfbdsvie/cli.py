@@ -39,7 +39,7 @@ from .drivers import (
     ZPart,
 )
 from .errors import Error, InputError, IoError, ValidationError
-from .fields import BetaWeight, l_beta_norm, m_beta_norm
+from .fields import BetaWeight, l_beta_norm, m_beta_norm, node_gaps
 from .lattice import build_lattice
 from .particles import MAX_PARTICLES, convergence_study
 from .solver import Scenario, picard_solve
@@ -250,8 +250,8 @@ def build_base_scenario(doc) -> tuple[Scenario, float, int]:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, float):  # numpy float64 too, whose repr is not a number
+        return repr(float(v))
     return str(v)
 
 
@@ -264,6 +264,13 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
                 writer.writerow([_fmt(v) for v in row])
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_profile(path: Path, y) -> None:
+    """Per-node mean, min and max of a path over its paths."""
+    write_csv(path, ["t_idx", "mean", "min", "max"],
+              [(i, float(np.mean(v.values)), float(np.min(v.values)),
+                float(np.max(v.values))) for i, v in enumerate(y.y)])
 
 
 def write_summary(path: Path, lines: list[str]) -> None:
@@ -287,11 +294,7 @@ def _run_solve(doc, out_dir: Path, emit_norms: bool) -> tuple[int, list[str]]:
     ]
     write_csv(out_dir / "solver_trace.csv",
               ["iteration", "diff_norm", "ratio"], rows)
-    y_rows = [(i, float(np.mean(y[i].values)), float(np.min(y[i].values)),
-               float(np.max(y[i].values)))
-              for i in range(sc.lattice.n_steps + 1)]
-    write_csv(out_dir / "solution_y.csv",
-              ["t_idx", "mean", "min", "max"], y_rows)
+    _write_profile(out_dir / "solution_y.csv", y)
     lines = [
         f"iterations: {rep.iterations}",
         f"gamma_theory: {_fmt(rep.gamma_theory)}",
@@ -349,13 +352,8 @@ def _run_compare(doc, out_dir: Path) -> tuple[int, list[str]]:
     lines = [f"min_gap: {_fmt(verdict.min_gap)}"]
     if p_max > 0:
         chain = cmp_mod.monotone_iteration(cs, p_max)
-        rows = []
-        for p in range(1, len(chain)):
-            worst = max(
-                float(np.max(chain[p][i].values - chain[p - 1][i].values))
-                for i in range(lat.n_steps + 1)
-            )
-            rows.append((p, worst))
+        rows = [(p, max(rise for _, rise in node_gaps(chain[p], chain[p - 1])))
+                for p in range(1, len(chain))]
         write_csv(out_dir / "chain.csv", ["p", "worst_rise"], rows)
         lines.append(f"chain_steps: {p_max}")
     lines.append(f"verdict: {'PASS' if verdict.passed else 'FAIL'}")
@@ -401,12 +399,7 @@ def _run_risk(doc, out_dir: Path) -> tuple[int, list[str]]:
     shift = _num(cfg, "shift", "risk", 1.0)
     lam = _num(cfg, "lambda", "risk", 0.5)
     t_idx = _in_range(cfg.get("t_idx", 0), "risk.t_idx", 0, lat.n_steps)
-    profile = risk_mod.rho(rs, p1)
-    write_csv(out_dir / "rho.csv", ["t_idx", "mean", "min", "max"],
-              [(i, float(np.mean(profile[i].values)),
-                float(np.min(profile[i].values)),
-                float(np.max(profile[i].values)))
-               for i in range(lat.n_steps + 1)])
+    _write_profile(out_dir / "rho.csv", risk_mod.rho(rs, p1))
     reports = []
     for name in axioms:
         if name == "translation":

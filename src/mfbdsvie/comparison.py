@@ -24,7 +24,7 @@ import numpy as np
 
 from .drivers import DriverSpec, TerminalSpec, terminal_rv
 from .errors import HypothesisViolated, MonotonicityBroken, ValidationError
-from .fields import AdaptedPath
+from .fields import AdaptedPath, node_gaps
 from .lattice import LatticeSpec
 from .solver import Scenario, picard_solve
 
@@ -217,8 +217,7 @@ def monotone_iteration(cs: ComparisonScenario, p_max: int
         frozen = FrozenMeanDriver(_CombinedDriver(cs.fbar, cs.g), mu, lat.dt)
         sc = Scenario(lat, frozen, zetabar, beta=cs.beta, safety=cs.safety)
         yp, _, _ = picard_solve(sc, tol=cs.tol, max_iter=cs.max_iter)
-        for i in range(lat.n_steps + 1):
-            rise = float(np.max((yp[i] - chain[-1][i]).values))
+        for i, rise in node_gaps(yp, chain[-1]):
             if rise > ROUNDING_SLACK:
                 raise MonotonicityBroken(
                     f"chain step {p} rose by {rise:.3e} at node {i}"

@@ -85,7 +85,6 @@ class DriverSpec:
     """Base class: families implement f_values / g_values (+ partials)."""
 
     family = "abstract"
-    has_partials = False
 
     lipschitz_c: float
     lipschitz_alpha: float
@@ -109,7 +108,6 @@ class LinearDriver(DriverSpec):
     """
 
     family = "linear"
-    has_partials = True
 
     def __init__(self, f=None, g=None, f_source=None, g_source=None,
                  c=None, alpha=None):
@@ -259,10 +257,6 @@ class RiskDriver(DriverSpec):
         self.lipschitz_c = float(c) if c is not None else analytic_c
         self.lipschitz_alpha = float(alpha) if alpha is not None else analytic_a
 
-    @property
-    def has_partials(self) -> bool:
-        return self.h.smooth and self.g.smooth
-
     def f_values(self, t, s, y, z, z_rev, mean_y, mean_z, mean_z_rev):
         return -self.rate(s) / 2.0 * (y + mean_y) + self.h.value(z)
 
@@ -270,7 +264,7 @@ class RiskDriver(DriverSpec):
         return self.g.value(z)
 
     def partials(self, t, s, y, z, z_rev, mean_y, mean_z, mean_z_rev):
-        if not self.has_partials:
+        if not (self.h.smooth and self.g.smooth):
             raise PartialsUnavailable("risk family needs smooth h and g")
         half = -self.rate(s) / 2.0
         zero = 0.0 if np.ndim(z) == 0 else np.zeros_like(np.asarray(z, float))
@@ -292,10 +286,6 @@ class CustomDriver(DriverSpec):
         self._partials = partials
         self.lipschitz_c = float(c)
         self.lipschitz_alpha = float(alpha)
-
-    @property
-    def has_partials(self) -> bool:
-        return self._partials is not None
 
     def f_values(self, t, s, *args):
         return self._f(t, s, *args)
@@ -452,7 +442,7 @@ class TerminalSpec:
         self.theta = _as_time_fn(theta) if theta is not None else None
         parts = []
         for kind, coef in smooth:
-            if kind not in SMOOTH_KINDS:
+            if not isinstance(kind, str) or kind not in SMOOTH_KINDS:
                 raise ValidationError(f"unknown smooth terminal kind '{kind}'")
             parts.append((kind, _as_time_fn(coef)))
         self.smooth = tuple(parts)

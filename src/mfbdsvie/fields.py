@@ -53,9 +53,9 @@ from .lattice import (
     clark_ocone_sweep,
     condexp,
     expectation,
+    forward_integral,
     lift,
     time_field,
-    w_increment,
     zero_rv,
 )
 
@@ -205,15 +205,25 @@ def m_identity_residual(y: AdaptedPath, z: VolterraKernel) -> float:
     max over nodes i and paths of
     | Y_i - E[Y_i | (0,0)] - sum_{j<i} Z_ij dW_j |.
     """
-    lat = y.lattice
-    worst = 0.0
-    base_field = SigmaField(lat, 0, 0)
-    for i in range(lat.n_steps + 1):
-        acc = condexp(y[i], base_field) - y[i]
-        for j in range(i):
-            acc = acc + z.at(i, j) * w_increment(lat, j)
-        worst = max(worst, acc.max_abs())
-    return worst
+    base_field = SigmaField(y.lattice, 0, 0)
+    return max((condexp(y[i], base_field) - y[i]
+                + forward_integral(z.z[i], 0, i)).max_abs()
+               for i in range(len(y)))
+
+
+def node_gaps(a: Sequence[MeasurableRV], b: Sequence[MeasurableRV],
+              from_node: int = 0, absolute: bool = False
+              ) -> list[tuple[int, float]]:
+    """Rows (i, worst over paths of a_i - b_i, or of |a_i - b_i|).
+
+    One row per node from from_node on; a pathwise order or equality
+    between two profiles holds when every gap is at most zero.
+    """
+    rows = []
+    for i in range(from_node, len(a)):
+        d = (a[i] - b[i]).values
+        rows.append((i, float(np.max(np.abs(d) if absolute else d))))
+    return rows
 
 
 def _norm_squared(

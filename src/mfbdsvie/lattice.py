@@ -238,10 +238,6 @@ class MeasurableRV:
     def __neg__(self):
         return MeasurableRV(self.field, _owned(-self.values))
 
-    def map(self, func: Callable[[np.ndarray], np.ndarray]) -> MeasurableRV:
-        """Apply a vectorised pointwise function."""
-        return MeasurableRV(self.field, func(self.values))
-
     # -- evaluation ------------------------------------------------------
 
     def at(self, path: PathIndex) -> float:
@@ -459,32 +455,38 @@ def measurable_wrt(x: MeasurableRV, f: SigmaField) -> bool:
 # -- stochastic integrals --------------------------------------------------
 
 
+def _audited_sum(vals: Sequence[MeasurableRV], j_lo: int, j_hi: int,
+                 lag: int, increment: Callable, kind: str) -> MeasurableRV:
+    """sum_{j in [j_lo, j_hi)} vals_j increment_j, in ascending j.
+
+    Each vals_j must be measurable for the field (j + lag, j + lag), so
+    it is independent of its increment and the isometry holds exactly.
+    """
+    if not vals:
+        raise IndexOutOfRange("empty integrand sequence")
+    lat = vals[0].lattice
+    out = None
+    for j in range(j_lo, j_hi):
+        k = j + lag
+        if not measurable_wrt(vals[j], SigmaField(lat, k, k)):
+            raise MeasurabilityViolation(
+                f"{kind} integrand at slot {j} depends on increments "
+                f"unknown at ({k}, {k})"
+            )
+        term = vals[j] * increment(lat, j)
+        out = term if out is None else out + term
+    return zero_rv(lat) if out is None else out
+
+
 def forward_integral(
     z: Sequence[MeasurableRV], j_lo: int, j_hi: int
 ) -> MeasurableRV:
     """Discrete forward Ito integral sum_{j in [j_lo, j_hi)} z_j dW_j.
 
     Each integrand is taken at the left node and must be measurable for
-    the field (j, j) there, so it cannot see its own increment; the Ito
-    isometry then holds exactly.
+    the field (j, j) there, so it cannot see its own increment.
     """
-    if j_hi > j_lo and not z:
-        raise IndexOutOfRange("empty integrand sequence")
-    lat = z[0].lattice if z else None
-    out = None
-    for j in range(j_lo, j_hi):
-        zj = z[j]
-        fj = SigmaField(zj.lattice, j, j)
-        if not measurable_wrt(zj, fj):
-            raise MeasurabilityViolation(
-                f"forward integrand at slot {j} depends on increments "
-                f"unknown at ({j}, {j})"
-            )
-        term = zj * w_increment(zj.lattice, j)
-        out = term if out is None else out + term
-    if out is None:
-        return zero_rv(lat) if lat is not None else _raise_empty()
-    return out
+    return _audited_sum(z, j_lo, j_hi, 0, w_increment, "forward")
 
 
 def backward_integral(
@@ -494,29 +496,9 @@ def backward_integral(
 
     The integrand multiplying dB_j carries right-node information: it
     must be measurable for (j+1, j+1), whose B part starts after j, so
-    dB_j is independent of it and the isometry holds exactly.
+    dB_j is independent of it.
     """
-    if j_hi > j_lo and not g_vals:
-        raise IndexOutOfRange("empty integrand sequence")
-    lat = g_vals[0].lattice if g_vals else None
-    out = None
-    for j in range(j_lo, j_hi):
-        gj = g_vals[j]
-        fj = SigmaField(gj.lattice, j + 1, j + 1)
-        if not measurable_wrt(gj, fj):
-            raise MeasurabilityViolation(
-                f"backward integrand at slot {j} depends on increments "
-                f"unknown at ({j + 1}, {j + 1})"
-            )
-        term = gj * b_increment(gj.lattice, j)
-        out = term if out is None else out + term
-    if out is None:
-        return zero_rv(lat) if lat is not None else _raise_empty()
-    return out
-
-
-def _raise_empty():
-    raise IndexOutOfRange("cannot infer lattice from an empty integral")
+    return _audited_sum(g_vals, j_lo, j_hi, 1, b_increment, "backward")
 
 
 # -- increment-flip derivative ----------------------------------------------

@@ -48,8 +48,8 @@ from .lattice import (
     condexp,
     expectation,
     flip_derivative,
+    forward_integral,
     time_field,
-    w_increment,
 )
 from .solver import (
     Scenario,
@@ -232,11 +232,8 @@ def check_delta_equation(ls: LinearizedScenario,
     worst = 0.0
     l2 = 0.0
     for i in range(r + 1):
-        acc = _linearized_phi(ls, u, v, eu, ev, i,
-                              include_swapped=False)
-        for j in range(r, n):
-            acc = acc - v.at(i, j) * w_increment(lat, j)
-        acc = acc - ls.base_z.at(i, r)
+        acc = (_linearized_phi(ls, u, v, eu, ev, i, include_swapped=False)
+               - forward_integral(v.z[i], r, n) - ls.base_z.at(i, r))
         gap = acc.max_abs()
         rows.append((i, r, gap))
         worst = max(worst, gap)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .drivers import RiskDriver, TerminalSpec, ZPart
 from .errors import FlagMissing, ValidationError
-from .fields import AdaptedPath
+from .fields import AdaptedPath, node_gaps
 from .lattice import LatticeSpec
 from .solver import Scenario, picard_solve
 
@@ -132,54 +132,37 @@ class AxiomReport:
     rows: list[tuple] = field(default_factory=list)
 
 
-def _pathwise_excess(a: AdaptedPath, b: AdaptedPath, from_node: int = 0
-                     ) -> tuple[float, list[tuple]]:
-    """max over nodes >= from_node and paths of (a - b), with per-node rows."""
-    worst = -np.inf
-    rows = []
-    for i in range(from_node, a.lattice.n_steps + 1):
-        gap = float(np.max((a[i] - b[i]).values))
-        rows.append((i, gap))
-        worst = max(worst, gap)
-    return worst, rows
+def _report(axiom: str, rows: list[tuple]) -> AxiomReport:
+    """The verdict on per-node rows whose last entry is the gap."""
+    worst = max([row[-1] for row in rows] + [0.0])
+    return AxiomReport(axiom, worst, worst <= AXIOM_SLACK, rows)
 
 
 def axiom_past_independence(rs: RiskSpec, p1: PayoffStream, p2: PayoffStream,
                             t_idx: int) -> AxiomReport:
     """rho at and after t_idx only reads the positions there."""
-    r1, r2 = rho(rs, p1), rho(rs, p2)
-    worst = 0.0
-    rows = []
-    for i in range(t_idx, rs.lattice.n_steps + 1):
-        gap = float(np.max(np.abs((r1[i] - r2[i]).values)))
-        rows.append((i, gap))
-        worst = max(worst, gap)
-    return AxiomReport("past_independence", worst, worst <= AXIOM_SLACK, rows)
+    return _report("past_independence", node_gaps(
+        rho(rs, p1), rho(rs, p2), from_node=t_idx, absolute=True))
 
 
 def axiom_monotonicity(rs: RiskSpec, p1: PayoffStream, p2: PayoffStream
                        ) -> AxiomReport:
     """Positions ordered p1 <= p2 produce risks ordered the other way."""
     r1, r2 = rho(rs, p1), rho(rs, p2)
-    worst, rows = _pathwise_excess(r2, r1)
-    worst = max(worst, 0.0)
-    return AxiomReport("monotonicity", worst, worst <= AXIOM_SLACK, rows)
+    return _report("monotonicity", node_gaps(r2, r1))
 
 
 def axiom_translation(rs: RiskSpec, p: PayoffStream, c: float) -> AxiomReport:
     """Shifting the position by c moves rho by -c times the discount."""
     base = rho(rs, p)
     shifted = rho(rs, PayoffStream(p.zeta.shifted(c)))
-    factors = discount_factors(rs)
-    worst = 0.0
     rows = []
-    for i in range(rs.lattice.n_steps + 1):
+    for i, factor in enumerate(discount_factors(rs)):
         diff = (shifted[i] - base[i]).values
-        predicted = -c * factors[i]
-        gap = float(np.max(np.abs(diff - predicted)))
-        rows.append((i, float(np.mean(diff)), predicted, gap))
-        worst = max(worst, gap)
-    return AxiomReport("translation", worst, worst <= AXIOM_SLACK, rows)
+        predicted = -c * factor
+        rows.append((i, float(np.mean(diff)), predicted,
+                     float(np.max(np.abs(diff - predicted)))))
+    return _report("translation", rows)
 
 
 def axiom_convexity(rs: RiskSpec, p1: PayoffStream, p2: PayoffStream,
@@ -189,18 +172,10 @@ def axiom_convexity(rs: RiskSpec, p1: PayoffStream, p2: PayoffStream,
         raise FlagMissing("convexity needs a convex h z-map")
     if rs.g.kind not in ("zero", "linear", "affine"):
         raise FlagMissing("convexity needs an affine g z-map")
-    mix = PayoffStream(p1.zeta.mixed(p2.zeta, lam))
-    rmix = rho(rs, mix)
+    rmix = rho(rs, PayoffStream(p1.zeta.mixed(p2.zeta, lam)))
     r1, r2 = rho(rs, p1), rho(rs, p2)
-    worst = -np.inf
-    rows = []
-    for i in range(rs.lattice.n_steps + 1):
-        bound = lam * r1[i].values + (1 - lam) * r2[i].values
-        gap = float(np.max(rmix[i].values - bound))
-        rows.append((i, gap))
-        worst = max(worst, gap)
-    worst = max(worst, 0.0)
-    return AxiomReport("convexity", worst, worst <= AXIOM_SLACK, rows)
+    bound = [lam * a + (1 - lam) * b for a, b in zip(r1.y, r2.y)]
+    return _report("convexity", node_gaps(rmix, bound))
 
 
 def axiom_positive_homogeneity(rs: RiskSpec, p: PayoffStream, lam: float
@@ -212,13 +187,8 @@ def axiom_positive_homogeneity(rs: RiskSpec, p: PayoffStream, lam: float
         raise FlagMissing("homogeneity needs positively homogeneous h and g")
     scaled = rho(rs, PayoffStream(p.zeta.scaled(lam)))
     base = rho(rs, p)
-    worst = 0.0
-    rows = []
-    for i in range(rs.lattice.n_steps + 1):
-        gap = float(np.max(np.abs(scaled[i].values - lam * base[i].values)))
-        rows.append((i, gap))
-        worst = max(worst, gap)
-    return AxiomReport("positive_homogeneity", worst, worst <= AXIOM_SLACK, rows)
+    return _report("positive_homogeneity", node_gaps(
+        scaled, [lam * b for b in base.y], absolute=True))
 
 
 def axiom_subadditivity(rs: RiskSpec, p1: PayoffStream, p2: PayoffStream
@@ -230,11 +200,5 @@ def axiom_subadditivity(rs: RiskSpec, p1: PayoffStream, p2: PayoffStream
         raise FlagMissing("subadditivity needs an additive g z-map")
     pooled = rho(rs, PayoffStream(p1.zeta.plus(p2.zeta)))
     r1, r2 = rho(rs, p1), rho(rs, p2)
-    worst = -np.inf
-    rows = []
-    for i in range(rs.lattice.n_steps + 1):
-        gap = float(np.max(pooled[i].values - (r1[i].values + r2[i].values)))
-        rows.append((i, gap))
-        worst = max(worst, gap)
-    worst = max(worst, 0.0)
-    return AxiomReport("subadditivity", worst, worst <= AXIOM_SLACK, rows)
+    return _report("subadditivity", node_gaps(
+        pooled, [a + b for a, b in zip(r1.y, r2.y)]))

@@ -50,6 +50,8 @@ contraction factor.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,9 +85,11 @@ from .lattice import (
     b_increment,
     bit_view,
     expectation,
+    forward_integral,
     from_bit_view,
-    w_increment,
 )
+
+MAX_EXPONENT = math.log(sys.float_info.max)  # e^x overflows past this
 
 
 class Scenario:
@@ -102,6 +106,11 @@ class Scenario:
         elif threshold > 0.0 and beta <= threshold:
             raise ValidationError(
                 f"beta={beta} below the contraction threshold {threshold}"
+            )
+        if beta * lattice.node(lattice.n_steps) > MAX_EXPONENT:
+            raise ValidationError(
+                f"beta={beta} over horizon {lattice.horizon}: the weight "
+                f"e^(beta t) overflows a float"
             )
         self.lattice = lattice
         self.driver = driver
@@ -268,20 +277,12 @@ def representation_pair(sc: Scenario) -> tuple[AdaptedPath, VolterraKernel]:
 
 def residual(sc: Scenario, y: AdaptedPath, z: VolterraKernel) -> float:
     """Worst pathwise defect of the equation with self-consistent args."""
-    lat = sc.lattice
-    n = lat.n_steps
+    n = sc.lattice.n_steps
     ey, ez = means(y, z)
-    worst = 0.0
-    for i in range(n + 1):
-        acc = assemble_phi(sc.driver, sc.zeta[i], y, z, ey, ez, i) - y[i]
-        if i < n:
-            # the martingale sum grows through the fields (j + 1, i) like Phi_i
-            mart = z.at(i, i) * w_increment(lat, i)
-            for j in range(i + 1, n):
-                mart = mart + z.at(i, j) * w_increment(lat, j)
-            acc = acc - mart
-        worst = max(worst, acc.max_abs())
-    return worst
+    # the martingale sum grows through the fields (j + 1, i) like Phi_i
+    return max((assemble_phi(sc.driver, sc.zeta[i], y, z, ey, ez, i) - y[i]
+                - forward_integral(z.z[i], i, n)).max_abs()
+               for i in range(n + 1))
 
 
 def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,

@@ -317,3 +317,55 @@ class TestMalformedSections:
         doc = TestRisk().risk_doc()
         doc["risk"]["axioms"] = axioms
         _assert_input_error(tmp_path, capsys, "risk", doc)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+class TestBoundaryTracebacks:
+    """Valid-looking documents that used to end in a Python traceback."""
+
+    @pytest.mark.parametrize("edits", [
+        # beta_default is about 716 here, so e^(beta T) overflows
+        [(("lattice", "n_steps"), 3), (("driver", "params", "f", "mean_z"), 3)],
+        [(("solver", "beta"), 800)],
+    ], ids=["default_beta", "explicit_beta"])
+    def test_overflowing_weight_is_input_error(self, tmp_path, capsys,
+                                               monkeypatch, edits):
+        monkeypatch.setattr("mfbdsvie.cli.picard_solve", _never)
+        doc = json.loads((SCENARIOS / "linear_solve.json").read_text())
+        for path, value in edits:
+            _set(doc, path, value)
+        _assert_input_error(tmp_path, capsys, "solve", doc)
+
+    @pytest.mark.parametrize("kind", [[1], {"const": 1}],
+                             ids=["list", "object"])
+    def test_smooth_kind_must_be_a_name(self, tmp_path, capsys, monkeypatch,
+                                        kind):
+        monkeypatch.setattr("mfbdsvie.cli.picard_solve", _never)
+        doc = _set(base_doc(), ("terminal",), {"family": "smooth", "params": {
+            "smooth": [{"kind": kind, "coef": 0.5}]}})
+        _assert_input_error(tmp_path, capsys, "solve", doc)
+
+
+SHIPPED = [("solve", "linear_solve"), ("norms", "linear_solve"),
+           ("compare", "comparison_sandwich"), ("risk", "risk_translation"),
+           ("malliavin", "linear_solve"), ("particles", "particles_coupled")]
+TEXT_COLUMNS = {"axiom"}  # risk_axioms.csv names the axiom of each row
+
+
+class TestNumericCells:
+    @pytest.mark.parametrize("sub, name", SHIPPED,
+                             ids=[sub for sub, _ in SHIPPED])
+    def test_every_cell_is_a_number(self, tmp_path, sub, name):
+        out = tmp_path / "out"
+        assert run(sub, str(SCENARIOS / f"{name}.json"), str(out)) == 0
+        tables = sorted(out.glob("*.csv"))
+        assert tables
+        for table in tables:
+            header, *rows = table.read_text().splitlines()
+            columns = header.split(",")
+            for row in rows:
+                for column, cell in zip(columns, row.split(","), strict=True):
+                    if cell and column not in TEXT_COLUMNS:
+                        float(cell)  # raises on np.float64(...) and the like

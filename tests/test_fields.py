@@ -201,3 +201,30 @@ class TestLowerTriangleControl:
             y0 = condexp(y[i], SigmaField(lat, 0, 0))
             rhs = expectation(y[i] * y[i]) - expectation(y0 * y0)
             assert lhs == pytest.approx(rhs, abs=1e-11)
+
+
+class TestNodeGaps:
+    """Per-node worst gaps against a path-by-path enumeration."""
+
+    def test_signed_and_absolute_gaps(self):
+        from mfbdsvie.fields import node_gaps
+        from mfbdsvie.lattice import all_paths
+
+        lat = build_lattice(2, 1.0)
+        rng = np.random.default_rng(11)
+        a, b = random_adapted_path(lat, rng), random_adapted_path(lat, rng)
+        for absolute in (False, True):
+            for start in range(lat.n_steps + 1):
+                rows = node_gaps(a, b, from_node=start, absolute=absolute)
+                assert [i for i, _ in rows] == list(range(start, 3))
+                for i, gap in rows:
+                    d = [a[i].at(p) - b[i].at(p) for p in all_paths(lat)]
+                    want = max(abs(v) for v in d) if absolute else max(d)
+                    assert gap == want
+
+    def test_equal_profiles_give_zero(self):
+        from mfbdsvie.fields import node_gaps
+
+        lat = build_lattice(2, 1.0)
+        a = random_adapted_path(lat, np.random.default_rng(12))
+        assert node_gaps(a, a) == [(0, 0.0), (1, 0.0), (2, 0.0)]
