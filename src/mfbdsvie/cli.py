@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -268,9 +269,9 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 def _write_profile(path: Path, y) -> None:
     """Per-node mean, min and max of a path over its paths."""
+    stats = [f(y.values, axis=-1).tolist() for f in (np.mean, np.min, np.max)]
     write_csv(path, ["t_idx", "mean", "min", "max"],
-              [(i, float(np.mean(v.values)), float(np.min(v.values)),
-                float(np.max(v.values))) for i, v in enumerate(y.y)])
+              list(zip(range(len(y)), *stats)))
 
 
 def write_summary(path: Path, lines: list[str]) -> None:
@@ -302,15 +303,19 @@ def _run_solve(doc, out_dir: Path, emit_norms: bool) -> tuple[int, list[str]]:
         f"norm_restricted: {_fmt(rep.final_norms[0])}",
         f"norm_full: {_fmt(rep.final_norms[1])}",
     ]
-    failed = rep.final_residual > 10 * tol
+    failed = not (rep.final_residual <= 10 * tol  # nan and inf fail too
+                  and all(map(math.isfinite, rep.final_norms)))
     if emit_norms:
         w = BetaWeight(sc.beta)
         m2 = m_beta_norm(y, z, w) ** 2
         l2 = l_beta_norm(y, z, w) ** 2
+        finite = math.isfinite(m2) and math.isfinite(l2)
+        lower = finite and m2 <= l2 + 1e-10
+        upper = finite and l2 <= 2 * m2 + 1e-10
         write_csv(out_dir / "norms.csv",
                   ["m_beta_sq", "l_beta_sq", "lower_ok", "upper_ok"],
-                  [(m2, l2, int(m2 <= l2 + 1e-10), int(l2 <= 2 * m2 + 1e-10))])
-        ok = m2 <= l2 + 1e-10 and l2 <= 2 * m2 + 1e-10
+                  [(m2, l2, int(lower), int(upper))])
+        ok = lower and upper
         lines.append(f"norm_equivalence: {'PASS' if ok else 'FAIL'}")
         failed = failed or not ok
     lines.append(f"verdict: {'FAIL' if failed else 'PASS'}")

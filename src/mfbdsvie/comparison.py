@@ -189,9 +189,7 @@ def compare_solve(cs: ComparisonScenario, gap_slack: float = 1e-10
     check_hypotheses(cs)
     y1, _, _ = picard_solve(cs.scenario("1"), tol=cs.tol, max_iter=cs.max_iter)
     y2, _, _ = picard_solve(cs.scenario("2"), tol=cs.tol, max_iter=cs.max_iter)
-    gaps = []
-    for i in range(cs.lattice.n_steps + 1):
-        gaps.append(float(np.min((y2[i] - y1[i]).values)))
+    gaps = np.min(y2.values - y1.values, axis=-1).tolist()
     min_gap = min(gaps)
     return ComparisonVerdict(
         min_gap_by_node=gaps, min_gap=min_gap,
@@ -213,7 +211,7 @@ def monotone_iteration(cs: ComparisonScenario, p_max: int
     chain = [y2]
     zetabar = cs.middle_terminal()
     for p in range(1, p_max + 1):
-        mu = [float(np.mean(chain[-1][i].values)) for i in range(lat.n_steps + 1)]
+        mu = np.mean(chain[-1].values, axis=-1)
         frozen = FrozenMeanDriver(_CombinedDriver(cs.fbar, cs.g), mu, lat.dt)
         sc = Scenario(lat, frozen, zetabar, beta=cs.beta, safety=cs.safety)
         yp, _, _ = picard_solve(sc, tol=cs.tol, max_iter=cs.max_iter)

@@ -50,9 +50,9 @@ from .lattice import (
     LatticeSpec,
     MeasurableRV,
     SigmaField,
+    _owned,
     clark_ocone_sweep,
     condexp,
-    expectation,
     forward_integral,
     lift,
     time_field,
@@ -79,27 +79,16 @@ class BetaWeight:
 
 
 class AdaptedPath:
-    """Y over grid nodes 0..N, entry i declared at the time field (i, i)."""
+    """Y over grid nodes 0..N, entry i declared at the time field (i, i).
 
-    __slots__ = ("lattice", "y")
+    Stored as one (N+1, 2^M) array `values`; y[i] is a view of row i.
+    """
 
-    def __init__(self, lat: LatticeSpec, y: Sequence[MeasurableRV]):
-        if len(y) != lat.n_steps + 1:
-            raise ValidationError(
-                f"need {lat.n_steps + 1} entries, got {len(y)}"
-            )
-        for i, yi in enumerate(y):
-            if yi.lattice != lat:
-                raise LatticeMismatch("path entry on a different lattice")
-            if yi.field != time_field(lat, i):
-                raise MeasurabilityViolation(
-                    f"entry {i} declared at ({yi.field.w_upto}, "
-                    f"{yi.field.b_from}), expected time field"
-                )
-            if not np.all(np.isfinite(yi.values)):
-                raise ValidationError(f"entry {i} is not finite")
-        object.__setattr__(self, "lattice", lat)
-        object.__setattr__(self, "y", tuple(y))
+    __slots__ = ("lattice", "values", "y")
+
+    def __init__(self, lat: LatticeSpec, y: Sequence[MeasurableRV] | np.ndarray):
+        self.lattice = lat
+        self.values, self.y = _dense(lat, y, (lat.n_steps + 1,))
 
     def __len__(self) -> int:
         return len(self.y)
@@ -109,50 +98,72 @@ class AdaptedPath:
 
 
 class VolterraKernel:
-    """Z over (node i, slot j) in [0, N] x [0, N-1], entry at field (j, j)."""
+    """Z over (node i, slot j) in [0, N] x [0, N-1], entry at field (j, j).
 
-    __slots__ = ("lattice", "z")
+    Stored as one (N+1, N, 2^M) array `values`; z.at(i, j) views a row.
+    """
 
-    def __init__(self, lat: LatticeSpec, z: Sequence[Sequence[MeasurableRV]]):
-        if len(z) != lat.n_steps + 1:
-            raise ValidationError(f"need {lat.n_steps + 1} rows, got {len(z)}")
-        rows = []
-        for i, row in enumerate(z):
-            if len(row) != lat.n_steps:
-                raise ValidationError(
-                    f"row {i}: need {lat.n_steps} entries, got {len(row)}"
-                )
-            for j, zij in enumerate(row):
-                if zij.lattice != lat:
-                    raise LatticeMismatch("kernel entry on a different lattice")
-                if zij.field != time_field(lat, j):
-                    raise MeasurabilityViolation(
-                        f"entry ({i}, {j}) not declared at the slot field"
-                    )
-                if not np.all(np.isfinite(zij.values)):
-                    raise ValidationError(f"entry ({i}, {j}) is not finite")
-            rows.append(tuple(row))
-        object.__setattr__(self, "lattice", lat)
-        object.__setattr__(self, "z", tuple(rows))
+    __slots__ = ("lattice", "values", "z")
+
+    def __init__(self, lat: LatticeSpec,
+                 z: Sequence[Sequence[MeasurableRV]] | np.ndarray):
+        self.lattice = lat
+        self.values, self.z = _dense(lat, z, (lat.n_steps + 1, lat.n_steps))
 
     def at(self, i: int, j: int) -> MeasurableRV:
         return self.z[i][j]
 
 
+def _dense(lat: LatticeSpec, entries, dims: tuple):
+    """A finite, write-locked dims + (2^M,) array and views of its rows.
+
+    entries is such an array (a writable one is copied) or nested variables,
+    each at the time field of its last index (a path node, a kernel slot).
+    """
+    fields = [time_field(lat, k) for k in range(dims[-1])]
+    shape = dims + (1 << lat.n_bits,)
+    values = entries
+    if not isinstance(entries, np.ndarray):
+        cells = np.array(entries, dtype=object)
+        if cells.shape != dims:
+            raise ValidationError(f"need {dims} entries, got {cells.shape}")
+        for k, x in np.ndenumerate(cells):
+            where = f"entry {k[0] if len(k) == 1 else k}"
+            if x.lattice != lat:
+                raise LatticeMismatch(f"{where} on a different lattice")
+            if x.field != fields[k[-1]]:
+                raise MeasurabilityViolation(
+                    f"{where} declared at ({x.field.w_upto}, "
+                    f"{x.field.b_from}), expected its time field")
+        values = _owned(np.stack([x.values.reshape(-1) for x in cells.flat])
+                        .reshape(shape))
+    if values.shape != shape:
+        raise ValidationError(f"need an array of shape {shape}, "
+                              f"got {values.shape}")
+    if (values.flags.writeable or not values.flags.c_contiguous
+            or values.dtype != np.float64):
+        values = _owned(np.array(values, dtype=np.float64, order="C"))
+    if not np.isfinite(values).all():
+        bad = np.argwhere(~np.isfinite(values).all(axis=-1))[0].tolist()
+        raise ValidationError(
+            f"entry {bad[0] if len(bad) == 1 else tuple(bad)} is not finite")
+
+    def views(rows):
+        if rows.ndim > 2:
+            return tuple(map(views, rows))
+        return tuple(MeasurableRV(f, r.reshape(f.table_shape))
+                     for f, r in zip(fields, rows))
+
+    return values, views(values)
+
+
 def zero_path(lat: LatticeSpec) -> AdaptedPath:
-    zs = [
-        condexp(zero_rv(lat), time_field(lat, i))
-        for i in range(lat.n_steps + 1)
-    ]
-    return AdaptedPath(lat, zs)
+    return AdaptedPath(lat, _owned(np.zeros((lat.n_steps + 1, 1 << lat.n_bits))))
 
 
 def zero_kernel(lat: LatticeSpec) -> VolterraKernel:
-    rows = [
-        [condexp(zero_rv(lat), time_field(lat, j)) for j in range(lat.n_steps)]
-        for _ in range(lat.n_steps + 1)
-    ]
-    return VolterraKernel(lat, rows)
+    n = lat.n_steps
+    return VolterraKernel(lat, _owned(np.zeros((n + 1, n, 1 << lat.n_bits))))
 
 
 def split_row(phi: MeasurableRV, i: int, lane: int = 0, first: int = 0
@@ -211,35 +222,32 @@ def m_identity_residual(y: AdaptedPath, z: VolterraKernel) -> float:
                for i in range(len(y)))
 
 
-def node_gaps(a: Sequence[MeasurableRV], b: Sequence[MeasurableRV],
-              from_node: int = 0, absolute: bool = False
-              ) -> list[tuple[int, float]]:
+def node_gaps(a: AdaptedPath, b: AdaptedPath, from_node: int = 0,
+              absolute: bool = False) -> list[tuple[int, float]]:
     """Rows (i, worst over paths of a_i - b_i, or of |a_i - b_i|).
 
     One row per node from from_node on; a pathwise order or equality
     between two profiles holds when every gap is at most zero.
     """
-    rows = []
-    for i in range(from_node, len(a)):
-        d = (a[i] - b[i]).values
-        rows.append((i, float(np.max(np.abs(d) if absolute else d))))
-    return rows
+    d = a.values[from_node:] - b.values[from_node:]
+    gaps = np.max(np.abs(d) if absolute else d, axis=-1)
+    return list(enumerate(gaps.tolist(), start=from_node))
 
 
 def _norm_squared(
     y: AdaptedPath, z: VolterraKernel, w: BetaWeight, full_square: bool
 ) -> float:
+    # terms in node order, then row by row, added as one running float:
+    # a dot product or a pairwise sum would move the last digit
     lat = y.lattice
     dt = lat.dt
-    total = 0.0
-    for i in range(lat.n_steps + 1):
-        total += w.at(lat.node(i)) * expectation(y[i] * y[i]) * dt
-    for i in range(lat.n_steps + 1):
-        j_lo = 0 if full_square else i
-        for j in range(j_lo, lat.n_steps):
-            zij = z.at(i, j)
-            total += w.at(lat.node(j)) * expectation(zij * zij) * dt * dt
-    return total
+    n = lat.n_steps
+    weights = np.array([w.at(lat.node(i)) for i in range(n + 1)])
+    y_terms = weights * np.mean(y.values * y.values, axis=-1) * dt
+    z_terms = weights[:n] * np.mean(z.values * z.values, axis=-1) * dt * dt
+    if not full_square:
+        z_terms = z_terms[np.arange(n) >= np.arange(n + 1)[:, None]]
+    return float(np.add.accumulate(np.concatenate([y_terms, z_terms.ravel()]))[-1])
 
 
 def m_beta_norm(y: AdaptedPath, z: VolterraKernel, w: BetaWeight) -> float:
@@ -256,29 +264,16 @@ def pair_sup_diff(
     y1: AdaptedPath, z1: VolterraKernel, y2: AdaptedPath, z2: VolterraKernel
 ) -> float:
     """Pathwise sup-norm distance between two pairs (beta-independent)."""
-    lat = y1.lattice
-    worst = 0.0
-    for i in range(lat.n_steps + 1):
-        worst = max(worst, (y1[i] - y2[i]).max_abs())
-        for j in range(lat.n_steps):
-            worst = max(worst, (z1.at(i, j) - z2.at(i, j)).max_abs())
-    return worst
+    return float(max(np.max(np.abs(y1.values - y2.values)),
+                     np.max(np.abs(z1.values - z2.values))))
 
 
 def pair_diff(
     y1: AdaptedPath, z1: VolterraKernel, y2: AdaptedPath, z2: VolterraKernel
 ) -> tuple[AdaptedPath, VolterraKernel]:
     """Entrywise difference of two solution pairs."""
-    lat = y1.lattice
-    dy = AdaptedPath(lat, [y1[i] - y2[i] for i in range(lat.n_steps + 1)])
-    dz = VolterraKernel(
-        lat,
-        [
-            [z1.at(i, j) - z2.at(i, j) for j in range(lat.n_steps)]
-            for i in range(lat.n_steps + 1)
-        ],
-    )
-    return dy, dz
+    return (AdaptedPath(y1.lattice, _owned(y1.values - y2.values)),
+            VolterraKernel(y1.lattice, _owned(z1.values - z2.values)))
 
 
 def dump_csv_rows(y: AdaptedPath, z: VolterraKernel) -> list[tuple]:

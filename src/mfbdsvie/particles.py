@@ -23,6 +23,7 @@ decreasing trend in n is a deterministic statement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .fields import AdaptedPath, VolterraKernel, zero_kernel, zero_path
 from .lattice import (
     LatticeSpec,
     MeasurableRV,
+    _owned,
     bit_view,
     fill_table,
     full_field,
@@ -105,10 +107,11 @@ def solve_particles(pc: ParticleConfig
     def step(pairs):
         # particle p solves the frozen map with its own lane's increments
         # and the empirical means over all particles as mean arguments
-        mean_y = [_empirical_mean([y[i] for y, _ in pairs])
-                  for i in range(n + 1)]
-        mean_z = [[_empirical_mean([z.at(i, j) for _, z in pairs])
-                   for j in range(n)] for i in range(n + 1)]
+        k = 1.0 / len(pairs)
+        mean_y = AdaptedPath(joint, _owned(
+            reduce(np.add, [y.values for y, _ in pairs]) * k)).y
+        mean_z = VolterraKernel(joint, _owned(
+            reduce(np.add, [z.values for _, z in pairs]) * k)).z
         new = []
         for p, (y, z) in enumerate(pairs):
             ys, rows = zip(*(
@@ -130,13 +133,6 @@ def solve_particles(pc: ParticleConfig
         exchangeability=_exchangeability_defect(pc, joint, y),
     )
     return y, report
-
-
-def _empirical_mean(rvs: list[MeasurableRV]) -> MeasurableRV:
-    out = rvs[0]
-    for rv in rvs[1:]:
-        out = out + rv
-    return out * (1.0 / len(rvs))
 
 
 def _exchangeability_defect(pc: ParticleConfig, joint: LatticeSpec,

@@ -156,13 +156,12 @@ def axiom_translation(rs: RiskSpec, p: PayoffStream, c: float) -> AxiomReport:
     """Shifting the position by c moves rho by -c times the discount."""
     base = rho(rs, p)
     shifted = rho(rs, PayoffStream(p.zeta.shifted(c)))
-    rows = []
-    for i, factor in enumerate(discount_factors(rs)):
-        diff = (shifted[i] - base[i]).values
-        predicted = -c * factor
-        rows.append((i, float(np.mean(diff)), predicted,
-                     float(np.max(np.abs(diff - predicted)))))
-    return _report("translation", rows)
+    diff = shifted.values - base.values
+    predicted = -c * discount_factors(rs)
+    gaps = np.max(np.abs(diff - predicted[:, None]), axis=-1)
+    return _report("translation", list(zip(
+        range(len(diff)), np.mean(diff, axis=-1).tolist(), predicted.tolist(),
+        gaps.tolist())))
 
 
 def axiom_convexity(rs: RiskSpec, p1: PayoffStream, p2: PayoffStream,
@@ -174,7 +173,7 @@ def axiom_convexity(rs: RiskSpec, p1: PayoffStream, p2: PayoffStream,
         raise FlagMissing("convexity needs an affine g z-map")
     rmix = rho(rs, PayoffStream(p1.zeta.mixed(p2.zeta, lam)))
     r1, r2 = rho(rs, p1), rho(rs, p2)
-    bound = [lam * a + (1 - lam) * b for a, b in zip(r1.y, r2.y)]
+    bound = AdaptedPath(rs.lattice, lam * r1.values + (1 - lam) * r2.values)
     return _report("convexity", node_gaps(rmix, bound))
 
 
@@ -188,7 +187,7 @@ def axiom_positive_homogeneity(rs: RiskSpec, p: PayoffStream, lam: float
     scaled = rho(rs, PayoffStream(p.zeta.scaled(lam)))
     base = rho(rs, p)
     return _report("positive_homogeneity", node_gaps(
-        scaled, [lam * b for b in base.y], absolute=True))
+        scaled, AdaptedPath(rs.lattice, lam * base.values), absolute=True))
 
 
 def axiom_subadditivity(rs: RiskSpec, p1: PayoffStream, p2: PayoffStream
@@ -201,4 +200,4 @@ def axiom_subadditivity(rs: RiskSpec, p1: PayoffStream, p2: PayoffStream
     pooled = rho(rs, PayoffStream(p1.zeta.plus(p2.zeta)))
     r1, r2 = rho(rs, p1), rho(rs, p2)
     return _report("subadditivity", node_gaps(
-        pooled, [a + b for a, b in zip(r1.y, r2.y)]))
+        pooled, AdaptedPath(rs.lattice, r1.values + r2.values)))

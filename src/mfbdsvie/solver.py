@@ -120,6 +120,12 @@ class Scenario:
             terminal_rv(terminal, lattice, i)
             for i in range(lattice.n_steps + 1)
         )
+        # the norms sum the weighted squared terminal: checked in logs
+        peak = max(zeta_i.max_abs() for zeta_i in self.zeta)
+        if peak and not (2 * math.log(peak) + math.log(
+                _weight_mass(lattice, self.beta)) <= MAX_EXPONENT):
+            raise ValidationError(f"terminal of size {peak:.3e}: its "
+                                  f"weighted square overflows a float")
 
     @property
     def gamma_theory(self) -> float:
@@ -242,10 +248,8 @@ def sup_distance(new, old) -> float:
 
 def means(y: AdaptedPath, z: VolterraKernel):
     """Expectations of every path and kernel entry (the mean arguments)."""
-    n = y.lattice.n_steps
-    ey = [expectation(y[i]) for i in range(n + 1)]
-    ez = [[expectation(z.at(i, j)) for j in range(n)] for i in range(n + 1)]
-    return ey, ez
+    return (np.mean(y.values, axis=-1).tolist(),
+            np.mean(z.values, axis=-1).tolist())
 
 
 def gamma_map(sc: Scenario, y: AdaptedPath, z: VolterraKernel,

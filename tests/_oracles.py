@@ -3,9 +3,11 @@
 Everything here works directly on full path enumerations with raw bit
 arithmetic and NumPy least squares; nothing imports solver internals,
 so agreement between the two sides is meaningful.  The one exception is
-the last section: a per-slot split and a zeta-first assembly built on
-the package's primitives, the references for the backward sweep of
-`split_row` and the ascending assembly of `assemble_phi`.
+the last two sections: a per-slot split and a zeta-first assembly built
+on the package's primitives, the references for the backward sweep of
+`split_row` and the ascending assembly of `assemble_phi`; and the
+whole-pair statistics written one entry at a time, the references for
+their array expressions over the dense pair storage.
 
 Conventions (the discretisation contract, restated independently):
   * path = (w_bits, b_bits); bit j set means increment j equals +inc;
@@ -23,10 +25,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from mfbdsvie.fields import VolterraKernel
+from mfbdsvie.fields import AdaptedPath, VolterraKernel
 from mfbdsvie.lattice import (
     b_increment,
     condexp,
+    expectation,
     lift,
     time_field,
     w_increment,
@@ -374,3 +377,56 @@ def zeta_first_assemble_phi(driver, zeta_i, y, z, ey, ez, i, lane=0):
         g = evaluate_driver(driver.g_values, t, lat.node(j + 1), right)
         phi = phi + g * b_increment(lat, lat.bit_of(j, lane))
     return phi
+
+
+# -- per-entry whole-pair statistics -------------------------------------------
+#
+# One Python step per path or kernel entry, through y[i] and z.at(i, j):
+# the references for the array expressions of fields and solver.
+
+
+def entrywise_pair_sup_diff(y1, z1, y2, z2):
+    lat = y1.lattice
+    worst = 0.0
+    for i in range(lat.n_steps + 1):
+        worst = max(worst, (y1[i] - y2[i]).max_abs())
+        for j in range(lat.n_steps):
+            worst = max(worst, (z1.at(i, j) - z2.at(i, j)).max_abs())
+    return worst
+
+
+def entrywise_pair_diff(y1, z1, y2, z2):
+    lat = y1.lattice
+    dy = AdaptedPath(lat, [y1[i] - y2[i] for i in range(lat.n_steps + 1)])
+    dz = VolterraKernel(lat, [[z1.at(i, j) - z2.at(i, j)
+                               for j in range(lat.n_steps)]
+                              for i in range(lat.n_steps + 1)])
+    return dy, dz
+
+
+def entrywise_norm_squared(y, z, w, full_square):
+    lat = y.lattice
+    dt = lat.dt
+    total = 0.0
+    for i in range(lat.n_steps + 1):
+        total += w.at(lat.node(i)) * expectation(y[i] * y[i]) * dt
+    for i in range(lat.n_steps + 1):
+        for j in range(0 if full_square else i, lat.n_steps):
+            zij = z.at(i, j)
+            total += w.at(lat.node(j)) * expectation(zij * zij) * dt * dt
+    return total
+
+
+def entrywise_means(y, z):
+    n = y.lattice.n_steps
+    ey = [expectation(y[i]) for i in range(n + 1)]
+    ez = [[expectation(z.at(i, j)) for j in range(n)] for i in range(n + 1)]
+    return ey, ez
+
+
+def entrywise_node_gaps(a, b, from_node=0, absolute=False):
+    rows = []
+    for i in range(from_node, len(a)):
+        d = (a[i] - b[i]).values
+        rows.append((i, float(np.max(np.abs(d) if absolute else d))))
+    return rows

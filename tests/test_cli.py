@@ -369,3 +369,32 @@ class TestNumericCells:
                 for column, cell in zip(columns, row.split(","), strict=True):
                     if cell and column not in TEXT_COLUMNS:
                         float(cell)  # raises on np.float64(...) and the like
+
+
+class TestNumericRange:
+    """A terminal whose weighted square leaves the float range is refused
+    before any solve, and a norm that is not finite never passes."""
+
+    @pytest.mark.parametrize("sub, phi", [
+        ("norms", 1e160),  # used to pass with inf norms
+        ("solve", 1e300),  # used to run into NoConvergence
+        ("solve", 1e308),  # used to overflow inside the sweep first
+    ], ids=["1e160", "1e300", "1e308"])
+    def test_large_terminal_is_input_error(self, tmp_path, capsys,
+                                           monkeypatch, sub, phi):
+        monkeypatch.setattr("mfbdsvie.cli.picard_solve", _never)
+        doc = json.loads((SCENARIOS / "linear_solve.json").read_text())
+        _set(doc, ("lattice", "n_steps"), 3)
+        _set(doc, ("terminal", "params", "phi"), phi)
+        _assert_input_error(tmp_path, capsys, sub, doc)
+
+    def test_infinite_norm_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("mfbdsvie.cli.m_beta_norm",
+                            lambda *args: float("inf"))
+        out = tmp_path / "out"
+        assert run("norms", str(SCENARIOS / "linear_solve.json"),
+                   str(out)) == 2
+        summary = (out / "summary.txt").read_text()
+        assert "norm_equivalence: FAIL" in summary
+        assert "verdict: FAIL" in summary
+        assert (out / "norms.csv").read_text().splitlines()[1].endswith(",0,0")

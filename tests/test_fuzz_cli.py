@@ -2,14 +2,16 @@
 
 Each example takes a shipped scenario, replaces one leaf of it with a
 drawn JSON value and runs a subcommand on it.  Whatever the document,
-`cli.run` returns 0, 1 or 2 and raises nothing, and exit 1 says
-`input error:`.  Documents keep n_steps <= 3, and a drawn count never
+`cli.run` returns 0, 1 or 2 and raises nothing, exit 1 says
+`input error:`, and exit 0 writes only finite numbers to `summary.txt`.
+Documents keep n_steps <= 3, and a drawn count never
 raises n_steps, max_iter or p_max, so every example stays small.
 """
 
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -67,6 +69,20 @@ def test_one_mutated_leaf_never_escapes(sub, name, data):
         scenario = Path(tmp) / "scenario.json"
         scenario.write_text(json.dumps(doc), encoding="utf-8")
         code = run(sub, str(scenario), str(Path(tmp) / "out"))
+        if code == 0:
+            summary = (Path(tmp) / "out" / "summary.txt").read_text()
+            assert all(math.isfinite(v) for v in numbers(summary)), summary
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().startswith("input error:")
+
+
+def numbers(text: str) -> list[float]:
+    """Every word of a summary that reads as a number, inf and nan included."""
+    out = []
+    for word in text.split():
+        try:
+            out.append(float(word.strip("():")))
+        except ValueError:
+            pass
+    return out
