@@ -17,8 +17,9 @@ which makes the reconstruction
 hold exactly on every path: conditioning at (j, j) with j < i keeps all
 the B information Y_i carries, so the representation coefficients are
 the exact pathwise ones.  `split_row` and `m_extend` get every
-coefficient of a row from one backward sweep over the W bits
-(`lattice.clark_ocone_sweep`).
+coefficient of a row from one backward induction over the W bits
+(`lattice.clark_ocone_sweep`), which also adds the equation's slot terms
+as it goes.
 
 Two weighted norms measure pairs.  The restricted norm sums kernel
 entries over the upper triangle only; the full norm sums everything.
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -166,18 +167,21 @@ def zero_kernel(lat: LatticeSpec) -> VolterraKernel:
     return VolterraKernel(lat, _owned(np.zeros((n + 1, n, 1 << lat.n_bits))))
 
 
-def split_row(phi: MeasurableRV, i: int, lane: int = 0, first: int = 0
+def split_row(x: MeasurableRV, i: int, lane: int = 0, first: int = 0,
+              term: Callable[[int], MeasurableRV | None] | None = None
               ) -> tuple[MeasurableRV, list[MeasurableRV]]:
-    """Y_i and kernel row i from Phi_i against one lane's forward walk.
+    """Y_i and kernel row i of S = x + sum_{m >= i} term(m).
 
-    Y_i = E[Phi_i | (i, i)]; the upper triangle j >= i is
-    E[Phi_i dW_j | (j, j)] / dt and the lower triangle j < i is the
-    representation of Y_i (the M-extension), all from one backward sweep
-    over the W bits (the discrete Clark-Ocone formula).  Columns j < first
-    are zero tables and are not computed.
+    Y_i = E[S | (i, i)]; the upper triangle j >= i is E[S dW_j | (j, j)] / dt
+    against one lane's forward walk, and the lower triangle j < i is the
+    representation of Y_i (the M-extension), all from one backward
+    induction over the steps (`lattice.clark_ocone_sweep`) that adds each
+    slot term before it splits the slot's W bits, so S is never built.
+    Without a term this is the split of the given table x.  Columns
+    j < first are zero tables and are not computed.
     """
-    lat = phi.lattice
-    yi, cols = clark_ocone_sweep(phi, i, lane, first)
+    lat = x.lattice
+    yi, cols = clark_ocone_sweep(x, i, lane, first, term)
     return yi, [cols[j] if j in cols else lift(zero_rv(lat), time_field(lat, j))
                 for j in range(lat.n_steps)]
 

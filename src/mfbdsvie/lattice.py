@@ -360,7 +360,8 @@ def _onto(v: np.ndarray, field: SigmaField, f: SigmaField) -> MeasurableRV:
     if b < f.b_from:
         v = v.reshape(v.shape[0], -1, 1 << (f.b_from - b)).mean(axis=2)
     coarse = SigmaField(f.lattice, min(a, f.w_upto), max(b, f.b_from))
-    return lift(MeasurableRV(coarse, _owned(v)), f)
+    x = MeasurableRV(coarse, _owned(v))
+    return x if coarse == f else lift(x, f)
 
 
 def condexp(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
@@ -375,43 +376,66 @@ def condexp(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
     return _onto(x.values, x.field, f)
 
 
-def clark_ocone_sweep(x: MeasurableRV, i: int, lane: int = 0, first: int = 0
+def clark_ocone_sweep(x: MeasurableRV, i: int, lane: int = 0, first: int = 0,
+                      term: Callable[[int], MeasurableRV | None] | None = None
                       ) -> tuple[MeasurableRV, dict[int, MeasurableRV]]:
-    """Y_i = E[x | (i, i)] and the kernel coefficients of x in one sweep.
+    """Y_i = E[S | (i, i)] and the kernel coefficients of S by induction.
 
-    The discrete Clark-Ocone formula: the sweep walks the W bits of x from
-    the highest down.  At the given lane's bit of a step j >= first, the
-    halved difference over that bit divided by inc, conditioned on the
-    slot field (j, j), is E[x dW_j | (j, j)] / dt; then the bit is
-    averaged out.  Y_i falls out, conditioned on (i, i), once the bits of
-    steps >= i are averaged, and the sweep continues on Y_i, so the
-    columns j < i are the representation of Y_i.  Every step costs one
-    pass over a table half the size of the last, O(size of x) in all.
+    S = x + sum_{m >= i} term(m), and the sum is never built: the
+    induction starts with x and walks the steps m from the last down to i.
+    At step m it adds term(m), if any, before the top bit of the step, then
+    walks the step's W bits from the highest down (the discrete
+    Clark-Ocone formula).  At the given lane's bit of a step m >= first,
+    the halved difference over the bit divided by inc, conditioned on the
+    slot field (m, m), is E[S dW_m | (m, m)] / dt; then the bit is
+    averaged out.  The split is linear and term(m') for m' < m is blind to
+    the bits of step m, so the earlier terms add nothing to that column.
+    After step i the running table is Y_i, conditioned on (i, i), and the
+    sweep goes on over Y_i, so the columns j < i are the representation
+    of Y_i.  Each bit costs a few passes over the running table: a term
+    on the field (m + 1, m) keeps it at 2^(M + lanes) entries, and
+    without terms its size halves from bit to bit.
+
+    term(m) must not know the W bits of later steps: one on a field past
+    ((m + 1) lanes, .) would feed columns already read, and raises
+    MeasurabilityViolation.
 
     Returns Y_i and the computed columns by step: columns before first,
-    and those at bits x is blind to (zero), are left out.
+    and those at bits S is blind to (zero), are left out.
     """
     lat = x.lattice
     cols = {}
 
-    def descend(u: MeasurableRV, stop: int):
-        # columns at the bits [stop, w_upto) of u; u averaged over them.
-        # v holds sums over the bits passed, so it is scaled only when read
-        v, a, b, scale = u.values, u.field.w_upto, u.field.b_from, 1.0
+    def descend(s: MeasurableRV, stop: int) -> MeasurableRV:
+        # columns at the W bits [stop, w_upto) of s; s averaged over them
+        # (halving is exact, so the order of the halvings does not matter)
+        v, a, b = s.values, s.field.w_upto, s.field.b_from
+        if a <= stop:
+            return s
         for k in range(a - 1, stop - 1, -1):
             pair = v.reshape(2, -1, v.shape[1])  # bit k tops the W index
             j = k // lat.lanes
             if k == lat.bit_of(j, lane) and j >= first:
-                zj = _onto(pair[1] - pair[0], SigmaField(lat, k, b),
-                           time_field(lat, j))
-                cols[j] = zj * (0.5 * scale / lat.inc)
+                d = pair[1] - pair[0]
+                d *= 0.5 / lat.inc
+                cols[j] = _onto(d, SigmaField(lat, k, b), time_field(lat, j))
             v = pair[0] + pair[1]
-            scale *= 0.5
-        return v, SigmaField(lat, min(a, stop), b), scale
+            v *= 0.5
+        return MeasurableRV(SigmaField(lat, stop, b), _owned(v))
 
-    v, field, scale = descend(x, i * lat.lanes)
-    yi = _onto(v, field, time_field(lat, i)) * scale
-    descend(yi, 0)
+    s = x
+    for m in range(lat.n_steps - 1, i - 1, -1):
+        t = None if term is None else term(m)
+        if t is not None:
+            top = (m + 1) * lat.lanes
+            if t.field.w_upto > top:
+                raise MeasurabilityViolation(
+                    f"slot {m} term on ({t.field.w_upto}, {t.field.b_from}) "
+                    f"knows W bits past {top}")
+            s = s + t
+        s = descend(s, m * lat.lanes)
+    yi = condexp(s, time_field(lat, i))
+    descend(yi, first * lat.lanes)
     return yi, cols
 
 
@@ -456,11 +480,14 @@ def measurable_wrt(x: MeasurableRV, f: SigmaField) -> bool:
 
 
 def _audited_sum(vals: Sequence[MeasurableRV], j_lo: int, j_hi: int,
-                 lag: int, increment: Callable, kind: str) -> MeasurableRV:
+                 lag: int, increment: Callable, kind: str,
+                 source: Callable[[int], MeasurableRV] | None = None
+                 ) -> MeasurableRV:
     """sum_{j in [j_lo, j_hi)} vals_j increment_j, in ascending j.
 
     Each vals_j must be measurable for the field (j + lag, j + lag), so
     it is independent of its increment and the isometry holds exactly.
+    With a source, each summand is source(j) - vals_j increment_j instead.
     """
     if not vals:
         raise IndexOutOfRange("empty integrand sequence")
@@ -474,6 +501,8 @@ def _audited_sum(vals: Sequence[MeasurableRV], j_lo: int, j_hi: int,
                 f"unknown at ({k}, {k})"
             )
         term = vals[j] * increment(lat, j)
+        if source is not None:
+            term = source(j) - term
         out = term if out is None else out + term
     return zero_rv(lat) if out is None else out
 

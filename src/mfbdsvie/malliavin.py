@@ -127,19 +127,42 @@ def _dot(coefs, args, slots) -> MeasurableRV:
     return acc
 
 
-def _linearized_phi(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
-                    eu, ev, i: int, include_swapped: bool) -> MeasurableRV:
-    """Row-i driver sums of the flip equation over slots >= max(i, r)."""
+def _linearized_term(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
+                     eu, ev, i: int, j: int, include_swapped: bool
+                     ) -> MeasurableRV:
+    """Row i's slot-j term of the flip equation, f dt + g dB_j."""
     lat = ls.scenario.lattice
     # argument slots in accumulation order: y, z, mean_y, mean_z, then the
     # swapped-kernel pair (z_rev, mean_z_rev), left out on the pinned rows
     slots = (0, 1, 3, 4, 2, 5) if include_swapped else (0, 1, 3, 4)
+    left, right = frozen_args(u, v, eu, ev, i, j)
+    return (_dot(ls.f_coef[i][j], left, slots) * lat.dt
+            + _dot(ls.g_coef[i][j], right, slots) * b_increment(lat, j))
+
+
+def _linearized_phi(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
+                    eu, ev, i: int, include_swapped: bool) -> MeasurableRV:
+    """Row-i driver sums of the flip equation over slots >= max(i, r)."""
     phi = ls.source[i]
-    for j in range(max(i, ls.r_idx), lat.n_steps):
-        left, right = frozen_args(u, v, eu, ev, i, j)
-        phi = phi + _dot(ls.f_coef[i][j], left, slots) * lat.dt
-        phi = phi + _dot(ls.g_coef[i][j], right, slots) * b_increment(lat, j)
+    for j in range(max(i, ls.r_idx), ls.scenario.lattice.n_steps):
+        phi = phi + _linearized_term(ls, u, v, eu, ev, i, j, include_swapped)
     return phi
+
+
+def _linearized_row(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
+                    eu, ev, i: int) -> tuple[MeasurableRV, list[MeasurableRV]]:
+    """Y_i and kernel row i of one flip-equation map, swapped terms included.
+
+    The terms start at slot r, and kernel column r is blind to the flipped
+    increment in every kernel, so the columns <= r are left at zero: the
+    entrywise flip's shape.
+    """
+    r = ls.r_idx
+
+    def term(m):
+        return _linearized_term(ls, u, v, eu, ev, i, m, True) if m >= r else None
+
+    return split_row(ls.source[i], i, first=r + 1, term=term)
 
 
 def solve_linearized(ls: LinearizedScenario, tol: float = 1e-12,
@@ -157,18 +180,11 @@ def solve_linearized(ls: LinearizedScenario, tol: float = 1e-12,
     zero_y, zero_z = zero_path(lat), zero_kernel(lat)
 
     def step(pair):
-        u, v = pair
-        eu, ev = means(u, v)
-        ys, rows = [], []
-        for i in range(lat.n_steps + 1):
-            # the entrywise flip's shape: kernel column r is blind to the
-            # flipped increment in every kernel, so columns <= r stay zero,
-            # and so does the path at rows <= r
-            yi, row = split_row(
-                _linearized_phi(ls, u, v, eu, ev, i, include_swapped=True), i,
-                first=r + 1)
-            ys.append(yi if i > r else zero_y[i])
-            rows.append(row)
+        eu, ev = means(*pair)
+        ys, rows = zip(*(_linearized_row(ls, *pair, eu, ev, i)
+                         for i in range(lat.n_steps + 1)))
+        # the path at rows <= r is zero, as in the entrywise flip
+        ys = [yi if i > r else zero_y[i] for i, yi in enumerate(ys)]
         return AdaptedPath(lat, ys), VolterraKernel(lat, rows)
 
     pair, _, _ = iterate(step, (zero_y, zero_z), sup_distance, tol, max_iter)

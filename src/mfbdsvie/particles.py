@@ -5,9 +5,11 @@ joint lattice with n lanes per time step).  Each particle solves the
 equation with its own terminal data and its own backward and forward
 integrals, while every expectation argument is replaced by the
 empirical mean over the n particles, the own value included.  The
-solve is the fixed point of the natural map: assemble each particle's
-frozen right side, condition on the joint time field, and extract the
-kernel against the particle's own forward increments.
+solve is the fixed point of the natural map: each particle's frozen
+right side, conditioned on the joint time field, with the kernel
+extracted against the particle's own forward increments by the one
+backward induction, which adds each slot term before the top bit of
+its step.
 
 The n = 1 system with a mean-field-free driver reproduces the single
 solve exactly; coupled drivers generate a gap to the mean-field
@@ -23,7 +25,7 @@ decreasing trend in n is a deterministic statement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -41,9 +43,9 @@ from .lattice import (
 )
 from .solver import (
     Scenario,
-    assemble_phi,
     iterate,
     picard_solve,
+    slot_term,
     split_row,
     sup_distance,
 )
@@ -115,8 +117,9 @@ def solve_particles(pc: ParticleConfig
         new = []
         for p, (y, z) in enumerate(pairs):
             ys, rows = zip(*(
-                split_row(assemble_phi(pc.driver, zetas[p][i], y, z,
-                                       mean_y, mean_z, i, lane=p), i, lane=p)
+                split_row(zetas[p][i], i, lane=p,
+                          term=partial(slot_term, pc.driver, y, z, mean_y,
+                                       mean_z, i, lane=p))
                 for i in range(n + 1)))
             new.append((AdaptedPath(joint, ys), VolterraKernel(joint, rows)))
         return new

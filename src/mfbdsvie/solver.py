@@ -2,7 +2,7 @@
 
 One application of the map takes a frozen pair (y, z) and produces the
 new pair (Y, Z) solving the frozen-coefficient equation exactly on the
-lattice.  For each node i it assembles
+lattice.  For each node i the right side is
 
     Phi_i = zeta(t_i)
           + sum_{j >= i} f(t_i, s_j, y_j, z_ij, z_ji, E y_j, E z_ij, E z_ji) dt
@@ -10,7 +10,7 @@ lattice.  For each node i it assembles
 
 with the g states read at the right grid node (kernel column N treated
 as zero) so that dB_j is independent of the integrand's backward part,
-then splits Phi_i against the forward walk:
+and the row splits it against the forward walk:
 
     Y_i  = E[Phi_i | (i, i)],
     Z_ij = E[Phi_i dW_j | (j, j)] / dt     for j >= i,
@@ -26,21 +26,23 @@ which is what `residual` measures with self-consistent arguments.
 
 The map is written once and shared: `frozen_args` reads the driver
 arguments (the only place that knows the right-node convention),
-`assemble_phi` builds Phi_i, `split_row` (from fields) splits it, and
-`iterate` is the Picard loop.  The linearized flip equation (malliavin)
-and the particle system (particles) are the same map with other
-coefficients, other means and other lanes.
+`slot_term` makes the slot term f dt + g dB_j, `split_row` (from fields)
+is the row's backward induction, and `iterate` is the Picard loop.  The
+linearized flip equation (malliavin) and the particle system (particles)
+are the same map with other terms, other means and other lanes.
 
-One application costs O(4^N), a few passes over the Phi tables, whose
-sizes halve from row to row.  `assemble_phi` adds the slot terms
-f dt + g dB_j in ascending j, so the running sum grows through the
-fields (j + 1, i) and every addition is paid at its own size; each
-driver output sits on the coarsest field it needs, and zeta_i, on the
-widest field, comes last.  `split_row` is one backward sweep over the W
-bits of Phi_i (the discrete Clark-Ocone formula): at bit j, the halved
-difference over the bit divided by inc, averaged over the B bits
-[i, j), is Z_ij, and then the bit is averaged out; Y_i falls out at bit
-i, and the sweep goes on over Y_i for the lower triangle.
+At a fixed t_i the equation is a backward equation in s, so Phi_i is
+never built: the induction starts from zeta_i and, for m = N-1 down to
+i, adds the slot-m term and then splits the W bits of step m (the
+discrete Clark-Ocone formula), reading Z_im from the halved difference
+over the bit; after step i the running table is Y_i, and the sweep goes
+on over Y_i for the lower triangle.  For a driver blind to z_rev the
+slot term lives on (m + 1, m), so the running table keeps 2^(N+1)
+entries, one row costs O(N 2^N) and one map O(N^2 2^N).  A driver that
+reads z_rev (and the linearized equation's swapped terms) keeps the B
+bits from i on, the running table stays on (m + 1, i), and the cost is
+that of a split of the whole Phi_i, O(4^N) a map.  `residual` is the
+one O(4^N) piece left: the exact pathwise defect needs every path.
 
 Iterating the map from (0, 0) contracts in the beta-weighted norm once
 beta clears the threshold; the report keeps the successive-difference
@@ -53,6 +55,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -82,11 +85,12 @@ from .fields import (
 from .lattice import (
     LatticeSpec,
     MeasurableRV,
+    _audited_sum,
     b_increment,
     bit_view,
     expectation,
-    forward_integral,
     from_bit_view,
+    w_increment,
 )
 
 MAX_EXPONENT = math.log(sys.float_info.max)  # e^x overflows past this
@@ -120,10 +124,13 @@ class Scenario:
             terminal_rv(terminal, lattice, i)
             for i in range(lattice.n_steps + 1)
         )
-        # the norms sum the weighted squared terminal: checked in logs
+        # the norms form weight * E[y^2] and weight * E[z^2], with |y| <= peak
+        # and |z| <= peak / inc for the terminal's representation, and add up
+        # at most (N + 2) times the weight mass times peak^2: checked in logs
         peak = max(zeta_i.max_abs() for zeta_i in self.zeta)
-        if peak and not (2 * math.log(peak) + math.log(
-                _weight_mass(lattice, self.beta)) <= MAX_EXPONENT):
+        top = self.beta * lattice.horizon + max(0.0, -math.log(lattice.dt))
+        total = math.log((lattice.n_steps + 2) * _weight_mass(lattice, self.beta))
+        if peak and not 2 * math.log(peak) + max(top, total) <= MAX_EXPONENT:
             raise ValidationError(f"terminal of size {peak:.3e}: its "
                                   f"weighted square overflows a float")
 
@@ -196,26 +203,19 @@ def frozen_args(y: AdaptedPath, z: VolterraKernel, ey, ez, i: int, j: int
     return left, right
 
 
-def assemble_phi(driver: DriverSpec, zeta_i: MeasurableRV, y: AdaptedPath,
-                 z: VolterraKernel, ey, ez, i: int, lane: int = 0
-                 ) -> MeasurableRV:
-    """Phi_i: the slot terms f dt + g dB_j over slots j >= i, then zeta_i.
+def slot_term(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
+              i: int, j: int, lane: int = 0) -> MeasurableRV:
+    """Row i's slot-j term f dt + g dB_j, with the given lane's dB_j.
 
-    The slot terms are added in ascending j, so the running sum grows
-    through the fields (j + 1, i) and each addition is paid at its own
-    field's size; zeta_i, on the terminal field, comes last.  The backward
-    increments are the given lane's.
+    Each driver output sits on the coarsest field it needs, so for a driver
+    blind to z_rev the term lives on (j + 1, j).
     """
     lat = y.lattice
     t = lat.node(i)
-    phi = None
-    for j in range(i, lat.n_steps):
-        left, right = frozen_args(y, z, ey, ez, i, j)
-        term = (evaluate_driver(driver.f_values, t, lat.node(j), left) * lat.dt
-                + evaluate_driver(driver.g_values, t, lat.node(j + 1), right)
-                * b_increment(lat, lat.bit_of(j, lane)))
-        phi = term if phi is None else phi + term
-    return zeta_i if phi is None else phi + zeta_i
+    left, right = frozen_args(y, z, ey, ez, i, j)
+    return (evaluate_driver(driver.f_values, t, lat.node(j), left) * lat.dt
+            + evaluate_driver(driver.g_values, t, lat.node(j + 1), right)
+            * b_increment(lat, lat.bit_of(j, lane)))
 
 
 def iterate(step: Callable, start, distance: Callable, tol: float,
@@ -263,12 +263,10 @@ def gamma_map(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
     """
     lat = sc.lattice
     ey, ez = means(y, z)
-    ys, rows = [], []
-    for i in range(lat.n_steps + 1):
-        phi = assemble_phi(sc.driver, sc.zeta[i], y, z, ey, ez, i)
-        yi, row = split_row(phi, i, first=0 if extend else i)
-        ys.append(yi)
-        rows.append(row)
+    ys, rows = zip(*(
+        split_row(sc.zeta[i], i, first=0 if extend else i,
+                  term=partial(slot_term, sc.driver, y, z, ey, ez, i))
+        for i in range(lat.n_steps + 1)))
     return AdaptedPath(lat, ys), VolterraKernel(lat, rows)
 
 
@@ -280,12 +278,17 @@ def representation_pair(sc: Scenario) -> tuple[AdaptedPath, VolterraKernel]:
 
 
 def residual(sc: Scenario, y: AdaptedPath, z: VolterraKernel) -> float:
-    """Worst pathwise defect of the equation with self-consistent args."""
+    """Worst pathwise defect of the equation with self-consistent args.
+
+    Row i's defect zeta_i - Y_i + sum_{j >= i} (f dt + g dB_j - Z_ij dW_j)
+    is one ascending sum, which audits each Z_ij measurable at (j, j), and
+    grows through the fields (j + 1, i); the terminal and Y_i come last.
+    """
     n = sc.lattice.n_steps
     ey, ez = means(y, z)
-    # the martingale sum grows through the fields (j + 1, i) like Phi_i
-    return max((assemble_phi(sc.driver, sc.zeta[i], y, z, ey, ez, i) - y[i]
-                - forward_integral(z.z[i], i, n)).max_abs()
+    return max((_audited_sum(z.z[i], i, n, 0, w_increment, "forward",
+                             partial(slot_term, sc.driver, y, z, ey, ez, i))
+                + (sc.zeta[i] - y[i])).max_abs()
                for i in range(n + 1))
 
 

@@ -3,11 +3,12 @@
 Everything here works directly on full path enumerations with raw bit
 arithmetic and NumPy least squares; nothing imports solver internals,
 so agreement between the two sides is meaningful.  The one exception is
-the last two sections: a per-slot split and a zeta-first assembly built
-on the package's primitives, the references for the backward sweep of
-`split_row` and the ascending assembly of `assemble_phi`; and the
-whole-pair statistics written one entry at a time, the references for
-their array expressions over the dense pair storage.
+the last two sections: a per-slot split of the whole assembled right
+side Phi_i, built zeta-first on the package's primitives, and the map
+and residual made of them, the references for the backward induction
+of `split_row` (which never builds Phi_i) and for `gamma_map` and
+`residual`; and the whole-pair statistics written one entry at a time,
+the references for their array expressions over the dense pair storage.
 
 Conventions (the discretisation contract, restated independently):
   * path = (w_bits, b_bits); bit j set means increment j equals +inc;
@@ -30,6 +31,7 @@ from mfbdsvie.lattice import (
     b_increment,
     condexp,
     expectation,
+    forward_integral,
     lift,
     time_field,
     w_increment,
@@ -332,10 +334,10 @@ class ParticleLinearSystem:
         return y, resid
 
 
-# -- reference split and assembly --------------------------------------------
+# -- reference split, assembly, map and residual --------------------------------
 #
 # One conditional expectation per kernel entry and every addition at the
-# terminal field: slower, and independent of the sweep.
+# terminal field: slower, and independent of the induction.
 
 
 def condexp_representation_row(y_i, j, lane=0):
@@ -377,6 +379,28 @@ def zeta_first_assemble_phi(driver, zeta_i, y, z, ey, ez, i, lane=0):
         g = evaluate_driver(driver.g_values, t, lat.node(j + 1), right)
         phi = phi + g * b_increment(lat, lat.bit_of(j, lane))
     return phi
+
+
+def condexp_gamma_map(sc, y, z, extend=True):
+    """One map application: the whole Phi_i of every row, split per slot."""
+    lat = sc.lattice
+    ey, ez = entrywise_means(y, z)
+    ys, rows = zip(*(
+        condexp_split_row(
+            zeta_first_assemble_phi(sc.driver, sc.zeta[i], y, z, ey, ez, i),
+            i, first=0 if extend else i)
+        for i in range(lat.n_steps + 1)))
+    return AdaptedPath(lat, ys), VolterraKernel(lat, rows)
+
+
+def assembled_residual(sc, y, z):
+    """Worst pathwise |Phi_i - Y_i - sum_{j >= i} Z_ij dW_j| over rows."""
+    n = sc.lattice.n_steps
+    ey, ez = entrywise_means(y, z)
+    return max(
+        (zeta_first_assemble_phi(sc.driver, sc.zeta[i], y, z, ey, ez, i)
+         - y[i] - forward_integral(z.z[i], i, n)).max_abs()
+        for i in range(n + 1))
 
 
 # -- per-entry whole-pair statistics -------------------------------------------

@@ -379,7 +379,10 @@ class TestNumericRange:
         ("norms", 1e160),  # used to pass with inf norms
         ("solve", 1e300),  # used to run into NoConvergence
         ("solve", 1e308),  # used to overflow inside the sweep first
-    ], ids=["1e160", "1e300", "1e308"])
+        # passed the weight-mass check, then overflowed weight * E[y^2]
+        # in the norms before the product met dt
+        ("norms", 7.9e150),
+    ], ids=["1e160", "1e300", "1e308", "7.9e150"])
     def test_large_terminal_is_input_error(self, tmp_path, capsys,
                                            monkeypatch, sub, phi):
         monkeypatch.setattr("mfbdsvie.cli.picard_solve", _never)

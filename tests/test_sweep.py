@@ -1,30 +1,51 @@
-"""The backward sweep and the ascending assembly against their references.
+"""The backward induction against the split of the whole assembled Phi_i.
 
-split_row (one sweep over the W bits) and assemble_phi (slot terms in
-ascending field size, terminal last) must agree with the per-slot
-conditional-expectation split and the zeta-first assembly of
-tests/_oracles.py to rounding, on every row, column start and lane.  A
-count of table bytes guards the O(4^N) cost of one map application.
+split_row adds each slot term before it splits the slot's W bits, so
+Phi_i is never built.  On every row, column start and lane it must agree
+to rounding with the per-slot conditional-expectation split of the
+zeta-first assembly of Phi_i in tests/_oracles.py, and so must the map
+and residual the solver makes of it.  Counts of table bytes guard the
+cost of one map application: its largest table stays at 2^(N+1)
+entries and its bytes scale as N^2 2^N for a driver blind to z_rev.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
 
 from mfbdsvie import solver
 from mfbdsvie.drivers import LinearDriver, RiskDriver, TerminalSpec, ZPart, terminal_rv
-from mfbdsvie.fields import AdaptedPath, VolterraKernel, m_extend, representation_row
-from mfbdsvie.lattice import LatticeSpec, MeasurableRV, build_lattice, time_field
+from mfbdsvie.errors import MeasurabilityViolation
+from mfbdsvie.fields import (
+    AdaptedPath,
+    VolterraKernel,
+    m_extend,
+    representation_row,
+    split_row,
+)
+from mfbdsvie.lattice import (
+    LatticeSpec,
+    MeasurableRV,
+    SigmaField,
+    build_lattice,
+    time_field,
+    w_increment,
+)
+from mfbdsvie.malliavin import _linearized_phi, _linearized_row, build_linearized
 from mfbdsvie.solver import (
     Scenario,
-    assemble_phi,
     gamma_map,
     means,
     picard_solve,
     representation_pair,
-    split_row,
+    residual,
+    slot_term,
 )
 
 from _oracles import (
+    assembled_residual,
+    condexp_gamma_map,
     condexp_m_extend,
     condexp_representation_row,
     condexp_split_row,
@@ -50,6 +71,13 @@ def assert_close(got: MeasurableRV, want: MeasurableRV):
     assert got.field == want.field
     gap = float(np.max(np.abs(got.values - want.values)))
     assert gap <= REL * max(1.0, want.max_abs())
+
+
+def assert_rows_close(got, want):
+    (yi, row), (yi_ref, row_ref) = got, want
+    assert_close(yi, yi_ref)
+    for zij, zij_ref in zip(row, row_ref, strict=True):
+        assert_close(zij, zij_ref)
 
 
 def random_rv(f, rng):
@@ -79,17 +107,15 @@ class TestSingleLane:
         for i in range(self.N + 1):
             zeta = terminal_rv(TERMINAL, lat, i)
             args = (DRIVERS[name], zeta, y, z, ey, ez, i)
-            phi = assemble_phi(*args)
-            assert_close(phi, zeta_first_assemble_phi(*args))
-            # the assembled right side and the bare terminal (representation
-            # pair: blind to B, so columns are lifted rather than averaged)
-            for x in (phi, zeta):
-                for first in firsts(i):
-                    yi, row = split_row(x, i, first=first)
-                    yi_ref, row_ref = condexp_split_row(x, i, first=first)
-                    assert_close(yi, yi_ref)
-                    for zij, zij_ref in zip(row, row_ref, strict=True):
-                        assert_close(zij, zij_ref)
+            phi = zeta_first_assemble_phi(*args)
+            term = partial(slot_term, DRIVERS[name], y, z, ey, ez, i)
+            for first in firsts(i):
+                assert_rows_close(split_row(zeta, i, first=first, term=term),
+                                  condexp_split_row(phi, i, first=first))
+                # the bare terminal (representation pair: blind to B, so
+                # columns are lifted rather than averaged)
+                assert_rows_close(split_row(zeta, i, first=first),
+                                  condexp_split_row(zeta, i, first=first))
 
     def test_representation_and_extension(self):
         lat = build_lattice(self.N, 1.0)
@@ -115,19 +141,33 @@ class TestLanes:
         my, mz = random_pair(lat, rng)
         ey = list(my.y)
         ez = [list(row) for row in mz.z]
+        driver = DRIVERS["linear_mean_field"]
         for lane in range(lanes):
             for i in range(n_steps + 1):
                 zeta = terminal_rv(TERMINAL, lat, i, lane=lane)
-                args = (DRIVERS["linear_mean_field"], zeta, y, z, ey, ez, i)
-                phi = assemble_phi(*args, lane=lane)
-                assert_close(phi, zeta_first_assemble_phi(*args, lane=lane))
+                phi = zeta_first_assemble_phi(driver, zeta, y, z, ey, ez, i,
+                                              lane=lane)
+                term = partial(slot_term, driver, y, z, ey, ez, i, lane=lane)
                 for first in firsts(i):
-                    yi, row = split_row(phi, i, lane=lane, first=first)
-                    yi_ref, row_ref = condexp_split_row(phi, i, lane=lane,
-                                                        first=first)
-                    assert_close(yi, yi_ref)
-                    for zij, zij_ref in zip(row, row_ref, strict=True):
-                        assert_close(zij, zij_ref)
+                    assert_rows_close(
+                        split_row(zeta, i, lane=lane, first=first, term=term),
+                        condexp_split_row(phi, i, lane=lane, first=first))
+
+
+class TestLinearized:
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_step_against_whole_phi(self, name):
+        # no term below slot r, swapped-kernel terms on every row
+        lat = build_lattice(4, 1.0)
+        rng = np.random.default_rng(17)
+        sc = Scenario(lat, DRIVERS[name], TERMINAL)
+        ls = build_linearized(sc, *random_pair(lat, rng), R_IDX)
+        u, v = random_pair(lat, rng)
+        eu, ev = means(u, v)
+        for i in range(lat.n_steps + 1):
+            phi = _linearized_phi(ls, u, v, eu, ev, i, include_swapped=True)
+            assert_rows_close(_linearized_row(ls, u, v, eu, ev, i),
+                              condexp_split_row(phi, i, first=R_IDX + 1))
 
 
 class TestPicard:
@@ -137,8 +177,8 @@ class TestPicard:
         sc = Scenario(build_lattice(4, 1.0), DRIVERS[name], TERMINAL)
         y, z, rep = picard_solve(sc, tol=1e-12, defer_extension=defer)
         with monkeypatch.context() as m:
-            m.setattr(solver, "assemble_phi", zeta_first_assemble_phi)
-            m.setattr(solver, "split_row", condexp_split_row)
+            m.setattr(solver, "gamma_map", condexp_gamma_map)
+            m.setattr(solver, "residual", assembled_residual)
             m.setattr(solver, "m_extend", condexp_m_extend)
             y_ref, z_ref, rep_ref = picard_solve(sc, tol=1e-12,
                                                  defer_extension=defer)
@@ -152,30 +192,75 @@ class TestPicard:
             for j in range(sc.lattice.n_steps):
                 assert_close(z.at(i, j), z_ref.at(i, j))
 
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_residual_against_assembled_phi(self, name):
+        sc = Scenario(build_lattice(4, 1.0), DRIVERS[name], TERMINAL)
+        y, z = random_pair(sc.lattice, np.random.default_rng(23))
+        want = assembled_residual(sc, y, z)
+        assert residual(sc, y, z) == pytest.approx(want, rel=REL)
+
+
+class TestAdaptedness:
+    def test_term_knowing_later_w_bits_is_refused(self):
+        # a slot-m term on (m + 2, m) would feed column m + 1, already read
+        lat = build_lattice(4, 1.0)
+        rng = np.random.default_rng(29)
+        n = lat.n_steps
+
+        def term(m):
+            return random_rv(SigmaField(lat, m + 2, m), rng) if m == n - 2 else None
+
+        with pytest.raises(MeasurabilityViolation):
+            split_row(terminal_rv(TERMINAL, lat, 0), 0, term=term)
+
+    def test_residual_audits_the_kernel(self):
+        lat = build_lattice(3, 1.0)
+        sc = Scenario(lat, DRIVERS["risk_smooth_abs"], TERMINAL)
+        y, z = representation_pair(sc)
+        # entry (0, 1) declared at (2, 2): it sees its own increment dW_1
+        rows = [list(row) for row in z.z]
+        rows[0][1] = w_increment(lat, 1) * rows[0][1] + rows[0][1]
+        assert rows[0][1].field == SigmaField(lat, 2, 1)
+        z.z = tuple(map(tuple, rows))
+        with pytest.raises(MeasurabilityViolation, match="slot 1"):
+            residual(sc, y, z)
+
 
 class TestTableBudget:
-    """Bytes of the tables built by one map application scale as 4^N."""
+    """Tables built by one map application, for a driver blind to z_rev."""
 
-    def table_bytes(self, monkeypatch, n_steps):
+    def tables(self, monkeypatch, n_steps):
         driver = LinearDriver(f={"y": -0.2, "mean_y": 0.15, "mean_z": 0.05},
                               g={"z": 0.04, "mean_y": 0.02})
         sc = Scenario(build_lattice(n_steps, 1.0), driver,
                       TerminalSpec(phi=0.3, smooth=[("tanh", 0.5)]))
         y, z = representation_pair(sc)
         init = MeasurableRV.__init__
-        total = 0
+        sizes = []
 
         def counting(rv, field, values):
-            nonlocal total
             init(rv, field, values)
-            total += rv.values.nbytes
+            sizes.append(rv.values.nbytes)
 
         with monkeypatch.context() as m:
             m.setattr(MeasurableRV, "__init__", counting)
             gamma_map(sc, y, z)
-        return total
+        return sizes
+
+    def table_bytes(self, monkeypatch, n_steps):
+        return sum(self.tables(monkeypatch, n_steps))
 
     def test_ratio_from_n6_to_n9(self, monkeypatch):
         ratio = (self.table_bytes(monkeypatch, 9)
                  / self.table_bytes(monkeypatch, 6))
         assert ratio <= 70  # 4^3 = 64 for pure O(4^N) scaling
+
+    @pytest.mark.parametrize("n_steps", [6, 9])
+    def test_largest_table(self, monkeypatch, n_steps):
+        # the induction's running table on (m + 1, m); Phi_0 had 4^N
+        assert max(self.tables(monkeypatch, n_steps)) <= 8 << (n_steps + 1)
+
+    def test_bytes_scale_as_n2_2n(self, monkeypatch):
+        ratio = (self.table_bytes(monkeypatch, 9)
+                 / self.table_bytes(monkeypatch, 6))
+        assert ratio <= 24  # N^2 2^N predicts (81 * 512) / (36 * 64) = 18
