@@ -187,8 +187,9 @@ def compare_solve(cs: ComparisonScenario, gap_slack: float = 1e-10
                   ) -> ComparisonVerdict:
     """Audit hypotheses, solve both problems, report the pathwise gap."""
     check_hypotheses(cs)
-    y1, _, _ = picard_solve(cs.scenario("1"), tol=cs.tol, max_iter=cs.max_iter)
-    y2, _, _ = picard_solve(cs.scenario("2"), tol=cs.tol, max_iter=cs.max_iter)
+    sc1, sc2 = cs.scenario("1"), cs.scenario("2")  # both validated first
+    y1, _, _ = picard_solve(sc1, tol=cs.tol, max_iter=cs.max_iter)
+    y2, _, _ = picard_solve(sc2, tol=cs.tol, max_iter=cs.max_iter)
     gaps = np.min(y2.values - y1.values, axis=-1).tolist()
     min_gap = min(gaps)
     return ComparisonVerdict(

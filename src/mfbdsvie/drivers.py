@@ -8,7 +8,9 @@ A driver evaluates the pair of maps
 where z is the kernel value at (t, s), z_rev the value at the swapped
 indices (s, t), and the mean_* slots receive expectations of the same
 quantities.  Evaluation is vectorised: state arguments may be NumPy
-arrays (pathwise tables) or scalars.
+arrays (pathwise tables) or scalars, and t may be an array of row times
+that broadcasts like the states, since one call serves every row of a
+map at one slot; s is always a grid time.
 
 Families carry their own analytic constants: lipschitz_c dominates the
 squared-difference bound |f(..1) - f(..2)|^2 <= c * sum |delta args|^2,
@@ -118,6 +120,9 @@ class LinearDriver(DriverSpec):
             raise ValidationError(
                 f"unknown coefficient keys {sorted(unknown - set(ARG_NAMES))}"
             )
+        if not math.isfinite(_affine_constant([*self.f_coefs.values(),
+                                                *self.g_coefs.values()])):
+            raise ValidationError("coefficients whose squares overflow a float")
         self.f_source = _as_surface_fn(f_source)
         self.g_source = _as_surface_fn(g_source)
         self.lipschitz_c = float(c) if c is not None else _affine_constant(
@@ -513,6 +518,9 @@ def terminal_rv(term: TerminalSpec, lat: LatticeSpec, t_idx: int,
     if not 0 <= t_idx <= lat.n_steps:
         raise InvalidIndex(f"node {t_idx} outside the grid")
     w = terminal_walk_values(lat, lane)
-    vals = term.value(lat.node(t_idx), w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = term.value(lat.node(t_idx), w)
+    if not np.isfinite(vals).all():
+        raise ValidationError(f"terminal at node {t_idx} overflows a float")
     f = SigmaField(lat, lat.n_bits, lat.n_bits)
     return MeasurableRV(f, np.asarray(vals, dtype=float)[:, None])

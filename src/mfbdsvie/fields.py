@@ -17,9 +17,10 @@ which makes the reconstruction
 hold exactly on every path: conditioning at (j, j) with j < i keeps all
 the B information Y_i carries, so the representation coefficients are
 the exact pathwise ones.  `split_row` and `m_extend` get every
-coefficient of a row from one backward induction over the W bits
+coefficient from one backward induction over the W bits
 (`lattice.clark_ocone_sweep`), which also adds the equation's slot terms
-as it goes.
+as it goes: `split_row` for one row, `m_extend` for all rows of a path
+in one stack.
 
 Two weighted norms measure pairs.  The restricted norm sums kernel
 entries over the upper triangle only; the full norm sums everything.
@@ -52,12 +53,11 @@ from .lattice import (
     MeasurableRV,
     SigmaField,
     _owned,
+    bit_view,
     clark_ocone_sweep,
     condexp,
     forward_integral,
-    lift,
     time_field,
-    zero_rv,
 )
 
 
@@ -82,17 +82,25 @@ class BetaWeight:
 class AdaptedPath:
     """Y over grid nodes 0..N, entry i declared at the time field (i, i).
 
-    Stored as one (N+1, 2^M) array `values`; y[i] is a view of row i.
+    Stored as one (N+1, 2^M) array `values`; y[i] is a view of row i, and
+    the views are built on first use.
     """
 
-    __slots__ = ("lattice", "values", "y")
+    __slots__ = ("lattice", "values", "_y")
 
     def __init__(self, lat: LatticeSpec, y: Sequence[MeasurableRV] | np.ndarray):
         self.lattice = lat
-        self.values, self.y = _dense(lat, y, (lat.n_steps + 1,))
+        self.values = _dense(lat, y, (lat.n_steps + 1,))
+        self._y = None
+
+    @property
+    def y(self) -> tuple[MeasurableRV, ...]:
+        if self._y is None:
+            self._y = _views(self.lattice, self.values)
+        return self._y
 
     def __len__(self) -> int:
-        return len(self.y)
+        return len(self.values)
 
     def __getitem__(self, i: int) -> MeasurableRV:
         return self.y[i]
@@ -101,30 +109,42 @@ class AdaptedPath:
 class VolterraKernel:
     """Z over (node i, slot j) in [0, N] x [0, N-1], entry at field (j, j).
 
-    Stored as one (N+1, N, 2^M) array `values`; z.at(i, j) views a row.
+    Stored as one (N+1, N, 2^M) array `values`; z.at(i, j) views a row, and
+    the views are built on first use.
     """
 
-    __slots__ = ("lattice", "values", "z")
+    __slots__ = ("lattice", "values", "_z")
 
     def __init__(self, lat: LatticeSpec,
                  z: Sequence[Sequence[MeasurableRV]] | np.ndarray):
         self.lattice = lat
-        self.values, self.z = _dense(lat, z, (lat.n_steps + 1, lat.n_steps))
+        self.values = _dense(lat, z, (lat.n_steps + 1, lat.n_steps))
+        self._z = None
+
+    @property
+    def z(self) -> tuple[tuple[MeasurableRV, ...], ...]:
+        if self._z is None:
+            self._z = _views(self.lattice, self.values)
+        return self._z
+
+    @z.setter
+    def z(self, rows) -> None:
+        self._z = rows
 
     def at(self, i: int, j: int) -> MeasurableRV:
         return self.z[i][j]
 
 
-def _dense(lat: LatticeSpec, entries, dims: tuple):
-    """A finite, write-locked dims + (2^M,) array and views of its rows.
+def _dense(lat: LatticeSpec, entries, dims: tuple) -> np.ndarray:
+    """A finite, write-locked dims + (2^M,) array.
 
     entries is such an array (a writable one is copied) or nested variables,
     each at the time field of its last index (a path node, a kernel slot).
     """
-    fields = [time_field(lat, k) for k in range(dims[-1])]
     shape = dims + (1 << lat.n_bits,)
     values = entries
     if not isinstance(entries, np.ndarray):
+        fields = [time_field(lat, k) for k in range(dims[-1])]
         cells = np.array(entries, dtype=object)
         if cells.shape != dims:
             raise ValidationError(f"need {dims} entries, got {cells.shape}")
@@ -148,6 +168,13 @@ def _dense(lat: LatticeSpec, entries, dims: tuple):
         bad = np.argwhere(~np.isfinite(values).all(axis=-1))[0].tolist()
         raise ValidationError(
             f"entry {bad[0] if len(bad) == 1 else tuple(bad)} is not finite")
+    return values
+
+
+def _views(lat: LatticeSpec, values: np.ndarray):
+    """Nested tuples of variables over the rows of a dense array, each at
+    the time field of its last index."""
+    fields = [time_field(lat, k) for k in range(values.shape[-2])]
 
     def views(rows):
         if rows.ndim > 2:
@@ -155,7 +182,7 @@ def _dense(lat: LatticeSpec, entries, dims: tuple):
         return tuple(MeasurableRV(f, r.reshape(f.table_shape))
                      for f, r in zip(fields, rows))
 
-    return values, views(values)
+    return views(values)
 
 
 def zero_path(lat: LatticeSpec) -> AdaptedPath:
@@ -175,15 +202,22 @@ def split_row(x: MeasurableRV, i: int, lane: int = 0, first: int = 0,
     Y_i = E[S | (i, i)]; the upper triangle j >= i is E[S dW_j | (j, j)] / dt
     against one lane's forward walk, and the lower triangle j < i is the
     representation of Y_i (the M-extension), all from one backward
-    induction over the steps (`lattice.clark_ocone_sweep`) that adds each
-    slot term before it splits the slot's W bits, so S is never built.
-    Without a term this is the split of the given table x.  Columns
-    j < first are zero tables and are not computed.
+    induction over the steps (`lattice.clark_ocone_sweep`, a stack of this
+    one row) that adds each slot term before it splits the slot's W bits,
+    so S is never built.  Without a term this is the split of the given
+    table x.  Columns j < first are zero tables and are not computed.
     """
     lat = x.lattice
-    yi, cols = clark_ocone_sweep(x, i, lane, first, term)
-    return yi, [cols[j] if j in cols else lift(zero_rv(lat), time_field(lat, j))
-                for j in range(lat.n_steps)]
+
+    def stacked(m, rows):
+        t = term(m)
+        return None if t is None else (t.field, bit_view(t, t.field)[None])
+
+    ys, zs = clark_ocone_sweep([x], i, lane, first,
+                               None if term is None else stacked)
+    f = time_field(lat, i)
+    return (MeasurableRV(f, _owned(ys)[0].reshape(f.table_shape)),
+            list(_views(lat, _owned(zs)[0])))
 
 
 def representation_row(y_i: MeasurableRV, j: int, lane: int = 0) -> MeasurableRV:
@@ -201,17 +235,17 @@ def m_extend(y: AdaptedPath, z_delta: VolterraKernel) -> VolterraKernel:
     """Fill the lower triangle from the representation of Y.
 
     Upper-triangle entries (j >= i) of z_delta are kept as given; every
-    j < i entry is replaced by the representation coefficient of Y_i.
+    j < i entry is replaced by the representation coefficient of Y_i.  The
+    rows are one stack: row i joins the backward induction at step i - 1.
     """
     lat = y.lattice
     if z_delta.lattice != lat:
         raise LatticeMismatch("path and kernel on different lattices")
-    rows = []
-    for i in range(lat.n_steps + 1):
-        _, lower = clark_ocone_sweep(y[i], i)
-        rows.append([lower[j] if j < i else z_delta.at(i, j)
-                     for j in range(lat.n_steps)])
-    return VolterraKernel(lat, rows)
+    n = lat.n_steps
+    _, lower = clark_ocone_sweep(y.y, 0)
+    upper = np.arange(n) >= np.arange(n + 1)[:, None]
+    return VolterraKernel(lat, _owned(np.where(upper[..., None],
+                                               z_delta.values, lower)))
 
 
 def m_identity_residual(y: AdaptedPath, z: VolterraKernel) -> float:

@@ -301,16 +301,21 @@ def _check_bit(lat: LatticeSpec, j: int) -> None:
 # -- lifting and conditioning ---------------------------------------------
 
 
+def bit_view_shape(g: SigmaField, f: SigmaField) -> tuple[int, ...]:
+    """The axes of g's table among the bit axes of the finer field f."""
+    known = g.w_upto + g.lattice.n_bits - g.b_from
+    return ((1,) * (f.w_upto - g.w_upto) + (2,) * known
+            + (1,) * (g.b_from - f.b_from))
+
+
 def bit_view(x: MeasurableRV, f: SigmaField) -> np.ndarray:
     """x's table with one axis per increment f knows (see module doc)."""
-    a, b = x.field.w_upto, x.field.b_from
     if not f.contains(x.field):
         raise MeasurabilityViolation(
-            f"cannot lift ({a},{b}) onto non-refining ({f.w_upto},{f.b_from})"
+            f"cannot lift ({x.field.w_upto},{x.field.b_from}) onto "
+            f"non-refining ({f.w_upto},{f.b_from})"
         )
-    known = a + x.lattice.n_bits - b
-    return x.values.reshape((1,) * (f.w_upto - a) + (2,) * known
-                            + (1,) * (b - f.b_from))
+    return x.values.reshape(bit_view_shape(x.field, f))
 
 
 def fill_table(v, f: SigmaField) -> np.ndarray:
@@ -347,21 +352,30 @@ def lift(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
     return MeasurableRV(f, fill_table(bit_view(x, f), f))
 
 
-def _onto(v: np.ndarray, field: SigmaField, f: SigmaField) -> MeasurableRV:
-    """The table v of a `field` variable conditioned on f.
+def _lift_rows(v: np.ndarray, g: SigmaField, f: SigmaField) -> np.ndarray:
+    """A stack of g's tables (leading row axis) as a stack of f's tables."""
+    if g == f:
+        return v
+    r = len(v)
+    full = (r,) + (2,) * (f.w_upto + f.lattice.n_bits - f.b_from)
+    wide = np.broadcast_to(v.reshape((r,) + bit_view_shape(g, f)), full)
+    return np.ascontiguousarray(wide).reshape((r,) + f.table_shape)
+
+
+def _onto(v: np.ndarray, g: SigmaField, f: SigmaField) -> np.ndarray:
+    """A stack of g's tables conditioned on f, as a stack of f's tables.
 
     The W increments >= f.w_upto are the top bits of the W index and the
     B increments < f.b_from the low bits of the B index; both are averaged
     out, and the result is lifted onto f.
     """
-    a, b = field.w_upto, field.b_from
+    a, b, r = g.w_upto, g.b_from, len(v)
     if a > f.w_upto:
-        v = v.reshape(1 << (a - f.w_upto), -1, v.shape[1]).mean(axis=0)
+        v = v.reshape(r, 1 << (a - f.w_upto), -1, v.shape[-1]).mean(axis=1)
     if b < f.b_from:
-        v = v.reshape(v.shape[0], -1, 1 << (f.b_from - b)).mean(axis=2)
+        v = v.reshape(r, v.shape[1], -1, 1 << (f.b_from - b)).mean(axis=3)
     coarse = SigmaField(f.lattice, min(a, f.w_upto), max(b, f.b_from))
-    x = MeasurableRV(coarse, _owned(v))
-    return x if coarse == f else lift(x, f)
+    return _lift_rows(v, coarse, f)
 
 
 def condexp(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
@@ -373,70 +387,123 @@ def condexp(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
     """
     if x.lattice != f.lattice:
         raise LatticeMismatch("value and field on different lattices")
-    return _onto(x.values, x.field, f)
+    return MeasurableRV(f, _owned(_onto(x.values[None], x.field, f)[0]))
 
 
-def clark_ocone_sweep(x: MeasurableRV, i: int, lane: int = 0, first: int = 0,
-                      term: Callable[[int], MeasurableRV | None] | None = None
-                      ) -> tuple[MeasurableRV, dict[int, MeasurableRV]]:
-    """Y_i = E[S | (i, i)] and the kernel coefficients of S by induction.
+def clark_ocone_sweep(x: Sequence[MeasurableRV], i: int, lane: int = 0,
+                      first: int | None = 0, term: Callable | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Y and the kernel rows of a stack of rows i, i + 1, ..., one per x.
 
-    S = x + sum_{m >= i} term(m), and the sum is never built: the
-    induction starts with x and walks the steps m from the last down to i.
-    At step m it adds term(m), if any, before the top bit of the step, then
-    walks the step's W bits from the highest down (the discrete
-    Clark-Ocone formula).  At the given lane's bit of a step m >= first,
-    the halved difference over the bit divided by inc, conditioned on the
-    slot field (m, m), is E[S dW_m | (m, m)] / dt; then the bit is
-    averaged out.  The split is linear and term(m') for m' < m is blind to
-    the bits of step m, so the earlier terms add nothing to that column.
-    After step i the running table is Y_i, conditioned on (i, i), and the
-    sweep goes on over Y_i, so the columns j < i are the representation
-    of Y_i.  Each bit costs a few passes over the running table: a term
-    on the field (m + 1, m) keeps it at 2^(M + lanes) entries, and
-    without terms its size halves from bit to bit.
+    Row r's sum S_r = x_r + sum_{m >= r} term_r(m) is never built: the
+    rows share one table with a leading row axis, and the induction walks
+    the steps m from the last down.  At step m it adds the slot-m terms of
+    the rows r <= m, then walks the step's W bits from the highest down
+    (the discrete Clark-Ocone formula).  At the given lane's bit the halved
+    difference over the bit divided by inc, conditioned on the slot field
+    (m, m), is column m of every row, E[S_r dW_m | (m, m)] / dt; then the
+    bit is averaged out.  The split is linear and a term at a slot m' < m
+    is blind to the bits of step m, so the earlier terms add nothing to
+    that column.  After step r row r is Y_r, conditioned on (r, r), and
+    it stays in the stack, so its columns j < r are the representation of
+    Y_r.  Each bit costs a few passes over the stack: terms on the field
+    (m + 1, m) keep it at 2^(M + lanes) entries a row.
 
-    term(m) must not know the W bits of later steps: one on a field past
-    ((m + 1) lanes, .) would feed columns already read, and raises
-    MeasurabilityViolation.
+    term(m, rows) gives the slot-m terms of the rows `rows` (those at or
+    below m) as (field, values), values broadcasting against a leading row
+    axis and the field's bit axes; a field past ((m + 1) lanes, .) knows W
+    bits of later steps, would feed columns already read, and raises
+    MeasurabilityViolation.  A row without terms joins the stack at the
+    step of the highest W bit its x knows, so the stack of a path's rows
+    (the M-extension) grows downwards as the walk reaches them; rows that
+    join at one step are a block right below those that joined earlier.
 
-    Returns Y_i and the computed columns by step: columns before first,
-    and those at bits S is blind to (zero), are left out.
+    Columns j < first are not computed, and first=None stands for each
+    row's own index (the upper triangle only).  Returns (ys, zs): ys[k] is
+    the table of Y_{i+k} on its time field and zs[k, j] that of its
+    column j, each flattened as in the dense path and kernel; columns not
+    computed, and those at bits S is blind to, are zero.
     """
-    lat = x.lattice
-    cols = {}
+    lat = x[0].lattice
+    n, lanes, rows = lat.n_steps, lat.lanes, len(x)
+    ys = np.empty((rows, 1 << lat.n_bits))
+    zs = np.zeros((rows, n, 1 << lat.n_bits))
 
-    def descend(s: MeasurableRV, stop: int) -> MeasurableRV:
-        # columns at the W bits [stop, w_upto) of s; s averaged over them
-        # (halving is exact, so the order of the halvings does not matter)
-        v, a, b = s.values, s.field.w_upto, s.field.b_from
-        if a <= stop:
-            return s
-        for k in range(a - 1, stop - 1, -1):
-            pair = v.reshape(2, -1, v.shape[1])  # bit k tops the W index
-            j = k // lat.lanes
-            if k == lat.bit_of(j, lane) and j >= first:
-                d = pair[1] - pair[0]
+    # the step at which each row joins the stack: the last one for a row
+    # with terms, else that of the highest W bit its x knows
+    enters = [n - 1 if term is not None and i + k < n
+              else -(-x[k].field.w_upto // lanes) - 1 for k in range(rows)]
+    starts = {}  # step -> tables of the rows that join there, by row
+    for k in range(rows):
+        e, r = enters[k], i + k
+        table, field = x[k].values, x[k].field
+        if e < r:  # it joins after its own step: Y is its conditioned x
+            field = time_field(lat, r)
+            table = condexp(x[k], field).values
+            ys[k] = table.reshape(-1)
+            if first is None or e < first:
+                continue
+        starts.setdefault(e, []).append((k, field, table))
+    stack, f, lo, hi = None, None, i + rows, i + rows
+    for m in range(n - 1, -1, -1):
+        if stack is None and not any(e <= m for e in starts):
+            break
+        new = starts.get(m, [])
+        if new:  # a block of rows right below the stack
+            g = f if stack is not None else new[0][1]
+            for _, field, _ in new:
+                g = g.join(field)
+            parts = [_lift_rows(t[None], field, g) for _, field, t in new]
+            if stack is not None:
+                parts.append(_lift_rows(stack, f, g))
+            else:
+                hi = new[-1][0] + i + 1
+            stack, f, lo = np.concatenate(parts), g, new[0][0] + i
+        if stack is None:
+            continue
+        if term is not None and lo <= m:
+            got = term(m, range(lo, min(hi - 1, m) + 1))
+            if got is not None:
+                tf, tv = got
+                if tf.w_upto > (m + 1) * lanes:
+                    raise MeasurabilityViolation(
+                        f"slot {m} term on ({tf.w_upto}, {tf.b_from}) knows "
+                        f"W bits past {(m + 1) * lanes}")
+                g = f.join(tf)
+                stack, f = _lift_rows(stack, f, g), g
+                axes = stack.reshape((len(stack),) + bit_view_shape(f, f))
+                axes[:min(hi - 1, m) + 1 - lo] += np.reshape(
+                    tv, tv.shape[:1] + (1,) * (f.w_upto - tf.w_upto)
+                    + tv.shape[1:] + (1,) * (tf.b_from - f.b_from))
+        # the step's W bits, each halving applied at once (halving is
+        # exact, so the order of the halvings does not matter)
+        read = first is None or m >= first
+        a, b = f.w_upto, f.b_from
+        for k in range(a - 1, m * lanes - 1, -1):
+            # bit k tops the W index
+            pair = stack.reshape(len(stack), 2, -1, stack.shape[-1])
+            if k == lat.bit_of(m, lane) and read:
+                d = pair[:, 1] - pair[:, 0]
                 d *= 0.5 / lat.inc
-                cols[j] = _onto(d, SigmaField(lat, k, b), time_field(lat, j))
-            v = pair[0] + pair[1]
-            v *= 0.5
-        return MeasurableRV(SigmaField(lat, stop, b), _owned(v))
-
-    s = x
-    for m in range(lat.n_steps - 1, i - 1, -1):
-        t = None if term is None else term(m)
-        if t is not None:
-            top = (m + 1) * lat.lanes
-            if t.field.w_upto > top:
-                raise MeasurabilityViolation(
-                    f"slot {m} term on ({t.field.w_upto}, {t.field.b_from}) "
-                    f"knows W bits past {top}")
-            s = s + t
-        s = descend(s, m * lat.lanes)
-    yi = condexp(s, time_field(lat, i))
-    descend(yi, first * lat.lanes)
-    return yi, cols
+                col = _onto(d, SigmaField(lat, k, b), time_field(lat, m))
+                zs[lo - i:hi - i, m] = col.reshape(len(stack), -1)
+            stack = pair[:, 0] + pair[:, 1]
+            stack *= 0.5
+        f = SigmaField(lat, min(a, m * lanes), b)
+        if lo <= m < hi and enters[m - i] >= m:
+            # row m is done: Y_m is its table conditioned on (m, m), and
+            # the lower triangle is the representation of Y_m
+            own = time_field(lat, m)
+            mid = SigmaField(lat, f.w_upto, max(b, own.b_from))
+            r = m - lo
+            y = _onto(stack[r:r + 1], f, mid)
+            if mid != f:
+                stack[r] = _lift_rows(y, mid, f)[0]
+            ys[m - i] = _lift_rows(y, mid, own).reshape(-1)
+        if first is None or first >= m:
+            hi = min(hi, m)
+            stack = stack[:hi - lo] if hi > lo else None
+    return ys, zs
 
 
 def expectation(x: MeasurableRV) -> float:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fields import AdaptedPath, VolterraKernel, zero_kernel, zero_path
+from .fields import AdaptedPath, VolterraKernel, split_row, zero_kernel, zero_path
 from .lattice import (
     MeasurableRV,
     b_increment,
@@ -57,7 +57,6 @@ from .solver import (
     frozen_args,
     iterate,
     means,
-    split_row,
     sup_distance,
 )
 

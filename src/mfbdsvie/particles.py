@@ -44,9 +44,8 @@ from .lattice import (
 from .solver import (
     Scenario,
     iterate,
+    map_rows,
     picard_solve,
-    slot_term,
-    split_row,
     sup_distance,
 )
 
@@ -106,29 +105,12 @@ def solve_particles(pc: ParticleConfig
     zetas = [[terminal_rv(pc.terminal, joint, i, lane=p) for i in range(n + 1)]
              for p in range(pc.n_particles)]
 
-    def step(pairs):
-        # particle p solves the frozen map with its own lane's increments
-        # and the empirical means over all particles as mean arguments
-        k = 1.0 / len(pairs)
-        mean_y = AdaptedPath(joint, _owned(
-            reduce(np.add, [y.values for y, _ in pairs]) * k)).y
-        mean_z = VolterraKernel(joint, _owned(
-            reduce(np.add, [z.values for _, z in pairs]) * k)).z
-        new = []
-        for p, (y, z) in enumerate(pairs):
-            ys, rows = zip(*(
-                split_row(zetas[p][i], i, lane=p,
-                          term=partial(slot_term, pc.driver, y, z, mean_y,
-                                       mean_z, i, lane=p))
-                for i in range(n + 1)))
-            new.append((AdaptedPath(joint, ys), VolterraKernel(joint, rows)))
-        return new
-
     def distance(new, old):
         return max(sup_distance(a, b) for a, b in zip(new, old))
 
     start = [(zero_path(joint), zero_kernel(joint))] * pc.n_particles
-    pairs, iterations, sup = iterate(step, start, distance, pc.tol, pc.max_iter)
+    pairs, iterations, sup = iterate(partial(particle_map, pc.driver, zetas),
+                                     start, distance, pc.tol, pc.max_iter)
     y = [list(yp.y) for yp, _ in pairs]
     report = ParticleReport(
         iterations=iterations,
@@ -136,6 +118,22 @@ def solve_particles(pc: ParticleConfig
         exchangeability=_exchangeability_defect(pc, joint, y),
     )
     return y, report
+
+
+def particle_map(driver: DriverSpec, zetas, pairs):
+    """One map application for every particle on the joint lattice.
+
+    Particle p solves the frozen map with its own lane's increments and the
+    empirical means over all particles as (random-variable) mean arguments.
+    """
+    joint = pairs[0][0].lattice
+    k = 1.0 / len(pairs)
+    mean_y = AdaptedPath(joint, _owned(
+        reduce(np.add, [y.values for y, _ in pairs]) * k)).y
+    mean_z = VolterraKernel(joint, _owned(
+        reduce(np.add, [z.values for _, z in pairs]) * k)).z
+    return [map_rows(driver, zetas[p], y, z, mean_y, mean_z, lane=p)
+            for p, (y, z) in enumerate(pairs)]
 
 
 def _exchangeability_defect(pc: ParticleConfig, joint: LatticeSpec,

@@ -24,25 +24,30 @@ states) the split is exact pathwise:
 
 which is what `residual` measures with self-consistent arguments.
 
-The map is written once and shared: `frozen_args` reads the driver
-arguments (the only place that knows the right-node convention),
-`slot_term` makes the slot term f dt + g dB_j, `split_row` (from fields)
-is the row's backward induction, and `iterate` is the Picard loop.  The
-linearized flip equation (malliavin) and the particle system (particles)
-are the same map with other terms, other means and other lanes.
+The map is written once and shared: `slot_terms` makes the slot terms
+f dt + g dB_j of a stack of rows (the only place, with `frozen_args` for
+one row, that knows the right-node convention), `map_rows` runs the
+rows through `lattice.clark_ocone_sweep`, the one backward induction,
+and `iterate` is the Picard loop.  The linearized flip equation
+(malliavin) and the particle system (particles) are the same map with
+other terms, other means and other lanes.
 
 At a fixed t_i the equation is a backward equation in s, so Phi_i is
 never built: the induction starts from zeta_i and, for m = N-1 down to
 i, adds the slot-m term and then splits the W bits of step m (the
 discrete Clark-Ocone formula), reading Z_im from the halved difference
 over the bit; after step i the running table is Y_i, and the sweep goes
-on over Y_i for the lower triangle.  For a driver blind to z_rev the
-slot term lives on (m + 1, m), so the running table keeps 2^(N+1)
-entries, one row costs O(N 2^N) and one map O(N^2 2^N).  A driver that
-reads z_rev (and the linearized equation's swapped terms) keeps the B
-bits from i on, the running table stays on (m + 1, i), and the cost is
-that of a split of the whole Phi_i, O(4^N) a map.  `residual` is the
-one O(4^N) piece left: the exact pathwise defect needs every path.
+on over Y_i for the lower triangle.  Frozen at the pair, the rows do
+not interact, so the N + 1 rows of a map advance as one stack: a map is
+N stacked steps, with one f call and one g call per slot (O(N) driver
+calls, not O(N^2)).  For a driver blind to z_rev the slot terms live on
+(m + 1, m), so each row of the stack keeps 2^(N+1) entries and one map
+costs O(N^2 2^N).  A driver that reads z_rev or mean_z_rev (and the
+linearized equation's swapped terms) keeps the B bits from i on, which
+differ by row, so each of its rows is a stack of its own on (m + 1, i),
+and the cost is that of a split of the whole Phi_i, O(4^N) a map.
+`residual` is the one O(4^N) piece left: the exact pathwise defect
+needs every path.
 
 Iterating the map from (0, 0) contracts in the beta-weighted norm once
 beta clears the threshold; the report keeps the successive-difference
@@ -78,18 +83,22 @@ from .fields import (
     m_extend,
     pair_diff,
     pair_sup_diff,
-    split_row,
     zero_kernel,
     zero_path,
 )
 from .lattice import (
     LatticeSpec,
     MeasurableRV,
+    SigmaField,
     _audited_sum,
+    _owned,
     b_increment,
     bit_view,
+    bit_view_shape,
+    clark_ocone_sweep,
     expectation,
     from_bit_view,
+    time_field,
     w_increment,
 )
 
@@ -125,14 +134,17 @@ class Scenario:
             for i in range(lattice.n_steps + 1)
         )
         # the norms form weight * E[y^2] and weight * E[z^2], with |y| <= peak
-        # and |z| <= peak / inc for the terminal's representation, and add up
-        # at most (N + 2) times the weight mass times peak^2: checked in logs
-        peak = max(zeta_i.max_abs() for zeta_i in self.zeta)
+        # and |z| <= peak / inc, and add up at most (N + 2) times the weight
+        # mass times peak^2: checked in logs.  peak is the terminal plus the
+        # driver at the zero state (its source) summed over the slots of a row
+        peak = max(zeta_i.max_abs() for zeta_i in self.zeta) + _source(
+            driver, lattice)
         top = self.beta * lattice.horizon + max(0.0, -math.log(lattice.dt))
         total = math.log((lattice.n_steps + 2) * _weight_mass(lattice, self.beta))
         if peak and not 2 * math.log(peak) + max(top, total) <= MAX_EXPONENT:
-            raise ValidationError(f"terminal of size {peak:.3e}: its "
-                                  f"weighted square overflows a float")
+            raise ValidationError(f"terminal and driver source of size "
+                                  f"{peak:.3e}: their weighted square "
+                                  f"overflows a float")
 
     @property
     def gamma_theory(self) -> float:
@@ -157,6 +169,25 @@ class SolverReport:
     gamma_theory: float
     final_residual: float
     final_norms: tuple[float, float]  # (restricted, full)
+
+
+def _source(driver: DriverSpec, lat: LatticeSpec) -> float:
+    """A bound on every row's sum over its slots of |f| dt + |g| inc, with
+    f and g at the zero state: the largest row at each slot, added up.
+
+    One f call and one g call per slot, with the column of the row times.
+    """
+    times = np.array([lat.node(i) for i in range(lat.n_steps + 1)])
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf fails the check
+        for j in range(lat.n_steps):
+            t = times[:j + 1]
+            f = driver.f_values(t, lat.node(j), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+            g = driver.g_values(t, lat.node(j + 1), 0.0, 0.0, 0.0, 0.0, 0.0,
+                                0.0)
+            total += (float(np.max(np.abs(f))) * lat.dt
+                      + float(np.max(np.abs(g))) * lat.inc)
+    return total
 
 
 def _weight_mass(lat: LatticeSpec, beta: float) -> float:
@@ -203,19 +234,104 @@ def frozen_args(y: AdaptedPath, z: VolterraKernel, ey, ez, i: int, j: int
     return left, right
 
 
+def slot_terms(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
+               j: int, rows: range, lane: int = 0, swapped: bool = True
+               ) -> tuple[SigmaField, np.ndarray]:
+    """The slot-j terms f dt + g dB_j of the rows `rows` (each <= j), stacked.
+
+    One f call and one g call serve every row: t is the column of row
+    times, y, the means of the path and dB_j (the given lane's) are shared,
+    and the kernel entries (i, j), (i, j + 1) and the means of the rows are
+    stacked on a leading row axis, as bit views on the field
+    ((j + 1) lanes, j lanes).  Kernel column N and its mean read as zero
+    on the right node.  With swapped=False the swapped arguments z_rev and
+    mean_z_rev are passed as zeros, for a driver blind to them
+    (`reads_swapped`); otherwise the field also knows the B bits from the
+    first row on.  Returns the field and values broadcasting against a
+    leading row axis and its bit axes.
+    """
+    lat = y.lattice
+    lanes, jr = lat.lanes, j + 1
+    last = jr == lat.n_steps
+    f = SigmaField(lat, jr * lanes, (rows[0] if swapped else j) * lanes)
+    lead = (len(rows),) + (1,) * (f.w_upto + lat.n_bits - f.b_from)
+
+    def shared(x):
+        return bit_view(x, f)[None] if isinstance(x, MeasurableRV) else x
+
+    def stacked(cells):  # one value per row: a mean or a swapped entry
+        if isinstance(cells[0], MeasurableRV):
+            return np.stack([bit_view(c, f) for c in cells])
+        return np.reshape(cells, lead)
+
+    def kernel(k):  # entries (i, k) of the rows, read off the dense kernel
+        g = time_field(lat, k)
+        return z.values[rows.start:rows.stop, k].reshape(
+            lead[:1] + bit_view_shape(g, f))
+
+    def swap(k):
+        if not swapped:
+            return 0.0, 0.0
+        return (stacked([z.at(k, i) for i in rows]),
+                stacked([ez[k][i] for i in rows]))
+
+    t = np.reshape([lat.node(i) for i in rows], lead)
+    zr, mzr = swap(j)
+    left = (shared(y[j]), kernel(j), zr, shared(ey[j]),
+            stacked([ez[i][j] for i in rows]), mzr)
+    zr, mzr = swap(jr)
+    right = (shared(y[jr]), 0.0 if last else kernel(jr), zr, shared(ey[jr]),
+             0.0 if last else stacked([ez[i][jr] for i in rows]), mzr)
+    v = (driver.f_values(t, lat.node(j), *left) * lat.dt
+         + driver.g_values(t, lat.node(jr), *right)
+         * shared(b_increment(lat, lat.bit_of(j, lane))))
+    return f, np.reshape(v, (1,) * (len(lead) - np.ndim(v)) + np.shape(v))
+
+
 def slot_term(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
               i: int, j: int, lane: int = 0) -> MeasurableRV:
     """Row i's slot-j term f dt + g dB_j, with the given lane's dB_j.
 
-    Each driver output sits on the coarsest field it needs, so for a driver
-    blind to z_rev the term lives on (j + 1, j).
+    A stack of one row (`slot_terms`); the term sits on the coarsest field
+    it needs, so for a driver blind to z_rev it lives on (j + 1, j).
+    """
+    f, v = slot_terms(driver, y, z, ey, ez, j, range(i, i + 1), lane)
+    return from_bit_view(v[0], f)
+
+
+def reads_swapped(driver: DriverSpec) -> bool:
+    """Whether f or g reads z_rev or mean_z_rev.
+
+    Read off the shape of the output, as `from_bit_view` reads blindness:
+    the two swapped slots get a size-2 array and every other argument a
+    zero scalar, at the zero state the first Picard step starts from.
+    """
+    probe = np.zeros(2)
+    return any(np.size(fn(0.0, 0.0, 0.0, 0.0, probe, 0.0, 0.0, probe)) > 1
+               for fn in (driver.f_values, driver.g_values))
+
+
+def map_rows(driver: DriverSpec, zeta, y: AdaptedPath, z: VolterraKernel,
+             ey, ez, lane: int = 0, first: int | None = 0
+             ) -> tuple[AdaptedPath, VolterraKernel]:
+    """The rows of one map application, from their terminals zeta.
+
+    Frozen at (y, z) with means (ey, ez), each row is a backward equation
+    in s, so the rows advance as one stack, with one f call and one g call
+    per slot (`slot_terms`).  Rows whose terms read the swapped arguments
+    know B bits that differ by row, so for such a driver each row is a
+    stack of its own.  first is that of `lattice.clark_ocone_sweep`.
     """
     lat = y.lattice
-    t = lat.node(i)
-    left, right = frozen_args(y, z, ey, ez, i, j)
-    return (evaluate_driver(driver.f_values, t, lat.node(j), left) * lat.dt
-            + evaluate_driver(driver.g_values, t, lat.node(j + 1), right)
-            * b_increment(lat, lat.bit_of(j, lane)))
+    if not reads_swapped(driver):
+        ys, zs = clark_ocone_sweep(zeta, 0, lane, first, partial(
+            slot_terms, driver, y, z, ey, ez, lane=lane, swapped=False))
+    else:
+        term = partial(slot_terms, driver, y, z, ey, ez, lane=lane)
+        ys, zs = map(np.concatenate, zip(*(
+            clark_ocone_sweep(zeta[i:i + 1], i, lane, first, term)
+            for i in range(lat.n_steps + 1))))
+    return AdaptedPath(lat, _owned(ys)), VolterraKernel(lat, _owned(zs))
 
 
 def iterate(step: Callable, start, distance: Callable, tol: float,
@@ -261,20 +377,15 @@ def gamma_map(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
     that never read the swapped kernel argument produce identical upper
     triangles either way.
     """
-    lat = sc.lattice
-    ey, ez = means(y, z)
-    ys, rows = zip(*(
-        split_row(sc.zeta[i], i, first=0 if extend else i,
-                  term=partial(slot_term, sc.driver, y, z, ey, ez, i))
-        for i in range(lat.n_steps + 1)))
-    return AdaptedPath(lat, ys), VolterraKernel(lat, rows)
+    return map_rows(sc.driver, sc.zeta, y, z, *means(y, z),
+                    first=0 if extend else None)
 
 
 def representation_pair(sc: Scenario) -> tuple[AdaptedPath, VolterraKernel]:
     """The source-free solution: conditional terminal plus its kernel."""
     lat = sc.lattice
-    ys, rows = zip(*(split_row(sc.zeta[i], i) for i in range(lat.n_steps + 1)))
-    return AdaptedPath(lat, ys), VolterraKernel(lat, rows)
+    ys, zs = clark_ocone_sweep(sc.zeta, 0)
+    return AdaptedPath(lat, _owned(ys)), VolterraKernel(lat, _owned(zs))
 
 
 def residual(sc: Scenario, y: AdaptedPath, z: VolterraKernel) -> float:

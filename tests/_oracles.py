@@ -3,12 +3,15 @@
 Everything here works directly on full path enumerations with raw bit
 arithmetic and NumPy least squares; nothing imports solver internals,
 so agreement between the two sides is meaningful.  The one exception is
-the last two sections: a per-slot split of the whole assembled right
+the last three sections: a per-slot split of the whole assembled right
 side Phi_i, built zeta-first on the package's primitives, and the map
 and residual made of them, the references for the backward induction
 of `split_row` (which never builds Phi_i) and for `gamma_map` and
-`residual`; and the whole-pair statistics written one entry at a time,
-the references for their array expressions over the dense pair storage.
+`residual`; the map and the particle map swept one row at a time, with
+one f call and one g call per row and slot, the references for the
+stacked rows of `gamma_map` and `particle_map`; and the whole-pair
+statistics written one entry at a time, the references for their array
+expressions over the dense pair storage.
 
 Conventions (the discretisation contract, restated independently):
   * path = (w_bits, b_bits); bit j set means increment j equals +inc;
@@ -24,10 +27,13 @@ Conventions (the discretisation contract, restated independently):
 
 from __future__ import annotations
 
+from functools import partial, reduce
+
 import numpy as np
 
-from mfbdsvie.fields import AdaptedPath, VolterraKernel
+from mfbdsvie.fields import AdaptedPath, VolterraKernel, split_row
 from mfbdsvie.lattice import (
+    _owned,
     b_increment,
     condexp,
     expectation,
@@ -37,7 +43,7 @@ from mfbdsvie.lattice import (
     w_increment,
     zero_rv,
 )
-from mfbdsvie.solver import evaluate_driver, frozen_args
+from mfbdsvie.solver import evaluate_driver, frozen_args, means, slot_term
 
 
 def inc_of(bits: int, j: int, inc: float) -> float:
@@ -401,6 +407,36 @@ def assembled_residual(sc, y, z):
         (zeta_first_assemble_phi(sc.driver, sc.zeta[i], y, z, ey, ez, i)
          - y[i] - forward_integral(z.z[i], i, n)).max_abs()
         for i in range(n + 1))
+
+
+# -- the map one row at a time -------------------------------------------------
+#
+# Each row is its own backward induction, with its own f and g call per
+# slot: the rows of a map before they were stacked.
+
+
+def per_row_map(driver, zetas, y, z, ey, ez, lane=0, extend=True):
+    lat = y.lattice
+    ys, rows = zip(*(
+        split_row(zetas[i], i, lane=lane, first=0 if extend else i,
+                  term=partial(slot_term, driver, y, z, ey, ez, i, lane=lane))
+        for i in range(lat.n_steps + 1)))
+    return AdaptedPath(lat, ys), VolterraKernel(lat, rows)
+
+
+def per_row_gamma_map(sc, y, z, extend=True):
+    return per_row_map(sc.driver, sc.zeta, y, z, *means(y, z), extend=extend)
+
+
+def per_row_particle_map(driver, zetas, pairs):
+    joint = pairs[0][0].lattice
+    k = 1.0 / len(pairs)
+    mean_y = AdaptedPath(joint, _owned(
+        reduce(np.add, [y.values for y, _ in pairs]) * k)).y
+    mean_z = VolterraKernel(joint, _owned(
+        reduce(np.add, [z.values for _, z in pairs]) * k)).z
+    return [per_row_map(driver, zetas[p], y, z, mean_y, mean_z, lane=p)
+            for p, (y, z) in enumerate(pairs)]
 
 
 # -- per-entry whole-pair statistics -------------------------------------------

@@ -401,3 +401,29 @@ class TestNumericRange:
         assert "norm_equivalence: FAIL" in summary
         assert "verdict: FAIL" in summary
         assert (out / "norms.csv").read_text().splitlines()[1].endswith(",0,0")
+
+
+class TestSourceRange:
+    """A driver source whose weighted square leaves the float range is
+    refused before any solve, by the same check as the terminal."""
+
+    @pytest.mark.parametrize("sub, name, path, value, computes", [
+        # overflowed in the norms, then exited 0 after a nan ratio
+        ("compare", "comparison_sandwich",
+         ("comparison", "f2", "params", "f_source"), 1.4e195,
+         "mfbdsvie.comparison.picard_solve"),
+        # overflowed in the norms, then ran 200 iterations to exit 2
+        ("solve", "linear_solve", ("driver", "params", "f_source"), 1e200,
+         "mfbdsvie.cli.picard_solve"),
+        ("norms", "linear_solve", ("driver", "params", "g_source"), -1e300,
+         "mfbdsvie.cli.picard_solve"),
+        ("solve", "linear_solve", ("driver", "params", "f_source"),
+         {"affine_ts": [0.0, 1e200, 0.0]}, "mfbdsvie.cli.picard_solve"),
+    ], ids=["compare_f2", "solve_f", "norms_g", "solve_affine_t"])
+    def test_large_source_is_input_error(self, tmp_path, capsys, monkeypatch,
+                                         sub, name, path, value, computes):
+        monkeypatch.setattr(computes, _never)
+        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+        _set(doc, ("lattice", "n_steps"), 3)
+        _set(doc, path, value)
+        _assert_input_error(tmp_path, capsys, sub, doc)

@@ -5,7 +5,10 @@ drawn JSON value and runs a subcommand on it.  Whatever the document,
 `cli.run` returns 0, 1 or 2 and raises nothing, exit 1 says
 `input error:`, and exit 0 writes only finite numbers to `summary.txt`.
 Documents keep n_steps <= 3, and a drawn count never
-raises n_steps, max_iter or p_max, so every example stays small.
+raises n_steps, max_iter or p_max, so every example stays small.  A
+second fuzz puts large magnitudes, 1e3 to 1e308 of either sign, into the
+numeric leaves other than the counts, and also lets no RuntimeWarning
+(an overflow inside the computation) escape.
 """
 
 import contextlib
@@ -13,6 +16,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -75,6 +79,56 @@ def test_one_mutated_leaf_never_escapes(sub, name, data):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().startswith("input error:")
+
+
+def check_run(sub: str, doc: dict) -> list:
+    """The boundary checks of the fuzz above; returns the warnings raised."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(sub, str(scenario), str(Path(tmp) / "out"))
+        if code == 0:
+            summary = (Path(tmp) / "out" / "summary.txt").read_text()
+            assert all(math.isfinite(v) for v in numbers(summary)), summary
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("input error:")
+    return caught
+
+
+MAGNITUDES = st.builds(lambda sign, e: sign * 10.0 ** e,
+                       st.sampled_from([1.0, -1.0]), st.floats(3.0, 308.0))
+
+
+def numeric_leaves(doc: dict) -> list:
+    """Paths to the numbers of a document, the counts left out."""
+    def value(path):
+        node = doc
+        for key in path:
+            node = node[key]
+        return node
+
+    return [path for path in leaves(doc) if path[-1] not in COUNTS
+            and isinstance(value(path), (int, float))
+            and not isinstance(value(path), bool)]
+
+
+@pytest.mark.parametrize("sub, name", SHIPPED, ids=[s for s, _ in SHIPPED])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_large_magnitude_never_escapes(sub, name, data):
+    doc = small_scenario(name)
+    path = data.draw(st.sampled_from(numeric_leaves(doc)), label="leaf")
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(MAGNITUDES, label="value")
+    caught = check_run(sub, doc)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+        [str(w.message) for w in caught]
 
 
 def numbers(text: str) -> list[float]:
