@@ -26,6 +26,11 @@ E[DY], E[DZ]); drivers here are deterministic functions of states, so
 the direct derivative sources of f and g vanish and only the terminal
 contributes a source.
 
+The linearized equation is the solver's map with the frozen partials
+as coefficients: `build_linearized` evaluates them on the arguments of
+`solver.slot_args`, each slot term is numpy on the same bit views, and
+every row is a stack of its own in `solver.map_rows`.
+
 For affine drivers the discrete chain rule is exact and the linearized
 solve reproduces the flip to rounding error, provided the mean-field
 coefficients vanish: the flip of a plain expectation is zero, so a
@@ -37,6 +42,7 @@ by the chain-rule defect, which shrinks as the mesh refines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
@@ -44,7 +50,9 @@ from .errors import ValidationError
 from .fields import AdaptedPath, VolterraKernel, split_row, zero_kernel, zero_path
 from .lattice import (
     MeasurableRV,
+    _owned,
     b_increment,
+    bit_view,
     condexp,
     expectation,
     flip_derivative,
@@ -53,10 +61,11 @@ from .lattice import (
 )
 from .solver import (
     Scenario,
-    evaluate_driver,
-    frozen_args,
     iterate,
+    map_rows,
     means,
+    one_row,
+    slot_args,
     sup_distance,
 )
 
@@ -64,15 +73,9 @@ from .solver import (
 def flip_solution(y: AdaptedPath, z: VolterraKernel, r_idx: int
                   ) -> tuple[AdaptedPath, VolterraKernel]:
     """Entrywise flip derivative of a solved pair."""
-    lat = y.lattice
-    dy = AdaptedPath(lat, [
-        flip_derivative(y[i], r_idx) for i in range(lat.n_steps + 1)
-    ])
-    dz = VolterraKernel(lat, [
-        [flip_derivative(z.at(i, j), r_idx) for j in range(lat.n_steps)]
-        for i in range(lat.n_steps + 1)
-    ])
-    return dy, dz
+    return (AdaptedPath(y.lattice, [flip_derivative(yi, r_idx) for yi in y.y]),
+            VolterraKernel(y.lattice, [[flip_derivative(zij, r_idx)
+                                        for zij in row] for row in z.z]))
 
 
 @dataclass
@@ -81,9 +84,9 @@ class LinearizedScenario:
 
     f_coef[i][j] holds the six f-partials at the left node (t_i, s_j),
     g_coef[i][j] the six g-partials at the right node (t_i, s_{j+1}),
-    both frozen along the base solution; source[i] is the flip of the
-    terminal at node i.  Coefficients are kept for every j >= i row
-    because the pinned rows i <= r read slots from r on.
+    both frozen along the base solution (`solver.slot_args`); source[i]
+    is the flip of the terminal at node i.  Coefficients are kept for
+    every j >= i row because the pinned rows i <= r read slots from r on.
     """
 
     scenario: Scenario
@@ -108,35 +111,50 @@ def build_linearized(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
     f_coef = [[None] * n for _ in range(n + 1)]
     g_coef = [[None] * n for _ in range(n + 1)]
     for i in range(n + 1):
-        t = lat.node(i)
         for j in range(i, n):
-            left, right = frozen_args(y, z, ey, ez, i, j)
-            f_coef[i][j] = evaluate_driver(sc.driver.partials, t, lat.node(j),
-                                           left)[:6]
-            g_coef[i][j] = evaluate_driver(sc.driver.partials, t,
-                                           lat.node(j + 1), right)[6:]
+            f, t, left, right = slot_args(y, z, ey, ez, j, range(i, i + 1))
+            f_coef[i][j] = [one_row(f, c) for c in
+                            sc.driver.partials(t, lat.node(j), *left)[:6]]
+            g_coef[i][j] = [one_row(f, c) for c in
+                            sc.driver.partials(t, lat.node(j + 1), *right)[6:]]
     source = [flip_derivative(sc.zeta[i], r_idx) for i in range(n + 1)]
     return LinearizedScenario(sc, y, z, r_idx, f_coef, g_coef, source)
 
 
-def _dot(coefs, args, slots) -> MeasurableRV:
-    acc = coefs[slots[0]] * args[slots[0]]
-    for k in slots[1:]:
-        acc = acc + coefs[k] * args[k]
-    return acc
+def _linearized_terms(ls: LinearizedScenario, u: AdaptedPath,
+                      v: VolterraKernel, eu, ev, j: int, rows: range,
+                      include_swapped: bool = True):
+    """The slot-j term f dt + g dB_j of the flip equation for a stack of
+    one row, as (field, values); none below slot r.
+
+    Numpy on the bit views of `solver.slot_args` and of the frozen
+    coefficients, added in the order y, z, mean_y, mean_z, then the
+    swapped-kernel pair (z_rev, mean_z_rev), left out on the pinned rows.
+    """
+    if j < ls.r_idx:
+        return None
+    (i,) = rows
+    lat = u.lattice
+    slots = (0, 1, 3, 4, 2, 5) if include_swapped else (0, 1, 3, 4)
+    f, _, left, right = slot_args(u, v, eu, ev, j, rows)
+
+    def dot(coefs, args):
+        return reduce(np.add, (bit_view(coefs[k], f) * args[k]
+                               for k in slots))
+
+    db = bit_view(b_increment(lat, j), f)
+    return f, (dot(ls.f_coef[i][j], left) * lat.dt
+               + dot(ls.g_coef[i][j], right) * db)
 
 
 def _linearized_term(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
                      eu, ev, i: int, j: int, include_swapped: bool
-                     ) -> MeasurableRV:
-    """Row i's slot-j term of the flip equation, f dt + g dB_j."""
-    lat = ls.scenario.lattice
-    # argument slots in accumulation order: y, z, mean_y, mean_z, then the
-    # swapped-kernel pair (z_rev, mean_z_rev), left out on the pinned rows
-    slots = (0, 1, 3, 4, 2, 5) if include_swapped else (0, 1, 3, 4)
-    left, right = frozen_args(u, v, eu, ev, i, j)
-    return (_dot(ls.f_coef[i][j], left, slots) * lat.dt
-            + _dot(ls.g_coef[i][j], right, slots) * b_increment(lat, j))
+                     ) -> MeasurableRV | None:
+    """Row i's slot-j term of the flip equation, f dt + g dB_j (none below
+    slot r): the one row of its stack."""
+    got = _linearized_terms(ls, u, v, eu, ev, j, range(i, i + 1),
+                            include_swapped)
+    return None if got is None else one_row(*got)
 
 
 def _linearized_phi(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
@@ -156,12 +174,21 @@ def _linearized_row(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
     increment in every kernel, so the columns <= r are left at zero: the
     entrywise flip's shape.
     """
-    r = ls.r_idx
+    term = partial(_linearized_term, ls, u, v, eu, ev, i, include_swapped=True)
+    return split_row(ls.source[i], i, first=ls.r_idx + 1, term=term)
 
-    def term(m):
-        return _linearized_term(ls, u, v, eu, ev, i, m, True) if m >= r else None
 
-    return split_row(ls.source[i], i, first=r + 1, term=term)
+def _linearized_map(ls: LinearizedScenario, pair
+                    ) -> tuple[AdaptedPath, VolterraKernel]:
+    """One map of the flip equation frozen at pair = (u, v): the rows of
+    `_linearized_row`, each a stack of its own (every row reads the
+    swapped-kernel terms), with the path at rows <= r zero, as in the
+    entrywise flip."""
+    term = partial(_linearized_terms, ls, *pair, *means(*pair))
+    y, z = map_rows(ls.source, term, False, first=ls.r_idx + 1)
+    ys = y.values.copy()
+    ys[:ls.r_idx + 1] = 0.0
+    return AdaptedPath(y.lattice, _owned(ys)), z
 
 
 def solve_linearized(ls: LinearizedScenario, tol: float = 1e-12,
@@ -175,19 +202,9 @@ def solve_linearized(ls: LinearizedScenario, tol: float = 1e-12,
     shape the entrywise flip produces).
     """
     lat = ls.scenario.lattice
-    r = ls.r_idx
-    zero_y, zero_z = zero_path(lat), zero_kernel(lat)
-
-    def step(pair):
-        eu, ev = means(*pair)
-        ys, rows = zip(*(_linearized_row(ls, *pair, eu, ev, i)
-                         for i in range(lat.n_steps + 1)))
-        # the path at rows <= r is zero, as in the entrywise flip
-        ys = [yi if i > r else zero_y[i] for i, yi in enumerate(ys)]
-        return AdaptedPath(lat, ys), VolterraKernel(lat, rows)
-
-    pair, _, _ = iterate(step, (zero_y, zero_z), sup_distance, tol, max_iter)
-    return pair
+    start = zero_path(lat), zero_kernel(lat)
+    return iterate(partial(_linearized_map, ls), start, sup_distance, tol,
+                   max_iter)[0]
 
 
 @dataclass
@@ -224,9 +241,7 @@ def check_clark_ocone(y: AdaptedPath, z: VolterraKernel, r_idx: int
     return IdentityReport(rows=rows, worst=worst)
 
 
-def check_delta_equation(ls: LinearizedScenario,
-                         u: AdaptedPath | None = None,
-                         v: VolterraKernel | None = None) -> IdentityReport:
+def check_delta_equation(ls: LinearizedScenario) -> IdentityReport:
     """Upper-triangle identity: the base kernel column at the flip slot.
 
     Evaluates, for each row i <= r, the pathwise defect of
@@ -234,14 +249,11 @@ def check_delta_equation(ls: LinearizedScenario,
         Z(t_i, s_r) = D_r zeta(t_i) + coefficient sums over slots >= r
                       (no swapped-kernel terms) - sum_{j>=r} DZ_ij dW_j
 
-    at the supplied derivative pair (defaults to the entrywise flip of
-    the base solution).
+    at the entrywise flip (DY, DZ) of the base solution.
     """
-    sc = ls.scenario
-    lat = sc.lattice
+    lat = ls.scenario.lattice
     n, r = lat.n_steps, ls.r_idx
-    if u is None or v is None:
-        u, v = flip_solution(ls.base_y, ls.base_z, r)
+    u, v = flip_solution(ls.base_y, ls.base_z, r)
     eu, ev = means(u, v)
     rows = []
     worst = 0.0

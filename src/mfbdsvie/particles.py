@@ -46,6 +46,8 @@ from .solver import (
     iterate,
     map_rows,
     picard_solve,
+    reads_swapped,
+    slot_terms,
     sup_distance,
 )
 
@@ -132,7 +134,10 @@ def particle_map(driver: DriverSpec, zetas, pairs):
         reduce(np.add, [y.values for y, _ in pairs]) * k)).y
     mean_z = VolterraKernel(joint, _owned(
         reduce(np.add, [z.values for _, z in pairs]) * k)).z
-    return [map_rows(driver, zetas[p], y, z, mean_y, mean_z, lane=p)
+    swapped = reads_swapped(driver)
+    return [map_rows(zetas[p], partial(slot_terms, driver, y, z, mean_y,
+                                       mean_z, lane=p, swapped=swapped),
+                     not swapped, lane=p)
             for p, (y, z) in enumerate(pairs)]
 
 

@@ -24,13 +24,14 @@ states) the split is exact pathwise:
 
 which is what `residual` measures with self-consistent arguments.
 
-The map is written once and shared: `slot_terms` makes the slot terms
-f dt + g dB_j of a stack of rows (the only place, with `frozen_args` for
-one row, that knows the right-node convention), `map_rows` runs the
-rows through `lattice.clark_ocone_sweep`, the one backward induction,
-and `iterate` is the Picard loop.  The linearized flip equation
-(malliavin) and the particle system (particles) are the same map with
-other terms, other means and other lanes.
+The map is written once and shared: `slot_args` gives the frozen
+arguments of a stack of rows at a slot as bit views (the only place that
+knows the right-node convention), `slot_terms` their terms f dt + g dB_j,
+`map_rows` runs the rows through `lattice.clark_ocone_sweep`, the one
+backward induction, and `iterate` is the Picard loop.  The linearized
+flip equation (malliavin, the frozen partials its coefficients) and the
+particle system (particles) are the same map with other terms, means
+and lanes; the stability functional reads the same arguments.
 
 At a fixed t_i the equation is a backward equation in s, so Phi_i is
 never built: the induction starts from zeta_i and, for m = N-1 down to
@@ -195,60 +196,22 @@ def _weight_mass(lat: LatticeSpec, beta: float) -> float:
     return sum(w.at(lat.node(i)) * lat.dt for i in range(lat.n_steps + 1))
 
 
-def evaluate_driver(fn: Callable, t: float, s: float, args: tuple):
-    """fn(t, s, *args) as lattice variables.
+def slot_args(y: AdaptedPath, z: VolterraKernel, ey, ez, j: int, rows: range,
+              swapped: bool = True
+              ) -> tuple[SigmaField, np.ndarray, tuple, tuple]:
+    """Frozen driver arguments of the rows `rows` (each <= j) at slot j.
 
-    Lattice-variable arguments are passed as bit views on the join of their
-    fields and scalar arguments pass through, so the same call serves scalar
-    means and the particles' random-variable empirical means.  Each output
-    lives on the coarsest field its view needs (a constant partial on the
-    trivial field), so later arithmetic is paid at that size.  A tuple
-    result (the twelve partials) gives one lattice variable per component.
-    """
-    rvs = [a for a in args if isinstance(a, MeasurableRV)]
-    f = rvs[0].field
-    for a in rvs[1:]:
-        f = f.join(a.field)
-    out = fn(t, s, *[bit_view(a, f) if isinstance(a, MeasurableRV) else a
-                     for a in args])
-    if isinstance(out, tuple):
-        return [from_bit_view(v, f) for v in out]
-    return from_bit_view(out, f)
-
-
-def frozen_args(y: AdaptedPath, z: VolterraKernel, ey, ez, i: int, j: int
-                ) -> tuple[tuple, tuple]:
-    """Frozen driver arguments of row i at slot j: (left, right).
-
-    left feeds f at the left node (t_i, s_j); right feeds g at the right
-    node (t_i, s_{j+1}), with kernel column N (and its mean) read as zero,
-    so that dB_j is independent of the integrand.  Each tuple is in driver
-    order (y, z, z_rev, mean_y, mean_z, mean_z_rev).  j ranges over
-    i..N-1, so the swapped indices (j, i) and (j+1, i) are in range.
-    """
-    jr = j + 1
-    last = jr == y.lattice.n_steps
-    left = (y[j], z.at(i, j), z.at(j, i), ey[j], ez[i][j], ez[j][i])
-    right = (y[jr], 0.0 if last else z.at(i, jr), z.at(jr, i),
-             ey[jr], 0.0 if last else ez[i][jr], ez[jr][i])
-    return left, right
-
-
-def slot_terms(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
-               j: int, rows: range, lane: int = 0, swapped: bool = True
-               ) -> tuple[SigmaField, np.ndarray]:
-    """The slot-j terms f dt + g dB_j of the rows `rows` (each <= j), stacked.
-
-    One f call and one g call serve every row: t is the column of row
-    times, y, the means of the path and dB_j (the given lane's) are shared,
-    and the kernel entries (i, j), (i, j + 1) and the means of the rows are
-    stacked on a leading row axis, as bit views on the field
-    ((j + 1) lanes, j lanes).  Kernel column N and its mean read as zero
-    on the right node.  With swapped=False the swapped arguments z_rev and
-    mean_z_rev are passed as zeros, for a driver blind to them
-    (`reads_swapped`); otherwise the field also knows the B bits from the
-    first row on.  Returns the field and values broadcasting against a
-    leading row axis and its bit axes.
+    Returns (field, t, left, right).  left feeds f at the left node
+    (t_i, s_j) and right feeds g at the right node (t_i, s_{j+1}), with
+    kernel column N and its mean read as zero there; each is in driver
+    order (y, z, z_rev, mean_y, mean_z, mean_z_rev).  t is the column of
+    row times, the path and its means are shared, and the kernel entries
+    and their means are stacked on a leading row axis, all bit views on
+    the field ((j + 1) lanes, j lanes).  With swapped=False, z_rev and
+    mean_z_rev are zeros, for a driver blind to them (`reads_swapped`);
+    otherwise the field knows the B bits from the first row on, and the
+    rows' swapped entries, on time fields that differ by row, are
+    broadcast to one shape before they are stacked.
     """
     lat = y.lattice
     lanes, jr = lat.lanes, j + 1
@@ -261,7 +224,8 @@ def slot_terms(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
 
     def stacked(cells):  # one value per row: a mean or a swapped entry
         if isinstance(cells[0], MeasurableRV):
-            return np.stack([bit_view(c, f) for c in cells])
+            return np.stack(np.broadcast_arrays(*[bit_view(c, f)
+                                                  for c in cells]))
         return np.reshape(cells, lead)
 
     def kernel(k):  # entries (i, k) of the rows, read off the dense kernel
@@ -282,10 +246,31 @@ def slot_terms(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
     zr, mzr = swap(jr)
     right = (shared(y[jr]), 0.0 if last else kernel(jr), zr, shared(ey[jr]),
              0.0 if last else stacked([ez[i][jr] for i in rows]), mzr)
+    return f, t, left, right
+
+
+def slot_terms(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
+               j: int, rows: range, lane: int = 0, swapped: bool = True
+               ) -> tuple[SigmaField, np.ndarray]:
+    """The slot-j terms f dt + g dB_j of the rows `rows` (each <= j), stacked.
+
+    One f call and one g call serve every row, on the arguments of
+    `slot_args`, with the given lane's dB_j.  Returns the field and values
+    with a leading row axis and the field's bit axes.
+    """
+    lat = y.lattice
+    f, t, left, right = slot_args(y, z, ey, ez, j, rows, swapped)
     v = (driver.f_values(t, lat.node(j), *left) * lat.dt
-         + driver.g_values(t, lat.node(jr), *right)
-         * shared(b_increment(lat, lat.bit_of(j, lane))))
-    return f, np.reshape(v, (1,) * (len(lead) - np.ndim(v)) + np.shape(v))
+         + driver.g_values(t, lat.node(j + 1), *right)
+         * bit_view(b_increment(lat, lat.bit_of(j, lane)), f)[None])
+    return f, np.reshape(v, (1,) * (np.ndim(t) - np.ndim(v)) + np.shape(v))
+
+
+def one_row(f: SigmaField, v) -> MeasurableRV:
+    """The variable of a one-row stack's values v on its slot field f
+    (`slot_args`, `slot_terms`), on the coarsest field v needs."""
+    axes = f.w_upto + f.lattice.n_bits - f.b_from
+    return from_bit_view(v[0] if np.ndim(v) > axes else v, f)
 
 
 def slot_term(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
@@ -295,8 +280,7 @@ def slot_term(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
     A stack of one row (`slot_terms`); the term sits on the coarsest field
     it needs, so for a driver blind to z_rev it lives on (j + 1, j).
     """
-    f, v = slot_terms(driver, y, z, ey, ez, j, range(i, i + 1), lane)
-    return from_bit_view(v[0], f)
+    return one_row(*slot_terms(driver, y, z, ey, ez, j, range(i, i + 1), lane))
 
 
 def reads_swapped(driver: DriverSpec) -> bool:
@@ -311,23 +295,22 @@ def reads_swapped(driver: DriverSpec) -> bool:
                for fn in (driver.f_values, driver.g_values))
 
 
-def map_rows(driver: DriverSpec, zeta, y: AdaptedPath, z: VolterraKernel,
-             ey, ez, lane: int = 0, first: int | None = 0
-             ) -> tuple[AdaptedPath, VolterraKernel]:
+def map_rows(zeta, term: Callable | None, one_stack: bool, lane: int = 0,
+             first: int | None = 0) -> tuple[AdaptedPath, VolterraKernel]:
     """The rows of one map application, from their terminals zeta.
 
-    Frozen at (y, z) with means (ey, ez), each row is a backward equation
-    in s, so the rows advance as one stack, with one f call and one g call
-    per slot (`slot_terms`).  Rows whose terms read the swapped arguments
-    know B bits that differ by row, so for such a driver each row is a
-    stack of its own.  first is that of `lattice.clark_ocone_sweep`.
+    term(j, rows) gives the slot-j terms of a stack of rows as
+    `lattice.clark_ocone_sweep` takes them (`slot_terms`, the flip
+    equation's, or none for the split of zeta itself).  Frozen at a pair,
+    each row is a backward equation in s, so with one_stack the rows
+    advance as one stack; terms that read the swapped arguments know B
+    bits that differ by row, so for them each row is a stack of its own.
+    first is that of `clark_ocone_sweep`.
     """
-    lat = y.lattice
-    if not reads_swapped(driver):
-        ys, zs = clark_ocone_sweep(zeta, 0, lane, first, partial(
-            slot_terms, driver, y, z, ey, ez, lane=lane, swapped=False))
+    lat = zeta[0].lattice
+    if one_stack:
+        ys, zs = clark_ocone_sweep(zeta, 0, lane, first, term)
     else:
-        term = partial(slot_terms, driver, y, z, ey, ez, lane=lane)
         ys, zs = map(np.concatenate, zip(*(
             clark_ocone_sweep(zeta[i:i + 1], i, lane, first, term)
             for i in range(lat.n_steps + 1))))
@@ -377,15 +360,14 @@ def gamma_map(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
     that never read the swapped kernel argument produce identical upper
     triangles either way.
     """
-    return map_rows(sc.driver, sc.zeta, y, z, *means(y, z),
-                    first=0 if extend else None)
+    swapped = reads_swapped(sc.driver)
+    term = partial(slot_terms, sc.driver, y, z, *means(y, z), swapped=swapped)
+    return map_rows(sc.zeta, term, not swapped, first=0 if extend else None)
 
 
 def representation_pair(sc: Scenario) -> tuple[AdaptedPath, VolterraKernel]:
     """The source-free solution: conditional terminal plus its kernel."""
-    lat = sc.lattice
-    ys, zs = clark_ocone_sweep(sc.zeta, 0)
-    return AdaptedPath(lat, _owned(ys)), VolterraKernel(lat, _owned(zs))
+    return map_rows(sc.zeta, None, True)
 
 
 def residual(sc: Scenario, y: AdaptedPath, z: VolterraKernel) -> float:
@@ -480,15 +462,14 @@ def stability_compare(sc1: Scenario, sc2: Scenario,
     f_term = g_term = 0.0
     d1, d2 = sc1.driver, sc2.driver
     for i in range(n + 1):
-        t = lat.node(i)
         for j in range(i, n):
-            left, right = frozen_args(y2, z2, ey, ez, i, j)
+            f, t, left, right = slot_args(y2, z2, ey, ez, j, range(i, i + 1))
             s, sr = lat.node(j), lat.node(j + 1)
-            df = (evaluate_driver(d1.f_values, t, s, left)
-                  - evaluate_driver(d2.f_values, t, s, left))
+            df = one_row(f, d1.f_values(t, s, *left)
+                         - d2.f_values(t, s, *left))
             f_term += w.at(s) * expectation(df * df) * dt * dt
-            dg = (evaluate_driver(d1.g_values, t, sr, right)
-                  - evaluate_driver(d2.g_values, t, sr, right))
+            dg = one_row(f, d1.g_values(t, sr, *right)
+                         - d2.g_values(t, sr, *right))
             g_term += w.at(s) * expectation(dg * dg) * dt * dt
     rhs = zeta_term + f_term + g_term
     ratio = lhs / rhs if rhs > 0 else 0.0

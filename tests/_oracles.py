@@ -3,15 +3,20 @@
 Everything here works directly on full path enumerations with raw bit
 arithmetic and NumPy least squares; nothing imports solver internals,
 so agreement between the two sides is meaningful.  The one exception is
-the last three sections: a per-slot split of the whole assembled right
-side Phi_i, built zeta-first on the package's primitives, and the map
-and residual made of them, the references for the backward induction
-of `split_row` (which never builds Phi_i) and for `gamma_map` and
-`residual`; the map and the particle map swept one row at a time, with
-one f call and one g call per row and slot, the references for the
-stacked rows of `gamma_map` and `particle_map`; and the whole-pair
-statistics written one entry at a time, the references for their array
-expressions over the dense pair storage.
+the last sections, built on the package's primitives: the per-entry
+frozen-argument wiring (`frozen_args` for one row's arguments at one
+slot, `evaluate_driver` for a driver call on them as lattice
+variables), which the package replaced by the stacked bit views of
+`solver.slot_args`; a per-slot split of the whole assembled right side
+Phi_i, built zeta-first on that wiring, and the map and residual made of
+them, the references for the backward induction of `split_row` (which
+never builds Phi_i) and for `gamma_map` and `residual`; the map and the
+particle map swept one row at a time, with one f call and one g call per
+row and slot, the references for the stacked rows of `gamma_map` and
+`particle_map`; the whole-pair statistics written one entry at a time,
+the references for their array expressions over the dense pair storage;
+and the stability functional one row and slot at a time on the
+per-entry wiring, the reference for `stability_compare`.
 
 Conventions (the discretisation contract, restated independently):
   * path = (w_bits, b_bits); bit j set means increment j equals +inc;
@@ -28,22 +33,26 @@ Conventions (the discretisation contract, restated independently):
 from __future__ import annotations
 
 from functools import partial, reduce
+from typing import Callable
 
 import numpy as np
 
-from mfbdsvie.fields import AdaptedPath, VolterraKernel, split_row
+from mfbdsvie.fields import AdaptedPath, BetaWeight, VolterraKernel, split_row
 from mfbdsvie.lattice import (
+    MeasurableRV,
     _owned,
     b_increment,
+    bit_view,
     condexp,
     expectation,
     forward_integral,
+    from_bit_view,
     lift,
     time_field,
     w_increment,
     zero_rv,
 )
-from mfbdsvie.solver import evaluate_driver, frozen_args, means, slot_term
+from mfbdsvie.solver import means, slot_term
 
 
 def inc_of(bits: int, j: int, inc: float) -> float:
@@ -373,6 +382,49 @@ def condexp_m_extend(y, z_delta):
     return VolterraKernel(lat, rows)
 
 
+# The per-entry frozen-argument wiring: one row and slot at a time, each
+# driver output a lattice variable on the join of its arguments' fields.
+
+
+def evaluate_driver(fn: Callable, t: float, s: float, args: tuple):
+    """fn(t, s, *args) as lattice variables.
+
+    Lattice-variable arguments are passed as bit views on the join of their
+    fields and scalar arguments pass through, so the same call serves scalar
+    means and the particles' random-variable empirical means.  Each output
+    lives on the coarsest field its view needs (a constant partial on the
+    trivial field), so later arithmetic is paid at that size.  A tuple
+    result (the twelve partials) gives one lattice variable per component.
+    """
+    rvs = [a for a in args if isinstance(a, MeasurableRV)]
+    f = rvs[0].field
+    for a in rvs[1:]:
+        f = f.join(a.field)
+    out = fn(t, s, *[bit_view(a, f) if isinstance(a, MeasurableRV) else a
+                     for a in args])
+    if isinstance(out, tuple):
+        return [from_bit_view(v, f) for v in out]
+    return from_bit_view(out, f)
+
+
+def frozen_args(y: AdaptedPath, z: VolterraKernel, ey, ez, i: int, j: int
+                ) -> tuple[tuple, tuple]:
+    """Frozen driver arguments of row i at slot j: (left, right).
+
+    left feeds f at the left node (t_i, s_j); right feeds g at the right
+    node (t_i, s_{j+1}), with kernel column N (and its mean) read as zero,
+    so that dB_j is independent of the integrand.  Each tuple is in driver
+    order (y, z, z_rev, mean_y, mean_z, mean_z_rev).  j ranges over
+    i..N-1, so the swapped indices (j, i) and (j+1, i) are in range.
+    """
+    jr = j + 1
+    last = jr == y.lattice.n_steps
+    left = (y[j], z.at(i, j), z.at(j, i), ey[j], ez[i][j], ez[j][i])
+    right = (y[jr], 0.0 if last else z.at(i, jr), z.at(jr, i),
+             ey[jr], 0.0 if last else ez[i][jr], ez[jr][i])
+    return left, right
+
+
 def zeta_first_assemble_phi(driver, zeta_i, y, z, ey, ez, i, lane=0):
     """Phi_i summed from zeta_i, so every addition is at the widest field."""
     lat = y.lattice
@@ -490,3 +542,39 @@ def entrywise_node_gaps(a, b, from_node=0, absolute=False):
         d = (a[i] - b[i]).values
         rows.append((i, float(np.max(np.abs(d) if absolute else d))))
     return rows
+
+
+# -- the stability functional one entry at a time ------------------------------
+#
+# The driver differences on frozen_args and evaluate_driver, and the norm
+# of the solution difference one entry at a time: the reference for
+# stability_compare, which reads the stacked arguments of slot_args.
+
+
+def entrywise_stability(sc1, sc2, y1, z1, y2, z2):
+    """(lhs, zeta_term, f_term, g_term) along the solutions (y1, z1) of sc1
+    and (y2, z2) of sc2, the driver differences frozen along solution 2."""
+    lat = sc1.lattice
+    n, dt = lat.n_steps, lat.dt
+    w = BetaWeight(sc1.beta)
+    lhs = entrywise_norm_squared(*entrywise_pair_diff(y1, z1, y2, z2), w,
+                                 full_square=False)
+    zeta_term = 0.0
+    for i in range(n + 1):
+        dz = sc1.zeta[i] - sc2.zeta[i]
+        zeta_term += w.at(lat.node(i)) * expectation(dz * dz) * dt
+    ey, ez = entrywise_means(y2, z2)
+    f_term = g_term = 0.0
+    d1, d2 = sc1.driver, sc2.driver
+    for i in range(n + 1):
+        t = lat.node(i)
+        for j in range(i, n):
+            left, right = frozen_args(y2, z2, ey, ez, i, j)
+            s, sr = lat.node(j), lat.node(j + 1)
+            df = (evaluate_driver(d1.f_values, t, s, left)
+                  - evaluate_driver(d2.f_values, t, s, left))
+            f_term += w.at(s) * expectation(df * df) * dt * dt
+            dg = (evaluate_driver(d1.g_values, t, sr, right)
+                  - evaluate_driver(d2.g_values, t, sr, right))
+            g_term += w.at(s) * expectation(dg * dg) * dt * dt
+    return lhs, zeta_term, f_term, g_term

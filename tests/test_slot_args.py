@@ -1,0 +1,120 @@
+"""Every frozen-argument driver evaluation reads `solver.slot_args`.
+
+The map's slot terms, the flip equation's coefficients and terms, and
+the stability functional's driver differences all take their arguments
+from the stacked bit views of `slot_args`.  A stack of rows that read
+the swapped arguments must agree with its rows stacked one at a time,
+one map of the flip equation with its rows split one at a time by
+`_linearized_row`, and `stability_compare` with the per-entry wiring of
+tests/_oracles.py.
+"""
+
+import numpy as np
+import pytest
+
+from mfbdsvie.drivers import LinearDriver, RiskDriver, ZPart
+from mfbdsvie.lattice import MeasurableRV, build_lattice, lift
+from mfbdsvie.malliavin import _linearized_map, _linearized_row, build_linearized
+from mfbdsvie.solver import (
+    Scenario,
+    means,
+    one_row,
+    picard_solve,
+    slot_terms,
+    stability_compare,
+)
+
+from _oracles import entrywise_stability
+from test_sweep import DRIVERS, R_IDX, TERMINAL, random_pair
+
+SWAPPED = LinearDriver(f={"y": -0.3, "z_rev": 0.1}, g={"z": 0.04})
+# a second driver for each of DRIVERS, read by the stability functional
+PERTURBED = {
+    "linear_mean_field": LinearDriver(
+        f={"y": -0.1, "z_rev": 0.08, "mean_z_rev": 0.01},
+        g={"z": 0.03, "z_rev": 0.01}, f_source=0.02,
+        g_source=lambda t, s: 0.01 + 0.02 * s - 0.01 * t),
+    "risk_smooth_abs": RiskDriver(rate=0.15, h=ZPart("smooth_abs", k1=0.2),
+                                  g=ZPart("linear", k1=0.04)),
+}
+
+
+class TestSwappedStack:
+    """A stack of rows reading the swapped arguments, whose entries sit on
+    time fields that differ by row, against its rows one at a time."""
+
+    N = 4
+
+    @pytest.mark.parametrize("random_means", [False, True])
+    def test_three_rows_equal_three_one_row_stacks(self, random_means):
+        lat = build_lattice(self.N, 1.0)
+        rng = np.random.default_rng(37)
+        y, z = random_pair(lat, rng)
+        if random_means:  # as the particle system's empirical means
+            my, mz = random_pair(lat, rng)
+            ey, ez = list(my.y), [list(row) for row in mz.z]
+        else:
+            ey, ez = means(y, z)
+        j = 2
+        f, v = slot_terms(SWAPPED, y, z, ey, ez, j, range(0, 3))
+        assert v.shape[0] == 3
+        for i in range(3):
+            g, w = slot_terms(SWAPPED, y, z, ey, ez, j, range(i, i + 1))
+            got, want = one_row(f, v[i:i + 1]), one_row(g, w)
+            assert np.array_equal(lift(got, f).values, lift(want, f).values)
+
+
+class TestLinearizedMap:
+    """One flip-equation map: each row a stack of its own in `map_rows`."""
+
+    def linearized(self, name):
+        lat = build_lattice(4, 1.0)
+        rng = np.random.default_rng(41)
+        sc = Scenario(lat, DRIVERS[name], TERMINAL)
+        ls = build_linearized(sc, *random_pair(lat, rng), R_IDX)
+        return ls, random_pair(lat, rng)
+
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_rows_equal_the_one_row_split(self, name):
+        ls, (u, v) = self.linearized(name)
+        y, z = _linearized_map(ls, (u, v))
+        eu, ev = means(u, v)
+        for i in range(len(y)):
+            yi, row = _linearized_row(ls, u, v, eu, ev, i)
+            # the path at rows <= r is zero, as in the entrywise flip
+            want = yi.values if i > R_IDX else np.zeros_like(yi.values)
+            assert np.array_equal(y[i].values, want)
+            for zij, zij_ref in zip(z.z[i], row, strict=True):
+                assert np.array_equal(zij.values, zij_ref.values)
+
+    def test_no_lattice_variable_arithmetic(self, monkeypatch):
+        # the terms are numpy on bit views: no MeasurableRV product or sum
+        ls, pair = self.linearized("linear_mean_field")
+        binary = MeasurableRV._binary
+        calls = []
+
+        def counting(rv, other, op):
+            calls.append(op)
+            return binary(rv, other, op)
+
+        with monkeypatch.context() as m:
+            m.setattr(MeasurableRV, "_binary", counting)
+            _linearized_map(ls, pair)
+        assert calls == []
+
+
+class TestStabilityTerms:
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_against_entrywise_wiring(self, name):
+        lat = build_lattice(4, 1.0)
+        d1, d2 = DRIVERS[name], PERTURBED[name]
+        beta = max(Scenario(lat, d, TERMINAL).beta for d in (d1, d2))
+        sc1 = Scenario(lat, d1, TERMINAL, beta=beta)
+        sc2 = Scenario(lat, d2, TERMINAL.shifted(0.05), beta=beta)
+        rep = stability_compare(sc1, sc2)
+        y1, z1, _ = picard_solve(sc1, tol=1e-12)
+        y2, z2, _ = picard_solve(sc2, tol=1e-12)
+        want = entrywise_stability(sc1, sc2, y1, z1, y2, z2)
+        got = (rep.lhs, rep.zeta_term, rep.f_term, rep.g_term)
+        assert min(want) > 0.0
+        assert got == pytest.approx(want, rel=1e-13)
