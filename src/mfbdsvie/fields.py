@@ -127,10 +127,6 @@ class VolterraKernel:
             self._z = _views(self.lattice, self.values)
         return self._z
 
-    @z.setter
-    def z(self, rows) -> None:
-        self._z = rows
-
     def at(self, i: int, j: int) -> MeasurableRV:
         return self.z[i][j]
 
@@ -313,27 +309,3 @@ def pair_diff(
     return (AdaptedPath(y1.lattice, _owned(y1.values - y2.values)),
             VolterraKernel(y1.lattice, _owned(z1.values - z2.values)))
 
-
-def dump_csv_rows(y: AdaptedPath, z: VolterraKernel) -> list[tuple]:
-    """Debug dump: rows (i, j, path_code, value); j = -1 for Y entries.
-
-    path_code is a representative full-path code (W sign bits in the low
-    half, B sign bits shifted to their absolute positions).
-    """
-    lat = y.lattice
-    m = lat.n_bits
-    rows: list[tuple] = []
-
-    def emit(i, j, rv):
-        a, b = rv.field.w_upto, rv.field.b_from
-        for wc in range(1 << a):
-            for bc in range(rv.values.shape[1]):
-                code = (wc << m) | (bc << b)
-                rows.append((i, j, code, float(rv.values[wc, bc])))
-
-    for i in range(lat.n_steps + 1):
-        emit(i, -1, y[i])
-    for i in range(lat.n_steps + 1):
-        for j in range(lat.n_steps):
-            emit(i, j, z.at(i, j))
-    return rows

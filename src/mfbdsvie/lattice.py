@@ -391,7 +391,7 @@ def condexp(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
 
 
 def clark_ocone_sweep(x: Sequence[MeasurableRV], i: int, lane: int = 0,
-                      first: int | None = 0, term: Callable | None = None
+                      first: int = 0, term: Callable | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Y and the kernel rows of a stack of rows i, i + 1, ..., one per x.
 
@@ -418,8 +418,7 @@ def clark_ocone_sweep(x: Sequence[MeasurableRV], i: int, lane: int = 0,
     (the M-extension) grows downwards as the walk reaches them; rows that
     join at one step are a block right below those that joined earlier.
 
-    Columns j < first are not computed, and first=None stands for each
-    row's own index (the upper triangle only).  Returns (ys, zs): ys[k] is
+    Columns j < first are not computed.  Returns (ys, zs): ys[k] is
     the table of Y_{i+k} on its time field and zs[k, j] that of its
     column j, each flattened as in the dense path and kernel; columns not
     computed, and those at bits S is blind to, are zero.
@@ -441,7 +440,7 @@ def clark_ocone_sweep(x: Sequence[MeasurableRV], i: int, lane: int = 0,
             field = time_field(lat, r)
             table = condexp(x[k], field).values
             ys[k] = table.reshape(-1)
-            if first is None or e < first:
+            if e < first:
                 continue
         starts.setdefault(e, []).append((k, field, table))
     stack, f, lo, hi = None, None, i + rows, i + rows
@@ -477,7 +476,7 @@ def clark_ocone_sweep(x: Sequence[MeasurableRV], i: int, lane: int = 0,
                     + tv.shape[1:] + (1,) * (tf.b_from - f.b_from))
         # the step's W bits, each halving applied at once (halving is
         # exact, so the order of the halvings does not matter)
-        read = first is None or m >= first
+        read = m >= first
         a, b = f.w_upto, f.b_from
         for k in range(a - 1, m * lanes - 1, -1):
             # bit k tops the W index
@@ -500,7 +499,7 @@ def clark_ocone_sweep(x: Sequence[MeasurableRV], i: int, lane: int = 0,
             if mid != f:
                 stack[r] = _lift_rows(y, mid, f)[0]
             ys[m - i] = _lift_rows(y, mid, own).reshape(-1)
-        if first is None or first >= m:
+        if first >= m:
             hi = min(hi, m)
             stack = stack[:hi - lo] if hi > lo else None
     return ys, zs
@@ -554,7 +553,9 @@ def _audited_sum(vals: Sequence[MeasurableRV], j_lo: int, j_hi: int,
 
     Each vals_j must be measurable for the field (j + lag, j + lag), so
     it is independent of its increment and the isometry holds exactly.
-    With a source, each summand is source(j) - vals_j increment_j instead.
+    With a source, each summand is source(j) - vals_j increment_j instead
+    (the row defects of `solver.row_defects`): the running sum grows only
+    through the fields its summands need.
     """
     if not vals:
         raise IndexOutOfRange("empty integrand sequence")

@@ -29,7 +29,10 @@ contributes a source.
 The linearized equation is the solver's map with the frozen partials
 as coefficients: `build_linearized` evaluates them on the arguments of
 `solver.slot_args`, each slot term is numpy on the same bit views, and
-every row is a stack of its own in `solver.map_rows`.
+every row is a stack of its own in `solver.map_rows`.  The upper-triangle
+identity is the solver's row-defect sum (`solver.row_defects`, which also
+gives the equation's `residual`) on the same stacked terms, the
+swapped-kernel terms left out.
 
 For affine drivers the discrete chain rule is exact and the linearized
 solve reproduces the flip to rounding error, provided the mean-field
@@ -47,16 +50,14 @@ from functools import partial, reduce
 import numpy as np
 
 from .errors import ValidationError
-from .fields import AdaptedPath, VolterraKernel, split_row, zero_kernel, zero_path
+from .fields import AdaptedPath, VolterraKernel, zero_kernel, zero_path
 from .lattice import (
-    MeasurableRV,
     _owned,
     b_increment,
     bit_view,
     condexp,
     expectation,
     flip_derivative,
-    forward_integral,
     time_field,
 )
 from .solver import (
@@ -65,6 +66,7 @@ from .solver import (
     map_rows,
     means,
     one_row,
+    row_defects,
     slot_args,
     sup_distance,
 )
@@ -147,42 +149,12 @@ def _linearized_terms(ls: LinearizedScenario, u: AdaptedPath,
                + dot(ls.g_coef[i][j], right) * db)
 
 
-def _linearized_term(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
-                     eu, ev, i: int, j: int, include_swapped: bool
-                     ) -> MeasurableRV | None:
-    """Row i's slot-j term of the flip equation, f dt + g dB_j (none below
-    slot r): the one row of its stack."""
-    got = _linearized_terms(ls, u, v, eu, ev, j, range(i, i + 1),
-                            include_swapped)
-    return None if got is None else one_row(*got)
-
-
-def _linearized_phi(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
-                    eu, ev, i: int, include_swapped: bool) -> MeasurableRV:
-    """Row-i driver sums of the flip equation over slots >= max(i, r)."""
-    phi = ls.source[i]
-    for j in range(max(i, ls.r_idx), ls.scenario.lattice.n_steps):
-        phi = phi + _linearized_term(ls, u, v, eu, ev, i, j, include_swapped)
-    return phi
-
-
-def _linearized_row(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
-                    eu, ev, i: int) -> tuple[MeasurableRV, list[MeasurableRV]]:
-    """Y_i and kernel row i of one flip-equation map, swapped terms included.
-
-    The terms start at slot r, and kernel column r is blind to the flipped
-    increment in every kernel, so the columns <= r are left at zero: the
-    entrywise flip's shape.
-    """
-    term = partial(_linearized_term, ls, u, v, eu, ev, i, include_swapped=True)
-    return split_row(ls.source[i], i, first=ls.r_idx + 1, term=term)
-
-
 def _linearized_map(ls: LinearizedScenario, pair
                     ) -> tuple[AdaptedPath, VolterraKernel]:
-    """One map of the flip equation frozen at pair = (u, v): the rows of
-    `_linearized_row`, each a stack of its own (every row reads the
-    swapped-kernel terms), with the path at rows <= r zero, as in the
+    """One map of the flip equation frozen at pair = (u, v): each row a
+    stack of its own (every row reads the swapped-kernel terms), the
+    columns <= r left at zero (kernel column r is blind to the flipped
+    increment in every kernel) and the path at rows <= r zero, as in the
     entrywise flip."""
     term = partial(_linearized_terms, ls, *pair, *means(*pair))
     y, z = map_rows(ls.source, term, False, first=ls.r_idx + 1)
@@ -249,20 +221,20 @@ def check_delta_equation(ls: LinearizedScenario) -> IdentityReport:
         Z(t_i, s_r) = D_r zeta(t_i) + coefficient sums over slots >= r
                       (no swapped-kernel terms) - sum_{j>=r} DZ_ij dW_j
 
-    at the entrywise flip (DY, DZ) of the base solution.
+    at the entrywise flip (DY, DZ) of the base solution: a
+    `solver.row_defects` sum on the flip equation's stacked terms, each
+    row a stack of its own.
     """
     lat = ls.scenario.lattice
-    n, r = lat.n_steps, ls.r_idx
+    r = ls.r_idx
     u, v = flip_solution(ls.base_y, ls.base_z, r)
-    eu, ev = means(u, v)
-    rows = []
-    worst = 0.0
-    l2 = 0.0
-    for i in range(r + 1):
-        acc = (_linearized_phi(ls, u, v, eu, ev, i, include_swapped=False)
-               - forward_integral(v.z[i], r, n) - ls.base_z.at(i, r))
-        gap = acc.max_abs()
-        rows.append((i, r, gap))
-        worst = max(worst, gap)
+    term = partial(_linearized_terms, ls, u, v, *means(u, v),
+                   include_swapped=False)
+    rows, l2 = [], 0.0
+    for i, acc in enumerate(row_defects(
+            ls.source[:r + 1], [row[r] for row in ls.base_z.z[:r + 1]], v,
+            term, False, first=r)):
+        rows.append((i, r, acc.max_abs()))
         l2 += lat.dt * expectation(acc * acc)
-    return IdentityReport(rows=rows, worst=worst, l2=float(np.sqrt(l2)))
+    return IdentityReport(rows=rows, worst=max(gap for *_, gap in rows),
+                          l2=float(np.sqrt(l2)))

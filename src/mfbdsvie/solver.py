@@ -28,10 +28,12 @@ The map is written once and shared: `slot_args` gives the frozen
 arguments of a stack of rows at a slot as bit views (the only place that
 knows the right-node convention), `slot_terms` their terms f dt + g dB_j,
 `map_rows` runs the rows through `lattice.clark_ocone_sweep`, the one
-backward induction, and `iterate` is the Picard loop.  The linearized
-flip equation (malliavin, the frozen partials its coefficients) and the
-particle system (particles) are the same map with other terms, means
-and lanes; the stability functional reads the same arguments.
+backward induction, `row_defects` sums the same stacked terms into each
+row's pathwise defect (`residual`), and `iterate` is the Picard loop.
+The linearized flip equation (malliavin, the frozen partials its
+coefficients) and the particle system (particles) are the same map with
+other terms, means and lanes; the stability functional reads the same
+arguments.
 
 At a fixed t_i the equation is a backward equation in s, so Phi_i is
 never built: the induction starts from zeta_i and, for m = N-1 down to
@@ -81,7 +83,6 @@ from .fields import (
     VolterraKernel,
     l_beta_norm,
     m_beta_norm,
-    m_extend,
     pair_diff,
     pair_sup_diff,
     zero_kernel,
@@ -273,16 +274,6 @@ def one_row(f: SigmaField, v) -> MeasurableRV:
     return from_bit_view(v[0] if np.ndim(v) > axes else v, f)
 
 
-def slot_term(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
-              i: int, j: int, lane: int = 0) -> MeasurableRV:
-    """Row i's slot-j term f dt + g dB_j, with the given lane's dB_j.
-
-    A stack of one row (`slot_terms`); the term sits on the coarsest field
-    it needs, so for a driver blind to z_rev it lives on (j + 1, j).
-    """
-    return one_row(*slot_terms(driver, y, z, ey, ez, j, range(i, i + 1), lane))
-
-
 def reads_swapped(driver: DriverSpec) -> bool:
     """Whether f or g reads z_rev or mean_z_rev.
 
@@ -296,7 +287,7 @@ def reads_swapped(driver: DriverSpec) -> bool:
 
 
 def map_rows(zeta, term: Callable | None, one_stack: bool, lane: int = 0,
-             first: int | None = 0) -> tuple[AdaptedPath, VolterraKernel]:
+             first: int = 0) -> tuple[AdaptedPath, VolterraKernel]:
     """The rows of one map application, from their terminals zeta.
 
     term(j, rows) gives the slot-j terms of a stack of rows as
@@ -351,18 +342,19 @@ def means(y: AdaptedPath, z: VolterraKernel):
             np.mean(z.values, axis=-1).tolist())
 
 
-def gamma_map(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
-              extend: bool = True) -> tuple[AdaptedPath, VolterraKernel]:
-    """One exact application of the frozen-argument map.
-
-    With extend=False the lower triangle of the result is left at zero
-    instead of being pinned to the representation of the new Y; drivers
-    that never read the swapped kernel argument produce identical upper
-    triangles either way.
-    """
+def _driver_terms(sc: Scenario, y: AdaptedPath, z: VolterraKernel
+                  ) -> tuple[Callable, bool]:
+    """The stacked slot terms of sc's driver frozen at (y, z), and whether
+    the rows make one stack (the driver is blind to the swapped arguments)."""
     swapped = reads_swapped(sc.driver)
-    term = partial(slot_terms, sc.driver, y, z, *means(y, z), swapped=swapped)
-    return map_rows(sc.zeta, term, not swapped, first=0 if extend else None)
+    return (partial(slot_terms, sc.driver, y, z, *means(y, z),
+                    swapped=swapped), not swapped)
+
+
+def gamma_map(sc: Scenario, y: AdaptedPath, z: VolterraKernel
+              ) -> tuple[AdaptedPath, VolterraKernel]:
+    """One exact application of the frozen-argument map."""
+    return map_rows(sc.zeta, *_driver_terms(sc, y, z))
 
 
 def representation_pair(sc: Scenario) -> tuple[AdaptedPath, VolterraKernel]:
@@ -370,24 +362,45 @@ def representation_pair(sc: Scenario) -> tuple[AdaptedPath, VolterraKernel]:
     return map_rows(sc.zeta, None, True)
 
 
-def residual(sc: Scenario, y: AdaptedPath, z: VolterraKernel) -> float:
-    """Worst pathwise defect of the equation with self-consistent args.
+def row_defects(x, target, z: VolterraKernel, term: Callable,
+                one_stack: bool, first: int = 0):
+    """Row i's pathwise defect, for each i < len(x) in turn:
 
-    Row i's defect zeta_i - Y_i + sum_{j >= i} (f dt + g dB_j - Z_ij dW_j)
-    is one ascending sum, which audits each Z_ij measurable at (j, j), and
-    grows through the fields (j + 1, i); the terminal and Y_i come last.
+        sum_{j >= max(i, first)} (term_ij - Z_ij dW_j) + (x_i - target_i),
+
+    one `lattice._audited_sum`, which audits each Z_ij measurable at
+    (j, j).  term(j, rows) is a stacked term as `map_rows` takes it,
+    called once a slot for all rows with one_stack, else once a row and
+    slot.  No row's tables are kept once yielded.
     """
-    n = sc.lattice.n_steps
-    ey, ez = means(y, z)
-    return max((_audited_sum(z.z[i], i, n, 0, w_increment, "forward",
-                             partial(slot_term, sc.driver, y, z, ey, ez, i))
-                + (sc.zeta[i] - y[i])).max_abs()
-               for i in range(n + 1))
+    n = z.lattice.n_steps
+    if one_stack:
+        stacks = {j: term(j, range(min(j, len(x) - 1) + 1))
+                  for j in range(first, n)}
+
+        def slot(i, j):
+            f, v = stacks[j]
+            return one_row(f, v[min(i, len(v) - 1)])
+    else:
+        def slot(i, j):
+            return one_row(*term(j, range(i, i + 1)))
+
+    for i in range(len(x)):
+        yield (_audited_sum(z.z[i], max(i, first), n, 0, w_increment,
+                            "forward", partial(slot, i))
+               + (x[i] - target[i]))
+
+
+def residual(sc: Scenario, y: AdaptedPath, z: VolterraKernel) -> float:
+    """Worst pathwise defect of the equation with self-consistent args:
+    zeta_i - Y_i + sum_{j >= i} (f dt + g dB_j - Z_ij dW_j) over rows i, on
+    the map's stacked slot terms (`row_defects`)."""
+    return max(map(MeasurableRV.max_abs,
+                   row_defects(sc.zeta, y.y, z, *_driver_terms(sc, y, z))))
 
 
 def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
-                 start: tuple[AdaptedPath, VolterraKernel] | None = None,
-                 defer_extension: bool = False
+                 start: tuple[AdaptedPath, VolterraKernel] | None = None
                  ) -> tuple[AdaptedPath, VolterraKernel, SolverReport]:
     """Iterate the map until the successive difference drops below tol."""
     lat = sc.lattice
@@ -396,15 +409,13 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
     diffs: list[float] = []
 
     def step(pair):
-        new = gamma_map(sc, *pair, extend=not defer_extension)
+        new = gamma_map(sc, *pair)
         diffs.append(scale * m_beta_norm(*pair_diff(*new, *pair), w))
         return new
 
     if start is None:
         start = zero_path(lat), zero_kernel(lat)
     (y, z), iterations, _ = iterate(step, start, sup_distance, tol, max_iter)
-    if defer_extension:
-        z = m_extend(y, z)
     ratios = [
         diffs[k] / diffs[k - 1] if diffs[k - 1] > 0 else 0.0
         for k in range(1, len(diffs))

@@ -10,7 +10,12 @@ variables), which the package replaced by the stacked bit views of
 `solver.slot_args`; a per-slot split of the whole assembled right side
 Phi_i, built zeta-first on that wiring, and the map and residual made of
 them, the references for the backward induction of `split_row` (which
-never builds Phi_i) and for `gamma_map` and `residual`; the map and the
+never builds Phi_i) and for `gamma_map` and `residual`; the one-row slot
+terms as lattice variables (`slot_term` for the map's,
+`_linearized_term`, `_linearized_phi` and `_linearized_row` for the flip
+equation's), which the package replaced by its stacked terms, and the
+residual and the upper-triangle identity summed one row and slot at a
+time on them, the references for `solver.row_defects`; the map and the
 particle map swept one row at a time, with one f call and one g call per
 row and slot, the references for the stacked rows of `gamma_map` and
 `particle_map`; the whole-pair statistics written one entry at a time,
@@ -37,9 +42,11 @@ from typing import Callable
 
 import numpy as np
 
+from mfbdsvie.drivers import DriverSpec
 from mfbdsvie.fields import AdaptedPath, BetaWeight, VolterraKernel, split_row
 from mfbdsvie.lattice import (
     MeasurableRV,
+    _audited_sum,
     _owned,
     b_increment,
     bit_view,
@@ -52,7 +59,8 @@ from mfbdsvie.lattice import (
     w_increment,
     zero_rv,
 )
-from mfbdsvie.solver import means, slot_term
+from mfbdsvie.malliavin import LinearizedScenario, _linearized_terms, flip_solution
+from mfbdsvie.solver import means, one_row, slot_terms
 
 
 def inc_of(bits: int, j: int, inc: float) -> float:
@@ -439,14 +447,14 @@ def zeta_first_assemble_phi(driver, zeta_i, y, z, ey, ez, i, lane=0):
     return phi
 
 
-def condexp_gamma_map(sc, y, z, extend=True):
+def condexp_gamma_map(sc, y, z):
     """One map application: the whole Phi_i of every row, split per slot."""
     lat = sc.lattice
     ey, ez = entrywise_means(y, z)
     ys, rows = zip(*(
         condexp_split_row(
             zeta_first_assemble_phi(sc.driver, sc.zeta[i], y, z, ey, ez, i),
-            i, first=0 if extend else i)
+            i)
         for i in range(lat.n_steps + 1)))
     return AdaptedPath(lat, ys), VolterraKernel(lat, rows)
 
@@ -461,23 +469,104 @@ def assembled_residual(sc, y, z):
         for i in range(n + 1))
 
 
+# -- one-row slot terms and the row defects made of them -----------------------
+#
+# A slot term as a lattice variable, one (row, slot) at a time: the map's
+# (slot_term) and the flip equation's (_linearized_term, summed into
+# _linearized_phi and split by _linearized_row), as the package made them
+# before the residual and the upper-triangle identity read the stacked
+# terms through solver.row_defects; with those two written one row and
+# slot at a time on them.
+
+
+def slot_term(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
+              i: int, j: int, lane: int = 0) -> MeasurableRV:
+    """Row i's slot-j term f dt + g dB_j, with the given lane's dB_j.
+
+    A stack of one row (`slot_terms`); the term sits on the coarsest field
+    it needs, so for a driver blind to z_rev it lives on (j + 1, j).
+    """
+    return one_row(*slot_terms(driver, y, z, ey, ez, j, range(i, i + 1), lane))
+
+
+def _linearized_term(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
+                     eu, ev, i: int, j: int, include_swapped: bool
+                     ) -> MeasurableRV | None:
+    """Row i's slot-j term of the flip equation, f dt + g dB_j (none below
+    slot r): the one row of its stack."""
+    got = _linearized_terms(ls, u, v, eu, ev, j, range(i, i + 1),
+                            include_swapped)
+    return None if got is None else one_row(*got)
+
+
+def _linearized_phi(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
+                    eu, ev, i: int, include_swapped: bool) -> MeasurableRV:
+    """Row-i driver sums of the flip equation over slots >= max(i, r)."""
+    phi = ls.source[i]
+    for j in range(max(i, ls.r_idx), ls.scenario.lattice.n_steps):
+        phi = phi + _linearized_term(ls, u, v, eu, ev, i, j, include_swapped)
+    return phi
+
+
+def _linearized_row(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
+                    eu, ev, i: int) -> tuple[MeasurableRV, list[MeasurableRV]]:
+    """Y_i and kernel row i of one flip-equation map, swapped terms included.
+
+    The terms start at slot r, and kernel column r is blind to the flipped
+    increment in every kernel, so the columns <= r are left at zero: the
+    entrywise flip's shape.
+    """
+    term = partial(_linearized_term, ls, u, v, eu, ev, i, include_swapped=True)
+    return split_row(ls.source[i], i, first=ls.r_idx + 1, term=term)
+
+
+def per_row_residual(sc, y, z):
+    """Worst pathwise defect, each row's audited sum over its slot_term."""
+    n = sc.lattice.n_steps
+    ey, ez = means(y, z)
+    return max((_audited_sum(z.z[i], i, n, 0, w_increment, "forward",
+                             partial(slot_term, sc.driver, y, z, ey, ez, i))
+                + (sc.zeta[i] - y[i])).max_abs()
+               for i in range(n + 1))
+
+
+def per_row_delta_equation(ls):
+    """(rows, worst, l2) of the upper-triangle identity: each row's
+    _linearized_phi less the forward sum of DZ and the base kernel."""
+    lat = ls.scenario.lattice
+    n, r = lat.n_steps, ls.r_idx
+    u, v = flip_solution(ls.base_y, ls.base_z, r)
+    eu, ev = means(u, v)
+    rows = []
+    worst = 0.0
+    l2 = 0.0
+    for i in range(r + 1):
+        acc = (_linearized_phi(ls, u, v, eu, ev, i, include_swapped=False)
+               - forward_integral(v.z[i], r, n) - ls.base_z.at(i, r))
+        gap = acc.max_abs()
+        rows.append((i, r, gap))
+        worst = max(worst, gap)
+        l2 += lat.dt * expectation(acc * acc)
+    return rows, worst, float(np.sqrt(l2))
+
+
 # -- the map one row at a time -------------------------------------------------
 #
 # Each row is its own backward induction, with its own f and g call per
 # slot: the rows of a map before they were stacked.
 
 
-def per_row_map(driver, zetas, y, z, ey, ez, lane=0, extend=True):
+def per_row_map(driver, zetas, y, z, ey, ez, lane=0):
     lat = y.lattice
     ys, rows = zip(*(
-        split_row(zetas[i], i, lane=lane, first=0 if extend else i,
+        split_row(zetas[i], i, lane=lane,
                   term=partial(slot_term, driver, y, z, ey, ez, i, lane=lane))
         for i in range(lat.n_steps + 1)))
     return AdaptedPath(lat, ys), VolterraKernel(lat, rows)
 
 
-def per_row_gamma_map(sc, y, z, extend=True):
-    return per_row_map(sc.driver, sc.zeta, y, z, *means(y, z), extend=extend)
+def per_row_gamma_map(sc, y, z):
+    return per_row_map(sc.driver, sc.zeta, y, z, *means(y, z))
 
 
 def per_row_particle_map(driver, zetas, pairs):

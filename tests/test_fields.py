@@ -10,7 +10,6 @@ from mfbdsvie.fields import (
     AdaptedPath,
     BetaWeight,
     VolterraKernel,
-    dump_csv_rows,
     l_beta_norm,
     m_beta_norm,
     m_extend,
@@ -173,16 +172,6 @@ class TestValidation:
         lat = build_lattice(2, 1.0)
         with pytest.raises(errors.ValidationError):
             VolterraKernel(lat, [[]] * 3)
-
-    def test_dump_rows_cover_all_entries(self):
-        lat = build_lattice(2, 1.0)
-        rng = np.random.default_rng(1)
-        y = random_adapted_path(lat, rng)
-        z = m_extend(y, random_delta_kernel(lat, rng))
-        rows = dump_csv_rows(y, z)
-        n_y = sum(1 for r in rows if r[1] == -1)
-        assert n_y == sum(4 for _ in range(3))  # each (i,i) table has 2^N cells
-        assert all(len(r) == 4 for r in rows)
 
 
 class TestLowerTriangleControl:

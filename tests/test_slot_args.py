@@ -5,7 +5,7 @@ the stability functional's driver differences all take their arguments
 from the stacked bit views of `slot_args`.  A stack of rows that read
 the swapped arguments must agree with its rows stacked one at a time,
 one map of the flip equation with its rows split one at a time by
-`_linearized_row`, and `stability_compare` with the per-entry wiring of
+`_linearized_row` (tests/_oracles.py), and `stability_compare` with the per-entry wiring of
 tests/_oracles.py.
 """
 
@@ -14,7 +14,7 @@ import pytest
 
 from mfbdsvie.drivers import LinearDriver, RiskDriver, ZPart
 from mfbdsvie.lattice import MeasurableRV, build_lattice, lift
-from mfbdsvie.malliavin import _linearized_map, _linearized_row, build_linearized
+from mfbdsvie.malliavin import _linearized_map, build_linearized
 from mfbdsvie.solver import (
     Scenario,
     means,
@@ -24,7 +24,7 @@ from mfbdsvie.solver import (
     stability_compare,
 )
 
-from _oracles import entrywise_stability
+from _oracles import _linearized_row, entrywise_stability
 from test_sweep import DRIVERS, R_IDX, TERMINAL, random_pair
 
 SWAPPED = LinearDriver(f={"y": -0.3, "z_rev": 0.1}, g={"z": 0.04})

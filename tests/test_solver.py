@@ -202,19 +202,6 @@ class TestPicardSolve:
         y, z, _ = picard_solve(sc, tol=1e-12)
         assert m_identity_residual(y, z) <= TOL
 
-    def test_deferred_extension_matches_for_reduced_drivers(self):
-        # no swapped-kernel arguments: the upper triangle cannot see the
-        # extension, so deferring it changes nothing
-        d = LinearDriver(f={"y": -0.6, "z": 0.2, "mean_y": 0.3}, g={"z": 0.05})
-        sc = make(3, 1.0, d, TerminalSpec(phi=0.2, theta=1.0))
-        y1, z1, _ = picard_solve(sc, tol=1e-12)
-        y2, z2, _ = picard_solve(sc, tol=1e-12, defer_extension=True)
-        for i in range(4):
-            assert np.allclose(y1[i].values, y2[i].values, atol=TOL)
-            for j in range(3):
-                assert np.allclose(z1.at(i, j).values, z2.at(i, j).values,
-                                   atol=TOL)
-
     def test_norm_equivalence_on_solutions(self):
         d = LinearDriver(f={"y": -1.0, "z": 0.3, "z_rev": 0.1}, g={"z": 0.05})
         sc = make(4, 1.0, d, TerminalSpec(phi=1.0, theta=1.0))

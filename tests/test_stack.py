@@ -45,15 +45,14 @@ def test_probe_reads_the_swapped_arguments():
 
 
 class TestStackedMap:
-    @pytest.mark.parametrize("extend", [True, False])
     @pytest.mark.parametrize("name", sorted(CASES))
     @pytest.mark.parametrize("n_steps", [4, 6])
-    def test_against_rows_one_at_a_time(self, n_steps, name, extend):
+    def test_against_rows_one_at_a_time(self, n_steps, name):
         sc = Scenario(build_lattice(n_steps, 1.0), CASES[name], TERMINAL)
         rng = np.random.default_rng(n_steps)
         for y, z in (representation_pair(sc), random_pair(sc.lattice, rng)):
-            assert_pairs_close(gamma_map(sc, y, z, extend=extend),
-                               per_row_gamma_map(sc, y, z, extend=extend))
+            assert_pairs_close(gamma_map(sc, y, z),
+                               per_row_gamma_map(sc, y, z))
 
     @pytest.mark.parametrize("name", sorted(CASES))
     @pytest.mark.parametrize("lanes", [1, 2, 3])

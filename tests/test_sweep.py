@@ -32,7 +32,7 @@ from mfbdsvie.lattice import (
     time_field,
     w_increment,
 )
-from mfbdsvie.malliavin import _linearized_phi, _linearized_row, build_linearized
+from mfbdsvie.malliavin import build_linearized
 from mfbdsvie.solver import (
     Scenario,
     gamma_map,
@@ -40,15 +40,17 @@ from mfbdsvie.solver import (
     picard_solve,
     representation_pair,
     residual,
-    slot_term,
 )
 
 from _oracles import (
+    _linearized_phi,
+    _linearized_row,
     assembled_residual,
     condexp_gamma_map,
     condexp_m_extend,
     condexp_representation_row,
     condexp_split_row,
+    slot_term,
     zeta_first_assemble_phi,
 )
 
@@ -171,20 +173,15 @@ class TestLinearized:
 
 
 class TestPicard:
-    @pytest.mark.parametrize("defer", [False, True])
     @pytest.mark.parametrize("name", sorted(DRIVERS))
-    def test_same_solution_and_iterations(self, monkeypatch, name, defer):
+    def test_same_solution_and_iterations(self, monkeypatch, name):
         sc = Scenario(build_lattice(4, 1.0), DRIVERS[name], TERMINAL)
-        y, z, rep = picard_solve(sc, tol=1e-12, defer_extension=defer)
+        y, z, rep = picard_solve(sc, tol=1e-12)
         with monkeypatch.context() as m:
             m.setattr(solver, "gamma_map", condexp_gamma_map)
             m.setattr(solver, "residual", assembled_residual)
-            m.setattr(solver, "m_extend", condexp_m_extend)
-            y_ref, z_ref, rep_ref = picard_solve(sc, tol=1e-12,
-                                                 defer_extension=defer)
+            y_ref, z_ref, rep_ref = picard_solve(sc, tol=1e-12)
         assert rep.iterations == rep_ref.iterations
-        # deferring the extension is exact only for drivers blind to z_rev,
-        # so compare the residuals rather than bound them
         assert rep.final_residual == pytest.approx(rep_ref.final_residual,
                                                    rel=1e-9, abs=1e-12)
         for i in range(sc.lattice.n_steps + 1):
@@ -214,16 +211,17 @@ class TestAdaptedness:
             split_row(terminal_rv(TERMINAL, lat, 0), 0, term=term)
 
     def test_residual_audits_the_kernel(self):
+        # a kernel entry that sees its own increment never reaches the
+        # residual's audited sum: the kernel refuses it
         lat = build_lattice(3, 1.0)
         sc = Scenario(lat, DRIVERS["risk_smooth_abs"], TERMINAL)
-        y, z = representation_pair(sc)
-        # entry (0, 1) declared at (2, 2): it sees its own increment dW_1
+        _, z = representation_pair(sc)
+        # entry (0, 1) on (2, 1): it sees its own increment dW_1
         rows = [list(row) for row in z.z]
         rows[0][1] = w_increment(lat, 1) * rows[0][1] + rows[0][1]
         assert rows[0][1].field == SigmaField(lat, 2, 1)
-        z.z = tuple(map(tuple, rows))
-        with pytest.raises(MeasurabilityViolation, match="slot 1"):
-            residual(sc, y, z)
+        with pytest.raises(MeasurabilityViolation, match=r"entry \(0, 1\)"):
+            VolterraKernel(lat, rows)
 
 
 class TestTableBudget:
