@@ -356,7 +356,7 @@ def _run_compare(doc, out_dir: Path) -> tuple[int, list[str]]:
               list(enumerate(verdict.min_gap_by_node)))
     lines = [f"min_gap: {_fmt(verdict.min_gap)}"]
     if p_max > 0:
-        chain = cmp_mod.monotone_iteration(cs, p_max)
+        chain = cmp_mod.monotone_iteration(cs, p_max, verdict)
         rows = [(p, max(rise for _, rise in node_gaps(chain[p], chain[p - 1])))
                 for p in range(1, len(chain))]
         write_csv(out_dir / "chain.csv", ["p", "worst_rise"], rows)
@@ -439,7 +439,7 @@ def _run_malliavin(doc, out_dir: Path) -> tuple[int, list[str]]:
     n = sc.lattice.n_steps
     r_list = (list(range(n)) if "r_idx" not in cfg
               else [_in_range(cfg["r_idx"], "malliavin.r_idx", 0, n - 1)])
-    y, z, _ = picard_solve(sc, tol=tol, max_iter=max_iter)
+    y, z, _ = picard_solve(sc, tol=tol, max_iter=max_iter, report=False)
     rows = []
     worst = 0.0
     for r in r_list:

@@ -13,6 +13,8 @@ chain freezes the mean argument at the previous sweep,
 and is pathwise nonincreasing with the limit sandwiched between the
 two solutions.  Hypotheses are audited by sampling before anything is
 solved; audit failures abort rather than produce a vacuous verdict.
+The chain can start from the verdict of `compare_solve`, so a run that
+checks both audits and solves the upper problem once.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .drivers import DriverSpec, TerminalSpec, terminal_rv
 from .errors import HypothesisViolated, MonotonicityBroken, ValidationError
 from .fields import AdaptedPath, node_gaps
 from .lattice import LatticeSpec
-from .solver import Scenario, picard_solve
+from .solver import Scenario, check_settings, picard_solve
 
 ROUNDING_SLACK = 1e-12
 
@@ -60,7 +62,12 @@ class FrozenMeanDriver(DriverSpec):
 
 @dataclass
 class ComparisonScenario:
-    """Sandwiched problem pair plus the middle driver of the proof."""
+    """Sandwiched problem pair plus the middle driver of the proof.
+
+    The solve settings (tol, max_iter) are checked when the scenario is
+    built and are fixed once built: a verdict holds solutions made with
+    them, and the chain reuses it.
+    """
 
     lattice: LatticeSpec
     f1: DriverSpec
@@ -74,6 +81,9 @@ class ComparisonScenario:
     safety: float = 1.5
     tol: float = 1e-12
     max_iter: int = 300
+
+    def __post_init__(self):
+        check_settings(self.tol, self.max_iter)
 
     def middle_terminal(self) -> TerminalSpec:
         return self.zetabar if self.zetabar is not None else self.zeta2
@@ -124,45 +134,7 @@ class HypothesesReport:
 def check_hypotheses(cs: ComparisonScenario, n_samples: int = 400,
                      seed: int = 20240604) -> HypothesesReport:
     """Sampled audit of the ordering and monotonicity hypotheses."""
-    rng = np.random.default_rng(seed)
-    lat = cs.lattice
-    lo = hi = my = mm = rf = -np.inf
-    for _ in range(n_samples):
-        t = rng.uniform(0.0, lat.horizon)
-        s = rng.uniform(t, lat.horizon)
-        y, z, ybar = rng.standard_normal(3) * 2.0
-        args = (y, z, 0.0, ybar, 0.0, 0.0)
-        v1 = cs.f1.f_values(t, s, *args)
-        vb = cs.fbar.f_values(t, s, *args)
-        v2 = cs.f2.f_values(t, s, *args)
-        lo = max(lo, v1 - vb)
-        hi = max(hi, vb - v2)
-        dy = abs(rng.standard_normal())
-        up_y = cs.fbar.f_values(t, s, y + dy, z, 0.0, ybar, 0.0, 0.0)
-        my = max(my, vb - up_y)
-        up_m = cs.fbar.f_values(t, s, y, z, 0.0, ybar + dy, 0.0, 0.0)
-        mm = max(mm, vb - up_m)
-        # reduced form: nothing may read the swapped-kernel slots
-        zr, mzr, mz = rng.standard_normal(3) * 3.0
-        for d in (cs.f1, cs.fbar, cs.f2):
-            rf = max(rf, abs(
-                d.f_values(t, s, y, z, zr, ybar, mz, mzr)
-                - d.f_values(t, s, y, z, 0.0, ybar, 0.0, 0.0)
-            ))
-        rf = max(rf, abs(
-            cs.g.g_values(t, s, y, z, zr, ybar, mz, mzr)
-            - cs.g.g_values(t, s, y, z, 0.0, ybar, 0.0, 0.0)
-        ))
-    term_gap = -np.inf
-    for i in range(lat.n_steps + 1):
-        d = terminal_rv(cs.zeta1, lat, i) - terminal_rv(cs.zeta2, lat, i)
-        term_gap = max(term_gap, float(np.max(d.values)))
-    report = HypothesesReport(
-        worst_order_low=float(lo), worst_order_high=float(hi),
-        worst_monotone_y=float(my), worst_monotone_mean=float(mm),
-        worst_reduced_form=float(rf),
-        worst_terminal_order=float(term_gap),
-    )
+    report = _sample_hypotheses(cs, n_samples, seed)
     if not report.passed:
         raise HypothesisViolated(
             f"order low/high = {report.worst_order_low:.3e}/"
@@ -174,6 +146,55 @@ def check_hypotheses(cs: ComparisonScenario, n_samples: int = 400,
     return report
 
 
+def _sample_hypotheses(cs: ComparisonScenario, n_samples: int, seed: int
+                       ) -> HypothesesReport:
+    """The six worst values of the audit.
+
+    The draws are made sample by sample (t, s, y, z, ybar, dy, zr, mzr,
+    mz), then each driver is called once per argument set on the arrays
+    of all samples.  The worst value is the largest over the samples,
+    skipping nan as a running max does.
+    """
+    rng = np.random.default_rng(seed)
+    lat = cs.lattice
+    draws = np.empty((9, n_samples))
+    for k in range(n_samples):
+        t = rng.uniform(0.0, lat.horizon)
+        draws[:, k] = (t, rng.uniform(t, lat.horizon),
+                       *rng.standard_normal(3) * 2.0,
+                       abs(rng.standard_normal()),
+                       *rng.standard_normal(3) * 3.0)
+    t, s, y, z, ybar, dy, zr, mzr, mz = draws
+
+    def worst(v):
+        v = np.broadcast_to(v, t.shape)
+        return float(np.max(v, initial=-np.inf, where=~np.isnan(v)))
+
+    args = (y, z, 0.0, ybar, 0.0, 0.0)
+    swapped = (y, z, zr, ybar, mz, mzr)
+    v1 = cs.f1.f_values(t, s, *args)
+    vb = cs.fbar.f_values(t, s, *args)
+    v2 = cs.f2.f_values(t, s, *args)
+    up_y = cs.fbar.f_values(t, s, y + dy, z, 0.0, ybar, 0.0, 0.0)
+    up_m = cs.fbar.f_values(t, s, y, z, 0.0, ybar + dy, 0.0, 0.0)
+    # reduced form: nothing may read the swapped-kernel slots
+    rf = [np.abs(d.f_values(t, s, *swapped) - v)
+          for d, v in ((cs.f1, v1), (cs.fbar, vb), (cs.f2, v2))]
+    rf.append(np.abs(cs.g.g_values(t, s, *swapped)
+                     - cs.g.g_values(t, s, *args)))
+    term_gap = -np.inf
+    for i in range(lat.n_steps + 1):
+        d = terminal_rv(cs.zeta1, lat, i) - terminal_rv(cs.zeta2, lat, i)
+        term_gap = max(term_gap, float(np.max(d.values)))
+    return HypothesesReport(
+        worst_order_low=worst(v1 - vb), worst_order_high=worst(vb - v2),
+        worst_monotone_y=worst(vb - up_y),
+        worst_monotone_mean=worst(vb - up_m),
+        worst_reduced_form=max(map(worst, rf)),
+        worst_terminal_order=float(term_gap),
+    )
+
+
 @dataclass
 class ComparisonVerdict:
     min_gap_by_node: list[float]
@@ -181,6 +202,7 @@ class ComparisonVerdict:
     passed: bool
     y1: AdaptedPath = field(repr=False, default=None)
     y2: AdaptedPath = field(repr=False, default=None)
+    scenario: ComparisonScenario = field(repr=False, default=None)
 
 
 def compare_solve(cs: ComparisonScenario, gap_slack: float = 1e-10
@@ -188,34 +210,47 @@ def compare_solve(cs: ComparisonScenario, gap_slack: float = 1e-10
     """Audit hypotheses, solve both problems, report the pathwise gap."""
     check_hypotheses(cs)
     sc1, sc2 = cs.scenario("1"), cs.scenario("2")  # both validated first
-    y1, _, _ = picard_solve(sc1, tol=cs.tol, max_iter=cs.max_iter)
-    y2, _, _ = picard_solve(sc2, tol=cs.tol, max_iter=cs.max_iter)
+    y1, _, _ = picard_solve(sc1, tol=cs.tol, max_iter=cs.max_iter,
+                            report=False)
+    y2, _, _ = picard_solve(sc2, tol=cs.tol, max_iter=cs.max_iter,
+                            report=False)
     gaps = np.min(y2.values - y1.values, axis=-1).tolist()
     min_gap = min(gaps)
     return ComparisonVerdict(
         min_gap_by_node=gaps, min_gap=min_gap,
-        passed=min_gap >= -gap_slack, y1=y1, y2=y2,
+        passed=min_gap >= -gap_slack, y1=y1, y2=y2, scenario=cs,
     )
 
 
-def monotone_iteration(cs: ComparisonScenario, p_max: int
+def monotone_iteration(cs: ComparisonScenario, p_max: int,
+                       verdict: ComparisonVerdict | None = None
                        ) -> list[AdaptedPath]:
     """The frozen-mean auxiliary chain, checked nonincreasing pathwise.
 
     Returns [chain_0, ..., chain_{p_max}] with chain_0 the solution of
-    the upper problem.  A pathwise increase beyond rounding slack aborts
-    with diagnostics instead of being absorbed.
+    the upper problem.  Given the verdict of `compare_solve(cs)`, the
+    chain starts at its upper solution without a second audit or solve;
+    a verdict on another scenario is refused.  A pathwise increase beyond
+    rounding slack aborts with diagnostics instead of being absorbed.
     """
-    check_hypotheses(cs)
+    if verdict is None:
+        check_hypotheses(cs)
+        y2, _, _ = picard_solve(cs.scenario("2"), tol=cs.tol,
+                                max_iter=cs.max_iter, report=False)
+    elif verdict.scenario is not cs:
+        raise ValidationError("the verdict was reached on another "
+                              "comparison scenario")
+    else:
+        y2 = verdict.y2
     lat = cs.lattice
-    y2, _, _ = picard_solve(cs.scenario("2"), tol=cs.tol, max_iter=cs.max_iter)
     chain = [y2]
     zetabar = cs.middle_terminal()
     for p in range(1, p_max + 1):
         mu = np.mean(chain[-1].values, axis=-1)
         frozen = FrozenMeanDriver(_CombinedDriver(cs.fbar, cs.g), mu, lat.dt)
         sc = Scenario(lat, frozen, zetabar, beta=cs.beta, safety=cs.safety)
-        yp, _, _ = picard_solve(sc, tol=cs.tol, max_iter=cs.max_iter)
+        yp, _, _ = picard_solve(sc, tol=cs.tol, max_iter=cs.max_iter,
+                                report=False)
         for i, rise in node_gaps(yp, chain[-1]):
             if rise > ROUNDING_SLACK:
                 raise MonotonicityBroken(

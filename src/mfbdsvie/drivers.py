@@ -10,7 +10,8 @@ indices (s, t), and the mean_* slots receive expectations of the same
 quantities.  Evaluation is vectorised: state arguments may be NumPy
 arrays (pathwise tables) or scalars, and t may be an array of row times
 that broadcasts like the states, since one call serves every row of a
-map at one slot; s is always a grid time.
+map at one slot; s is a grid time there.  The comparison audit calls a
+driver once on arrays of sampled (t, s) and states, one entry a sample.
 
 Families carry their own analytic constants: lipschitz_c dominates the
 squared-difference bound |f(..1) - f(..2)|^2 <= c * sum |delta args|^2,

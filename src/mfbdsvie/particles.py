@@ -181,7 +181,7 @@ def convergence_study(base: Scenario, n_list: list[int],
 
     Returns rows (n, t_idx, e_n) for every n in n_list and grid node.
     """
-    y_mf, _, _ = picard_solve(base, tol=tol, max_iter=max_iter)
+    y_mf, _, _ = picard_solve(base, tol=tol, max_iter=max_iter, report=False)
     single = base.lattice
     rows = []
     for npart in n_list:

@@ -13,7 +13,8 @@ telescopes through the y-part of the driver while the kernel is
 untouched.
 
 Axiom checks solve the equation for the payoffs involved and compare
-pathwise; structural requirements (convexity of h, affinity or
+pathwise, each payoff once per risk spec (`rho` keeps the profiles it
+solved); structural requirements (convexity of h, affinity or
 additivity of g, positive homogeneity) are declared by the z-map kind
 and audited by sampling before any solve.
 """
@@ -27,7 +28,7 @@ from .drivers import RiskDriver, TerminalSpec, ZPart
 from .errors import FlagMissing, ValidationError
 from .fields import AdaptedPath, node_gaps
 from .lattice import LatticeSpec
-from .solver import Scenario, picard_solve
+from .solver import Scenario, check_settings, picard_solve
 
 AXIOM_SLACK = 1e-10
 
@@ -40,18 +41,24 @@ class PayoffStream:
 
 
 class RiskSpec:
-    """Rate, z-maps and lattice for one risk measure."""
+    """Rate, z-maps and lattice for one risk measure.
+
+    Its settings are checked when it is built and are fixed once built:
+    the profiles `rho` solved, one per payoff, are kept on the spec.
+    """
 
     def __init__(self, lattice: LatticeSpec, rate, h: ZPart | None = None,
                  g: ZPart | None = None, beta: float | None = None,
                  safety: float = 1.5, tol: float = 1e-12,
                  max_iter: int = 300, rate_bound: float | None = None):
+        check_settings(tol, max_iter)
         self.lattice = lattice
         self.driver = RiskDriver(rate, h=h, g=g, rate_bound=rate_bound)
         self.beta = beta
         self.safety = safety
         self.tol = tol
         self.max_iter = max_iter
+        self._profiles: dict[PayoffStream, AdaptedPath] = {}
         audit_z_flags(self.driver.h)
         audit_z_flags(self.driver.g)
         grid_bound = max(
@@ -75,7 +82,8 @@ class RiskSpec:
     def _solve(self, term: TerminalSpec) -> AdaptedPath:
         sc = Scenario(self.lattice, self.driver, term,
                       beta=self.beta, safety=self.safety)
-        y, _, _ = picard_solve(sc, tol=self.tol, max_iter=self.max_iter)
+        y, _, _ = picard_solve(sc, tol=self.tol, max_iter=self.max_iter,
+                               report=False)
         return y
 
 
@@ -111,8 +119,13 @@ def audit_z_flags(part: ZPart, n_samples: int = 200,
 
 
 def rho(rs: RiskSpec, p: PayoffStream) -> AdaptedPath:
-    """Risk profile of the position stream."""
-    return rs._solve(p.zeta.negated())
+    """Risk profile of the position stream, solved once per spec.
+
+    The profile is write-locked, so every axiom that reads p shares it.
+    """
+    if p not in rs._profiles:
+        rs._profiles[p] = rs._solve(p.zeta.negated())
+    return rs._profiles[p]
 
 
 def discount_factors(rs: RiskSpec) -> np.ndarray:

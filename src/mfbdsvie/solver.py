@@ -308,16 +308,21 @@ def map_rows(zeta, term: Callable | None, one_stack: bool, lane: int = 0,
     return AdaptedPath(lat, _owned(ys)), VolterraKernel(lat, _owned(zs))
 
 
+def check_settings(tol: float, max_iter: int) -> None:
+    """Refuse a Picard tolerance or iteration budget `iterate` cannot run."""
+    if not tol > 0:
+        raise ValidationError(f"tol={tol} must be > 0")
+    if not max_iter >= 1:
+        raise ValidationError(f"max_iter={max_iter} must be >= 1")
+
+
 def iterate(step: Callable, start, distance: Callable, tol: float,
             max_iter: int):
     """Picard loop: apply step until distance(new, old) <= tol.
 
     Returns (state, iterations, last distance).
     """
-    if not tol > 0:
-        raise ValidationError(f"tol={tol} must be > 0")
-    if not max_iter >= 1:
-        raise ValidationError(f"max_iter={max_iter} must be >= 1")
+    check_settings(tol, max_iter)
     state = start
     for k in range(1, max_iter + 1):
         new = step(state)
@@ -400,9 +405,15 @@ def residual(sc: Scenario, y: AdaptedPath, z: VolterraKernel) -> float:
 
 
 def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
-                 start: tuple[AdaptedPath, VolterraKernel] | None = None
-                 ) -> tuple[AdaptedPath, VolterraKernel, SolverReport]:
-    """Iterate the map until the successive difference drops below tol."""
+                 start: tuple[AdaptedPath, VolterraKernel] | None = None,
+                 report: bool = True
+                 ) -> tuple[AdaptedPath, VolterraKernel, SolverReport | None]:
+    """Iterate the map until the successive difference drops below tol.
+
+    With report=False the third entry is None, and the weighted diffs,
+    the exact `residual` and the final norms are never computed; the
+    iterates are the same.
+    """
     lat = sc.lattice
     w = BetaWeight(sc.beta)
     scale = 1.0 / np.sqrt(_weight_mass(lat, sc.beta))
@@ -410,12 +421,15 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
 
     def step(pair):
         new = gamma_map(sc, *pair)
-        diffs.append(scale * m_beta_norm(*pair_diff(*new, *pair), w))
+        if report:
+            diffs.append(scale * m_beta_norm(*pair_diff(*new, *pair), w))
         return new
 
     if start is None:
         start = zero_path(lat), zero_kernel(lat)
     (y, z), iterations, _ = iterate(step, start, sup_distance, tol, max_iter)
+    if not report:
+        return y, z, None
     ratios = [
         diffs[k] / diffs[k - 1] if diffs[k - 1] > 0 else 0.0
         for k in range(1, len(diffs))
@@ -461,8 +475,8 @@ def stability_compare(sc1: Scenario, sc2: Scenario,
         raise ValidationError("stability comparison needs same lattice and beta")
     n, dt = lat.n_steps, lat.dt
     w = BetaWeight(sc1.beta)
-    y1, z1, _ = picard_solve(sc1, tol=tol, max_iter=max_iter)
-    y2, z2, _ = picard_solve(sc2, tol=tol, max_iter=max_iter)
+    y1, z1, _ = picard_solve(sc1, tol=tol, max_iter=max_iter, report=False)
+    y2, z2, _ = picard_solve(sc2, tol=tol, max_iter=max_iter, report=False)
     lhs = m_beta_norm(*pair_diff(y1, z1, y2, z2), w) ** 2
 
     zeta_term = 0.0

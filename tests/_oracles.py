@@ -20,8 +20,10 @@ particle map swept one row at a time, with one f call and one g call per
 row and slot, the references for the stacked rows of `gamma_map` and
 `particle_map`; the whole-pair statistics written one entry at a time,
 the references for their array expressions over the dense pair storage;
-and the stability functional one row and slot at a time on the
-per-entry wiring, the reference for `stability_compare`.
+the stability functional one row and slot at a time on the
+per-entry wiring, the reference for `stability_compare`; and the
+comparison's hypotheses audit one sample at a time with scalar driver
+calls, the reference for the array calls of `check_hypotheses`.
 
 Conventions (the discretisation contract, restated independently):
   * path = (w_bits, b_bits); bit j set means increment j equals +inc;
@@ -42,7 +44,8 @@ from typing import Callable
 
 import numpy as np
 
-from mfbdsvie.drivers import DriverSpec
+from mfbdsvie.comparison import HypothesesReport
+from mfbdsvie.drivers import DriverSpec, terminal_rv
 from mfbdsvie.fields import AdaptedPath, BetaWeight, VolterraKernel, split_row
 from mfbdsvie.lattice import (
     MeasurableRV,
@@ -667,3 +670,54 @@ def entrywise_stability(sc1, sc2, y1, z1, y2, z2):
                   - evaluate_driver(d2.g_values, t, sr, right))
             g_term += w.at(s) * expectation(dg * dg) * dt * dt
     return lhs, zeta_term, f_term, g_term
+
+
+# -- the hypotheses audit one sample at a time ---------------------------------
+#
+# The comparison audit as the package made it before its drivers were
+# called once per argument set on the arrays of all samples: 13 scalar
+# driver calls per sample and a running max.  The reference for
+# comparison._sample_hypotheses, which must match it bit for bit.
+
+
+def per_sample_hypotheses(cs, n_samples=400, seed=20240604):
+    """The six worst values of the audit, one sample at a time."""
+    rng = np.random.default_rng(seed)
+    lat = cs.lattice
+    lo = hi = my = mm = rf = -np.inf
+    for _ in range(n_samples):
+        t = rng.uniform(0.0, lat.horizon)
+        s = rng.uniform(t, lat.horizon)
+        y, z, ybar = rng.standard_normal(3) * 2.0
+        args = (y, z, 0.0, ybar, 0.0, 0.0)
+        v1 = cs.f1.f_values(t, s, *args)
+        vb = cs.fbar.f_values(t, s, *args)
+        v2 = cs.f2.f_values(t, s, *args)
+        lo = max(lo, v1 - vb)
+        hi = max(hi, vb - v2)
+        dy = abs(rng.standard_normal())
+        up_y = cs.fbar.f_values(t, s, y + dy, z, 0.0, ybar, 0.0, 0.0)
+        my = max(my, vb - up_y)
+        up_m = cs.fbar.f_values(t, s, y, z, 0.0, ybar + dy, 0.0, 0.0)
+        mm = max(mm, vb - up_m)
+        # reduced form: nothing may read the swapped-kernel slots
+        zr, mzr, mz = rng.standard_normal(3) * 3.0
+        for d in (cs.f1, cs.fbar, cs.f2):
+            rf = max(rf, abs(
+                d.f_values(t, s, y, z, zr, ybar, mz, mzr)
+                - d.f_values(t, s, y, z, 0.0, ybar, 0.0, 0.0)
+            ))
+        rf = max(rf, abs(
+            cs.g.g_values(t, s, y, z, zr, ybar, mz, mzr)
+            - cs.g.g_values(t, s, y, z, 0.0, ybar, 0.0, 0.0)
+        ))
+    term_gap = -np.inf
+    for i in range(lat.n_steps + 1):
+        d = terminal_rv(cs.zeta1, lat, i) - terminal_rv(cs.zeta2, lat, i)
+        term_gap = max(term_gap, float(np.max(d.values)))
+    return HypothesesReport(
+        worst_order_low=float(lo), worst_order_high=float(hi),
+        worst_monotone_y=float(my), worst_monotone_mean=float(mm),
+        worst_reduced_form=float(rf),
+        worst_terminal_order=float(term_gap),
+    )
