@@ -40,7 +40,7 @@ from .drivers import (
     ZPart,
 )
 from .errors import Error, InputError, IoError, ValidationError
-from .fields import BetaWeight, l_beta_norm, m_beta_norm, node_gaps
+from .fields import node_gaps
 from .lattice import build_lattice
 from .particles import MAX_PARTICLES, convergence_study
 from .solver import Scenario, picard_solve
@@ -306,9 +306,7 @@ def _run_solve(doc, out_dir: Path, emit_norms: bool) -> tuple[int, list[str]]:
     failed = not (rep.final_residual <= 10 * tol  # nan and inf fail too
                   and all(map(math.isfinite, rep.final_norms)))
     if emit_norms:
-        w = BetaWeight(sc.beta)
-        m2 = m_beta_norm(y, z, w) ** 2
-        l2 = l_beta_norm(y, z, w) ** 2
+        m2, l2 = (norm ** 2 for norm in rep.final_norms)
         finite = math.isfinite(m2) and math.isfinite(l2)
         lower = finite and m2 <= l2 + 1e-10
         upper = finite and l2 <= 2 * m2 + 1e-10

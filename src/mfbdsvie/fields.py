@@ -16,11 +16,9 @@ which makes the reconstruction
 
 hold exactly on every path: conditioning at (j, j) with j < i keeps all
 the B information Y_i carries, so the representation coefficients are
-the exact pathwise ones.  `split_row` and `m_extend` get every
-coefficient from one backward induction over the W bits
-(`lattice.clark_ocone_sweep`), which also adds the equation's slot terms
-as it goes: `split_row` for one row, `m_extend` for all rows of a path
-in one stack.
+the exact pathwise ones.  `m_extend` gets every coefficient, for all
+rows of a path in one stack, from the backward induction over the W bits
+(`lattice.clark_ocone_sweep`) that also splits the equation's rows.
 
 Two weighted norms measure pairs.  The restricted norm sums kernel
 entries over the upper triangle only; the full norm sums everything.
@@ -38,12 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
-    IndexOutOfRange,
     LatticeMismatch,
     MeasurabilityViolation,
     ValidationError,
@@ -53,7 +50,6 @@ from .lattice import (
     MeasurableRV,
     SigmaField,
     _owned,
-    bit_view,
     clark_ocone_sweep,
     condexp,
     forward_integral,
@@ -188,43 +184,6 @@ def zero_path(lat: LatticeSpec) -> AdaptedPath:
 def zero_kernel(lat: LatticeSpec) -> VolterraKernel:
     n = lat.n_steps
     return VolterraKernel(lat, _owned(np.zeros((n + 1, n, 1 << lat.n_bits))))
-
-
-def split_row(x: MeasurableRV, i: int, lane: int = 0, first: int = 0,
-              term: Callable[[int], MeasurableRV | None] | None = None
-              ) -> tuple[MeasurableRV, list[MeasurableRV]]:
-    """Y_i and kernel row i of S = x + sum_{m >= i} term(m).
-
-    Y_i = E[S | (i, i)]; the upper triangle j >= i is E[S dW_j | (j, j)] / dt
-    against one lane's forward walk, and the lower triangle j < i is the
-    representation of Y_i (the M-extension), all from one backward
-    induction over the steps (`lattice.clark_ocone_sweep`, a stack of this
-    one row) that adds each slot term before it splits the slot's W bits,
-    so S is never built.  Without a term this is the split of the given
-    table x.  Columns j < first are zero tables and are not computed.
-    """
-    lat = x.lattice
-
-    def stacked(m, rows):
-        t = term(m)
-        return None if t is None else (t.field, bit_view(t, t.field)[None])
-
-    ys, zs = clark_ocone_sweep([x], i, lane, first,
-                               None if term is None else stacked)
-    f = time_field(lat, i)
-    return (MeasurableRV(f, _owned(ys)[0].reshape(f.table_shape)),
-            list(_views(lat, _owned(zs)[0])))
-
-
-def representation_row(y_i: MeasurableRV, j: int, lane: int = 0) -> MeasurableRV:
-    """Lower-triangle kernel value E[Y_i dW_j | (j, j)] / dt.
-
-    dW_j is the forward increment of the given lane at step j.
-    """
-    lat = y_i.lattice
-    if not 0 <= j < lat.n_steps:
-        raise IndexOutOfRange(f"slot {j} outside 0..{lat.n_steps - 1}")
-    return split_row(y_i, 0, lane, first=j)[1][j]
 
 
 def m_extend(y: AdaptedPath, z_delta: VolterraKernel) -> VolterraKernel:

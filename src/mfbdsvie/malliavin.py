@@ -27,12 +27,13 @@ the direct derivative sources of f and g vanish and only the terminal
 contributes a source.
 
 The linearized equation is the solver's map with the frozen partials
-as coefficients: `build_linearized` evaluates them on the arguments of
-`solver.slot_args`, each slot term is numpy on the same bit views, and
-every row is a stack of its own in `solver.map_rows`.  The upper-triangle
-identity is the solver's row-defect sum (`solver.row_defects`, which also
-gives the equation's `residual`) on the same stacked terms, the
-swapped-kernel terms left out.
+as coefficients: `build_linearized` evaluates them once a slot, on the
+stack of rows `solver.slot_args` gives, each slot term is numpy on the
+same bit views, and `solver.map_rows` sweeps the rows as in `gamma_map`:
+one stack for a driver blind to the swapped arguments, else a stack per
+row.  The upper-triangle identity is the solver's row-defect sum
+(`solver.row_defects`, which also gives the equation's `residual`) on
+the same stacked terms, the swapped-kernel terms left out.
 
 For affine drivers the discrete chain rule is exact and the linearized
 solve reproduces the flip to rounding error, provided the mean-field
@@ -45,19 +46,21 @@ by the chain-rule defect, which shrinks as the mesh refines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
 from .errors import ValidationError
 from .fields import AdaptedPath, VolterraKernel, zero_kernel, zero_path
 from .lattice import (
+    SigmaField,
     _owned,
     b_increment,
     bit_view,
     condexp,
     expectation,
     flip_derivative,
+    from_bit_view,
     time_field,
 )
 from .solver import (
@@ -65,7 +68,7 @@ from .solver import (
     iterate,
     map_rows,
     means,
-    one_row,
+    reads_swapped,
     row_defects,
     slot_args,
     sup_distance,
@@ -84,80 +87,118 @@ def flip_solution(y: AdaptedPath, z: VolterraKernel, r_idx: int
 class LinearizedScenario:
     """Coefficient fields and sources of the flip equation at one slot.
 
-    f_coef[i][j] holds the six f-partials at the left node (t_i, s_j),
-    g_coef[i][j] the six g-partials at the right node (t_i, s_{j+1}),
-    both frozen along the base solution (`solver.slot_args`); source[i]
-    is the flip of the terminal at node i.  Coefficients are kept for
-    every j >= i row because the pinned rows i <= r read slots from r on.
+    coefs[j] is slot j's (field, partials) over the rows 0..j, frozen
+    along the base solution on one `solver.slot_args` stack: six f-partials
+    at the left nodes, six g-partials at the right nodes, each an array on
+    the field's bit axes (a leading row axis if they differ by row).  Every
+    slot is kept: the pinned rows i <= r read slots from r on.  one_stack:
+    the driver is blind to the swapped arguments, so the rows of a map make
+    one stack.  source[i] is the flip of the terminal at node i.
+    f_coef[i][j] and g_coef[i][j] (j >= i) are one entry's six partials as
+    variables, cut from the stacks when first read.
     """
 
     scenario: Scenario
     base_y: AdaptedPath
     base_z: VolterraKernel
     r_idx: int
-    f_coef: list
-    g_coef: list
+    coefs: list
+    one_stack: bool
     source: list
+
+    def slot_coefs(self, j: int, rows: range) -> tuple[SigmaField, list]:
+        """Slot j's twelve partials cut to `rows`, on the field `slot_args`
+        gives those rows (no row reads the B bits below the first row)."""
+        f, values = self.coefs[j]
+        axes = f.w_upto + f.lattice.n_bits - f.b_from
+        cut = 0 if self.one_stack else rows.start * f.lattice.lanes - f.b_from
+
+        def of_rows(c):
+            if c.ndim > axes and len(c) > 1:
+                c = c[rows.start:rows.stop]
+            return c[(Ellipsis,) + (0,) * min(cut, c.ndim)]
+
+        return (SigmaField(f.lattice, f.w_upto, f.b_from + cut),
+                [of_rows(c) for c in values])
+
+    def _entries(self, side: int) -> list:
+        n = self.scenario.lattice.n_steps
+        out = [[None] * n for _ in range(n + 1)]
+        for j in range(n):
+            for i in range(j + 1):
+                f, values = self.slot_coefs(j, range(i, i + 1))
+                axes = f.w_upto + f.lattice.n_bits - f.b_from
+                out[i][j] = [from_bit_view(c[0] if c.ndim > axes else c, f)
+                             for c in values[6 * side:6 * side + 6]]
+        return out
+
+    f_coef = cached_property(lambda self: self._entries(0))
+    g_coef = cached_property(lambda self: self._entries(1))
 
 
 def build_linearized(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
                      r_idx: int) -> LinearizedScenario:
-    """Freeze the coefficient fields along a solved pair."""
+    """Freeze the coefficient fields along a solved pair: one f-side and
+    one g-side `partials` call a slot.  A driver blind to the swapped
+    arguments with nonzero partials in them is refused: its flip equation
+    would read arguments its map never builds."""
     lat = sc.lattice
     n = lat.n_steps
     if not 0 <= r_idx < n:
         raise ValidationError(f"flip slot {r_idx} outside 0..{n - 1}")
     if sc.terminal.family not in ("deterministic", "affine", "smooth"):
         raise ValidationError("terminal family has no flip derivative")
+    one_stack = not reads_swapped(sc.driver)
     ey, ez = means(y, z)
-    f_coef = [[None] * n for _ in range(n + 1)]
-    g_coef = [[None] * n for _ in range(n + 1)]
-    for i in range(n + 1):
-        for j in range(i, n):
-            f, t, left, right = slot_args(y, z, ey, ez, j, range(i, i + 1))
-            f_coef[i][j] = [one_row(f, c) for c in
-                            sc.driver.partials(t, lat.node(j), *left)[:6]]
-            g_coef[i][j] = [one_row(f, c) for c in
-                            sc.driver.partials(t, lat.node(j + 1), *right)[6:]]
+    coefs = []
+    for j in range(n):
+        f, t, left, right = slot_args(y, z, ey, ez, j, range(j + 1), not one_stack)
+        values = [np.asarray(c) for c in (
+            *sc.driver.partials(t, lat.node(j), *left)[:6],
+            *sc.driver.partials(t, lat.node(j + 1), *right)[6:])]
+        if one_stack and any(values[k].any() for k in (2, 5, 8, 11)):
+            raise ValidationError(
+                "driver blind to z_rev and mean_z_rev declares nonzero "
+                "partials in them")
+        coefs.append((f, values))
     source = [flip_derivative(sc.zeta[i], r_idx) for i in range(n + 1)]
-    return LinearizedScenario(sc, y, z, r_idx, f_coef, g_coef, source)
+    return LinearizedScenario(sc, y, z, r_idx, coefs, one_stack, source)
 
 
 def _linearized_terms(ls: LinearizedScenario, u: AdaptedPath,
                       v: VolterraKernel, eu, ev, j: int, rows: range,
                       include_swapped: bool = True):
-    """The slot-j term f dt + g dB_j of the flip equation for a stack of
-    one row, as (field, values); none below slot r.
+    """The slot-j terms f dt + g dB_j of the flip equation for a stack of
+    rows, as (field, values); none below slot r.
 
-    Numpy on the bit views of `solver.slot_args` and of the frozen
-    coefficients, added in the order y, z, mean_y, mean_z, then the
-    swapped-kernel pair (z_rev, mean_z_rev), left out on the pinned rows.
-    """
+    Numpy on the bit views of `solver.slot_args` and on the coefficients
+    cut to the rows, added in the order y, z, mean_y, mean_z, then the
+    swapped-kernel pair (z_rev, mean_z_rev), left out on the pinned rows
+    and for a driver blind to it (its partials there are zero)."""
     if j < ls.r_idx:
         return None
-    (i,) = rows
     lat = u.lattice
-    slots = (0, 1, 3, 4, 2, 5) if include_swapped else (0, 1, 3, 4)
-    f, _, left, right = slot_args(u, v, eu, ev, j, rows)
+    slots = (0, 1, 3, 4) if ls.one_stack or not include_swapped else (
+        0, 1, 3, 4, 2, 5)
+    f, _, left, right = slot_args(u, v, eu, ev, j, rows, not ls.one_stack)
+    _, c = ls.slot_coefs(j, rows)
 
     def dot(coefs, args):
-        return reduce(np.add, (bit_view(coefs[k], f) * args[k]
-                               for k in slots))
+        return reduce(np.add, (coefs[k] * args[k] for k in slots))
 
     db = bit_view(b_increment(lat, j), f)
-    return f, (dot(ls.f_coef[i][j], left) * lat.dt
-               + dot(ls.g_coef[i][j], right) * db)
+    return f, dot(c[:6], left) * lat.dt + dot(c[6:], right) * db
 
 
 def _linearized_map(ls: LinearizedScenario, pair
                     ) -> tuple[AdaptedPath, VolterraKernel]:
-    """One map of the flip equation frozen at pair = (u, v): each row a
-    stack of its own (every row reads the swapped-kernel terms), the
-    columns <= r left at zero (kernel column r is blind to the flipped
-    increment in every kernel) and the path at rows <= r zero, as in the
-    entrywise flip."""
+    """One map of the flip equation frozen at pair = (u, v): one stack of
+    all rows for a driver blind to the swapped arguments, else a stack per
+    row, as in `solver.gamma_map`; the columns <= r left at zero (kernel
+    column r is blind to the flipped increment in every kernel) and the
+    path at rows <= r zero, as in the entrywise flip."""
     term = partial(_linearized_terms, ls, *pair, *means(*pair))
-    y, z = map_rows(ls.source, term, False, first=ls.r_idx + 1)
+    y, z = map_rows(ls.source, term, ls.one_stack, first=ls.r_idx + 1)
     ys = y.values.copy()
     ys[:ls.r_idx + 1] = 0.0
     return AdaptedPath(y.lattice, _owned(ys)), z
@@ -222,8 +263,8 @@ def check_delta_equation(ls: LinearizedScenario) -> IdentityReport:
                       (no swapped-kernel terms) - sum_{j>=r} DZ_ij dW_j
 
     at the entrywise flip (DY, DZ) of the base solution: a
-    `solver.row_defects` sum on the flip equation's stacked terms, each
-    row a stack of its own.
+    `solver.row_defects` sum on the flip equation's stacked terms, one
+    stack for a driver blind to the swapped arguments.
     """
     lat = ls.scenario.lattice
     r = ls.r_idx
@@ -233,7 +274,7 @@ def check_delta_equation(ls: LinearizedScenario) -> IdentityReport:
     rows, l2 = [], 0.0
     for i, acc in enumerate(row_defects(
             ls.source[:r + 1], [row[r] for row in ls.base_z.z[:r + 1]], v,
-            term, False, first=r)):
+            term, ls.one_stack, first=r)):
         rows.append((i, r, acc.max_abs()))
         l2 += lat.dt * expectation(acc * acc)
     return IdentityReport(rows=rows, worst=max(gap for *_, gap in rows),

@@ -45,8 +45,8 @@ not interact, so the N + 1 rows of a map advance as one stack: a map is
 N stacked steps, with one f call and one g call per slot (O(N) driver
 calls, not O(N^2)).  For a driver blind to z_rev the slot terms live on
 (m + 1, m), so each row of the stack keeps 2^(N+1) entries and one map
-costs O(N^2 2^N).  A driver that reads z_rev or mean_z_rev (and the
-linearized equation's swapped terms) keeps the B bits from i on, which
+costs O(N^2 2^N); so does the linearized flip equation of such a driver.
+A driver that reads z_rev or mean_z_rev keeps the B bits from i on, which
 differ by row, so each of its rows is a stack of its own on (m + 1, i),
 and the cost is that of a split of the whole Phi_i, O(4^N) a map.
 `residual` is the one O(4^N) piece left: the exact pathwise defect
@@ -416,7 +416,9 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
     """
     lat = sc.lattice
     w = BetaWeight(sc.beta)
-    scale = 1.0 / np.sqrt(_weight_mass(lat, sc.beta))
+    # a Python float: a norm that overflows gives an inf diff and a nan
+    # ratio, not a numpy warning
+    scale = 1.0 / math.sqrt(_weight_mass(lat, sc.beta))
     diffs: list[float] = []
 
     def step(pair):
@@ -486,16 +488,16 @@ def stability_compare(sc1: Scenario, sc2: Scenario,
     ey, ez = means(y2, z2)
     f_term = g_term = 0.0
     d1, d2 = sc1.driver, sc2.driver
-    for i in range(n + 1):
-        for j in range(i, n):
-            f, t, left, right = slot_args(y2, z2, ey, ez, j, range(i, i + 1))
-            s, sr = lat.node(j), lat.node(j + 1)
-            df = one_row(f, d1.f_values(t, s, *left)
-                         - d2.f_values(t, s, *left))
-            f_term += w.at(s) * expectation(df * df) * dt * dt
-            dg = one_row(f, d1.g_values(t, sr, *right)
-                         - d2.g_values(t, sr, *right))
-            g_term += w.at(s) * expectation(dg * dg) * dt * dt
+    swapped = reads_swapped(d1) or reads_swapped(d2)
+    for j in range(n):
+        _, t, left, right = slot_args(y2, z2, ey, ez, j, range(j + 1), swapped)
+        s, sr = lat.node(j), lat.node(j + 1)
+        df = d1.f_values(t, s, *left) - d2.f_values(t, s, *left)
+        dg = d1.g_values(t, sr, *right) - d2.g_values(t, sr, *right)
+        # rows share one shape: their means sum to (j + 1) times the stack's
+        weight = w.at(s) * dt * dt * (j + 1)
+        f_term += weight * float(np.mean(df * df))
+        g_term += weight * float(np.mean(dg * dg))
     rhs = zeta_term + f_term + g_term
     ratio = lhs / rhs if rhs > 0 else 0.0
     return StabilityReport(lhs=lhs, zeta_term=zeta_term, f_term=f_term,

@@ -3,14 +3,20 @@
 Everything here works directly on full path enumerations with raw bit
 arithmetic and NumPy least squares; nothing imports solver internals,
 so agreement between the two sides is meaningful.  The one exception is
-the last sections, built on the package's primitives: the per-entry
+the last sections, built on the package's primitives: the one-row split
+(`split_row`, and `representation_row` on it), the package's split
+before every caller swept a stack of rows; the per-entry
 frozen-argument wiring (`frozen_args` for one row's arguments at one
 slot, `evaluate_driver` for a driver call on them as lattice
 variables), which the package replaced by the stacked bit views of
 `solver.slot_args`; a per-slot split of the whole assembled right side
 Phi_i, built zeta-first on that wiring, and the map and residual made of
 them, the references for the backward induction of `split_row` (which
-never builds Phi_i) and for `gamma_map` and `residual`; the one-row slot
+never builds Phi_i) and for `gamma_map` and `residual`; the flip
+equation one entry at a time (`per_entry_build_linearized`, its
+`_linearized_terms` and `per_entry_linearized_map`), the reference for
+the slot stacks of coefficients and the one-stack flip map of
+`malliavin`; the one-row slot
 terms as lattice variables (`slot_term` for the map's,
 `_linearized_term`, `_linearized_phi` and `_linearized_row` for the flip
 equation's), which the package replaced by its stacked terms, and the
@@ -39,6 +45,7 @@ Conventions (the discretisation contract, restated independently):
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Callable
 
@@ -46,15 +53,18 @@ import numpy as np
 
 from mfbdsvie.comparison import HypothesesReport
 from mfbdsvie.drivers import DriverSpec, terminal_rv
-from mfbdsvie.fields import AdaptedPath, BetaWeight, VolterraKernel, split_row
+from mfbdsvie.errors import IndexOutOfRange, ValidationError
+from mfbdsvie.fields import AdaptedPath, BetaWeight, VolterraKernel, _views
 from mfbdsvie.lattice import (
     MeasurableRV,
     _audited_sum,
     _owned,
     b_increment,
     bit_view,
+    clark_ocone_sweep,
     condexp,
     expectation,
+    flip_derivative,
     forward_integral,
     from_bit_view,
     lift,
@@ -62,8 +72,15 @@ from mfbdsvie.lattice import (
     w_increment,
     zero_rv,
 )
-from mfbdsvie.malliavin import LinearizedScenario, _linearized_terms, flip_solution
-from mfbdsvie.solver import means, one_row, slot_terms
+from mfbdsvie.malliavin import LinearizedScenario, flip_solution
+from mfbdsvie.solver import (
+    Scenario,
+    map_rows,
+    means,
+    one_row,
+    slot_args,
+    slot_terms,
+)
 
 
 def inc_of(bits: int, j: int, inc: float) -> float:
@@ -360,6 +377,50 @@ class ParticleLinearSystem:
         return y, resid
 
 
+# -- the one-row split -----------------------------------------------------------
+#
+# The backward induction on a stack of one row, with a slot term as a
+# lattice variable: the package's split before every caller swept a stack
+# of rows (`solver.map_rows`, `fields.m_extend`).
+
+
+def split_row(x: MeasurableRV, i: int, lane: int = 0, first: int = 0,
+              term: Callable[[int], MeasurableRV | None] | None = None
+              ) -> tuple[MeasurableRV, list[MeasurableRV]]:
+    """Y_i and kernel row i of S = x + sum_{m >= i} term(m).
+
+    Y_i = E[S | (i, i)]; the upper triangle j >= i is E[S dW_j | (j, j)] / dt
+    against one lane's forward walk, and the lower triangle j < i is the
+    representation of Y_i (the M-extension), all from one backward
+    induction over the steps (`lattice.clark_ocone_sweep`, a stack of this
+    one row) that adds each slot term before it splits the slot's W bits,
+    so S is never built.  Without a term this is the split of the given
+    table x.  Columns j < first are zero tables and are not computed.
+    """
+    lat = x.lattice
+
+    def stacked(m, rows):
+        t = term(m)
+        return None if t is None else (t.field, bit_view(t, t.field)[None])
+
+    ys, zs = clark_ocone_sweep([x], i, lane, first,
+                               None if term is None else stacked)
+    f = time_field(lat, i)
+    return (MeasurableRV(f, _owned(ys)[0].reshape(f.table_shape)),
+            list(_views(lat, _owned(zs)[0])))
+
+
+def representation_row(y_i: MeasurableRV, j: int, lane: int = 0) -> MeasurableRV:
+    """Lower-triangle kernel value E[Y_i dW_j | (j, j)] / dt.
+
+    dW_j is the forward increment of the given lane at step j.
+    """
+    lat = y_i.lattice
+    if not 0 <= j < lat.n_steps:
+        raise IndexOutOfRange(f"slot {j} outside 0..{lat.n_steps - 1}")
+    return split_row(y_i, 0, lane, first=j)[1][j]
+
+
 # -- reference split, assembly, map and residual --------------------------------
 #
 # One conditional expectation per kernel entry and every addition at the
@@ -470,6 +531,100 @@ def assembled_residual(sc, y, z):
         (zeta_first_assemble_phi(sc.driver, sc.zeta[i], y, z, ey, ez, i)
          - y[i] - forward_integral(z.z[i], i, n)).max_abs()
         for i in range(n + 1))
+
+
+# -- the flip equation one entry at a time -------------------------------------
+#
+# The coefficients frozen one (row, slot) at a time, each partial a lattice
+# variable, and the map with every row a stack of its own: the package's
+# flip equation before its coefficients were stacked a slot at a time and
+# the rows of a blind driver's map swept as one stack.  `_linearized_terms`
+# reads f_coef[i][j] and g_coef[i][j], so it serves the per-entry scenario
+# below and the package's, whose entries are cut from its stacks.
+
+
+@dataclass
+class PerEntryLinearized:
+    """Coefficient fields and sources of the flip equation at one slot.
+
+    f_coef[i][j] holds the six f-partials at the left node (t_i, s_j),
+    g_coef[i][j] the six g-partials at the right node (t_i, s_{j+1}),
+    both frozen along the base solution (`solver.slot_args`); source[i]
+    is the flip of the terminal at node i.  Coefficients are kept for
+    every j >= i row because the pinned rows i <= r read slots from r on.
+    """
+
+    scenario: Scenario
+    base_y: AdaptedPath
+    base_z: VolterraKernel
+    r_idx: int
+    f_coef: list
+    g_coef: list
+    source: list
+
+
+def per_entry_build_linearized(sc: Scenario, y: AdaptedPath,
+                               z: VolterraKernel, r_idx: int
+                               ) -> PerEntryLinearized:
+    """Freeze the coefficient fields along a solved pair."""
+    lat = sc.lattice
+    n = lat.n_steps
+    if not 0 <= r_idx < n:
+        raise ValidationError(f"flip slot {r_idx} outside 0..{n - 1}")
+    if sc.terminal.family not in ("deterministic", "affine", "smooth"):
+        raise ValidationError("terminal family has no flip derivative")
+    ey, ez = means(y, z)
+    f_coef = [[None] * n for _ in range(n + 1)]
+    g_coef = [[None] * n for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(i, n):
+            f, t, left, right = slot_args(y, z, ey, ez, j, range(i, i + 1))
+            f_coef[i][j] = [one_row(f, c) for c in
+                            sc.driver.partials(t, lat.node(j), *left)[:6]]
+            g_coef[i][j] = [one_row(f, c) for c in
+                            sc.driver.partials(t, lat.node(j + 1), *right)[6:]]
+    source = [flip_derivative(sc.zeta[i], r_idx) for i in range(n + 1)]
+    return PerEntryLinearized(sc, y, z, r_idx, f_coef, g_coef, source)
+
+
+def _linearized_terms(ls: PerEntryLinearized | LinearizedScenario,
+                      u: AdaptedPath, v: VolterraKernel, eu, ev, j: int,
+                      rows: range, include_swapped: bool = True):
+    """The slot-j term f dt + g dB_j of the flip equation for a stack of
+    one row, as (field, values); none below slot r.
+
+    Numpy on the bit views of `solver.slot_args` and of the frozen
+    coefficients, added in the order y, z, mean_y, mean_z, then the
+    swapped-kernel pair (z_rev, mean_z_rev), left out on the pinned rows.
+    """
+    if j < ls.r_idx:
+        return None
+    (i,) = rows
+    lat = u.lattice
+    slots = (0, 1, 3, 4, 2, 5) if include_swapped else (0, 1, 3, 4)
+    f, _, left, right = slot_args(u, v, eu, ev, j, rows)
+
+    def dot(coefs, args):
+        return reduce(np.add, (bit_view(coefs[k], f) * args[k]
+                               for k in slots))
+
+    db = bit_view(b_increment(lat, j), f)
+    return f, (dot(ls.f_coef[i][j], left) * lat.dt
+               + dot(ls.g_coef[i][j], right) * db)
+
+
+def per_entry_linearized_map(ls: PerEntryLinearized, pair
+                             ) -> tuple[AdaptedPath, VolterraKernel]:
+    """One map of the flip equation frozen at pair = (u, v): each row a
+    stack of its own (every row reads the swapped-kernel terms), the
+    columns <= r left at zero (kernel column r is blind to the flipped
+    increment in every kernel) and the path at rows <= r zero, as in the
+    entrywise flip."""
+    term = partial(_linearized_terms, ls, *pair, *means(*pair))
+    y, z = map_rows(ls.source, term, False, first=ls.r_idx + 1)
+    ys = y.values.copy()
+    ys[:ls.r_idx + 1] = 0.0
+    return AdaptedPath(y.lattice, _owned(ys)), z
 
 
 # -- one-row slot terms and the row defects made of them -----------------------

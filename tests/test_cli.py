@@ -392,7 +392,7 @@ class TestNumericRange:
         _assert_input_error(tmp_path, capsys, sub, doc)
 
     def test_infinite_norm_fails(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("mfbdsvie.cli.m_beta_norm",
+        monkeypatch.setattr("mfbdsvie.solver.m_beta_norm",
                             lambda *args: float("inf"))
         out = tmp_path / "out"
         assert run("norms", str(SCENARIOS / "linear_solve.json"),

@@ -78,7 +78,7 @@ class TestMExtend:
         # Y = dW_0 dB_1 on N=2: the slot-0 representation coefficient is
         # E[Y dW_0 | (0,0)]/dt = E[dW_0^2] dB_1 / dt = dB_1, and the
         # representation re-sums Y exactly; checked against all 16 paths
-        from mfbdsvie.fields import representation_row
+        from _oracles import representation_row
 
         lat = build_lattice(2, 1.0)
         y2 = w_increment(lat, 0) * b_increment(lat, 1)

@@ -1,7 +1,8 @@
 """The backward induction against the split of the whole assembled Phi_i.
 
-split_row adds each slot term before it splits the slot's W bits, so
-Phi_i is never built.  On every row, column start and lane it must agree
+The backward induction (`lattice.clark_ocone_sweep`, here on a stack of
+one row through `split_row` of tests/_oracles.py) adds each slot term
+before it splits the slot's W bits, so Phi_i is never built.  On every row, column start and lane it must agree
 to rounding with the per-slot conditional-expectation split of the
 zeta-first assembly of Phi_i in tests/_oracles.py, and so must the map
 and residual the solver makes of it.  Counts of table bytes guard the
@@ -17,13 +18,7 @@ import pytest
 from mfbdsvie import solver
 from mfbdsvie.drivers import LinearDriver, RiskDriver, TerminalSpec, ZPart, terminal_rv
 from mfbdsvie.errors import MeasurabilityViolation
-from mfbdsvie.fields import (
-    AdaptedPath,
-    VolterraKernel,
-    m_extend,
-    representation_row,
-    split_row,
-)
+from mfbdsvie.fields import AdaptedPath, VolterraKernel, m_extend
 from mfbdsvie.lattice import (
     LatticeSpec,
     MeasurableRV,
@@ -50,7 +45,9 @@ from _oracles import (
     condexp_m_extend,
     condexp_representation_row,
     condexp_split_row,
+    representation_row,
     slot_term,
+    split_row,
     zeta_first_assemble_phi,
 )
 
