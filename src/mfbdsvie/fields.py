@@ -49,6 +49,7 @@ from .lattice import (
     LatticeSpec,
     MeasurableRV,
     SigmaField,
+    _blocks,
     _owned,
     clark_ocone_sweep,
     condexp,
@@ -210,9 +211,10 @@ def m_identity_residual(y: AdaptedPath, z: VolterraKernel) -> float:
     | Y_i - E[Y_i | (0,0)] - sum_{j<i} Z_ij dW_j |.
     """
     base_field = SigmaField(y.lattice, 0, 0)
-    return max((condexp(y[i], base_field) - y[i]
-                + forward_integral(z.z[i], 0, i)).max_abs()
-               for i in range(len(y)))
+    return max(float(np.max([  # on the row's field (i, 0), a block at a time
+        np.max(np.abs(e - yi + s)) for _, (e, yi, s) in _blocks(
+            SigmaField(y.lattice, i, 0), condexp(y[i], base_field), y[i],
+            forward_integral(z.z[i], 0, i))])) for i in range(len(y)))
 
 
 def node_gaps(a: AdaptedPath, b: AdaptedPath, from_node: int = 0,

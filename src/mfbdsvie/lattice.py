@@ -54,6 +54,7 @@ from .errors import (
 )
 
 MAX_STEPS = 14  # memory guard: the path count is 4^N
+BLOCK_BITS = 16  # `_blocks` walks a join field 2^16 entries at a time
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,7 @@ class MeasurableRV:
         return float(self.values[w, b])
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return _max_abs(self.values)
 
 
 def _owned(table: np.ndarray) -> np.ndarray:
@@ -510,6 +511,21 @@ def expectation(x: MeasurableRV) -> float:
     return float(x.values.mean())
 
 
+def _max_abs(v: np.ndarray) -> float:
+    """max |v| with no temporary; a NaN makes v.max() and v.min() NaN."""
+    return abs(max(float(v.max()), -float(v.min())))
+
+
+def _blocks(g: SigmaField, *xs: MeasurableRV) -> Iterator[tuple]:
+    """The xs' bit views on g, 2^BLOCK_BITS entries at a time: pairs (at,
+    views), at the block's index among g's leading bit axes."""
+    full = (2,) * (g.w_upto + g.lattice.n_bits - g.b_from)
+    k = max(0, len(full) - BLOCK_BITS)
+    views = [np.broadcast_to(bit_view(x, g), full) for x in xs]
+    for at in np.ndindex(full[:k]):
+        yield at + (...,), [v[at] for v in views]
+
+
 # -- dependence audits -----------------------------------------------------
 
 
@@ -546,16 +562,11 @@ def measurable_wrt(x: MeasurableRV, f: SigmaField) -> bool:
 
 
 def _audited_sum(vals: Sequence[MeasurableRV], j_lo: int, j_hi: int,
-                 lag: int, increment: Callable, kind: str,
-                 source: Callable[[int], MeasurableRV] | None = None
-                 ) -> MeasurableRV:
+                 lag: int, increment: Callable, kind: str) -> MeasurableRV:
     """sum_{j in [j_lo, j_hi)} vals_j increment_j, in ascending j.
 
     Each vals_j must be measurable for the field (j + lag, j + lag), so
     it is independent of its increment and the isometry holds exactly.
-    With a source, each summand is source(j) - vals_j increment_j instead
-    (the row defects of `solver.row_defects`): the running sum grows only
-    through the fields its summands need.
     """
     if not vals:
         raise IndexOutOfRange("empty integrand sequence")
@@ -569,8 +580,6 @@ def _audited_sum(vals: Sequence[MeasurableRV], j_lo: int, j_hi: int,
                 f"unknown at ({k}, {k})"
             )
         term = vals[j] * increment(lat, j)
-        if source is not None:
-            term = source(j) - term
         out = term if out is None else out + term
     return zero_rv(lat) if out is None else out
 

@@ -31,9 +31,8 @@ as coefficients: `build_linearized` evaluates them once a slot, on the
 stack of rows `solver.slot_args` gives, each slot term is numpy on the
 same bit views, and `solver.map_rows` sweeps the rows as in `gamma_map`:
 one stack for a driver blind to the swapped arguments, else a stack per
-row.  The upper-triangle identity is the solver's row-defect sum
-(`solver.row_defects`, which also gives the equation's `residual`) on
-the same stacked terms, the swapped-kernel terms left out.
+row.  The upper-triangle identity is `solver.row_defects` (as is the
+`residual`) on the same terms, the swapped-kernel terms left out.
 
 For affine drivers the discrete chain rule is exact and the linearized
 solve reproduces the flip to rounding error, provided the mean-field
@@ -54,11 +53,11 @@ from .errors import ValidationError
 from .fields import AdaptedPath, VolterraKernel, zero_kernel, zero_path
 from .lattice import (
     SigmaField,
+    _max_abs,
     _owned,
     b_increment,
     bit_view,
     condexp,
-    expectation,
     flip_derivative,
     from_bit_view,
     time_field,
@@ -262,9 +261,8 @@ def check_delta_equation(ls: LinearizedScenario) -> IdentityReport:
         Z(t_i, s_r) = D_r zeta(t_i) + coefficient sums over slots >= r
                       (no swapped-kernel terms) - sum_{j>=r} DZ_ij dW_j
 
-    at the entrywise flip (DY, DZ) of the base solution: a
-    `solver.row_defects` sum on the flip equation's stacked terms, one
-    stack for a driver blind to the swapped arguments.
+    at the entrywise flip (DY, DZ) of the base solution: the
+    `solver.row_defects` of the flip equation's stacked terms.
     """
     lat = ls.scenario.lattice
     r = ls.r_idx
@@ -275,7 +273,7 @@ def check_delta_equation(ls: LinearizedScenario) -> IdentityReport:
     for i, acc in enumerate(row_defects(
             ls.source[:r + 1], [row[r] for row in ls.base_z.z[:r + 1]], v,
             term, ls.one_stack, first=r)):
-        rows.append((i, r, acc.max_abs()))
-        l2 += lat.dt * expectation(acc * acc)
+        rows.append((i, r, _max_abs(acc)))
+        l2 += lat.dt * float(np.mean(acc * acc))
     return IdentityReport(rows=rows, worst=max(gap for *_, gap in rows),
                           l2=float(np.sqrt(l2)))

@@ -30,8 +30,7 @@ knows the right-node convention), `slot_terms` their terms f dt + g dB_j,
 `map_rows` runs the rows through `lattice.clark_ocone_sweep`, the one
 backward induction, `row_defects` sums the same stacked terms into each
 row's pathwise defect (`residual`), and `iterate` is the Picard loop.
-The linearized flip equation (malliavin, the frozen partials its
-coefficients) and the particle system (particles) are the same map with
+The flip equation (malliavin) and the particles are the same map with
 other terms, means and lanes; the stability functional reads the same
 arguments.
 
@@ -40,17 +39,13 @@ never built: the induction starts from zeta_i and, for m = N-1 down to
 i, adds the slot-m term and then splits the W bits of step m (the
 discrete Clark-Ocone formula), reading Z_im from the halved difference
 over the bit; after step i the running table is Y_i, and the sweep goes
-on over Y_i for the lower triangle.  Frozen at the pair, the rows do
-not interact, so the N + 1 rows of a map advance as one stack: a map is
-N stacked steps, with one f call and one g call per slot (O(N) driver
-calls, not O(N^2)).  For a driver blind to z_rev the slot terms live on
-(m + 1, m), so each row of the stack keeps 2^(N+1) entries and one map
-costs O(N^2 2^N); so does the linearized flip equation of such a driver.
-A driver that reads z_rev or mean_z_rev keeps the B bits from i on, which
-differ by row, so each of its rows is a stack of its own on (m + 1, i),
-and the cost is that of a split of the whole Phi_i, O(4^N) a map.
-`residual` is the one O(4^N) piece left: the exact pathwise defect
-needs every path.
+on over Y_i for the lower triangle.  The N + 1 rows of a map do not
+interact and advance as one stack, one f call and one g call a slot.
+For a driver blind to z_rev the slot terms live on (m + 1, m), each row
+keeps 2^(N+1) entries, and a map (or one of its flip equation) costs
+O(N^2 2^N); one that reads z_rev or mean_z_rev knows the B bits from i
+on, so each row is a stack of its own on (m + 1, i), O(4^N) a map.
+`residual` needs every path: it grows each row's defect in one 4^N table.
 
 Iterating the map from (0, 0) contracts in the beta-weighted norm once
 beta clears the threshold; the report keeps the successive-difference
@@ -89,19 +84,19 @@ from .fields import (
     zero_path,
 )
 from .lattice import (
+    BLOCK_BITS,
     LatticeSpec,
     MeasurableRV,
     SigmaField,
-    _audited_sum,
+    _blocks,
+    _max_abs,
     _owned,
     b_increment,
     bit_view,
     bit_view_shape,
     clark_ocone_sweep,
     expectation,
-    from_bit_view,
     time_field,
-    w_increment,
 )
 
 MAX_EXPONENT = math.log(sys.float_info.max)  # e^x overflows past this
@@ -267,13 +262,6 @@ def slot_terms(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
     return f, np.reshape(v, (1,) * (np.ndim(t) - np.ndim(v)) + np.shape(v))
 
 
-def one_row(f: SigmaField, v) -> MeasurableRV:
-    """The variable of a one-row stack's values v on its slot field f
-    (`slot_args`, `slot_terms`), on the coarsest field v needs."""
-    axes = f.w_upto + f.lattice.n_bits - f.b_from
-    return from_bit_view(v[0] if np.ndim(v) > axes else v, f)
-
-
 def reads_swapped(driver: DriverSpec) -> bool:
     """Whether f or g reads z_rev or mean_z_rev.
 
@@ -369,38 +357,45 @@ def representation_pair(sc: Scenario) -> tuple[AdaptedPath, VolterraKernel]:
 
 def row_defects(x, target, z: VolterraKernel, term: Callable,
                 one_stack: bool, first: int = 0):
-    """Row i's pathwise defect, for each i < len(x) in turn:
-
-        sum_{j >= max(i, first)} (term_ij - Z_ij dW_j) + (x_i - target_i),
-
-    one `lattice._audited_sum`, which audits each Z_ij measurable at
-    (j, j).  term(j, rows) is a stacked term as `map_rows` takes it,
-    called once a slot for all rows with one_stack, else once a row and
-    slot.  No row's tables are kept once yielded.
-    """
-    n = z.lattice.n_steps
+    """Row i's pathwise defect for each i < len(x): the sum over j >=
+    max(i, first) of s_ij = term_ij - Z_ij dW_j, then x_i - target_i, in
+    that order; term(j, rows) is a stacked term as `map_rows` takes it, for
+    all rows at once with one_stack.  The sum P over slots < j lives on
+    (j, i) in one table sized for row 0's field (N, 0); slot j doubles it by
+    W bit j, P + s_ij[bit 1] above, then P += s_ij[bit 0], and x_i - target_i
+    is added in blocks.  Row i is yielded as the table's flat view on (N, i),
+    overwritten by the next row.  Single-lane lattices only (`Scenario`);
+    `VolterraKernel` keeps each Z_ij on (j, j)."""
+    lat, n = z.lattice, z.lattice.n_steps
     if one_stack:
         stacks = {j: term(j, range(min(j, len(x) - 1) + 1))
                   for j in range(first, n)}
-
-        def slot(i, j):
-            f, v = stacks[j]
-            return one_row(f, v[min(i, len(v) - 1)])
-    else:
-        def slot(i, j):
-            return one_row(*term(j, range(i, i + 1)))
-
+    table, block = np.empty(1 << 2 * n), np.empty(1 << min(BLOCK_BITS, 2 * n))
     for i in range(len(x)):
-        yield (_audited_sum(z.z[i], max(i, first), n, 0, w_increment,
-                            "forward", partial(slot, i))
-               + (x[i] - target[i]))
+        b = n - i  # B bits of the row's field (N, i)
+        table[:1 << (max(i, first) + b)] = 0.0  # the empty sum
+        for j in range(max(i, first), n):
+            f, v = stacks[j] if one_stack else term(j, range(i, i + 1))
+            v = v[min(i, len(v) - 1)]  # row i's terms
+            zdw = np.multiply.outer([-lat.inc, lat.inc], z.values[i, j])
+            s = v - zdw.reshape(
+                (2,) + bit_view_shape(time_field(lat, j), f)[1:])
+            s = s.reshape(s.shape + (1,) * (f.b_from - i))  # onto (j + 1, i)
+            p, up = table[:2 << (j + b)].reshape((2,) * (j + 1 + b))  # W bit j
+            np.add(p, s[1], out=up)
+            np.add(p, s[0], out=p)
+        p = table[:1 << (n + b)].reshape((2,) * (n + b))  # then x_i - target_i
+        for at, (xb, tb) in _blocks(SigmaField(lat, n, i), x[i], target[i]):
+            d = np.subtract(xb, tb, out=block[:xb.size].reshape(xb.shape))
+            np.add(p[at], d, out=p[at])
+        yield table[:1 << (n + b)]
 
 
 def residual(sc: Scenario, y: AdaptedPath, z: VolterraKernel) -> float:
     """Worst pathwise defect of the equation with self-consistent args:
     zeta_i - Y_i + sum_{j >= i} (f dt + g dB_j - Z_ij dW_j) over rows i, on
     the map's stacked slot terms (`row_defects`)."""
-    return max(map(MeasurableRV.max_abs,
+    return max(map(_max_abs,
                    row_defects(sc.zeta, y.y, z, *_driver_terms(sc, y, z))))
 
 

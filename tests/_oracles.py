@@ -21,7 +21,9 @@ terms as lattice variables (`slot_term` for the map's,
 `_linearized_term`, `_linearized_phi` and `_linearized_row` for the flip
 equation's), which the package replaced by its stacked terms, and the
 residual and the upper-triangle identity summed one row and slot at a
-time on them, the references for `solver.row_defects`; the map and the
+time on them, the references for `solver.row_defects`, and the
+extension identity made one whole table a row, the reference for its
+blocks; the map and the
 particle map swept one row at a time, with one f call and one g call per
 row and slot, the references for the stacked rows of `gamma_map` and
 `particle_map`; the whole-pair statistics written one entry at a time,
@@ -47,17 +49,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from mfbdsvie.comparison import HypothesesReport
 from mfbdsvie.drivers import DriverSpec, terminal_rv
-from mfbdsvie.errors import IndexOutOfRange, ValidationError
+from mfbdsvie.errors import (
+    IndexOutOfRange,
+    MeasurabilityViolation,
+    ValidationError,
+)
 from mfbdsvie.fields import AdaptedPath, BetaWeight, VolterraKernel, _views
 from mfbdsvie.lattice import (
     MeasurableRV,
-    _audited_sum,
+    SigmaField,
     _owned,
     b_increment,
     bit_view,
@@ -68,6 +74,7 @@ from mfbdsvie.lattice import (
     forward_integral,
     from_bit_view,
     lift,
+    measurable_wrt,
     time_field,
     w_increment,
     zero_rv,
@@ -77,7 +84,6 @@ from mfbdsvie.solver import (
     Scenario,
     map_rows,
     means,
-    one_row,
     slot_args,
     slot_terms,
 )
@@ -678,14 +684,61 @@ def _linearized_row(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
     return split_row(ls.source[i], i, first=ls.r_idx + 1, term=term)
 
 
+def one_row(f: SigmaField, v) -> MeasurableRV:
+    """The variable of a one-row stack's values v on its slot field f
+    (`slot_args`, `slot_terms`), on the coarsest field v needs."""
+    axes = f.w_upto + f.lattice.n_bits - f.b_from
+    return from_bit_view(v[0] if np.ndim(v) > axes else v, f)
+
+
+def _source_sum(vals: Sequence[MeasurableRV], j_lo: int, j_hi: int,
+                lag: int, increment: Callable, kind: str,
+                source: Callable[[int], MeasurableRV] | None = None
+                ) -> MeasurableRV:
+    """sum_{j in [j_lo, j_hi)} vals_j increment_j, in ascending j.
+
+    Each vals_j must be measurable for the field (j + lag, j + lag), so
+    it is independent of its increment and the isometry holds exactly.
+    With a source, each summand is source(j) - vals_j increment_j instead
+    (the row defects as `lattice._audited_sum` summed them before
+    `solver.row_defects` grew them in one table): the running sum grows
+    only through the fields its summands need.
+    """
+    if not vals:
+        raise IndexOutOfRange("empty integrand sequence")
+    lat = vals[0].lattice
+    out = None
+    for j in range(j_lo, j_hi):
+        k = j + lag
+        if not measurable_wrt(vals[j], SigmaField(lat, k, k)):
+            raise MeasurabilityViolation(
+                f"{kind} integrand at slot {j} depends on increments "
+                f"unknown at ({k}, {k})"
+            )
+        term = vals[j] * increment(lat, j)
+        if source is not None:
+            term = source(j) - term
+        out = term if out is None else out + term
+    return zero_rv(lat) if out is None else out
+
+
 def per_row_residual(sc, y, z):
     """Worst pathwise defect, each row's audited sum over its slot_term."""
     n = sc.lattice.n_steps
     ey, ez = means(y, z)
-    return max((_audited_sum(z.z[i], i, n, 0, w_increment, "forward",
-                             partial(slot_term, sc.driver, y, z, ey, ez, i))
+    return max((_source_sum(z.z[i], i, n, 0, w_increment, "forward",
+                            partial(slot_term, sc.driver, y, z, ey, ez, i))
                 + (sc.zeta[i] - y[i])).max_abs()
                for i in range(n + 1))
+
+
+def whole_table_m_identity(y, z):
+    """`fields.m_identity_residual` with each row's defect made whole, as
+    one table on (i, 0), before it was read a block at a time."""
+    base_field = SigmaField(y.lattice, 0, 0)
+    return max((condexp(y[i], base_field) - y[i]
+                + forward_integral(z.z[i], 0, i)).max_abs()
+               for i in range(len(y)))
 
 
 def per_row_delta_equation(ls):

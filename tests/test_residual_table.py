@@ -1,0 +1,157 @@
+"""The row defects grown in one table of plain arrays.
+
+`solver.row_defects` sums each row's defect in one scratch table sized
+for row 0's field (N, 0), doubling the running sum by each slot's W bit
+in place.  It must give the one-row sums of tests/_oracles.py: the
+residual bit for bit, the upper-triangle identity to rounding.  The
+extension identity reads each row's defect a block at a time and must
+equal its whole-table form bit for bit.  One warm `residual` must hold
+little beyond that table, `m_identity_residual` little beyond the
+forward integral of its last row, and the one-row adapter and the
+source-taking audited sum stay out of the package.
+"""
+
+import inspect
+import re
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mfbdsvie
+from mfbdsvie import lattice
+from mfbdsvie.fields import AdaptedPath, VolterraKernel, m_identity_residual
+from mfbdsvie.lattice import _audited_sum, _max_abs, build_lattice
+from mfbdsvie.malliavin import build_linearized, check_delta_equation
+from mfbdsvie.solver import (
+    Scenario,
+    picard_solve,
+    representation_pair,
+    residual,
+)
+
+from _oracles import (
+    per_row_delta_equation,
+    per_row_residual,
+    whole_table_m_identity,
+)
+from test_stack import BLIND, CASES
+from test_sweep import TERMINAL, random_pair
+
+
+def peak_bytes(call):
+    """Bytes traced at the peak of one warm call, above those held before."""
+    call()  # warm: imports and caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def perturbed(y, z, rng, eps=1e-3):
+    dy, dz = random_pair(y.lattice, rng)
+    return (AdaptedPath(y.lattice, y.values + eps * dy.values),
+            VolterraKernel(y.lattice, z.values + eps * dz.values))
+
+
+class TestResidual:
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bitwise_the_one_row_sum_at_n8(self, name):
+        sc = Scenario(build_lattice(8, 1.0), CASES[name], TERMINAL)
+        y, z, _ = picard_solve(sc, tol=1e-12, report=False)
+        for pair in ((y, z), perturbed(y, z, np.random.default_rng(8))):
+            assert residual(sc, *pair) == per_row_residual(sc, *pair)
+
+    def test_peak_memory_at_n10(self):
+        # the scratch table of row 0's field (N, 0), 4^N doubles, and the
+        # slot stacks of 2^(N + 1) entries a row
+        n = 10
+        sc = Scenario(build_lattice(n, 1.0), BLIND, TERMINAL)
+        y, z = representation_pair(sc)
+        assert peak_bytes(lambda: residual(sc, y, z)) <= 1.25 * 8 * 4 ** n
+
+
+class TestExtensionIdentity:
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bitwise_the_whole_table_at_n9(self, name):
+        # the last rows span more than one block of 2^16 entries
+        sc = Scenario(build_lattice(9, 1.0), CASES[name], TERMINAL)
+        y, z, _ = picard_solve(sc, tol=1e-12, report=False)
+        for pair in ((y, z), perturbed(y, z, np.random.default_rng(9))):
+            assert m_identity_residual(*pair) == whole_table_m_identity(*pair)
+
+    def test_peak_memory_at_n10(self):
+        # the last row's forward integral on (N, 0), grown from the half
+        # table of the row before, and the blocks
+        n = 10
+        sc = Scenario(build_lattice(n, 1.0), BLIND, TERMINAL)
+        y, z = representation_pair(sc)
+        peak = peak_bytes(lambda: m_identity_residual(y, z))
+        assert peak <= 1.6 * 8 * 4 ** n
+
+
+class TestDeltaEquation:
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_against_the_one_row_sum_at_n6(self, name):
+        lat = build_lattice(6, 1.0)
+        sc = Scenario(lat, CASES[name], TERMINAL)
+        y, z, _ = picard_solve(sc, tol=1e-12, report=False)
+        for r in range(lat.n_steps):
+            ls = build_linearized(sc, y, z, r)
+            got = check_delta_equation(ls)
+            rows, worst, l2 = per_row_delta_equation(ls)
+            for (i, s, gap), (i_ref, s_ref, gap_ref) in zip(got.rows, rows,
+                                                            strict=True):
+                assert (i, s) == (i_ref, s_ref)
+                assert abs(gap - gap_ref) <= 1e-15 * max(1.0, gap_ref)
+            assert abs(got.worst - worst) <= 1e-15 * max(1.0, worst)
+            assert abs(got.l2 - l2) <= 1e-15 * max(1.0, l2)
+
+
+class TestTablePieces:
+    @pytest.mark.parametrize("block_bits", [0, 2, 5])
+    def test_difference_added_in_blocks(self, monkeypatch, block_bits):
+        # small blocks split x_i - target_i in the residual and the flip
+        # identity, and the rows of the extension identity
+        monkeypatch.setattr(lattice, "BLOCK_BITS", block_bits)
+        lat = build_lattice(4, 1.0)
+        sc = Scenario(lat, CASES["linear_mean_field"], TERMINAL)
+        y, z = random_pair(lat, np.random.default_rng(13))
+        assert residual(sc, y, z) == per_row_residual(sc, y, z)
+        ls = build_linearized(sc, y, z, 2)
+        rows, worst, l2 = per_row_delta_equation(ls)
+        got = check_delta_equation(ls)
+        assert abs(got.worst - worst) <= 1e-15 * max(1.0, worst)
+        assert abs(got.l2 - l2) <= 1e-15 * max(1.0, l2)
+        assert m_identity_residual(y, z) == whole_table_m_identity(y, z)
+
+    def test_max_abs_as_numpy_reads_it(self):
+        rng = np.random.default_rng(17)
+        for v in (rng.normal(size=64), -np.abs(rng.normal(size=64)),
+                  np.array([0.0, -0.0]), np.array([1.0, np.inf, -2.0]),
+                  np.array([-np.inf, 3.0])):
+            got = _max_abs(v)
+            assert got == float(np.max(np.abs(v)))
+            assert np.copysign(1.0, got) == 1.0
+        assert np.isnan(_max_abs(np.array([1.0, np.nan, -3.0])))
+
+
+class TestOneTablePath:
+    """The one-row adapter and the source-taking audited sum live in
+    tests/_oracles.py only."""
+
+    def test_no_one_row_in_the_package(self):
+        for path in Path(mfbdsvie.__file__).parent.glob("*.py"):
+            assert not re.search(r"\bone_row\b", path.read_text()), path.name
+
+    def test_audited_sum_takes_no_source(self):
+        assert "source" not in inspect.signature(_audited_sum).parameters
+        lattice = (Path(mfbdsvie.__file__).parent / "lattice.py").read_text()
+        header = re.search(r"^def _audited_sum\(.*?\).*?:$", lattice,
+                           re.M | re.S).group(0)
+        assert "source" not in header

@@ -18,13 +18,12 @@ from mfbdsvie.malliavin import _linearized_map, build_linearized
 from mfbdsvie.solver import (
     Scenario,
     means,
-    one_row,
     picard_solve,
     slot_terms,
     stability_compare,
 )
 
-from _oracles import _linearized_row, entrywise_stability
+from _oracles import _linearized_row, entrywise_stability, one_row
 from test_sweep import DRIVERS, R_IDX, TERMINAL, random_pair
 
 SWAPPED = LinearDriver(f={"y": -0.3, "z_rev": 0.1}, g={"z": 0.04})
