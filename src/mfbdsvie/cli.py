@@ -230,21 +230,25 @@ def _lattice(doc):
                          _num(cfg, "horizon", "lattice"))
 
 
+def _solver_settings(doc, tol: float, max_iter: int) -> dict:
+    """beta, safety, tol and max_iter from the solver section, parsed in
+    that order; tol and max_iter default to the given values."""
+    cfg = doc.get("solver", {})
+    return dict(beta=_num(cfg, "beta", "solver"),
+                safety=_num(cfg, "safety", "solver", 1.5),
+                tol=_num(cfg, "tol", "solver", tol),
+                max_iter=_int(cfg, "max_iter", "solver", max_iter))
+
+
 def build_base_scenario(doc) -> tuple[Scenario, float, int]:
     lat = _lattice(doc)
     if "driver" not in doc or "terminal" not in doc:
         raise InputError("scenario: solve needs driver and terminal sections")
     driver = parse_driver(doc["driver"])
     terminal = parse_terminal(doc["terminal"])
-    solver_cfg = doc.get("solver", {})
-    sc = Scenario(
-        lat, driver, terminal,
-        beta=_num(solver_cfg, "beta", "solver"),
-        safety=_num(solver_cfg, "safety", "solver", 1.5),
-    )
-    tol = _num(solver_cfg, "tol", "solver", 1e-10)
-    max_iter = _int(solver_cfg, "max_iter", "solver", 200)
-    return sc, tol, max_iter
+    s = _solver_settings(doc, 1e-10, 200)
+    sc = Scenario(lat, driver, terminal, beta=s["beta"], safety=s["safety"])
+    return sc, s["tol"], s["max_iter"]
 
 
 # -- emission ----------------------------------------------------------------
@@ -331,7 +335,6 @@ def _run_compare(doc, out_dir: Path) -> tuple[int, list[str]]:
         "comparison",
     )
     lat = _lattice(doc)
-    solver_cfg = doc.get("solver", {})
     cs = cmp_mod.ComparisonScenario(
         lattice=lat,
         f1=parse_driver(cfg["f1"], "comparison.f1"),
@@ -343,12 +346,11 @@ def _run_compare(doc, out_dir: Path) -> tuple[int, list[str]]:
         zeta2=parse_terminal(cfg["zeta2"], "comparison.zeta2"),
         zetabar=parse_terminal(cfg["zetabar"], "comparison.zetabar")
         if "zetabar" in cfg else None,
-        beta=_num(solver_cfg, "beta", "solver"),
-        safety=_num(solver_cfg, "safety", "solver", 1.5),
-        tol=_num(solver_cfg, "tol", "solver", 1e-12),
-        max_iter=_int(solver_cfg, "max_iter", "solver", 300),
+        **_solver_settings(doc, 1e-12, 300),
     )
     p_max = _int(cfg, "p_max", "comparison", 0)
+    if p_max < 0:
+        raise InputError(f"comparison.p_max: {p_max} must be >= 0")
     verdict = cmp_mod.compare_solve(cs)
     write_csv(out_dir / "compare.csv", ["t_idx", "min_gap"],
               list(enumerate(verdict.min_gap_by_node)))
@@ -375,15 +377,11 @@ def _run_risk(doc, out_dir: Path) -> tuple[int, list[str]]:
         "risk",
     )
     lat = _lattice(doc)
-    solver_cfg = doc.get("solver", {})
     rs = risk_mod.RiskSpec(
         lat, _time_fn(cfg["rate"], "risk.rate"),
         h=parse_zpart(cfg.get("h"), "risk.h"),
         g=parse_zpart(cfg.get("g"), "risk.g"),
-        beta=_num(solver_cfg, "beta", "solver"),
-        safety=_num(solver_cfg, "safety", "solver", 1.5),
-        tol=_num(solver_cfg, "tol", "solver", 1e-12),
-        max_iter=_int(solver_cfg, "max_iter", "solver", 300),
+        **_solver_settings(doc, 1e-12, 300),
         rate_bound=_num(cfg, "rate_bound", "risk"),
     )
     p1 = risk_mod.PayoffStream(parse_terminal(cfg["payoff"], "risk.payoff"))
@@ -402,6 +400,8 @@ def _run_risk(doc, out_dir: Path) -> tuple[int, list[str]]:
     shift = _num(cfg, "shift", "risk", 1.0)
     lam = _num(cfg, "lambda", "risk", 0.5)
     t_idx = _in_range(cfg.get("t_idx", 0), "risk.t_idx", 0, lat.n_steps)
+    for name in axioms:
+        risk_mod.check_premises(rs, name, lam)
     _write_profile(out_dir / "rho.csv", risk_mod.rho(rs, p1))
     reports = []
     for name in axioms:

@@ -49,11 +49,11 @@ from .lattice import (
     LatticeSpec,
     MeasurableRV,
     SigmaField,
-    _blocks,
+    _max_abs,
     _owned,
     clark_ocone_sweep,
     condexp,
-    forward_integral,
+    row_defects,
     time_field,
 )
 
@@ -207,14 +207,12 @@ def m_extend(y: AdaptedPath, z_delta: VolterraKernel) -> VolterraKernel:
 def m_identity_residual(y: AdaptedPath, z: VolterraKernel) -> float:
     """Worst pathwise defect of the representation identity.
 
-    max over nodes i and paths of
+    max over nodes i and paths (each a `lattice.row_defects` row, no term) of
     | Y_i - E[Y_i | (0,0)] - sum_{j<i} Z_ij dW_j |.
     """
-    base_field = SigmaField(y.lattice, 0, 0)
-    return max(float(np.max([  # on the row's field (i, 0), a block at a time
-        np.max(np.abs(e - yi + s)) for _, (e, yi, s) in _blocks(
-            SigmaField(y.lattice, i, 0), condexp(y[i], base_field), y[i],
-            forward_integral(z.z[i], 0, i))])) for i in range(len(y)))
+    return max(map(_max_abs, row_defects(
+        y.y, [condexp(yi, SigmaField(y.lattice, 0, 0)) for yi in y.y], z,
+        None, False, [range(i) for i in range(len(y))])))
 
 
 def node_gaps(a: AdaptedPath, b: AdaptedPath, from_node: int = 0,

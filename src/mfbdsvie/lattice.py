@@ -526,6 +526,44 @@ def _blocks(g: SigmaField, *xs: MeasurableRV) -> Iterator[tuple]:
         yield at + (...,), [v[at] for v in views]
 
 
+def row_defects(x, target, z, term: Callable | None, one_stack: bool,
+                slots: Sequence[range]):
+    """Row i's pathwise defect for each i < len(slots): the sum over j in
+    slots[i] of s_ij = term_ij - Z_ij dW_j (a missing term is zero), then
+    x_i - target_i, in that order; term(j, rows) is a stacked term as
+    `solver.map_rows` takes it, for all rows at once with one_stack.  Row
+    i lives on (c, b): c ends its slots, b is the first B bit it reads (at
+    most i).  The sum P over slots < j lives on (j, b) in one table sized
+    for (N, 0); slot j doubles it by W bit j, P + s_ij[bit 1] above, then
+    P += s_ij[bit 0], and x_i - target_i is added in blocks.  Row i is
+    yielded as the table's flat view on (c, b), overwritten by the next
+    row.  Single-lane lattices; z is a `VolterraKernel` (Z_ij on (j, j))."""
+    lat, n = z.lattice, z.lattice.n_steps
+    if one_stack:
+        stacks = {j: term(j, range(min(j, len(x) - 1) + 1))
+                  for j in sorted(set().union(*slots))}
+    table = np.empty(1 << 2 * n)
+    for i, row in enumerate(slots):
+        g = SigmaField(lat, row.stop, min(i, x[i].field.b_from,
+                                          target[i].field.b_from))
+        b = n - g.b_from
+        table[:1 << (row.start + b)] = 0.0  # the empty sum
+        for j in row:
+            f, v = ((SigmaField(lat, j + 1, j), np.zeros(1)) if term is None
+                    else stacks[j] if one_stack else term(j, range(i, i + 1)))
+            zdw = np.multiply.outer([-lat.inc, lat.inc], z.values[i, j])
+            s = v[min(i, len(v) - 1)] - zdw.reshape(  # row i's terms
+                (2,) + bit_view_shape(time_field(lat, j), f)[1:])
+            s = s.reshape(s.shape + (1,) * (f.b_from - g.b_from))  # (j + 1, b)
+            p, up = table[:2 << (j + b)].reshape((2,) * (j + 1 + b))  # W bit j
+            np.add(p, s[1], out=up)
+            np.add(p, s[0], out=p)
+        p = table[:1 << (row.stop + b)].reshape((2,) * (row.stop + b))
+        for at, (xb, tb) in _blocks(g, x[i], target[i]):
+            np.add(p[at], xb - tb, out=p[at])
+        yield table[:1 << (row.stop + b)]
+
+
 # -- dependence audits -----------------------------------------------------
 
 

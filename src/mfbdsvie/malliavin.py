@@ -31,7 +31,7 @@ as coefficients: `build_linearized` evaluates them once a slot, on the
 stack of rows `solver.slot_args` gives, each slot term is numpy on the
 same bit views, and `solver.map_rows` sweeps the rows as in `gamma_map`:
 one stack for a driver blind to the swapped arguments, else a stack per
-row.  The upper-triangle identity is `solver.row_defects` (as is the
+row.  The upper-triangle identity is `lattice.row_defects` (as is the
 `residual`) on the same terms, the swapped-kernel terms left out.
 
 For affine drivers the discrete chain rule is exact and the linearized
@@ -60,6 +60,7 @@ from .lattice import (
     condexp,
     flip_derivative,
     from_bit_view,
+    row_defects,
     time_field,
 )
 from .solver import (
@@ -68,7 +69,6 @@ from .solver import (
     map_rows,
     means,
     reads_swapped,
-    row_defects,
     slot_args,
     sup_distance,
 )
@@ -262,7 +262,7 @@ def check_delta_equation(ls: LinearizedScenario) -> IdentityReport:
                       (no swapped-kernel terms) - sum_{j>=r} DZ_ij dW_j
 
     at the entrywise flip (DY, DZ) of the base solution: the
-    `solver.row_defects` of the flip equation's stacked terms.
+    `lattice.row_defects` of the flip equation's stacked terms (j >= r).
     """
     lat = ls.scenario.lattice
     r = ls.r_idx
@@ -272,7 +272,7 @@ def check_delta_equation(ls: LinearizedScenario) -> IdentityReport:
     rows, l2 = [], 0.0
     for i, acc in enumerate(row_defects(
             ls.source[:r + 1], [row[r] for row in ls.base_z.z[:r + 1]], v,
-            term, ls.one_stack, first=r)):
+            term, ls.one_stack, [range(r, lat.n_steps)] * (r + 1))):
         rows.append((i, r, _max_abs(acc)))
         l2 += lat.dt * float(np.mean(acc * acc))
     return IdentityReport(rows=rows, worst=max(gap for *_, gap in rows),

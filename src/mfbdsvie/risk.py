@@ -16,7 +16,8 @@ Axiom checks solve the equation for the payoffs involved and compare
 pathwise, each payoff once per risk spec (`rho` keeps the profiles it
 solved); structural requirements (convexity of h, affinity or
 additivity of g, positive homogeneity) are declared by the z-map kind
-and audited by sampling before any solve.
+and audited by sampling, and `check_premises` refuses an axiom whose
+flags or scale fail, all before any solve.
 """
 
 from __future__ import annotations
@@ -137,6 +138,29 @@ def discount_factors(rs: RiskSpec) -> np.ndarray:
     return out
 
 
+def check_premises(rs: RiskSpec, axiom: str, lam: float = 0.5) -> None:
+    """Refuse an axiom whose premises fail, before anything is solved: the
+    z-map flags it needs, and the scale lam of convexity (in [0, 1]) and of
+    positive homogeneity (> 0)."""
+    if axiom == "convexity":
+        if not rs.h.convex:
+            raise FlagMissing("convexity needs a convex h z-map")
+        if rs.g.kind not in ("zero", "linear", "affine"):
+            raise FlagMissing("convexity needs an affine g z-map")
+        if not 0 <= lam <= 1:
+            raise ValidationError(f"convexity needs lambda in [0, 1], got {lam}")
+    elif axiom == "positive_homogeneity":
+        if not lam > 0:
+            raise ValidationError("homogeneity is a positive-scale statement")
+        if not (rs.h.positively_homogeneous and rs.g.positively_homogeneous):
+            raise FlagMissing("homogeneity needs positively homogeneous h and g")
+    elif axiom == "subadditivity":
+        if not rs.h.subadditive:
+            raise FlagMissing("subadditivity needs a subadditive h z-map")
+        if not rs.g.additive:
+            raise FlagMissing("subadditivity needs an additive g z-map")
+
+
 @dataclass
 class AxiomReport:
     axiom: str
@@ -180,10 +204,7 @@ def axiom_translation(rs: RiskSpec, p: PayoffStream, c: float) -> AxiomReport:
 def axiom_convexity(rs: RiskSpec, p1: PayoffStream, p2: PayoffStream,
                     lam: float) -> AxiomReport:
     """Mixing positions cannot increase risk beyond the mixed risks."""
-    if not rs.h.convex:
-        raise FlagMissing("convexity needs a convex h z-map")
-    if rs.g.kind not in ("zero", "linear", "affine"):
-        raise FlagMissing("convexity needs an affine g z-map")
+    check_premises(rs, "convexity", lam)
     rmix = rho(rs, PayoffStream(p1.zeta.mixed(p2.zeta, lam)))
     r1, r2 = rho(rs, p1), rho(rs, p2)
     bound = AdaptedPath(rs.lattice, lam * r1.values + (1 - lam) * r2.values)
@@ -193,10 +214,7 @@ def axiom_convexity(rs: RiskSpec, p1: PayoffStream, p2: PayoffStream,
 def axiom_positive_homogeneity(rs: RiskSpec, p: PayoffStream, lam: float
                                ) -> AxiomReport:
     """rho(lam zeta) = lam rho(zeta) for lam > 0 under homogeneous maps."""
-    if lam <= 0:
-        raise ValidationError("homogeneity is a positive-scale statement")
-    if not (rs.h.positively_homogeneous and rs.g.positively_homogeneous):
-        raise FlagMissing("homogeneity needs positively homogeneous h and g")
+    check_premises(rs, "positive_homogeneity", lam)
     scaled = rho(rs, PayoffStream(p.zeta.scaled(lam)))
     base = rho(rs, p)
     return _report("positive_homogeneity", node_gaps(
@@ -206,10 +224,7 @@ def axiom_positive_homogeneity(rs: RiskSpec, p: PayoffStream, lam: float
 def axiom_subadditivity(rs: RiskSpec, p1: PayoffStream, p2: PayoffStream
                         ) -> AxiomReport:
     """Pooling positions cannot exceed the sum of the risks."""
-    if not rs.h.subadditive:
-        raise FlagMissing("subadditivity needs a subadditive h z-map")
-    if not rs.g.additive:
-        raise FlagMissing("subadditivity needs an additive g z-map")
+    check_premises(rs, "subadditivity")
     pooled = rho(rs, PayoffStream(p1.zeta.plus(p2.zeta)))
     r1, r2 = rho(rs, p1), rho(rs, p2)
     return _report("subadditivity", node_gaps(

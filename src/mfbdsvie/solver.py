@@ -28,8 +28,8 @@ The map is written once and shared: `slot_args` gives the frozen
 arguments of a stack of rows at a slot as bit views (the only place that
 knows the right-node convention), `slot_terms` their terms f dt + g dB_j,
 `map_rows` runs the rows through `lattice.clark_ocone_sweep`, the one
-backward induction, `row_defects` sums the same stacked terms into each
-row's pathwise defect (`residual`), and `iterate` is the Picard loop.
+backward induction, `lattice.row_defects` sums the same stacked terms
+into each row's pathwise defect (`residual`), `iterate` is the Picard loop.
 The flip equation (malliavin) and the particles are the same map with
 other terms, means and lanes; the stability functional reads the same
 arguments.
@@ -84,11 +84,9 @@ from .fields import (
     zero_path,
 )
 from .lattice import (
-    BLOCK_BITS,
     LatticeSpec,
     MeasurableRV,
     SigmaField,
-    _blocks,
     _max_abs,
     _owned,
     b_increment,
@@ -96,6 +94,7 @@ from .lattice import (
     bit_view_shape,
     clark_ocone_sweep,
     expectation,
+    row_defects,
     time_field,
 )
 
@@ -355,48 +354,13 @@ def representation_pair(sc: Scenario) -> tuple[AdaptedPath, VolterraKernel]:
     return map_rows(sc.zeta, None, True)
 
 
-def row_defects(x, target, z: VolterraKernel, term: Callable,
-                one_stack: bool, first: int = 0):
-    """Row i's pathwise defect for each i < len(x): the sum over j >=
-    max(i, first) of s_ij = term_ij - Z_ij dW_j, then x_i - target_i, in
-    that order; term(j, rows) is a stacked term as `map_rows` takes it, for
-    all rows at once with one_stack.  The sum P over slots < j lives on
-    (j, i) in one table sized for row 0's field (N, 0); slot j doubles it by
-    W bit j, P + s_ij[bit 1] above, then P += s_ij[bit 0], and x_i - target_i
-    is added in blocks.  Row i is yielded as the table's flat view on (N, i),
-    overwritten by the next row.  Single-lane lattices only (`Scenario`);
-    `VolterraKernel` keeps each Z_ij on (j, j)."""
-    lat, n = z.lattice, z.lattice.n_steps
-    if one_stack:
-        stacks = {j: term(j, range(min(j, len(x) - 1) + 1))
-                  for j in range(first, n)}
-    table, block = np.empty(1 << 2 * n), np.empty(1 << min(BLOCK_BITS, 2 * n))
-    for i in range(len(x)):
-        b = n - i  # B bits of the row's field (N, i)
-        table[:1 << (max(i, first) + b)] = 0.0  # the empty sum
-        for j in range(max(i, first), n):
-            f, v = stacks[j] if one_stack else term(j, range(i, i + 1))
-            v = v[min(i, len(v) - 1)]  # row i's terms
-            zdw = np.multiply.outer([-lat.inc, lat.inc], z.values[i, j])
-            s = v - zdw.reshape(
-                (2,) + bit_view_shape(time_field(lat, j), f)[1:])
-            s = s.reshape(s.shape + (1,) * (f.b_from - i))  # onto (j + 1, i)
-            p, up = table[:2 << (j + b)].reshape((2,) * (j + 1 + b))  # W bit j
-            np.add(p, s[1], out=up)
-            np.add(p, s[0], out=p)
-        p = table[:1 << (n + b)].reshape((2,) * (n + b))  # then x_i - target_i
-        for at, (xb, tb) in _blocks(SigmaField(lat, n, i), x[i], target[i]):
-            d = np.subtract(xb, tb, out=block[:xb.size].reshape(xb.shape))
-            np.add(p[at], d, out=p[at])
-        yield table[:1 << (n + b)]
-
-
 def residual(sc: Scenario, y: AdaptedPath, z: VolterraKernel) -> float:
     """Worst pathwise defect of the equation with self-consistent args:
     zeta_i - Y_i + sum_{j >= i} (f dt + g dB_j - Z_ij dW_j) over rows i, on
-    the map's stacked slot terms (`row_defects`)."""
-    return max(map(_max_abs,
-                   row_defects(sc.zeta, y.y, z, *_driver_terms(sc, y, z))))
+    the map's stacked slot terms (`lattice.row_defects`)."""
+    return max(map(_max_abs, row_defects(
+        sc.zeta, y.y, z, *_driver_terms(sc, y, z),
+        [range(i, sc.lattice.n_steps) for i in range(len(y))])))
 
 
 def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,

@@ -21,7 +21,7 @@ terms as lattice variables (`slot_term` for the map's,
 `_linearized_term`, `_linearized_phi` and `_linearized_row` for the flip
 equation's), which the package replaced by its stacked terms, and the
 residual and the upper-triangle identity summed one row and slot at a
-time on them, the references for `solver.row_defects`, and the
+time on them, the references for `lattice.row_defects`, and the
 extension identity made one whole table a row, the reference for its
 blocks; the map and the
 particle map swept one row at a time, with one f call and one g call per
@@ -639,7 +639,7 @@ def per_entry_linearized_map(ls: PerEntryLinearized, pair
 # (slot_term) and the flip equation's (_linearized_term, summed into
 # _linearized_phi and split by _linearized_row), as the package made them
 # before the residual and the upper-triangle identity read the stacked
-# terms through solver.row_defects; with those two written one row and
+# terms through lattice.row_defects; with those two written one row and
 # slot at a time on them.
 
 
@@ -701,7 +701,7 @@ def _source_sum(vals: Sequence[MeasurableRV], j_lo: int, j_hi: int,
     it is independent of its increment and the isometry holds exactly.
     With a source, each summand is source(j) - vals_j increment_j instead
     (the row defects as `lattice._audited_sum` summed them before
-    `solver.row_defects` grew them in one table): the running sum grows
+    `lattice.row_defects` grew them in one table): the running sum grows
     only through the fields its summands need.
     """
     if not vals:

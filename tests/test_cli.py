@@ -427,3 +427,35 @@ class TestSourceRange:
         _set(doc, ("lattice", "n_steps"), 3)
         _set(doc, path, value)
         _assert_input_error(tmp_path, capsys, sub, doc)
+
+
+class TestRiskPremises:
+    """An axiom whose z-map flags or scale fail is refused before `rho`
+    solves anything, so no file is written."""
+
+    @pytest.mark.parametrize("axiom, edits", [
+        ("positive_homogeneity", {"lambda": -1}),
+        ("subadditivity", {"h": {"kind": "smooth_abs", "k1": 0.3}}),
+        ("convexity", {"g": {"kind": "abs", "k1": 0.3}}),
+        ("convexity", {"lambda": 1.7}),
+        ("convexity", {"lambda": -0.5}),
+    ], ids=["negative_scale", "smooth_h_not_subadditive", "abs_g_not_affine",
+            "mix_above_one", "mix_below_zero"])
+    def test_rejected_before_rho(self, tmp_path, capsys, monkeypatch, axiom,
+                                 edits):
+        monkeypatch.setattr("mfbdsvie.cli.risk_mod.rho", _never)
+        doc = TestRisk().risk_doc()
+        doc["risk"].update(axioms=[axiom], payoff2={
+            "family": "deterministic", "params": {"phi": 2.0}}, **edits)
+        _assert_input_error(tmp_path, capsys, "risk", doc)
+        assert not any((tmp_path / "out").iterdir())
+
+
+class TestChainLength:
+    def test_negative_p_max_rejected_before_solving(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr("mfbdsvie.cli.cmp_mod.compare_solve", _never)
+        doc = TestCompare().compare_doc()
+        doc["comparison"]["p_max"] = -2
+        _assert_input_error(tmp_path, capsys, "compare", doc)
+        assert not any((tmp_path / "out").iterdir())

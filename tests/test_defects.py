@@ -1,6 +1,6 @@
 """The row defects: the equation's residual and the upper-triangle identity.
 
-Both read the stacked terms a map takes (`solver.row_defects`): the
+Both read the stacked terms a map takes (`lattice.row_defects`): the
 residual the map's slot terms, one driver call per slot for a driver
 blind to the swapped arguments, and `check_delta_equation` the flip
 equation's.  They must agree with the one-row references of

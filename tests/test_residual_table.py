@@ -1,14 +1,14 @@
 """The row defects grown in one table of plain arrays.
 
-`solver.row_defects` sums each row's defect in one scratch table sized
-for row 0's field (N, 0), doubling the running sum by each slot's W bit
-in place.  It must give the one-row sums of tests/_oracles.py: the
-residual bit for bit, the upper-triangle identity to rounding.  The
-extension identity reads each row's defect a block at a time and must
-equal its whole-table form bit for bit.  One warm `residual` must hold
-little beyond that table, `m_identity_residual` little beyond the
-forward integral of its last row, and the one-row adapter and the
-source-taking audited sum stay out of the package.
+`lattice.row_defects` sums each row's defect in one scratch table sized
+for the field (N, 0), doubling the running sum by each slot's W bit in
+place.  It must give the one-row sums of tests/_oracles.py: the residual
+bit for bit, the upper-triangle identity to rounding.  The extension
+identity is the same routine over the slots j < i with no term, and
+must equal its whole-table form bit for bit.  One warm `residual` or
+`m_identity_residual` must hold little beyond that table, and the
+one-row adapter and the source-taking audited sum stay out of the
+package.
 """
 
 import inspect
@@ -155,3 +155,35 @@ class TestOneTablePath:
         header = re.search(r"^def _audited_sum\(.*?\).*?:$", lattice,
                            re.M | re.S).group(0)
         assert "source" not in header
+
+
+class TestOneDefectRoutine:
+    """`lattice.row_defects` grows the defects of all three exact
+    identities (the residual, the flip identity and the extension
+    identity), and the block walk is named in `lattice` only."""
+
+    SRC = Path(mfbdsvie.__file__).parent
+
+    def test_one_routine_in_lattice(self):
+        owners = [path.name for path in sorted(self.SRC.glob("*.py"))
+                  if re.search(r"^def row_defects\(", path.read_text(), re.M)]
+        assert owners == ["lattice.py"]
+
+    def test_extension_identity_sums_no_forward_integral(self):
+        fields = (self.SRC / "fields.py").read_text()
+        assert not re.search(r"\bforward_integral\b", fields)
+        assert re.search(r"\brow_defects\(", fields)
+
+    def test_block_walk_named_in_lattice_only(self):
+        for path in self.SRC.glob("*.py"):
+            if path.name != "lattice.py":
+                assert not re.search(r"\b(_blocks|BLOCK_BITS)\b",
+                                     path.read_text()), path.name
+
+    def test_extension_peak_memory_at_n10(self):
+        # the one table on the last row's field (N, 0) and a block
+        n = 10
+        sc = Scenario(build_lattice(n, 1.0), BLIND, TERMINAL)
+        y, z = representation_pair(sc)
+        peak = peak_bytes(lambda: m_identity_residual(y, z))
+        assert peak <= 1.25 * 8 * 4 ** n

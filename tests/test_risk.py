@@ -17,6 +17,7 @@ from mfbdsvie.risk import (
     axiom_positive_homogeneity,
     axiom_subadditivity,
     axiom_translation,
+    check_premises,
     discount_factors,
     rho,
 )
@@ -280,3 +281,37 @@ class TestValidation:
         with pytest.raises(errors.ValidationError):
             RiskSpec(build_lattice(2, 1.0), rate=lambda s: 10.0,
                      rate_bound=0.1)
+
+
+class TestPremises:
+    """Each axiom refuses its failed premises before any solve."""
+
+    @pytest.mark.parametrize("lam", [-0.5, 1.7, float("nan")])
+    def test_convexity_mixes_inside_the_unit_interval(self, monkeypatch, lam):
+        monkeypatch.setattr("mfbdsvie.risk.rho", _never)
+        rs = make_rs(h=ZPart("smooth_abs", k1=0.3))
+        with pytest.raises(errors.ValidationError, match="lambda"):
+            axiom_convexity(rs, const_payoff(1.0), const_payoff(2.0), lam)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_convexity_end_points_admitted(self, lam):
+        check_premises(make_rs(h=ZPart("smooth_abs", k1=0.3)), "convexity", lam)
+
+    def test_flags_and_scale_refused_before_rho(self, monkeypatch):
+        monkeypatch.setattr("mfbdsvie.risk.rho", _never)
+        p, smooth = const_payoff(1.0), ZPart("smooth_abs", k1=0.3)
+        with pytest.raises(errors.ValidationError, match="positive-scale"):
+            axiom_positive_homogeneity(make_rs(), p, 0.0)
+        with pytest.raises(errors.FlagMissing):
+            axiom_positive_homogeneity(make_rs(h=smooth), p, 2.0)
+        with pytest.raises(errors.FlagMissing):
+            axiom_subadditivity(make_rs(g=smooth), p, p)
+
+    def test_unflagged_axioms_have_no_premises(self):
+        rs = make_rs(h=ZPart("smooth_abs", k1=0.3), g=ZPart("abs", k1=0.3))
+        for axiom in ("translation", "past_independence", "monotonicity"):
+            check_premises(rs, axiom, -1.0)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("an axiom solved before checking its premises")
