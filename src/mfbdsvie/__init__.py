@@ -71,11 +71,13 @@ from .risk import (
     axiom_convexity,
     axiom_monotonicity,
     axiom_past_independence,
+    axiom_positions,
     axiom_positive_homogeneity,
     axiom_subadditivity,
     axiom_translation,
     discount_factors,
     rho,
+    solve_positions,
 )
 from .malliavin import (
     LinearizedScenario,

@@ -365,6 +365,11 @@ def _run_compare(doc, out_dir: Path) -> tuple[int, list[str]]:
     return (0 if verdict.passed else 2), lines
 
 
+def _canonical(value) -> str:
+    """A JSON value as text that two equal documents share."""
+    return json.dumps(value, sort_keys=True)
+
+
 def _run_risk(doc, out_dir: Path) -> tuple[int, list[str]]:
     if "risk" not in doc:
         raise InputError("scenario: risk needs a risk section")
@@ -390,6 +395,8 @@ def _run_risk(doc, out_dir: Path) -> tuple[int, list[str]]:
         p2 = risk_mod.PayoffStream(
             parse_terminal(cfg["payoff2"], "risk.payoff2")
         )
+        if _canonical(cfg["payoff2"]) == _canonical(cfg["payoff"]):
+            p2 = p1  # one position, solved once
     axioms = cfg.get("axioms", ["translation"])
     if not isinstance(axioms, list) or any(a not in AXIOMS for a in axioms):
         raise InputError(f"risk.axioms: expected a list of names from "
@@ -402,6 +409,9 @@ def _run_risk(doc, out_dir: Path) -> tuple[int, list[str]]:
     t_idx = _in_range(cfg.get("t_idx", 0), "risk.t_idx", 0, lat.n_steps)
     for name in axioms:
         risk_mod.check_premises(rs, name, lam)
+    risk_mod.solve_positions(rs, [p1] + [
+        p for name in axioms
+        for p in risk_mod.axiom_positions(rs, name, p1, p2, shift, lam)])
     _write_profile(out_dir / "rho.csv", risk_mod.rho(rs, p1))
     reports = []
     for name in axioms:

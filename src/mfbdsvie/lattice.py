@@ -31,6 +31,11 @@ and `from_bit_view` turns such a view back into a variable on the
 coarsest field it needs.  Tables the package builds are write-locked
 and kept, never copied; only a caller's writable array is copied.
 
+The backward induction `clark_ocone_sweep` advances a stack of rows on
+a leading row axis, and a batch of members (equations that differ only
+in their data) on a member axis ahead of it; `_onto` and `_lift_rows`
+keep every leading axis.
+
 A lattice may carry several independent walk pairs per time step
 ("lanes"); the interacting particle system uses one lane per particle
 on a joint lattice, with time-node fields at multiples of the lane
@@ -40,6 +45,7 @@ count.  Single-equation work always uses lanes=1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 from typing import Callable, Iterator, Sequence
 
@@ -135,8 +141,10 @@ class SigmaField:
         return (1 << self.w_upto, 1 << (self.lattice.n_bits - self.b_from))
 
 
+@lru_cache(maxsize=1024)
 def time_field(lat: LatticeSpec, i: int) -> SigmaField:
-    """The field F_{t_i} = (i*lanes, i*lanes) available at grid node i."""
+    """The field F_{t_i} = (i*lanes, i*lanes) available at grid node i
+    (one shared, immutable object per lattice and node)."""
     if not 0 <= i <= lat.n_steps:
         raise IndexOutOfRange(f"node {i} outside 0..{lat.n_steps}")
     return SigmaField(lat, i * lat.lanes, i * lat.lanes)
@@ -354,13 +362,14 @@ def lift(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
 
 
 def _lift_rows(v: np.ndarray, g: SigmaField, f: SigmaField) -> np.ndarray:
-    """A stack of g's tables (leading row axis) as a stack of f's tables."""
+    """A stack of g's tables (leading row, or member and row, axes) as a
+    stack of f's tables."""
     if g == f:
         return v
-    r = len(v)
-    full = (r,) + (2,) * (f.w_upto + f.lattice.n_bits - f.b_from)
-    wide = np.broadcast_to(v.reshape((r,) + bit_view_shape(g, f)), full)
-    return np.ascontiguousarray(wide).reshape((r,) + f.table_shape)
+    lead = v.shape[:-2]
+    full = lead + (2,) * (f.w_upto + f.lattice.n_bits - f.b_from)
+    wide = np.broadcast_to(v.reshape(lead + bit_view_shape(g, f)), full)
+    return np.ascontiguousarray(wide).reshape(lead + f.table_shape)
 
 
 def _onto(v: np.ndarray, g: SigmaField, f: SigmaField) -> np.ndarray:
@@ -368,13 +377,16 @@ def _onto(v: np.ndarray, g: SigmaField, f: SigmaField) -> np.ndarray:
 
     The W increments >= f.w_upto are the top bits of the W index and the
     B increments < f.b_from the low bits of the B index; both are averaged
-    out, and the result is lifted onto f.
+    out, and the result is lifted onto f.  Axes ahead of the table's two
+    (members, rows) are kept.
     """
-    a, b, r = g.w_upto, g.b_from, len(v)
+    a, b, lead = g.w_upto, g.b_from, v.shape[:-2]
     if a > f.w_upto:
-        v = v.reshape(r, 1 << (a - f.w_upto), -1, v.shape[-1]).mean(axis=1)
+        v = v.reshape(lead + (1 << (a - f.w_upto), -1, v.shape[-1])).mean(
+            axis=-3)
     if b < f.b_from:
-        v = v.reshape(r, v.shape[1], -1, 1 << (f.b_from - b)).mean(axis=3)
+        v = v.reshape(lead + (v.shape[-2], -1, 1 << (f.b_from - b))).mean(
+            axis=-1)
     coarse = SigmaField(f.lattice, min(a, f.w_upto), max(b, f.b_from))
     return _lift_rows(v, coarse, f)
 
@@ -391,8 +403,8 @@ def condexp(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
     return MeasurableRV(f, _owned(_onto(x.values[None], x.field, f)[0]))
 
 
-def clark_ocone_sweep(x: Sequence[MeasurableRV], i: int, lane: int = 0,
-                      first: int = 0, term: Callable | None = None
+def clark_ocone_sweep(x: Sequence, i: int, lane: int = 0, first: int = 0,
+                      term: Callable | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Y and the kernel rows of a stack of rows i, i + 1, ..., one per x.
 
@@ -410,37 +422,51 @@ def clark_ocone_sweep(x: Sequence[MeasurableRV], i: int, lane: int = 0,
     Y_r.  Each bit costs a few passes over the stack: terms on the field
     (m + 1, m) keep it at 2^(M + lanes) entries a row.
 
+    x is the rows' variables, or a batch: one such sequence per member,
+    the members' rows on the same fields.  The table then has a leading
+    member axis ahead of the row axis, and the members advance together;
+    every operation is the same on each member's rows as on a stack of
+    them alone.
+
     term(m, rows) gives the slot-m terms of the rows `rows` (those at or
-    below m) as (field, values), values broadcasting against a leading row
-    axis and the field's bit axes; a field past ((m + 1) lanes, .) knows W
-    bits of later steps, would feed columns already read, and raises
-    MeasurabilityViolation.  A row without terms joins the stack at the
-    step of the highest W bit its x knows, so the stack of a path's rows
-    (the M-extension) grows downwards as the walk reaches them; rows that
-    join at one step are a block right below those that joined earlier.
+    below m) as (field, values), values broadcasting against the leading
+    (member,) row axes and the field's bit axes; a field past
+    ((m + 1) lanes, .) knows W bits of later steps, would feed columns
+    already read, and raises MeasurabilityViolation.  A row without terms
+    joins the stack at the step of the highest W bit its x knows, so the
+    stack of a path's rows (the M-extension) grows downwards as the walk
+    reaches them; rows that join at one step are a block right below
+    those that joined earlier.
 
     Columns j < first are not computed.  Returns (ys, zs): ys[k] is
     the table of Y_{i+k} on its time field and zs[k, j] that of its
-    column j, each flattened as in the dense path and kernel; columns not
-    computed, and those at bits S is blind to, are zero.
+    column j, each flattened as in the dense path and kernel, behind the
+    member axis for a batch; columns not computed, and those at bits S is
+    blind to, are zero.
     """
-    lat = x[0].lattice
-    n, lanes, rows = lat.n_steps, lat.lanes, len(x)
-    ys = np.empty((rows, 1 << lat.n_bits))
-    zs = np.zeros((rows, n, 1 << lat.n_bits))
+    batch = not isinstance(x[0], MeasurableRV)
+    members = x if batch else [x]
+    fields = [v.field for v in members[0]]
+    if any([v.field for v in xm] != fields for xm in members):
+        raise MeasurabilityViolation("the members' rows differ in field")
+    lat = fields[0].lattice
+    n, lanes, rows, size = lat.n_steps, lat.lanes, len(fields), len(members)
+    ys = np.empty((size, rows, 1 << lat.n_bits))
+    zs = np.zeros((size, rows, n, 1 << lat.n_bits))
 
     # the step at which each row joins the stack: the last one for a row
     # with terms, else that of the highest W bit its x knows
     enters = [n - 1 if term is not None and i + k < n
-              else -(-x[k].field.w_upto // lanes) - 1 for k in range(rows)]
+              else -(-fields[k].w_upto // lanes) - 1 for k in range(rows)]
     starts = {}  # step -> tables of the rows that join there, by row
     for k in range(rows):
-        e, r = enters[k], i + k
-        table, field = x[k].values, x[k].field
+        e, r, field = enters[k], i + k, fields[k]
+        table = (members[0][k].values[None] if size == 1
+                 else np.stack([xm[k].values for xm in members]))
         if e < r:  # it joins after its own step: Y is its conditioned x
-            field = time_field(lat, r)
-            table = condexp(x[k], field).values
-            ys[k] = table.reshape(-1)
+            own = time_field(lat, r)
+            table, field = _onto(table, field, own), own
+            ys[:, k] = table.reshape(size, -1)
             if e < first:
                 continue
         starts.setdefault(e, []).append((k, field, table))
@@ -453,12 +479,12 @@ def clark_ocone_sweep(x: Sequence[MeasurableRV], i: int, lane: int = 0,
             g = f if stack is not None else new[0][1]
             for _, field, _ in new:
                 g = g.join(field)
-            parts = [_lift_rows(t[None], field, g) for _, field, t in new]
+            parts = [_lift_rows(t[:, None], field, g) for _, field, t in new]
             if stack is not None:
                 parts.append(_lift_rows(stack, f, g))
             else:
                 hi = new[-1][0] + i + 1
-            stack, f, lo = np.concatenate(parts), g, new[0][0] + i
+            stack, f, lo = np.concatenate(parts, axis=1), g, new[0][0] + i
         if stack is None:
             continue
         if term is not None and lo <= m:
@@ -471,23 +497,24 @@ def clark_ocone_sweep(x: Sequence[MeasurableRV], i: int, lane: int = 0,
                         f"W bits past {(m + 1) * lanes}")
                 g = f.join(tf)
                 stack, f = _lift_rows(stack, f, g), g
-                axes = stack.reshape((len(stack),) + bit_view_shape(f, f))
-                axes[:min(hi - 1, m) + 1 - lo] += np.reshape(
-                    tv, tv.shape[:1] + (1,) * (f.w_upto - tf.w_upto)
-                    + tv.shape[1:] + (1,) * (tf.b_from - f.b_from))
+                axes = stack.reshape(stack.shape[:2] + bit_view_shape(f, f))
+                lead = np.ndim(tv) - (tf.w_upto + lat.n_bits - tf.b_from)
+                axes[:, :min(hi - 1, m) + 1 - lo] += np.reshape(
+                    tv, tv.shape[:lead] + (1,) * (f.w_upto - tf.w_upto)
+                    + tv.shape[lead:] + (1,) * (tf.b_from - f.b_from))
         # the step's W bits, each halving applied at once (halving is
         # exact, so the order of the halvings does not matter)
         read = m >= first
         a, b = f.w_upto, f.b_from
         for k in range(a - 1, m * lanes - 1, -1):
             # bit k tops the W index
-            pair = stack.reshape(len(stack), 2, -1, stack.shape[-1])
+            pair = stack.reshape(stack.shape[:2] + (2, -1, stack.shape[-1]))
             if k == lat.bit_of(m, lane) and read:
-                d = pair[:, 1] - pair[:, 0]
+                d = pair[:, :, 1] - pair[:, :, 0]
                 d *= 0.5 / lat.inc
                 col = _onto(d, SigmaField(lat, k, b), time_field(lat, m))
-                zs[lo - i:hi - i, m] = col.reshape(len(stack), -1)
-            stack = pair[:, 0] + pair[:, 1]
+                zs[:, lo - i:hi - i, m] = col.reshape(col.shape[:2] + (-1,))
+            stack = pair[:, :, 0] + pair[:, :, 1]
             stack *= 0.5
         f = SigmaField(lat, min(a, m * lanes), b)
         if lo <= m < hi and enters[m - i] >= m:
@@ -496,14 +523,14 @@ def clark_ocone_sweep(x: Sequence[MeasurableRV], i: int, lane: int = 0,
             own = time_field(lat, m)
             mid = SigmaField(lat, f.w_upto, max(b, own.b_from))
             r = m - lo
-            y = _onto(stack[r:r + 1], f, mid)
+            y = _onto(stack[:, r:r + 1], f, mid)
             if mid != f:
-                stack[r] = _lift_rows(y, mid, f)[0]
-            ys[m - i] = _lift_rows(y, mid, own).reshape(-1)
+                stack[:, r] = _lift_rows(y, mid, f)[:, 0]
+            ys[:, m - i] = _lift_rows(y, mid, own).reshape(size, -1)
         if first >= m:
             hi = min(hi, m)
-            stack = stack[:hi - lo] if hi > lo else None
-    return ys, zs
+            stack = stack[:, :hi - lo] if hi > lo else None
+    return (ys, zs) if batch else (ys[0], zs[0])
 
 
 def expectation(x: MeasurableRV) -> float:

@@ -13,11 +13,18 @@ telescopes through the y-part of the driver while the kernel is
 untouched.
 
 Axiom checks solve the equation for the payoffs involved and compare
-pathwise, each payoff once per risk spec (`rho` keeps the profiles it
+pathwise, each payoff once per risk spec (the spec keeps the profiles it
 solved); structural requirements (convexity of h, affinity or
 additivity of g, positive homogeneity) are declared by the z-map kind
 and audited by sampling, and `check_premises` refuses an axiom whose
 flags or scale fail, all before any solve.
+
+The positions of a spec differ only in the terminal, so `solve_positions`
+solves every one not yet solved as a member of one batched Picard solve
+(`solver.picard_solve` on a list of scenarios, one stack per map and each
+member stopping as it would alone).  An axiom reads its positions from
+`axiom_positions`, which builds the derived ones (shifted, scaled, mixed,
+pooled) once per spec, so a caller can solve them all ahead in one batch.
 """
 
 from __future__ import annotations
@@ -45,7 +52,8 @@ class RiskSpec:
     """Rate, z-maps and lattice for one risk measure.
 
     Its settings are checked when it is built and are fixed once built:
-    the profiles `rho` solved, one per payoff, are kept on the spec.
+    the profiles solved, one per payoff, and the positions the axioms
+    derived are kept on the spec.
     """
 
     def __init__(self, lattice: LatticeSpec, rate, h: ZPart | None = None,
@@ -60,6 +68,7 @@ class RiskSpec:
         self.tol = tol
         self.max_iter = max_iter
         self._profiles: dict[PayoffStream, AdaptedPath] = {}
+        self._derived: dict[tuple, PayoffStream] = {}
         audit_z_flags(self.driver.h)
         audit_z_flags(self.driver.g)
         grid_bound = max(
@@ -79,13 +88,6 @@ class RiskSpec:
     @property
     def g(self) -> ZPart:
         return self.driver.g
-
-    def _solve(self, term: TerminalSpec) -> AdaptedPath:
-        sc = Scenario(self.lattice, self.driver, term,
-                      beta=self.beta, safety=self.safety)
-        y, _, _ = picard_solve(sc, tol=self.tol, max_iter=self.max_iter,
-                               report=False)
-        return y
 
 
 def audit_z_flags(part: ZPart, n_samples: int = 200,
@@ -119,14 +121,58 @@ def audit_z_flags(part: ZPart, n_samples: int = 200,
         raise ValidationError(f"z-map '{part.kind}' breaks its Lipschitz bound")
 
 
+def solve_positions(rs: RiskSpec, positions) -> None:
+    """Solve each position the spec has not solved yet, all as the members
+    of one batched `picard_solve`; the profiles are kept only once every
+    member has converged."""
+    todo = list(dict.fromkeys(p for p in positions if p not in rs._profiles))
+    if not todo:
+        return
+    scs = [Scenario(rs.lattice, rs.driver, p.zeta.negated(), beta=rs.beta,
+                    safety=rs.safety) for p in todo]
+    ys, _, _ = picard_solve(scs, tol=rs.tol, max_iter=rs.max_iter,
+                            report=False)
+    rs._profiles.update(zip(todo, ys))
+
+
 def rho(rs: RiskSpec, p: PayoffStream) -> AdaptedPath:
     """Risk profile of the position stream, solved once per spec.
 
     The profile is write-locked, so every axiom that reads p shares it.
     """
-    if p not in rs._profiles:
-        rs._profiles[p] = rs._solve(p.zeta.negated())
+    solve_positions(rs, [p])
     return rs._profiles[p]
+
+
+def axiom_positions(rs: RiskSpec, axiom: str, p1: PayoffStream,
+                    p2: PayoffStream | None = None, c: float = 1.0,
+                    lam: float = 0.5) -> list[PayoffStream]:
+    """The positions an axiom reads, in the order it reads them: the one
+    it derives from p1 (and p2) with the shift c or the scale or weight
+    lam, if any, then its inputs.  A derived position is built once per
+    spec and kept, keyed by what it reads: profiles are kept by position,
+    so it is solved once, whoever asks for it."""
+    derived = {
+        "translation": ((p1,), c, lambda: p1.zeta.shifted(c)),
+        "positive_homogeneity": ((p1,), lam, lambda: p1.zeta.scaled(lam)),
+        "convexity": ((p1, p2), lam, lambda: p1.zeta.mixed(p2.zeta, lam)),
+        "subadditivity": ((p1, p2), None, lambda: p1.zeta.plus(p2.zeta)),
+    }
+    if axiom not in derived:  # past independence, monotonicity
+        return [p1, p2]
+    inputs, arg, build = derived[axiom]
+    key = (axiom, *inputs, arg)
+    if key not in rs._derived:
+        rs._derived[key] = PayoffStream(build())
+    return [rs._derived[key], *inputs]
+
+
+def _profiles(rs: RiskSpec, axiom: str, *args, **kwargs
+              ) -> list[AdaptedPath]:
+    """The profiles of an axiom's positions, solved as one batch."""
+    positions = axiom_positions(rs, axiom, *args, **kwargs)
+    solve_positions(rs, positions)
+    return [rs._profiles[p] for p in positions]
 
 
 def discount_factors(rs: RiskSpec) -> np.ndarray:
@@ -178,21 +224,21 @@ def _report(axiom: str, rows: list[tuple]) -> AxiomReport:
 def axiom_past_independence(rs: RiskSpec, p1: PayoffStream, p2: PayoffStream,
                             t_idx: int) -> AxiomReport:
     """rho at and after t_idx only reads the positions there."""
+    r1, r2 = _profiles(rs, "past_independence", p1, p2)
     return _report("past_independence", node_gaps(
-        rho(rs, p1), rho(rs, p2), from_node=t_idx, absolute=True))
+        r1, r2, from_node=t_idx, absolute=True))
 
 
 def axiom_monotonicity(rs: RiskSpec, p1: PayoffStream, p2: PayoffStream
                        ) -> AxiomReport:
     """Positions ordered p1 <= p2 produce risks ordered the other way."""
-    r1, r2 = rho(rs, p1), rho(rs, p2)
+    r1, r2 = _profiles(rs, "monotonicity", p1, p2)
     return _report("monotonicity", node_gaps(r2, r1))
 
 
 def axiom_translation(rs: RiskSpec, p: PayoffStream, c: float) -> AxiomReport:
     """Shifting the position by c moves rho by -c times the discount."""
-    base = rho(rs, p)
-    shifted = rho(rs, PayoffStream(p.zeta.shifted(c)))
+    shifted, base = _profiles(rs, "translation", p, c=c)
     diff = shifted.values - base.values
     predicted = -c * discount_factors(rs)
     gaps = np.max(np.abs(diff - predicted[:, None]), axis=-1)
@@ -205,8 +251,7 @@ def axiom_convexity(rs: RiskSpec, p1: PayoffStream, p2: PayoffStream,
                     lam: float) -> AxiomReport:
     """Mixing positions cannot increase risk beyond the mixed risks."""
     check_premises(rs, "convexity", lam)
-    rmix = rho(rs, PayoffStream(p1.zeta.mixed(p2.zeta, lam)))
-    r1, r2 = rho(rs, p1), rho(rs, p2)
+    rmix, r1, r2 = _profiles(rs, "convexity", p1, p2, lam=lam)
     bound = AdaptedPath(rs.lattice, lam * r1.values + (1 - lam) * r2.values)
     return _report("convexity", node_gaps(rmix, bound))
 
@@ -215,8 +260,7 @@ def axiom_positive_homogeneity(rs: RiskSpec, p: PayoffStream, lam: float
                                ) -> AxiomReport:
     """rho(lam zeta) = lam rho(zeta) for lam > 0 under homogeneous maps."""
     check_premises(rs, "positive_homogeneity", lam)
-    scaled = rho(rs, PayoffStream(p.zeta.scaled(lam)))
-    base = rho(rs, p)
+    scaled, base = _profiles(rs, "positive_homogeneity", p, lam=lam)
     return _report("positive_homogeneity", node_gaps(
         scaled, AdaptedPath(rs.lattice, lam * base.values), absolute=True))
 
@@ -225,7 +269,6 @@ def axiom_subadditivity(rs: RiskSpec, p1: PayoffStream, p2: PayoffStream
                         ) -> AxiomReport:
     """Pooling positions cannot exceed the sum of the risks."""
     check_premises(rs, "subadditivity")
-    pooled = rho(rs, PayoffStream(p1.zeta.plus(p2.zeta)))
-    r1, r2 = rho(rs, p1), rho(rs, p2)
+    pooled, r1, r2 = _profiles(rs, "subadditivity", p1, p2)
     return _report("subadditivity", node_gaps(
         pooled, AdaptedPath(rs.lattice, r1.values + r2.values)))

@@ -47,6 +47,14 @@ O(N^2 2^N); one that reads z_rev or mean_z_rev knows the B bits from i
 on, so each row is a stack of its own on (m + 1, i), O(4^N) a map.
 `residual` needs every path: it grows each row's defect in one 4^N table.
 
+Solves that share a lattice, a driver and a beta and differ only in the
+terminal (the positions of a risk measure) are one batch: `picard_solve`
+on a list of scenarios runs one `iterate` loop in which each member
+leaves at the iteration where it would stop alone, and each map sweeps
+the running members as one stack, a member axis ahead of the row axis
+(`Stacked` pairs, means per member), so a member costs little more than
+its share of the arithmetic.  A single scenario is the batch of one.
+
 Iterating the map from (0, 0) contracts in the beta-weighted norm once
 beta clears the threshold; the report keeps the successive-difference
 trace so the empirical ratios can be held against the theoretical
@@ -57,9 +65,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -153,7 +161,8 @@ class SolverReport:
 
     The iteration stops once the pathwise sup-norm of the successive
     difference drops below tol (a beta-independent certificate for the
-    pathwise residual contract).  diff_trace and ratio_trace hold the
+    pathwise residual contract); sup_trace holds that distance at each
+    iteration.  diff_trace and ratio_trace hold the
     weighted-norm diffs the contraction theory speaks about, scaled by
     the square root of the total exponential weight mass so the entries
     stay on a pathwise scale; ratios are unaffected by the scaling.
@@ -165,6 +174,7 @@ class SolverReport:
     gamma_theory: float
     final_residual: float
     final_norms: tuple[float, float]  # (restricted, full)
+    sup_trace: list[float] = field(default_factory=list)
 
 
 def _source(driver: DriverSpec, lat: LatticeSpec) -> float:
@@ -191,8 +201,24 @@ def _weight_mass(lat: LatticeSpec, beta: float) -> float:
     return sum(w.at(lat.node(i)) * lat.dt for i in range(lat.n_steps + 1))
 
 
-def slot_args(y: AdaptedPath, z: VolterraKernel, ey, ez, j: int, rows: range,
-              swapped: bool = True
+class Stacked(NamedTuple):
+    """The paths or the kernels of a batch's members as one array: `values`
+    is that of an `AdaptedPath` or a `VolterraKernel` behind a leading
+    member axis."""
+
+    lattice: LatticeSpec
+    values: np.ndarray
+
+
+def _stacked(parts) -> Stacked:
+    """The members' paths or kernels stacked; a batch of one is a view."""
+    values = [x.values for x in parts]
+    return Stacked(parts[0].lattice,
+                   values[0][None] if len(values) == 1 else np.stack(values))
+
+
+def slot_args(y: AdaptedPath | Stacked, z: VolterraKernel | Stacked, ey, ez,
+              j: int, rows: range, swapped: bool = True
               ) -> tuple[SigmaField, np.ndarray, tuple, tuple]:
     """Frozen driver arguments of the rows `rows` (each <= j) at slot j.
 
@@ -207,40 +233,63 @@ def slot_args(y: AdaptedPath, z: VolterraKernel, ey, ez, j: int, rows: range,
     otherwise the field knows the B bits from the first row on, and the
     rows' swapped entries, on time fields that differ by row, are
     broadcast to one shape before they are stacked.
+
+    y and z may be a batch's `Stacked` paths and kernels, with its
+    `means`: every argument then has a leading member axis ahead of the
+    row axis (of size 1 in t), and member m's arguments are those of its
+    own pair and means.
     """
     lat = y.lattice
     lanes, jr = lat.lanes, j + 1
     last = jr == lat.n_steps
+    mem = y.values.shape[:-2]
     f = SigmaField(lat, jr * lanes, (rows[0] if swapped else j) * lanes)
-    lead = (len(rows),) + (1,) * (f.w_upto + lat.n_bits - f.b_from)
+    lead = mem + (len(rows),) + (1,) * (f.w_upto + lat.n_bits - f.b_from)
+    cut = slice(rows.start, rows.stop)
 
-    def shared(x):
-        return bit_view(x, f)[None] if isinstance(x, MeasurableRV) else x
+    def view(v, k):  # dense entries on node k's time field, as bit views
+        return v.reshape(v.shape[:-1] + bit_view_shape(time_field(lat, k), f))
 
-    def stacked(cells):  # one value per row: a mean or a swapped entry
-        if isinstance(cells[0], MeasurableRV):
-            return np.stack(np.broadcast_arrays(*[bit_view(c, f)
-                                                  for c in cells]))
-        return np.reshape(cells, lead)
+    if isinstance(ey, np.ndarray):  # a batch's means, behind the members
+        def path_mean(k):  # a float for one member, as for a pair
+            m = ey[:, k]
+            return float(m[0]) if len(m) == 1 else m.reshape(
+                mem + (1,) * (len(lead) - 1))
 
-    def kernel(k):  # entries (i, k) of the rows, read off the dense kernel
-        g = time_field(lat, k)
-        return z.values[rows.start:rows.stop, k].reshape(
-            lead[:1] + bit_view_shape(g, f))
+        def row_means(k, swap=False):  # of entries (i, k), or (k, i)
+            return (ez[:, k, cut] if swap else ez[:, cut, k]).reshape(lead)
+    else:
+        def path_mean(k):
+            x = ey[k]
+            return bit_view(x, f)[None] if isinstance(x, MeasurableRV) else x
 
-    def swap(k):
+        def row_means(k, swap=False):
+            cells = [ez[k][i] if swap else ez[i][k] for i in rows]
+            if isinstance(cells[0], MeasurableRV):
+                return np.stack(np.broadcast_arrays(*[bit_view(c, f)
+                                                      for c in cells]))
+            return np.reshape(cells, lead)
+
+    def kernel(k):  # entries (i, k) of the rows
+        return view(z.values[..., cut, k, :], k)
+
+    def swap(k):  # entries (k, i) of the rows, on time fields by row
         if not swapped:
             return 0.0, 0.0
-        return (stacked([z.at(k, i) for i in rows]),
-                stacked([ez[k][i] for i in rows]))
+        return (np.stack(np.broadcast_arrays(*[
+                    view(z.values[..., k, i, :], i) for i in rows]),
+                         axis=len(mem)),
+                row_means(k, swap=True))
 
-    t = np.reshape([lat.node(i) for i in rows], lead)
+    t = np.reshape([lat.node(i) for i in rows],
+                   (1,) * len(mem) + lead[len(mem):])
     zr, mzr = swap(j)
-    left = (shared(y[j]), kernel(j), zr, shared(ey[j]),
-            stacked([ez[i][j] for i in rows]), mzr)
+    left = (view(y.values[..., j:jr, :], j), kernel(j), zr, path_mean(j),
+            row_means(j), mzr)
     zr, mzr = swap(jr)
-    right = (shared(y[jr]), 0.0 if last else kernel(jr), zr, shared(ey[jr]),
-             0.0 if last else stacked([ez[i][jr] for i in rows]), mzr)
+    right = (view(y.values[..., jr:jr + 1, :], jr),
+             0.0 if last else kernel(jr), zr, path_mean(jr),
+             0.0 if last else row_means(jr), mzr)
     return f, t, left, right
 
 
@@ -251,7 +300,8 @@ def slot_terms(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
 
     One f call and one g call serve every row, on the arguments of
     `slot_args`, with the given lane's dB_j.  Returns the field and values
-    with a leading row axis and the field's bit axes.
+    with a leading row axis and the field's bit axes, behind the member
+    axis for a batch.
     """
     lat = y.lattice
     f, t, left, right = slot_args(y, z, ey, ez, j, rows, swapped)
@@ -284,15 +334,25 @@ def map_rows(zeta, term: Callable | None, one_stack: bool, lane: int = 0,
     advance as one stack; terms that read the swapped arguments know B
     bits that differ by row, so for them each row is a stack of its own.
     first is that of `clark_ocone_sweep`.
+
+    zeta may be a batch, one sequence of terminals per member, with terms
+    for the members' stacked pairs: the members then sweep together, and
+    Y and Z are lists, one path and kernel per member, each a view of one
+    table.
     """
-    lat = zeta[0].lattice
+    batch = not isinstance(zeta[0], MeasurableRV)
+    members = zeta if batch else [zeta]
+    lat = members[0][0].lattice
     if one_stack:
-        ys, zs = clark_ocone_sweep(zeta, 0, lane, first, term)
+        ys, zs = clark_ocone_sweep(members, 0, lane, first, term)
     else:
-        ys, zs = map(np.concatenate, zip(*(
-            clark_ocone_sweep(zeta[i:i + 1], i, lane, first, term)
+        ys, zs = (np.concatenate(t, axis=1) for t in zip(*(
+            clark_ocone_sweep([x[i:i + 1] for x in members], i, lane, first,
+                              term)
             for i in range(lat.n_steps + 1))))
-    return AdaptedPath(lat, _owned(ys)), VolterraKernel(lat, _owned(zs))
+    ys, zs = ([AdaptedPath(lat, v) for v in _owned(ys)],
+              [VolterraKernel(lat, v) for v in _owned(zs)])
+    return (ys, zs) if batch else (ys[0], zs[0])
 
 
 def check_settings(tol: float, max_iter: int) -> None:
@@ -308,19 +368,37 @@ def iterate(step: Callable, start, distance: Callable, tol: float,
     """Picard loop: apply step until distance(new, old) <= tol.
 
     Returns (state, iterations, last distance).
+
+    A dict start is a batch of member states: step and distance take the
+    dict of the members still running, and give a dict over the same
+    members, of new states and of distances.  Each member leaves the
+    batch at the iteration where its own distance reaches tol, so it runs
+    as it would alone.  The state and iterations are then dicts over every
+    member, and the distance a list per member: its distance at each
+    iteration it ran.
     """
     check_settings(tol, max_iter)
-    state = start
-    for k in range(1, max_iter + 1):
-        new = step(state)
-        d = distance(new, state)
-        state = new
-        if d <= tol:
-            return state, k, d
+    batch = isinstance(start, dict)
+    states = dict(start) if batch else {0: start}
+    traces = {m: [] for m in states}
+    running = dict(states)
+    for _ in range(max_iter):
+        new = step(running) if batch else {0: step(running[0])}
+        d = distance(new, running) if batch else {
+            0: distance(new[0], running[0])}
+        states.update(new)
+        for m in new:
+            traces[m].append(d[m])
+        running = {m: x for m, x in new.items() if not d[m] <= tol}
+        if not running:
+            if batch:
+                return states, {m: len(t) for m, t in traces.items()}, traces
+            return states[0], len(traces[0]), traces[0][-1]
+    m = next(iter(running))
     raise NoConvergence(
-        f"max_iter={max_iter} hit with successive difference {d:.3e} "
-        f"> tol={tol}"
-    )
+        (f"member {m}: " if len(states) > 1 else "")
+        + f"max_iter={max_iter} hit with successive difference "
+        f"{traces[m][-1]:.3e} > tol={tol}")
 
 
 def sup_distance(new, old) -> float:
@@ -328,25 +406,48 @@ def sup_distance(new, old) -> float:
     return pair_sup_diff(*new, *old)
 
 
-def means(y: AdaptedPath, z: VolterraKernel):
-    """Expectations of every path and kernel entry (the mean arguments)."""
-    return (np.mean(y.values, axis=-1).tolist(),
-            np.mean(z.values, axis=-1).tolist())
+def means(y: AdaptedPath | Stacked, z: VolterraKernel | Stacked):
+    """Expectations of every path and kernel entry (the mean arguments).
+
+    Lists of floats for a pair; for a batch's `Stacked` paths and kernels,
+    arrays behind the member axis.
+    """
+    ey, ez = np.mean(y.values, axis=-1), np.mean(z.values, axis=-1)
+    return (ey.tolist(), ez.tolist()) if ey.ndim == 1 else (ey, ez)
 
 
-def _driver_terms(sc: Scenario, y: AdaptedPath, z: VolterraKernel
-                  ) -> tuple[Callable, bool]:
-    """The stacked slot terms of sc's driver frozen at (y, z), and whether
+def _driver_terms(driver: DriverSpec, y, z) -> tuple[Callable, bool]:
+    """The stacked slot terms of the driver frozen at (y, z), and whether
     the rows make one stack (the driver is blind to the swapped arguments)."""
-    swapped = reads_swapped(sc.driver)
-    return (partial(slot_terms, sc.driver, y, z, *means(y, z),
+    swapped = reads_swapped(driver)
+    return (partial(slot_terms, driver, y, z, *means(y, z),
                     swapped=swapped), not swapped)
+
+
+def check_batch(scs) -> None:
+    """Refuse a batch of scenarios that differ in lattice, driver or beta."""
+    if not scs:
+        raise ValidationError("a batch needs at least one scenario")
+    first = (scs[0].lattice, scs[0].driver, scs[0].beta)
+    for m, sc in enumerate(scs):
+        if (sc.lattice, sc.driver, sc.beta) != first:
+            raise ValidationError(f"batch member {m} differs from member 0 "
+                                  f"in lattice, driver or beta")
 
 
 def gamma_map(sc: Scenario, y: AdaptedPath, z: VolterraKernel
               ) -> tuple[AdaptedPath, VolterraKernel]:
-    """One exact application of the frozen-argument map."""
-    return map_rows(sc.zeta, *_driver_terms(sc, y, z))
+    """One exact application of the frozen-argument map.
+
+    sc, y and z may be lists, the scenarios (`check_batch`) and pairs of a
+    batch's members: they are mapped as one stack, and the new paths and
+    kernels are lists too.  A pair is the batch of one.
+    """
+    batch = not isinstance(sc, Scenario)
+    scs, ys, zs = (sc, y, z) if batch else ([sc], [y], [z])
+    new = map_rows([x.zeta for x in scs], *_driver_terms(
+        scs[0].driver, _stacked(ys), _stacked(zs)))
+    return new if batch else (new[0][0], new[1][0])
 
 
 def representation_pair(sc: Scenario) -> tuple[AdaptedPath, VolterraKernel]:
@@ -359,7 +460,7 @@ def residual(sc: Scenario, y: AdaptedPath, z: VolterraKernel) -> float:
     zeta_i - Y_i + sum_{j >= i} (f dt + g dB_j - Z_ij dW_j) over rows i, on
     the map's stacked slot terms (`lattice.row_defects`)."""
     return max(map(_max_abs, row_defects(
-        sc.zeta, y.y, z, *_driver_terms(sc, y, z),
+        sc.zeta, y.y, z, *_driver_terms(sc.driver, y, z),
         [range(i, sc.lattice.n_steps) for i in range(len(y))])))
 
 
@@ -372,38 +473,64 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
     With report=False the third entry is None, and the weighted diffs,
     the exact `residual` and the final norms are never computed; the
     iterates are the same.
+
+    sc may be a list of scenarios sharing a lattice, a driver and a beta
+    (`check_batch`), with start a list of pairs: they are the members of
+    one batch of `iterate`, mapped as one stack.  Each member stops at the
+    iteration where it would alone, with the same iterates, and each entry
+    of the result is a list, one item per member.  A single scenario is
+    the batch of one.
     """
-    lat = sc.lattice
-    w = BetaWeight(sc.beta)
+    batch = not isinstance(sc, Scenario)
+    scs = list(sc) if batch else [sc]
+    check_batch(scs)
+    lat, beta = scs[0].lattice, scs[0].beta
+    w = BetaWeight(beta)
     # a Python float: a norm that overflows gives an inf diff and a nan
     # ratio, not a numpy warning
-    scale = 1.0 / math.sqrt(_weight_mass(lat, sc.beta))
-    diffs: list[float] = []
+    scale = 1.0 / math.sqrt(_weight_mass(lat, beta))
+    diffs = {m: [] for m in range(len(scs))}
 
-    def step(pair):
-        new = gamma_map(sc, *pair)
+    def step(pairs):
+        y, z = zip(*pairs.values())
+        if batch:
+            y, z = gamma_map([scs[m] for m in pairs], y, z)
+        else:  # the batch of one, as a map of one pair
+            y, z = ([x] for x in gamma_map(sc, y[0], z[0]))
+        new = dict(zip(pairs, zip(y, z)))
         if report:
-            diffs.append(scale * m_beta_norm(*pair_diff(*new, *pair), w))
+            for m, pair in pairs.items():
+                diffs[m].append(scale * m_beta_norm(*pair_diff(*new[m], *pair),
+                                                    w))
         return new
 
+    def distance(new, old):
+        return {m: sup_distance(new[m], old[m]) for m in new}
+
     if start is None:
-        start = zero_path(lat), zero_kernel(lat)
-    (y, z), iterations, _ = iterate(step, start, sup_distance, tol, max_iter)
-    if not report:
-        return y, z, None
-    ratios = [
-        diffs[k] / diffs[k - 1] if diffs[k - 1] > 0 else 0.0
-        for k in range(1, len(diffs))
-    ]
-    report = SolverReport(
-        iterations=iterations,
-        diff_trace=diffs,
-        ratio_trace=ratios,
-        gamma_theory=sc.gamma_theory,
-        final_residual=residual(sc, y, z),
-        final_norms=(m_beta_norm(y, z, w), l_beta_norm(y, z, w)),
-    )
-    return y, z, report
+        start = [(zero_path(lat), zero_kernel(lat))] * len(scs)
+    elif not batch:
+        start = [start]
+    pairs, iterations, traces = iterate(
+        step, dict(zip(range(len(scs)), start, strict=True)), distance, tol,
+        max_iter)
+    ys, zs = ([pairs[m][k] for m in range(len(scs))] for k in (0, 1))
+    reports = None
+    if report:
+        reports = [SolverReport(
+            iterations=iterations[m],
+            diff_trace=diffs[m],
+            ratio_trace=[d / p if p > 0 else 0.0
+                         for p, d in zip(diffs[m], diffs[m][1:])],
+            gamma_theory=x.gamma_theory,
+            final_residual=residual(x, ys[m], zs[m]),
+            final_norms=(m_beta_norm(ys[m], zs[m], w),
+                         l_beta_norm(ys[m], zs[m], w)),
+            sup_trace=traces[m],
+        ) for m, x in enumerate(scs)]
+    if batch:
+        return ys, zs, reports
+    return ys[0], zs[0], reports and reports[0]
 
 
 @dataclass

@@ -29,9 +29,11 @@ row and slot, the references for the stacked rows of `gamma_map` and
 `particle_map`; the whole-pair statistics written one entry at a time,
 the references for their array expressions over the dense pair storage;
 the stability functional one row and slot at a time on the
-per-entry wiring, the reference for `stability_compare`; and the
+per-entry wiring, the reference for `stability_compare`; the
 comparison's hypotheses audit one sample at a time with scalar driver
-calls, the reference for the array calls of `check_hypotheses`.
+calls, the reference for the array calls of `check_hypotheses`; and a
+risk profile solved alone, one payoff and one `picard_solve`, the
+reference for the batched positions of `risk.solve_positions`.
 
 Conventions (the discretisation contract, restated independently):
   * path = (w_bits, b_bits); bit j set means increment j equals +inc;
@@ -84,6 +86,7 @@ from mfbdsvie.solver import (
     Scenario,
     map_rows,
     means,
+    picard_solve,
     slot_args,
     slot_terms,
 )
@@ -929,3 +932,25 @@ def per_sample_hypotheses(cs, n_samples=400, seed=20240604):
         worst_reduced_form=float(rf),
         worst_terminal_order=float(term_gap),
     )
+
+
+# -- one risk position, one solve ----------------------------------------------
+#
+# A risk profile as the package solved it before the positions of a spec
+# were the members of one batch: one payoff, one `picard_solve`.  The
+# reference for `risk.solve_positions`, whose profiles must match it bit
+# for bit.
+
+
+def solo_solve(rs, term):
+    """The profile of one terminal, alone (`RiskSpec._solve` as it was)."""
+    sc = Scenario(rs.lattice, rs.driver, term,
+                  beta=rs.beta, safety=rs.safety)
+    y, _, _ = picard_solve(sc, tol=rs.tol, max_iter=rs.max_iter,
+                           report=False)
+    return y
+
+
+def solo_rho(rs, p):
+    """The profile of position p, solved alone (`rho` as it was)."""
+    return solo_solve(rs, p.zeta.negated())

@@ -132,15 +132,17 @@ class TestRiskProfiles:
         risk.rho(rs, risk.PayoffStream(TerminalSpec(phi=0.2, theta=0.5)))
         assert len(solves) == 2
 
-    @pytest.mark.parametrize("key, solves", [
-        ("risk_convex", 4), ("risk_coherent", 4), ("risk_past", 2)])
+    @pytest.mark.parametrize("key, members", [
+        ("risk_convex", 4), ("risk_coherent", 4), ("risk_past", 1)])
     def test_cli_solves_each_position_once(self, tmp_path, monkeypatch, key,
-                                           solves):
+                                           members):
+        # one Picard loop a document, each distinct position one member of
+        # it (the past-independence document's two payoffs are one)
         doc = _verify_suite(3)[key]
         calls = _count(monkeypatch, solver, "iterate")
         path = write_scenario(tmp_path, doc)
         assert run("risk", str(path), str(tmp_path / "out")) == 0
-        assert len(calls) == solves
+        assert [len(args[1]) for args in calls] == [members]
 
 
 class TestComparison:
