@@ -13,20 +13,13 @@ from .lattice import (
     MeasurableRV,
     PathIndex,
     SigmaField,
-    all_paths,
     b_increment,
-    b_tail,
-    backward_integral,
     build_lattice,
     condexp,
     expectation,
     flip_derivative,
-    forward_integral,
     lift,
-    measurable_wrt,
     time_field,
-    w_increment,
-    w_level,
 )
 from .fields import (
     AdaptedPath,
@@ -45,9 +38,6 @@ from .drivers import (
     TerminalSpec,
     ZPart,
     beta_default,
-    eval_f,
-    eval_g,
-    eval_partials,
     gamma_theory,
 )
 from .solver import (

@@ -8,8 +8,9 @@ Scenario files are JSON documents with sections
     solver    {beta?, safety?, tol?, max_iter?}
 
 plus one optional section per subcommand (comparison, risk, malliavin,
-particles).  Unknown keys, non-finite numbers and non-integer counts
-are rejected before any computation runs.  Every output is written
+particles).  Unknown keys, non-finite numbers, non-integer counts and
+a declared c or alpha below the family's closed form are rejected
+before any computation runs.  Every output is written
 under --out as CSV plus a summary text block; runs are fully
 deterministic, so repeated invocations produce byte-identical files.
 
@@ -142,24 +143,31 @@ def parse_driver(cfg, where="driver") -> DriverSpec:
     if family == "linear":
         _require_keys(params, ("f", "g", "f_source", "g_source"), (),
                       f"{where}.params")
-        return LinearDriver(
+        d = LinearDriver(
             f=_coefs(params.get("f"), f"{where}.f"),
             g=_coefs(params.get("g"), f"{where}.g"),
             f_source=_surface_fn(params.get("f_source"), f"{where}.f_source"),
             g_source=_surface_fn(params.get("g_source"), f"{where}.g_source"),
             c=c, alpha=alpha,
         )
-    if family == "risk":
+    elif family == "risk":
         _require_keys(params, ("rate", "h", "g", "rate_bound"), ("rate",),
                       f"{where}.params")
-        return RiskDriver(
+        d = RiskDriver(
             rate=_time_fn(params["rate"], f"{where}.rate"),
             h=parse_zpart(params.get("h"), f"{where}.h"),
             g=parse_zpart(params.get("g"), f"{where}.g"),
             rate_bound=_num(params, "rate_bound", f"{where}.params"),
             c=c, alpha=alpha,
         )
-    raise InputError(f"{where}.family: unknown family '{family}'")
+    else:
+        raise InputError(f"{where}.family: unknown family '{family}'")
+    # a declared constant may only loosen the family's own
+    for key, declared, closed in zip(("c", "alpha"), (c, alpha), d.closed_form):
+        if declared is not None and declared < closed:
+            raise InputError(f"{where}.{key}: {declared!r} is below the "
+                             f"{family} family's closed form {closed!r}")
+    return d
 
 
 def parse_zpart(cfg, where) -> ZPart:

@@ -16,9 +16,9 @@ driver once on arrays of sampled (t, s) and states, one entry a sample.
 Families carry their own analytic constants: lipschitz_c dominates the
 squared-difference bound |f(..1) - f(..2)|^2 <= c * sum |delta args|^2,
 lipschitz_alpha the same for g, and both also dominate the partial
-derivative magnitudes, so one declared constant serves the Lipschitz
-audit and the derivative-bound audit.  Declared constants are trusted
-but audited by sampling.
+derivative magnitudes.  `closed_form` holds the family's own (c, alpha);
+the CLI refuses a declared constant below it before any solve, while
+the Python API trusts declared constants.
 
 The contraction threshold: with the squared-form constants the map of
 the fixed-point construction contracts once
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -126,14 +127,11 @@ class LinearDriver(DriverSpec):
             raise ValidationError("coefficients whose squares overflow a float")
         self.f_source = _as_surface_fn(f_source)
         self.g_source = _as_surface_fn(g_source)
-        self.lipschitz_c = float(c) if c is not None else _affine_constant(
-            self.f_coefs.values()
-        )
-        self.lipschitz_alpha = (
-            float(alpha) if alpha is not None else _affine_constant(
-                self.g_coefs.values()
-            )
-        )
+        self.closed_form = (_affine_constant(self.f_coefs.values()),
+                            _affine_constant(self.g_coefs.values()))
+        self.lipschitz_c = self.closed_form[0] if c is None else float(c)
+        self.lipschitz_alpha = (self.closed_form[1] if alpha is None
+                                else float(alpha))
 
     def f_values(self, t, s, *args):
         out = self.f_source(t, s)
@@ -159,7 +157,7 @@ class LinearDriver(DriverSpec):
 
 
 def _affine_constant(coefs) -> float:
-    """Smallest constant serving both audit forms for affine maps."""
+    """Smallest constant serving both bound forms for affine maps."""
     coefs = [abs(c) for c in coefs]
     return max(sum(c * c for c in coefs), max(coefs, default=0.0))
 
@@ -260,6 +258,7 @@ class RiskDriver(DriverSpec):
         analytic_c = max(2.0 * half * half + self.h.lipschitz ** 2,
                          half, self.h.lipschitz)
         analytic_a = max(self.g.lipschitz ** 2, self.g.lipschitz)
+        self.closed_form = (analytic_c, analytic_a)
         self.lipschitz_c = float(c) if c is not None else analytic_c
         self.lipschitz_alpha = float(alpha) if alpha is not None else analytic_a
 
@@ -305,34 +304,6 @@ class CustomDriver(DriverSpec):
         return DriverPartials(*self._partials(t, s, *args))
 
 
-# -- pointwise evaluation with grid-index guards ----------------------------
-
-
-def _check_grid(lat: LatticeSpec, t_idx: int, s_idx: int) -> tuple[float, float]:
-    if not (0 <= t_idx <= lat.n_steps and 0 <= s_idx <= lat.n_steps):
-        raise InvalidIndex(f"grid indices ({t_idx}, {s_idx}) outside the lattice")
-    return lat.node(t_idx), lat.node(s_idx)
-
-
-def eval_f(d: DriverSpec, lat: LatticeSpec, t_idx: int, s_idx: int,
-           y, z, z_rev, mean_y, mean_z, mean_z_rev) -> float:
-    t, s = _check_grid(lat, t_idx, s_idx)
-    return float(d.f_values(t, s, y, z, z_rev, mean_y, mean_z, mean_z_rev))
-
-
-def eval_g(d: DriverSpec, lat: LatticeSpec, t_idx: int, s_idx: int,
-           y, z, z_rev, mean_y, mean_z, mean_z_rev) -> float:
-    t, s = _check_grid(lat, t_idx, s_idx)
-    return float(d.g_values(t, s, y, z, z_rev, mean_y, mean_z, mean_z_rev))
-
-
-def eval_partials(d: DriverSpec, lat: LatticeSpec, t_idx: int, s_idx: int,
-                  y, z, z_rev, mean_y, mean_z, mean_z_rev) -> DriverPartials:
-    t, s = _check_grid(lat, t_idx, s_idx)
-    p = d.partials(t, s, y, z, z_rev, mean_y, mean_z, mean_z_rev)
-    return DriverPartials(*[float(v) for v in p])
-
-
 def alpha_limit(horizon: float) -> float:
     return 1.0 / (2.0 * (horizon + 2.0))
 
@@ -358,70 +329,6 @@ def beta_default(d: DriverSpec, horizon: float, safety: float = 1.5) -> float:
 def gamma_theory(d: DriverSpec, horizon: float, beta: float) -> float:
     num = 20.0 * d.lipschitz_c * (horizon + 1.0) + 2.0 * d.lipschitz_alpha
     return num / beta + 2.0 * d.lipschitz_alpha * (horizon + 2.0)
-
-
-# -- sampled audits ----------------------------------------------------------
-
-
-def lipschitz_audit(d: DriverSpec, horizon: float, n_samples: int = 1000,
-                    seed: int = 20240601, scale: float = 3.0) -> tuple[float, float]:
-    """Worst sampled squared-difference ratios (f against c, g against alpha).
-
-    Returns (worst_f_excess, worst_g_excess): positive excess means the
-    declared constant fails to dominate.
-    """
-    rng = np.random.default_rng(seed)
-    worst_f = worst_g = -math.inf
-    for _ in range(n_samples):
-        t = rng.uniform(0.0, horizon)
-        s = rng.uniform(t, horizon)
-        a1 = scale * rng.standard_normal(6)
-        a2 = scale * rng.standard_normal(6)
-        gap = float(np.sum((a1 - a2) ** 2))
-        if gap == 0.0:
-            continue
-        df = d.f_values(t, s, *a1) - d.f_values(t, s, *a2)
-        dg = d.g_values(t, s, *a1) - d.g_values(t, s, *a2)
-        worst_f = max(worst_f, df * df / gap - d.lipschitz_c)
-        worst_g = max(worst_g, dg * dg / gap - d.lipschitz_alpha)
-    return worst_f, worst_g
-
-
-def partials_audit(d: DriverSpec, horizon: float, n_points: int = 100,
-                   seed: int = 20240602, scale: float = 2.0,
-                   step: float = 1e-5) -> float:
-    """Worst |analytic - central difference| over sampled points."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_points):
-        t = rng.uniform(0.0, horizon)
-        s = rng.uniform(t, horizon)
-        args = scale * rng.standard_normal(6)
-        p = d.partials(t, s, *args)
-        for k in range(6):
-            hi = args.copy()
-            lo = args.copy()
-            hi[k] += step
-            lo[k] -= step
-            fd_f = (d.f_values(t, s, *hi) - d.f_values(t, s, *lo)) / (2 * step)
-            fd_g = (d.g_values(t, s, *hi) - d.g_values(t, s, *lo)) / (2 * step)
-            worst = max(worst, abs(p[k] - fd_f), abs(p[6 + k] - fd_g))
-    return worst
-
-
-def partial_bound_audit(d: DriverSpec, horizon: float, n_points: int = 100,
-                        seed: int = 20240603, scale: float = 2.0) -> tuple[float, float]:
-    """Worst sampled |f-partial| - c and |g-partial| - alpha excesses."""
-    rng = np.random.default_rng(seed)
-    worst_f = worst_g = -math.inf
-    for _ in range(n_points):
-        t = rng.uniform(0.0, horizon)
-        s = rng.uniform(t, horizon)
-        args = scale * rng.standard_normal(6)
-        p = d.partials(t, s, *args)
-        worst_f = max(worst_f, max(abs(v) for v in p[:6]) - d.lipschitz_c)
-        worst_g = max(worst_g, max(abs(v) for v in p[6:]) - d.lipschitz_alpha)
-    return worst_f, worst_g
 
 
 # -- terminal data -----------------------------------------------------------
@@ -503,14 +410,18 @@ class TerminalSpec:
         return self.scaled(lam).plus(other.scaled(1.0 - lam))
 
 
+@lru_cache(maxsize=64)
 def terminal_walk_values(lat: LatticeSpec, lane: int = 0) -> np.ndarray:
-    """W(T) of one lane as a vector over all W sign codes."""
+    """W(T) of one lane as a vector over all W sign codes (one shared,
+    write-locked array per lattice and lane)."""
     codes = np.arange(1 << lat.n_bits)
     total = np.zeros(codes.shape, dtype=float)
     for step in range(lat.n_steps):
         j = lat.bit_of(step, lane)
         total += 2.0 * ((codes >> j) & 1) - 1.0
-    return lat.inc * total
+    walk = lat.inc * total
+    walk.flags.writeable = False
+    return walk
 
 
 def terminal_rv(term: TerminalSpec, lat: LatticeSpec, t_idx: int,

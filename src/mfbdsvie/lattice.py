@@ -170,14 +170,6 @@ class PathIndex:
     b_bits: int
 
 
-def all_paths(lat: LatticeSpec) -> Iterator[PathIndex]:
-    """Total ordered enumeration of all 4^M paths (use on small lattices)."""
-    m = 1 << lat.n_bits
-    for w in range(m):
-        for b in range(m):
-            yield PathIndex(w, b)
-
-
 class MeasurableRV:
     """A random variable tagged with the field it is measurable against.
 
@@ -264,19 +256,6 @@ def _owned(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def zero_rv(lat: LatticeSpec) -> MeasurableRV:
-    return MeasurableRV.constant(lat, 0.0)
-
-
-def w_increment(lat: LatticeSpec, j: int) -> MeasurableRV:
-    """The j-th forward increment, +/- inc by sign bit j."""
-    _check_bit(lat, j)
-    f = SigmaField(lat, j + 1, lat.n_bits)
-    w = np.arange(1 << (j + 1))
-    signs = 2.0 * ((w >> j) & 1) - 1.0
-    return MeasurableRV(f, _owned((lat.inc * signs)[:, None]))
-
-
 def b_increment(lat: LatticeSpec, j: int) -> MeasurableRV:
     """The j-th backward increment, +/- inc by sign bit j."""
     _check_bit(lat, j)
@@ -284,22 +263,6 @@ def b_increment(lat: LatticeSpec, j: int) -> MeasurableRV:
     c = np.arange(1 << (lat.n_bits - j))
     signs = 2.0 * (c & 1) - 1.0
     return MeasurableRV(f, _owned((lat.inc * signs)[None, :]))
-
-
-def w_level(lat: LatticeSpec, i: int) -> MeasurableRV:
-    """Walk value W(t_i) = sum of the first i*lanes forward increments."""
-    out = zero_rv(lat)
-    for j in range(i * lat.lanes):
-        out = out + w_increment(lat, j)
-    return out
-
-
-def b_tail(lat: LatticeSpec, i: int) -> MeasurableRV:
-    """B(T) - B(t_i) = sum of backward increments with index >= i*lanes."""
-    out = zero_rv(lat)
-    for j in range(i * lat.lanes, lat.n_bits):
-        out = out + b_increment(lat, j)
-    return out
 
 
 def _check_bit(lat: LatticeSpec, j: int) -> None:
@@ -589,87 +552,6 @@ def row_defects(x, target, z, term: Callable | None, one_stack: bool,
         for at, (xb, tb) in _blocks(g, x[i], target[i]):
             np.add(p[at], xb - tb, out=p[at])
         yield table[:1 << (row.stop + b)]
-
-
-# -- dependence audits -----------------------------------------------------
-
-
-def _varies(x: MeasurableRV, axis: int) -> bool:
-    v = bit_view(x, x.field)
-    return bool(np.any(v.take(0, axis) != v.take(1, axis)))
-
-
-def depends_on_w_bit(x: MeasurableRV, j: int) -> bool:
-    """True when the value table actually varies with W increment j."""
-    _check_bit(x.lattice, j)
-    return j < x.field.w_upto and _varies(x, x.field.w_upto - 1 - j)
-
-
-def depends_on_b_bit(x: MeasurableRV, j: int) -> bool:
-    """True when the value table actually varies with B increment j."""
-    _check_bit(x.lattice, j)
-    a, m = x.field.w_upto, x.lattice.n_bits
-    return j >= x.field.b_from and _varies(x, a + m - 1 - j)
-
-
-def measurable_wrt(x: MeasurableRV, f: SigmaField) -> bool:
-    """Value-based audit: does x genuinely depend only on what f knows?"""
-    for j in range(f.w_upto, x.field.w_upto):
-        if depends_on_w_bit(x, j):
-            return False
-    for j in range(x.field.b_from, f.b_from):
-        if depends_on_b_bit(x, j):
-            return False
-    return True
-
-
-# -- stochastic integrals --------------------------------------------------
-
-
-def _audited_sum(vals: Sequence[MeasurableRV], j_lo: int, j_hi: int,
-                 lag: int, increment: Callable, kind: str) -> MeasurableRV:
-    """sum_{j in [j_lo, j_hi)} vals_j increment_j, in ascending j.
-
-    Each vals_j must be measurable for the field (j + lag, j + lag), so
-    it is independent of its increment and the isometry holds exactly.
-    """
-    if not vals:
-        raise IndexOutOfRange("empty integrand sequence")
-    lat = vals[0].lattice
-    out = None
-    for j in range(j_lo, j_hi):
-        k = j + lag
-        if not measurable_wrt(vals[j], SigmaField(lat, k, k)):
-            raise MeasurabilityViolation(
-                f"{kind} integrand at slot {j} depends on increments "
-                f"unknown at ({k}, {k})"
-            )
-        term = vals[j] * increment(lat, j)
-        out = term if out is None else out + term
-    return zero_rv(lat) if out is None else out
-
-
-def forward_integral(
-    z: Sequence[MeasurableRV], j_lo: int, j_hi: int
-) -> MeasurableRV:
-    """Discrete forward Ito integral sum_{j in [j_lo, j_hi)} z_j dW_j.
-
-    Each integrand is taken at the left node and must be measurable for
-    the field (j, j) there, so it cannot see its own increment.
-    """
-    return _audited_sum(z, j_lo, j_hi, 0, w_increment, "forward")
-
-
-def backward_integral(
-    g_vals: Sequence[MeasurableRV], j_lo: int, j_hi: int
-) -> MeasurableRV:
-    """Discrete backward Ito integral sum_{j in [j_lo, j_hi)} g_j dB_j.
-
-    The integrand multiplying dB_j carries right-node information: it
-    must be measurable for (j+1, j+1), whose B part starts after j, so
-    dB_j is independent of it.
-    """
-    return _audited_sum(g_vals, j_lo, j_hi, 1, b_increment, "backward")
 
 
 # -- increment-flip derivative ----------------------------------------------

@@ -33,7 +33,12 @@ per-entry wiring, the reference for `stability_compare`; the
 comparison's hypotheses audit one sample at a time with scalar driver
 calls, the reference for the array calls of `check_hypotheses`; and a
 risk profile solved alone, one payoff and one `picard_solve`, the
-reference for the batched positions of `risk.solve_positions`.
+reference for the batched positions of `risk.solve_positions`.  The
+last two sections hold what the package once exported and no package
+code calls: the increments, walks, dependence audits and forward and
+backward integrals in `MeasurableRV` arithmetic (both integrals are
+`_source_sum` with no source), and the pointwise driver evaluators and
+sampled driver audits.
 
 Conventions (the discretisation contract, restated independently):
   * path = (w_bits, b_bits); bit j set means increment j equals +inc;
@@ -49,23 +54,28 @@ Conventions (the discretisation contract, restated independently):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from mfbdsvie.comparison import HypothesesReport
-from mfbdsvie.drivers import DriverSpec, terminal_rv
+from mfbdsvie.drivers import DriverPartials, DriverSpec, terminal_rv
 from mfbdsvie.errors import (
     IndexOutOfRange,
+    InvalidIndex,
     MeasurabilityViolation,
     ValidationError,
 )
 from mfbdsvie.fields import AdaptedPath, BetaWeight, VolterraKernel, _views
 from mfbdsvie.lattice import (
+    LatticeSpec,
     MeasurableRV,
+    PathIndex,
     SigmaField,
+    _check_bit,
     _owned,
     b_increment,
     bit_view,
@@ -73,13 +83,9 @@ from mfbdsvie.lattice import (
     condexp,
     expectation,
     flip_derivative,
-    forward_integral,
     from_bit_view,
     lift,
-    measurable_wrt,
     time_field,
-    w_increment,
-    zero_rv,
 )
 from mfbdsvie.malliavin import LinearizedScenario, flip_solution
 from mfbdsvie.solver import (
@@ -703,9 +709,10 @@ def _source_sum(vals: Sequence[MeasurableRV], j_lo: int, j_hi: int,
     Each vals_j must be measurable for the field (j + lag, j + lag), so
     it is independent of its increment and the isometry holds exactly.
     With a source, each summand is source(j) - vals_j increment_j instead
-    (the row defects as `lattice._audited_sum` summed them before
+    (the row defects as the package summed them before
     `lattice.row_defects` grew them in one table): the running sum grows
-    only through the fields its summands need.
+    only through the fields its summands need.  Without one it is the
+    forward and backward integral below.
     """
     if not vals:
         raise IndexOutOfRange("empty integrand sequence")
@@ -954,3 +961,192 @@ def solo_solve(rs, term):
 def solo_rho(rs, p):
     """The profile of position p, solved alone (`rho` as it was)."""
     return solo_solve(rs, p.zeta.negated())
+
+
+# -- increments, walks, dependence audits and integrals --------------------
+#
+# `MeasurableRV` arithmetic the package once kept as public API; every
+# exact identity now goes through `lattice.row_defects` and
+# `clark_ocone_sweep`, so these serve the tests only.
+
+
+def all_paths(lat: LatticeSpec) -> Iterator[PathIndex]:
+    """Total ordered enumeration of all 4^M paths (use on small lattices)."""
+    m = 1 << lat.n_bits
+    for w in range(m):
+        for b in range(m):
+            yield PathIndex(w, b)
+
+
+def zero_rv(lat: LatticeSpec) -> MeasurableRV:
+    return MeasurableRV.constant(lat, 0.0)
+
+
+def w_increment(lat: LatticeSpec, j: int) -> MeasurableRV:
+    """The j-th forward increment, +/- inc by sign bit j."""
+    _check_bit(lat, j)
+    f = SigmaField(lat, j + 1, lat.n_bits)
+    w = np.arange(1 << (j + 1))
+    signs = 2.0 * ((w >> j) & 1) - 1.0
+    return MeasurableRV(f, _owned((lat.inc * signs)[:, None]))
+
+
+def w_level(lat: LatticeSpec, i: int) -> MeasurableRV:
+    """Walk value W(t_i) = sum of the first i*lanes forward increments."""
+    out = zero_rv(lat)
+    for j in range(i * lat.lanes):
+        out = out + w_increment(lat, j)
+    return out
+
+
+def b_tail(lat: LatticeSpec, i: int) -> MeasurableRV:
+    """B(T) - B(t_i) = sum of backward increments with index >= i*lanes."""
+    out = zero_rv(lat)
+    for j in range(i * lat.lanes, lat.n_bits):
+        out = out + b_increment(lat, j)
+    return out
+
+
+def _varies(x: MeasurableRV, axis: int) -> bool:
+    v = bit_view(x, x.field)
+    return bool(np.any(v.take(0, axis) != v.take(1, axis)))
+
+
+def depends_on_w_bit(x: MeasurableRV, j: int) -> bool:
+    """True when the value table actually varies with W increment j."""
+    _check_bit(x.lattice, j)
+    return j < x.field.w_upto and _varies(x, x.field.w_upto - 1 - j)
+
+
+def depends_on_b_bit(x: MeasurableRV, j: int) -> bool:
+    """True when the value table actually varies with B increment j."""
+    _check_bit(x.lattice, j)
+    a, m = x.field.w_upto, x.lattice.n_bits
+    return j >= x.field.b_from and _varies(x, a + m - 1 - j)
+
+
+def measurable_wrt(x: MeasurableRV, f: SigmaField) -> bool:
+    """Value-based audit: does x genuinely depend only on what f knows?"""
+    for j in range(f.w_upto, x.field.w_upto):
+        if depends_on_w_bit(x, j):
+            return False
+    for j in range(x.field.b_from, f.b_from):
+        if depends_on_b_bit(x, j):
+            return False
+    return True
+
+
+def forward_integral(
+    z: Sequence[MeasurableRV], j_lo: int, j_hi: int
+) -> MeasurableRV:
+    """Discrete forward Ito integral sum_{j in [j_lo, j_hi)} z_j dW_j.
+
+    Each integrand is taken at the left node and must be measurable for
+    the field (j, j) there, so it cannot see its own increment.
+    """
+    return _source_sum(z, j_lo, j_hi, 0, w_increment, "forward")
+
+
+def backward_integral(
+    g_vals: Sequence[MeasurableRV], j_lo: int, j_hi: int
+) -> MeasurableRV:
+    """Discrete backward Ito integral sum_{j in [j_lo, j_hi)} g_j dB_j.
+
+    The integrand multiplying dB_j carries right-node information: it
+    must be measurable for (j+1, j+1), whose B part starts after j, so
+    dB_j is independent of it.
+    """
+    return _source_sum(g_vals, j_lo, j_hi, 1, b_increment, "backward")
+
+
+# -- pointwise driver evaluation and sampled driver audits -----------------
+#
+# A driver at one grid pair, and sampled checks of its declared
+# constants and partials.  The CLI refuses a declared constant below the
+# family's closed form, and the Python API trusts it.
+
+
+def _check_grid(lat: LatticeSpec, t_idx: int, s_idx: int) -> tuple[float, float]:
+    if not (0 <= t_idx <= lat.n_steps and 0 <= s_idx <= lat.n_steps):
+        raise InvalidIndex(f"grid indices ({t_idx}, {s_idx}) outside the lattice")
+    return lat.node(t_idx), lat.node(s_idx)
+
+
+def eval_f(d: DriverSpec, lat: LatticeSpec, t_idx: int, s_idx: int,
+           y, z, z_rev, mean_y, mean_z, mean_z_rev) -> float:
+    t, s = _check_grid(lat, t_idx, s_idx)
+    return float(d.f_values(t, s, y, z, z_rev, mean_y, mean_z, mean_z_rev))
+
+
+def eval_g(d: DriverSpec, lat: LatticeSpec, t_idx: int, s_idx: int,
+           y, z, z_rev, mean_y, mean_z, mean_z_rev) -> float:
+    t, s = _check_grid(lat, t_idx, s_idx)
+    return float(d.g_values(t, s, y, z, z_rev, mean_y, mean_z, mean_z_rev))
+
+
+def eval_partials(d: DriverSpec, lat: LatticeSpec, t_idx: int, s_idx: int,
+                  y, z, z_rev, mean_y, mean_z, mean_z_rev) -> DriverPartials:
+    t, s = _check_grid(lat, t_idx, s_idx)
+    p = d.partials(t, s, y, z, z_rev, mean_y, mean_z, mean_z_rev)
+    return DriverPartials(*[float(v) for v in p])
+
+
+def lipschitz_audit(d: DriverSpec, horizon: float, n_samples: int = 1000,
+                    seed: int = 20240601, scale: float = 3.0) -> tuple[float, float]:
+    """Worst sampled squared-difference ratios (f against c, g against alpha).
+
+    Returns (worst_f_excess, worst_g_excess): positive excess means the
+    declared constant fails to dominate.
+    """
+    rng = np.random.default_rng(seed)
+    worst_f = worst_g = -math.inf
+    for _ in range(n_samples):
+        t = rng.uniform(0.0, horizon)
+        s = rng.uniform(t, horizon)
+        a1 = scale * rng.standard_normal(6)
+        a2 = scale * rng.standard_normal(6)
+        gap = float(np.sum((a1 - a2) ** 2))
+        if gap == 0.0:
+            continue
+        df = d.f_values(t, s, *a1) - d.f_values(t, s, *a2)
+        dg = d.g_values(t, s, *a1) - d.g_values(t, s, *a2)
+        worst_f = max(worst_f, df * df / gap - d.lipschitz_c)
+        worst_g = max(worst_g, dg * dg / gap - d.lipschitz_alpha)
+    return worst_f, worst_g
+
+
+def partials_audit(d: DriverSpec, horizon: float, n_points: int = 100,
+                   seed: int = 20240602, scale: float = 2.0,
+                   step: float = 1e-5) -> float:
+    """Worst |analytic - central difference| over sampled points."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_points):
+        t = rng.uniform(0.0, horizon)
+        s = rng.uniform(t, horizon)
+        args = scale * rng.standard_normal(6)
+        p = d.partials(t, s, *args)
+        for k in range(6):
+            hi = args.copy()
+            lo = args.copy()
+            hi[k] += step
+            lo[k] -= step
+            fd_f = (d.f_values(t, s, *hi) - d.f_values(t, s, *lo)) / (2 * step)
+            fd_g = (d.g_values(t, s, *hi) - d.g_values(t, s, *lo)) / (2 * step)
+            worst = max(worst, abs(p[k] - fd_f), abs(p[6 + k] - fd_g))
+    return worst
+
+
+def partial_bound_audit(d: DriverSpec, horizon: float, n_points: int = 100,
+                        seed: int = 20240603, scale: float = 2.0) -> tuple[float, float]:
+    """Worst sampled |f-partial| - c and |g-partial| - alpha excesses."""
+    rng = np.random.default_rng(seed)
+    worst_f = worst_g = -math.inf
+    for _ in range(n_points):
+        t = rng.uniform(0.0, horizon)
+        s = rng.uniform(t, horizon)
+        args = scale * rng.standard_normal(6)
+        p = d.partials(t, s, *args)
+        worst_f = max(worst_f, max(abs(v) for v in p[:6]) - d.lipschitz_c)
+        worst_g = max(worst_g, max(abs(v) for v in p[6:]) - d.lipschitz_alpha)
+    return worst_f, worst_g

@@ -459,3 +459,57 @@ class TestChainLength:
         doc["comparison"]["p_max"] = -2
         _assert_input_error(tmp_path, capsys, "compare", doc)
         assert not any((tmp_path / "out").iterdir())
+
+
+LINEAR = {"family": "linear",
+          "params": {"f": {"y": -0.3, "z": 0.1}, "g": {"z": 0.05}}}
+RISK = {"family": "risk",
+        "params": {"rate": 0.2, "h": {"kind": "abs", "k1": 0.4},
+                   "g": {"kind": "linear", "k1": 0.1}}}
+
+
+class TestDeclaredConstants:
+    """A declared `c` or `alpha` below the family's closed form (0.3 and
+    0.05 for LINEAR, 0.4 and 0.1 for RISK) is refused before any solve; an
+    equal or larger one is taken as declared."""
+
+    @pytest.mark.parametrize("driver, key, value", [
+        (LINEAR, "c", 0.0), (LINEAR, "alpha", 0.04),
+        (RISK, "c", 0.39), (RISK, "alpha", 0.0),
+    ], ids=["linear_c", "linear_alpha", "risk_c", "risk_alpha"])
+    def test_understated_constant_refused(self, tmp_path, capsys,
+                                          monkeypatch, driver, key, value):
+        monkeypatch.setattr("mfbdsvie.cli.picard_solve", _never)
+        doc = dict(base_doc(), driver=dict(driver, **{key: value}))
+        out = tmp_path / "out"
+        assert run("solve", str(write_scenario(tmp_path, doc)), str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: driver.{key}: {value!r} is below")
+        assert not (out / "summary.txt").exists()
+
+    def test_understated_comparison_driver_refused(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr("mfbdsvie.cli.cmp_mod.compare_solve", _never)
+        doc = TestCompare().compare_doc()
+        doc["comparison"]["f1"]["c"] = 0.0
+        _assert_input_error(tmp_path, capsys, "compare", doc)
+
+    def test_contraction_bypass_refused(self, tmp_path, capsys, monkeypatch):
+        # without the declaration the contraction premise refuses alpha
+        # = 0.6; declaring zeros used to run max_iter iterations
+        monkeypatch.setattr("mfbdsvie.cli.picard_solve", _never)
+        doc = json.loads((SCENARIOS / "linear_solve.json").read_text())
+        doc["driver"] = {"family": "linear", "c": 0.0, "alpha": 0.0,
+                         "params": {"f": {"y": 3, "mean_y": 2},
+                                    "g": {"z": 0.6}}}
+        _assert_input_error(tmp_path, capsys, "solve", doc)
+
+    @pytest.mark.parametrize("driver, c, alpha", [
+        (LINEAR, 0.3, 0.05), (LINEAR, 0.5, 0.1),
+        (RISK, 0.4, 0.1), (RISK, 1.0, 0.12),
+    ], ids=["linear_equal", "linear_over", "risk_equal", "risk_over"])
+    def test_dominating_constant_solves(self, tmp_path, driver, c, alpha):
+        doc = dict(base_doc(), driver=dict(driver, c=c, alpha=alpha))
+        out = tmp_path / "out"
+        assert run("solve", str(write_scenario(tmp_path, doc)), str(out)) == 0
+        assert "verdict: PASS" in (out / "summary.txt").read_text()

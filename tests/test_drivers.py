@@ -13,16 +13,20 @@ from mfbdsvie.drivers import (
     ZPart,
     alpha_limit,
     beta_default,
+    gamma_theory,
+    terminal_rv,
+)
+from mfbdsvie.lattice import build_lattice
+
+from _oracles import (
+    depends_on_b_bit,
     eval_f,
     eval_g,
     eval_partials,
-    gamma_theory,
     lipschitz_audit,
     partial_bound_audit,
     partials_audit,
-    terminal_rv,
 )
-from mfbdsvie.lattice import build_lattice, depends_on_b_bit
 
 TOL = 1e-12
 

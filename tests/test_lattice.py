@@ -12,27 +12,30 @@ from mfbdsvie.lattice import (
     MeasurableRV,
     PathIndex,
     SigmaField,
-    all_paths,
     b_increment,
-    b_tail,
-    backward_integral,
     build_lattice,
     condexp,
-    depends_on_b_bit,
-    depends_on_w_bit,
     expectation,
     flip_derivative,
-    forward_integral,
     full_field,
     lift,
-    measurable_wrt,
     time_field,
+)
+
+from _oracles import (
+    all_paths,
+    b_tail,
+    backward_integral,
+    brute_condexp,
+    depends_on_b_bit,
+    depends_on_w_bit,
+    forward_integral,
+    inc_of,
+    measurable_wrt,
     w_increment,
     w_level,
     zero_rv,
 )
-
-from _oracles import brute_condexp, inc_of
 
 TOL = 1e-12
 

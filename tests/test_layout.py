@@ -9,16 +9,15 @@ from mfbdsvie.lattice import (
     MeasurableRV,
     PathIndex,
     SigmaField,
-    all_paths,
     b_increment,
     bit_view,
     build_lattice,
     full_field,
     lift,
-    w_increment,
-    zero_rv,
 )
 from mfbdsvie.particles import lift_single_to_joint
+
+from _oracles import all_paths, w_increment, zero_rv
 
 LAT = build_lattice(3, 1.0)
 FIELDS = [SigmaField(LAT, a, b) for a in range(4) for b in range(4)]

@@ -6,7 +6,7 @@ import pytest
 from mfbdsvie import errors
 from mfbdsvie.drivers import LinearDriver, RiskDriver, TerminalSpec, ZPart
 from mfbdsvie.fields import pair_sup_diff
-from mfbdsvie.lattice import build_lattice, w_level
+from mfbdsvie.lattice import build_lattice
 from mfbdsvie.malliavin import (
     build_linearized,
     check_clark_ocone,
@@ -15,6 +15,8 @@ from mfbdsvie.malliavin import (
     solve_linearized,
 )
 from mfbdsvie.solver import Scenario, picard_solve
+
+from _oracles import w_level
 
 TOL = 1e-10
 

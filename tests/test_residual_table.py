@@ -7,11 +7,9 @@ bit for bit, the upper-triangle identity to rounding.  The extension
 identity is the same routine over the slots j < i with no term, and
 must equal its whole-table form bit for bit.  One warm `residual` or
 `m_identity_residual` must hold little beyond that table, and the
-one-row adapter and the source-taking audited sum stay out of the
-package.
+one-row adapter and the audited sum stay out of the package.
 """
 
-import inspect
 import re
 import tracemalloc
 from pathlib import Path
@@ -22,7 +20,7 @@ import pytest
 import mfbdsvie
 from mfbdsvie import lattice
 from mfbdsvie.fields import AdaptedPath, VolterraKernel, m_identity_residual
-from mfbdsvie.lattice import _audited_sum, _max_abs, build_lattice
+from mfbdsvie.lattice import _max_abs, build_lattice
 from mfbdsvie.malliavin import build_linearized, check_delta_equation
 from mfbdsvie.solver import (
     Scenario,
@@ -142,19 +140,17 @@ class TestTablePieces:
 
 
 class TestOneTablePath:
-    """The one-row adapter and the source-taking audited sum live in
-    tests/_oracles.py only."""
+    """The one-row adapter and the audited sum live in tests/_oracles.py
+    only."""
 
     def test_no_one_row_in_the_package(self):
         for path in Path(mfbdsvie.__file__).parent.glob("*.py"):
             assert not re.search(r"\bone_row\b", path.read_text()), path.name
 
-    def test_audited_sum_takes_no_source(self):
-        assert "source" not in inspect.signature(_audited_sum).parameters
-        lattice = (Path(mfbdsvie.__file__).parent / "lattice.py").read_text()
-        header = re.search(r"^def _audited_sum\(.*?\).*?:$", lattice,
-                           re.M | re.S).group(0)
-        assert "source" not in header
+    def test_no_audited_sum_in_the_package(self):
+        for path in Path(mfbdsvie.__file__).parent.glob("*.py"):
+            assert not re.search(r"^def _(audited|source)_sum\(",
+                                 path.read_text(), re.M), path.name
 
 
 class TestOneDefectRoutine:

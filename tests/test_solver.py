@@ -14,7 +14,7 @@ from mfbdsvie.fields import (
     zero_kernel,
     zero_path,
 )
-from mfbdsvie.lattice import PathIndex, build_lattice, b_tail, w_level
+from mfbdsvie.lattice import PathIndex, build_lattice
 from mfbdsvie.solver import (
     Scenario,
     gamma_map,
@@ -24,7 +24,7 @@ from mfbdsvie.solver import (
     stability_compare,
 )
 
-from _oracles import LinearSystem, cidx
+from _oracles import LinearSystem, b_tail, cidx, w_level
 
 TOL = 1e-12
 

@@ -1,0 +1,112 @@
+"""What the package keeps.
+
+The `MeasurableRV`-arithmetic integrals, dependence audits, pointwise
+driver evaluators and sampled driver audits have no caller in the
+package; they live in tests/_oracles.py, and no package module defines
+or exports them.  Every module-level import of a package module is
+read in it.  W(T) is built once per lattice and lane, and the terminal
+tables built on the shared walk are those of a walk built per node.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mfbdsvie
+from mfbdsvie.drivers import (
+    LinearDriver,
+    TerminalSpec,
+    terminal_rv,
+    terminal_walk_values,
+)
+from mfbdsvie.lattice import build_lattice
+from mfbdsvie.solver import Scenario
+
+SRC = Path(mfbdsvie.__file__).parent
+MODULES = sorted(SRC.glob("*.py"))
+RETIRED = (
+    "forward_integral", "backward_integral", "_audited_sum",
+    "measurable_wrt", "depends_on_w_bit", "depends_on_b_bit", "_varies",
+    "w_level", "b_tail", "w_increment", "zero_rv", "all_paths",
+    "eval_f", "eval_g", "eval_partials", "_check_grid", "lipschitz_audit",
+    "partials_audit", "partial_bound_audit",
+)
+TERMINAL = TerminalSpec(phi=0.3, theta=lambda t: 1.0 + t,
+                        smooth=[("tanh", 0.5), ("soft_abs", -0.2)])
+
+
+def bound_names(tree):
+    """Every name a module binds: definitions, assignments and imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+
+
+class TestRetired:
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_not_defined_in_the_package(self, path):
+        bound = set(bound_names(ast.parse(path.read_text())))
+        assert not bound & set(RETIRED)
+
+    def test_not_exported(self):
+        assert not set(RETIRED) & set(mfbdsvie.__all__)
+        assert not [name for name in RETIRED if hasattr(mfbdsvie, name)]
+
+
+class TestImportsAreRead:
+    """`__init__` is left out: its imports are its exports."""
+
+    @pytest.mark.parametrize(
+        "path", [p for p in MODULES if p.name != "__init__.py"],
+        ids=lambda p: p.name)
+    def test_every_module_import_is_read(self, path):
+        tree = ast.parse(path.read_text())
+        imported = {(a.asname or a.name).split(".")[0]
+                    for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for a in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        assert sorted(imported - read) == []
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestTerminalWalk:
+    def test_one_shared_locked_walk(self):
+        lat = build_lattice(4, 0.8)
+        walk = terminal_walk_values(lat, 0)
+        assert terminal_walk_values(lat, 0) is walk
+        assert not walk.flags.writeable
+        with pytest.raises(ValueError):
+            walk[0] = 1.0
+
+    def test_scenario_builds_the_walk_once(self):
+        lat = build_lattice(5, 0.7)
+        terminal_walk_values.cache_clear()
+        sc = Scenario(lat, LinearDriver(f={"y": -0.2}), TERMINAL)
+        info = terminal_walk_values.cache_info()
+        assert (info.misses, info.hits) == (1, lat.n_steps)
+        # the body without the cache, as every node built it before
+        walk = terminal_walk_values.__wrapped__(lat, 0)
+        for i, zeta in enumerate(sc.zeta):
+            want = TERMINAL.value(lat.node(i), walk)
+            assert np.array_equal(bits(zeta.values[:, 0]), bits(want))
+
+    def test_each_lane_has_its_walk(self):
+        lat = build_lattice(3, 1.0, lanes=3)
+        for lane in range(3):
+            got = terminal_rv(TERMINAL, lat, 2, lane=lane).values[:, 0]
+            want = TERMINAL.value(
+                lat.node(2), terminal_walk_values.__wrapped__(lat, lane))
+            assert np.array_equal(bits(got), bits(want))

@@ -25,7 +25,6 @@ from mfbdsvie.lattice import (
     SigmaField,
     build_lattice,
     time_field,
-    w_increment,
 )
 from mfbdsvie.malliavin import build_linearized
 from mfbdsvie.solver import (
@@ -48,6 +47,7 @@ from _oracles import (
     representation_row,
     slot_term,
     split_row,
+    w_increment,
     zeta_first_assemble_phi,
 )
 
