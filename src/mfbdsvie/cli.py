@@ -253,6 +253,8 @@ def build_base_scenario(doc) -> tuple[Scenario, float, int]:
     if "driver" not in doc or "terminal" not in doc:
         raise InputError("scenario: solve needs driver and terminal sections")
     driver = parse_driver(doc["driver"])
+    if isinstance(driver, RiskDriver):
+        risk_mod.check_rate_grid(driver, lat)
     terminal = parse_terminal(doc["terminal"])
     s = _solver_settings(doc, 1e-10, 200)
     sc = Scenario(lat, driver, terminal, beta=s["beta"], safety=s["safety"])

@@ -256,8 +256,9 @@ def _owned(table: np.ndarray) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=1024)
 def b_increment(lat: LatticeSpec, j: int) -> MeasurableRV:
-    """The j-th backward increment, +/- inc by sign bit j."""
+    """The j-th backward increment, +/- inc by sign bit j (shared: immutable)."""
     _check_bit(lat, j)
     f = SigmaField(lat, 0, j)
     c = np.arange(1 << (lat.n_bits - j))
@@ -366,8 +367,8 @@ def condexp(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
     return MeasurableRV(f, _owned(_onto(x.values[None], x.field, f)[0]))
 
 
-def clark_ocone_sweep(x: Sequence, i: int, lane: int = 0, first: int = 0,
-                      term: Callable | None = None
+def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
+                      first: int = 0, term: Callable | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Y and the kernel rows of a stack of rows i, i + 1, ..., one per x.
 
@@ -378,12 +379,13 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int = 0, first: int = 0,
     (the discrete Clark-Ocone formula).  At the given lane's bit the halved
     difference over the bit divided by inc, conditioned on the slot field
     (m, m), is column m of every row, E[S_r dW_m | (m, m)] / dt; then the
-    bit is averaged out.  The split is linear and a term at a slot m' < m
-    is blind to the bits of step m, so the earlier terms add nothing to
-    that column.  After step r row r is Y_r, conditioned on (r, r), and
-    it stays in the stack, so its columns j < r are the representation of
-    Y_r.  Each bit costs a few passes over the stack: terms on the field
-    (m + 1, m) keep it at 2^(M + lanes) entries a row.
+    bit is averaged out.  With a lane per member (below) only the members
+    on the bit's lane read that column.  The split is linear and a term at
+    a slot m' < m is blind to the bits of step m, so the earlier terms add
+    nothing to that column.  After step r row r is Y_r, conditioned on
+    (r, r), and it stays in the stack, so its columns j < r are the
+    representation of Y_r.  Each bit costs a few passes over the stack:
+    terms on the field (m + 1, m) keep it at 2^(M + lanes) entries a row.
 
     x is the rows' variables, or a batch: one such sequence per member,
     the members' rows on the same fields.  The table then has a leading
@@ -416,6 +418,9 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int = 0, first: int = 0,
     n, lanes, rows, size = lat.n_steps, lat.lanes, len(fields), len(members)
     ys = np.empty((size, rows, 1 << lat.n_bits))
     zs = np.zeros((size, rows, n, 1 << lat.n_bits))
+    on_lane = {lane: [slice(None)]} if isinstance(lane, int) else {}
+    for p, ln in enumerate([] if on_lane else np.broadcast_to(lane, (size,))):
+        on_lane.setdefault(int(ln), []).append(slice(p, p + 1))
 
     # the step at which each row joins the stack: the last one for a row
     # with terms, else that of the highest W bit its x knows
@@ -472,11 +477,11 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int = 0, first: int = 0,
         for k in range(a - 1, m * lanes - 1, -1):
             # bit k tops the W index
             pair = stack.reshape(stack.shape[:2] + (2, -1, stack.shape[-1]))
-            if k == lat.bit_of(m, lane) and read:
-                d = pair[:, :, 1] - pair[:, :, 0]
+            for on in on_lane.get(k - m * lanes, []) if read else []:
+                d = pair[on, :, 1] - pair[on, :, 0]
                 d *= 0.5 / lat.inc
                 col = _onto(d, SigmaField(lat, k, b), time_field(lat, m))
-                zs[:, lo - i:hi - i, m] = col.reshape(col.shape[:2] + (-1,))
+                zs[on, lo - i:hi - i, m] = col.reshape(col.shape[:2] + (-1,))
             stack = pair[:, :, 0] + pair[:, :, 1]
             stack *= 0.5
         f = SigmaField(lat, min(a, m * lanes), b)

@@ -55,8 +55,6 @@ from .lattice import (
     SigmaField,
     _max_abs,
     _owned,
-    b_increment,
-    bit_view,
     condexp,
     flip_derivative,
     from_bit_view,
@@ -65,6 +63,7 @@ from .lattice import (
 )
 from .solver import (
     Scenario,
+    _slot_layout,
     iterate,
     map_rows,
     means,
@@ -185,7 +184,7 @@ def _linearized_terms(ls: LinearizedScenario, u: AdaptedPath,
     def dot(coefs, args):
         return reduce(np.add, (coefs[k] * args[k] for k in slots))
 
-    db = bit_view(b_increment(lat, j), f)
+    db = _slot_layout(lat, j, rows.start, rows.stop, not ls.one_stack, 0, 0)[3]
     return f, dot(c[:6], left) * lat.dt + dot(c[6:], right) * db
 
 

@@ -7,9 +7,9 @@ integrals, while every expectation argument is replaced by the
 empirical mean over the n particles, the own value included.  The
 solve is the fixed point of the natural map: each particle's frozen
 right side, conditioned on the joint time field, with the kernel
-extracted against the particle's own forward increments by the one
-backward induction, which adds each slot term before the top bit of
-its step.
+extracted against the particle's own forward increments.  The particles
+are the members of one backward induction: member p reads its kernel
+columns at lane p's bits and its own dB_j, one f and one g call a slot.
 
 The n = 1 system with a mean-field-free driver reproduces the single
 solve exactly; coupled drivers generate a gap to the mean-field
@@ -25,7 +25,7 @@ decreasing trend in n is a deterministic statement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .lattice import (
 )
 from .solver import (
     Scenario,
+    _stacked,
     iterate,
     map_rows,
     picard_solve,
@@ -123,22 +124,18 @@ def solve_particles(pc: ParticleConfig
 
 
 def particle_map(driver: DriverSpec, zetas, pairs):
-    """One map application for every particle on the joint lattice.
-
-    Particle p solves the frozen map with its own lane's increments and the
-    empirical means over all particles as (random-variable) mean arguments.
+    """One map application for every particle on the joint lattice: one
+    sweep, particle p on its own lane's increments, and the empirical means
+    over all particles as every particle's (random-variable) mean arguments.
     """
-    joint = pairs[0][0].lattice
     k = 1.0 / len(pairs)
-    mean_y = AdaptedPath(joint, _owned(
-        reduce(np.add, [y.values for y, _ in pairs]) * k)).y
-    mean_z = VolterraKernel(joint, _owned(
-        reduce(np.add, [z.values for _, z in pairs]) * k)).z
-    swapped = reads_swapped(driver)
-    return [map_rows(zetas[p], partial(slot_terms, driver, y, z, mean_y,
-                                       mean_z, lane=p, swapped=swapped),
-                     not swapped, lane=p)
-            for p, (y, z) in enumerate(pairs)]
+    y, z = (_stacked(parts) for parts in zip(*pairs))
+    mean_y = AdaptedPath(y.lattice, _owned(y.values.sum(axis=0) * k)).y
+    mean_z = VolterraKernel(z.lattice, _owned(z.values.sum(axis=0) * k)).z
+    swapped, lanes = reads_swapped(driver), tuple(range(len(pairs)))
+    return list(zip(*map_rows(zetas, partial(
+        slot_terms, driver, y, z, mean_y, mean_z, lane=lanes, swapped=swapped),
+        not swapped, lane=lanes)))
 
 
 def _exchangeability_defect(pc: ParticleConfig, joint: LatticeSpec,

@@ -71,15 +71,7 @@ class RiskSpec:
         self._derived: dict[tuple, PayoffStream] = {}
         audit_z_flags(self.driver.h)
         audit_z_flags(self.driver.g)
-        grid_bound = max(
-            abs(self.driver.rate(lattice.node(j)))
-            for j in range(lattice.n_steps + 1)
-        )
-        if grid_bound > self.driver.rate_bound + 1e-12:
-            raise ValidationError(
-                f"rate exceeds its declared bound on the grid: "
-                f"{grid_bound} > {self.driver.rate_bound}"
-            )
+        check_rate_grid(self.driver, lattice)
 
     @property
     def h(self) -> ZPart:
@@ -88,6 +80,15 @@ class RiskSpec:
     @property
     def g(self) -> ZPart:
         return self.driver.g
+
+
+def check_rate_grid(driver: RiskDriver, lattice: LatticeSpec) -> None:
+    """Refuse a rate above its declared bound at a grid node."""
+    grid_bound = max(abs(driver.rate(lattice.node(j)))
+                     for j in range(lattice.n_steps + 1))
+    if grid_bound > driver.rate_bound + 1e-12:
+        raise ValidationError(f"rate exceeds its declared bound on the grid: "
+                              f"{grid_bound} > {driver.rate_bound}")
 
 
 def audit_z_flags(part: ZPart, n_samples: int = 200,

@@ -66,7 +66,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -217,6 +217,21 @@ def _stacked(parts) -> Stacked:
                    values[0][None] if len(values) == 1 else np.stack(values))
 
 
+@lru_cache(maxsize=1024)
+def _slot_layout(lat: LatticeSpec, j: int, start: int, stop: int,
+                 swapped: bool, rank: int, lane: int | tuple) -> tuple:
+    """Slot j's field, locked row times t, node bit-view shapes and dB_j
+    view (stacked by member for a lane tuple) for rows start..stop - 1."""
+    f = SigmaField(lat, (j + 1) * lat.lanes, (start if swapped else j) * lat.lanes)
+    t = _owned(np.reshape([lat.node(i) for i in range(start, stop)], (1,) * rank
+                          + (stop - start,) + (1,) * len(bit_view_shape(f, f))))
+    shapes = {k: bit_view_shape(time_field(lat, k), f)
+              for k in range(f.b_from // lat.lanes, j + 2)}
+    db = _owned(np.stack(np.broadcast_arrays(*[bit_view(b_increment(
+        lat, lat.bit_of(j, ln)), f) for ln in np.atleast_1d(lane).tolist()])))
+    return f, t, shapes, db if isinstance(lane, int) else db[:, None]
+
+
 def slot_args(y: AdaptedPath | Stacked, z: VolterraKernel | Stacked, ey, ez,
               j: int, rows: range, swapped: bool = True
               ) -> tuple[SigmaField, np.ndarray, tuple, tuple]:
@@ -240,15 +255,16 @@ def slot_args(y: AdaptedPath | Stacked, z: VolterraKernel | Stacked, ey, ez,
     own pair and means.
     """
     lat = y.lattice
-    lanes, jr = lat.lanes, j + 1
+    jr = j + 1
     last = jr == lat.n_steps
     mem = y.values.shape[:-2]
-    f = SigmaField(lat, jr * lanes, (rows[0] if swapped else j) * lanes)
-    lead = mem + (len(rows),) + (1,) * (f.w_upto + lat.n_bits - f.b_from)
+    f, t, shapes, _ = _slot_layout(lat, j, rows.start, rows.stop, swapped,
+                                   len(mem), 0)
+    lead = mem + t.shape[len(mem):]
     cut = slice(rows.start, rows.stop)
 
     def view(v, k):  # dense entries on node k's time field, as bit views
-        return v.reshape(v.shape[:-1] + bit_view_shape(time_field(lat, k), f))
+        return v.reshape(v.shape[:-1] + shapes[k])
 
     if isinstance(ey, np.ndarray):  # a batch's means, behind the members
         def path_mean(k):  # a float for one member, as for a pair
@@ -281,8 +297,6 @@ def slot_args(y: AdaptedPath | Stacked, z: VolterraKernel | Stacked, ey, ez,
                          axis=len(mem)),
                 row_means(k, swap=True))
 
-    t = np.reshape([lat.node(i) for i in rows],
-                   (1,) * len(mem) + lead[len(mem):])
     zr, mzr = swap(j)
     left = (view(y.values[..., j:jr, :], j), kernel(j), zr, path_mean(j),
             row_means(j), mzr)
@@ -294,20 +308,21 @@ def slot_args(y: AdaptedPath | Stacked, z: VolterraKernel | Stacked, ey, ez,
 
 
 def slot_terms(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
-               j: int, rows: range, lane: int = 0, swapped: bool = True
+               j: int, rows: range, lane: int | tuple = 0, swapped: bool = True
                ) -> tuple[SigmaField, np.ndarray]:
     """The slot-j terms f dt + g dB_j of the rows `rows` (each <= j), stacked.
 
     One f call and one g call serve every row, on the arguments of
-    `slot_args`, with the given lane's dB_j.  Returns the field and values
-    with a leading row axis and the field's bit axes, behind the member
-    axis for a batch.
+    `slot_args`, with the given lane's dB_j, or each member's own for one
+    lane per member.  Returns the field and values with a leading row axis
+    and the field's bit axes, behind the member axis for a batch.
     """
     lat = y.lattice
     f, t, left, right = slot_args(y, z, ey, ez, j, rows, swapped)
     v = (driver.f_values(t, lat.node(j), *left) * lat.dt
-         + driver.g_values(t, lat.node(j + 1), *right)
-         * bit_view(b_increment(lat, lat.bit_of(j, lane)), f)[None])
+         + driver.g_values(t, lat.node(j + 1), *right) * _slot_layout(
+             lat, j, rows.start, rows.stop, swapped, y.values.ndim - 2,
+             lane)[3])
     return f, np.reshape(v, (1,) * (np.ndim(t) - np.ndim(v)) + np.shape(v))
 
 
@@ -323,8 +338,9 @@ def reads_swapped(driver: DriverSpec) -> bool:
                for fn in (driver.f_values, driver.g_values))
 
 
-def map_rows(zeta, term: Callable | None, one_stack: bool, lane: int = 0,
-             first: int = 0) -> tuple[AdaptedPath, VolterraKernel]:
+def map_rows(zeta, term: Callable | None, one_stack: bool,
+             lane: int | tuple = 0, first: int = 0
+             ) -> tuple[AdaptedPath, VolterraKernel]:
     """The rows of one map application, from their terminals zeta.
 
     term(j, rows) gives the slot-j terms of a stack of rows as
@@ -333,7 +349,7 @@ def map_rows(zeta, term: Callable | None, one_stack: bool, lane: int = 0,
     each row is a backward equation in s, so with one_stack the rows
     advance as one stack; terms that read the swapped arguments know B
     bits that differ by row, so for them each row is a stack of its own.
-    first is that of `clark_ocone_sweep`.
+    lane and first are those of `clark_ocone_sweep`.
 
     zeta may be a batch, one sequence of terminals per member, with terms
     for the members' stacked pairs: the members then sweep together, and

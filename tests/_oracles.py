@@ -33,8 +33,10 @@ per-entry wiring, the reference for `stability_compare`; the
 comparison's hypotheses audit one sample at a time with scalar driver
 calls, the reference for the array calls of `check_hypotheses`; and a
 risk profile solved alone, one payoff and one `picard_solve`, the
-reference for the batched positions of `risk.solve_positions`.  The
-last two sections hold what the package once exported and no package
+reference for the batched positions of `risk.solve_positions`; and
+the particle map with each particle swept on its own lane, the
+reference for the one sweep of `particles.particle_map`.  The last two
+sections hold what the package once exported and no package
 code calls: the increments, walks, dependence audits and forward and
 backward integrals in `MeasurableRV` arithmetic (both integrals are
 `_source_sum` with no source), and the pointwise driver evaluators and
@@ -93,6 +95,7 @@ from mfbdsvie.solver import (
     map_rows,
     means,
     picard_solve,
+    reads_swapped,
     slot_args,
     slot_terms,
 )
@@ -961,6 +964,29 @@ def solo_solve(rs, term):
 def solo_rho(rs, p):
     """The profile of position p, solved alone (`rho` as it was)."""
     return solo_solve(rs, p.zeta.negated())
+
+
+# -- each particle its own sweep -----------------------------------------------
+#
+# The particle map as the package made it before the particles were the
+# members of one sweep: one `map_rows` call per particle, each on its own
+# lane with the shared empirical means.  The reference for
+# `particles.particle_map`, whose pairs must match it bit for bit.
+
+
+def per_lane_particle_map(driver, zetas, pairs):
+    """One map application for every particle, each swept on its own lane."""
+    joint = pairs[0][0].lattice
+    k = 1.0 / len(pairs)
+    mean_y = AdaptedPath(joint, _owned(
+        reduce(np.add, [y.values for y, _ in pairs]) * k)).y
+    mean_z = VolterraKernel(joint, _owned(
+        reduce(np.add, [z.values for _, z in pairs]) * k)).z
+    swapped = reads_swapped(driver)
+    return [map_rows(zetas[p], partial(slot_terms, driver, y, z, mean_y,
+                                       mean_z, lane=p, swapped=swapped),
+                     not swapped, lane=p)
+            for p, (y, z) in enumerate(pairs)]
 
 
 # -- increments, walks, dependence audits and integrals --------------------

@@ -513,3 +513,40 @@ class TestDeclaredConstants:
         out = tmp_path / "out"
         assert run("solve", str(write_scenario(tmp_path, doc)), str(out)) == 0
         assert "verdict: PASS" in (out / "summary.txt").read_text()
+
+
+class TestRateBound:
+    """A risk driver whose declared rate_bound is below its rate at a grid
+    node is refused before any solve, by every subcommand that builds the
+    base scenario, as `RiskSpec` refuses it; one at or above it solves."""
+
+    DOC = {"lattice": {"n_steps": 3, "horizon": 1.0},
+           "terminal": {"family": "affine",
+                        "params": {"phi": 0.5, "theta": 0.3}}}
+
+    @staticmethod
+    def driver(rate, rate_bound):
+        return {"family": "risk",
+                "params": {"rate": rate, "rate_bound": rate_bound}}
+
+    @pytest.mark.parametrize("sub", ["solve", "norms", "malliavin", "particles"])
+    def test_understated_rate_bound_refused(self, tmp_path, capsys,
+                                            monkeypatch, sub):
+        monkeypatch.setattr("mfbdsvie.cli.picard_solve", _never)
+        monkeypatch.setattr("mfbdsvie.cli.convergence_study", _never)
+        doc = dict(self.DOC, driver=self.driver(40.0, 0.1))
+        _assert_input_error(tmp_path, capsys, sub, doc)
+
+    def test_rate_above_bound_only_late_in_the_grid(self, tmp_path, capsys):
+        # r(t) = 0.1 + t passes its bound 1.0 at the last node only
+        doc = dict(self.DOC, driver=self.driver({"affine": [0.1, 1.0]}, 1.0))
+        out = tmp_path / "out"
+        assert run("solve", str(write_scenario(tmp_path, doc)), str(out)) == 1
+        assert capsys.readouterr().err.startswith(
+            "input error: rate exceeds its declared bound on the grid: 1.1")
+
+    def test_declared_bound_on_the_grid_solves(self, tmp_path):
+        doc = dict(self.DOC, driver=self.driver(0.4, 0.4))
+        out = tmp_path / "out"
+        assert run("solve", str(write_scenario(tmp_path, doc)), str(out)) == 0
+        assert "verdict: PASS" in (out / "summary.txt").read_text()

@@ -9,8 +9,6 @@ read them (a stack per row).  The driver is called once per slot, and
 the map's memory stays a small multiple of its output pair.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,7 @@ from mfbdsvie.particles import ParticleConfig, particle_map
 from mfbdsvie.solver import Scenario, gamma_map, reads_swapped, representation_pair
 
 from _oracles import per_row_gamma_map, per_row_particle_map
-from test_sweep import DRIVERS, TERMINAL, random_pair
+from test_sweep import DRIVERS, TERMINAL, map_peak, random_pair
 
 REL = 1e-15
 BLIND = LinearDriver(f={"y": -0.2, "z": 0.1, "mean_y": 0.15, "mean_z": 0.05},
@@ -133,18 +131,7 @@ class TestMapMemory:
     N = 8, where one stack of its rows would hold N + 1 = 9 such tables.
     """
 
-    @staticmethod
-    def peak(sc):
-        y, z = representation_pair(sc)
-        gamma_map(sc, y, z)  # warm: imports and caches
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            gamma_map(sc, y, z)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+    peak = staticmethod(map_peak)
 
     def test_blind_driver_within_a_multiple_of_the_pair(self):
         n = 10
