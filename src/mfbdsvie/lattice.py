@@ -33,8 +33,11 @@ and kept, never copied; only a caller's writable array is copied.
 
 The backward induction `clark_ocone_sweep` advances a stack of rows on
 a leading row axis, and a batch of members (equations that differ only
-in their data) on a member axis ahead of it; `_onto` and `_lift_rows`
-keep every leading axis.
+in their data) on a member axis ahead of it.  Its field algebra (which
+rows join at which step, every join, and the shapes of every average and
+lift, `_onto_op`) depends on the lattice and the shape of the sweep only,
+so `_sweep_plan` builds it once, cached as `time_field` is, and each call
+replays the plan in bare numpy (`_onto` keeps every leading axis).
 
 A lattice may carry several independent walk pairs per time step
 ("lanes"); the interacting particle system uses one lane per particle
@@ -325,34 +328,36 @@ def lift(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
     return MeasurableRV(f, fill_table(bit_view(x, f), f))
 
 
-def _lift_rows(v: np.ndarray, g: SigmaField, f: SigmaField) -> np.ndarray:
-    """A stack of g's tables (leading row, or member and row, axes) as a
-    stack of f's tables."""
-    if g == f:
-        return v
+def _onto_op(g: SigmaField, f: SigmaField) -> tuple:
+    """How `_onto` takes a stack of g's tables onto f: the sizes of the W
+    blocks (W bits >= f.w_upto top the index) and B blocks (B bits < f.b_from
+    end it) averaged out, 0 for none, and the shapes lifting the rest onto f
+    (None when it is on f)."""
+    a, b = g.w_upto, g.b_from
+    c = SigmaField(f.lattice, min(a, f.w_upto), max(b, f.b_from))
+    return (1 << (a - f.w_upto) if a > f.w_upto else 0,
+            1 << (f.b_from - b) if b < f.b_from else 0,
+            None if c == f else (bit_view_shape(c, f), (2,) * (
+                f.w_upto + f.lattice.n_bits - f.b_from), f.table_shape))
+
+
+def _onto(v: np.ndarray, op: tuple) -> np.ndarray:
+    """A stack of tables (leading row, or member and row, axes) conditioned
+    and lifted by op (`_onto_op`); a mean is a sum over the count, as
+    `ndarray.mean` makes it."""
+    w, b, lift = op
     lead = v.shape[:-2]
-    full = lead + (2,) * (f.w_upto + f.lattice.n_bits - f.b_from)
-    wide = np.broadcast_to(v.reshape(lead + bit_view_shape(g, f)), full)
-    return np.ascontiguousarray(wide).reshape(lead + f.table_shape)
-
-
-def _onto(v: np.ndarray, g: SigmaField, f: SigmaField) -> np.ndarray:
-    """A stack of g's tables conditioned on f, as a stack of f's tables.
-
-    The W increments >= f.w_upto are the top bits of the W index and the
-    B increments < f.b_from the low bits of the B index; both are averaged
-    out, and the result is lifted onto f.  Axes ahead of the table's two
-    (members, rows) are kept.
-    """
-    a, b, lead = g.w_upto, g.b_from, v.shape[:-2]
-    if a > f.w_upto:
-        v = v.reshape(lead + (1 << (a - f.w_upto), -1, v.shape[-1])).mean(
-            axis=-3)
-    if b < f.b_from:
-        v = v.reshape(lead + (v.shape[-2], -1, 1 << (f.b_from - b))).mean(
-            axis=-1)
-    coarse = SigmaField(f.lattice, min(a, f.w_upto), max(b, f.b_from))
-    return _lift_rows(v, coarse, f)
+    if w:
+        v = np.add.reduce(v.reshape(lead + (w, -1, v.shape[-1])), axis=-3)
+        v /= w
+    if b:
+        v = np.add.reduce(v.reshape(lead + (v.shape[-2], -1, b)), axis=-1)
+        v /= b
+    if lift is None:
+        return v
+    out = np.empty(lead + lift[2])
+    np.copyto(out.reshape(lead + lift[1]), v.reshape(lead + lift[0]))
+    return out
 
 
 def condexp(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
@@ -364,12 +369,102 @@ def condexp(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
     """
     if x.lattice != f.lattice:
         raise LatticeMismatch("value and field on different lattices")
-    return MeasurableRV(f, _owned(_onto(x.values[None], x.field, f)[0]))
+    return MeasurableRV(f, _owned(_onto(x.values[None], _onto_op(x.field, f))[0]))
+
+
+@lru_cache(maxsize=1024)
+def slot_field(lat: LatticeSpec, m: int, b: int) -> SigmaField:
+    """Slot m's term field ((m + 1) lanes, b lanes): b is m, or the stack's
+    first row for terms that read the swapped arguments (shared, immutable)."""
+    return SigmaField(lat, (m + 1) * lat.lanes, b * lat.lanes)
+
+
+def check_lanes(lat: LatticeSpec, lane: int | tuple) -> tuple[int, ...]:
+    """The lanes of an int lane or a lane per member, each in 0..lanes - 1."""
+    lanes = (lane,) if isinstance(lane, int) else lane
+    for ln in lanes:
+        if not 0 <= ln < lat.lanes:
+            raise IndexOutOfRange(f"lane {ln} outside 0..{lat.lanes - 1}")
+    return lanes
+
+
+@lru_cache(maxsize=1024)
+def _sweep_plan(fields: tuple, i: int, lane: int | tuple, first: int,
+                terms: bool, swapped: bool) -> tuple:
+    """The field algebra of `clark_ocone_sweep` on rows on `fields`: the
+    halving scale, per row (row, its op onto its time field if its Y is its
+    conditioned x, whether it joins) and per step (m, join, add, bits, cols,
+    done, trim).  join: the lifts of the joining rows and of the stack (None:
+    no stack yet); add: the term rows and field, the stack's lift and bit
+    axes, the term's pads and bit axis count; bits: per W bit the members
+    reading it and the op onto the column's field; cols: the stack's rows;
+    done: row m's index and ops onto (m, m) (and back, None if it stays);
+    trim: the rows kept.  No table or member count enters, so a plan serves
+    every call of its shape.
+    """
+    lat = fields[0].lattice
+    n, lanes, rows = lat.n_steps, lat.lanes, len(fields)
+    on_lane = {}
+    for p, ln in enumerate(check_lanes(lat, lane)):
+        on_lane.setdefault(ln, []).append(
+            slice(None) if isinstance(lane, int) else slice(p, p + 1))
+    # the step at which each row joins the stack: the last one for a row
+    # with terms, else that of the highest W bit its x knows
+    enters = [n - 1 if terms and i + k < n
+              else -(-fields[k].w_upto // lanes) - 1 for k in range(rows)]
+    entries, starts = [], {}
+    for k, (e, field) in enumerate(zip(enters, fields)):
+        own = time_field(lat, i + k)
+        entries.append((k, _onto_op(field, own) if e < i + k else None,
+                        e >= min(first, i + k)))
+        if entries[-1][2]:  # it joins after its own step on its time field
+            starts.setdefault(e, []).append((k, own if e < i + k else field))
+    steps, f, lo, hi = [], None, i + rows, i + rows
+    for m in range(n - 1, -1, -1):
+        if f is None and not any(e <= m for e in starts):
+            break
+        join = add = done = trim = None
+        if m in starts:  # a block of rows right below the stack
+            new = starts[m]
+            g = f or new[0][1]
+            for _, field in new:
+                g = g.join(field)
+            join = (tuple((k, _onto_op(field, g)) for k, field in new),
+                    f and _onto_op(f, g))
+            hi = hi if f else new[-1][0] + i + 1
+            f, lo = g, new[0][0] + i
+        if f is None:
+            continue
+        if terms and lo <= m:
+            tf = slot_field(lat, m, i if swapped else m)
+            g = f.join(tf)
+            add = (range(lo, min(hi - 1, m) + 1), tf, _onto_op(f, g),
+                   (2,) * (g.w_upto + lat.n_bits - g.b_from),
+                   (1,) * (g.w_upto - tf.w_upto), (1,) * (tf.b_from - g.b_from),
+                   tf.w_upto + lat.n_bits - tf.b_from)
+            f = g
+        a, b, own = f.w_upto, f.b_from, time_field(lat, m)
+        bits = []  # the step's W bits, from the highest down
+        for k in range(a - 1, m * lanes - 1, -1):
+            on = tuple(on_lane.get(k - m * lanes, ())) if m >= first else ()
+            bits.append((on, on and _onto_op(SigmaField(lat, k, b), own)))
+        cols = slice(lo - i, hi - i)
+        f = SigmaField(lat, min(a, m * lanes), b)
+        if lo <= m < hi and enters[m - i] >= m:
+            mid = SigmaField(lat, f.w_upto, max(b, own.b_from))
+            done = (m - lo, _onto_op(f, mid), None if mid == f
+                    else _onto_op(mid, f), _onto_op(mid, own), m - i)
+        if first >= m:
+            hi = min(hi, m)
+            trim = max(hi - lo, 0)
+            f = f if trim else None
+        steps.append((m, join, add, tuple(bits), cols, done, trim))
+    return 0.5 / lat.inc, tuple(entries), tuple(steps)
 
 
 def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
-                      first: int = 0, term: Callable | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      first: int = 0, term: Callable | None = None,
+                      swapped: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Y and the kernel rows of a stack of rows i, i + 1, ..., one per x.
 
     Row r's sum S_r = x_r + sum_{m >= r} term_r(m) is never built: the
@@ -384,24 +479,27 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     a slot m' < m is blind to the bits of step m, so the earlier terms add
     nothing to that column.  After step r row r is Y_r, conditioned on
     (r, r), and it stays in the stack, so its columns j < r are the
-    representation of Y_r.  Each bit costs a few passes over the stack:
-    terms on the field (m + 1, m) keep it at 2^(M + lanes) entries a row.
+    representation of Y_r.  Terms on the field (m + 1, m) keep the stack
+    at 2^(M + lanes) entries a row.
 
     x is the rows' variables, or a batch: one such sequence per member,
-    the members' rows on the same fields.  The table then has a leading
-    member axis ahead of the row axis, and the members advance together;
-    every operation is the same on each member's rows as on a stack of
-    them alone.
+    the members' rows on the same fields, on a leading member axis ahead
+    of the row axis; the members advance together, each as it would alone.
 
     term(m, rows) gives the slot-m terms of the rows `rows` (those at or
-    below m) as (field, values), values broadcasting against the leading
-    (member,) row axes and the field's bit axes; a field past
-    ((m + 1) lanes, .) knows W bits of later steps, would feed columns
-    already read, and raises MeasurabilityViolation.  A row without terms
-    joins the stack at the step of the highest W bit its x knows, so the
-    stack of a path's rows (the M-extension) grows downwards as the walk
-    reaches them; rows that join at one step are a block right below
-    those that joined earlier.
+    below m) as (field, values), or None: values is an array broadcasting
+    against the leading (member,) row axes and the field's bit axes, on
+    `slot_field(lat, m, i if swapped else m)` (swapped: they read the
+    swapped arguments); a term on another field raises
+    MeasurabilityViolation (one that knows W bits of later steps would feed
+    columns already read).  A row without terms joins the stack at the
+    step of the highest W bit its x knows, so the stack of a path's rows
+    (the M-extension) grows downwards as the walk reaches them.
+
+    All of that (which rows join when, every join, lift and average, the
+    columns each member reads, the rows `first` trims) depends only on the
+    lattice and the shape of the sweep: `_sweep_plan` builds it once and
+    checks the lanes, and each call replays it in bare numpy.
 
     Columns j < first are not computed.  Returns (ys, zs): ys[k] is
     the table of Y_{i+k} on its time field and zs[k, j] that of its
@@ -411,93 +509,67 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     """
     batch = not isinstance(x[0], MeasurableRV)
     members = x if batch else [x]
-    fields = [v.field for v in members[0]]
-    if any([v.field for v in xm] != fields for xm in members):
+    fields = tuple(v.field for v in members[0])
+    if any(tuple(v.field for v in xm) != fields for xm in members[1:]):
         raise MeasurabilityViolation("the members' rows differ in field")
-    lat = fields[0].lattice
-    n, lanes, rows, size = lat.n_steps, lat.lanes, len(fields), len(members)
-    ys = np.empty((size, rows, 1 << lat.n_bits))
-    zs = np.zeros((size, rows, n, 1 << lat.n_bits))
-    on_lane = {lane: [slice(None)]} if isinstance(lane, int) else {}
-    for p, ln in enumerate([] if on_lane else np.broadcast_to(lane, (size,))):
-        on_lane.setdefault(int(ln), []).append(slice(p, p + 1))
-
-    # the step at which each row joins the stack: the last one for a row
-    # with terms, else that of the highest W bit its x knows
-    enters = [n - 1 if term is not None and i + k < n
-              else -(-fields[k].w_upto // lanes) - 1 for k in range(rows)]
-    starts = {}  # step -> tables of the rows that join there, by row
-    for k in range(rows):
-        e, r, field = enters[k], i + k, fields[k]
+    lat, size = fields[0].lattice, len(members)
+    if not isinstance(lane, int):
+        lane = tuple(map(int, lane)) if len(lane) > 1 else int(lane[0])
+        if isinstance(lane, tuple) and len(lane) != size:
+            raise IndexOutOfRange(f"{len(lane)} lanes for {size} members")
+    half, entries, steps = _sweep_plan(fields, i, lane, first, term is not None,
+                                       swapped and term is not None)
+    ys = np.empty((size, len(fields), 1 << lat.n_bits))
+    zs = np.zeros((size, len(fields), lat.n_steps, 1 << lat.n_bits))
+    tables = {}
+    for k, own, joins in entries:
         table = (members[0][k].values[None] if size == 1
                  else np.stack([xm[k].values for xm in members]))
-        if e < r:  # it joins after its own step: Y is its conditioned x
-            own = time_field(lat, r)
-            table, field = _onto(table, field, own), own
+        if own is not None:
+            table = _onto(table, own)
             ys[:, k] = table.reshape(size, -1)
-            if e < first:
-                continue
-        starts.setdefault(e, []).append((k, field, table))
-    stack, f, lo, hi = None, None, i + rows, i + rows
-    for m in range(n - 1, -1, -1):
-        if stack is None and not any(e <= m for e in starts):
-            break
-        new = starts.get(m, [])
-        if new:  # a block of rows right below the stack
-            g = f if stack is not None else new[0][1]
-            for _, field, _ in new:
-                g = g.join(field)
-            parts = [_lift_rows(t[:, None], field, g) for _, field, t in new]
-            if stack is not None:
-                parts.append(_lift_rows(stack, f, g))
-            else:
-                hi = new[-1][0] + i + 1
-            stack, f, lo = np.concatenate(parts, axis=1), g, new[0][0] + i
-        if stack is None:
-            continue
-        if term is not None and lo <= m:
-            got = term(m, range(lo, min(hi - 1, m) + 1))
+        tables[k] = table
+    stack = None
+    for m, join, add, bits, cols, done, trim in steps:
+        if join is not None:
+            parts = [_onto(tables[k][:, None], op) for k, op in join[0]]
+            stack = np.concatenate(parts + ([_onto(stack, join[1])]
+                                            if join[1] else []), axis=1)
+        if add is not None:
+            rows, tf, restack, axes, padw, padb, naxes = add
+            got = term(m, rows)
+            stack = _onto(stack, restack)
             if got is not None:
-                tf, tv = got
-                if tf.w_upto > (m + 1) * lanes:
+                gf, tv = got
+                if gf is not tf and gf != tf:
                     raise MeasurabilityViolation(
-                        f"slot {m} term on ({tf.w_upto}, {tf.b_from}) knows "
-                        f"W bits past {(m + 1) * lanes}")
-                g = f.join(tf)
-                stack, f = _lift_rows(stack, f, g), g
-                axes = stack.reshape(stack.shape[:2] + bit_view_shape(f, f))
-                lead = np.ndim(tv) - (tf.w_upto + lat.n_bits - tf.b_from)
-                axes[:, :min(hi - 1, m) + 1 - lo] += np.reshape(
-                    tv, tv.shape[:lead] + (1,) * (f.w_upto - tf.w_upto)
-                    + tv.shape[lead:] + (1,) * (tf.b_from - f.b_from))
-        # the step's W bits, each halving applied at once (halving is
-        # exact, so the order of the halvings does not matter)
-        read = m >= first
-        a, b = f.w_upto, f.b_from
-        for k in range(a - 1, m * lanes - 1, -1):
-            # bit k tops the W index
+                        f"slot {m} term on ({gf.w_upto}, {gf.b_from}), not on "
+                        f"its slot field ({tf.w_upto}, {tf.b_from})")
+                lead = tv.shape[:tv.ndim - naxes]
+                view = stack.reshape(stack.shape[:2] + axes)
+                view[:, :len(rows)] += tv.reshape(lead + padw
+                                                  + tv.shape[len(lead):] + padb)
+        # each halving applied at once (halving is exact, so the order of
+        # the halvings does not matter); bit k tops the W index
+        for on, col in bits:
             pair = stack.reshape(stack.shape[:2] + (2, -1, stack.shape[-1]))
-            for on in on_lane.get(k - m * lanes, []) if read else []:
-                d = pair[on, :, 1] - pair[on, :, 0]
-                d *= 0.5 / lat.inc
-                col = _onto(d, SigmaField(lat, k, b), time_field(lat, m))
-                zs[on, lo - i:hi - i, m] = col.reshape(col.shape[:2] + (-1,))
+            for sl in on:
+                d = pair[sl, :, 1] - pair[sl, :, 0]
+                d *= half
+                d = _onto(d, col)
+                zs[sl, cols, m] = d.reshape(d.shape[:2] + (-1,))
             stack = pair[:, :, 0] + pair[:, :, 1]
             stack *= 0.5
-        f = SigmaField(lat, min(a, m * lanes), b)
-        if lo <= m < hi and enters[m - i] >= m:
+        if done is not None:
             # row m is done: Y_m is its table conditioned on (m, m), and
             # the lower triangle is the representation of Y_m
-            own = time_field(lat, m)
-            mid = SigmaField(lat, f.w_upto, max(b, own.b_from))
-            r = m - lo
-            y = _onto(stack[:, r:r + 1], f, mid)
-            if mid != f:
-                stack[:, r] = _lift_rows(y, mid, f)[:, 0]
-            ys[:, m - i] = _lift_rows(y, mid, own).reshape(size, -1)
-        if first >= m:
-            hi = min(hi, m)
-            stack = stack[:, :hi - lo] if hi > lo else None
+            r, to_mid, back, to_own, row = done
+            y = _onto(stack[:, r:r + 1], to_mid)
+            if back is not None:
+                stack[:, r] = _onto(y, back)[:, 0]
+            ys[:, row] = _onto(y, to_own).reshape(size, -1)
+        if trim is not None:
+            stack = stack[:, :trim] if trim else None
     return (ys, zs) if batch else (ys[0], zs[0])
 
 

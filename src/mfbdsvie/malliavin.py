@@ -59,6 +59,7 @@ from .lattice import (
     flip_derivative,
     from_bit_view,
     row_defects,
+    slot_field,
     time_field,
 )
 from .solver import (
@@ -116,7 +117,7 @@ class LinearizedScenario:
                 c = c[rows.start:rows.stop]
             return c[(Ellipsis,) + (0,) * min(cut, c.ndim)]
 
-        return (SigmaField(f.lattice, f.w_upto, f.b_from + cut),
+        return (slot_field(f.lattice, j, j if self.one_stack else rows.start),
                 [of_rows(c) for c in values])
 
     def _entries(self, side: int) -> list:

@@ -100,9 +100,11 @@ from .lattice import (
     b_increment,
     bit_view,
     bit_view_shape,
+    check_lanes,
     clark_ocone_sweep,
     expectation,
     row_defects,
+    slot_field,
     time_field,
 )
 
@@ -114,7 +116,7 @@ class Scenario:
 
     def __init__(self, lattice: LatticeSpec, driver: DriverSpec,
                  terminal: TerminalSpec, beta: float | None = None,
-                 safety: float = 1.5):
+                 safety: float = 1.5, source: float | None = None):
         if lattice.lanes != 1:
             raise ValidationError("scenarios run on single-lane lattices")
         threshold = contraction_threshold(driver, lattice.horizon)
@@ -140,9 +142,10 @@ class Scenario:
         # the norms form weight * E[y^2] and weight * E[z^2], with |y| <= peak
         # and |z| <= peak / inc, and add up at most (N + 2) times the weight
         # mass times peak^2: checked in logs.  peak is the terminal plus the
-        # driver at the zero state (its source) summed over the slots of a row
-        peak = max(zeta_i.max_abs() for zeta_i in self.zeta) + _source(
-            driver, lattice)
+        # driver at the zero state (its source, passed by a batch on one
+        # driver and lattice) summed over the slots of a row
+        peak = max(zeta_i.max_abs() for zeta_i in self.zeta) + (
+            _source(driver, lattice) if source is None else source)
         top = self.beta * lattice.horizon + max(0.0, -math.log(lattice.dt))
         total = math.log((lattice.n_steps + 2) * _weight_mass(lattice, self.beta))
         if peak and not 2 * math.log(peak) + max(top, total) <= MAX_EXPONENT:
@@ -222,13 +225,13 @@ def _slot_layout(lat: LatticeSpec, j: int, start: int, stop: int,
                  swapped: bool, rank: int, lane: int | tuple) -> tuple:
     """Slot j's field, locked row times t, node bit-view shapes and dB_j
     view (stacked by member for a lane tuple) for rows start..stop - 1."""
-    f = SigmaField(lat, (j + 1) * lat.lanes, (start if swapped else j) * lat.lanes)
+    f = slot_field(lat, j, start if swapped else j)
     t = _owned(np.reshape([lat.node(i) for i in range(start, stop)], (1,) * rank
                           + (stop - start,) + (1,) * len(bit_view_shape(f, f))))
     shapes = {k: bit_view_shape(time_field(lat, k), f)
               for k in range(f.b_from // lat.lanes, j + 2)}
     db = _owned(np.stack(np.broadcast_arrays(*[bit_view(b_increment(
-        lat, lat.bit_of(j, ln)), f) for ln in np.atleast_1d(lane).tolist()])))
+        lat, lat.bit_of(j, ln)), f) for ln in check_lanes(lat, lane)])))
     return f, t, shapes, db if isinstance(lane, int) else db[:, None]
 
 
@@ -323,7 +326,7 @@ def slot_terms(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
          + driver.g_values(t, lat.node(j + 1), *right) * _slot_layout(
              lat, j, rows.start, rows.stop, swapped, y.values.ndim - 2,
              lane)[3])
-    return f, np.reshape(v, (1,) * (np.ndim(t) - np.ndim(v)) + np.shape(v))
+    return f, v.reshape((1,) * (t.ndim - v.ndim) + v.shape)  # dB_j: an array
 
 
 def reads_swapped(driver: DriverSpec) -> bool:
@@ -364,7 +367,7 @@ def map_rows(zeta, term: Callable | None, one_stack: bool,
     else:
         ys, zs = (np.concatenate(t, axis=1) for t in zip(*(
             clark_ocone_sweep([x[i:i + 1] for x in members], i, lane, first,
-                              term)
+                              term, swapped=True)
             for i in range(lat.n_steps + 1))))
     ys, zs = ([AdaptedPath(lat, v) for v in _owned(ys)],
               [VolterraKernel(lat, v) for v in _owned(zs)])

@@ -35,12 +35,14 @@ calls, the reference for the array calls of `check_hypotheses`; and a
 risk profile solved alone, one payoff and one `picard_solve`, the
 reference for the batched positions of `risk.solve_positions`; and
 the particle map with each particle swept on its own lane, the
-reference for the one sweep of `particles.particle_map`.  The last two
+reference for the one sweep of `particles.particle_map`.  The next two
 sections hold what the package once exported and no package
 code calls: the increments, walks, dependence audits and forward and
 backward integrals in `MeasurableRV` arithmetic (both integrals are
 `_source_sum` with no source), and the pointwise driver evaluators and
-sampled driver audits.
+sampled driver audits.  The last holds the backward induction as it
+worked out its fields on every call (`unplanned_sweep`), the reference
+for the plan that `lattice.clark_ocone_sweep` replays.
 
 Conventions (the discretisation contract, restated independently):
   * path = (w_bits, b_bits); bit j set means increment j equals +inc;
@@ -81,12 +83,14 @@ from mfbdsvie.lattice import (
     _owned,
     b_increment,
     bit_view,
+    bit_view_shape,
     clark_ocone_sweep,
     condexp,
     expectation,
     flip_derivative,
     from_bit_view,
     lift,
+    slot_field,
     time_field,
 )
 from mfbdsvie.malliavin import LinearizedScenario, flip_solution
@@ -417,12 +421,16 @@ def split_row(x: MeasurableRV, i: int, lane: int = 0, first: int = 0,
     """
     lat = x.lattice
 
-    def stacked(m, rows):
+    def stacked(m, rows):  # on the sweep's slot field, if t is measurable there
         t = term(m)
-        return None if t is None else (t.field, bit_view(t, t.field)[None])
+        if t is None:
+            return None
+        f = slot_field(lat, m, i)
+        f = f if f.contains(t.field) else t.field
+        return f, bit_view(t, f)[None]
 
     ys, zs = clark_ocone_sweep([x], i, lane, first,
-                               None if term is None else stacked)
+                               None if term is None else stacked, swapped=True)
     f = time_field(lat, i)
     return (MeasurableRV(f, _owned(ys)[0].reshape(f.table_shape)),
             list(_views(lat, _owned(zs)[0])))
@@ -1176,3 +1184,175 @@ def partial_bound_audit(d: DriverSpec, horizon: float, n_points: int = 100,
         worst_f = max(worst_f, max(abs(v) for v in p[:6]) - d.lipschitz_c)
         worst_g = max(worst_g, max(abs(v) for v in p[6:]) - d.lipschitz_alpha)
     return worst_f, worst_g
+
+
+# -- the sweep before its field algebra was planned ------------------------------
+#
+# `lattice.clark_ocone_sweep` as the package ran it before it replayed a
+# plan built once per lattice: every call joins the fields, works out the
+# shapes of each lift and average and checks each term's field.  The
+# reference for the planned sweep, which must match it bit for bit.
+
+
+def _lift_rows(v: np.ndarray, g: SigmaField, f: SigmaField) -> np.ndarray:
+    """A stack of g's tables (leading row, or member and row, axes) as a
+    stack of f's tables."""
+    if g == f:
+        return v
+    lead = v.shape[:-2]
+    full = lead + (2,) * (f.w_upto + f.lattice.n_bits - f.b_from)
+    wide = np.broadcast_to(v.reshape(lead + bit_view_shape(g, f)), full)
+    return np.ascontiguousarray(wide).reshape(lead + f.table_shape)
+
+
+def _onto(v: np.ndarray, g: SigmaField, f: SigmaField) -> np.ndarray:
+    """A stack of g's tables conditioned on f, as a stack of f's tables.
+
+    The W increments >= f.w_upto are the top bits of the W index and the
+    B increments < f.b_from the low bits of the B index; both are averaged
+    out, and the result is lifted onto f.  Axes ahead of the table's two
+    (members, rows) are kept.
+    """
+    a, b, lead = g.w_upto, g.b_from, v.shape[:-2]
+    if a > f.w_upto:
+        v = v.reshape(lead + (1 << (a - f.w_upto), -1, v.shape[-1])).mean(
+            axis=-3)
+    if b < f.b_from:
+        v = v.reshape(lead + (v.shape[-2], -1, 1 << (f.b_from - b))).mean(
+            axis=-1)
+    coarse = SigmaField(f.lattice, min(a, f.w_upto), max(b, f.b_from))
+    return _lift_rows(v, coarse, f)
+
+
+def unplanned_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
+                      first: int = 0, term: Callable | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Y and the kernel rows of a stack of rows i, i + 1, ..., one per x.
+
+    Row r's sum S_r = x_r + sum_{m >= r} term_r(m) is never built: the
+    rows share one table with a leading row axis, and the induction walks
+    the steps m from the last down.  At step m it adds the slot-m terms of
+    the rows r <= m, then walks the step's W bits from the highest down
+    (the discrete Clark-Ocone formula).  At the given lane's bit the halved
+    difference over the bit divided by inc, conditioned on the slot field
+    (m, m), is column m of every row, E[S_r dW_m | (m, m)] / dt; then the
+    bit is averaged out.  With a lane per member (below) only the members
+    on the bit's lane read that column.  The split is linear and a term at
+    a slot m' < m is blind to the bits of step m, so the earlier terms add
+    nothing to that column.  After step r row r is Y_r, conditioned on
+    (r, r), and it stays in the stack, so its columns j < r are the
+    representation of Y_r.  Each bit costs a few passes over the stack:
+    terms on the field (m + 1, m) keep it at 2^(M + lanes) entries a row.
+
+    x is the rows' variables, or a batch: one such sequence per member,
+    the members' rows on the same fields.  The table then has a leading
+    member axis ahead of the row axis, and the members advance together;
+    every operation is the same on each member's rows as on a stack of
+    them alone.
+
+    term(m, rows) gives the slot-m terms of the rows `rows` (those at or
+    below m) as (field, values), values broadcasting against the leading
+    (member,) row axes and the field's bit axes; a field past
+    ((m + 1) lanes, .) knows W bits of later steps, would feed columns
+    already read, and raises MeasurabilityViolation.  A row without terms
+    joins the stack at the step of the highest W bit its x knows, so the
+    stack of a path's rows (the M-extension) grows downwards as the walk
+    reaches them; rows that join at one step are a block right below
+    those that joined earlier.
+
+    Columns j < first are not computed.  Returns (ys, zs): ys[k] is
+    the table of Y_{i+k} on its time field and zs[k, j] that of its
+    column j, each flattened as in the dense path and kernel, behind the
+    member axis for a batch; columns not computed, and those at bits S is
+    blind to, are zero.
+    """
+    batch = not isinstance(x[0], MeasurableRV)
+    members = x if batch else [x]
+    fields = [v.field for v in members[0]]
+    if any([v.field for v in xm] != fields for xm in members):
+        raise MeasurabilityViolation("the members' rows differ in field")
+    lat = fields[0].lattice
+    n, lanes, rows, size = lat.n_steps, lat.lanes, len(fields), len(members)
+    ys = np.empty((size, rows, 1 << lat.n_bits))
+    zs = np.zeros((size, rows, n, 1 << lat.n_bits))
+    on_lane = {lane: [slice(None)]} if isinstance(lane, int) else {}
+    for p, ln in enumerate([] if on_lane else np.broadcast_to(lane, (size,))):
+        on_lane.setdefault(int(ln), []).append(slice(p, p + 1))
+
+    # the step at which each row joins the stack: the last one for a row
+    # with terms, else that of the highest W bit its x knows
+    enters = [n - 1 if term is not None and i + k < n
+              else -(-fields[k].w_upto // lanes) - 1 for k in range(rows)]
+    starts = {}  # step -> tables of the rows that join there, by row
+    for k in range(rows):
+        e, r, field = enters[k], i + k, fields[k]
+        table = (members[0][k].values[None] if size == 1
+                 else np.stack([xm[k].values for xm in members]))
+        if e < r:  # it joins after its own step: Y is its conditioned x
+            own = time_field(lat, r)
+            table, field = _onto(table, field, own), own
+            ys[:, k] = table.reshape(size, -1)
+            if e < first:
+                continue
+        starts.setdefault(e, []).append((k, field, table))
+    stack, f, lo, hi = None, None, i + rows, i + rows
+    for m in range(n - 1, -1, -1):
+        if stack is None and not any(e <= m for e in starts):
+            break
+        new = starts.get(m, [])
+        if new:  # a block of rows right below the stack
+            g = f if stack is not None else new[0][1]
+            for _, field, _ in new:
+                g = g.join(field)
+            parts = [_lift_rows(t[:, None], field, g) for _, field, t in new]
+            if stack is not None:
+                parts.append(_lift_rows(stack, f, g))
+            else:
+                hi = new[-1][0] + i + 1
+            stack, f, lo = np.concatenate(parts, axis=1), g, new[0][0] + i
+        if stack is None:
+            continue
+        if term is not None and lo <= m:
+            got = term(m, range(lo, min(hi - 1, m) + 1))
+            if got is not None:
+                tf, tv = got
+                if tf.w_upto > (m + 1) * lanes:
+                    raise MeasurabilityViolation(
+                        f"slot {m} term on ({tf.w_upto}, {tf.b_from}) knows "
+                        f"W bits past {(m + 1) * lanes}")
+                g = f.join(tf)
+                stack, f = _lift_rows(stack, f, g), g
+                axes = stack.reshape(stack.shape[:2] + bit_view_shape(f, f))
+                lead = np.ndim(tv) - (tf.w_upto + lat.n_bits - tf.b_from)
+                axes[:, :min(hi - 1, m) + 1 - lo] += np.reshape(
+                    tv, tv.shape[:lead] + (1,) * (f.w_upto - tf.w_upto)
+                    + tv.shape[lead:] + (1,) * (tf.b_from - f.b_from))
+        # the step's W bits, each halving applied at once (halving is
+        # exact, so the order of the halvings does not matter)
+        read = m >= first
+        a, b = f.w_upto, f.b_from
+        for k in range(a - 1, m * lanes - 1, -1):
+            # bit k tops the W index
+            pair = stack.reshape(stack.shape[:2] + (2, -1, stack.shape[-1]))
+            for on in on_lane.get(k - m * lanes, []) if read else []:
+                d = pair[on, :, 1] - pair[on, :, 0]
+                d *= 0.5 / lat.inc
+                col = _onto(d, SigmaField(lat, k, b), time_field(lat, m))
+                zs[on, lo - i:hi - i, m] = col.reshape(col.shape[:2] + (-1,))
+            stack = pair[:, :, 0] + pair[:, :, 1]
+            stack *= 0.5
+        f = SigmaField(lat, min(a, m * lanes), b)
+        if lo <= m < hi and enters[m - i] >= m:
+            # row m is done: Y_m is its table conditioned on (m, m), and
+            # the lower triangle is the representation of Y_m
+            own = time_field(lat, m)
+            mid = SigmaField(lat, f.w_upto, max(b, own.b_from))
+            r = m - lo
+            y = _onto(stack[:, r:r + 1], f, mid)
+            if mid != f:
+                stack[:, r] = _lift_rows(y, mid, f)[:, 0]
+            ys[:, m - i] = _lift_rows(y, mid, own).reshape(size, -1)
+        if first >= m:
+            hi = min(hi, m)
+            stack = stack[:, :hi - lo] if hi > lo else None
+    return (ys, zs) if batch else (ys[0], zs[0])

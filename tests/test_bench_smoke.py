@@ -1,5 +1,8 @@
 """Smoke check of the benchmark harness: it runs, verifies, and reports.
 
+Every workload runs end to end with all of its checks, so a change that
+breaks a workload's checks fails here; one workload also runs traced.
+
 Only the result schema is asserted, never a timing.
 """
 
@@ -14,11 +17,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("trace, kind", [("0", "end_to_end"),
-                                         ("1", "per_layer")])
-def test_particles_joint_reports_every_metric(trace, kind):
+@pytest.mark.parametrize("workload, trace, kind", [
+    ("particles_joint", "0", "end_to_end"), ("particles_joint", "1", "per_layer"),
+    ("solve_n10", "0", "end_to_end"), ("verify_suite", "0", "end_to_end")])
+def test_workload_reports_every_metric(workload, trace, kind):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "particles_joint",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

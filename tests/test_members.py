@@ -176,3 +176,45 @@ class TestEqualPayoffs:
         for name in ("risk_axioms.csv", "rho.csv", "summary.txt"):
             assert ((tmp_path / "one" / name).read_bytes()
                     == (tmp_path / "two" / name).read_bytes())
+
+
+class _Built(Exception):
+    """Raised in place of the solve once a batch's scenarios are built."""
+
+
+class TestSharedSource:
+    """The positions of one batch share the driver's source bound."""
+
+    @staticmethod
+    def spec(n, monkeypatch):
+        rs = risk.RiskSpec(build_lattice(n, 1.0), 0.1,
+                           h=ZPart("smooth_abs", k1=0.3),
+                           g=ZPart("linear", k1=0.05))
+        calls = {"f_values": 0, "g_values": 0}
+        for name in calls:
+            def counting(*args, name=name, fn=getattr(rs.driver, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(rs.driver, name, counting)
+
+        def built(scs, **kwargs):
+            raise _Built(len(scs))
+
+        monkeypatch.setattr(risk, "picard_solve", built)
+        return rs, calls
+
+    def test_one_source_for_four_positions(self, monkeypatch):
+        n = 4
+        rs, calls = self.spec(n, monkeypatch)
+        positions = [risk.PayoffStream(TerminalSpec(phi=c))
+                     for c in (0.1, 0.2, 0.3, 0.4)]
+        with pytest.raises(_Built, match="4"):
+            risk.solve_positions(rs, positions)
+        # one f and one g call a slot: 2N, not 4 x 2N
+        assert calls == {"f_values": n, "g_values": n}
+
+    def test_each_member_checks_its_own_terminal(self, monkeypatch):
+        rs, _ = self.spec(4, monkeypatch)
+        positions = [risk.PayoffStream(TerminalSpec(phi=c)) for c in (0.1, 1e160)]
+        with pytest.raises(ValidationError, match="overflows a float"):
+            risk.solve_positions(rs, positions)
