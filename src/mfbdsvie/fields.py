@@ -257,8 +257,8 @@ def pair_sup_diff(
     y1: AdaptedPath, z1: VolterraKernel, y2: AdaptedPath, z2: VolterraKernel
 ) -> float:
     """Pathwise sup-norm distance between two pairs (beta-independent)."""
-    return float(max(np.max(np.abs(y1.values - y2.values)),
-                     np.max(np.abs(z1.values - z2.values))))
+    return max(_max_abs(y1.values - y2.values),
+               _max_abs(z1.values - z2.values))
 
 
 def pair_diff(

@@ -30,6 +30,9 @@ f.table_shape; arithmetic, lifts and driver arguments are built on it,
 and `from_bit_view` turns such a view back into a variable on the
 coarsest field it needs.  Tables the package builds are write-locked
 and kept, never copied; only a caller's writable array is copied.
+The lowest known B increment, f.b_from, is innermost: a broadcast along
+it runs two entries at a time, so a lift onto one new such bit
+(`_onto_op`) and g dB_j (`solver._times_db`) go by the axis's halves.
 
 The backward induction `clark_ocone_sweep` advances a stack of rows on
 a leading row axis, and a batch of members (equations that differ only
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from math import sqrt
 from typing import Callable, Iterator, Sequence
 
@@ -331,14 +335,27 @@ def lift(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
 def _onto_op(g: SigmaField, f: SigmaField) -> tuple:
     """How `_onto` takes a stack of g's tables onto f: the sizes of the W
     blocks (W bits >= f.w_upto top the index) and B blocks (B bits < f.b_from
-    end it) averaged out, 0 for none, and the shapes lifting the rest onto f
-    (None when it is on f)."""
+    end it) averaged out, 0 for none, and the lift of the rest onto f (None
+    when it is on f): a copy, the rest's and f's bit-view shapes with each
+    run of axes the rest knows or is blind to merged, and f's table shape.
+    The copy is `_halves` for a lift onto one new innermost bit, else one
+    broadcast (onto several innermost bits too)."""
     a, b = g.w_upto, g.b_from
     c = SigmaField(f.lattice, min(a, f.w_upto), max(b, f.b_from))
+    runs = [(d, len(list(k))) for d, k in groupby(bit_view_shape(c, f))]
+    lift = None if c == f else (
+        _halves if runs[-1] == (1, 1) else np.copyto,
+        tuple(d ** k for d, k in runs), tuple(2 ** k for _, k in runs),
+        f.table_shape)
     return (1 << (a - f.w_upto) if a > f.w_upto else 0,
-            1 << (f.b_from - b) if b < f.b_from else 0,
-            None if c == f else (bit_view_shape(c, f), (2,) * (
-                f.w_upto + f.lattice.n_bits - f.b_from), f.table_shape))
+            1 << (f.b_from - b) if b < f.b_from else 0, lift)
+
+
+def _halves(out: np.ndarray, v: np.ndarray) -> None:
+    """v, blind to out's innermost axis of size 2, copied into its halves:
+    two long strided runs."""
+    np.copyto(out[..., 0], v[..., 0])
+    np.copyto(out[..., 1], v[..., 0])
 
 
 def _onto(v: np.ndarray, op: tuple) -> np.ndarray:
@@ -355,8 +372,9 @@ def _onto(v: np.ndarray, op: tuple) -> np.ndarray:
         v /= b
     if lift is None:
         return v
-    out = np.empty(lead + lift[2])
-    np.copyto(out.reshape(lead + lift[1]), v.reshape(lead + lift[0]))
+    copy, known, full, table = lift
+    out = np.empty(lead + table)
+    copy(out.reshape(lead + full), v.reshape(lead + known))
     return out
 
 

@@ -65,10 +65,10 @@ from .lattice import (
 from .solver import (
     Scenario,
     _slot_layout,
+    _times_db,
     iterate,
     map_rows,
     means,
-    reads_swapped,
     slot_args,
     sup_distance,
 )
@@ -147,7 +147,7 @@ def build_linearized(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
         raise ValidationError(f"flip slot {r_idx} outside 0..{n - 1}")
     if sc.terminal.family not in ("deterministic", "affine", "smooth"):
         raise ValidationError("terminal family has no flip derivative")
-    one_stack = not reads_swapped(sc.driver)
+    one_stack = not sc.swapped
     ey, ez = means(y, z)
     coefs = []
     for j in range(n):
@@ -186,7 +186,7 @@ def _linearized_terms(ls: LinearizedScenario, u: AdaptedPath,
         return reduce(np.add, (coefs[k] * args[k] for k in slots))
 
     db = _slot_layout(lat, j, rows.start, rows.stop, not ls.one_stack, 0, 0)[3]
-    return f, dot(c[:6], left) * lat.dt + dot(c[6:], right) * db
+    return f, dot(c[:6], left) * lat.dt + _times_db(dot(c[6:], right), db)
 
 
 def _linearized_map(ls: LinearizedScenario, pair

@@ -112,8 +112,9 @@ def solve_particles(pc: ParticleConfig
         return max(sup_distance(a, b) for a, b in zip(new, old))
 
     start = [(zero_path(joint), zero_kernel(joint))] * pc.n_particles
-    pairs, iterations, sup = iterate(partial(particle_map, pc.driver, zetas),
-                                     start, distance, pc.tol, pc.max_iter)
+    pairs, iterations, sup = iterate(
+        partial(_particle_map, pc.driver, reads_swapped(pc.driver), zetas),
+        start, distance, pc.tol, pc.max_iter)
     y = [list(yp.y) for yp, _ in pairs]
     report = ParticleReport(
         iterations=iterations,
@@ -128,11 +129,17 @@ def particle_map(driver: DriverSpec, zetas, pairs):
     sweep, particle p on its own lane's increments, and the empirical means
     over all particles as every particle's (random-variable) mean arguments.
     """
+    return _particle_map(driver, reads_swapped(driver), zetas, pairs)
+
+
+def _particle_map(driver: DriverSpec, swapped: bool, zetas, pairs):
+    """`particle_map` for a driver already probed: swapped is
+    `reads_swapped(driver)`, which `solve_particles` finds once a solve."""
     k = 1.0 / len(pairs)
     y, z = (_stacked(parts) for parts in zip(*pairs))
     mean_y = AdaptedPath(y.lattice, _owned(y.values.sum(axis=0) * k)).y
     mean_z = VolterraKernel(z.lattice, _owned(z.values.sum(axis=0) * k)).z
-    swapped, lanes = reads_swapped(driver), tuple(range(len(pairs)))
+    lanes = tuple(range(len(pairs)))
     return list(zip(*map_rows(zetas, partial(
         slot_terms, driver, y, z, mean_y, mean_z, lane=lanes, swapped=swapped),
         not swapped, lane=lanes)))

@@ -112,7 +112,9 @@ MAX_EXPONENT = math.log(sys.float_info.max)  # e^x overflows past this
 
 
 class Scenario:
-    """A validated problem instance: lattice + driver + terminal + beta."""
+    """A validated problem instance: lattice + driver + terminal + beta;
+    swapped: whether the driver reads the swapped arguments, probed once
+    (`reads_swapped`)."""
 
     def __init__(self, lattice: LatticeSpec, driver: DriverSpec,
                  terminal: TerminalSpec, beta: float | None = None,
@@ -135,6 +137,7 @@ class Scenario:
         self.driver = driver
         self.terminal = terminal
         self.beta = float(beta)
+        self.swapped = reads_swapped(driver)
         self.zeta = tuple(
             terminal_rv(terminal, lattice, i)
             for i in range(lattice.n_steps + 1)
@@ -224,14 +227,22 @@ def _stacked(parts) -> Stacked:
 def _slot_layout(lat: LatticeSpec, j: int, start: int, stop: int,
                  swapped: bool, rank: int, lane: int | tuple) -> tuple:
     """Slot j's field, locked row times t, node bit-view shapes and dB_j
-    view (stacked by member for a lane tuple) for rows start..stop - 1."""
+    view (-inc, +inc on its bit's axis, size 1 on the others; stacked by
+    member for a lane tuple) for rows start..stop - 1."""
     f = slot_field(lat, j, start if swapped else j)
-    t = _owned(np.reshape([lat.node(i) for i in range(start, stop)], (1,) * rank
-                          + (stop - start,) + (1,) * len(bit_view_shape(f, f))))
+    axes = len(bit_view_shape(f, f))
+    t = _owned(np.reshape([lat.node(i) for i in range(start, stop)],
+                          (1,) * rank + (stop - start,) + (1,) * axes))
     shapes = {k: bit_view_shape(time_field(lat, k), f)
               for k in range(f.b_from // lat.lanes, j + 2)}
-    db = _owned(np.stack(np.broadcast_arrays(*[bit_view(b_increment(
-        lat, lat.bit_of(j, ln)), f) for ln in check_lanes(lat, lane)])))
+
+    def db_view(bit):  # the W axes, then the B bits from M - 1 down
+        shape = [1] * axes
+        shape[f.w_upto + lat.n_bits - 1 - bit] = 2
+        return b_increment(lat, bit).values[0, :2].reshape(shape)
+
+    db = _owned(np.stack(np.broadcast_arrays(*[
+        db_view(lat.bit_of(j, ln)) for ln in check_lanes(lat, lane)])))
     return f, t, shapes, db if isinstance(lane, int) else db[:, None]
 
 
@@ -317,16 +328,30 @@ def slot_terms(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
 
     One f call and one g call serve every row, on the arguments of
     `slot_args`, with the given lane's dB_j, or each member's own for one
-    lane per member.  Returns the field and values with a leading row axis
-    and the field's bit axes, behind the member axis for a batch.
+    lane per member, g dB_j by halves where it can (`_times_db`).  Returns
+    the field and values with a leading row axis and the field's bit axes,
+    behind the member axis for a batch.
     """
     lat = y.lattice
     f, t, left, right = slot_args(y, z, ey, ez, j, rows, swapped)
     v = (driver.f_values(t, lat.node(j), *left) * lat.dt
-         + driver.g_values(t, lat.node(j + 1), *right) * _slot_layout(
+         + _times_db(driver.g_values(t, lat.node(j + 1), *right), _slot_layout(
              lat, j, rows.start, rows.stop, swapped, y.values.ndim - 2,
-             lane)[3])
+             lane)[3]))
     return f, v.reshape((1,) * (t.ndim - v.ndim) + v.shape)  # dB_j: an array
+
+
+def _times_db(g, db: np.ndarray) -> np.ndarray:
+    """g dB_j for the dB_j view db of `_slot_layout`: when dB_j's bit is
+    the innermost axis, g's halves along it times -inc and +inc, each a
+    long strided run where a broadcast runs two entries at a time; else
+    (a lower B bit known, a lane per member, a scalar g) g times db."""
+    if db.size != 2 or db.shape[-1] != 2 or np.ndim(g) == 0:
+        return g * db
+    out = np.empty((1,) * (db.ndim - g.ndim) + g.shape[:-1] + (2,))
+    np.multiply(g[..., 0], db.flat[0], out=out[..., 0])
+    np.multiply(g[..., -1], db.flat[1], out=out[..., 1])
+    return out
 
 
 def reads_swapped(driver: DriverSpec) -> bool:
@@ -435,12 +460,11 @@ def means(y: AdaptedPath | Stacked, z: VolterraKernel | Stacked):
     return (ey.tolist(), ez.tolist()) if ey.ndim == 1 else (ey, ez)
 
 
-def _driver_terms(driver: DriverSpec, y, z) -> tuple[Callable, bool]:
-    """The stacked slot terms of the driver frozen at (y, z), and whether
+def _driver_terms(sc: Scenario, y, z) -> tuple[Callable, bool]:
+    """The stacked slot terms of sc's driver frozen at (y, z), and whether
     the rows make one stack (the driver is blind to the swapped arguments)."""
-    swapped = reads_swapped(driver)
-    return (partial(slot_terms, driver, y, z, *means(y, z),
-                    swapped=swapped), not swapped)
+    return (partial(slot_terms, sc.driver, y, z, *means(y, z),
+                    swapped=sc.swapped), not sc.swapped)
 
 
 def check_batch(scs) -> None:
@@ -465,7 +489,7 @@ def gamma_map(sc: Scenario, y: AdaptedPath, z: VolterraKernel
     batch = not isinstance(sc, Scenario)
     scs, ys, zs = (sc, y, z) if batch else ([sc], [y], [z])
     new = map_rows([x.zeta for x in scs], *_driver_terms(
-        scs[0].driver, _stacked(ys), _stacked(zs)))
+        scs[0], _stacked(ys), _stacked(zs)))
     return new if batch else (new[0][0], new[1][0])
 
 
@@ -479,7 +503,7 @@ def residual(sc: Scenario, y: AdaptedPath, z: VolterraKernel) -> float:
     zeta_i - Y_i + sum_{j >= i} (f dt + g dB_j - Z_ij dW_j) over rows i, on
     the map's stacked slot terms (`lattice.row_defects`)."""
     return max(map(_max_abs, row_defects(
-        sc.zeta, y.y, z, *_driver_terms(sc.driver, y, z),
+        sc.zeta, y.y, z, *_driver_terms(sc, y, z),
         [range(i, sc.lattice.n_steps) for i in range(len(y))])))
 
 
@@ -516,15 +540,17 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
             y, z = gamma_map([scs[m] for m in pairs], y, z)
         else:  # the batch of one, as a map of one pair
             y, z = ([x] for x in gamma_map(sc, y[0], z[0]))
-        new = dict(zip(pairs, zip(y, z)))
-        if report:
-            for m, pair in pairs.items():
-                diffs[m].append(scale * m_beta_norm(*pair_diff(*new[m], *pair),
-                                                    w))
-        return new
+        return dict(zip(pairs, zip(y, z)))
 
     def distance(new, old):
-        return {m: sup_distance(new[m], old[m]) for m in new}
+        if not report:
+            return {m: sup_distance(new[m], old[m]) for m in new}
+        sups = {}
+        for m in new:  # one difference serves both traces
+            dy, dz = pair_diff(*new[m], *old[m])
+            diffs[m].append(scale * m_beta_norm(dy, dz, w))
+            sups[m] = max(_max_abs(dy.values), _max_abs(dz.values))
+        return sups
 
     if start is None:
         start = [(zero_path(lat), zero_kernel(lat))] * len(scs)
@@ -593,7 +619,7 @@ def stability_compare(sc1: Scenario, sc2: Scenario,
     ey, ez = means(y2, z2)
     f_term = g_term = 0.0
     d1, d2 = sc1.driver, sc2.driver
-    swapped = reads_swapped(d1) or reads_swapped(d2)
+    swapped = sc1.swapped or sc2.swapped
     for j in range(n):
         _, t, left, right = slot_args(y2, z2, ey, ez, j, range(j + 1), swapped)
         s, sr = lat.node(j), lat.node(j + 1)

@@ -40,9 +40,14 @@ sections hold what the package once exported and no package
 code calls: the increments, walks, dependence audits and forward and
 backward integrals in `MeasurableRV` arithmetic (both integrals are
 `_source_sum` with no source), and the pointwise driver evaluators and
-sampled driver audits.  The last holds the backward induction as it
+sampled driver audits.  Then comes the backward induction as it
 worked out its fields on every call (`unplanned_sweep`), the reference
-for the plan that `lattice.clark_ocone_sweep` replays.
+for the plan that `lattice.clark_ocone_sweep` replays.  The last holds
+the lift as one broadcast copy (`broadcast_onto`), g dB_j as one
+broadcast product (`broadcast_times_db`) and the Picard traces made from
+two differences an iteration (`two_difference_traces`), the references
+for the lifts and products by halves and the one difference of
+`picard_solve`.
 
 Conventions (the discretisation contract, restated independently):
   * path = (w_bits, b_bits); bit j set means increment j equals +inc;
@@ -73,7 +78,16 @@ from mfbdsvie.errors import (
     MeasurabilityViolation,
     ValidationError,
 )
-from mfbdsvie.fields import AdaptedPath, BetaWeight, VolterraKernel, _views
+from mfbdsvie.fields import (
+    AdaptedPath,
+    BetaWeight,
+    VolterraKernel,
+    _views,
+    m_beta_norm,
+    pair_diff,
+    zero_kernel,
+    zero_path,
+)
 from mfbdsvie.lattice import (
     LatticeSpec,
     MeasurableRV,
@@ -96,6 +110,8 @@ from mfbdsvie.lattice import (
 from mfbdsvie.malliavin import LinearizedScenario, flip_solution
 from mfbdsvie.solver import (
     Scenario,
+    _weight_mass,
+    gamma_map,
     map_rows,
     means,
     picard_solve,
@@ -1356,3 +1372,54 @@ def unplanned_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
             hi = min(hi, m)
             stack = stack[:, :hi - lo] if hi > lo else None
     return (ys, zs) if batch else (ys[0], zs[0])
+
+
+# -- lifts and g dB_j as one broadcast each ---------------------------------
+#
+# `lattice._onto` and `solver._times_db` as the package ran them before a
+# lift onto one new innermost bit, and g dB_j on a field whose innermost
+# bit is dB_j's, went by the two halves of that axis.  The references for
+# the halves, which must match them bit for bit; and the Picard loop with
+# its sup distance and weighted diff each taken from a difference of its
+# own, the reference for the one difference of `picard_solve`.
+
+
+def broadcast_onto(v: np.ndarray, op: tuple) -> np.ndarray:
+    """`lattice._onto` with every lift one broadcast copy."""
+    w, b, lift = op
+    lead = v.shape[:-2]
+    if w:
+        v = np.add.reduce(v.reshape(lead + (w, -1, v.shape[-1])), axis=-3)
+        v /= w
+    if b:
+        v = np.add.reduce(v.reshape(lead + (v.shape[-2], -1, b)), axis=-1)
+        v /= b
+    if lift is None:
+        return v
+    _, known, full, table = lift
+    out = np.empty(lead + table)
+    np.copyto(out.reshape(lead + full), v.reshape(lead + known))
+    return out
+
+
+def broadcast_times_db(g, db: np.ndarray) -> np.ndarray:
+    """g dB_j as one product broadcast against the dB_j view."""
+    return g * db
+
+
+def two_difference_traces(sc: Scenario, tol: float, max_iter: int):
+    """The sup and weighted-diff traces of `picard_solve` from zero, each
+    distance from its own difference of the successive pairs."""
+    lat = sc.lattice
+    w = BetaWeight(sc.beta)
+    scale = 1.0 / math.sqrt(_weight_mass(lat, sc.beta))
+    old, sups, diffs = (zero_path(lat), zero_kernel(lat)), [], []
+    for _ in range(max_iter):
+        new = gamma_map(sc, *old)
+        diffs.append(scale * m_beta_norm(*pair_diff(*new, *old), w))
+        sups.append(float(max(np.max(np.abs(new[0].values - old[0].values)),
+                              np.max(np.abs(new[1].values - old[1].values)))))
+        old = new
+        if sups[-1] <= tol:
+            break
+    return old, sups, diffs

@@ -210,8 +210,9 @@ class TestSharedSource:
                      for c in (0.1, 0.2, 0.3, 0.4)]
         with pytest.raises(_Built, match="4"):
             risk.solve_positions(rs, positions)
-        # one f and one g call a slot: 2N, not 4 x 2N
-        assert calls == {"f_values": n, "g_values": n}
+        # one f and one g call a slot: 2N, not 4 x 2N; and each scenario's
+        # one probe of f and of g (`Scenario.swapped`)
+        assert calls == {"f_values": n + 4, "g_values": n + 4}
 
     def test_each_member_checks_its_own_terminal(self, monkeypatch):
         rs, _ = self.spec(4, monkeypatch)

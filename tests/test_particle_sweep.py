@@ -56,7 +56,10 @@ class TestOneSweep:
         d = LinearDriver(f={"mean_y": 0.5, "y": -0.3}, g={"z": 0.04})
         sc = Scenario(lat, d, TerminalSpec(phi=0.3, theta=0.6))
         rows = convergence_study(sc, [1, 2, 3])
-        monkeypatch.setattr(particles, "particle_map", per_lane_particle_map)
+        # solve_particles maps through the private form, the driver probed
+        monkeypatch.setattr(particles, "_particle_map",
+                            lambda driver, swapped, zetas, pairs:
+                            per_lane_particle_map(driver, zetas, pairs))
         assert rows == convergence_study(sc, [1, 2, 3])
 
     def test_one_driver_call_per_slot_for_all_particles(self):
