@@ -42,7 +42,7 @@ from .drivers import (
 )
 from .errors import Error, InputError, IoError, ValidationError
 from .fields import node_gaps
-from .lattice import build_lattice
+from .lattice import LatticeSpec, build_lattice
 from .particles import MAX_PARTICLES, convergence_study
 from .solver import Scenario, picard_solve
 
@@ -170,6 +170,14 @@ def parse_driver(cfg, where="driver") -> DriverSpec:
     return d
 
 
+def _grid_driver(cfg, lat: LatticeSpec, where="driver") -> DriverSpec:
+    """parse_driver, with a risk rate held to its bound on lat's grid."""
+    driver = parse_driver(cfg, where)
+    if isinstance(driver, RiskDriver):
+        risk_mod.check_rate_grid(driver, lat)
+    return driver
+
+
 def parse_zpart(cfg, where) -> ZPart:
     if cfg is None:
         return ZPart()
@@ -252,9 +260,7 @@ def build_base_scenario(doc) -> tuple[Scenario, float, int]:
     lat = _lattice(doc)
     if "driver" not in doc or "terminal" not in doc:
         raise InputError("scenario: solve needs driver and terminal sections")
-    driver = parse_driver(doc["driver"])
-    if isinstance(driver, RiskDriver):
-        risk_mod.check_rate_grid(driver, lat)
+    driver = _grid_driver(doc["driver"], lat)
     terminal = parse_terminal(doc["terminal"])
     s = _solver_settings(doc, 1e-10, 200)
     sc = Scenario(lat, driver, terminal, beta=s["beta"], safety=s["safety"])
@@ -347,10 +353,10 @@ def _run_compare(doc, out_dir: Path) -> tuple[int, list[str]]:
     lat = _lattice(doc)
     cs = cmp_mod.ComparisonScenario(
         lattice=lat,
-        f1=parse_driver(cfg["f1"], "comparison.f1"),
-        fbar=parse_driver(cfg["fbar"], "comparison.fbar"),
-        f2=parse_driver(cfg["f2"], "comparison.f2"),
-        g=parse_driver(cfg["g"], "comparison.g") if "g" in cfg
+        f1=_grid_driver(cfg["f1"], lat, "comparison.f1"),
+        fbar=_grid_driver(cfg["fbar"], lat, "comparison.fbar"),
+        f2=_grid_driver(cfg["f2"], lat, "comparison.f2"),
+        g=_grid_driver(cfg["g"], lat, "comparison.g") if "g" in cfg
         else LinearDriver(),
         zeta1=parse_terminal(cfg["zeta1"], "comparison.zeta1"),
         zeta2=parse_terminal(cfg["zeta2"], "comparison.zeta2"),

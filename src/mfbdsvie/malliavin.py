@@ -45,7 +45,7 @@ by the chain-rule defect, which shrinks as the mesh refines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .lattice import (
     _owned,
     condexp,
     flip_derivative,
-    from_bit_view,
     row_defects,
     slot_field,
     time_field,
@@ -93,8 +92,6 @@ class LinearizedScenario:
     slot is kept: the pinned rows i <= r read slots from r on.  one_stack:
     the driver is blind to the swapped arguments, so the rows of a map make
     one stack.  source[i] is the flip of the terminal at node i.
-    f_coef[i][j] and g_coef[i][j] (j >= i) are one entry's six partials as
-    variables, cut from the stacks when first read.
     """
 
     scenario: Scenario
@@ -119,20 +116,6 @@ class LinearizedScenario:
 
         return (slot_field(f.lattice, j, j if self.one_stack else rows.start),
                 [of_rows(c) for c in values])
-
-    def _entries(self, side: int) -> list:
-        n = self.scenario.lattice.n_steps
-        out = [[None] * n for _ in range(n + 1)]
-        for j in range(n):
-            for i in range(j + 1):
-                f, values = self.slot_coefs(j, range(i, i + 1))
-                axes = f.w_upto + f.lattice.n_bits - f.b_from
-                out[i][j] = [from_bit_view(c[0] if c.ndim > axes else c, f)
-                             for c in values[6 * side:6 * side + 6]]
-        return out
-
-    f_coef = cached_property(lambda self: self._entries(0))
-    g_coef = cached_property(lambda self: self._entries(1))
 
 
 def build_linearized(sc: Scenario, y: AdaptedPath, z: VolterraKernel,

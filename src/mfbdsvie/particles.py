@@ -4,12 +4,13 @@ n particles carry independent walk pairs (one lane per particle on a
 joint lattice with n lanes per time step).  Each particle solves the
 equation with its own terminal data and its own backward and forward
 integrals, while every expectation argument is replaced by the
-empirical mean over the n particles, the own value included.  The
-solve is the fixed point of the natural map: each particle's frozen
-right side, conditioned on the joint time field, with the kernel
-extracted against the particle's own forward increments.  The particles
-are the members of one backward induction: member p reads its kernel
-columns at lane p's bits and its own dB_j, one f and one g call a slot.
+empirical mean over the n particles, the own value included: a dense
+path or kernel, the random means `solver.slot_args` reads.  The solve
+is the fixed point of the natural map: each particle's frozen right
+side, conditioned on the joint time field, with the kernel extracted
+against the particle's own forward increments.  The particles are the
+members of one backward induction: member p reads its kernel columns at
+lane p's bits and its own dB_j, one f and one g call a slot.
 
 The n = 1 system with a mean-field-free driver reproduces the single
 solve exactly; coupled drivers generate a gap to the mean-field
@@ -31,11 +32,10 @@ import numpy as np
 
 from .drivers import DriverSpec, TerminalSpec, terminal_rv
 from .errors import JointSpaceTooLarge, ValidationError
-from .fields import AdaptedPath, VolterraKernel, zero_kernel, zero_path
+from .fields import zero_kernel, zero_path
 from .lattice import (
     LatticeSpec,
     MeasurableRV,
-    _owned,
     bit_view,
     fill_table,
     full_field,
@@ -127,7 +127,8 @@ def solve_particles(pc: ParticleConfig
 def particle_map(driver: DriverSpec, zetas, pairs):
     """One map application for every particle on the joint lattice: one
     sweep, particle p on its own lane's increments, and the empirical means
-    over all particles as every particle's (random-variable) mean arguments.
+    over all particles (dense random means) as every particle's mean
+    arguments.
     """
     return _particle_map(driver, reads_swapped(driver), zetas, pairs)
 
@@ -137,11 +138,10 @@ def _particle_map(driver: DriverSpec, swapped: bool, zetas, pairs):
     `reads_swapped(driver)`, which `solve_particles` finds once a solve."""
     k = 1.0 / len(pairs)
     y, z = (_stacked(parts) for parts in zip(*pairs))
-    mean_y = AdaptedPath(y.lattice, _owned(y.values.sum(axis=0) * k)).y
-    mean_z = VolterraKernel(z.lattice, _owned(z.values.sum(axis=0) * k)).z
     lanes = tuple(range(len(pairs)))
     return list(zip(*map_rows(zetas, partial(
-        slot_terms, driver, y, z, mean_y, mean_z, lane=lanes, swapped=swapped),
+        slot_terms, driver, y, z, y.values.sum(axis=0) * k,
+        z.values.sum(axis=0) * k, lane=lanes, swapped=swapped),
         not swapped, lane=lanes)))
 
 

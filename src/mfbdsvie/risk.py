@@ -36,7 +36,7 @@ from .drivers import RiskDriver, TerminalSpec, ZPart
 from .errors import FlagMissing, ValidationError
 from .fields import AdaptedPath, node_gaps
 from .lattice import LatticeSpec
-from .solver import Scenario, _source, check_settings, picard_solve
+from .solver import Scenario, check_settings, picard_solve
 
 AXIOM_SLACK = 1e-10
 
@@ -129,9 +129,8 @@ def solve_positions(rs: RiskSpec, positions) -> None:
     todo = list(dict.fromkeys(p for p in positions if p not in rs._profiles))
     if not todo:
         return
-    source = _source(rs.driver, rs.lattice)  # once for every position
     scs = [Scenario(rs.lattice, rs.driver, p.zeta.negated(), beta=rs.beta,
-                    safety=rs.safety, source=source) for p in todo]
+                    safety=rs.safety) for p in todo]
     ys, _, _ = picard_solve(scs, tol=rs.tol, max_iter=rs.max_iter,
                             report=False)
     rs._profiles.update(zip(todo, ys))

@@ -32,7 +32,8 @@ backward induction, `lattice.row_defects` sums the same stacked terms
 into each row's pathwise defect (`residual`), `iterate` is the Picard loop.
 The flip equation (malliavin) and the particles are the same map with
 other terms, means and lanes; the stability functional reads the same
-arguments.
+arguments.  Each mean is an array shaped like its path or kernel, with
+one entry (`means`) or 2^M (the particles') on the last axis.
 
 At a fixed t_i the equation is a backward equation in s, so Phi_i is
 never built: the induction starts from zeta_i and, for m = N-1 down to
@@ -98,7 +99,6 @@ from .lattice import (
     _max_abs,
     _owned,
     b_increment,
-    bit_view,
     bit_view_shape,
     check_lanes,
     clark_ocone_sweep,
@@ -118,7 +118,7 @@ class Scenario:
 
     def __init__(self, lattice: LatticeSpec, driver: DriverSpec,
                  terminal: TerminalSpec, beta: float | None = None,
-                 safety: float = 1.5, source: float | None = None):
+                 safety: float = 1.5):
         if lattice.lanes != 1:
             raise ValidationError("scenarios run on single-lane lattices")
         threshold = contraction_threshold(driver, lattice.horizon)
@@ -145,10 +145,9 @@ class Scenario:
         # the norms form weight * E[y^2] and weight * E[z^2], with |y| <= peak
         # and |z| <= peak / inc, and add up at most (N + 2) times the weight
         # mass times peak^2: checked in logs.  peak is the terminal plus the
-        # driver at the zero state (its source, passed by a batch on one
-        # driver and lattice) summed over the slots of a row
-        peak = max(zeta_i.max_abs() for zeta_i in self.zeta) + (
-            _source(driver, lattice) if source is None else source)
+        # driver at the zero state summed over the slots of a row (`_source`)
+        peak = (max(zeta_i.max_abs() for zeta_i in self.zeta)
+                + _source(driver, lattice))
         top = self.beta * lattice.horizon + max(0.0, -math.log(lattice.dt))
         total = math.log((lattice.n_steps + 2) * _weight_mass(lattice, self.beta))
         if peak and not 2 * math.log(peak) + max(top, total) <= MAX_EXPONENT:
@@ -183,6 +182,7 @@ class SolverReport:
     sup_trace: list[float] = field(default_factory=list)
 
 
+@lru_cache(maxsize=1024)
 def _source(driver: DriverSpec, lat: LatticeSpec) -> float:
     """A bound on every row's sum over its slots of |f| dt + |g| inc, with
     f and g at the zero state: the largest row at each slot, added up.
@@ -226,15 +226,18 @@ def _stacked(parts) -> Stacked:
 @lru_cache(maxsize=1024)
 def _slot_layout(lat: LatticeSpec, j: int, start: int, stop: int,
                  swapped: bool, rank: int, lane: int | tuple) -> tuple:
-    """Slot j's field, locked row times t, node bit-view shapes and dB_j
-    view (-inc, +inc on its bit's axis, size 1 on the others; stacked by
-    member for a lane tuple) for rows start..stop - 1."""
+    """Slot j's field, locked row times t, read shapes and dB_j view (-inc,
+    +inc on its bit's axis, size 1 on the others; stacked by member for a
+    lane tuple) for rows start..stop - 1.  shapes[k, n] views node k's n
+    entries (2^M, or a mean's 1) as one node and as the rows."""
     f = slot_field(lat, j, start if swapped else j)
     axes = len(bit_view_shape(f, f))
     t = _owned(np.reshape([lat.node(i) for i in range(start, stop)],
                           (1,) * rank + (stop - start,) + (1,) * axes))
-    shapes = {k: bit_view_shape(time_field(lat, k), f)
-              for k in range(f.b_from // lat.lanes, j + 2)}
+    shapes = {(k, n): [(-1,) * rank + (m,) + bits for m in (1, stop - start)]
+              for k in range(f.b_from // lat.lanes, j + 2) for n, bits in (
+                  (1, (1,) * axes),
+                  (1 << lat.n_bits, bit_view_shape(time_field(lat, k), f)))}
 
     def db_view(bit):  # the W axes, then the B bits from M - 1 down
         shape = [1] * axes
@@ -251,74 +254,44 @@ def slot_args(y: AdaptedPath | Stacked, z: VolterraKernel | Stacked, ey, ez,
               ) -> tuple[SigmaField, np.ndarray, tuple, tuple]:
     """Frozen driver arguments of the rows `rows` (each <= j) at slot j.
 
-    Returns (field, t, left, right).  left feeds f at the left node
-    (t_i, s_j) and right feeds g at the right node (t_i, s_{j+1}), with
-    kernel column N and its mean read as zero there; each is in driver
-    order (y, z, z_rev, mean_y, mean_z, mean_z_rev).  t is the column of
-    row times, the path and its means are shared, and the kernel entries
-    and their means are stacked on a leading row axis, all bit views on
-    the field ((j + 1) lanes, j lanes).  With swapped=False, z_rev and
-    mean_z_rev are zeros, for a driver blind to them (`reads_swapped`);
-    otherwise the field knows the B bits from the first row on, and the
-    rows' swapped entries, on time fields that differ by row, are
-    broadcast to one shape before they are stacked.
-
-    y and z may be a batch's `Stacked` paths and kernels, with its
-    `means`: every argument then has a leading member axis ahead of the
-    row axis (of size 1 in t), and member m's arguments are those of its
-    own pair and means.
+    Returns (field, t, left, right): left feeds f at the left node
+    (t_i, s_j), right feeds g at the right node (t_i, s_{j+1}) with kernel
+    column N and its mean read as zero, each in driver order (y, z, z_rev,
+    mean_y, mean_z, mean_z_rev) as bit views on the field ((j + 1) lanes,
+    j lanes); t is the column of row times.  The path is shared, the
+    kernel entries are stacked on a leading row axis, and the means
+    (`means`: one entry on the last axis, passed as a float when it is an
+    argument's only one, or 2^M, the particles' random means) are read as
+    the path and the kernel are.  With swapped=False, z_rev and mean_z_rev
+    are zeros, for a driver blind to them (`reads_swapped`); else the
+    field knows the B bits from the first row on, and the rows' swapped
+    entries, on time fields by row, are broadcast and stacked.  For a
+    batch's `Stacked` y and z every argument has a leading member axis
+    (of size 1 in t); a mean without one is every member's.
     """
     lat = y.lattice
-    jr = j + 1
-    last = jr == lat.n_steps
-    mem = y.values.shape[:-2]
+    rank = y.values.ndim - 2
     f, t, shapes, _ = _slot_layout(lat, j, rows.start, rows.stop, swapped,
-                                   len(mem), 0)
-    lead = mem + t.shape[len(mem):]
-    cut = slice(rows.start, rows.stop)
+                                   rank, 0)
 
-    def view(v, k):  # dense entries on node k's time field, as bit views
-        return v.reshape(v.shape[:-1] + shapes[k])
+    def read(v, shape):  # v in shape, or its one entry as a float
+        return v.item() if v.size == 1 else v.reshape(shape)
 
-    if isinstance(ey, np.ndarray):  # a batch's means, behind the members
-        def path_mean(k):  # a float for one member, as for a pair
-            m = ey[:, k]
-            return float(m[0]) if len(m) == 1 else m.reshape(
-                mem + (1,) * (len(lead) - 1))
+    def swap(kernel, k, n):  # entries (k, i) of the rows, on fields by row
+        v = np.concatenate(np.broadcast_arrays(*[
+            kernel[..., k, i:i + 1, :].reshape(shapes[i, n][0])
+            for i in rows]), axis=rank)
+        return read(v, v.shape)
 
-        def row_means(k, swap=False):  # of entries (i, k), or (k, i)
-            return (ez[:, k, cut] if swap else ez[:, cut, k]).reshape(lead)
-    else:
-        def path_mean(k):
-            x = ey[k]
-            return bit_view(x, f)[None] if isinstance(x, MeasurableRV) else x
-
-        def row_means(k, swap=False):
-            cells = [ez[k][i] if swap else ez[i][k] for i in rows]
-            if isinstance(cells[0], MeasurableRV):
-                return np.stack(np.broadcast_arrays(*[bit_view(c, f)
-                                                      for c in cells]))
-            return np.reshape(cells, lead)
-
-    def kernel(k):  # entries (i, k) of the rows
-        return view(z.values[..., cut, k, :], k)
-
-    def swap(k):  # entries (k, i) of the rows, on time fields by row
-        if not swapped:
-            return 0.0, 0.0
-        return (np.stack(np.broadcast_arrays(*[
-                    view(z.values[..., k, i, :], i) for i in rows]),
-                         axis=len(mem)),
-                row_means(k, swap=True))
-
-    zr, mzr = swap(j)
-    left = (view(y.values[..., j:jr, :], j), kernel(j), zr, path_mean(j),
-            row_means(j), mzr)
-    zr, mzr = swap(jr)
-    right = (view(y.values[..., jr:jr + 1, :], jr),
-             0.0 if last else kernel(jr), zr, path_mean(jr),
-             0.0 if last else row_means(jr), mzr)
-    return f, t, left, right
+    left, right = [], []
+    for path, kernel in ((y.values, z.values), (ey, ez)):
+        n = path.shape[-1]
+        for k, side in ((j, left), (j + 1, right)):
+            one, stack = shapes[k, n]
+            side += (read(path[..., k:k + 1, :], one), 0.0 if k == lat.n_steps
+                     else read(kernel[..., rows.start:rows.stop, k, :], stack),
+                     swap(kernel, k, n) if swapped else 0.0)
+    return f, t, tuple(left), tuple(right)
 
 
 def slot_terms(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
@@ -451,13 +424,10 @@ def sup_distance(new, old) -> float:
 
 
 def means(y: AdaptedPath | Stacked, z: VolterraKernel | Stacked):
-    """Expectations of every path and kernel entry (the mean arguments).
-
-    Lists of floats for a pair; for a batch's `Stacked` paths and kernels,
-    arrays behind the member axis.
-    """
-    ey, ez = np.mean(y.values, axis=-1), np.mean(z.values, axis=-1)
-    return (ey.tolist(), ez.tolist()) if ey.ndim == 1 else (ey, ez)
+    """Expectations of every path and kernel entry (the mean arguments), as
+    arrays shaped like y's and z's values with one entry on the last axis."""
+    return (np.mean(y.values, axis=-1, keepdims=True),
+            np.mean(z.values, axis=-1, keepdims=True))
 
 
 def _driver_terms(sc: Scenario, y, z) -> tuple[Callable, bool]:

@@ -16,7 +16,8 @@ never builds Phi_i) and for `gamma_map` and `residual`; the flip
 equation one entry at a time (`per_entry_build_linearized`, its
 `_linearized_terms` and `per_entry_linearized_map`), the reference for
 the slot stacks of coefficients and the one-stack flip map of
-`malliavin`; the one-row slot
+`malliavin`, with the package's coefficients cut entry by entry as
+variables (`coef_entry`, `f_coef`, `g_coef`); the one-row slot
 terms as lattice variables (`slot_term` for the map's,
 `_linearized_term`, `_linearized_phi` and `_linearized_row` for the flip
 equation's), which the package replaced by its stacked terms, and the
@@ -42,12 +43,14 @@ backward integrals in `MeasurableRV` arithmetic (both integrals are
 `_source_sum` with no source), and the pointwise driver evaluators and
 sampled driver audits.  Then comes the backward induction as it
 worked out its fields on every call (`unplanned_sweep`), the reference
-for the plan that `lattice.clark_ocone_sweep` replays.  The last holds
+for the plan that `lattice.clark_ocone_sweep` replays.  The next holds
 the lift as one broadcast copy (`broadcast_onto`), g dB_j as one
 broadcast product (`broadcast_times_db`) and the Picard traces made from
 two differences an iteration (`two_difference_traces`), the references
 for the lifts and products by halves and the one difference of
-`picard_solve`.
+`picard_solve`; then the frozen arguments read with the means in three
+forms (`three_form_slot_args`, on `list_means`), the reference for the
+one mean form that `solver.slot_args` reads.
 
 Conventions (the discretisation contract, restated independently):
   * path = (w_bits, b_bits); bit j set means increment j equals +inc;
@@ -581,8 +584,9 @@ def assembled_residual(sc, y, z):
 # variable, and the map with every row a stack of its own: the package's
 # flip equation before its coefficients were stacked a slot at a time and
 # the rows of a blind driver's map swept as one stack.  `_linearized_terms`
-# reads f_coef[i][j] and g_coef[i][j], so it serves the per-entry scenario
-# below and the package's, whose entries are cut from its stacks.
+# reads one entry's coefficients as variables, so it serves the per-entry
+# scenario below and the package's, whose entries `coef_entry` cuts from
+# its stacks (`f_coef` and `g_coef` cut them all, as the package once did).
 
 
 @dataclass
@@ -651,8 +655,37 @@ def _linearized_terms(ls: PerEntryLinearized | LinearizedScenario,
                                for k in slots))
 
     db = bit_view(b_increment(lat, j), f)
-    return f, (dot(ls.f_coef[i][j], left) * lat.dt
-               + dot(ls.g_coef[i][j], right) * db)
+    if isinstance(ls, PerEntryLinearized):
+        fc, gc = ls.f_coef[i][j], ls.g_coef[i][j]
+    else:
+        fc, gc = coef_entry(ls, i, j, 0), coef_entry(ls, i, j, 1)
+    return f, dot(fc, left) * lat.dt + dot(gc, right) * db
+
+
+def coef_entry(ls: LinearizedScenario, i: int, j: int, side: int) -> list:
+    """Entry (i, j)'s six f-partials (side 0) or g-partials (side 1) as
+    variables, cut from the slot stacks of ls."""
+    f, values = ls.slot_coefs(j, range(i, i + 1))
+    axes = f.w_upto + f.lattice.n_bits - f.b_from
+    return [from_bit_view(c[0] if c.ndim > axes else c, f)
+            for c in values[6 * side:6 * side + 6]]
+
+
+def _entries(ls: LinearizedScenario, side: int) -> list:
+    """Every entry's coefficients of one side, [i][j] for j >= i."""
+    n = ls.scenario.lattice.n_steps
+    return [[coef_entry(ls, i, j, side) if j >= i else None
+             for j in range(n)] for i in range(n + 1)]
+
+
+def f_coef(ls: LinearizedScenario) -> list:
+    """f_coef[i][j]: the six f-partials at the left node (t_i, s_j)."""
+    return _entries(ls, 0)
+
+
+def g_coef(ls: LinearizedScenario) -> list:
+    """g_coef[i][j]: the six g-partials at the right node (t_i, s_{j+1})."""
+    return _entries(ls, 1)
 
 
 def per_entry_linearized_map(ls: PerEntryLinearized, pair
@@ -820,10 +853,8 @@ def per_row_gamma_map(sc, y, z):
 def per_row_particle_map(driver, zetas, pairs):
     joint = pairs[0][0].lattice
     k = 1.0 / len(pairs)
-    mean_y = AdaptedPath(joint, _owned(
-        reduce(np.add, [y.values for y, _ in pairs]) * k)).y
-    mean_z = VolterraKernel(joint, _owned(
-        reduce(np.add, [z.values for _, z in pairs]) * k)).z
+    mean_y = reduce(np.add, [y.values for y, _ in pairs]) * k
+    mean_z = reduce(np.add, [z.values for _, z in pairs]) * k
     return [per_row_map(driver, zetas[p], y, z, mean_y, mean_z, lane=p)
             for p, (y, z) in enumerate(pairs)]
 
@@ -1002,10 +1033,8 @@ def per_lane_particle_map(driver, zetas, pairs):
     """One map application for every particle, each swept on its own lane."""
     joint = pairs[0][0].lattice
     k = 1.0 / len(pairs)
-    mean_y = AdaptedPath(joint, _owned(
-        reduce(np.add, [y.values for y, _ in pairs]) * k)).y
-    mean_z = VolterraKernel(joint, _owned(
-        reduce(np.add, [z.values for _, z in pairs]) * k)).z
+    mean_y = reduce(np.add, [y.values for y, _ in pairs]) * k
+    mean_z = reduce(np.add, [z.values for _, z in pairs]) * k
     swapped = reads_swapped(driver)
     return [map_rows(zetas[p], partial(slot_terms, driver, y, z, mean_y,
                                        mean_z, lane=p, swapped=swapped),
@@ -1423,3 +1452,79 @@ def two_difference_traces(sc: Scenario, tol: float, max_iter: int):
         if sups[-1] <= tol:
             break
     return old, sups, diffs
+
+
+# -- the mean arguments in three forms -----------------------------------------
+#
+# `solver.slot_args` as it read the mean arguments before they had one form,
+# a code path for each: lists of floats for a pair (`list_means`), arrays
+# behind the member axis for a batch, and nested lists of variables for the
+# particles' empirical means.  Its field, row times and bit-view shapes are
+# worked out here, not taken from `solver._slot_layout`.  The reference for
+# the one reader of `slot_args`.
+
+
+def list_means(y, z):
+    """`solver.means` as it was: lists of floats for a pair; for a batch's
+    `Stacked` paths and kernels, arrays behind the member axis."""
+    ey, ez = np.mean(y.values, axis=-1), np.mean(z.values, axis=-1)
+    return (ey.tolist(), ez.tolist()) if ey.ndim == 1 else (ey, ez)
+
+
+def three_form_slot_args(y, z, ey, ez, j: int, rows: range,
+                         swapped: bool = True):
+    """(field, t, left, right) of `solver.slot_args`, the means read in
+    the form they come in."""
+    lat = y.lattice
+    jr = j + 1
+    last = jr == lat.n_steps
+    mem = y.values.shape[:-2]
+    f = slot_field(lat, j, rows.start if swapped else j)
+    axes = len(bit_view_shape(f, f))
+    t = np.reshape([lat.node(i) for i in rows],
+                   (1,) * len(mem) + (len(rows),) + (1,) * axes)
+    lead = mem + t.shape[len(mem):]
+    cut = slice(rows.start, rows.stop)
+
+    def view(v, k):  # dense entries on node k's time field, as bit views
+        return v.reshape(v.shape[:-1] + bit_view_shape(time_field(lat, k), f))
+
+    if isinstance(ey, np.ndarray):  # a batch's means, behind the members
+        def path_mean(k):  # a float for one member, as for a pair
+            m = ey[:, k]
+            return float(m[0]) if len(m) == 1 else m.reshape(
+                mem + (1,) * (len(lead) - 1))
+
+        def row_means(k, swap=False):  # of entries (i, k), or (k, i)
+            return (ez[:, k, cut] if swap else ez[:, cut, k]).reshape(lead)
+    else:
+        def path_mean(k):
+            x = ey[k]
+            return bit_view(x, f)[None] if isinstance(x, MeasurableRV) else x
+
+        def row_means(k, swap=False):
+            cells = [ez[k][i] if swap else ez[i][k] for i in rows]
+            if isinstance(cells[0], MeasurableRV):
+                return np.stack(np.broadcast_arrays(*[bit_view(c, f)
+                                                      for c in cells]))
+            return np.reshape(cells, lead)
+
+    def kernel(k):  # entries (i, k) of the rows
+        return view(z.values[..., cut, k, :], k)
+
+    def swap(k):  # entries (k, i) of the rows, on time fields by row
+        if not swapped:
+            return 0.0, 0.0
+        return (np.stack(np.broadcast_arrays(*[
+                    view(z.values[..., k, i, :], i) for i in rows]),
+                         axis=len(mem)),
+                row_means(k, swap=True))
+
+    zr, mzr = swap(j)
+    left = (view(y.values[..., j:jr, :], j), kernel(j), zr, path_mean(j),
+            row_means(j), mzr)
+    zr, mzr = swap(jr)
+    right = (view(y.values[..., jr:jr + 1, :], jr),
+             0.0 if last else kernel(jr), zr, path_mean(jr),
+             0.0 if last else row_means(jr), mzr)
+    return f, t, left, right

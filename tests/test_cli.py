@@ -550,3 +550,26 @@ class TestRateBound:
         out = tmp_path / "out"
         assert run("solve", str(write_scenario(tmp_path, doc)), str(out)) == 0
         assert "verdict: PASS" in (out / "summary.txt").read_text()
+
+
+class TestCompareRateBound:
+    """A comparison `risk` driver whose rate leaves its declared bound on
+    the grid is refused before any solve, with the message `solve` gives."""
+
+    def test_rate_over_its_bound_is_input_error(self, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr("mfbdsvie.cli.cmp_mod.compare_solve", _never)
+        monkeypatch.setattr("mfbdsvie.comparison.picard_solve", _never)
+        doc = json.loads((SCENARIOS / "comparison_sandwich.json").read_text())
+        fast = {"family": "risk", "params": {"rate": -40.0, "rate_bound": 0.1}}
+        doc["comparison"].update(
+            f1=fast, fbar=fast, f2=fast, p_max=0,
+            g={"family": "risk", "params": {"rate": 0.0}})
+        out = tmp_path / "out"
+        assert run("compare", str(write_scenario(tmp_path, doc)),
+                   str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: rate exceeds its declared bound "
+                              "on the grid: 40.0 > 0.1")
+        assert "Traceback" not in err
+        assert not (out / "summary.txt").exists()

@@ -16,7 +16,7 @@ from mfbdsvie.malliavin import (
 )
 from mfbdsvie.solver import Scenario, picard_solve
 
-from _oracles import w_level
+from _oracles import f_coef, g_coef, w_level
 
 TOL = 1e-10
 
@@ -218,9 +218,9 @@ class TestCoefficientBounds:
             ls = build_linearized(sc, y, z, 1)
             for i in range(4):
                 for j in range(i, 3):
-                    for coef in ls.f_coef[i][j]:
+                    for coef in f_coef(ls)[i][j]:
                         assert coef.max_abs() <= d.lipschitz_c + 1e-12
-                    for coef in ls.g_coef[i][j]:
+                    for coef in g_coef(ls)[i][j]:
                         assert coef.max_abs() <= d.lipschitz_alpha + 1e-12
 
 
@@ -232,12 +232,12 @@ class TestBuildLinearized:
         ls = build_linearized(sc, y, z, 1)
         for i in range(4):
             for j in range(i, 3):
-                fy, fz, fzr, fmy, fmz, fmzr = ls.f_coef[i][j]
+                fy, fz, fzr, fmy, fmz, fmzr = f_coef(ls)[i][j]
                 assert np.allclose(fy.values, -0.4)
                 assert np.allclose(fz.values, 0.2)
                 assert np.allclose(fmy.values, 0.3)
                 assert np.allclose(fzr.values, 0.0)
-                gy, gz, *_ = ls.g_coef[i][j]
+                gy, gz, *_ = g_coef(ls)[i][j]
                 assert np.allclose(gz.values, 0.05)
                 assert np.allclose(gy.values, 0.0)
 

@@ -6,24 +6,37 @@ from the stacked bit views of `slot_args`.  A stack of rows that read
 the swapped arguments must agree with its rows stacked one at a time,
 one map of the flip equation with its rows split one at a time by
 `_linearized_row` (tests/_oracles.py), and `stability_compare` with the per-entry wiring of
-tests/_oracles.py.
+tests/_oracles.py.  The means come in one dense form, and `slot_args`
+reads them as the three-form reader of tests/_oracles.py read lists of
+floats, arrays behind the members and lists of variables.
 """
 
 import numpy as np
 import pytest
 
 from mfbdsvie.drivers import LinearDriver, RiskDriver, ZPart
-from mfbdsvie.lattice import MeasurableRV, build_lattice, lift
+from mfbdsvie.fields import AdaptedPath, VolterraKernel
+from mfbdsvie.lattice import LatticeSpec, MeasurableRV, build_lattice, lift
 from mfbdsvie.malliavin import _linearized_map, build_linearized
 from mfbdsvie.solver import (
     Scenario,
+    _stacked,
     means,
     picard_solve,
+    reads_swapped,
+    slot_args,
     slot_terms,
     stability_compare,
 )
 
-from _oracles import _linearized_row, entrywise_stability, one_row
+from _oracles import (
+    _linearized_row,
+    entrywise_stability,
+    list_means,
+    one_row,
+    three_form_slot_args,
+)
+from test_stack import CASES
 from test_sweep import DRIVERS, R_IDX, TERMINAL, random_pair
 
 SWAPPED = LinearDriver(f={"y": -0.3, "z_rev": 0.1}, g={"z": 0.04})
@@ -51,7 +64,7 @@ class TestSwappedStack:
         y, z = random_pair(lat, rng)
         if random_means:  # as the particle system's empirical means
             my, mz = random_pair(lat, rng)
-            ey, ez = list(my.y), [list(row) for row in mz.z]
+            ey, ez = my.values, mz.values
         else:
             ey, ez = means(y, z)
         j = 2
@@ -117,3 +130,60 @@ class TestStabilityTerms:
         got = (rep.lhs, rep.zeta_term, rep.f_term, rep.g_term)
         assert min(want) > 0.0
         assert got == pytest.approx(want, rel=1e-13)
+
+
+def mean_forms(form: str, rng):
+    """A lattice, pair and slot stack of rows, with the means in the one
+    form and in the form the three-form reader took: a pair's expectations,
+    a batch's of 1 or 3 members, or random means on 1-3 lanes (one member
+    a lane, as the particles' empirical means)."""
+    kind, count = form[:-1], int(form[-1])
+    lanes = count if kind == "lanes" else 1
+    lat = LatticeSpec(n_steps=(4, 3, 2)[lanes - 1], horizon=1.0, lanes=lanes)
+    if kind == "pair":
+        y, z = random_pair(lat, rng)
+        return lat, y, z, means(y, z), list_means(y, z)
+    y, z = (_stacked(parts)
+            for parts in zip(*[random_pair(lat, rng) for _ in range(count)]))
+    if kind == "batch":
+        return lat, y, z, means(y, z), list_means(y, z)
+    k = 1.0 / count
+    ey, ez = y.values.sum(axis=0) * k, z.values.sum(axis=0) * k
+    return lat, y, z, (ey, ez), (AdaptedPath(lat, ey.copy()).y,
+                                 VolterraKernel(lat, ez.copy()).z)
+
+
+class TestOneMeanForm:
+    """Every argument of `slot_args` on the dense means equals the
+    three-form reader's after broadcasting, and so does every f and g
+    output on them; a one-entry mean argument is a float."""
+
+    @pytest.mark.parametrize("form", ["pair1", "batch1", "batch3", "lanes1",
+                                      "lanes2", "lanes3"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_equal_to_the_three_form_reader(self, name, form):
+        driver = CASES[name]
+        swapped = reads_swapped(driver)
+        lat, y, z, dense, old = mean_forms(form, np.random.default_rng(43))
+        for j in range(lat.n_steps):
+            for rows in [range(j + 1)] + [range(i, i + 1)
+                                          for i in range(j + 1)]:
+                f, t, left, right = slot_args(y, z, *dense, j, rows, swapped)
+                f_old, t_old, left_old, right_old = three_form_slot_args(
+                    y, z, *old, j, rows, swapped)
+                assert f == f_old and np.array_equal(t, t_old)
+                for got, want in zip(left + right, left_old + right_old,
+                                     strict=True):
+                    assert np.array_equal(*np.broadcast_arrays(got, want))
+                for fn, s, got, want in (
+                        (driver.f_values, lat.node(j), left, left_old),
+                        (driver.g_values, lat.node(j + 1), right, right_old)):
+                    assert np.array_equal(*np.broadcast_arrays(
+                        fn(t, s, *got), fn(t, s, *want)))
+
+    @pytest.mark.parametrize("form", ["pair1", "batch1"])
+    def test_one_entry_mean_is_a_float(self, form):
+        _, y, z, dense, _ = mean_forms(form, np.random.default_rng(47))
+        _, _, left, right = slot_args(y, z, *dense, 2, range(2, 3))
+        for args in (left, right):
+            assert [type(a) for a in args[3:]] == [float] * 3

@@ -1,14 +1,18 @@
 """What the package keeps.
 
 The `MeasurableRV`-arithmetic integrals, dependence audits, pointwise
-driver evaluators and sampled driver audits have no caller in the
-package; they live in tests/_oracles.py, and no package module defines
-or exports them.  Every module-level import of a package module is
-read in it.  W(T) is built once per lattice and lane, and the terminal
-tables built on the shared walk are those of a walk built per node.
+driver evaluators, sampled driver audits and per-entry flip
+coefficients have no caller in the package; they live in
+tests/_oracles.py, and no package module defines or exports them.  Every
+module-level import of a package module is read in it.  `slot_args`
+reads the means in one form, with no type test, and a scenario works out
+its driver source itself.  W(T) is built once per lattice and lane, and
+the terminal tables built on the shared walk are those of a walk built
+per node.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +26,7 @@ from mfbdsvie.drivers import (
     terminal_walk_values,
 )
 from mfbdsvie.lattice import build_lattice
-from mfbdsvie.solver import Scenario
+from mfbdsvie.solver import Scenario, slot_args
 
 SRC = Path(mfbdsvie.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -31,7 +35,7 @@ RETIRED = (
     "measurable_wrt", "depends_on_w_bit", "depends_on_b_bit", "_varies",
     "w_level", "b_tail", "w_increment", "zero_rv", "all_paths",
     "eval_f", "eval_g", "eval_partials", "_check_grid", "lipschitz_audit",
-    "partials_audit", "partial_bound_audit",
+    "partials_audit", "partial_bound_audit", "_entries", "f_coef", "g_coef",
 )
 TERMINAL = TerminalSpec(phi=0.3, theta=lambda t: 1.0 + t,
                         smooth=[("tanh", 0.5), ("soft_abs", -0.2)])
@@ -57,6 +61,18 @@ class TestRetired:
     def test_not_exported(self):
         assert not set(RETIRED) & set(mfbdsvie.__all__)
         assert not [name for name in RETIRED if hasattr(mfbdsvie, name)]
+
+
+class TestOneMeanForm:
+    def test_slot_args_makes_no_type_test(self):
+        tree = ast.parse(inspect.getsource(slot_args))
+        called = {node.func.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)}
+        assert "isinstance" not in called
+
+    def test_scenario_takes_no_source(self):
+        assert "source" not in inspect.signature(Scenario).parameters
 
 
 class TestImportsAreRead:

@@ -147,7 +147,8 @@ class TestLanes:
                 zeta = terminal_rv(TERMINAL, lat, i, lane=lane)
                 phi = zeta_first_assemble_phi(driver, zeta, y, z, ey, ez, i,
                                               lane=lane)
-                term = partial(slot_term, driver, y, z, ey, ez, i, lane=lane)
+                term = partial(slot_term, driver, y, z, my.values, mz.values,
+                               i, lane=lane)
                 for first in firsts(i):
                     assert_rows_close(
                         split_row(zeta, i, lane=lane, first=first, term=term),
