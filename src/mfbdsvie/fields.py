@@ -53,7 +53,7 @@ from .lattice import (
     _owned,
     clark_ocone_sweep,
     condexp,
-    row_defects,
+    row_extremes,
     time_field,
 )
 
@@ -207,12 +207,14 @@ def m_extend(y: AdaptedPath, z_delta: VolterraKernel) -> VolterraKernel:
 def m_identity_residual(y: AdaptedPath, z: VolterraKernel) -> float:
     """Worst pathwise defect of the representation identity.
 
-    max over nodes i and paths (each a `lattice.row_defects` row, no term) of
-    | Y_i - E[Y_i | (0,0)] - sum_{j<i} Z_ij dW_j |.
+    max over nodes i and paths of
+    | Y_i - E[Y_i | (0,0)] - sum_{j<i} Z_ij dW_j |, exact and with no table
+    of them: `lattice.row_extremes` over the slots j < i, no term.
     """
-    return max(map(_max_abs, row_defects(
-        y.y, [condexp(yi, SigmaField(y.lattice, 0, 0)) for yi in y.y], z,
-        None, False, [range(i) for i in range(len(y))])))
+    base = SigmaField(y.lattice, 0, 0)
+    return float(np.max(row_extremes(
+        y.y, [condexp(yi, base) for yi in y.y], z, None, True,
+        [range(i) for i in range(len(y))])))
 
 
 def node_gaps(a: AdaptedPath, b: AdaptedPath, from_node: int = 0,

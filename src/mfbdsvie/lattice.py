@@ -611,18 +611,19 @@ def _blocks(g: SigmaField, *xs: MeasurableRV) -> Iterator[tuple]:
         yield at + (...,), [v[at] for v in views]
 
 
-def row_defects(x, target, z, term: Callable | None, one_stack: bool,
+def row_defects(x, target, z, term: Callable, one_stack: bool,
                 slots: Sequence[range]):
     """Row i's pathwise defect for each i < len(slots): the sum over j in
-    slots[i] of s_ij = term_ij - Z_ij dW_j (a missing term is zero), then
-    x_i - target_i, in that order; term(j, rows) is a stacked term as
-    `solver.map_rows` takes it, for all rows at once with one_stack.  Row
-    i lives on (c, b): c ends its slots, b is the first B bit it reads (at
-    most i).  The sum P over slots < j lives on (j, b) in one table sized
-    for (N, 0); slot j doubles it by W bit j, P + s_ij[bit 1] above, then
-    P += s_ij[bit 0], and x_i - target_i is added in blocks.  Row i is
-    yielded as the table's flat view on (c, b), overwritten by the next
-    row.  Single-lane lattices; z is a `VolterraKernel` (Z_ij on (j, j))."""
+    slots[i] of s_ij = term_ij - Z_ij dW_j, then x_i - target_i, in that
+    order; term(j, rows) is a stacked term as `solver.map_rows` takes it,
+    for all rows at once with one_stack (the flip identity's, whose mean
+    square needs every path).  Row i lives on (c, b): c ends its slots, b
+    is the first B bit it reads (at most i).  The sum P over slots < j
+    lives on (j, b) in one table sized for (N, 0); slot j doubles it by W
+    bit j, P + s_ij[bit 1] above, then P += s_ij[bit 0], and x_i -
+    target_i is added in blocks.  Row i is yielded as the table's flat
+    view on (c, b), overwritten by the next row.  Single-lane lattices; z
+    is a `VolterraKernel` (Z_ij on (j, j))."""
     lat, n = z.lattice, z.lattice.n_steps
     if one_stack:
         stacks = {j: term(j, range(min(j, len(x) - 1) + 1))
@@ -634,8 +635,7 @@ def row_defects(x, target, z, term: Callable | None, one_stack: bool,
         b = n - g.b_from
         table[:1 << (row.start + b)] = 0.0  # the empty sum
         for j in row:
-            f, v = ((SigmaField(lat, j + 1, j), np.zeros(1)) if term is None
-                    else stacks[j] if one_stack else term(j, range(i, i + 1)))
+            f, v = stacks[j] if one_stack else term(j, range(i, i + 1))
             zdw = np.multiply.outer([-lat.inc, lat.inc], z.values[i, j])
             s = v[min(i, len(v) - 1)] - zdw.reshape(  # row i's terms
                 (2,) + bit_view_shape(time_field(lat, j), f)[1:])
@@ -647,6 +647,115 @@ def row_defects(x, target, z, term: Callable | None, one_stack: bool,
         for at, (xb, tb) in _blocks(g, x[i], target[i]):
             np.add(p[at], xb - tb, out=p[at])
         yield table[:1 << (row.stop + b)]
+
+
+def row_extremes(x, target, z, term: Callable | None, one_stack: bool,
+                 slots: Sequence[range]) -> np.ndarray:
+    """Row i's sup over paths of |D_i| for each i < len(slots), D_i = x_i
+    + s_ij over j in slots[i] from the last down - target_i in that order,
+    s_ij = term_ij - Z_ij dW_j (a missing term is zero), with no table of
+    D_i.  term is as in `row_defects`, for the rows walked at slot j (a
+    run) with one_stack, else each row walks alone.  Row i joins with x_i
+    at the top slot of its range; at slot k the stack adds s_ik and takes
+    the max into hi and the min into lo over the halves of W bit k, which
+    no later summand knows; at its first slot row i reads
+    max(max(hi - target_i), -min(lo - target_i)).  Variable elimination in
+    the (max, +) semiring, exact as rounded addition is monotone; NaN
+    propagates.  The tables are on (k, b), 2^N entries a row for terms
+    blind to the swapped arguments, O(N^2 2^N) in all.
+    """
+    if any(v.lattice != z.lattice for v in (*x, *target)):
+        raise LatticeMismatch("rows and kernel on different lattices")
+    sups = np.empty(len(slots))
+    for group in ([range(len(slots))] if one_stack
+                  else [range(i, i + 1) for i in range(len(slots))]):
+        live = [i for i in group if slots[i]]
+        for i in group:
+            if not slots[i]:
+                g = x[i].field.join(target[i].field)
+                sups[i] = _max_abs(bit_view(x[i], g) - bit_view(target[i], g))
+        order, ext, f = [], None, None  # the rows walked, hi and lo on f
+        for k in range(max([slots[i].stop for i in live], default=0) - 1,
+                       min([slots[i].start for i in live], default=0) - 1, -1):
+            new = [i for i in live if slots[i].stop == k + 1]
+            if new:
+                order, ext, f = _join(x, new, order, ext, f, k)
+            if not order:
+                continue
+            ext, f = _eliminate(ext, f, z, term, range(order[0], order[-1] + 1),
+                                k)
+            for p, i in enumerate(order):
+                if slots[i].start == k:
+                    g = f.join(target[i].field)
+                    t = bit_view(target[i], g)
+                    hi, lo = ext[:, p].reshape((2,) + bit_view_shape(f, g))
+                    sups[i] = np.maximum(np.max(hi - t), -np.min(lo - t))
+            keep = [p for p, i in enumerate(order) if slots[i].start != k]
+            order = [order[p] for p in keep]
+            ext = (ext[:, :len(keep)] if keep == list(range(len(keep)))
+                   else ext[:, keep])
+    return sups
+
+
+def _join(x, new: list, order: list, ext, f, k: int) -> tuple:
+    """The rows `new` at x_i joined below or above the stack ext on f of
+    the rows `order`, at slot k: (rows, stack, its field); a new stack
+    holds hi and lo as one table."""
+    g = SigmaField(x[new[0]].lattice, k + 1, min(
+        [x[i].field.b_from for i in new] + ([f.b_from] if order else [])))
+    shape = (len(ext) if order else 1, 1) + (2,) * len(bit_view_shape(g, g))
+    parts = [np.broadcast_to(bit_view(x[i], g), shape) for i in new]
+    if order:
+        below = sum(i < order[0] for i in new)
+        lifted = ext.reshape(ext.shape[:2] + bit_view_shape(f, g))
+        parts.insert(below, np.broadcast_to(lifted,
+                                            lifted.shape[:2] + shape[2:]))
+        new = new[:below] + order + new[below:]
+    return new, np.concatenate(parts, axis=1), g
+
+
+def _eliminate(ext, f: SigmaField, z, term: Callable | None, rows: range,
+               k: int) -> tuple:
+    """Slot k of `row_extremes` on the stack ext (hi and lo, or one table
+    for both) on f = (k + 1, .): its new hi and lo on (k, b), and that
+    field.  The term (4^N entries for a row 0 that reads z_rev) is dropped
+    on return, not held into the next slot's."""
+    lat = f.lattice
+    got = term(k, rows) if term is not None else None
+    b = min(f.b_from, k, got[0].b_from if got else k)
+    g = SigmaField(lat, k + 1, b)
+    iz = z.values[rows.start:rows.stop, k].reshape(
+        (len(rows),) + bit_view_shape(time_field(lat, k), g)[1:]) * lat.inc
+    if got:  # s_ik on W bit k's halves: term + Z inc, then term - Z inc
+        tf, tv = got
+        tv = tv.reshape(tv.shape[:1] + (1,) * (k + 1 - tf.w_upto) + tv.shape[1:]
+                        + (1,) * (tf.b_from - b))
+        s = np.add(tv[:, 0], iz)
+    else:
+        s = iz
+    lifted = ext.reshape(ext.shape[:2] + bit_view_shape(f, g))
+    out = np.empty((2, len(rows)) + (2,) * (k + lat.n_bits - b))
+    _add(lifted[:, :, 0], s, out)
+    if got:
+        np.subtract(tv[:, -1], iz, out=s)
+    else:
+        np.negative(s, out=s)
+    u = (s[None] if len(ext) == 1 and s.shape == out.shape[1:]
+         else np.empty((len(ext),) + out.shape[1:]))
+    _add(lifted[:, :, 1], s, u)
+    np.maximum(out[0], u[0], out=out[0])
+    np.minimum(out[1], u[-1], out=out[1])
+    return out, SigmaField(lat, k, b)
+
+
+def _add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a + b, by out's innermost halves when a is blind to that axis
+    alone: a broadcast would run two entries at a time."""
+    if out.shape[-1] == 2 and a.shape[-1] == 1 and a.shape[-2] != 1:
+        np.add(a[..., 0], b[..., 0], out=out[..., 0])
+        np.add(a[..., 0], b[..., -1], out=out[..., 1])
+    else:
+        np.add(a, b, out=out)
 
 
 # -- increment-flip derivative ----------------------------------------------

@@ -31,8 +31,10 @@ as coefficients: `build_linearized` evaluates them once a slot, on the
 stack of rows `solver.slot_args` gives, each slot term is numpy on the
 same bit views, and `solver.map_rows` sweeps the rows as in `gamma_map`:
 one stack for a driver blind to the swapped arguments, else a stack per
-row.  The upper-triangle identity is `lattice.row_defects` (as is the
-`residual`) on the same terms, the swapped-kernel terms left out.
+row.  The upper-triangle identity is `lattice.row_defects` on the same
+terms, the swapped-kernel terms left out: its mean square needs every
+path's defect, so it keeps the one defect table the `residual` no longer
+builds.
 
 For affine drivers the discrete chain rule is exact and the linearized
 solve reproduces the flip to rounding error, provided the mean-field
@@ -49,7 +51,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import IndexOutOfRange, ValidationError
 from .fields import AdaptedPath, VolterraKernel, zero_kernel, zero_path
 from .lattice import (
     SigmaField,
@@ -222,9 +224,12 @@ def check_clark_ocone(y: AdaptedPath, z: VolterraKernel, r_idx: int
     """Lower-triangle kernel against the conditional flip of Y.
 
     Exact on the lattice for every solved pair: max over nodes i > r and
-    paths of |Z(t_i, s_r) - E[D_r Y_i | (r, r)]|.
+    paths of |Z(t_i, s_r) - E[D_r Y_i | (r, r)]|; a slot outside
+    0..N-1 raises IndexOutOfRange.
     """
     lat = y.lattice
+    if not 0 <= r_idx < lat.n_steps:
+        raise IndexOutOfRange(f"slot {r_idx} outside 0..{lat.n_steps - 1}")
     rows = []
     worst = 0.0
     for i in range(r_idx + 1, lat.n_steps + 1):

@@ -28,8 +28,9 @@ The map is written once and shared: `slot_args` gives the frozen
 arguments of a stack of rows at a slot as bit views (the only place that
 knows the right-node convention), `slot_terms` their terms f dt + g dB_j,
 `map_rows` runs the rows through `lattice.clark_ocone_sweep`, the one
-backward induction, `lattice.row_defects` sums the same stacked terms
-into each row's pathwise defect (`residual`), `iterate` is the Picard loop.
+backward induction, `lattice.row_extremes` walks the same stacked terms
+to each row's worst pathwise defect (`residual`), `iterate` is the Picard
+loop.
 The flip equation (malliavin) and the particles are the same map with
 other terms, means and lanes; the stability functional reads the same
 arguments.  Each mean is an array shaped like its path or kernel, with
@@ -46,7 +47,8 @@ For a driver blind to z_rev the slot terms live on (m + 1, m), each row
 keeps 2^(N+1) entries, and a map (or one of its flip equation) costs
 O(N^2 2^N); one that reads z_rev or mean_z_rev knows the B bits from i
 on, so each row is a stack of its own on (m + 1, i), O(4^N) a map.
-`residual` needs every path: it grows each row's defect in one 4^N table.
+`residual` reads every path without a table of them: the walk keeps a
+max and a min table down the W bits, about the cost of a map.
 
 Solves that share a lattice, a driver and a beta and differ only in the
 terminal (the positions of a risk measure) are one batch: `picard_solve`
@@ -103,7 +105,7 @@ from .lattice import (
     check_lanes,
     clark_ocone_sweep,
     expectation,
-    row_defects,
+    row_extremes,
     slot_field,
     time_field,
 )
@@ -470,9 +472,10 @@ def representation_pair(sc: Scenario) -> tuple[AdaptedPath, VolterraKernel]:
 
 def residual(sc: Scenario, y: AdaptedPath, z: VolterraKernel) -> float:
     """Worst pathwise defect of the equation with self-consistent args:
-    zeta_i - Y_i + sum_{j >= i} (f dt + g dB_j - Z_ij dW_j) over rows i, on
-    the map's stacked slot terms (`lattice.row_defects`)."""
-    return max(map(_max_abs, row_defects(
+    zeta_i - Y_i + sum_{j >= i} (f dt + g dB_j - Z_ij dW_j) over rows i and
+    paths, exact and with no table of them (`lattice.row_extremes` on the
+    map's stacked slot terms), about the cost of a map.  NaN propagates."""
+    return float(np.max(row_extremes(
         sc.zeta, y.y, z, *_driver_terms(sc, y, z),
         [range(i, sc.lattice.n_steps) for i in range(len(y))])))
 

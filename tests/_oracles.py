@@ -23,8 +23,11 @@ terms as lattice variables (`slot_term` for the map's,
 equation's), which the package replaced by its stacked terms, and the
 residual and the upper-triangle identity summed one row and slot at a
 time on them, the references for `lattice.row_defects`, and the
-extension identity made one whole table a row, the reference for its
-blocks; the map and the
+extension identity made one whole table a row; the residual and the
+extension identity summed on whole tables in the order the walk of
+extremes eliminates them (`ordered_row_extremes`), the exact references
+for `lattice.row_extremes`, with each row's slack against another
+order; the map and the
 particle map swept one row at a time, with one f call and one g call per
 row and slot, the references for the stacked rows of `gamma_map` and
 `particle_map`; the whole-pair statistics written one entry at a time,
@@ -829,6 +832,57 @@ def per_row_delta_equation(ls):
         worst = max(worst, gap)
         l2 += lat.dt * expectation(acc * acc)
     return rows, worst, float(np.sqrt(l2))
+
+
+# -- the row defects in the walk's order ---------------------------------------
+#
+# `lattice.row_extremes` builds no defect table: it eliminates the W bits
+# from the top.  Each path's defect summed in its order on whole tables has
+# the same maxima bit for bit (rounded addition is monotone), and each
+# row's slack bounds how far another order of the same summands moves it.
+
+EPS = float(np.finfo(float).eps)
+
+
+def ordered_row_extremes(x, target, z, term, slots):
+    """Per row i, (sup over every path of |D_i|, slack): D_i = x_i +
+    s_{i,last} + ... + s_{i,first} - target_i, summed in that order on whole
+    tables, s_ij = term(i, j) - Z_ij dW_j (-Z_ij dW_j for term None).  The
+    slack is 2 (n_i + 2) eps S_i, n_i the row's slot count and S_i =
+    sup|x_i| + sup|target_i| + sum_j sup|s_ij|."""
+    lat = z.lattice
+    rows = []
+    for i, row in enumerate(slots):
+        acc, scale = x[i], x[i].max_abs() + target[i].max_abs()
+        for j in reversed(row):
+            zdw = z.at(i, j) * w_increment(lat, j)
+            s = -zdw if term is None else term(i, j) - zdw
+            acc = acc + s
+            scale += s.max_abs()
+        rows.append(((acc - target[i]).max_abs(),
+                     2 * (len(row) + 2) * EPS * scale))
+    return rows
+
+
+def _worst(rows):
+    return max(sup for sup, _ in rows), max(slack for _, slack in rows)
+
+
+def ordered_residual(sc, y, z):
+    """(sup, slack) of `solver.residual` in the walk's order: the worst row
+    and the largest slack, on each row's own slot terms (`slot_term`)."""
+    n = sc.lattice.n_steps
+    term = partial(slot_term, sc.driver, y, z, *means(y, z))
+    return _worst(ordered_row_extremes(sc.zeta, y.y, z, term,
+                                       [range(i, n) for i in range(n + 1)]))
+
+
+def ordered_m_identity(y, z):
+    """(sup, slack) of `fields.m_identity_residual` in the walk's order."""
+    base = SigmaField(y.lattice, 0, 0)
+    return _worst(ordered_row_extremes(
+        y.y, [condexp(yi, base) for yi in y.y], z, None,
+        [range(i) for i in range(len(y))]))
 
 
 # -- the map one row at a time -------------------------------------------------

@@ -1,12 +1,13 @@
 """The row defects: the equation's residual and the upper-triangle identity.
 
-Both read the stacked terms a map takes (`lattice.row_defects`): the
-residual the map's slot terms, one driver call per slot for a driver
+Both read the stacked terms a map takes: the residual the map's slot
+terms (`lattice.row_extremes`), one driver call per slot for a driver
 blind to the swapped arguments, and `check_delta_equation` the flip
-equation's.  They must agree with the one-row references of
-tests/_oracles.py (the residual exactly, the identity to rounding), the
-residual's memory must stay at a few of its largest tables, and no
-second way to make a slot term may come back into the package.
+equation's (`lattice.row_defects`).  The residual must equal the ordered
+sum of tests/_oracles.py exactly and the one-row sum to within the slack
+of two summation orders, the identity the one-row sum to rounding; the
+residual must hold no table of 4^N doubles, and no second way to make a
+slot term may come back into the package.
 """
 
 import inspect
@@ -28,7 +29,8 @@ from mfbdsvie.solver import (
     residual,
 )
 
-from _oracles import per_row_delta_equation, per_row_residual
+from _oracles import ordered_residual, per_row_delta_equation, per_row_residual
+from test_residual_table import assert_ordered
 from test_stack import BLIND, CASES, Counting
 from test_sweep import DRIVERS, TERMINAL, random_pair
 
@@ -43,7 +45,8 @@ class TestResidual:
         sc = Scenario(build_lattice(n_steps, 1.0), CASES[name], TERMINAL)
         rng = np.random.default_rng(n_steps)
         for y, z in (representation_pair(sc), random_pair(sc.lattice, rng)):
-            assert residual(sc, y, z) == per_row_residual(sc, y, z)
+            assert_ordered(residual(sc, y, z), ordered_residual(sc, y, z),
+                           per_row_residual(sc, y, z))
 
     def test_one_driver_call_per_slot(self):
         # N of each for the stacked slots (the scenario probed the driver
@@ -59,8 +62,8 @@ class TestResidual:
         assert counter.calls == {"f": n, "g": n}
 
     def test_peak_memory_at_n10(self):
-        # the running table of row 0 grows to 4^N doubles; the sum holds it,
-        # the summand and the new sum (3 tables), plus the slot stacks
+        # the walk's stacks of 2^(N + 1) entries a row and the slot stacks:
+        # no table of 4^N doubles
         n = 10
         sc = Scenario(build_lattice(n, 1.0), BLIND, TERMINAL)
         y, z = representation_pair(sc)
@@ -73,7 +76,7 @@ class TestResidual:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 3.25 * 8 * 4 ** n
+        assert peak <= 0.25 * 8 * 4 ** n
 
 
 class TestDeltaEquation:

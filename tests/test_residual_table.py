@@ -1,13 +1,14 @@
-"""The row defects grown in one table of plain arrays.
+"""The exact identities: the walk of extremes and the defect table.
 
-`lattice.row_defects` sums each row's defect in one scratch table sized
-for the field (N, 0), doubling the running sum by each slot's W bit in
-place.  It must give the one-row sums of tests/_oracles.py: the residual
-bit for bit, the upper-triangle identity to rounding.  The extension
-identity is the same routine over the slots j < i with no term, and
-must equal its whole-table form bit for bit.  One warm `residual` or
-`m_identity_residual` must hold little beyond that table, and the
-one-row adapter and the audited sum stay out of the package.
+`lattice.row_extremes` gives the residual's and the extension identity's
+sups without a defect table; each must equal the ordered sum of
+tests/_oracles.py bit for bit and its old one-row or whole-table form to
+within the slack of two summation orders.  `lattice.row_defects` sums
+the upper-triangle identity's rows in one scratch table sized for the
+field (N, 0), doubling the running sum by each slot's W bit in place, and
+must give its one-row sums to rounding.  One warm `residual` or
+`m_identity_residual` holds no table of 4^N doubles, and the one-row
+adapter and the audited sum stay out of the package.
 """
 
 import re
@@ -30,6 +31,8 @@ from mfbdsvie.solver import (
 )
 
 from _oracles import (
+    ordered_m_identity,
+    ordered_residual,
     per_row_delta_equation,
     per_row_residual,
     whole_table_m_identity,
@@ -51,6 +54,14 @@ def peak_bytes(call):
         tracemalloc.stop()
 
 
+def assert_ordered(got, ordered, old):
+    """got is the walk's ordered sum bit for bit, and within the slack of
+    two summation orders of the old form."""
+    sup, slack = ordered
+    assert got == sup
+    assert abs(got - old) <= slack
+
+
 def perturbed(y, z, rng, eps=1e-3):
     dy, dz = random_pair(y.lattice, rng)
     return (AdaptedPath(y.lattice, y.values + eps * dy.values),
@@ -63,34 +74,34 @@ class TestResidual:
         sc = Scenario(build_lattice(8, 1.0), CASES[name], TERMINAL)
         y, z, _ = picard_solve(sc, tol=1e-12, report=False)
         for pair in ((y, z), perturbed(y, z, np.random.default_rng(8))):
-            assert residual(sc, *pair) == per_row_residual(sc, *pair)
+            assert_ordered(residual(sc, *pair), ordered_residual(sc, *pair),
+                           per_row_residual(sc, *pair))
 
     def test_peak_memory_at_n10(self):
-        # the scratch table of row 0's field (N, 0), 4^N doubles, and the
-        # slot stacks of 2^(N + 1) entries a row
+        # the walk's stacks and the slot stacks, 2^(N + 1) entries a row
         n = 10
         sc = Scenario(build_lattice(n, 1.0), BLIND, TERMINAL)
         y, z = representation_pair(sc)
-        assert peak_bytes(lambda: residual(sc, y, z)) <= 1.25 * 8 * 4 ** n
+        assert peak_bytes(lambda: residual(sc, y, z)) <= 0.25 * 8 * 4 ** n
 
 
 class TestExtensionIdentity:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_bitwise_the_whole_table_at_n9(self, name):
-        # the last rows span more than one block of 2^16 entries
         sc = Scenario(build_lattice(9, 1.0), CASES[name], TERMINAL)
         y, z, _ = picard_solve(sc, tol=1e-12, report=False)
         for pair in ((y, z), perturbed(y, z, np.random.default_rng(9))):
-            assert m_identity_residual(*pair) == whole_table_m_identity(*pair)
+            assert_ordered(m_identity_residual(*pair),
+                           ordered_m_identity(*pair),
+                           whole_table_m_identity(*pair))
 
     def test_peak_memory_at_n10(self):
-        # the last row's forward integral on (N, 0), grown from the half
-        # table of the row before, and the blocks
+        # the walk's stack, 2^(N + 1) entries a row, and the targets
         n = 10
         sc = Scenario(build_lattice(n, 1.0), BLIND, TERMINAL)
         y, z = representation_pair(sc)
         peak = peak_bytes(lambda: m_identity_residual(y, z))
-        assert peak <= 1.6 * 8 * 4 ** n
+        assert peak <= 0.25 * 8 * 4 ** n
 
 
 class TestDeltaEquation:
@@ -114,19 +125,21 @@ class TestDeltaEquation:
 class TestTablePieces:
     @pytest.mark.parametrize("block_bits", [0, 2, 5])
     def test_difference_added_in_blocks(self, monkeypatch, block_bits):
-        # small blocks split x_i - target_i in the residual and the flip
-        # identity, and the rows of the extension identity
+        # small blocks split x_i - target_i in the flip identity; the
+        # residual and the extension identity read no block
         monkeypatch.setattr(lattice, "BLOCK_BITS", block_bits)
         lat = build_lattice(4, 1.0)
         sc = Scenario(lat, CASES["linear_mean_field"], TERMINAL)
         y, z = random_pair(lat, np.random.default_rng(13))
-        assert residual(sc, y, z) == per_row_residual(sc, y, z)
+        assert_ordered(residual(sc, y, z), ordered_residual(sc, y, z),
+                       per_row_residual(sc, y, z))
         ls = build_linearized(sc, y, z, 2)
         rows, worst, l2 = per_row_delta_equation(ls)
         got = check_delta_equation(ls)
         assert abs(got.worst - worst) <= 1e-15 * max(1.0, worst)
         assert abs(got.l2 - l2) <= 1e-15 * max(1.0, l2)
-        assert m_identity_residual(y, z) == whole_table_m_identity(y, z)
+        assert_ordered(m_identity_residual(y, z), ordered_m_identity(y, z),
+                       whole_table_m_identity(y, z))
 
     def test_max_abs_as_numpy_reads_it(self):
         rng = np.random.default_rng(17)
@@ -154,21 +167,33 @@ class TestOneTablePath:
 
 
 class TestOneDefectRoutine:
-    """`lattice.row_defects` grows the defects of all three exact
-    identities (the residual, the flip identity and the extension
-    identity), and the block walk is named in `lattice` only."""
+    """`lattice.row_extremes` takes the sups of the residual and the
+    extension identity, one walk for blind and `z_rev` drivers, and
+    `lattice.row_defects` grows the flip identity's defects only; both and
+    the block walk are named in `lattice` only."""
 
     SRC = Path(mfbdsvie.__file__).parent
 
+    def owners(self, name):
+        return [path.name for path in sorted(self.SRC.glob("*.py"))
+                if re.search(rf"^def {name}\(", path.read_text(), re.M)]
+
     def test_one_routine_in_lattice(self):
-        owners = [path.name for path in sorted(self.SRC.glob("*.py"))
-                  if re.search(r"^def row_defects\(", path.read_text(), re.M)]
-        assert owners == ["lattice.py"]
+        assert self.owners("row_defects") == ["lattice.py"]
+
+    def test_one_walk_in_lattice(self):
+        assert self.owners("row_extremes") == ["lattice.py"]
 
     def test_extension_identity_sums_no_forward_integral(self):
         fields = (self.SRC / "fields.py").read_text()
         assert not re.search(r"\bforward_integral\b", fields)
-        assert re.search(r"\brow_defects\(", fields)
+        assert re.search(r"\brow_extremes\(", fields)
+
+    def test_solver_and_fields_walk_no_table(self):
+        for name in ("solver.py", "fields.py"):
+            text = (self.SRC / name).read_text()
+            assert not re.search(r"\brow_defects\b", text), name
+            assert re.search(r"\brow_extremes\(", text), name
 
     def test_block_walk_named_in_lattice_only(self):
         for path in self.SRC.glob("*.py"):
@@ -177,9 +202,9 @@ class TestOneDefectRoutine:
                                      path.read_text()), path.name
 
     def test_extension_peak_memory_at_n10(self):
-        # the one table on the last row's field (N, 0) and a block
+        # the walk's stack and the targets: no table of 4^N doubles
         n = 10
         sc = Scenario(build_lattice(n, 1.0), BLIND, TERMINAL)
         y, z = representation_pair(sc)
         peak = peak_bytes(lambda: m_identity_residual(y, z))
-        assert peak <= 1.25 * 8 * 4 ** n
+        assert peak <= 0.25 * 8 * 4 ** n
