@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from math import sqrt
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -67,7 +67,6 @@ from .errors import (
 )
 
 MAX_STEPS = 14  # memory guard: the path count is 4^N
-BLOCK_BITS = 16  # `_blocks` walks a join field 2^16 entries at a time
 
 
 @dataclass(frozen=True)
@@ -601,80 +600,44 @@ def _max_abs(v: np.ndarray) -> float:
     return abs(max(float(v.max()), -float(v.min())))
 
 
-def _blocks(g: SigmaField, *xs: MeasurableRV) -> Iterator[tuple]:
-    """The xs' bit views on g, 2^BLOCK_BITS entries at a time: pairs (at,
-    views), at the block's index among g's leading bit axes."""
-    full = (2,) * (g.w_upto + g.lattice.n_bits - g.b_from)
-    k = max(0, len(full) - BLOCK_BITS)
-    views = [np.broadcast_to(bit_view(x, g), full) for x in xs]
-    for at in np.ndindex(full[:k]):
-        yield at + (...,), [v[at] for v in views]
-
-
-def row_defects(x, target, z, term: Callable, one_stack: bool,
-                slots: Sequence[range]):
-    """Row i's pathwise defect for each i < len(slots): the sum over j in
-    slots[i] of s_ij = term_ij - Z_ij dW_j, then x_i - target_i, in that
-    order; term(j, rows) is a stacked term as `solver.map_rows` takes it,
-    for all rows at once with one_stack (the flip identity's, whose mean
-    square needs every path).  Row i lives on (c, b): c ends its slots, b
-    is the first B bit it reads (at most i).  The sum P over slots < j
-    lives on (j, b) in one table sized for (N, 0); slot j doubles it by W
-    bit j, P + s_ij[bit 1] above, then P += s_ij[bit 0], and x_i -
-    target_i is added in blocks.  Row i is yielded as the table's flat
-    view on (c, b), overwritten by the next row.  Single-lane lattices; z
-    is a `VolterraKernel` (Z_ij on (j, j))."""
-    lat, n = z.lattice, z.lattice.n_steps
-    if one_stack:
-        stacks = {j: term(j, range(min(j, len(x) - 1) + 1))
-                  for j in sorted(set().union(*slots))}
-    table = np.empty(1 << 2 * n)
-    for i, row in enumerate(slots):
-        g = SigmaField(lat, row.stop, min(i, x[i].field.b_from,
-                                          target[i].field.b_from))
-        b = n - g.b_from
-        table[:1 << (row.start + b)] = 0.0  # the empty sum
-        for j in row:
-            f, v = stacks[j] if one_stack else term(j, range(i, i + 1))
-            zdw = np.multiply.outer([-lat.inc, lat.inc], z.values[i, j])
-            s = v[min(i, len(v) - 1)] - zdw.reshape(  # row i's terms
-                (2,) + bit_view_shape(time_field(lat, j), f)[1:])
-            s = s.reshape(s.shape + (1,) * (f.b_from - g.b_from))  # (j + 1, b)
-            p, up = table[:2 << (j + b)].reshape((2,) * (j + 1 + b))  # W bit j
-            np.add(p, s[1], out=up)
-            np.add(p, s[0], out=p)
-        p = table[:1 << (row.stop + b)].reshape((2,) * (row.stop + b))
-        for at, (xb, tb) in _blocks(g, x[i], target[i]):
-            np.add(p[at], xb - tb, out=p[at])
-        yield table[:1 << (row.stop + b)]
-
-
 def row_extremes(x, target, z, term: Callable | None, one_stack: bool,
-                 slots: Sequence[range]) -> np.ndarray:
+                 slots: Sequence[range], mean_square: bool = False):
     """Row i's sup over paths of |D_i| for each i < len(slots), D_i = x_i
     + s_ij over j in slots[i] from the last down - target_i in that order,
     s_ij = term_ij - Z_ij dW_j (a missing term is zero), with no table of
-    D_i.  term is as in `row_defects`, for the rows walked at slot j (a
-    run) with one_stack, else each row walks alone.  Row i joins with x_i
-    at the top slot of its range; at slot k the stack adds s_ik and takes
-    the max into hi and the min into lo over the halves of W bit k, which
-    no later summand knows; at its first slot row i reads
-    max(max(hi - target_i), -min(lo - target_i)).  Variable elimination in
-    the (max, +) semiring, exact as rounded addition is monotone; NaN
-    propagates.  The tables are on (k, b), 2^N entries a row for terms
-    blind to the swapped arguments, O(N^2 2^N) in all.
+    D_i.  term(k, rows) gives the slot-k terms of the run of rows walked
+    (all rows with one_stack, else each row walks alone) as
+    `solver.map_rows` takes them: None, or (field, values), values a stack
+    on a leading axis (one entry a row, or one for all) over the bit view
+    of a field that knows no W bit after k.  Row i joins with x_i at the
+    top slot of its range; at slot k the stack adds s_ik and takes the max
+    into hi and the min into lo over the halves of W bit k, which no later
+    summand knows; at its first slot row i reads max(max(hi - target_i),
+    -min(lo - target_i)), so target_i must be known there: blind to W
+    bits from that slot on.  Variable elimination in the (max, +)
+    semiring, exact as rounded addition is monotone; NaN propagates.  The
+    tables are on (k, b), 2^N entries a row for terms blind to the swapped
+    arguments, O(N^2 2^N) in all.
+
+    With mean_square a row also carries the mean and the centred variance
+    of x_i + s_ij over the W bits eliminated so far, merged by halves as
+    Chan, Golub and LeVeque do (no raw moment is subtracted), and the
+    result is (sups, E[D_i^2]): the mean of var + (mean - target_i)^2.
     """
     if any(v.lattice != z.lattice for v in (*x, *target)):
         raise LatticeMismatch("rows and kernel on different lattices")
-    sups = np.empty(len(slots))
+    sups, squares = np.empty(len(slots)), np.empty(len(slots))
     for group in ([range(len(slots))] if one_stack
                   else [range(i, i + 1) for i in range(len(slots))]):
         live = [i for i in group if slots[i]]
         for i in group:
             if not slots[i]:
                 g = x[i].field.join(target[i].field)
-                sups[i] = _max_abs(bit_view(x[i], g) - bit_view(target[i], g))
-        order, ext, f = [], None, None  # the rows walked, hi and lo on f
+                d = bit_view(x[i], g) - bit_view(target[i], g)
+                sups[i] = _max_abs(d)
+                if mean_square:
+                    squares[i] = np.mean(d * d)
+        order, ext, f = [], None, None  # the rows walked, their tables on f
         for k in range(max([slots[i].stop for i in live], default=0) - 1,
                        min([slots[i].start for i in live], default=0) - 1, -1):
             new = [i for i in live if slots[i].stop == k + 1]
@@ -683,24 +646,29 @@ def row_extremes(x, target, z, term: Callable | None, one_stack: bool,
             if not order:
                 continue
             ext, f = _eliminate(ext, f, z, term, range(order[0], order[-1] + 1),
-                                k)
+                                k, mean_square)
             for p, i in enumerate(order):
                 if slots[i].start == k:
                     g = f.join(target[i].field)
                     t = bit_view(target[i], g)
-                    hi, lo = ext[:, p].reshape((2,) + bit_view_shape(f, g))
+                    hi, lo, *moments = ext[:, p].reshape(
+                        (len(ext),) + bit_view_shape(f, g))
                     sups[i] = np.maximum(np.max(hi - t), -np.min(lo - t))
+                    if moments:
+                        mean, var = moments
+                        d = mean - t
+                        squares[i] = np.mean(var + d * d)
             keep = [p for p, i in enumerate(order) if slots[i].start != k]
             order = [order[p] for p in keep]
             ext = (ext[:, :len(keep)] if keep == list(range(len(keep)))
                    else ext[:, keep])
-    return sups
+    return (sups, squares) if mean_square else sups
 
 
 def _join(x, new: list, order: list, ext, f, k: int) -> tuple:
     """The rows `new` at x_i joined below or above the stack ext on f of
     the rows `order`, at slot k: (rows, stack, its field); a new stack
-    holds hi and lo as one table."""
+    holds hi, lo and the mean as one table, with no variance."""
     g = SigmaField(x[new[0]].lattice, k + 1, min(
         [x[i].field.b_from for i in new] + ([f.b_from] if order else [])))
     shape = (len(ext) if order else 1, 1) + (2,) * len(bit_view_shape(g, g))
@@ -711,15 +679,19 @@ def _join(x, new: list, order: list, ext, f, k: int) -> tuple:
         parts.insert(below, np.broadcast_to(lifted,
                                             lifted.shape[:2] + shape[2:]))
         new = new[:below] + order + new[below:]
-    return new, np.concatenate(parts, axis=1), g
+    stack = np.concatenate(parts, axis=1)
+    if len(stack) == 4:  # joined a walked stack: the new rows' variance is 0
+        stack[3, :below] = stack[3, below + len(order):] = 0.0
+    return new, stack, g
 
 
 def _eliminate(ext, f: SigmaField, z, term: Callable | None, rows: range,
-               k: int) -> tuple:
-    """Slot k of `row_extremes` on the stack ext (hi and lo, or one table
-    for both) on f = (k + 1, .): its new hi and lo on (k, b), and that
-    field.  The term (4^N entries for a row 0 that reads z_rev) is dropped
-    on return, not held into the next slot's."""
+               k: int, mean_square: bool) -> tuple:
+    """Slot k of `row_extremes` on the stack ext (hi, lo and with
+    mean_square the mean and the variance, or a new stack's one table) on
+    f = (k + 1, .): its new tables on (k, b), and that field.  The term
+    (4^N entries for a row 0 that reads z_rev) is dropped on return, not
+    held into the next slot's."""
     lat = f.lattice
     got = term(k, rows) if term is not None else None
     b = min(f.b_from, k, got[0].b_from if got else k)
@@ -734,17 +706,30 @@ def _eliminate(ext, f: SigmaField, z, term: Callable | None, rows: range,
     else:
         s = iz
     lifted = ext.reshape(ext.shape[:2] + bit_view_shape(f, g))
-    out = np.empty((2, len(rows)) + (2,) * (k + lat.n_bits - b))
-    _add(lifted[:, :, 0], s, out)
+    shifted = lifted[:3]  # s_ik moves hi, lo and the mean, not the variance
+    out = np.empty((4 if mean_square else 2, len(rows))
+                   + (2,) * (k + lat.n_bits - b))
+    _add(shifted[:, :, 0], s, out[:3])
     if got:
         np.subtract(tv[:, -1], iz, out=s)
     else:
         np.negative(s, out=s)
     u = (s[None] if len(ext) == 1 and s.shape == out.shape[1:]
-         else np.empty((len(ext),) + out.shape[1:]))
-    _add(lifted[:, :, 1], s, u)
+         else np.empty((len(shifted),) + out.shape[1:]))
+    _add(shifted[:, :, 1], s, u)
+    if mean_square:  # the halves' means a0 and a1 merged with no raw moment
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN
+            d = np.subtract(u[-1], out[2], out=out[3])
+            d *= 0.5
+            d *= d  # ((a1 - a0) / 2)^2
+            out[2] += u[-1]
+            out[2] *= 0.5
+            if len(ext) == 4:  # plus the mean of the halves' variances
+                v = lifted[3, :, 0] + lifted[3, :, 1]
+                v *= 0.5
+                d += v
     np.maximum(out[0], u[0], out=out[0])
-    np.minimum(out[1], u[-1], out=out[1])
+    np.minimum(out[1], u[min(1, len(u) - 1)], out=out[1])
     return out, SigmaField(lat, k, b)
 
 

@@ -31,10 +31,11 @@ as coefficients: `build_linearized` evaluates them once a slot, on the
 stack of rows `solver.slot_args` gives, each slot term is numpy on the
 same bit views, and `solver.map_rows` sweeps the rows as in `gamma_map`:
 one stack for a driver blind to the swapped arguments, else a stack per
-row.  The upper-triangle identity is `lattice.row_defects` on the same
-terms, the swapped-kernel terms left out: its mean square needs every
-path's defect, so it keeps the one defect table the `residual` no longer
-builds.
+row.  The upper-triangle identity is the walk of `lattice.row_extremes`
+on the same terms, the swapped-kernel terms left out, as for the
+`residual`; its l2 needs each row's mean square, so the walk carries
+the mean and the centred variance beside its extremes, and no check
+builds a table of the defects.
 
 For affine drivers the discrete chain rule is exact and the linearized
 solve reproduces the flip to rounding error, provided the mean-field
@@ -55,11 +56,10 @@ from .errors import IndexOutOfRange, ValidationError
 from .fields import AdaptedPath, VolterraKernel, zero_kernel, zero_path
 from .lattice import (
     SigmaField,
-    _max_abs,
     _owned,
     condexp,
     flip_derivative,
-    row_defects,
+    row_extremes,
     slot_field,
     time_field,
 )
@@ -249,19 +249,21 @@ def check_delta_equation(ls: LinearizedScenario) -> IdentityReport:
         Z(t_i, s_r) = D_r zeta(t_i) + coefficient sums over slots >= r
                       (no swapped-kernel terms) - sum_{j>=r} DZ_ij dW_j
 
-    at the entrywise flip (DY, DZ) of the base solution: the
-    `lattice.row_defects` of the flip equation's stacked terms (j >= r).
+    at the entrywise flip (DY, DZ) of the base solution: the walk of
+    `lattice.row_extremes` over the flip equation's stacked terms (j >= r),
+    which gives each row's worst defect and, carrying the mean and the
+    centred variance, its mean square for l2, with no table of the
+    defects.  NaN propagates.
     """
     lat = ls.scenario.lattice
     r = ls.r_idx
     u, v = flip_solution(ls.base_y, ls.base_z, r)
     term = partial(_linearized_terms, ls, u, v, *means(u, v),
                    include_swapped=False)
-    rows, l2 = [], 0.0
-    for i, acc in enumerate(row_defects(
-            ls.source[:r + 1], [row[r] for row in ls.base_z.z[:r + 1]], v,
-            term, ls.one_stack, [range(r, lat.n_steps)] * (r + 1))):
-        rows.append((i, r, _max_abs(acc)))
-        l2 += lat.dt * float(np.mean(acc * acc))
-    return IdentityReport(rows=rows, worst=max(gap for *_, gap in rows),
-                          l2=float(np.sqrt(l2)))
+    sups, squares = row_extremes(
+        ls.source[:r + 1], [row[r] for row in ls.base_z.z[:r + 1]], v, term,
+        ls.one_stack, [range(r, lat.n_steps)] * (r + 1), mean_square=True)
+    return IdentityReport(rows=[(i, r, float(gap))
+                                for i, gap in enumerate(sups)],
+                          worst=float(np.max(sups)),
+                          l2=float(np.sqrt(np.sum(lat.dt * squares))))

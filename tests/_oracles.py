@@ -22,12 +22,11 @@ terms as lattice variables (`slot_term` for the map's,
 `_linearized_term`, `_linearized_phi` and `_linearized_row` for the flip
 equation's), which the package replaced by its stacked terms, and the
 residual and the upper-triangle identity summed one row and slot at a
-time on them, the references for `lattice.row_defects`, and the
-extension identity made one whole table a row; the residual and the
-extension identity summed on whole tables in the order the walk of
-extremes eliminates them (`ordered_row_extremes`), the exact references
-for `lattice.row_extremes`, with each row's slack against another
-order; the map and the
+time on them, and the extension identity made one whole table a row;
+every row defect summed on whole tables in the order the walk of
+extremes eliminates them (`ordered_row_extremes`, `ordered_mean_squares`),
+the exact references for `lattice.row_extremes`, with each row's slack
+against another order; the map and the
 particle map swept one row at a time, with one f call and one g call per
 row and slot, the references for the stacked rows of `gamma_map` and
 `particle_map`; the whole-pair statistics written one entry at a time,
@@ -711,7 +710,7 @@ def per_entry_linearized_map(ls: PerEntryLinearized, pair
 # (slot_term) and the flip equation's (_linearized_term, summed into
 # _linearized_phi and split by _linearized_row), as the package made them
 # before the residual and the upper-triangle identity read the stacked
-# terms through lattice.row_defects; with those two written one row and
+# terms through lattice.row_extremes; with those two written one row and
 # slot at a time on them.
 
 
@@ -772,8 +771,8 @@ def _source_sum(vals: Sequence[MeasurableRV], j_lo: int, j_hi: int,
     Each vals_j must be measurable for the field (j + lag, j + lag), so
     it is independent of its increment and the isometry holds exactly.
     With a source, each summand is source(j) - vals_j increment_j instead
-    (the row defects as the package summed them before
-    `lattice.row_defects` grew them in one table): the running sum grows
+    (the row defects as the package summed them before it grew them in
+    one table, then walked them): the running sum grows
     only through the fields its summands need.  Without one it is the
     forward and backward integral below.
     """
@@ -844,14 +843,12 @@ def per_row_delta_equation(ls):
 EPS = float(np.finfo(float).eps)
 
 
-def ordered_row_extremes(x, target, z, term, slots):
-    """Per row i, (sup over every path of |D_i|, slack): D_i = x_i +
-    s_{i,last} + ... + s_{i,first} - target_i, summed in that order on whole
-    tables, s_ij = term(i, j) - Z_ij dW_j (-Z_ij dW_j for term None).  The
-    slack is 2 (n_i + 2) eps S_i, n_i the row's slot count and S_i =
-    sup|x_i| + sup|target_i| + sum_j sup|s_ij|."""
+def _ordered_defects(x, target, z, term, slots):
+    """Per row i, (D_i, n_i, S_i): D_i = x_i + s_{i,last} + ... +
+    s_{i,first} - target_i, summed in that order on whole tables, s_ij =
+    term(i, j) - Z_ij dW_j (-Z_ij dW_j for term None), n_i the row's slot
+    count and S_i = sup|x_i| + sup|target_i| + sum_j sup|s_ij|."""
     lat = z.lattice
-    rows = []
     for i, row in enumerate(slots):
         acc, scale = x[i], x[i].max_abs() + target[i].max_abs()
         for j in reversed(row):
@@ -859,9 +856,21 @@ def ordered_row_extremes(x, target, z, term, slots):
             s = -zdw if term is None else term(i, j) - zdw
             acc = acc + s
             scale += s.max_abs()
-        rows.append(((acc - target[i]).max_abs(),
-                     2 * (len(row) + 2) * EPS * scale))
-    return rows
+        yield acc - target[i], len(row), scale
+
+
+def ordered_row_extremes(x, target, z, term, slots):
+    """Per row i, (sup over every path of |D_i|, slack) of the ordered
+    defect (`_ordered_defects`).  The slack is 2 (n_i + 2) eps S_i."""
+    return [(d.max_abs(), 2 * (n + 2) * EPS * scale)
+            for d, n, scale in _ordered_defects(x, target, z, term, slots)]
+
+
+def ordered_mean_squares(x, target, z, term, slots):
+    """Per row i, E[D_i^2] of the ordered defect, averaged over its whole
+    table."""
+    return [expectation(d * d)
+            for d, _, _ in _ordered_defects(x, target, z, term, slots)]
 
 
 def _worst(rows):
@@ -1099,7 +1108,7 @@ def per_lane_particle_map(driver, zetas, pairs):
 # -- increments, walks, dependence audits and integrals --------------------
 #
 # `MeasurableRV` arithmetic the package once kept as public API; every
-# exact identity now goes through `lattice.row_defects` and
+# exact identity now goes through `lattice.row_extremes` and
 # `clark_ocone_sweep`, so these serve the tests only.
 
 

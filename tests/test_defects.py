@@ -1,13 +1,13 @@
 """The row defects: the equation's residual and the upper-triangle identity.
 
-Both read the stacked terms a map takes: the residual the map's slot
-terms (`lattice.row_extremes`), one driver call per slot for a driver
+Both walk the stacked terms a map takes through `lattice.row_extremes`:
+the residual the map's slot terms, one driver call per slot for a driver
 blind to the swapped arguments, and `check_delta_equation` the flip
-equation's (`lattice.row_defects`).  The residual must equal the ordered
-sum of tests/_oracles.py exactly and the one-row sum to within the slack
-of two summation orders, the identity the one-row sum to rounding; the
-residual must hold no table of 4^N doubles, and no second way to make a
-slot term may come back into the package.
+equation's.  The residual must equal the ordered sum of
+tests/_oracles.py exactly and the one-row sum to within the slack of two
+summation orders, the identity the one-row sum to rounding; the residual
+must hold no table of 4^N doubles, and no second way to make a slot term
+may come back into the package.
 """
 
 import inspect

@@ -1,29 +1,40 @@
-"""The exact residual and the extension identity by a walk of extremes.
+"""Every exact identity by a walk of extremes.
 
 `lattice.row_extremes` takes each row's sup |D_i| without a table of
 D_i: it walks the W bits from the top and keeps a max and a min table
 over the bits already eliminated.  Rounded addition is monotone, so it
 must equal, bit for bit, the brute-force max over every path of the same
 ordered sum (`_oracles.ordered_row_extremes`), for drivers blind to
-z_rev (one stack) and for drivers that read it (a walk per row).  A NaN
-or inf term must reach the residual, the walk must hold no 4^N table for
-a blind driver and no more than a map for any, and the identities refuse
-a pair from another lattice.
+z_rev (one stack) and for drivers that read it (a walk per row): the
+residual's rows, the extension identity's and the flip identity's.  With
+the mean square the walk also carries each row's mean and centred
+variance, whose E[D_i^2] must match the whole table's to within the
+row's slack, and only the flip identity asks for it.  A NaN or inf term
+must reach the residual and the flip identity's worst and l2, the walk
+must hold no 4^N table for a blind driver and no more than a map for
+any, and the identities refuse a pair from another lattice.
 """
 
+import inspect
+import re
 from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfbdsvie import solver
+from mfbdsvie import lattice, malliavin, solver
 from mfbdsvie.cli import run
 from mfbdsvie.drivers import DriverSpec
 from mfbdsvie.errors import IndexOutOfRange, LatticeMismatch
 from mfbdsvie.fields import m_identity_residual
 from mfbdsvie.lattice import SigmaField, build_lattice, condexp, row_extremes
-from mfbdsvie.malliavin import check_clark_ocone
+from mfbdsvie.malliavin import (
+    build_linearized,
+    check_clark_ocone,
+    check_delta_equation,
+    flip_solution,
+)
 from mfbdsvie.solver import (
     Scenario,
     _driver_terms,
@@ -35,7 +46,9 @@ from mfbdsvie.solver import (
 )
 
 from _oracles import (
+    _linearized_term,
     ordered_m_identity,
+    ordered_mean_squares,
     ordered_residual,
     ordered_row_extremes,
     slot_term,
@@ -99,6 +112,118 @@ class TestOrderedSum:
             assert np.array_equal(
                 row_extremes(y.y, targets, z, None, True, slots),
                 row_extremes(y.y, targets, z, None, False, slots))
+
+
+def flip_rows(ls):
+    """The flip identity's rows as the walk takes them: (x, target, kernel,
+    slots, stacked term, one-row term)."""
+    r, n = ls.r_idx, ls.scenario.lattice.n_steps
+    u, v = flip_solution(ls.base_y, ls.base_z, r)
+    args = (ls, u, v, *means(u, v))
+    return (ls.source[:r + 1], [row[r] for row in ls.base_z.z[:r + 1]], v,
+            [range(r, n)] * (r + 1),
+            partial(malliavin._linearized_terms, *args, include_swapped=False),
+            partial(_linearized_term, *args, include_swapped=False))
+
+
+class TestFlipIdentity:
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_every_row_gap_equals_the_ordered_sum(self, n, name):
+        sc, both = pairs(name, n)
+        for y, z in both:
+            for r in range(n):
+                ls = build_linearized(sc, y, z, r)
+                x, target, v, slots, _, term = flip_rows(ls)
+                want = ordered_row_extremes(x, target, v, term, slots)
+                assert ([gap for *_, gap in check_delta_equation(ls).rows]
+                        == [sup for sup, _ in want])
+
+    @pytest.mark.parametrize("where", ["one path", "every path"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["z_rev_blind", "linear_mean_field"])
+    def test_a_bad_term_reaches_worst_and_l2(self, monkeypatch, name, bad,
+                                             where):
+        sc, y, z = solved(name, 4)
+        r = 1
+        ls = build_linearized(sc, y, z, r)
+        terms = malliavin._linearized_terms
+
+        def poisoned(*args, **kwargs):
+            got = terms(*args, **kwargs)
+            if args[5] != r + 1:
+                return got
+            f, v = got
+            v = np.array(v)
+            if where == "one path":
+                v.flat[0] = bad
+            else:
+                v[...] = bad
+            return f, v
+
+        monkeypatch.setattr(malliavin, "_linearized_terms", poisoned)
+        rep = check_delta_equation(ls)
+        assert not np.isfinite(rep.worst)
+        assert not np.isfinite(rep.l2)
+
+
+class TestMeanSquare:
+    @staticmethod
+    def identities(name, n):
+        """(x, target, kernel, stacked term, one_stack, one-row term, slots)
+        of the residual, the extension identity and the flip identity at
+        every r, on the solved and the perturbed pair."""
+        sc, both = pairs(name, n)
+        for y, z in both:
+            yield (sc.zeta, y.y, z, *_driver_terms(sc, y, z),
+                   partial(slot_term, sc.driver, y, z, *means(y, z)),
+                   [range(i, n) for i in range(n + 1)])
+            base = SigmaField(y.lattice, 0, 0)
+            yield (y.y, [condexp(yi, base) for yi in y.y], z, None, True,
+                   None, [range(i) for i in range(n + 1)])
+            for r in range(n):
+                ls = build_linearized(sc, y, z, r)
+                x, target, v, slots, stacked, term = flip_rows(ls)
+                yield x, target, v, stacked, ls.one_stack, term, slots
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_within_the_slack_of_the_whole_table(self, name):
+        # |sqrt(walk) - sqrt(whole table)| is an L2 gap of two roundings of
+        # the same defects, each within the row's slack of the exact one;
+        # a raw-moment form misses it by about sqrt(eps)
+        for x, target, z, term, one_stack, one_row, slots in self.identities(
+                name, 5):
+            sups, squares = row_extremes(x, target, z, term, one_stack, slots,
+                                         mean_square=True)
+            assert sups.tolist() == row_extremes(x, target, z, term,
+                                                 one_stack, slots).tolist()
+            want = ordered_mean_squares(x, target, z, one_row, slots)
+            ext = ordered_row_extremes(x, target, z, one_row, slots)
+            for got, ref, (_, slack) in zip(squares, want, ext, strict=True):
+                assert abs(np.sqrt(got) - np.sqrt(ref)) <= slack
+
+    def test_only_the_flip_identity_carries_it(self, monkeypatch):
+        sc, y, z = solved("z_rev_blind", 4)
+        eliminate, tables = lattice._eliminate, []
+
+        def counting(*args):
+            got = eliminate(*args)
+            tables.append(len(got[0]))
+            return got
+
+        monkeypatch.setattr(lattice, "_eliminate", counting)
+        residual(sc, y, z)
+        m_identity_residual(y, z)
+        assert set(tables) == {2}  # hi and lo
+        tables.clear()
+        check_delta_equation(build_linearized(sc, y, z, 1))
+        assert set(tables) == {4}  # hi, lo, the mean and the variance
+
+    def test_no_nan_dropping_reduction_in_the_walk(self):
+        source = "".join(inspect.getsource(f) for f in (
+            lattice.row_extremes, lattice._join, lattice._eliminate,
+            lattice._add, lattice._max_abs))
+        assert not re.search(r"\b(fmax|fmin|nan[a-z]+)\(", source)
 
 
 class Poisoned(DriverSpec):

@@ -175,6 +175,7 @@ class TestDeltaEquation:
         ls = build_linearized(sc, y, z, 2)
         rep = check_delta_equation(ls)
         assert rep.worst <= 1e-12
+        assert rep.l2 <= TOL
 
     def test_exact_for_linear_bar_free_drivers(self):
         d = LinearDriver(f={"y": -0.3, "z": 0.2, "z_rev": 0.1},
@@ -184,6 +185,7 @@ class TestDeltaEquation:
             ls = build_linearized(sc, y, z, r)
             rep = check_delta_equation(ls)
             assert rep.worst <= TOL, (r, rep.worst)
+            assert rep.l2 <= TOL, (r, rep.l2)
 
     def test_nonlinear_residual_shrinks_with_mesh(self):
         res = []

@@ -1,14 +1,14 @@
-"""The exact identities: the walk of extremes and the defect table.
+"""The exact identities: one walk of extremes, no defect table.
 
 `lattice.row_extremes` gives the residual's and the extension identity's
 sups without a defect table; each must equal the ordered sum of
 tests/_oracles.py bit for bit and its old one-row or whole-table form to
-within the slack of two summation orders.  `lattice.row_defects` sums
-the upper-triangle identity's rows in one scratch table sized for the
-field (N, 0), doubling the running sum by each slot's W bit in place, and
-must give its one-row sums to rounding.  One warm `residual` or
-`m_identity_residual` holds no table of 4^N doubles, and the one-row
-adapter and the audited sum stay out of the package.
+within the slack of two summation orders.  The same walk, carrying each
+row's mean and centred variance, gives the upper-triangle identity's
+rows and l2, which must match its one-row sums to rounding.  One warm
+`residual`, `m_identity_residual` or `check_delta_equation` holds far
+less than a table of 4^N doubles, and the one-row adapter, the audited
+sum and the old defect table stay out of the package.
 """
 
 import re
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 import mfbdsvie
-from mfbdsvie import lattice
 from mfbdsvie.fields import AdaptedPath, VolterraKernel, m_identity_residual
 from mfbdsvie.lattice import _max_abs, build_lattice
 from mfbdsvie.malliavin import build_linearized, check_delta_equation
@@ -121,13 +120,19 @@ class TestDeltaEquation:
             assert abs(got.worst - worst) <= 1e-15 * max(1.0, worst)
             assert abs(got.l2 - l2) <= 1e-15 * max(1.0, l2)
 
+    def test_peak_memory_at_n10(self):
+        # the flip pair, the walk's four tables of 2^(N + 1) entries a row
+        # and the slot stacks: no table of 4^N doubles
+        n = 10
+        sc = Scenario(build_lattice(n, 1.0), BLIND, TERMINAL)
+        y, z, _ = picard_solve(sc, tol=1e-12, report=False)
+        ls = build_linearized(sc, y, z, 3)
+        peak = peak_bytes(lambda: check_delta_equation(ls))
+        assert peak <= 0.25 * 8 * 4 ** n
+
 
 class TestTablePieces:
-    @pytest.mark.parametrize("block_bits", [0, 2, 5])
-    def test_difference_added_in_blocks(self, monkeypatch, block_bits):
-        # small blocks split x_i - target_i in the flip identity; the
-        # residual and the extension identity read no block
-        monkeypatch.setattr(lattice, "BLOCK_BITS", block_bits)
+    def test_three_identities_on_a_random_pair(self):
         lat = build_lattice(4, 1.0)
         sc = Scenario(lat, CASES["linear_mean_field"], TERMINAL)
         y, z = random_pair(lat, np.random.default_rng(13))
@@ -167,10 +172,10 @@ class TestOneTablePath:
 
 
 class TestOneDefectRoutine:
-    """`lattice.row_extremes` takes the sups of the residual and the
-    extension identity, one walk for blind and `z_rev` drivers, and
-    `lattice.row_defects` grows the flip identity's defects only; both and
-    the block walk are named in `lattice` only."""
+    """`lattice.row_extremes` walks every exact identity, the residual, the
+    extension identity and the flip identity, one walk for blind and
+    `z_rev` drivers; it is named in `lattice` only, and the defect table
+    and its block walk it replaced in no package module."""
 
     SRC = Path(mfbdsvie.__file__).parent
 
@@ -178,8 +183,10 @@ class TestOneDefectRoutine:
         return [path.name for path in sorted(self.SRC.glob("*.py"))
                 if re.search(rf"^def {name}\(", path.read_text(), re.M)]
 
-    def test_one_routine_in_lattice(self):
-        assert self.owners("row_defects") == ["lattice.py"]
+    def test_defect_table_named_in_no_package_module(self):
+        for path in self.SRC.glob("*.py"):
+            assert not re.search(r"\b(row_defects|_blocks|BLOCK_BITS)\b",
+                                 path.read_text()), path.name
 
     def test_one_walk_in_lattice(self):
         assert self.owners("row_extremes") == ["lattice.py"]
@@ -195,11 +202,9 @@ class TestOneDefectRoutine:
             assert not re.search(r"\brow_defects\b", text), name
             assert re.search(r"\brow_extremes\(", text), name
 
-    def test_block_walk_named_in_lattice_only(self):
-        for path in self.SRC.glob("*.py"):
-            if path.name != "lattice.py":
-                assert not re.search(r"\b(_blocks|BLOCK_BITS)\b",
-                                     path.read_text()), path.name
+    def test_flip_identity_walks_the_same_stacks(self):
+        text = (self.SRC / "malliavin.py").read_text()
+        assert re.search(r"\brow_extremes\(", text)
 
     def test_extension_peak_memory_at_n10(self):
         # the walk's stack and the targets: no table of 4^N doubles

@@ -3,7 +3,8 @@
 The `MeasurableRV`-arithmetic integrals, dependence audits, pointwise
 driver evaluators, sampled driver audits and per-entry flip
 coefficients have no caller in the package; they live in
-tests/_oracles.py, and no package module defines or exports them.  Every
+tests/_oracles.py, and no package module defines or exports them, nor
+the defect table and block walk the walk of extremes replaced.  Every
 module-level import of a package module is read in it.  `slot_args`
 reads the means in one form, with no type test, and a scenario works out
 its driver source itself.  W(T) is built once per lattice and lane, and
@@ -36,6 +37,7 @@ RETIRED = (
     "w_level", "b_tail", "w_increment", "zero_rv", "all_paths",
     "eval_f", "eval_g", "eval_partials", "_check_grid", "lipschitz_audit",
     "partials_audit", "partial_bound_audit", "_entries", "f_coef", "g_coef",
+    "row_defects", "_blocks", "BLOCK_BITS",
 )
 TERMINAL = TerminalSpec(phi=0.3, theta=lambda t: 1.0 + t,
                         smooth=[("tanh", 0.5), ("soft_abs", -0.2)])
