@@ -132,15 +132,23 @@ class TestDeltaEquation:
 
 
 class TestTablePieces:
-    def test_three_identities_on_a_random_pair(self):
-        lat = build_lattice(4, 1.0)
+    @pytest.mark.parametrize("r", [0, 2, 5])
+    def test_difference_added_in_blocks(self, r):
+        # on a pair that solves nothing, the flip at slot r walks each row's
+        # difference x_i - target_i by halves over the W bits after r, so
+        # r sets the size of the blocks merged before a row reads its gap
+        lat = build_lattice(6, 1.0)
         sc = Scenario(lat, CASES["linear_mean_field"], TERMINAL)
         y, z = random_pair(lat, np.random.default_rng(13))
         assert_ordered(residual(sc, y, z), ordered_residual(sc, y, z),
                        per_row_residual(sc, y, z))
-        ls = build_linearized(sc, y, z, 2)
+        ls = build_linearized(sc, y, z, r)
         rows, worst, l2 = per_row_delta_equation(ls)
         got = check_delta_equation(ls)
+        for (i, s, gap), (i_ref, s_ref, gap_ref) in zip(got.rows, rows,
+                                                        strict=True):
+            assert (i, s) == (i_ref, s_ref)
+            assert abs(gap - gap_ref) <= 1e-15 * max(1.0, gap_ref)
         assert abs(got.worst - worst) <= 1e-15 * max(1.0, worst)
         assert abs(got.l2 - l2) <= 1e-15 * max(1.0, l2)
         assert_ordered(m_identity_residual(y, z), ordered_m_identity(y, z),
@@ -183,10 +191,11 @@ class TestOneDefectRoutine:
         return [path.name for path in sorted(self.SRC.glob("*.py"))
                 if re.search(rf"^def {name}\(", path.read_text(), re.M)]
 
-    def test_defect_table_named_in_no_package_module(self):
-        for path in self.SRC.glob("*.py"):
-            assert not re.search(r"\b(row_defects|_blocks|BLOCK_BITS)\b",
-                                 path.read_text()), path.name
+    def test_one_routine_in_lattice(self):
+        # the flip identity's defect table left with the block walk: every
+        # identity's defects are walked by lattice's one routine
+        assert self.owners("row_defects") == []
+        assert self.owners("row_extremes") == ["lattice.py"]
 
     def test_one_walk_in_lattice(self):
         assert self.owners("row_extremes") == ["lattice.py"]
@@ -205,6 +214,12 @@ class TestOneDefectRoutine:
     def test_flip_identity_walks_the_same_stacks(self):
         text = (self.SRC / "malliavin.py").read_text()
         assert re.search(r"\brow_extremes\(", text)
+
+    def test_block_walk_named_in_lattice_only(self):
+        # and since the defect table left, in lattice neither
+        for path in self.SRC.glob("*.py"):
+            assert not re.search(r"\b(row_defects|_blocks|BLOCK_BITS)\b",
+                                 path.read_text()), path.name
 
     def test_extension_peak_memory_at_n10(self):
         # the walk's stack and the targets: no table of 4^N doubles
