@@ -167,8 +167,8 @@ class ZPart:
     """A scalar map of z used by the risk family, with structure flags.
 
     Kinds: zero, linear (k1 z), affine (k0 + k1 z), abs (k1 |z|),
-    smooth_abs (k1 (sqrt(1+z^2) - 1)).  Flags are derived from the
-    parametrisation, then audited by sampling at validation time.
+    smooth_abs (k1 (sqrt(1+z^2) - 1)).  Flags are derived from the kind
+    and the signs of k0 and k1, which must be finite.
     """
 
     kind: str = "zero"
@@ -180,6 +180,9 @@ class ZPart:
             raise ValidationError(f"unknown z-map kind '{self.kind}'")
         if self.kind in ("zero", "linear", "abs", "smooth_abs") and self.k0:
             raise ValidationError(f"kind '{self.kind}' takes no constant term")
+        if not (math.isfinite(self.k0) and math.isfinite(self.k1)):
+            raise ValidationError(f"z-map '{self.kind}' needs finite k0 and "
+                                  f"k1, got {self.k0} and {self.k1}")
 
     def value(self, z):
         if self.kind == "zero":
@@ -255,9 +258,12 @@ class RiskDriver(DriverSpec):
             rate_bound = max(abs(self.rate(t)) for t in np.linspace(0.0, 8.0, 257))
         self.rate_bound = float(rate_bound)
         half = self.rate_bound / 2.0
-        analytic_c = max(2.0 * half * half + self.h.lipschitz ** 2,
-                         half, self.h.lipschitz)
-        analytic_a = max(self.g.lipschitz ** 2, self.g.lipschitz)
+        lh, lg = self.h.lipschitz, self.g.lipschitz
+        analytic_c = max(2.0 * half * half + lh * lh, half, lh)
+        analytic_a = max(lg * lg, lg)
+        if not math.isfinite(analytic_c + analytic_a):
+            raise ValidationError("a rate bound or z-map slopes whose squares "
+                                  "overflow a float")
         self.closed_form = (analytic_c, analytic_a)
         self.lipschitz_c = float(c) if c is not None else analytic_c
         self.lipschitz_alpha = float(alpha) if alpha is not None else analytic_a

@@ -27,9 +27,9 @@ axis per increment the finer field f knows, W increments f.w_upto-1
 down to 0, then B increments M-1 down to f.b_from, size 1 where x is
 blind.  Views on one field broadcast together and reshape for free to
 f.table_shape; arithmetic, lifts and driver arguments are built on it,
-and `from_bit_view` turns such a view back into a variable on the
-coarsest field it needs.  Tables the package builds are write-locked
-and kept, never copied; only a caller's writable array is copied.
+and `fill_table` writes a value that broadcasts against it out as f's
+table.  Tables the package builds are write-locked and kept, never
+copied; only a caller's writable array is copied.
 The lowest known B increment, f.b_from, is innermost: a broadcast along
 it runs two entries at a time, so a lift onto one new such bit
 (`_onto_op`) and g dB_j (`solver._times_db`) go by the axis's halves.
@@ -306,24 +306,6 @@ def fill_table(v, f: SigmaField) -> np.ndarray:
     axes = f.w_upto + f.lattice.n_bits - f.b_from
     return _owned(np.ascontiguousarray(
         np.broadcast_to(v, (2,) * axes).reshape(f.table_shape)))
-
-
-def from_bit_view(v, f: SigmaField) -> MeasurableRV:
-    """The variable whose bit view on f is v, on the coarsest field it needs.
-
-    v broadcasts against f's bit axes (a driver output, a scalar).  Size-1
-    axes at the top of the W axes and at the bottom of the B axes are
-    increments v is blind to, so they are dropped from the field.
-    """
-    axes = f.w_upto + f.lattice.n_bits - f.b_from
-    shape = (1,) * (axes - np.ndim(v)) + np.shape(v)
-
-    def blind(dims):  # leading size-1 axes
-        return next((k for k, d in enumerate(dims) if d != 1), len(dims))
-
-    top, bottom = blind(shape[:f.w_upto]), blind(shape[f.w_upto:][::-1])
-    g = SigmaField(f.lattice, f.w_upto - top, f.b_from + bottom)
-    return MeasurableRV(g, fill_table(np.reshape(v, shape[top:axes - bottom]), g))
 
 
 def lift(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
@@ -754,8 +736,16 @@ def flip_derivative(x: MeasurableRV, j: int) -> MeasurableRV:
     dW_j itself.
     """
     _check_bit(x.lattice, j)
-    a = x.field.w_upto
+    d = flip_rows(x.values.reshape(-1), x.field.w_upto, j, x.lattice.inc)
+    return MeasurableRV(x.field, _owned(d.reshape(x.field.table_shape)))
+
+
+def flip_rows(v: np.ndarray, a: int, j: int, inc: float) -> np.ndarray:
+    """`flip_derivative` at W bit j of tables flattened on the last axis,
+    each knowing the W bits below a: one strided difference over the
+    halves of bit j, on both halves, or zeros when j >= a."""
     if j >= a:
-        return MeasurableRV(x.field, _owned(np.zeros_like(x.values)))
-    d = np.diff(bit_view(x, x.field), axis=a - 1 - j) / (2.0 * x.lattice.inc)
-    return MeasurableRV(x.field, fill_table(d, x.field))
+        return np.zeros_like(v)
+    w = v.reshape(v.shape[:-1] + (-1, 2, (v.shape[-1] >> a) << j))
+    d = np.diff(w, axis=-2) / (2.0 * inc)
+    return np.broadcast_to(d, w.shape).reshape(v.shape)

@@ -56,9 +56,11 @@ from .errors import IndexOutOfRange, ValidationError
 from .fields import AdaptedPath, VolterraKernel, zero_kernel, zero_path
 from .lattice import (
     SigmaField,
+    _check_bit,
     _owned,
     condexp,
     flip_derivative,
+    flip_rows,
     row_extremes,
     slot_field,
     time_field,
@@ -77,10 +79,21 @@ from .solver import (
 
 def flip_solution(y: AdaptedPath, z: VolterraKernel, r_idx: int
                   ) -> tuple[AdaptedPath, VolterraKernel]:
-    """Entrywise flip derivative of a solved pair."""
-    return (AdaptedPath(y.lattice, [flip_derivative(yi, r_idx) for yi in y.y]),
-            VolterraKernel(y.lattice, [[flip_derivative(zij, r_idx)
-                                        for zij in row] for row in z.z]))
+    """Entrywise flip derivative of a solved pair at W bit r_idx.
+
+    Path row k and kernel column k share the time field (k, k), so each
+    is one `flip_rows` call on the dense arrays, written into one array
+    per side.
+    """
+    lat = y.lattice
+    _check_bit(lat, r_idx)
+    dy, dz = np.empty_like(y.values), np.empty_like(z.values)
+    for k in range(lat.n_steps + 1):
+        a = time_field(lat, k).w_upto
+        dy[k] = flip_rows(y.values[k], a, r_idx, lat.inc)
+        if k < lat.n_steps:
+            dz[:, k] = flip_rows(z.values[:, k], a, r_idx, lat.inc)
+    return AdaptedPath(lat, _owned(dy)), VolterraKernel(lat, _owned(dz))
 
 
 @dataclass

@@ -15,9 +15,9 @@ untouched.
 Axiom checks solve the equation for the payoffs involved and compare
 pathwise, each payoff once per risk spec (the spec keeps the profiles it
 solved); structural requirements (convexity of h, affinity or
-additivity of g, positive homogeneity) are declared by the z-map kind
-and audited by sampling, and `check_premises` refuses an axiom whose
-flags or scale fail, all before any solve.
+additivity of g, positive homogeneity) are flags of the z-maps, derived
+from the kind and the signs of k0 and k1, and `check_premises` refuses
+an axiom whose flags or scale fail, all before any solve.
 
 The positions of a spec differ only in the terminal, so `solve_positions`
 solves every one not yet solved as a member of one batched Picard solve
@@ -69,8 +69,6 @@ class RiskSpec:
         self.max_iter = max_iter
         self._profiles: dict[PayoffStream, AdaptedPath] = {}
         self._derived: dict[tuple, PayoffStream] = {}
-        audit_z_flags(self.driver.h)
-        audit_z_flags(self.driver.g)
         check_rate_grid(self.driver, lattice)
 
     @property
@@ -89,37 +87,6 @@ def check_rate_grid(driver: RiskDriver, lattice: LatticeSpec) -> None:
     if grid_bound > driver.rate_bound + 1e-12:
         raise ValidationError(f"rate exceeds its declared bound on the grid: "
                               f"{grid_bound} > {driver.rate_bound}")
-
-
-def audit_z_flags(part: ZPart, n_samples: int = 200,
-                  seed: int = 20240605) -> None:
-    """Sampled consistency check of the declared structure flags."""
-    rng = np.random.default_rng(seed)
-    z1 = rng.standard_normal(n_samples) * 3.0
-    z2 = rng.standard_normal(n_samples) * 3.0
-    lam = rng.uniform(0.0, 1.0, n_samples)
-    v1, v2 = part.value(z1), part.value(z2)
-    if part.convex:
-        mid = part.value(lam * z1 + (1 - lam) * z2)
-        if np.max(mid - (lam * v1 + (1 - lam) * v2)) > 1e-10:
-            raise ValidationError(f"z-map '{part.kind}' is not convex")
-    if part.positively_homogeneous:
-        scale = rng.uniform(0.1, 4.0, n_samples)
-        if np.max(np.abs(part.value(scale * z1) - scale * v1)) > 1e-10:
-            raise ValidationError(
-                f"z-map '{part.kind}' is not positively homogeneous"
-            )
-    if part.subadditive:
-        if np.max(part.value(z1 + z2) - (v1 + v2)) > 1e-10:
-            raise ValidationError(f"z-map '{part.kind}' is not subadditive")
-    if part.additive:
-        if np.max(np.abs(part.value(z1 + z2) - (v1 + v2))) > 1e-10:
-            raise ValidationError(f"z-map '{part.kind}' is not additive")
-    lip = part.lipschitz
-    gaps = np.abs(v1 - v2)
-    steps = np.abs(z1 - z2)
-    if np.max(gaps - lip * steps) > 1e-10:
-        raise ValidationError(f"z-map '{part.kind}' breaks its Lipschitz bound")
 
 
 def solve_positions(rs: RiskSpec, positions) -> None:

@@ -332,7 +332,7 @@ def _times_db(g, db: np.ndarray) -> np.ndarray:
 def reads_swapped(driver: DriverSpec) -> bool:
     """Whether f or g reads z_rev or mean_z_rev.
 
-    Read off the shape of the output, as `from_bit_view` reads blindness:
+    Read off the shape of the output, whose size-1 axes are blindness:
     the two swapped slots get a size-2 array and every other argument a
     zero scalar, at the zero state the first Picard step starts from.
     """

@@ -8,8 +8,9 @@ the last sections, built on the package's primitives: the one-row split
 before every caller swept a stack of rows; the per-entry
 frozen-argument wiring (`frozen_args` for one row's arguments at one
 slot, `evaluate_driver` for a driver call on them as lattice
-variables), which the package replaced by the stacked bit views of
-`solver.slot_args`; a per-slot split of the whole assembled right side
+variables, each output put back on the coarsest field it needs by
+`from_bit_view`), which the package replaced by the stacked bit views
+of `solver.slot_args`; a per-slot split of the whole assembled right side
 Phi_i, built zeta-first on that wiring, and the map and residual made of
 them, the references for the backward induction of `split_row` (which
 never builds Phi_i) and for `gamma_map` and `residual`; the flip
@@ -29,8 +30,9 @@ the exact references for `lattice.row_extremes`, with each row's slack
 against another order; the map and the
 particle map swept one row at a time, with one f call and one g call per
 row and slot, the references for the stacked rows of `gamma_map` and
-`particle_map`; the whole-pair statistics written one entry at a time,
-the references for their array expressions over the dense pair storage;
+`particle_map`; the whole-pair statistics and the flip of a pair written
+one entry at a time, the references for their array expressions over
+the dense pair storage;
 the stability functional one row and slot at a time on the
 per-entry wiring, the reference for `stability_compare`; the
 comparison's hypotheses audit one sample at a time with scalar driver
@@ -42,9 +44,11 @@ reference for the one sweep of `particles.particle_map`.  The next two
 sections hold what the package once exported and no package
 code calls: the increments, walks, dependence audits and forward and
 backward integrals in `MeasurableRV` arithmetic (both integrals are
-`_source_sum` with no source), and the pointwise driver evaluators and
-sampled driver audits.  Then comes the backward induction as it
-worked out its fields on every call (`unplanned_sweep`), the reference
+`_source_sum` with no source), and the pointwise driver evaluators,
+sampled driver audits and the sampled audit of a z-map's derived flags
+(`audit_z_flags`, its slack scaled by max(1, |k1|)).  Then comes the
+backward induction as it worked out its fields on every call
+(`unplanned_sweep`), the reference
 for the plan that `lattice.clark_ocone_sweep` replays.  The next holds
 the lift as one broadcast copy (`broadcast_onto`), g dB_j as one
 broadcast product (`broadcast_times_db`) and the Picard traces made from
@@ -76,7 +80,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from mfbdsvie.comparison import HypothesesReport
-from mfbdsvie.drivers import DriverPartials, DriverSpec, terminal_rv
+from mfbdsvie.drivers import DriverPartials, DriverSpec, ZPart, terminal_rv
 from mfbdsvie.errors import (
     IndexOutOfRange,
     InvalidIndex,
@@ -106,8 +110,8 @@ from mfbdsvie.lattice import (
     clark_ocone_sweep,
     condexp,
     expectation,
+    fill_table,
     flip_derivative,
-    from_bit_view,
     lift,
     slot_field,
     time_field,
@@ -503,6 +507,24 @@ def condexp_m_extend(y, z_delta):
 
 # The per-entry frozen-argument wiring: one row and slot at a time, each
 # driver output a lattice variable on the join of its arguments' fields.
+
+
+def from_bit_view(v, f: SigmaField) -> MeasurableRV:
+    """The variable whose bit view on f is v, on the coarsest field it needs.
+
+    v broadcasts against f's bit axes (a driver output, a scalar).  Size-1
+    axes at the top of the W axes and at the bottom of the B axes are
+    increments v is blind to, so they are dropped from the field.
+    """
+    axes = f.w_upto + f.lattice.n_bits - f.b_from
+    shape = (1,) * (axes - np.ndim(v)) + np.shape(v)
+
+    def blind(dims):  # leading size-1 axes
+        return next((k for k, d in enumerate(dims) if d != 1), len(dims))
+
+    top, bottom = blind(shape[:f.w_upto]), blind(shape[f.w_upto:][::-1])
+    g = SigmaField(f.lattice, f.w_upto - top, f.b_from + bottom)
+    return MeasurableRV(g, fill_table(np.reshape(v, shape[top:axes - bottom]), g))
 
 
 def evaluate_driver(fn: Callable, t: float, s: float, args: tuple):
@@ -925,7 +947,15 @@ def per_row_particle_map(driver, zetas, pairs):
 # -- per-entry whole-pair statistics -------------------------------------------
 #
 # One Python step per path or kernel entry, through y[i] and z.at(i, j):
-# the references for the array expressions of fields and solver.
+# the references for the array expressions of fields and solver, and for
+# the flip of a whole pair in `malliavin.flip_solution`.
+
+
+def entrywise_flip_solution(y, z, r_idx):
+    """`flip_derivative` of every entry, the pair rebuilt from variables."""
+    return (AdaptedPath(y.lattice, [flip_derivative(yi, r_idx) for yi in y.y]),
+            VolterraKernel(y.lattice, [[flip_derivative(zij, r_idx)
+                                        for zij in row] for row in z.z]))
 
 
 def entrywise_pair_sup_diff(y1, z1, y2, z2):
@@ -1204,8 +1234,9 @@ def backward_integral(
 # -- pointwise driver evaluation and sampled driver audits -----------------
 #
 # A driver at one grid pair, and sampled checks of its declared
-# constants and partials.  The CLI refuses a declared constant below the
-# family's closed form, and the Python API trusts it.
+# constants and partials and of a z-map's derived flags.  The CLI
+# refuses a declared constant below the family's closed form, and the
+# Python API trusts it.
 
 
 def _check_grid(lat: LatticeSpec, t_idx: int, s_idx: int) -> tuple[float, float]:
@@ -1292,6 +1323,42 @@ def partial_bound_audit(d: DriverSpec, horizon: float, n_points: int = 100,
         worst_f = max(worst_f, max(abs(v) for v in p[:6]) - d.lipschitz_c)
         worst_g = max(worst_g, max(abs(v) for v in p[6:]) - d.lipschitz_alpha)
     return worst_f, worst_g
+
+
+def audit_z_flags(part: ZPart, n_samples: int = 200,
+                  seed: int = 20240605) -> None:
+    """Sampled consistency check of the derived structure flags.
+
+    The slack is 1e-10 times max(1, |k1|): the rounding of k1 z is of
+    order |k1| |z| eps, so a fixed slack would refuse a steep valid map.
+    """
+    rng = np.random.default_rng(seed)
+    slack = 1e-10 * max(1.0, abs(part.k1))
+    z1 = rng.standard_normal(n_samples) * 3.0
+    z2 = rng.standard_normal(n_samples) * 3.0
+    lam = rng.uniform(0.0, 1.0, n_samples)
+    v1, v2 = part.value(z1), part.value(z2)
+    if part.convex:
+        mid = part.value(lam * z1 + (1 - lam) * z2)
+        if np.max(mid - (lam * v1 + (1 - lam) * v2)) > slack:
+            raise ValidationError(f"z-map '{part.kind}' is not convex")
+    if part.positively_homogeneous:
+        scale = rng.uniform(0.1, 4.0, n_samples)
+        if np.max(np.abs(part.value(scale * z1) - scale * v1)) > slack:
+            raise ValidationError(
+                f"z-map '{part.kind}' is not positively homogeneous"
+            )
+    if part.subadditive:
+        if np.max(part.value(z1 + z2) - (v1 + v2)) > slack:
+            raise ValidationError(f"z-map '{part.kind}' is not subadditive")
+    if part.additive:
+        if np.max(np.abs(part.value(z1 + z2) - (v1 + v2))) > slack:
+            raise ValidationError(f"z-map '{part.kind}' is not additive")
+    lip = part.lipschitz
+    gaps = np.abs(v1 - v2)
+    steps = np.abs(z1 - z2)
+    if np.max(gaps - lip * steps) > slack:
+        raise ValidationError(f"z-map '{part.kind}' breaks its Lipschitz bound")
 
 
 # -- the sweep before its field algebra was planned ------------------------------

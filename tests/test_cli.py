@@ -338,6 +338,22 @@ class TestBoundaryTracebacks:
             _set(doc, path, value)
         _assert_input_error(tmp_path, capsys, "solve", doc)
 
+    @pytest.mark.parametrize("sub, name, path, value", [
+        ("risk", "risk_translation", ("risk", "h"),
+         {"kind": "linear", "k1": 1e300}),
+        ("risk", "risk_translation", ("risk", "g"),
+         {"kind": "linear", "k1": 1e300}),
+        ("solve", "linear_solve", ("driver",),
+         {"family": "risk",
+          "params": {"rate": 0.1, "h": {"kind": "abs", "k1": 1e200}}}),
+    ], ids=["risk_h", "risk_g", "risk_driver"])
+    def test_overflowing_slope_square_is_input_error(
+            self, tmp_path, capsys, monkeypatch, sub, name, path, value):
+        monkeypatch.setattr("mfbdsvie.cli.picard_solve", _never)
+        monkeypatch.setattr("mfbdsvie.risk.picard_solve", _never)
+        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+        _assert_input_error(tmp_path, capsys, sub, _set(doc, path, value))
+
     @pytest.mark.parametrize("kind", [[1], {"const": 1}],
                              ids=["list", "object"])
     def test_smooth_kind_must_be_a_name(self, tmp_path, capsys, monkeypatch,

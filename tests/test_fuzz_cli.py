@@ -1,8 +1,10 @@
 """Hypothesis fuzz of the command line boundary.
 
-Each example takes a shipped scenario, replaces one leaf of it with a
-drawn JSON value and runs a subcommand on it.  Whatever the document,
-`cli.run` returns 0, 1 or 2 and raises nothing, exit 1 says
+Each example takes a shipped scenario, or one of the two documents below
+that give the risk family's z-maps leaves to draw (a `risk` document with
+`h` and `g`, a `solve` document with a `risk` driver), replaces one leaf
+of it with a drawn JSON value and runs a subcommand on it.  Whatever the
+document, `cli.run` returns 0, 1 or 2 and raises nothing, exit 1 says
 `input error:`, and exit 0 writes only finite numbers to `summary.txt`.
 Documents keep n_steps <= 3, and a drawn count never
 raises n_steps, max_iter or p_max, so every example stays small.  A
@@ -12,6 +14,7 @@ numeric leaves other than the counts, and also lets no RuntimeWarning
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -37,8 +40,31 @@ JSON_VALUES = st.recursive(
 )
 
 
+ZMAPS = {"h": {"kind": "smooth_abs", "k1": 0.3},
+         "g": {"kind": "affine", "k0": 0.02, "k1": 0.05}}
+DOCUMENTS = {
+    "risk_zmaps": {
+        "lattice": {"n_steps": 2, "horizon": 1.0},
+        "risk": {"rate": 0.1, **ZMAPS, "axioms": ["translation", "convexity"],
+                 "payoff": {"family": "deterministic", "params": {"phi": 1.0}},
+                 "payoff2": {"family": "smooth", "params": {
+                     "phi": 0.5, "smooth": [{"kind": "tanh", "coef": 0.5}]}}},
+    },
+    "risk_driver_solve": {
+        "lattice": {"n_steps": 3, "horizon": 1.0},
+        "driver": {"family": "risk", "params": {"rate": 0.1, **ZMAPS}},
+        "terminal": {"family": "smooth", "params": {
+            "phi": 0.3, "smooth": [{"kind": "tanh", "coef": 0.5}]}},
+    },
+}
+EXTRA = [("risk", "risk_zmaps"), ("solve", "risk_driver_solve")]
+CASES = SHIPPED + EXTRA
+IDS = [sub for sub, _ in SHIPPED] + [name for _, name in EXTRA]
+
+
 def small_scenario(name: str) -> dict:
-    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    doc = (copy.deepcopy(DOCUMENTS[name]) if name in DOCUMENTS
+           else json.loads((SCENARIOS / f"{name}.json").read_text()))
     lat = doc["lattice"]
     lat["n_steps"] = min(lat["n_steps"], MAX_STEPS)
     return doc
@@ -54,7 +80,7 @@ def leaves(node, path=()):
         yield from leaves(child, path + (key,))
 
 
-@pytest.mark.parametrize("sub, name", SHIPPED, ids=[s for s, _ in SHIPPED])
+@pytest.mark.parametrize("sub, name", CASES, ids=IDS)
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_one_mutated_leaf_never_escapes(sub, name, data):
@@ -116,7 +142,7 @@ def numeric_leaves(doc: dict) -> list:
             and not isinstance(value(path), bool)]
 
 
-@pytest.mark.parametrize("sub, name", SHIPPED, ids=[s for s, _ in SHIPPED])
+@pytest.mark.parametrize("sub, name", CASES, ids=IDS)
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_large_magnitude_never_escapes(sub, name, data):

@@ -16,7 +16,9 @@ from mfbdsvie.malliavin import (
 )
 from mfbdsvie.solver import Scenario, picard_solve
 
-from _oracles import f_coef, g_coef, w_level
+from _oracles import entrywise_flip_solution, f_coef, g_coef, w_level
+from test_extremes import pairs
+from test_stack import CASES
 
 TOL = 1e-10
 
@@ -59,6 +61,23 @@ class TestFlipSolution:
             dy, _ = flip_solution(y, z, r)
             for i in range(r + 1, 3):
                 assert np.allclose(dy[i].values, c[i], atol=1e-11)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_the_flip_of_every_entry_bit_for_bit(self, name, n):
+        _, both = pairs(name, n)
+        for y, z in both:
+            for r in range(n):
+                got = flip_solution(y, z, r)
+                want = entrywise_flip_solution(y, z, r)
+                for a, b in zip(got, want):
+                    assert a.values.tobytes() == b.values.tobytes()
+
+    @pytest.mark.parametrize("r", [-1, 4])
+    def test_slot_outside_the_lattice_refused(self, r):
+        _, y, z = solved(4, 1.0, LinearDriver(), TerminalSpec(theta=1.0))
+        with pytest.raises(errors.IndexOutOfRange):
+            flip_solution(y, z, r)
 
 
 class TestClarkOcone:

@@ -130,6 +130,16 @@ class TestDeltaEquation:
         peak = peak_bytes(lambda: check_delta_equation(ls))
         assert peak <= 0.25 * 8 * 4 ** n
 
+    def test_peak_memory_with_one_flip_at_n10(self):
+        # the flip pair is built in place on the dense arrays, so the
+        # per-entry flip tables are never alive beside it
+        n = 10
+        sc = Scenario(build_lattice(n, 1.0), BLIND, TERMINAL)
+        y, z, _ = picard_solve(sc, tol=1e-12, report=False)
+        ls = build_linearized(sc, y, z, 3)
+        peak = peak_bytes(lambda: check_delta_equation(ls))
+        assert peak <= 0.22 * 8 * 4 ** n
+
 
 class TestTablePieces:
     @pytest.mark.parametrize("r", [0, 2, 5])

@@ -20,7 +20,10 @@ from mfbdsvie.risk import (
     check_premises,
     discount_factors,
     rho,
+    solve_positions,
 )
+
+from _oracles import audit_z_flags
 
 TOL = 1e-10
 
@@ -315,3 +318,42 @@ class TestPremises:
 
 def _never(*args, **kwargs):
     raise AssertionError("an axiom solved before checking its premises")
+
+
+KINDS = ("zero", "linear", "affine", "abs", "smooth_abs")
+SLOPES = (-1e8, -3.0, -0.5, 0.0, 0.5, 3.0, 1e5, 1e8)
+
+
+class TestZMaps:
+    """A z-map is settled where it is built: its flags are derived from
+    the kind and the signs of k0 and k1, and a slope that is not finite,
+    or whose square is not, is refused there."""
+
+    @pytest.mark.parametrize("kind, k0, k1", [
+        ("linear", 0.0, math.nan), ("abs", 0.0, -math.inf),
+        ("smooth_abs", 0.0, math.inf), ("affine", math.nan, 1.0),
+        ("affine", math.inf, 1.0), ("affine", -math.inf, 1.0),
+        ("affine", 0.5, math.nan), ("zero", 0.0, math.inf),
+    ])
+    def test_non_finite_coefficient_refused_at_construction(self, kind, k0,
+                                                            k1):
+        with pytest.raises(errors.ValidationError):
+            ZPart(kind, k0=k0, k1=k1)
+
+    @pytest.mark.parametrize("part", ["h", "g"])
+    def test_overflowing_square_refused_at_construction(self, part):
+        with pytest.raises(errors.ValidationError, match="overflow a float"):
+            make_rs(**{part: ZPart("linear", k1=1e200)})
+
+    def test_steep_map_builds_and_its_weight_is_refused(self):
+        rs = make_rs(h=ZPart("linear", k1=1e5))
+        with pytest.raises(errors.ValidationError,
+                           match=r"weight e\^\(beta t\) overflows a float"):
+            solve_positions(rs, [const_payoff(1.0)])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_derived_flags_hold_on_samples(self, kind):
+        offsets = (-1.0, 0.0, 1.0) if kind == "affine" else (0.0,)
+        for k0 in offsets:
+            for k1 in SLOPES:
+                audit_z_flags(ZPart(kind, k0=k0, k1=k1))

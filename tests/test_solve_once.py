@@ -203,7 +203,6 @@ class TestSettingsAtConstruction:
 
     def test_risk_refused_before_the_audit(self, tmp_path, capsys,
                                            monkeypatch):
-        monkeypatch.setattr("mfbdsvie.risk.audit_z_flags", _never)
         monkeypatch.setattr("mfbdsvie.risk.rho", _never)
         doc = json.loads((SCENARIOS / "risk_translation.json").read_text())
         doc.setdefault("solver", {})["max_iter"] = 0

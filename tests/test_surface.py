@@ -37,7 +37,7 @@ RETIRED = (
     "w_level", "b_tail", "w_increment", "zero_rv", "all_paths",
     "eval_f", "eval_g", "eval_partials", "_check_grid", "lipschitz_audit",
     "partials_audit", "partial_bound_audit", "_entries", "f_coef", "g_coef",
-    "row_defects", "_blocks", "BLOCK_BITS",
+    "row_defects", "_blocks", "BLOCK_BITS", "audit_z_flags", "from_bit_view",
 )
 TERMINAL = TerminalSpec(phi=0.3, theta=lambda t: 1.0 + t,
                         smooth=[("tanh", 0.5), ("soft_abs", -0.2)])
