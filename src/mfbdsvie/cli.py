@@ -21,6 +21,7 @@ Exit codes: 0 all checks passed, 1 input or validation trouble,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -171,7 +172,16 @@ def parse_driver(cfg, where="driver") -> DriverSpec:
 
 
 def _grid_driver(cfg, lat: LatticeSpec, where="driver") -> DriverSpec:
-    """parse_driver, with a risk rate held to its bound on lat's grid."""
+    """parse_driver on lat's grid: an undeclared risk rate bound is filled
+    in from the grid (`risk.grid_rate_bound`), a declared one held to it."""
+    params = cfg.get("params") if isinstance(cfg, dict) else None
+    if (isinstance(params, dict) and cfg.get("family") == "risk"
+            and "rate" in params and "rate_bound" not in params):
+        with contextlib.suppress(InputError):  # parse_driver reports it
+            bound = risk_mod.grid_rate_bound(
+                _time_fn(params["rate"], f"{where}.rate"), lat)
+            cfg = {**cfg, "params": {**params, "rate_bound": _number(
+                bound, f"{where}.params.rate_bound")}}
     driver = parse_driver(cfg, where)
     if isinstance(driver, RiskDriver):
         risk_mod.check_rate_grid(driver, lat)

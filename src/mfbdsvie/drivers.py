@@ -242,7 +242,9 @@ class RiskDriver(DriverSpec):
     """Discounting family: f = -r(s)/2 (y + mean_y) + h(z), g = g(z).
 
     r is a deterministic rate as a function of time; h and g are ZPart
-    maps, so g depends on z only by construction.
+    maps, so g depends on z only by construction.  With no rate_bound the
+    rate is probed on [0, 8], as no grid is known here; `risk.RiskSpec`
+    and the CLI read it at the grid nodes instead.
     """
 
     family = "risk"
@@ -253,8 +255,7 @@ class RiskDriver(DriverSpec):
         self.rate = _as_time_fn(rate)
         self.h = h or ZPart()
         self.g = g or ZPart()
-        if rate_bound is None:
-            # probe; scenarios with longer horizons should pass the bound
+        if rate_bound is None:  # the probe: no grid known
             rate_bound = max(abs(self.rate(t)) for t in np.linspace(0.0, 8.0, 257))
         self.rate_bound = float(rate_bound)
         half = self.rate_bound / 2.0

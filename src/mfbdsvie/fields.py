@@ -198,7 +198,7 @@ def m_extend(y: AdaptedPath, z_delta: VolterraKernel) -> VolterraKernel:
     if z_delta.lattice != lat:
         raise LatticeMismatch("path and kernel on different lattices")
     n = lat.n_steps
-    _, lower = clark_ocone_sweep(y.y, 0)
+    _, (lower,) = clark_ocone_sweep([y.y], 0)
     upper = np.arange(n) >= np.arange(n + 1)[:, None]
     return VolterraKernel(lat, _owned(np.where(upper[..., None],
                                                z_delta.values, lower)))
@@ -213,7 +213,7 @@ def m_identity_residual(y: AdaptedPath, z: VolterraKernel) -> float:
     """
     base = SigmaField(y.lattice, 0, 0)
     return float(np.max(row_extremes(
-        y.y, [condexp(yi, base) for yi in y.y], z, None, True,
+        y.y, [condexp(yi, base) for yi in y.y], z, None, False,
         [range(i) for i in range(len(y))])))
 
 
@@ -229,17 +229,16 @@ def node_gaps(a: AdaptedPath, b: AdaptedPath, from_node: int = 0,
     return list(enumerate(gaps.tolist(), start=from_node))
 
 
-def _norm_squared(
-    y: AdaptedPath, z: VolterraKernel, w: BetaWeight, full_square: bool
-) -> float:
+def _norm_squared(lat: LatticeSpec, y: np.ndarray, z: np.ndarray,
+                  w: BetaWeight, full_square: bool) -> float:
+    """The squared weighted norm of the dense path y and kernel z on lat."""
     # terms in node order, then row by row, added as one running float:
     # a dot product or a pairwise sum would move the last digit
-    lat = y.lattice
     dt = lat.dt
     n = lat.n_steps
     weights = np.array([w.at(lat.node(i)) for i in range(n + 1)])
-    y_terms = weights * np.mean(y.values * y.values, axis=-1) * dt
-    z_terms = weights[:n] * np.mean(z.values * z.values, axis=-1) * dt * dt
+    y_terms = weights * np.mean(y * y, axis=-1) * dt
+    z_terms = weights[:n] * np.mean(z * z, axis=-1) * dt * dt
     if not full_square:
         z_terms = z_terms[np.arange(n) >= np.arange(n + 1)[:, None]]
     return float(np.add.accumulate(np.concatenate([y_terms, z_terms.ravel()]))[-1])
@@ -247,12 +246,12 @@ def _norm_squared(
 
 def m_beta_norm(y: AdaptedPath, z: VolterraKernel, w: BetaWeight) -> float:
     """Weighted norm with the kernel summed over the upper triangle."""
-    return math.sqrt(_norm_squared(y, z, w, full_square=False))
+    return math.sqrt(_norm_squared(y.lattice, y.values, z.values, w, False))
 
 
 def l_beta_norm(y: AdaptedPath, z: VolterraKernel, w: BetaWeight) -> float:
     """Weighted norm with the kernel summed over the whole square."""
-    return math.sqrt(_norm_squared(y, z, w, full_square=True))
+    return math.sqrt(_norm_squared(y.lattice, y.values, z.values, w, True))
 
 
 def pair_sup_diff(

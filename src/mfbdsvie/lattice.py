@@ -464,7 +464,7 @@ def _sweep_plan(fields: tuple, i: int, lane: int | tuple, first: int,
 def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
                       first: int = 0, term: Callable | None = None,
                       swapped: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Y and the kernel rows of a stack of rows i, i + 1, ..., one per x.
+    """Y and the kernel rows of each member's stack of rows i, i + 1, ....
 
     Row r's sum S_r = x_r + sum_{m >= r} term_r(m) is never built: the
     rows share one table with a leading row axis, and the induction walks
@@ -481,9 +481,9 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     representation of Y_r.  Terms on the field (m + 1, m) keep the stack
     at 2^(M + lanes) entries a row.
 
-    x is the rows' variables, or a batch: one such sequence per member,
-    the members' rows on the same fields, on a leading member axis ahead
-    of the row axis; the members advance together, each as it would alone.
+    x holds one row sequence per member, the members' rows on the same
+    fields, on a leading member axis ahead of the row axis; the members
+    advance together, each as it would alone, on one lane or a lane each.
 
     term(m, rows) gives the slot-m terms of the rows `rows` (those at or
     below m) as (field, values), or None: values is an array broadcasting
@@ -500,30 +500,27 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     lattice and the shape of the sweep: `_sweep_plan` builds it once and
     checks the lanes, and each call replays it in bare numpy.
 
-    Columns j < first are not computed.  Returns (ys, zs): ys[k] is
-    the table of Y_{i+k} on its time field and zs[k, j] that of its
-    column j, each flattened as in the dense path and kernel, behind the
-    member axis for a batch; columns not computed, and those at bits S is
-    blind to, are zero.
+    Columns j < first are not computed.  Returns (ys, zs): ys[p, k] is
+    the table of member p's Y_{i+k} on its time field and zs[p, k, j]
+    that of its column j, each flattened as in the dense path and kernel;
+    columns not computed, and those at bits S is blind to, are zero.
     """
-    batch = not isinstance(x[0], MeasurableRV)
-    members = x if batch else [x]
-    fields = tuple(v.field for v in members[0])
-    if any(tuple(v.field for v in xm) != fields for xm in members[1:]):
+    fields = tuple(v.field for v in x[0])
+    if any(tuple(v.field for v in xm) != fields for xm in x[1:]):
         raise MeasurabilityViolation("the members' rows differ in field")
-    lat, size = fields[0].lattice, len(members)
-    if not isinstance(lane, int):
-        lane = tuple(map(int, lane)) if len(lane) > 1 else int(lane[0])
-        if isinstance(lane, tuple) and len(lane) != size:
-            raise IndexOutOfRange(f"{len(lane)} lanes for {size} members")
+    lat, size = fields[0].lattice, len(x)
+    lanes = np.ravel(lane).tolist()  # one lane for all, or one a member
+    if len(lanes) not in (1, size):
+        raise IndexOutOfRange(f"{len(lanes)} lanes for {size} members")
+    lane = tuple(lanes) if len(lanes) > 1 else lanes[0]
     half, entries, steps = _sweep_plan(fields, i, lane, first, term is not None,
                                        swapped and term is not None)
     ys = np.empty((size, len(fields), 1 << lat.n_bits))
     zs = np.zeros((size, len(fields), lat.n_steps, 1 << lat.n_bits))
     tables = {}
     for k, own, joins in entries:
-        table = (members[0][k].values[None] if size == 1
-                 else np.stack([xm[k].values for xm in members]))
+        table = (x[0][k].values[None] if size == 1
+                 else np.stack([xm[k].values for xm in x]))
         if own is not None:
             table = _onto(table, own)
             ys[:, k] = table.reshape(size, -1)
@@ -569,7 +566,7 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
             ys[:, row] = _onto(y, to_own).reshape(size, -1)
         if trim is not None:
             stack = stack[:, :trim] if trim else None
-    return (ys, zs) if batch else (ys[0], zs[0])
+    return ys, zs
 
 
 def expectation(x: MeasurableRV) -> float:
@@ -582,24 +579,24 @@ def _max_abs(v: np.ndarray) -> float:
     return abs(max(float(v.max()), -float(v.min())))
 
 
-def row_extremes(x, target, z, term: Callable | None, one_stack: bool,
+def row_extremes(x, target, z, term: Callable | None, swapped: bool,
                  slots: Sequence[range], mean_square: bool = False):
     """Row i's sup over paths of |D_i| for each i < len(slots), D_i = x_i
     + s_ij over j in slots[i] from the last down - target_i in that order,
     s_ij = term_ij - Z_ij dW_j (a missing term is zero), with no table of
     D_i.  term(k, rows) gives the slot-k terms of the run of rows walked
-    (all rows with one_stack, else each row walks alone) as
-    `solver.map_rows` takes them: None, or (field, values), values a stack
-    on a leading axis (one entry a row, or one for all) over the bit view
-    of a field that knows no W bit after k.  Row i joins with x_i at the
-    top slot of its range; at slot k the stack adds s_ik and takes the max
-    into hi and the min into lo over the halves of W bit k, which no later
-    summand knows; at its first slot row i reads max(max(hi - target_i),
-    -min(lo - target_i)), so target_i must be known there: blind to W
-    bits from that slot on.  Variable elimination in the (max, +)
-    semiring, exact as rounded addition is monotone; NaN propagates.  The
-    tables are on (k, b), 2^N entries a row for terms blind to the swapped
-    arguments, O(N^2 2^N) in all.
+    (all rows, or each row alone when swapped: the terms read the swapped
+    arguments) as `solver.map_rows` takes them: None, or (field, values),
+    values a stack on a leading axis (one entry a row, or one for all)
+    over the bit view of a field that knows no W bit after k.  Row i joins
+    with x_i at the top slot of its range; at slot k the stack adds s_ik
+    and takes the max into hi and the min into lo over the halves of W bit
+    k, which no later summand knows; at its first slot row i reads
+    max(max(hi - target_i), -min(lo - target_i)), so target_i must be
+    known there: blind to W bits from that slot on.  Variable elimination
+    in the (max, +) semiring, exact as rounded addition is monotone; NaN
+    propagates.  The tables are on (k, b), 2^N entries a row for terms
+    blind to the swapped arguments, O(N^2 2^N) in all.
 
     With mean_square a row also carries the mean and the centred variance
     of x_i + s_ij over the W bits eliminated so far, merged by halves as
@@ -609,8 +606,8 @@ def row_extremes(x, target, z, term: Callable | None, one_stack: bool,
     if any(v.lattice != z.lattice for v in (*x, *target)):
         raise LatticeMismatch("rows and kernel on different lattices")
     sups, squares = np.empty(len(slots)), np.empty(len(slots))
-    for group in ([range(len(slots))] if one_stack
-                  else [range(i, i + 1) for i in range(len(slots))]):
+    for group in ([range(i, i + 1) for i in range(len(slots))] if swapped
+                  else [range(len(slots))]):
         live = [i for i in group if slots[i]]
         for i in group:
             if not slots[i]:

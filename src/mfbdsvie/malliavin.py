@@ -28,14 +28,14 @@ contributes a source.
 
 The linearized equation is the solver's map with the frozen partials
 as coefficients: `build_linearized` evaluates them once a slot, on the
-stack of rows `solver.slot_args` gives, each slot term is numpy on the
-same bit views, and `solver.map_rows` sweeps the rows as in `gamma_map`:
-one stack for a driver blind to the swapped arguments, else a stack per
-row.  The upper-triangle identity is the walk of `lattice.row_extremes`
-on the same terms, the swapped-kernel terms left out, as for the
-`residual`; its l2 needs each row's mean square, so the walk carries
-the mean and the centred variance beside its extremes, and no check
-builds a table of the defects.
+stack of rows `solver.slot_args` gives, they drive `solver.slot_terms`,
+and `solver.map_rows` sweeps the rows as in `gamma_map`: one stack for a
+driver blind to the swapped arguments, else a stack per row.  The
+upper-triangle identity is the walk of `lattice.row_extremes` on the
+same terms, the swapped-kernel terms left out, as for the `residual`;
+its l2 needs each row's mean square, so the walk carries the mean and
+the centred variance beside its extremes, and no check builds a table of
+the defects.
 
 For affine drivers the discrete chain rule is exact and the linearized
 solve reproduces the flip to rounding error, provided the mean-field
@@ -52,6 +52,7 @@ from functools import partial, reduce
 
 import numpy as np
 
+from .drivers import CustomDriver
 from .errors import IndexOutOfRange, ValidationError
 from .fields import AdaptedPath, VolterraKernel, zero_kernel, zero_path
 from .lattice import (
@@ -67,12 +68,11 @@ from .lattice import (
 )
 from .solver import (
     Scenario,
-    _slot_layout,
-    _times_db,
     iterate,
     map_rows,
     means,
     slot_args,
+    slot_terms,
     sup_distance,
 )
 
@@ -104,9 +104,9 @@ class LinearizedScenario:
     along the base solution on one `solver.slot_args` stack: six f-partials
     at the left nodes, six g-partials at the right nodes, each an array on
     the field's bit axes (a leading row axis if they differ by row).  Every
-    slot is kept: the pinned rows i <= r read slots from r on.  one_stack:
-    the driver is blind to the swapped arguments, so the rows of a map make
-    one stack.  source[i] is the flip of the terminal at node i.
+    slot is kept: the pinned rows i <= r read slots from r on.  The rows of
+    a map make one stack unless `scenario.swapped`.  source[i] is the flip
+    of the terminal at node i.
     """
 
     scenario: Scenario
@@ -114,23 +114,22 @@ class LinearizedScenario:
     base_z: VolterraKernel
     r_idx: int
     coefs: list
-    one_stack: bool
     source: list
 
     def slot_coefs(self, j: int, rows: range) -> tuple[SigmaField, list]:
         """Slot j's twelve partials cut to `rows`, on the field `slot_args`
         gives those rows (no row reads the B bits below the first row)."""
         f, values = self.coefs[j]
+        b = rows.start if self.scenario.swapped else j
         axes = f.w_upto + f.lattice.n_bits - f.b_from
-        cut = 0 if self.one_stack else rows.start * f.lattice.lanes - f.b_from
+        cut = b * f.lattice.lanes - f.b_from
 
         def of_rows(c):
             if c.ndim > axes and len(c) > 1:
                 c = c[rows.start:rows.stop]
             return c[(Ellipsis,) + (0,) * min(cut, c.ndim)]
 
-        return (slot_field(f.lattice, j, j if self.one_stack else rows.start),
-                [of_rows(c) for c in values])
+        return slot_field(f.lattice, j, b), [of_rows(c) for c in values]
 
 
 def build_linearized(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
@@ -145,21 +144,20 @@ def build_linearized(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
         raise ValidationError(f"flip slot {r_idx} outside 0..{n - 1}")
     if sc.terminal.family not in ("deterministic", "affine", "smooth"):
         raise ValidationError("terminal family has no flip derivative")
-    one_stack = not sc.swapped
     ey, ez = means(y, z)
     coefs = []
     for j in range(n):
-        f, t, left, right = slot_args(y, z, ey, ez, j, range(j + 1), not one_stack)
+        f, t, left, right = slot_args(y, z, ey, ez, j, range(j + 1), sc.swapped)
         values = [np.asarray(c) for c in (
             *sc.driver.partials(t, lat.node(j), *left)[:6],
             *sc.driver.partials(t, lat.node(j + 1), *right)[6:])]
-        if one_stack and any(values[k].any() for k in (2, 5, 8, 11)):
+        if not sc.swapped and any(values[k].any() for k in (2, 5, 8, 11)):
             raise ValidationError(
                 "driver blind to z_rev and mean_z_rev declares nonzero "
                 "partials in them")
         coefs.append((f, values))
     source = [flip_derivative(sc.zeta[i], r_idx) for i in range(n + 1)]
-    return LinearizedScenario(sc, y, z, r_idx, coefs, one_stack, source)
+    return LinearizedScenario(sc, y, z, r_idx, coefs, source)
 
 
 def _linearized_terms(ls: LinearizedScenario, u: AdaptedPath,
@@ -168,23 +166,22 @@ def _linearized_terms(ls: LinearizedScenario, u: AdaptedPath,
     """The slot-j terms f dt + g dB_j of the flip equation for a stack of
     rows, as (field, values); none below slot r.
 
-    Numpy on the bit views of `solver.slot_args` and on the coefficients
-    cut to the rows, added in the order y, z, mean_y, mean_z, then the
-    swapped-kernel pair (z_rev, mean_z_rev), left out on the pinned rows
-    and for a driver blind to it (its partials there are zero)."""
+    `solver.slot_terms` with the partials cut to the rows as the driver
+    (whose constants it never reads): each partial times its argument,
+    added in the order y, z, mean_y, mean_z, then z_rev and mean_z_rev,
+    left out on the pinned rows and for a blind driver (partials zero)."""
     if j < ls.r_idx:
         return None
-    lat = u.lattice
-    slots = (0, 1, 3, 4) if ls.one_stack or not include_swapped else (
-        0, 1, 3, 4, 2, 5)
-    f, _, left, right = slot_args(u, v, eu, ev, j, rows, not ls.one_stack)
+    swapped = ls.scenario.swapped
+    slots = (0, 1, 3, 4) + ((2, 5) if swapped and include_swapped else ())
     _, c = ls.slot_coefs(j, rows)
 
-    def dot(coefs, args):
-        return reduce(np.add, (coefs[k] * args[k] for k in slots))
+    def dot(coefs):
+        return lambda t, s, *args: reduce(
+            np.add, (coefs[k] * args[k] for k in slots))
 
-    db = _slot_layout(lat, j, rows.start, rows.stop, not ls.one_stack, 0, 0)[3]
-    return f, dot(c[:6], left) * lat.dt + _times_db(dot(c[6:], right), db)
+    return slot_terms(CustomDriver(dot(c[:6]), dot(c[6:]), 0.0, 0.0),
+                      u, v, eu, ev, j, rows, swapped=swapped)
 
 
 def _linearized_map(ls: LinearizedScenario, pair
@@ -195,7 +192,8 @@ def _linearized_map(ls: LinearizedScenario, pair
     column r is blind to the flipped increment in every kernel) and the
     path at rows <= r zero, as in the entrywise flip."""
     term = partial(_linearized_terms, ls, *pair, *means(*pair))
-    y, z = map_rows(ls.source, term, ls.one_stack, first=ls.r_idx + 1)
+    (y,), (z,) = map_rows([ls.source], term, ls.scenario.swapped,
+                          first=ls.r_idx + 1)
     ys = y.values.copy()
     ys[:ls.r_idx + 1] = 0.0
     return AdaptedPath(y.lattice, _owned(ys)), z
@@ -275,7 +273,8 @@ def check_delta_equation(ls: LinearizedScenario) -> IdentityReport:
                    include_swapped=False)
     sups, squares = row_extremes(
         ls.source[:r + 1], [row[r] for row in ls.base_z.z[:r + 1]], v, term,
-        ls.one_stack, [range(r, lat.n_steps)] * (r + 1), mean_square=True)
+        ls.scenario.swapped, [range(r, lat.n_steps)] * (r + 1),
+        mean_square=True)
     return IdentityReport(rows=[(i, r, float(gap))
                                 for i, gap in enumerate(sups)],
                           worst=float(np.max(sups)),

@@ -142,7 +142,7 @@ def _particle_map(driver: DriverSpec, swapped: bool, zetas, pairs):
     return list(zip(*map_rows(zetas, partial(
         slot_terms, driver, y, z, y.values.sum(axis=0) * k,
         z.values.sum(axis=0) * k, lane=lanes, swapped=swapped),
-        not swapped, lane=lanes)))
+        swapped, lane=lanes)))
 
 
 def _exchangeability_defect(pc: ParticleConfig, joint: LatticeSpec,

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .drivers import RiskDriver, TerminalSpec, ZPart
+from .drivers import RiskDriver, TerminalSpec, ZPart, _as_time_fn
 from .errors import FlagMissing, ValidationError
 from .fields import AdaptedPath, node_gaps
 from .lattice import LatticeSpec
@@ -53,7 +53,8 @@ class RiskSpec:
 
     Its settings are checked when it is built and are fixed once built:
     the profiles solved, one per payoff, and the positions the axioms
-    derived are kept on the spec.
+    derived are kept on the spec.  A rate with no declared bound takes
+    its bound on the grid (`grid_rate_bound`).
     """
 
     def __init__(self, lattice: LatticeSpec, rate, h: ZPart | None = None,
@@ -62,6 +63,8 @@ class RiskSpec:
                  max_iter: int = 300, rate_bound: float | None = None):
         check_settings(tol, max_iter)
         self.lattice = lattice
+        if rate_bound is None:
+            rate_bound = grid_rate_bound(rate, lattice)
         self.driver = RiskDriver(rate, h=h, g=g, rate_bound=rate_bound)
         self.beta = beta
         self.safety = safety
@@ -80,10 +83,17 @@ class RiskSpec:
         return self.driver.g
 
 
+def grid_rate_bound(rate, lattice: LatticeSpec) -> float:
+    """The largest |rate| at the grid nodes, the only times a solve reads
+    the rate at; rate is a number or a function of time."""
+    rate = _as_time_fn(rate)
+    return float(max(abs(rate(lattice.node(j)))
+                     for j in range(lattice.n_steps + 1)))
+
+
 def check_rate_grid(driver: RiskDriver, lattice: LatticeSpec) -> None:
     """Refuse a rate above its declared bound at a grid node."""
-    grid_bound = max(abs(driver.rate(lattice.node(j)))
-                     for j in range(lattice.n_steps + 1))
+    grid_bound = grid_rate_bound(driver.rate, lattice)
     if grid_bound > driver.rate_bound + 1e-12:
         raise ValidationError(f"rate exceeds its declared bound on the grid: "
                               f"{grid_bound} > {driver.rate_bound}")

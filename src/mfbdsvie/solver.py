@@ -87,6 +87,7 @@ from .fields import (
     AdaptedPath,
     BetaWeight,
     VolterraKernel,
+    _norm_squared,
     l_beta_norm,
     m_beta_norm,
     pair_diff,
@@ -96,7 +97,6 @@ from .fields import (
 )
 from .lattice import (
     LatticeSpec,
-    MeasurableRV,
     SigmaField,
     _max_abs,
     _owned,
@@ -341,37 +341,32 @@ def reads_swapped(driver: DriverSpec) -> bool:
                for fn in (driver.f_values, driver.g_values))
 
 
-def map_rows(zeta, term: Callable | None, one_stack: bool,
+def map_rows(zeta, term: Callable | None, swapped: bool,
              lane: int | tuple = 0, first: int = 0
-             ) -> tuple[AdaptedPath, VolterraKernel]:
-    """The rows of one map application, from their terminals zeta.
+             ) -> tuple[list[AdaptedPath], list[VolterraKernel]]:
+    """The rows of one map application, from their terminals zeta, one
+    sequence per member, with terms for the members' stacked pairs.
 
     term(j, rows) gives the slot-j terms of a stack of rows as
     `lattice.clark_ocone_sweep` takes them (`slot_terms`, the flip
     equation's, or none for the split of zeta itself).  Frozen at a pair,
-    each row is a backward equation in s, so with one_stack the rows
-    advance as one stack; terms that read the swapped arguments know B
+    each row is a backward equation in s, so the rows advance as one
+    stack, unless swapped: terms that read the swapped arguments know B
     bits that differ by row, so for them each row is a stack of its own.
-    lane and first are those of `clark_ocone_sweep`.
-
-    zeta may be a batch, one sequence of terminals per member, with terms
-    for the members' stacked pairs: the members then sweep together, and
-    Y and Z are lists, one path and kernel per member, each a view of one
-    table.
+    lane and first are those of `clark_ocone_sweep`.  The members sweep
+    together; Y and Z are lists, one path and kernel per member, each a
+    view of one table.
     """
-    batch = not isinstance(zeta[0], MeasurableRV)
-    members = zeta if batch else [zeta]
-    lat = members[0][0].lattice
-    if one_stack:
-        ys, zs = clark_ocone_sweep(members, 0, lane, first, term)
-    else:
+    lat = zeta[0][0].lattice
+    if swapped:
         ys, zs = (np.concatenate(t, axis=1) for t in zip(*(
-            clark_ocone_sweep([x[i:i + 1] for x in members], i, lane, first,
+            clark_ocone_sweep([x[i:i + 1] for x in zeta], i, lane, first,
                               term, swapped=True)
             for i in range(lat.n_steps + 1))))
-    ys, zs = ([AdaptedPath(lat, v) for v in _owned(ys)],
-              [VolterraKernel(lat, v) for v in _owned(zs)])
-    return (ys, zs) if batch else (ys[0], zs[0])
+    else:
+        ys, zs = clark_ocone_sweep(zeta, 0, lane, first, term)
+    return ([AdaptedPath(lat, v) for v in _owned(ys)],
+            [VolterraKernel(lat, v) for v in _owned(zs)])
 
 
 def check_settings(tol: float, max_iter: int) -> None:
@@ -433,10 +428,11 @@ def means(y: AdaptedPath | Stacked, z: VolterraKernel | Stacked):
 
 
 def _driver_terms(sc: Scenario, y, z) -> tuple[Callable, bool]:
-    """The stacked slot terms of sc's driver frozen at (y, z), and whether
-    the rows make one stack (the driver is blind to the swapped arguments)."""
+    """The stacked slot terms of sc's driver frozen at (y, z), and the
+    `swapped` flag they are built with: whether the driver reads the
+    swapped arguments, so that each row is a stack of its own."""
     return (partial(slot_terms, sc.driver, y, z, *means(y, z),
-                    swapped=sc.swapped), not sc.swapped)
+                    swapped=sc.swapped), sc.swapped)
 
 
 def check_batch(scs) -> None:
@@ -467,7 +463,8 @@ def gamma_map(sc: Scenario, y: AdaptedPath, z: VolterraKernel
 
 def representation_pair(sc: Scenario) -> tuple[AdaptedPath, VolterraKernel]:
     """The source-free solution: conditional terminal plus its kernel."""
-    return map_rows(sc.zeta, None, True)
+    (y,), (z,) = map_rows([sc.zeta], None, False)
+    return y, z
 
 
 def residual(sc: Scenario, y: AdaptedPath, z: VolterraKernel) -> float:
@@ -516,13 +513,13 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
         return dict(zip(pairs, zip(y, z)))
 
     def distance(new, old):
-        if not report:
-            return {m: sup_distance(new[m], old[m]) for m in new}
         sups = {}
         for m in new:  # one difference serves both traces
-            dy, dz = pair_diff(*new[m], *old[m])
-            diffs[m].append(scale * m_beta_norm(dy, dz, w))
-            sups[m] = max(_max_abs(dy.values), _max_abs(dz.values))
+            dy, dz = (a.values - b.values for a, b in zip(new[m], old[m]))
+            if report:
+                diffs[m].append(scale * math.sqrt(
+                    _norm_squared(lat, dy, dz, w, False)))
+            sups[m] = max(_max_abs(dy), _max_abs(dz))
         return sups
 
     if start is None:

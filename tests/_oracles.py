@@ -454,8 +454,9 @@ def split_row(x: MeasurableRV, i: int, lane: int = 0, first: int = 0,
         f = f if f.contains(t.field) else t.field
         return f, bit_view(t, f)[None]
 
-    ys, zs = clark_ocone_sweep([x], i, lane, first,
-                               None if term is None else stacked, swapped=True)
+    (ys,), (zs,) = clark_ocone_sweep([[x]], i, lane, first,
+                                     None if term is None else stacked,
+                                     swapped=True)
     f = time_field(lat, i)
     return (MeasurableRV(f, _owned(ys)[0].reshape(f.table_shape)),
             list(_views(lat, _owned(zs)[0])))
@@ -720,7 +721,7 @@ def per_entry_linearized_map(ls: PerEntryLinearized, pair
     increment in every kernel) and the path at rows <= r zero, as in the
     entrywise flip."""
     term = partial(_linearized_terms, ls, *pair, *means(*pair))
-    y, z = map_rows(ls.source, term, False, first=ls.r_idx + 1)
+    (y,), (z,) = map_rows([ls.source], term, True, first=ls.r_idx + 1)
     ys = y.values.copy()
     ys[:ls.r_idx + 1] = 0.0
     return AdaptedPath(y.lattice, _owned(ys)), z
@@ -1129,9 +1130,9 @@ def per_lane_particle_map(driver, zetas, pairs):
     mean_y = reduce(np.add, [y.values for y, _ in pairs]) * k
     mean_z = reduce(np.add, [z.values for _, z in pairs]) * k
     swapped = reads_swapped(driver)
-    return [map_rows(zetas[p], partial(slot_terms, driver, y, z, mean_y,
-                                       mean_z, lane=p, swapped=swapped),
-                     not swapped, lane=p)
+    return [tuple(x[0] for x in map_rows(
+        [zetas[p]], partial(slot_terms, driver, y, z, mean_y, mean_z, lane=p,
+                            swapped=swapped), swapped, lane=p))
             for p, (y, z) in enumerate(pairs)]
 
 

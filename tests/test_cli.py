@@ -568,6 +568,52 @@ class TestRateBound:
         assert "verdict: PASS" in (out / "summary.txt").read_text()
 
 
+class TestUndeclaredRateBound:
+    """A risk rate with no declared bound takes its largest |rate| at the
+    grid nodes, not a probe of a fixed window: a rate that grows after the
+    horizon no longer overflows the weight, one that grows past t = 8
+    within it is no longer refused, and a declared c is held to the
+    grid's closed form."""
+
+    def run(self, tmp_path, sub, doc):
+        out = tmp_path / "out"
+        code = run(sub, str(write_scenario(tmp_path, doc)), str(out))
+        return code, (out / "summary.txt").read_text()
+
+    def risk_doc(self, n_steps, horizon, rate):
+        doc = json.loads((SCENARIOS / "risk_translation.json").read_text())
+        doc["lattice"] = {"n_steps": n_steps, "horizon": horizon}
+        doc["risk"]["rate"] = rate
+        return doc
+
+    @pytest.mark.parametrize("n_steps, horizon, rate", [
+        (4, 1.0, {"affine": [0.1, 1.0]}), (2, 10.0, {"affine": [0.01, 0.005]})])
+    def test_risk_documents_pass(self, tmp_path, n_steps, horizon, rate):
+        code, summary = self.run(tmp_path, "risk",
+                                 self.risk_doc(n_steps, horizon, rate))
+        assert code == 0
+        assert "verdict: PASS" in summary
+
+    def test_solve_past_the_probe_window(self, tmp_path):
+        doc = dict(base_doc(), lattice={"n_steps": 4, "horizon": 10.0},
+                   driver={"family": "risk",
+                           "params": {"rate": {"affine": [0.01, 0.005]}}})
+        code, summary = self.run(tmp_path, "solve", doc)
+        assert code == 0
+        assert "verdict: PASS" in summary
+
+    def test_declared_c_held_to_the_grid(self, tmp_path):
+        # on [0, 1] the rate is at most 1.1, closed-form c 0.605; the probe
+        # on [0, 8] read 8.1 and refused any c below 32.8
+        doc = dict(base_doc(), lattice={"n_steps": 4, "horizon": 1.0},
+                   driver={"family": "risk", "c": 1.0,
+                           "params": {"rate": {"affine": [0.1, 1.0]}}})
+        assert self.run(tmp_path, "solve", doc)[0] == 0
+        doc["driver"]["c"] = 0.6
+        assert run("solve", str(write_scenario(tmp_path, doc)),
+                   str(tmp_path / "refused")) == 1
+
+
 class TestCompareRateBound:
     """A comparison `risk` driver whose rate leaves its declared bound on
     the grid is refused before any solve, with the message `solve` gives."""

@@ -96,7 +96,7 @@ class TestOrderedSum:
             base = SigmaField(y.lattice, 0, 0)
             slots = [range(i) for i in range(n + 1)]
             targets = [condexp(yi, base) for yi in y.y]
-            got = row_extremes(y.y, targets, z, None, True, slots)
+            got = row_extremes(y.y, targets, z, None, False, slots)
             want = ordered_row_extremes(y.y, targets, z, None, slots)
             assert got.tolist() == [sup for sup, _ in want]
             assert m_identity_residual(y, z) == ordered_m_identity(y, z)[0]
@@ -110,8 +110,8 @@ class TestOrderedSum:
             targets = [condexp(yi, base) for yi in y.y]
             slots = [range(i) for i in range(7)]
             assert np.array_equal(
-                row_extremes(y.y, targets, z, None, True, slots),
-                row_extremes(y.y, targets, z, None, False, slots))
+                row_extremes(y.y, targets, z, None, False, slots),
+                row_extremes(y.y, targets, z, None, True, slots))
 
 
 def flip_rows(ls):
@@ -170,7 +170,7 @@ class TestFlipIdentity:
 class TestMeanSquare:
     @staticmethod
     def identities(name, n):
-        """(x, target, kernel, stacked term, one_stack, one-row term, slots)
+        """(x, target, kernel, stacked term, swapped, one-row term, slots)
         of the residual, the extension identity and the flip identity at
         every r, on the solved and the perturbed pair."""
         sc, both = pairs(name, n)
@@ -179,24 +179,24 @@ class TestMeanSquare:
                    partial(slot_term, sc.driver, y, z, *means(y, z)),
                    [range(i, n) for i in range(n + 1)])
             base = SigmaField(y.lattice, 0, 0)
-            yield (y.y, [condexp(yi, base) for yi in y.y], z, None, True,
+            yield (y.y, [condexp(yi, base) for yi in y.y], z, None, False,
                    None, [range(i) for i in range(n + 1)])
             for r in range(n):
                 ls = build_linearized(sc, y, z, r)
                 x, target, v, slots, stacked, term = flip_rows(ls)
-                yield x, target, v, stacked, ls.one_stack, term, slots
+                yield x, target, v, stacked, ls.scenario.swapped, term, slots
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_within_the_slack_of_the_whole_table(self, name):
         # |sqrt(walk) - sqrt(whole table)| is an L2 gap of two roundings of
         # the same defects, each within the row's slack of the exact one;
         # a raw-moment form misses it by about sqrt(eps)
-        for x, target, z, term, one_stack, one_row, slots in self.identities(
+        for x, target, z, term, swapped, one_row, slots in self.identities(
                 name, 5):
-            sups, squares = row_extremes(x, target, z, term, one_stack, slots,
+            sups, squares = row_extremes(x, target, z, term, swapped, slots,
                                          mean_square=True)
             assert sups.tolist() == row_extremes(x, target, z, term,
-                                                 one_stack, slots).tolist()
+                                                 swapped, slots).tolist()
             want = ordered_mean_squares(x, target, z, one_row, slots)
             ext = ordered_row_extremes(x, target, z, one_row, slots)
             for got, ref, (_, slack) in zip(squares, want, ext, strict=True):
@@ -267,7 +267,7 @@ class TestNonFinite:
         driver_terms = solver._driver_terms
 
         def poisoned(sc, y, z):
-            term, one_stack = driver_terms(sc, y, z)
+            term, swapped = driver_terms(sc, y, z)
 
             def half(k, rows):
                 f, v = term(k, rows)
@@ -276,7 +276,7 @@ class TestNonFinite:
                     v[:, 1] = np.nan  # the first bit axis is W bit k
                 return f, v
 
-            return half, one_stack
+            return half, swapped
 
         monkeypatch.setattr(solver, "_driver_terms", poisoned)
         assert np.isnan(residual(sc, y, z))

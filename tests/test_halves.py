@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfbdsvie import lattice, malliavin, solver
+from mfbdsvie import lattice, solver
 from mfbdsvie.comparison import FrozenMeanDriver, _CombinedDriver
 from mfbdsvie.drivers import LinearDriver
 from mfbdsvie.lattice import (
@@ -62,7 +62,6 @@ def broadcasts():
     with pytest.MonkeyPatch.context() as m:
         m.setattr(lattice, "_onto", broadcast_onto)
         m.setattr(solver, "_times_db", broadcast_times_db)
-        m.setattr(malliavin, "_times_db", broadcast_times_db)
         yield
 
 

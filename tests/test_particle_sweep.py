@@ -84,7 +84,7 @@ class TestLaneMembers:
                  for _ in range(lat.n_steps + 1)] for _ in lanes]
         ys, zs = clark_ocone_sweep(rows, 0, lanes, first)
         for p, lane in enumerate(lanes):
-            y, z = clark_ocone_sweep(rows[p], 0, lane, first)
+            (y,), (z,) = clark_ocone_sweep([rows[p]], 0, lane, first)
             assert np.array_equal(ys[p], y)
             assert np.array_equal(zs[p], z)
 

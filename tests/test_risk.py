@@ -280,6 +280,15 @@ class TestHomogeneityAndSubadditivity:
 
 
 class TestValidation:
+    def test_undeclared_bound_read_at_the_grid_nodes(self):
+        # 50 is never read: no node of [0, 1] passes t = 1
+        rs = RiskSpec(build_lattice(4, 1.0),
+                      rate=lambda t: 0.1 if t <= 1.0 else 50.0)
+        assert rs.driver.rate_bound == 0.1
+        assert np.all(np.isfinite(rho(rs, const_payoff(1.0)).values))
+        rs = RiskSpec(build_lattice(4, 10.0), rate=lambda t: 0.01 + 0.005 * t)
+        assert rs.driver.rate_bound == pytest.approx(0.06)
+
     def test_rate_bound_understated(self):
         with pytest.raises(errors.ValidationError):
             RiskSpec(build_lattice(2, 1.0), rate=lambda s: 10.0,

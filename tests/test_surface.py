@@ -7,9 +7,11 @@ tests/_oracles.py, and no package module defines or exports them, nor
 the defect table and block walk the walk of extremes replaced.  Every
 module-level import of a package module is read in it.  `slot_args`
 reads the means in one form, with no type test, and a scenario works out
-its driver source itself.  W(T) is built once per lattice and lane, and
-the terminal tables built on the shared walk are those of a walk built
-per node.
+its driver source itself.  The sweep and the map take a member list with
+no type test, the per-row decision is the `swapped` flag, and the flip
+equation's terms are `slot_terms`.  W(T) is built once per lattice and
+lane, and the terminal tables built on the shared walk are those of a
+walk built per node.
 """
 
 import ast
@@ -26,8 +28,9 @@ from mfbdsvie.drivers import (
     terminal_rv,
     terminal_walk_values,
 )
-from mfbdsvie.lattice import build_lattice
-from mfbdsvie.solver import Scenario, slot_args
+from mfbdsvie.lattice import build_lattice, clark_ocone_sweep
+from mfbdsvie.malliavin import _linearized_terms
+from mfbdsvie.solver import Scenario, map_rows, slot_args
 
 SRC = Path(mfbdsvie.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -41,6 +44,23 @@ RETIRED = (
 )
 TERMINAL = TerminalSpec(phi=0.3, theta=lambda t: 1.0 + t,
                         smooth=[("tanh", 0.5), ("soft_abs", -0.2)])
+
+
+def identifiers(tree):
+    """Every identifier a module names: names, attributes, arguments,
+    keywords, definitions and imports."""
+    for node in ast.walk(tree):
+        for key in ("id", "attr", "arg", "name", "asname"):
+            if isinstance(getattr(node, key, None), str):
+                yield getattr(node, key)
+
+
+def called(fn):
+    """The names fn's body calls, as plain names or attributes."""
+    return {node.func.id if isinstance(node.func, ast.Name)
+            else getattr(node.func, "attr", None)
+            for node in ast.walk(ast.parse(inspect.getsource(fn)))
+            if isinstance(node, ast.Call)}
 
 
 def bound_names(tree):
@@ -75,6 +95,30 @@ class TestOneMeanForm:
 
     def test_scenario_takes_no_source(self):
         assert "source" not in inspect.signature(Scenario).parameters
+
+
+class TestOneCallForm:
+    """The walks and the map take a member list, and each carries the
+    `swapped` flag its terms are built with; the flip equation's slot terms
+    come from `slot_terms`."""
+
+    @pytest.mark.parametrize("fn", [clark_ocone_sweep, map_rows],
+                             ids=lambda fn: fn.__name__)
+    def test_no_type_test(self, fn):
+        assert "isinstance" not in called(fn)
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_no_one_stack_flag(self, path):
+        assert "one_stack" not in set(identifiers(ast.parse(path.read_text())))
+
+    def test_slot_layout_named_only_in_the_solver(self):
+        naming = [p.name for p in MODULES
+                  if {"_slot_layout", "_times_db"}
+                  & set(identifiers(ast.parse(p.read_text())))]
+        assert naming == ["solver.py"]
+
+    def test_flip_terms_are_slot_terms(self):
+        assert "slot_terms" in called(_linearized_terms)
 
 
 class TestImportsAreRead:

@@ -246,8 +246,8 @@ class TestLanes:
         lat = LatticeSpec(n_steps=3, horizon=1.0, lanes=3)
         rows = self.rows(lat)
         with pytest.raises(IndexOutOfRange, match=r"lane -?\d outside 0\.\.2"):
-            clark_ocone_sweep([rows, rows] if isinstance(lane, tuple) else rows,
-                              0, lane)
+            clark_ocone_sweep([rows, rows] if isinstance(lane, tuple)
+                              else [rows], 0, lane)
 
     @pytest.mark.parametrize("lane", [5, -1, (1, 3)])
     def test_refused_by_the_slot_layout(self, lane):
@@ -259,10 +259,10 @@ class TestLanes:
     def test_lanes_inside_unchanged(self, lane):
         lat = LatticeSpec(n_steps=3, horizon=1.0, lanes=3)
         rows = self.rows(lat)
-        got, want = clark_ocone_sweep(rows, 0, lane), unplanned_sweep(rows, 0,
-                                                                       lane)
-        assert_same(got[0], want[0])
-        assert_same(got[1], want[1])
+        got = clark_ocone_sweep([rows], 0, lane)
+        want = unplanned_sweep(rows, 0, lane)
+        assert_same(got[0][0], want[0])
+        assert_same(got[1][0], want[1])
         assert np.max(np.abs(got[1])) > 0.0  # every lane reads its columns
 
     def test_one_lane_per_member(self):
@@ -291,4 +291,4 @@ class TestTermFields:
                 f.w_upto + lat.n_bits - f.b_from))
 
         with pytest.raises(MeasurabilityViolation, match="slot 2 term on"):
-            clark_ocone_sweep([zeta], 0, term=term)
+            clark_ocone_sweep([[zeta]], 0, term=term)
