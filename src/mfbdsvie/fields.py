@@ -229,29 +229,33 @@ def node_gaps(a: AdaptedPath, b: AdaptedPath, from_node: int = 0,
     return list(enumerate(gaps.tolist(), start=from_node))
 
 
-def _norm_squared(lat: LatticeSpec, y: np.ndarray, z: np.ndarray,
-                  w: BetaWeight, full_square: bool) -> float:
-    """The squared weighted norm of the dense path y and kernel z on lat."""
+def _norm_squared(lat: LatticeSpec, y2: np.ndarray, z2: np.ndarray,
+                  w: BetaWeight) -> tuple[float, float]:
+    """The squared weighted norms, restricted and full, of a dense path and
+    kernel on lat, from their entries' squares y2 and z2: one set of terms
+    serves both sums."""
     # terms in node order, then row by row, added as one running float:
     # a dot product or a pairwise sum would move the last digit
     dt = lat.dt
     n = lat.n_steps
     weights = np.array([w.at(lat.node(i)) for i in range(n + 1)])
-    y_terms = weights * np.mean(y * y, axis=-1) * dt
-    z_terms = weights[:n] * np.mean(z * z, axis=-1) * dt * dt
-    if not full_square:
-        z_terms = z_terms[np.arange(n) >= np.arange(n + 1)[:, None]]
-    return float(np.add.accumulate(np.concatenate([y_terms, z_terms.ravel()]))[-1])
+    y_terms = weights * np.mean(y2, axis=-1) * dt
+    z_terms = weights[:n] * np.mean(z2, axis=-1) * dt * dt
+    upper = z_terms[np.arange(n) >= np.arange(n + 1)[:, None]]
+    return tuple(float(np.add.accumulate(np.concatenate([y_terms, t]))[-1])
+                 for t in (upper, z_terms.ravel()))
 
 
 def m_beta_norm(y: AdaptedPath, z: VolterraKernel, w: BetaWeight) -> float:
     """Weighted norm with the kernel summed over the upper triangle."""
-    return math.sqrt(_norm_squared(y.lattice, y.values, z.values, w, False))
+    return math.sqrt(_norm_squared(y.lattice, np.square(y.values),
+                                   np.square(z.values), w)[0])
 
 
 def l_beta_norm(y: AdaptedPath, z: VolterraKernel, w: BetaWeight) -> float:
     """Weighted norm with the kernel summed over the whole square."""
-    return math.sqrt(_norm_squared(y.lattice, y.values, z.values, w, True))
+    return math.sqrt(_norm_squared(y.lattice, np.square(y.values),
+                                   np.square(z.values), w)[1])
 
 
 def pair_sup_diff(

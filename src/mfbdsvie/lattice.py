@@ -393,7 +393,8 @@ def _sweep_plan(fields: tuple, i: int, lane: int | tuple, first: int,
     """The field algebra of `clark_ocone_sweep` on rows on `fields`: the
     halving scale, per row (row, its op onto its time field if its Y is its
     conditioned x, whether it joins) and per step (m, join, add, bits, cols,
-    done, trim).  join: the lifts of the joining rows and of the stack (None:
+    done, trim), and whether the steps write every column of every row and
+    member.  join: the lifts of the joining rows and of the stack (None:
     no stack yet); add: the term rows and field, the stack's lift and bit
     axes, the term's pads and bit axis count; bits: per W bit the members
     reading it and the op onto the column's field; cols: the stack's rows;
@@ -418,7 +419,7 @@ def _sweep_plan(fields: tuple, i: int, lane: int | tuple, first: int,
                         e >= min(first, i + k)))
         if entries[-1][2]:  # it joins after its own step on its time field
             starts.setdefault(e, []).append((k, own if e < i + k else field))
-    steps, f, lo, hi = [], None, i + rows, i + rows
+    steps, written, f, lo, hi = [], set(), None, i + rows, i + rows
     for m in range(n - 1, -1, -1):
         if f is None and not any(e <= m for e in starts):
             break
@@ -447,6 +448,8 @@ def _sweep_plan(fields: tuple, i: int, lane: int | tuple, first: int,
         for k in range(a - 1, m * lanes - 1, -1):
             on = tuple(on_lane.get(k - m * lanes, ())) if m >= first else ()
             bits.append((on, on and _onto_op(SigmaField(lat, k, b), own)))
+            written.update((sl.start, r, m) for sl in on
+                           for r in range(lo - i, hi - i))
         cols = slice(lo - i, hi - i)
         f = SigmaField(lat, min(a, m * lanes), b)
         if lo <= m < hi and enters[m - i] >= m:
@@ -458,12 +461,15 @@ def _sweep_plan(fields: tuple, i: int, lane: int | tuple, first: int,
             trim = max(hi - lo, 0)
             f = f if trim else None
         steps.append((m, join, add, tuple(bits), cols, done, trim))
-    return 0.5 / lat.inc, tuple(entries), tuple(steps)
+    members = 1 if isinstance(lane, int) else len(lane)
+    return (0.5 / lat.inc, tuple(entries), tuple(steps),
+            len(written) == members * rows * n)
 
 
 def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
                       first: int = 0, term: Callable | None = None,
-                      swapped: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                      swapped: bool = False, out: tuple | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Y and the kernel rows of each member's stack of rows i, i + 1, ....
 
     Row r's sum S_r = x_r + sum_{m >= r} term_r(m) is never built: the
@@ -503,7 +509,9 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     Columns j < first are not computed.  Returns (ys, zs): ys[p, k] is
     the table of member p's Y_{i+k} on its time field and zs[p, k, j]
     that of its column j, each flattened as in the dense path and kernel;
-    columns not computed, and those at bits S is blind to, are zero.
+    columns not computed, and those at bits S is blind to, are zero.  Given
+    out, a writable (ys, zs) pair of those shapes, the sweep writes into it
+    in place of new tables, zeroing zs first unless it writes every column.
     """
     fields = tuple(v.field for v in x[0])
     if any(tuple(v.field for v in xm) != fields for xm in x[1:]):
@@ -513,10 +521,15 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     if len(lanes) not in (1, size):
         raise IndexOutOfRange(f"{len(lanes)} lanes for {size} members")
     lane = tuple(lanes) if len(lanes) > 1 else lanes[0]
-    half, entries, steps = _sweep_plan(fields, i, lane, first, term is not None,
-                                       swapped and term is not None)
-    ys = np.empty((size, len(fields), 1 << lat.n_bits))
-    zs = np.zeros((size, len(fields), lat.n_steps, 1 << lat.n_bits))
+    half, entries, steps, whole = _sweep_plan(
+        fields, i, lane, first, term is not None, swapped and term is not None)
+    if out is None:
+        ys = np.empty((size, len(fields), 1 << lat.n_bits))
+        zs = np.zeros((size, len(fields), lat.n_steps, 1 << lat.n_bits))
+    else:
+        ys, zs = out
+        if not whole:
+            zs.fill(0.0)
     tables = {}
     for k, own, joins in entries:
         table = (x[0][k].values[None] if size == 1

@@ -61,7 +61,13 @@ its share of the arithmetic.  A single scenario is the batch of one.
 Iterating the map from (0, 0) contracts in the beta-weighted norm once
 beta clears the threshold; the report keeps the successive-difference
 trace so the empirical ratios can be held against the theoretical
-contraction factor.
+contraction factor.  The loop owns its tables: the map writes the new
+pairs into the storage it is given (`out` of `gamma_map`, `map_rows` and
+the sweep), and `picard_solve` gives it that of the pairs two iterations
+back, never a table holding a pair it has handed out or the caller's
+start, so past its first two maps an iteration allocates no kernel-sized
+table; each difference goes into one table pair, squared there for the
+weighted diff.
 """
 
 from __future__ import annotations
@@ -88,12 +94,9 @@ from .fields import (
     BetaWeight,
     VolterraKernel,
     _norm_squared,
-    l_beta_norm,
     m_beta_norm,
     pair_diff,
     pair_sup_diff,
-    zero_kernel,
-    zero_path,
 )
 from .lattice import (
     LatticeSpec,
@@ -219,7 +222,10 @@ class Stacked(NamedTuple):
 
 
 def _stacked(parts) -> Stacked:
-    """The members' paths or kernels stacked; a batch of one is a view."""
+    """The members' paths or kernels stacked; a batch of one is a view,
+    and a `Stacked` is kept."""
+    if isinstance(parts, Stacked):
+        return parts
     values = [x.values for x in parts]
     return Stacked(parts[0].lattice,
                    values[0][None] if len(values) == 1 else np.stack(values))
@@ -271,10 +277,15 @@ def slot_args(y: AdaptedPath | Stacked, z: VolterraKernel | Stacked, ey, ez,
     batch's `Stacked` y and z every argument has a leading member axis
     (of size 1 in t); a mean without one is every member's.
     """
-    lat = y.lattice
-    rank = y.values.ndim - 2
-    f, t, shapes, _ = _slot_layout(lat, j, rows.start, rows.stop, swapped,
-                                   rank, 0)
+    return _frozen_args(y, z, ey, ez, j, rows, swapped, _slot_layout(
+        y.lattice, j, rows.start, rows.stop, swapped, y.values.ndim - 2, 0))
+
+
+def _frozen_args(y, z, ey, ez, j: int, rows: range, swapped: bool,
+                 layout: tuple) -> tuple[SigmaField, np.ndarray, tuple, tuple]:
+    """`slot_args` on the looked-up `_slot_layout` of its rows and slot."""
+    lat, rank = y.lattice, y.values.ndim - 2
+    f, t, shapes, _ = layout
 
     def read(v, shape):  # v in shape, or its one entry as a float
         return v.item() if v.size == 1 else v.reshape(shape)
@@ -308,11 +319,11 @@ def slot_terms(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
     behind the member axis for a batch.
     """
     lat = y.lattice
-    f, t, left, right = slot_args(y, z, ey, ez, j, rows, swapped)
+    layout = _slot_layout(lat, j, rows.start, rows.stop, swapped,
+                          y.values.ndim - 2, lane)
+    f, t, left, right = _frozen_args(y, z, ey, ez, j, rows, swapped, layout)
     v = (driver.f_values(t, lat.node(j), *left) * lat.dt
-         + _times_db(driver.g_values(t, lat.node(j + 1), *right), _slot_layout(
-             lat, j, rows.start, rows.stop, swapped, y.values.ndim - 2,
-             lane)[3]))
+         + _times_db(driver.g_values(t, lat.node(j + 1), *right), layout[3]))
     return f, v.reshape((1,) * (t.ndim - v.ndim) + v.shape)  # dB_j: an array
 
 
@@ -342,7 +353,7 @@ def reads_swapped(driver: DriverSpec) -> bool:
 
 
 def map_rows(zeta, term: Callable | None, swapped: bool,
-             lane: int | tuple = 0, first: int = 0
+             lane: int | tuple = 0, first: int = 0, out: tuple | None = None
              ) -> tuple[list[AdaptedPath], list[VolterraKernel]]:
     """The rows of one map application, from their terminals zeta, one
     sequence per member, with terms for the members' stacked pairs.
@@ -355,18 +366,19 @@ def map_rows(zeta, term: Callable | None, swapped: bool,
     bits that differ by row, so for them each row is a stack of its own.
     lane and first are those of `clark_ocone_sweep`.  The members sweep
     together; Y and Z are lists, one path and kernel per member, each a
-    view of one table.
+    write-locked view of one table: of a new one, or of out's, a writable
+    (ys, zs) pair of tables (member, row, ...) that receives them.
     """
     lat = zeta[0][0].lattice
     if swapped:
-        ys, zs = (np.concatenate(t, axis=1) for t in zip(*(
+        ys, zs = (np.concatenate(t, axis=1, out=o) for t, o in zip(zip(*(
             clark_ocone_sweep([x[i:i + 1] for x in zeta], i, lane, first,
                               term, swapped=True)
-            for i in range(lat.n_steps + 1))))
+            for i in range(lat.n_steps + 1))), out or (None, None)))
     else:
-        ys, zs = clark_ocone_sweep(zeta, 0, lane, first, term)
-    return ([AdaptedPath(lat, v) for v in _owned(ys)],
-            [VolterraKernel(lat, v) for v in _owned(zs)])
+        ys, zs = clark_ocone_sweep(zeta, 0, lane, first, term, out=out)
+    return ([AdaptedPath(lat, v) for v in _owned(ys.view())],
+            [VolterraKernel(lat, v) for v in _owned(zs.view())])
 
 
 def check_settings(tol: float, max_iter: int) -> None:
@@ -446,18 +458,20 @@ def check_batch(scs) -> None:
                                   f"in lattice, driver or beta")
 
 
-def gamma_map(sc: Scenario, y: AdaptedPath, z: VolterraKernel
-              ) -> tuple[AdaptedPath, VolterraKernel]:
+def gamma_map(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
+              out: tuple | None = None) -> tuple[AdaptedPath, VolterraKernel]:
     """One exact application of the frozen-argument map.
 
     sc, y and z may be lists, the scenarios (`check_batch`) and pairs of a
-    batch's members: they are mapped as one stack, and the new paths and
-    kernels are lists too.  A pair is the batch of one.
+    batch's members (or the members' paths and kernels as `Stacked`):
+    they are mapped as one stack, and the new paths and kernels are lists
+    too.  A pair is the batch of one.  out is the storage of the new
+    pairs, as in `map_rows` (None: new tables).
     """
     batch = not isinstance(sc, Scenario)
     scs, ys, zs = (sc, y, z) if batch else ([sc], [y], [z])
     new = map_rows([x.zeta for x in scs], *_driver_terms(
-        scs[0], _stacked(ys), _stacked(zs)))
+        scs[0], _stacked(ys), _stacked(zs)), out=out)
     return new if batch else (new[0][0], new[1][0])
 
 
@@ -493,6 +507,14 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
     iteration where it would alone, with the same iterates, and each entry
     of the result is a list, one item per member.  A single scenario is
     the batch of one.
+
+    The loop owns its tables: each map writes into the storage of the
+    pairs two back (the zero start's, for the second map), unless a member
+    stopped there (its pair has been handed out), and reads a batch's
+    pairs as the last map's tables while no member stops; each difference
+    goes into one table pair, squared in place for the weighted diff,
+    which then holds the squares of the final norms.  A caller's start is
+    never written.
     """
     batch = not isinstance(sc, Scenario)
     scs = list(sc) if batch else [sc]
@@ -503,27 +525,44 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
     # ratio, not a numpy warning
     scale = 1.0 / math.sqrt(_weight_mass(lat, beta))
     diffs = {m: [] for m in range(len(scs))}
+    n = lat.n_steps
+    shapes = ((n + 1, 1 << lat.n_bits), (n + 1, n, 1 << lat.n_bits))
+    diff = [np.empty(s) for s in shapes]
+    held = []  # (members, tables) of the last two maps, or of the start
 
     def step(pairs):
+        members = list(pairs)
         y, z = zip(*pairs.values())
+        if batch and held and held[-1][0] == members:  # the last tables' rows
+            y, z = (Stacked(lat, _owned(t.view())) for t in held[-1][1])
+        # the tables two back, unless a member stopped there
+        if len(held) == 2 and held[0][0] == held[1][0]:
+            out = tuple(t[:len(pairs)] for t in held[0][1])
+        else:
+            out = tuple(np.empty((len(pairs),) + s) for s in shapes)
+        held[:] = held[-1:] + [(members, out)]
         if batch:
-            y, z = gamma_map([scs[m] for m in pairs], y, z)
+            y, z = gamma_map([scs[m] for m in pairs], y, z, out=out)
         else:  # the batch of one, as a map of one pair
-            y, z = ([x] for x in gamma_map(sc, y[0], z[0]))
+            y, z = ([x] for x in gamma_map(sc, y[0], z[0], out=out))
         return dict(zip(pairs, zip(y, z)))
 
     def distance(new, old):
         sups = {}
         for m in new:  # one difference serves both traces
-            dy, dz = (a.values - b.values for a, b in zip(new[m], old[m]))
-            if report:
-                diffs[m].append(scale * math.sqrt(
-                    _norm_squared(lat, dy, dz, w, False)))
+            dy, dz = (np.subtract(a.values, b.values, out=d)
+                      for a, b, d in zip(new[m], old[m], diff))
             sups[m] = max(_max_abs(dy), _max_abs(dz))
+            if report:
+                diffs[m].append(scale * math.sqrt(_norm_squared(
+                    lat, np.square(dy, out=dy), np.square(dz, out=dz), w)[0]))
         return sups
 
-    if start is None:
-        start = [(zero_path(lat), zero_kernel(lat))] * len(scs)
+    if start is None:  # zeros in the loop's tables: the second map's storage
+        zeros = tuple(np.full((len(scs),) + s, 0.0) for s in shapes)
+        held.append((list(range(len(scs))), zeros))
+        start = [(AdaptedPath(lat, y), VolterraKernel(lat, z))
+                 for y, z in zip(*(_owned(t.view()) for t in zeros))]
     elif not batch:
         start = [start]
     pairs, iterations, traces = iterate(
@@ -539,8 +578,9 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
                          for p, d in zip(diffs[m], diffs[m][1:])],
             gamma_theory=x.gamma_theory,
             final_residual=residual(x, ys[m], zs[m]),
-            final_norms=(m_beta_norm(ys[m], zs[m], w),
-                         l_beta_norm(ys[m], zs[m], w)),
+            final_norms=tuple(map(math.sqrt, _norm_squared(lat, *(
+                np.square(v.values, out=d)
+                for v, d in zip((ys[m], zs[m]), diff)), w))),
             sup_trace=traces[m],
         ) for m, x in enumerate(scs)]
     if batch:

@@ -581,8 +581,10 @@ def zeta_first_assemble_phi(driver, zeta_i, y, z, ey, ez, i, lane=0):
     return phi
 
 
-def condexp_gamma_map(sc, y, z):
-    """One map application: the whole Phi_i of every row, split per slot."""
+def condexp_gamma_map(sc, y, z, out=None):
+    """One map application: the whole Phi_i of every row, split per slot.
+    out, the storage `picard_solve` offers a map, goes unused: the loop
+    reads the pair returned."""
     lat = sc.lattice
     ey, ez = entrywise_means(y, z)
     ys, rows = zip(*(

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from mfbdsvie import cli
 from mfbdsvie.cli import run
 
 TOL = 1e-12
@@ -408,8 +409,15 @@ class TestNumericRange:
         _assert_input_error(tmp_path, capsys, sub, doc)
 
     def test_infinite_norm_fails(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("mfbdsvie.solver.m_beta_norm",
-                            lambda *args: float("inf"))
+        solve = cli.picard_solve
+
+        def infinite_restricted_norm(*args, **kwargs):
+            y, z, rep = solve(*args, **kwargs)
+            rep.final_norms = (float("inf"), rep.final_norms[1])
+            return y, z, rep
+
+        monkeypatch.setattr("mfbdsvie.cli.picard_solve",
+                            infinite_restricted_norm)
         out = tmp_path / "out"
         assert run("norms", str(SCENARIOS / "linear_solve.json"),
                    str(out)) == 2

@@ -103,7 +103,7 @@ class TestReport:
         y, z, rep = picard_solve(sc, tol=1e-12)
         assert rep is not None
         for diagnostic in ("residual", "pair_diff", "m_beta_norm",
-                           "l_beta_norm"):
+                           "_norm_squared"):
             monkeypatch.setattr(solver, diagnostic, _never)
         y_bare, z_bare, none = picard_solve(sc, tol=1e-12, report=False)
         assert none is None

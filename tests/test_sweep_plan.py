@@ -51,8 +51,9 @@ TERMINALS = [TERMINAL, TerminalSpec(phi=1e-3),
              TERMINAL.scaled(0.01)]
 
 
-def oracle(*args, swapped=False, **kwargs):
-    """`unplanned_sweep`, which reads each term's field off the term."""
+def oracle(*args, swapped=False, out=None, **kwargs):
+    """`unplanned_sweep`, which reads each term's field off the term; out
+    goes unused, as the maps read the tables returned."""
     return unplanned_sweep(*args, **kwargs)
 
 
