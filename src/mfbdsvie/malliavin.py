@@ -27,15 +27,15 @@ the direct derivative sources of f and g vanish and only the terminal
 contributes a source.
 
 The linearized equation is the solver's map with the frozen partials
-as coefficients: `build_linearized` evaluates them once a slot, on the
-stack of rows `solver.slot_args` gives, they drive `solver.slot_terms`,
-and `solver.map_rows` sweeps the rows as in `gamma_map`: one stack for a
-driver blind to the swapped arguments, else a stack per row.  The
-upper-triangle identity is the walk of `lattice.row_extremes` on the
-same terms, the swapped-kernel terms left out, as for the `residual`;
-its l2 needs each row's mean square, so the walk carries the mean and
-the centred variance beside its extremes, and no check builds a table of
-the defects.
+as coefficients: `build_linearized` evaluates them once a slot from r
+on, on the stack of rows `solver.slot_args` gives, they drive
+`solver.slot_terms`, and `solver.map_rows` sweeps the rows as in
+`gamma_map`: one stack for a driver blind to the swapped arguments, else
+a stack per row.  The upper-triangle identity is the walk of
+`lattice.row_extremes` on the same terms, the swapped-kernel terms left
+out, as for the `residual`; its l2 needs each row's mean square, so the
+walk carries the mean and the centred variance beside its extremes, and
+no check builds a table of the defects.
 
 For affine drivers the discrete chain rule is exact and the linearized
 solve reproduces the flip to rounding error, provided the mean-field
@@ -103,10 +103,10 @@ class LinearizedScenario:
     coefs[j] is slot j's (field, partials) over the rows 0..j, frozen
     along the base solution on one `solver.slot_args` stack: six f-partials
     at the left nodes, six g-partials at the right nodes, each an array on
-    the field's bit axes (a leading row axis if they differ by row).  Every
-    slot is kept: the pinned rows i <= r read slots from r on.  The rows of
-    a map make one stack unless `scenario.swapped`.  source[i] is the flip
-    of the terminal at node i.
+    the field's bit axes (a leading row axis if they differ by row), and
+    None below slot r: the map and the pinned rows i <= r read slots from
+    r on.  The rows of a map make one stack unless `scenario.swapped`.
+    source[i] is the flip of the terminal at node i.
     """
 
     scenario: Scenario
@@ -135,9 +135,9 @@ class LinearizedScenario:
 def build_linearized(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
                      r_idx: int) -> LinearizedScenario:
     """Freeze the coefficient fields along a solved pair: one f-side and
-    one g-side `partials` call a slot.  A driver blind to the swapped
-    arguments with nonzero partials in them is refused: its flip equation
-    would read arguments its map never builds."""
+    one g-side `partials` call a slot j >= r.  A driver blind to the
+    swapped arguments with nonzero partials in them is refused: its flip
+    equation would read arguments its map never builds."""
     lat = sc.lattice
     n = lat.n_steps
     if not 0 <= r_idx < n:
@@ -145,8 +145,8 @@ def build_linearized(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
     if sc.terminal.family not in ("deterministic", "affine", "smooth"):
         raise ValidationError("terminal family has no flip derivative")
     ey, ez = means(y, z)
-    coefs = []
-    for j in range(n):
+    coefs = [None] * r_idx
+    for j in range(r_idx, n):
         f, t, left, right = slot_args(y, z, ey, ez, j, range(j + 1), sc.swapped)
         values = [np.asarray(c) for c in (
             *sc.driver.partials(t, lat.node(j), *left)[:6],

@@ -40,9 +40,12 @@ calls, the reference for the array calls of `check_hypotheses`; and a
 risk profile solved alone, one payoff and one `picard_solve`, the
 reference for the batched positions of `risk.solve_positions`; and
 the particle map with each particle swept on its own lane, the
-reference for the one sweep of `particles.particle_map`.  The next two
-sections hold what the package once exported and no package
-code calls: the increments, walks, dependence audits and forward and
+reference for the one sweep of `particles.particle_map`; and the
+particle gaps e_n taken on tables of all joint paths
+(`lift_single_to_joint`, `full_field_convergence_study`), the reference
+for the gaps of `particles.convergence_study` on the joint time field.
+The next two sections hold what the package once exported and no
+package code calls: the increments, walks, dependence audits and forward and
 backward integrals in `MeasurableRV` arithmetic (both integrals are
 `_source_sum` with no source), and the pointwise driver evaluators,
 sampled driver audits and the sampled audit of a z-map's derived flags
@@ -112,11 +115,13 @@ from mfbdsvie.lattice import (
     expectation,
     fill_table,
     flip_derivative,
+    full_field,
     lift,
     slot_field,
     time_field,
 )
 from mfbdsvie.malliavin import LinearizedScenario, flip_solution
+from mfbdsvie.particles import ParticleConfig, solve_particles
 from mfbdsvie.solver import (
     Scenario,
     _weight_mass,
@@ -699,9 +704,10 @@ def coef_entry(ls: LinearizedScenario, i: int, j: int, side: int) -> list:
 
 
 def _entries(ls: LinearizedScenario, side: int) -> list:
-    """Every entry's coefficients of one side, [i][j] for j >= i."""
+    """Every frozen entry's coefficients of one side, [i][j] for j >= i
+    and j >= r."""
     n = ls.scenario.lattice.n_steps
-    return [[coef_entry(ls, i, j, side) if j >= i else None
+    return [[coef_entry(ls, i, j, side) if j >= max(i, ls.r_idx) else None
              for j in range(n)] for i in range(n + 1)]
 
 
@@ -1136,6 +1142,50 @@ def per_lane_particle_map(driver, zetas, pairs):
         [zetas[p]], partial(slot_terms, driver, y, z, mean_y, mean_z, lane=p,
                             swapped=swapped), swapped, lane=p))
             for p, (y, z) in enumerate(pairs)]
+
+
+# -- the particle gaps on full joint tables --------------------------------------
+#
+# e_n(t_i) as the package computed it before the gap was taken on the joint
+# time field: particle 1's Y and the mean-field Y each filled onto the table
+# of all 4^(nN) joint paths, the mean-field side through
+# `lift_single_to_joint`.  The reference for `particles.convergence_study`,
+# whose rows must match it to rounding.
+
+
+def lift_single_to_joint(rv: MeasurableRV, single: LatticeSpec,
+                         joint: LatticeSpec, lane: int) -> np.ndarray:
+    """Full-path table of a single-lattice variable on the joint lattice,
+    reading only the given lane's increments."""
+    view = bit_view(rv, full_field(single))
+    # each single-lattice bit axis becomes its step's group of lane axes
+    # (lanes descending), with size 1 for the other lanes
+    above, below = (1,) * (joint.lanes - 1 - lane), (1,) * lane
+    shape = [k for d in view.shape for k in (*above, d, *below)]
+    return fill_table(view.reshape(shape), full_field(joint))
+
+
+def full_field_convergence_study(base: Scenario, n_list: list[int],
+                                 tol: float = 1e-12, max_iter: int = 300
+                                 ) -> list[tuple[int, int, float]]:
+    """Rows (n, t_idx, e_n) of `convergence_study`, each gap the mean of a
+    table of all joint paths."""
+    y_mf, _, _ = picard_solve(base, tol=tol, max_iter=max_iter, report=False)
+    single = base.lattice
+    rows = []
+    for npart in n_list:
+        pc = ParticleConfig(
+            n_particles=npart, lattice=single, driver=base.driver,
+            terminal=base.terminal, tol=tol, max_iter=max_iter,
+        )
+        joint = pc.joint_lattice()
+        y, _ = solve_particles(pc)
+        for i in range(single.n_steps + 1):
+            a = lift(y[0][i], full_field(joint)).values
+            b = lift_single_to_joint(y_mf[i], single, joint, 0)
+            gap = float(np.mean((a - b) ** 2))
+            rows.append((npart, i, gap))
+    return rows
 
 
 # -- increments, walks, dependence audits and integrals --------------------

@@ -1,10 +1,11 @@
 """The flip equation on slot stacks, against its per-entry form.
 
-`build_linearized` freezes the twelve partials once per slot, on the
-stack of rows the flip map sweeps, and the map of a driver blind to the
-swapped arguments is one stack of all rows, as `gamma_map` is.  Each map
-and each solve must equal, bit for bit, the per-entry coefficients and the
-stack-per-row map of tests/_oracles.py, with the same iteration count.
+`build_linearized` freezes the twelve partials once per slot from r on,
+on the stack of rows the flip map sweeps, and the map of a driver blind
+to the swapped arguments is one stack of all rows, as `gamma_map` is.
+Each map and each solve must equal, bit for bit, the per-entry
+coefficients and the stack-per-row map of tests/_oracles.py, with the
+same iteration count.
 """
 
 import re
@@ -99,10 +100,12 @@ class TestOneStack:
         return sc, y, z
 
     def test_partials_calls_per_build(self, blind):
+        # one f-side and one g-side call a slot j >= r: the map and the
+        # pinned rows read no slot below r
         sc, y, z = blind
         sc.driver.reset()
         build_linearized(sc, y, z, 2)
-        assert sc.driver.calls["partials"] == 2 * N
+        assert sc.driver.calls["partials"] == 2 * (N - 2)
 
     def test_one_sweep_per_map(self, blind, monkeypatch):
         sc, y, z = blind

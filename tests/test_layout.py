@@ -15,9 +15,8 @@ from mfbdsvie.lattice import (
     full_field,
     lift,
 )
-from mfbdsvie.particles import lift_single_to_joint
 
-from _oracles import all_paths, w_increment, zero_rv
+from _oracles import all_paths, lift_single_to_joint, w_increment, zero_rv
 
 LAT = build_lattice(3, 1.0)
 FIELDS = [SigmaField(LAT, a, b) for a in range(4) for b in range(4)]

@@ -238,7 +238,7 @@ class TestCoefficientBounds:
                                            smooth=[("tanh", 0.4)]))
             ls = build_linearized(sc, y, z, 1)
             for i in range(4):
-                for j in range(i, 3):
+                for j in range(max(i, ls.r_idx), 3):
                     for coef in f_coef(ls)[i][j]:
                         assert coef.max_abs() <= d.lipschitz_c + 1e-12
                     for coef in g_coef(ls)[i][j]:
@@ -252,7 +252,7 @@ class TestBuildLinearized:
         sc, y, z = solved(3, 1.0, d, TerminalSpec(theta=0.7))
         ls = build_linearized(sc, y, z, 1)
         for i in range(4):
-            for j in range(i, 3):
+            for j in range(max(i, ls.r_idx), 3):
                 fy, fz, fzr, fmy, fmz, fmzr = f_coef(ls)[i][j]
                 assert np.allclose(fy.values, -0.4)
                 assert np.allclose(fz.values, 0.2)

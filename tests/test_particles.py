@@ -9,12 +9,11 @@ from mfbdsvie.lattice import PathIndex, build_lattice, full_field, lift
 from mfbdsvie.particles import (
     ParticleConfig,
     convergence_study,
-    lift_single_to_joint,
     solve_particles,
 )
 from mfbdsvie.solver import Scenario, picard_solve
 
-from _oracles import ParticleLinearSystem
+from _oracles import ParticleLinearSystem, lift_single_to_joint
 
 TOL = 1e-10
 
