@@ -83,18 +83,18 @@ class AdaptedPath:
     the views are built on first use.
     """
 
-    __slots__ = ("lattice", "values", "_y")
+    __slots__ = ("lattice", "values", "_cells")
 
     def __init__(self, lat: LatticeSpec, y: Sequence[MeasurableRV] | np.ndarray):
         self.lattice = lat
         self.values = _dense(lat, y, (lat.n_steps + 1,))
-        self._y = None
+        self._cells = None
 
     @property
     def y(self) -> tuple[MeasurableRV, ...]:
-        if self._y is None:
-            self._y = _views(self.lattice, self.values)
-        return self._y
+        if self._cells is None:
+            self._cells = _views(self.lattice, self.values)
+        return self._cells
 
     def __len__(self) -> int:
         return len(self.values)
@@ -110,19 +110,19 @@ class VolterraKernel:
     the views are built on first use.
     """
 
-    __slots__ = ("lattice", "values", "_z")
+    __slots__ = ("lattice", "values", "_cells")
 
     def __init__(self, lat: LatticeSpec,
                  z: Sequence[Sequence[MeasurableRV]] | np.ndarray):
         self.lattice = lat
         self.values = _dense(lat, z, (lat.n_steps + 1, lat.n_steps))
-        self._z = None
+        self._cells = None
 
     @property
     def z(self) -> tuple[tuple[MeasurableRV, ...], ...]:
-        if self._z is None:
-            self._z = _views(self.lattice, self.values)
-        return self._z
+        if self._cells is None:
+            self._cells = _views(self.lattice, self.values)
+        return self._cells
 
     def at(self, i: int, j: int) -> MeasurableRV:
         return self.z[i][j]
@@ -157,11 +157,27 @@ def _dense(lat: LatticeSpec, entries, dims: tuple) -> np.ndarray:
     if (values.flags.writeable or not values.flags.c_contiguous
             or values.dtype != np.float64):
         values = _owned(np.array(values, dtype=np.float64, order="C"))
+    _check_finite(values)
+    return values
+
+
+def _check_finite(values: np.ndarray) -> None:
+    """Refuse a dense path or kernel with an entry that is not finite,
+    naming the first such entry."""
     if not np.isfinite(values).all():
         bad = np.argwhere(~np.isfinite(values).all(axis=-1))[0].tolist()
         raise ValidationError(
             f"entry {bad[0] if len(bad) == 1 else tuple(bad)} is not finite")
-    return values
+
+
+def _unchecked(cls, lat: LatticeSpec, values: np.ndarray):
+    """An `AdaptedPath` or `VolterraKernel` on values, a write-locked dense
+    table of its shape that a Picard loop owns, not re-read for finiteness:
+    the loop's distance from the last pair is NaN or inf exactly when an
+    entry is, and it then names the entry (`_check_finite`)."""
+    x = object.__new__(cls)
+    x.lattice, x.values, x._cells = lat, values, None
+    return x
 
 
 def _views(lat: LatticeSpec, values: np.ndarray):

@@ -28,8 +28,10 @@ contributes a source.
 
 The linearized equation is the solver's map with the frozen partials
 as coefficients: `build_linearized` evaluates them once a slot from r
-on, on the stack of rows `solver.slot_args` gives, they drive
-`solver.slot_terms`, and `solver.map_rows` sweeps the rows as in
+on, on the stack of rows `solver.slot_args` gives, cut to each stack of
+rows once, they drive `solver.slot_terms` (each map, and the identity,
+reading its pair through one `solver.SlotReader`), and
+`solver.map_rows` sweeps the rows as in
 `gamma_map`: one stack for a driver blind to the swapped arguments, else
 a stack per row.  The upper-triangle identity is the walk of
 `lattice.row_extremes` on the same terms, the swapped-kernel terms left
@@ -47,7 +49,7 @@ by the chain-rule defect, which shrinks as the mesh refines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial, reduce
 
 import numpy as np
@@ -68,11 +70,10 @@ from .lattice import (
 )
 from .solver import (
     Scenario,
+    SlotReader,
     iterate,
     map_rows,
     means,
-    slot_args,
-    slot_terms,
     sup_distance,
 )
 
@@ -106,7 +107,8 @@ class LinearizedScenario:
     the field's bit axes (a leading row axis if they differ by row), and
     None below slot r: the map and the pinned rows i <= r read slots from
     r on.  The rows of a map make one stack unless `scenario.swapped`.
-    source[i] is the flip of the terminal at node i.
+    source[i] is the flip of the terminal at node i.  cuts holds the
+    partials of each slot and stack of rows once `slot_coefs` has cut them.
     """
 
     scenario: Scenario
@@ -115,10 +117,19 @@ class LinearizedScenario:
     r_idx: int
     coefs: list
     source: list
+    cuts: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     def slot_coefs(self, j: int, rows: range) -> tuple[SigmaField, list]:
         """Slot j's twelve partials cut to `rows`, on the field `slot_args`
-        gives those rows (no row reads the B bits below the first row)."""
+        gives those rows (no row reads the B bits below the first row); cut
+        once a slot and stack of rows, and kept in cuts."""
+        got = self.cuts.get((j, rows.start, rows.stop))
+        if got is None:
+            got = self.cuts[j, rows.start, rows.stop] = self._cut(j, rows)
+        return got
+
+    def _cut(self, j: int, rows: range) -> tuple[SigmaField, list]:
         f, values = self.coefs[j]
         b = rows.start if self.scenario.swapped else j
         axes = f.w_upto + f.lattice.n_bits - f.b_from
@@ -144,10 +155,10 @@ def build_linearized(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
         raise ValidationError(f"flip slot {r_idx} outside 0..{n - 1}")
     if sc.terminal.family not in ("deterministic", "affine", "smooth"):
         raise ValidationError("terminal family has no flip derivative")
-    ey, ez = means(y, z)
+    read = SlotReader(y, z, *means(y, z))
     coefs = [None] * r_idx
     for j in range(r_idx, n):
-        f, t, left, right = slot_args(y, z, ey, ez, j, range(j + 1), sc.swapped)
+        f, t, left, right = read.slot_args(j, range(j + 1), sc.swapped)
         values = [np.asarray(c) for c in (
             *sc.driver.partials(t, lat.node(j), *left)[:6],
             *sc.driver.partials(t, lat.node(j + 1), *right)[6:])]
@@ -160,11 +171,11 @@ def build_linearized(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
     return LinearizedScenario(sc, y, z, r_idx, coefs, source)
 
 
-def _linearized_terms(ls: LinearizedScenario, u: AdaptedPath,
-                      v: VolterraKernel, eu, ev, j: int, rows: range,
-                      include_swapped: bool = True):
+def _linearized_terms(ls: LinearizedScenario, read: SlotReader, j: int,
+                      rows: range, include_swapped: bool = True):
     """The slot-j terms f dt + g dB_j of the flip equation for a stack of
-    rows, as (field, values); none below slot r.
+    rows, frozen at the pair and means of read, as (field, values); none
+    below slot r.
 
     `solver.slot_terms` with the partials cut to the rows as the driver
     (whose constants it never reads): each partial times its argument,
@@ -180,8 +191,8 @@ def _linearized_terms(ls: LinearizedScenario, u: AdaptedPath,
         return lambda t, s, *args: reduce(
             np.add, (coefs[k] * args[k] for k in slots))
 
-    return slot_terms(CustomDriver(dot(c[:6]), dot(c[6:]), 0.0, 0.0),
-                      u, v, eu, ev, j, rows, swapped=swapped)
+    return read.slot_terms(CustomDriver(dot(c[:6]), dot(c[6:]), 0.0, 0.0),
+                           j, rows, swapped=swapped)
 
 
 def _linearized_map(ls: LinearizedScenario, pair
@@ -191,7 +202,7 @@ def _linearized_map(ls: LinearizedScenario, pair
     row, as in `solver.gamma_map`; the columns <= r left at zero (kernel
     column r is blind to the flipped increment in every kernel) and the
     path at rows <= r zero, as in the entrywise flip."""
-    term = partial(_linearized_terms, ls, *pair, *means(*pair))
+    term = partial(_linearized_terms, ls, SlotReader(*pair, *means(*pair)))
     (y,), (z,) = map_rows([ls.source], term, ls.scenario.swapped,
                           first=ls.r_idx + 1)
     ys = y.values.copy()
@@ -269,7 +280,7 @@ def check_delta_equation(ls: LinearizedScenario) -> IdentityReport:
     lat = ls.scenario.lattice
     r = ls.r_idx
     u, v = flip_solution(ls.base_y, ls.base_z, r)
-    term = partial(_linearized_terms, ls, u, v, *means(u, v),
+    term = partial(_linearized_terms, ls, SlotReader(u, v, *means(u, v)),
                    include_swapped=False)
     sups, squares = row_extremes(
         ls.source[:r + 1], [row[r] for row in ls.base_z.z[:r + 1]], v, term,

@@ -35,17 +35,24 @@ import numpy as np
 
 from .drivers import DriverSpec, TerminalSpec, terminal_rv
 from .errors import JointSpaceTooLarge, ValidationError
-from .fields import zero_kernel, zero_path
-from .lattice import LatticeSpec, MeasurableRV, bit_view, full_field
+from .fields import AdaptedPath, VolterraKernel, _check_finite
+from .lattice import (
+    LatticeSpec,
+    MeasurableRV,
+    _max_abs,
+    _owned,
+    bit_view,
+    full_field,
+)
 from .solver import (
     Scenario,
+    SlotReader,
+    Stacked,
+    _map_tables,
     _stacked,
     iterate,
-    map_rows,
     picard_solve,
     reads_swapped,
-    slot_terms,
-    sup_distance,
 )
 
 JOINT_PATH_GUARD = 1 << 24
@@ -97,21 +104,24 @@ def solve_particles(pc: ParticleConfig
 
     Returns per-particle node values y[p][i] on the joint lattice plus a
     report carrying the exchangeability defect measured pathwise under
-    the particle-swap permutation.
+    the particle-swap permutation.  The loop's state is the particles'
+    paths and kernels as `Stacked`, the last map's tables.
     """
     joint = pc.joint_lattice()
     n = joint.n_steps
     zetas = [[terminal_rv(pc.terminal, joint, i, lane=p) for i in range(n + 1)]
              for p in range(pc.n_particles)]
 
-    def distance(new, old):
-        return max(sup_distance(a, b) for a, b in zip(new, old))
+    def distance(new, old):  # the sup over every particle's pair
+        return max(_max_abs(a.values - b.values) for a, b in zip(new, old))
 
-    start = [(zero_path(joint), zero_kernel(joint))] * pc.n_particles
-    pairs, iterations, sup = iterate(
+    start = tuple(Stacked(joint, _owned(np.zeros(
+        (pc.n_particles,) + dims + (1 << joint.n_bits,))))
+        for dims in ((n + 1,), (n + 1, n)))
+    (ys, _), iterations, sup = iterate(
         partial(_particle_map, pc.driver, reads_swapped(pc.driver), zetas),
         start, distance, pc.tol, pc.max_iter)
-    y = [list(yp.y) for yp, _ in pairs]
+    y = [list(AdaptedPath(joint, v).y) for v in ys.values]
     report = ParticleReport(
         iterations=iterations,
         sup_diff=sup,
@@ -126,19 +136,30 @@ def particle_map(driver: DriverSpec, zetas, pairs):
     over all particles (dense random means) as every particle's mean
     arguments.
     """
-    return _particle_map(driver, reads_swapped(driver), zetas, pairs)
+    y, z = _particle_map(driver, reads_swapped(driver), zetas,
+                         [_stacked(parts) for parts in zip(*pairs)])
+    return [(AdaptedPath(y.lattice, a), VolterraKernel(z.lattice, b))
+            for a, b in zip(y.values, z.values)]
 
 
-def _particle_map(driver: DriverSpec, swapped: bool, zetas, pairs):
-    """`particle_map` for a driver already probed: swapped is
-    `reads_swapped(driver)`, which `solve_particles` finds once a solve."""
-    k = 1.0 / len(pairs)
-    y, z = (_stacked(parts) for parts in zip(*pairs))
-    lanes = tuple(range(len(pairs)))
-    return list(zip(*map_rows(zetas, partial(
-        slot_terms, driver, y, z, y.values.sum(axis=0) * k,
-        z.values.sum(axis=0) * k, lane=lanes, swapped=swapped),
-        swapped, lane=lanes)))
+def _particle_map(driver: DriverSpec, swapped: bool, zetas, tables
+                  ) -> tuple[Stacked, Stacked]:
+    """`particle_map` on tables, the particles' paths and kernels as
+    `Stacked`, read through one `SlotReader`, for a driver already probed:
+    swapped is `reads_swapped(driver)`, which `solve_particles` finds once a
+    solve.  The new ones come as `Stacked` too, each particle's checked
+    finite."""
+    y, z = tables
+    k = 1.0 / len(y.values)
+    lanes = tuple(range(len(y.values)))
+    read = SlotReader(y, z, y.values.sum(axis=0) * k, z.values.sum(axis=0) * k)
+    tables = _map_tables(zetas, partial(read.slot_terms, driver, lane=lanes,
+                                        swapped=swapped),
+                         swapped, lanes, 0, None)
+    for table in tables:  # every path, then every kernel
+        for values in table:
+            _check_finite(values)
+    return tuple(Stacked(y.lattice, _owned(table)) for table in tables)
 
 
 def _exchangeability_defect(pc: ParticleConfig, joint: LatticeSpec,

@@ -26,7 +26,8 @@ which is what `residual` measures with self-consistent arguments.
 
 The map is written once and shared: `slot_args` gives the frozen
 arguments of a stack of rows at a slot as bit views (the only place that
-knows the right-node convention), `slot_terms` their terms f dt + g dB_j,
+knows the right-node convention), read through a `SlotReader` that a map
+builds once for its pair, `slot_terms` their terms f dt + g dB_j,
 `map_rows` runs the rows through `lattice.clark_ocone_sweep`, the one
 backward induction, `lattice.row_extremes` walks the same stacked terms
 to each row's worst pathwise defect (`residual`), `iterate` is the Picard
@@ -93,7 +94,9 @@ from .fields import (
     AdaptedPath,
     BetaWeight,
     VolterraKernel,
+    _check_finite,
     _norm_squared,
+    _unchecked,
     m_beta_norm,
     pair_diff,
     pair_sup_diff,
@@ -236,13 +239,13 @@ def _slot_layout(lat: LatticeSpec, j: int, start: int, stop: int,
                  swapped: bool, rank: int, lane: int | tuple) -> tuple:
     """Slot j's field, locked row times t, read shapes and dB_j view (-inc,
     +inc on its bit's axis, size 1 on the others; stacked by member for a
-    lane tuple) for rows start..stop - 1.  shapes[k, n] views node k's n
-    entries (2^M, or a mean's 1) as one node and as the rows."""
+    lane tuple) for rows start..stop - 1.  shapes[k, n] is the shape of
+    node k's n entries (2^M, or a mean's 1) on the field's bit axes."""
     f = slot_field(lat, j, start if swapped else j)
     axes = len(bit_view_shape(f, f))
     t = _owned(np.reshape([lat.node(i) for i in range(start, stop)],
                           (1,) * rank + (stop - start,) + (1,) * axes))
-    shapes = {(k, n): [(-1,) * rank + (m,) + bits for m in (1, stop - start)]
+    shapes = {(k, n): bits
               for k in range(f.b_from // lat.lanes, j + 2) for n, bits in (
                   (1, (1,) * axes),
                   (1 << lat.n_bits, bit_view_shape(time_field(lat, k), f)))}
@@ -255,6 +258,92 @@ def _slot_layout(lat: LatticeSpec, j: int, start: int, stop: int,
     db = _owned(np.stack(np.broadcast_arrays(*[
         db_view(lat.bit_of(j, ln)) for ln in check_lanes(lat, lane)])))
     return f, t, shapes, db if isinstance(lane, int) else db[:, None]
+
+
+def _item(v: np.ndarray):
+    """v, or its one entry as a float."""
+    return v.item() if v.size == 1 else v
+
+
+class SlotReader:
+    """The frozen driver arguments of one pair at any slot and stack of rows.
+
+    y and z are a pair's path and kernel, or a batch's as `Stacked`; ey and
+    ez their means, arrays shaped like y's and z's values with one entry
+    (`means`) or 2^M (the particles' random means) on the last axis, with
+    or without the member axis.  Each of the four arrays is reshaped to
+    each shape of entries on a slot field it is read in once, on first
+    use, and kept, so a slot takes basic slices of them.  For a driver blind to the swapped
+    arguments every slot reads the same two shapes: the left node is blind
+    to step j's W bits, the right node to its B bits.  A stack of rows
+    that reads the swapped arguments reads a shape per row.  `slot_args`
+    and `slot_terms` are one slot through a reader of their own; a map, a
+    residual, a flip equation's map and the stability functional read
+    every slot through one.
+    """
+
+    def __init__(self, y: AdaptedPath | Stacked, z: VolterraKernel | Stacked,
+                 ey, ez):
+        self.lattice, self.dt = y.lattice, y.lattice.dt
+        self.rank = y.values.ndim - 2
+        self.arrays = (y.values, z.values, ey, ez)
+        self.entries = (y.values.shape[-1], ey.shape[-1])
+        self.lead = (-1,) * self.rank
+        self.index = (slice(None),) * self.rank
+        self.shaped = {}
+
+    def _read(self, a: int, shape: tuple) -> np.ndarray:
+        """Array a (the path, the kernel, their means) with its entries in
+        shape, behind its member axis (of size 1 if it has none) and node
+        axes."""
+        try:
+            return self.shaped[a, shape]
+        except KeyError:
+            x = self.arrays[a]
+            v = self.shaped[a, shape] = x.reshape(
+                self.lead + x.shape[x.ndim - 2 - a % 2:-1] + shape)
+            return v
+
+    def _args(self, j: int, rows: range, swapped: bool, lane: int | tuple
+              ) -> tuple:
+        """`slot_args` with the looked-up dB_j view of the lane."""
+        f, t, shapes, db = _slot_layout(self.lattice, j, rows.start, rows.stop,
+                                        swapped, self.rank, lane)
+        read, lead, (n, nm) = self._read, self.index, self.entries
+        sides = []
+        for k in (j, j + 1):
+            node = lead + (slice(k, k + 1),)
+            z = mz = zr = mzr = 0.0
+            if k < self.lattice.n_steps:
+                cut = lead + (slice(rows.start, rows.stop), k)
+                z = read(1, shapes[k, n])[cut]
+                mz = _item(read(3, shapes[k, nm])[cut])
+            if swapped:  # entries (k, i) of the rows, on time fields by row
+                zr, mzr = (np.concatenate(np.broadcast_arrays(*[
+                    read(a, shapes[i, e])[node + (i,)] for i in rows]),
+                    axis=self.rank) for a, e in ((1, n), (3, nm)))
+                mzr = _item(mzr)
+            # a read of the pair holds 2^M entries or more, never one
+            sides.append((read(0, shapes[k, n])[node], z, zr,
+                          _item(read(2, shapes[k, nm])[node]), mz, mzr))
+        return f, t, sides[0], sides[1], db
+
+    def slot_args(self, j: int, rows: range, swapped: bool = True
+                  ) -> tuple[SigmaField, np.ndarray, tuple, tuple]:
+        """`solver.slot_args` of the reader's pair and means."""
+        return self._args(j, rows, swapped, 0)[:4]
+
+    def slot_terms(self, driver: DriverSpec, j: int, rows: range,
+                   lane: int | tuple = 0, swapped: bool = True
+                   ) -> tuple[SigmaField, np.ndarray]:
+        """`solver.slot_terms` of the reader's pair and means."""
+        dt = self.dt  # s_j = j dt, as `LatticeSpec.node` has it
+        f, t, left, right, db = self._args(j, rows, swapped, lane)
+        v = (driver.f_values(t, j * dt, *left) * dt
+             + _times_db(driver.g_values(t, (j + 1) * dt, *right), db))
+        if v.ndim < t.ndim:  # dB_j is an array: v is one
+            v = v.reshape((1,) * (t.ndim - v.ndim) + v.shape)
+        return f, v
 
 
 def slot_args(y: AdaptedPath | Stacked, z: VolterraKernel | Stacked, ey, ez,
@@ -275,36 +364,10 @@ def slot_args(y: AdaptedPath | Stacked, z: VolterraKernel | Stacked, ey, ez,
     field knows the B bits from the first row on, and the rows' swapped
     entries, on time fields by row, are broadcast and stacked.  For a
     batch's `Stacked` y and z every argument has a leading member axis
-    (of size 1 in t); a mean without one is every member's.
+    (of size 1 in t); a mean without one is every member's.  One slot
+    through a `SlotReader` of its own.
     """
-    return _frozen_args(y, z, ey, ez, j, rows, swapped, _slot_layout(
-        y.lattice, j, rows.start, rows.stop, swapped, y.values.ndim - 2, 0))
-
-
-def _frozen_args(y, z, ey, ez, j: int, rows: range, swapped: bool,
-                 layout: tuple) -> tuple[SigmaField, np.ndarray, tuple, tuple]:
-    """`slot_args` on the looked-up `_slot_layout` of its rows and slot."""
-    lat, rank = y.lattice, y.values.ndim - 2
-    f, t, shapes, _ = layout
-
-    def read(v, shape):  # v in shape, or its one entry as a float
-        return v.item() if v.size == 1 else v.reshape(shape)
-
-    def swap(kernel, k, n):  # entries (k, i) of the rows, on fields by row
-        v = np.concatenate(np.broadcast_arrays(*[
-            kernel[..., k, i:i + 1, :].reshape(shapes[i, n][0])
-            for i in rows]), axis=rank)
-        return read(v, v.shape)
-
-    left, right = [], []
-    for path, kernel in ((y.values, z.values), (ey, ez)):
-        n = path.shape[-1]
-        for k, side in ((j, left), (j + 1, right)):
-            one, stack = shapes[k, n]
-            side += (read(path[..., k:k + 1, :], one), 0.0 if k == lat.n_steps
-                     else read(kernel[..., rows.start:rows.stop, k, :], stack),
-                     swap(kernel, k, n) if swapped else 0.0)
-    return f, t, tuple(left), tuple(right)
+    return SlotReader(y, z, ey, ez).slot_args(j, rows, swapped)
 
 
 def slot_terms(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
@@ -316,15 +379,10 @@ def slot_terms(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
     `slot_args`, with the given lane's dB_j, or each member's own for one
     lane per member, g dB_j by halves where it can (`_times_db`).  Returns
     the field and values with a leading row axis and the field's bit axes,
-    behind the member axis for a batch.
+    behind the member axis for a batch.  One slot through a `SlotReader` of
+    its own.
     """
-    lat = y.lattice
-    layout = _slot_layout(lat, j, rows.start, rows.stop, swapped,
-                          y.values.ndim - 2, lane)
-    f, t, left, right = _frozen_args(y, z, ey, ez, j, rows, swapped, layout)
-    v = (driver.f_values(t, lat.node(j), *left) * lat.dt
-         + _times_db(driver.g_values(t, lat.node(j + 1), *right), layout[3]))
-    return f, v.reshape((1,) * (t.ndim - v.ndim) + v.shape)  # dB_j: an array
+    return SlotReader(y, z, ey, ez).slot_terms(driver, j, rows, lane, swapped)
 
 
 def _times_db(g, db: np.ndarray) -> np.ndarray:
@@ -335,8 +393,9 @@ def _times_db(g, db: np.ndarray) -> np.ndarray:
     if db.size != 2 or db.shape[-1] != 2 or np.ndim(g) == 0:
         return g * db
     out = np.empty((1,) * (db.ndim - g.ndim) + g.shape[:-1] + (2,))
-    np.multiply(g[..., 0], db.flat[0], out=out[..., 0])
-    np.multiply(g[..., -1], db.flat[1], out=out[..., 1])
+    halves, g = out.reshape(-1, 2), g.reshape(-1, g.shape[-1])
+    np.multiply(g[:, 0], db.flat[0], out=halves[:, 0])
+    np.multiply(g[:, -1], db.flat[1], out=halves[:, 1])
     return out
 
 
@@ -350,6 +409,18 @@ def reads_swapped(driver: DriverSpec) -> bool:
     probe = np.zeros(2)
     return any(np.size(fn(0.0, 0.0, 0.0, 0.0, probe, 0.0, 0.0, probe)) > 1
                for fn in (driver.f_values, driver.g_values))
+
+
+def _map_tables(zeta, term: Callable | None, swapped: bool,
+                lane: int | tuple, first: int, out: tuple | None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The tables (member, row, ...) of `map_rows`'s paths and kernels."""
+    if not swapped:
+        return clark_ocone_sweep(zeta, 0, lane, first, term, out=out)
+    return tuple(np.concatenate(t, axis=1, out=o) for t, o in zip(zip(*(
+        clark_ocone_sweep([x[i:i + 1] for x in zeta], i, lane, first, term,
+                          swapped=True)
+        for i in range(len(zeta[0])))), out or (None, None)))
 
 
 def map_rows(zeta, term: Callable | None, swapped: bool,
@@ -367,18 +438,15 @@ def map_rows(zeta, term: Callable | None, swapped: bool,
     lane and first are those of `clark_ocone_sweep`.  The members sweep
     together; Y and Z are lists, one path and kernel per member, each a
     write-locked view of one table: of a new one, or of out's, a writable
-    (ys, zs) pair of tables (member, row, ...) that receives them.
+    (ys, zs) pair of tables (member, row, ...) that receives them.  Those
+    written into out are not re-read for finiteness: out is a Picard loop's,
+    whose distance finds a non-finite entry (`picard_solve`).
     """
     lat = zeta[0][0].lattice
-    if swapped:
-        ys, zs = (np.concatenate(t, axis=1, out=o) for t, o in zip(zip(*(
-            clark_ocone_sweep([x[i:i + 1] for x in zeta], i, lane, first,
-                              term, swapped=True)
-            for i in range(lat.n_steps + 1))), out or (None, None)))
-    else:
-        ys, zs = clark_ocone_sweep(zeta, 0, lane, first, term, out=out)
-    return ([AdaptedPath(lat, v) for v in _owned(ys.view())],
-            [VolterraKernel(lat, v) for v in _owned(zs.view())])
+    ys, zs = _map_tables(zeta, term, swapped, lane, first, out)
+    return tuple([cls(lat, v) if out is None else _unchecked(cls, lat, v)
+                  for v in _owned(tables.view())]
+                 for cls, tables in ((AdaptedPath, ys), (VolterraKernel, zs)))
 
 
 def check_settings(tol: float, max_iter: int) -> None:
@@ -434,16 +502,21 @@ def sup_distance(new, old) -> float:
 
 def means(y: AdaptedPath | Stacked, z: VolterraKernel | Stacked):
     """Expectations of every path and kernel entry (the mean arguments), as
-    arrays shaped like y's and z's values with one entry on the last axis."""
-    return (np.mean(y.values, axis=-1, keepdims=True),
-            np.mean(z.values, axis=-1, keepdims=True))
+    arrays shaped like y's and z's values with one entry on the last axis:
+    `np.mean`'s sum and division, without its Python wrapper."""
+    sums = tuple(np.add.reduce(x.values, axis=-1, keepdims=True)
+                 for x in (y, z))
+    for s in sums:
+        s /= y.values.shape[-1]
+    return sums
 
 
 def _driver_terms(sc: Scenario, y, z) -> tuple[Callable, bool]:
-    """The stacked slot terms of sc's driver frozen at (y, z), and the
-    `swapped` flag they are built with: whether the driver reads the
-    swapped arguments, so that each row is a stack of its own."""
-    return (partial(slot_terms, sc.driver, y, z, *means(y, z),
+    """The stacked slot terms of sc's driver frozen at (y, z), read through
+    one `SlotReader`, and the `swapped` flag they are built with: whether
+    the driver reads the swapped arguments, so that each row is a stack of
+    its own."""
+    return (partial(SlotReader(y, z, *means(y, z)).slot_terms, sc.driver,
                     swapped=sc.swapped), sc.swapped)
 
 
@@ -466,7 +539,8 @@ def gamma_map(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
     batch's members (or the members' paths and kernels as `Stacked`):
     they are mapped as one stack, and the new paths and kernels are lists
     too.  A pair is the batch of one.  out is the storage of the new
-    pairs, as in `map_rows` (None: new tables).
+    pairs, as in `map_rows` (None: new tables), a Picard loop's: the pairs
+    written there are not re-read for finiteness.
     """
     batch = not isinstance(sc, Scenario)
     scs, ys, zs = (sc, y, z) if batch else ([sc], [y], [z])
@@ -514,7 +588,9 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
     pairs as the last map's tables while no member stops; each difference
     goes into one table pair, squared in place for the weighted diff,
     which then holds the squares of the final norms.  A caller's start is
-    never written.
+    never written.  The maps' pairs are not re-read for finiteness: the
+    distance, NaN or inf when an entry is, names the first such entry,
+    as the pairs' constructors would, in the iteration that made it.
     """
     batch = not isinstance(sc, Scenario)
     scs = list(sc) if batch else [sc]
@@ -552,7 +628,12 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
         for m in new:  # one difference serves both traces
             dy, dz = (np.subtract(a.values, b.values, out=d)
                       for a, b, d in zip(new[m], old[m], diff))
-            sups[m] = max(_max_abs(dy), _max_abs(dz))
+            sy, sz = _max_abs(dy), _max_abs(dz)
+            if not math.isfinite(sy + sz):  # the first entry not finite
+                for k in (0, 1):  # of the paths, then of the kernels
+                    for pair in new.values():
+                        _check_finite(pair[k].values)
+            sups[m] = max(sy, sz)
             if report:
                 diffs[m].append(scale * math.sqrt(_norm_squared(
                     lat, np.square(dy, out=dy), np.square(dz, out=dz), w)[0]))
@@ -626,12 +707,12 @@ def stability_compare(sc1: Scenario, sc2: Scenario,
     for i in range(n + 1):
         dz = sc1.zeta[i] - sc2.zeta[i]
         zeta_term += w.at(lat.node(i)) * expectation(dz * dz) * dt
-    ey, ez = means(y2, z2)
+    read = SlotReader(y2, z2, *means(y2, z2))
     f_term = g_term = 0.0
     d1, d2 = sc1.driver, sc2.driver
     swapped = sc1.swapped or sc2.swapped
     for j in range(n):
-        _, t, left, right = slot_args(y2, z2, ey, ez, j, range(j + 1), swapped)
+        _, t, left, right = read.slot_args(j, range(j + 1), swapped)
         s, sr = lat.node(j), lat.node(j + 1)
         df = d1.f_values(t, s, *left) - d2.f_values(t, s, *left)
         dg = d1.g_values(t, sr, *right) - d2.g_values(t, sr, *right)

@@ -59,7 +59,9 @@ two differences an iteration (`two_difference_traces`), the references
 for the lifts and products by halves and the one difference of
 `picard_solve`; then the frozen arguments read with the means in three
 forms (`three_form_slot_args`, on `list_means`), the reference for the
-one mean form that `solver.slot_args` reads.
+one mean form that `solver.slot_args` reads; and every slot's arguments
+sliced and reshaped at the slot (`_frozen_args`, `per_slot_terms`), the
+reference for the arrays a `solver.SlotReader` reshapes once a pair.
 
 Conventions (the discretisation contract, restated independently):
   * path = (w_bits, b_bits); bit j set means increment j equals +inc;
@@ -124,6 +126,9 @@ from mfbdsvie.malliavin import LinearizedScenario, flip_solution
 from mfbdsvie.particles import ParticleConfig, solve_particles
 from mfbdsvie.solver import (
     Scenario,
+    _slot_layout,
+    _stacked,
+    _times_db,
     _weight_mass,
     gamma_map,
     map_rows,
@@ -1711,3 +1716,66 @@ def three_form_slot_args(y, z, ey, ez, j: int, rows: range,
              0.0 if last else kernel(jr), zr, path_mean(jr),
              0.0 if last else row_means(jr), mzr)
     return f, t, left, right
+
+
+# -- every slot's arguments sliced and reshaped at the slot ----------------------
+#
+# `solver.slot_args` and `solver.slot_terms` as they read a slot before one
+# `SlotReader` served a pair: twelve slices of the path, the kernel and the
+# means, each reshaped on every call to the shape it is read in at that
+# slot (`_frozen_args`); the reference for the reader, whose basic slices
+# of arrays reshaped once a pair must read the same arguments bit for bit.
+# And the particle map on the `Stacked` tables of the particles' loop, each
+# particle swept on its own lane (`per_lane_tables`).
+
+
+def _frozen_args(y, z, ey, ez, j: int, rows: range, swapped: bool = True,
+                 lane: int | tuple = 0):
+    """(field, t, left, right, dB_j view) of slot j for the rows `rows`,
+    every argument sliced and reshaped at the slot."""
+    lat, rank = y.lattice, y.values.ndim - 2
+    f, t, bits, db = _slot_layout(lat, j, rows.start, rows.stop, swapped,
+                                  rank, lane)
+
+    def shapes(k, n):  # node k's n entries as one node and as the rows
+        return [(-1,) * rank + (m,) + bits[k, n] for m in (1, len(rows))]
+
+    def read(v, shape):  # v in shape, or its one entry as a float
+        return v.item() if v.size == 1 else v.reshape(shape)
+
+    def swap(kernel, k, n):  # entries (k, i) of the rows, on fields by row
+        v = np.concatenate(np.broadcast_arrays(*[
+            kernel[..., k, i:i + 1, :].reshape(shapes(i, n)[0])
+            for i in rows]), axis=rank)
+        return read(v, v.shape)
+
+    left, right = [], []
+    for path, kernel in ((y.values, z.values), (ey, ez)):
+        n = path.shape[-1]
+        for k, side in ((j, left), (j + 1, right)):
+            one, stack = shapes(k, n)
+            side += (read(path[..., k:k + 1, :], one), 0.0 if k == lat.n_steps
+                     else read(kernel[..., rows.start:rows.stop, k, :], stack),
+                     swap(kernel, k, n) if swapped else 0.0)
+    return f, t, tuple(left), tuple(right), db
+
+
+def per_slot_terms(driver: DriverSpec, y, z, ey, ez, j: int, rows: range,
+                   lane: int | tuple = 0, swapped: bool = True):
+    """`solver.slot_terms` on the arguments of `_frozen_args`."""
+    lat = y.lattice
+    f, t, left, right, db = _frozen_args(y, z, ey, ez, j, rows, swapped,
+                                         lane)
+    v = (driver.f_values(t, lat.node(j), *left) * lat.dt
+         + _times_db(driver.g_values(t, lat.node(j + 1), *right), db))
+    return f, v.reshape((1,) * (t.ndim - v.ndim) + v.shape)
+
+
+def per_lane_tables(driver, zetas, tables):
+    """`per_lane_particle_map` on the particles' paths and kernels as
+    `Stacked`, the new ones as `Stacked` too."""
+    y, z = tables
+    pairs = [(AdaptedPath(y.lattice, a), VolterraKernel(z.lattice, b))
+             for a, b in zip(y.values, z.values)]
+    return tuple(_stacked(parts)
+                 for parts in zip(*per_lane_particle_map(driver, zetas, pairs)))

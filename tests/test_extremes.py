@@ -37,6 +37,7 @@ from mfbdsvie.malliavin import (
 )
 from mfbdsvie.solver import (
     Scenario,
+    SlotReader,
     _driver_terms,
     gamma_map,
     means,
@@ -122,7 +123,8 @@ def flip_rows(ls):
     args = (ls, u, v, *means(u, v))
     return (ls.source[:r + 1], [row[r] for row in ls.base_z.z[:r + 1]], v,
             [range(r, n)] * (r + 1),
-            partial(malliavin._linearized_terms, *args, include_swapped=False),
+            partial(malliavin._linearized_terms, ls,
+                    SlotReader(*args[1:]), include_swapped=False),
             partial(_linearized_term, *args, include_swapped=False))
 
 
@@ -151,7 +153,7 @@ class TestFlipIdentity:
 
         def poisoned(*args, **kwargs):
             got = terms(*args, **kwargs)
-            if args[5] != r + 1:
+            if args[2] != r + 1:
                 return got
             f, v = got
             v = np.array(v)

@@ -128,7 +128,7 @@ class TestOneStack:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(args[5])
+            calls.append(args[2])
             return terms(*args, **kwargs)
 
         terms = malliavin._linearized_terms

@@ -41,7 +41,7 @@ RETIRED = (
     "eval_f", "eval_g", "eval_partials", "_check_grid", "lipschitz_audit",
     "partials_audit", "partial_bound_audit", "_entries", "f_coef", "g_coef",
     "row_defects", "_blocks", "BLOCK_BITS", "audit_z_flags", "from_bit_view",
-    "lift_single_to_joint",
+    "lift_single_to_joint", "_frozen_args",
 )
 TERMINAL = TerminalSpec(phi=0.3, theta=lambda t: 1.0 + t,
                         smooth=[("tanh", 0.5), ("soft_abs", -0.2)])
