@@ -40,7 +40,10 @@ in their data) on a member axis ahead of it.  Its field algebra (which
 rows join at which step, every join, and the shapes of every average and
 lift, `_onto_op`) depends on the lattice and the shape of the sweep only,
 so `_sweep_plan` builds it once, cached as `time_field` is, and each call
-replays the plan in bare numpy (`_onto` keeps every leading axis).
+replays the plan in bare numpy (`_onto` keeps every leading axis).  The
+plan also fixes the shapes its running stack takes, so the stack is
+written into storage cut once (`SweepStacks`), which a Picard loop keeps
+across its maps.
 
 A lattice may carry several independent walk pairs per time step
 ("lanes"); the interacting particle system uses one lane per particle
@@ -53,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from math import sqrt
+from math import prod, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -339,10 +342,12 @@ def _halves(out: np.ndarray, v: np.ndarray) -> None:
     np.copyto(out[..., 1], v[..., 0])
 
 
-def _onto(v: np.ndarray, op: tuple) -> np.ndarray:
+def _onto(v: np.ndarray, op: tuple, out: np.ndarray | None = None
+          ) -> np.ndarray:
     """A stack of tables (leading row, or member and row, axes) conditioned
     and lifted by op (`_onto_op`); a mean is a sum over the count, as
-    `ndarray.mean` makes it."""
+    `ndarray.mean` makes it.  The lift is written into out, a table of its
+    shape that v does not share, or a new one."""
     w, b, lift = op
     lead = v.shape[:-2]
     if w:
@@ -354,7 +359,8 @@ def _onto(v: np.ndarray, op: tuple) -> np.ndarray:
     if lift is None:
         return v
     copy, known, full, table = lift
-    out = np.empty(lead + table)
+    if out is None:
+        out = np.empty(lead + table)
     copy(out.reshape(lead + full), v.reshape(lead + known))
     return out
 
@@ -393,14 +399,17 @@ def _sweep_plan(fields: tuple, i: int, lane: int | tuple, first: int,
     """The field algebra of `clark_ocone_sweep` on rows on `fields`: the
     halving scale, per row (row, its op onto its time field if its Y is its
     conditioned x, whether it joins) and per step (m, join, add, bits, cols,
-    done, trim), and whether the steps write every column of every row and
-    member.  join: the lifts of the joining rows and of the stack (None:
-    no stack yet); add: the term rows and field, the stack's lift and bit
-    axes, the term's pads and bit axis count; bits: per W bit the members
-    reading it and the op onto the column's field; cols: the stack's rows;
-    done: row m's index and ops onto (m, m) (and back, None if it stays);
-    trim: the rows kept.  No table or member count enters, so a plan serves
-    every call of its shape.
+    done, trim, lift, halves), whether the steps write every column of every
+    row and member, and the entries of a member's part of the stack storage
+    (`SweepStacks`).  join: the lifts of the joining rows and of the stack
+    (None: no stack yet); add: the term rows and field, the stack's lift and
+    bit axes, the term's pads and bit axis count; bits: per W bit the
+    members reading it and the op onto the column's field; cols: the
+    stack's rows; done: row m's index and ops onto (m, m) (and back, None if
+    it stays); trim: the rows kept; lift and halves: where in that part the
+    step's lift (None: none) and each halving write, as (start, stop,
+    shape).  No table or member count enters, so a plan serves every call
+    of its shape.
     """
     lat = fields[0].lattice
     n, lanes, rows = lat.n_steps, lat.lanes, len(fields)
@@ -420,6 +429,9 @@ def _sweep_plan(fields: tuple, i: int, lane: int | tuple, first: int,
         if entries[-1][2]:  # it joins after its own step on its time field
             starts.setdefault(e, []).append((k, own if e < i + k else field))
     steps, written, f, lo, hi = [], set(), None, i + rows, i + rows
+    # the stack's rows, its halvings so far, and the most entries a member's
+    # lifts, even halvings and odd halvings write
+    depth, halvings, most = 0, 0, [0, 0, 0]
     for m in range(n - 1, -1, -1):
         if f is None and not any(e <= m for e in starts):
             break
@@ -432,9 +444,11 @@ def _sweep_plan(fields: tuple, i: int, lane: int | tuple, first: int,
             join = (tuple((k, _onto_op(field, g)) for k, field in new),
                     f and _onto_op(f, g))
             hi = hi if f else new[-1][0] + i + 1
+            depth = len(new) + (depth if f else 0)
             f, lo = g, new[0][0] + i
         if f is None:
             continue
+        lift = None  # the shape a member's lift onto the slot field writes
         if terms and lo <= m:
             tf = slot_field(lat, m, i if swapped else m)
             g = f.join(tf)
@@ -442,12 +456,19 @@ def _sweep_plan(fields: tuple, i: int, lane: int | tuple, first: int,
                    (2,) * (g.w_upto + lat.n_bits - g.b_from),
                    (1,) * (g.w_upto - tf.w_upto), (1,) * (tf.b_from - g.b_from),
                    tf.w_upto + lat.n_bits - tf.b_from)
+            if add[2][2] is not None:
+                lift = (depth,) + g.table_shape
+                most[0] = max(most[0], prod(lift))
             f = g
         a, b, own = f.w_upto, f.b_from, time_field(lat, m)
-        bits = []  # the step's W bits, from the highest down
+        bits, halves = [], []  # the step's W bits, from the highest down
         for k in range(a - 1, m * lanes - 1, -1):
             on = tuple(on_lane.get(k - m * lanes, ())) if m >= first else ()
             bits.append((on, on and _onto_op(SigmaField(lat, k, b), own)))
+            parity = 1 + halvings % 2
+            halves.append((parity, (depth, 1 << k, 1 << (lat.n_bits - b))))
+            most[parity] = max(most[parity], prod(halves[-1][1]))
+            halvings += 1
             written.update((sl.start, r, m) for sl in on
                            for r in range(lo - i, hi - i))
         cols = slice(lo - i, hi - i)
@@ -458,12 +479,67 @@ def _sweep_plan(fields: tuple, i: int, lane: int | tuple, first: int,
                     else _onto_op(mid, f), _onto_op(mid, own), m - i)
         if first >= m:
             hi = min(hi, m)
-            trim = max(hi - lo, 0)
+            trim = depth = max(hi - lo, 0)
             f = f if trim else None
-        steps.append((m, join, add, tuple(bits), cols, done, trim))
+        steps.append((m, join, add, tuple(bits), cols, done, trim,
+                      lift, halves))
+    # a member's part of the stack storage (`SweepStacks`): the lifts, then
+    # the even and the odd halvings, each view from its part's start, as
+    # (start, stop, shape behind the members)
+    base = (0, most[0], most[0] + most[1])
+
+    def part(k, shape):
+        return base[k], base[k] + prod(shape), (-1,) + shape
+
+    steps = tuple((*step[:7], lift and part(0, lift),
+                   tuple(part(k, shape) for k, shape in halves))
+                  for *step, lift, halves in steps)
     members = 1 if isinstance(lane, int) else len(lane)
-    return (0.5 / lat.inc, tuple(entries), tuple(steps),
-            len(written) == members * rows * n)
+    return (0.5 / lat.inc, tuple(entries), steps,
+            len(written) == members * rows * n, sum(most))
+
+
+class SweepStacks:
+    """Storage for the running stack of `clark_ocone_sweep`, one table cut
+    in three: the lifts onto a slot field, and the W-bit halvings, which
+    alternate between the other two.  A lift reads the join's table or a
+    halving's and each halving the table before it, so no write aliases the
+    stack it reads, and no view of it is handed out.  Each plan's views of
+    it for a member count are cut on the first sweep of that plan and
+    count.  A Picard loop keeps one for all its maps; a sweep given none
+    cuts a table of its own for the call (`_cut`)."""
+
+    __slots__ = ("table", "views")
+
+    def __init__(self):
+        self.table = np.empty(0)
+        self.views = {}
+
+    def steps(self, plan: tuple, size: int) -> list:
+        """Each step's (lift, halvings) destinations for plan's sweep of
+        size members: a lift view or None, and a view per W bit."""
+        got = self.views.get((id(plan), size))
+        if got is not None:
+            return got[1]
+        if plan[4] * size > len(self.table):  # the old views go with it
+            self.table = np.empty(plan[4] * size)
+            self.views.clear()
+        # the entry holds plan, so its id names no other while it is kept
+        views = self.views[id(plan), size] = plan, _cut(self.table, plan, size)
+        return views[1]
+
+
+def _cut(table: np.ndarray, plan: tuple, size: int) -> list:
+    """Each step's (lift, halvings) destinations in table for plan's sweep
+    of size members: a lift view or None, and a view per W bit."""
+    views = []
+    for step in plan[2]:
+        lift = step[7]
+        if lift is not None:
+            lift = table[lift[0] * size:lift[1] * size].reshape(lift[2])
+        views.append((lift, [table[a * size:b * size].reshape(shape)
+                             for a, b, shape in step[8]]))
+    return views
 
 
 def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
@@ -512,6 +588,11 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     columns not computed, and those at bits S is blind to, are zero.  Given
     out, a writable (ys, zs) pair of those shapes, the sweep writes into it
     in place of new tables, zeroing zs first unless it writes every column.
+    Each lift of the running stack onto a slot field and each W-bit
+    halving is written into storage: out's third entry, a `SweepStacks`
+    that a Picard loop keeps across its maps, so a warm sweep takes no
+    stack table and looks its views up once; else one table made for the
+    call.
     """
     fields = tuple(v.field for v in x[0])
     if any(tuple(v.field for v in xm) != fields for xm in x[1:]):
@@ -521,15 +602,18 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     if len(lanes) not in (1, size):
         raise IndexOutOfRange(f"{len(lanes)} lanes for {size} members")
     lane = tuple(lanes) if len(lanes) > 1 else lanes[0]
-    half, entries, steps, whole = _sweep_plan(
-        fields, i, lane, first, term is not None, swapped and term is not None)
+    plan = _sweep_plan(fields, i, lane, first, term is not None,
+                       swapped and term is not None)
+    half, entries, steps, whole, _ = plan
     if out is None:
         ys = np.empty((size, len(fields), 1 << lat.n_bits))
         zs = np.zeros((size, len(fields), lat.n_steps, 1 << lat.n_bits))
     else:
-        ys, zs = out
+        ys, zs = out[:2]
         if not whole:
             zs.fill(0.0)
+    views = (out[2].steps(plan, size) if out is not None and len(out) == 3
+             else _cut(np.empty(plan[4] * size), plan, size))
     tables = {}
     for k, own, joins in entries:
         table = (x[0][k].values[None] if size == 1
@@ -539,7 +623,8 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
             ys[:, k] = table.reshape(size, -1)
         tables[k] = table
     stack = None
-    for m, join, add, bits, cols, done, trim in steps:
+    for (m, join, add, bits, cols, done, trim, _, _), (lift, halves) in zip(
+            steps, views):
         if join is not None:
             parts = [_onto(tables[k][:, None], op) for k, op in join[0]]
             stack = np.concatenate(parts + ([_onto(stack, join[1])]
@@ -547,7 +632,7 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
         if add is not None:
             rows, tf, restack, axes, padw, padb, naxes = add
             got = term(m, rows)
-            stack = _onto(stack, restack)
+            stack = _onto(stack, restack, lift)
             if got is not None:
                 gf, tv = got
                 if gf is not tf and gf != tf:
@@ -560,14 +645,14 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
                                                   + tv.shape[len(lead):] + padb)
         # each halving applied at once (halving is exact, so the order of
         # the halvings does not matter); bit k tops the W index
-        for on, col in bits:
+        for (on, col), into in zip(bits, halves):
             pair = stack.reshape(stack.shape[:2] + (2, -1, stack.shape[-1]))
             for sl in on:
                 d = pair[sl, :, 1] - pair[sl, :, 0]
                 d *= half
                 d = _onto(d, col)
                 zs[sl, cols, m] = d.reshape(d.shape[:2] + (-1,))
-            stack = pair[:, :, 0] + pair[:, :, 1]
+            stack = np.add(pair[:, :, 0], pair[:, :, 1], out=into)
             stack *= 0.5
         if done is not None:
             # row m is done: Y_m is its table conditioned on (m, m), and

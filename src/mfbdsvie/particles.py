@@ -28,6 +28,7 @@ statement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -39,6 +40,7 @@ from .fields import AdaptedPath, VolterraKernel, _check_finite
 from .lattice import (
     LatticeSpec,
     MeasurableRV,
+    SweepStacks,
     _max_abs,
     _owned,
     bit_view,
@@ -111,16 +113,33 @@ def solve_particles(pc: ParticleConfig
     n = joint.n_steps
     zetas = [[terminal_rv(pc.terminal, joint, i, lane=p) for i in range(n + 1)]
              for p in range(pc.n_particles)]
+    shapes = [(pc.n_particles,) + dims + (1 << joint.n_bits,)
+              for dims in ((n + 1,), (n + 1, n))]
+    diff = [np.empty(s) for s in shapes]
+    # the tables of the last two maps: first the zero start's, which the
+    # second map writes, then each map writes those of two maps back
+    held = [tuple(np.zeros(s) for s in shapes)]
+    stacks = SweepStacks()  # every map's running stacks
+    swapped = reads_swapped(pc.driver)
+
+    def step(tables):
+        out = held[0] if len(held) == 2 else tuple(map(np.empty, shapes))
+        held[:] = held[-1:] + [out]
+        return _particle_map(pc.driver, swapped, zetas, tables,
+                             out + (stacks,))
 
     def distance(new, old):  # the sup over every particle's pair
-        return max(_max_abs(a.values - b.values) for a, b in zip(new, old))
+        sups = [_max_abs(np.subtract(a.values, b.values, out=d))
+                for a, b, d in zip(new, old, diff)]
+        if not math.isfinite(sum(sups)):  # the first entry not finite
+            for table in new:  # of the paths, then of the kernels
+                for values in table.values:
+                    _check_finite(values)
+        return max(sups)
 
-    start = tuple(Stacked(joint, _owned(np.zeros(
-        (pc.n_particles,) + dims + (1 << joint.n_bits,))))
-        for dims in ((n + 1,), (n + 1, n)))
-    (ys, _), iterations, sup = iterate(
-        partial(_particle_map, pc.driver, reads_swapped(pc.driver), zetas),
-        start, distance, pc.tol, pc.max_iter)
+    start = tuple(Stacked(joint, _owned(t.view())) for t in held[0])
+    (ys, _), iterations, sup = iterate(step, start, distance, pc.tol,
+                                       pc.max_iter)
     y = [list(AdaptedPath(joint, v).y) for v in ys.values]
     report = ParticleReport(
         iterations=iterations,
@@ -136,30 +155,32 @@ def particle_map(driver: DriverSpec, zetas, pairs):
     over all particles (dense random means) as every particle's mean
     arguments.
     """
-    y, z = _particle_map(driver, reads_swapped(driver), zetas,
-                         [_stacked(parts) for parts in zip(*pairs)])
+    tables = _particle_map(driver, reads_swapped(driver), zetas,
+                           [_stacked(parts) for parts in zip(*pairs)])
+    for table in tables:  # every path, then every kernel
+        for values in table.values:
+            _check_finite(values)
+    y, z = tables
     return [(AdaptedPath(y.lattice, a), VolterraKernel(z.lattice, b))
             for a, b in zip(y.values, z.values)]
 
 
-def _particle_map(driver: DriverSpec, swapped: bool, zetas, tables
-                  ) -> tuple[Stacked, Stacked]:
+def _particle_map(driver: DriverSpec, swapped: bool, zetas, tables,
+                  out: tuple | None = None) -> tuple[Stacked, Stacked]:
     """`particle_map` on tables, the particles' paths and kernels as
     `Stacked`, read through one `SlotReader`, for a driver already probed:
     swapped is `reads_swapped(driver)`, which `solve_particles` finds once a
-    solve.  The new ones come as `Stacked` too, each particle's checked
-    finite."""
+    solve.  The new ones come as `Stacked` too, write-locked views of new
+    tables or of out's (`solver.map_rows`), not checked finite: the loop's
+    distance finds an entry that is not."""
     y, z = tables
     k = 1.0 / len(y.values)
     lanes = tuple(range(len(y.values)))
     read = SlotReader(y, z, y.values.sum(axis=0) * k, z.values.sum(axis=0) * k)
     tables = _map_tables(zetas, partial(read.slot_terms, driver, lane=lanes,
                                         swapped=swapped),
-                         swapped, lanes, 0, None)
-    for table in tables:  # every path, then every kernel
-        for values in table:
-            _check_finite(values)
-    return tuple(Stacked(y.lattice, _owned(table)) for table in tables)
+                         swapped, lanes, 0, out)
+    return tuple(Stacked(y.lattice, _owned(table.view())) for table in tables)
 
 
 def _exchangeability_defect(pc: ParticleConfig, joint: LatticeSpec,

@@ -66,9 +66,12 @@ contraction factor.  The loop owns its tables: the map writes the new
 pairs into the storage it is given (`out` of `gamma_map`, `map_rows` and
 the sweep), and `picard_solve` gives it that of the pairs two iterations
 back, never a table holding a pair it has handed out or the caller's
-start, so past its first two maps an iteration allocates no kernel-sized
-table; each difference goes into one table pair, squared there for the
-weighted diff.
+start, with the sweep's running stack in one `lattice.SweepStacks` for
+all its maps (out's third entry), so past its first two maps an iteration
+allocates no kernel-sized table and no stack-sized one; each difference
+goes into one table pair, squared there for the weighted diff.  The
+particles' loop (`particles.solve_particles`) keeps its tables the same
+way.  All of it is the loop's, freed when the loop returns.
 """
 
 from __future__ import annotations
@@ -104,6 +107,7 @@ from .fields import (
 from .lattice import (
     LatticeSpec,
     SigmaField,
+    SweepStacks,
     _max_abs,
     _owned,
     b_increment,
@@ -339,8 +343,14 @@ class SlotReader:
         """`solver.slot_terms` of the reader's pair and means."""
         dt = self.dt  # s_j = j dt, as `LatticeSpec.node` has it
         f, t, left, right, db = self._args(j, rows, swapped, lane)
-        v = (driver.f_values(t, j * dt, *left) * dt
-             + _times_db(driver.g_values(t, (j + 1) * dt, *right), db))
+        fdt = driver.f_values(t, j * dt, *left) * dt
+        v = _times_db(driver.g_values(t, (j + 1) * dt, *right), db)
+        # g dB_j is a new table: f dt goes into it where it fits, the same
+        # sum, as addition commutes
+        if np.broadcast(fdt, v).shape == v.shape:
+            v += fdt
+        else:
+            v = fdt + v
         if v.ndim < t.ndim:  # dB_j is an array: v is one
             v = v.reshape((1,) * (t.ndim - v.ndim) + v.shape)
         return f, v
@@ -377,7 +387,8 @@ def slot_terms(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
 
     One f call and one g call serve every row, on the arguments of
     `slot_args`, with the given lane's dB_j, or each member's own for one
-    lane per member, g dB_j by halves where it can (`_times_db`).  Returns
+    lane per member, g dB_j by halves where it can (`_times_db`), and f dt
+    added into its table where it fits.  Returns
     the field and values with a leading row axis and the field's bit axes,
     behind the member axis for a batch.  One slot through a `SlotReader` of
     its own.
@@ -389,7 +400,8 @@ def _times_db(g, db: np.ndarray) -> np.ndarray:
     """g dB_j for the dB_j view db of `_slot_layout`: when dB_j's bit is
     the innermost axis, g's halves along it times -inc and +inc, each a
     long strided run where a broadcast runs two entries at a time; else
-    (a lower B bit known, a lane per member, a scalar g) g times db."""
+    (a lower B bit known, a lane per member, a scalar g) g times db.  The
+    table is always a new one."""
     if db.size != 2 or db.shape[-1] != 2 or np.ndim(g) == 0:
         return g * db
     out = np.empty((1,) * (db.ndim - g.ndim) + g.shape[:-1] + (2,))
@@ -414,13 +426,21 @@ def reads_swapped(driver: DriverSpec) -> bool:
 def _map_tables(zeta, term: Callable | None, swapped: bool,
                 lane: int | tuple, first: int, out: tuple | None
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The tables (member, row, ...) of `map_rows`'s paths and kernels."""
+    """The tables (member, row, ...) of `map_rows`'s paths and kernels, in
+    out as `clark_ocone_sweep` takes it; swapped, each row's sweep writes
+    its rows of the tables."""
     if not swapped:
         return clark_ocone_sweep(zeta, 0, lane, first, term, out=out)
-    return tuple(np.concatenate(t, axis=1, out=o) for t, o in zip(zip(*(
+    lat, size, rows = zeta[0][0].lattice, len(zeta), len(zeta[0])
+    if out is None:
+        out = (np.empty((size, rows, 1 << lat.n_bits)),
+               np.empty((size, rows, lat.n_steps, 1 << lat.n_bits)))
+    ys, zs = out[:2]
+    for i in range(rows):
         clark_ocone_sweep([x[i:i + 1] for x in zeta], i, lane, first, term,
-                          swapped=True)
-        for i in range(len(zeta[0])))), out or (None, None)))
+                          swapped=True,
+                          out=(ys[:, i:i + 1], zs[:, i:i + 1], *out[2:]))
+    return ys, zs
 
 
 def map_rows(zeta, term: Callable | None, swapped: bool,
@@ -438,9 +458,10 @@ def map_rows(zeta, term: Callable | None, swapped: bool,
     lane and first are those of `clark_ocone_sweep`.  The members sweep
     together; Y and Z are lists, one path and kernel per member, each a
     write-locked view of one table: of a new one, or of out's, a writable
-    (ys, zs) pair of tables (member, row, ...) that receives them.  Those
-    written into out are not re-read for finiteness: out is a Picard loop's,
-    whose distance finds a non-finite entry (`picard_solve`).
+    (ys, zs) pair of tables (member, row, ...) that receives them, with the
+    sweeps' `lattice.SweepStacks` as a third entry if the caller keeps one.
+    Those written into out are not re-read for finiteness: out is a Picard
+    loop's, whose distance finds a non-finite entry (`picard_solve`).
     """
     lat = zeta[0][0].lattice
     ys, zs = _map_tables(zeta, term, swapped, lane, first, out)
@@ -584,10 +605,11 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
 
     The loop owns its tables: each map writes into the storage of the
     pairs two back (the zero start's, for the second map), unless a member
-    stopped there (its pair has been handed out), and reads a batch's
-    pairs as the last map's tables while no member stops; each difference
-    goes into one table pair, squared in place for the weighted diff,
-    which then holds the squares of the final norms.  A caller's start is
+    stopped there (its pair has been handed out), with its running stacks
+    in one `lattice.SweepStacks`, and reads a batch's pairs as the last
+    map's tables while no member stops; each difference goes into one
+    table pair, squared in place for the weighted diff, which then holds
+    the squares of the final norms.  A caller's start is
     never written.  The maps' pairs are not re-read for finiteness: the
     distance, NaN or inf when an entry is, names the first such entry,
     as the pairs' constructors would, in the iteration that made it.
@@ -605,6 +627,7 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
     shapes = ((n + 1, 1 << lat.n_bits), (n + 1, n, 1 << lat.n_bits))
     diff = [np.empty(s) for s in shapes]
     held = []  # (members, tables) of the last two maps, or of the start
+    stacks = SweepStacks()  # every map's running stacks
 
     def step(pairs):
         members = list(pairs)
@@ -617,6 +640,7 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
         else:
             out = tuple(np.empty((len(pairs),) + s) for s in shapes)
         held[:] = held[-1:] + [(members, out)]
+        out += (stacks,)
         if batch:
             y, z = gamma_map([scs[m] for m in pairs], y, z, out=out)
         else:  # the batch of one, as a map of one pair

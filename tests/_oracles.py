@@ -61,7 +61,10 @@ for the lifts and products by halves and the one difference of
 forms (`three_form_slot_args`, on `list_means`), the reference for the
 one mean form that `solver.slot_args` reads; and every slot's arguments
 sliced and reshaped at the slot (`_frozen_args`, `per_slot_terms`), the
-reference for the arrays a `solver.SlotReader` reshapes once a pair.
+reference for the arrays a `solver.SlotReader` reshapes once a pair; and
+the sweep with a new table for every lift and halving of its stack
+(`allocating_sweep`), the reference for the sweep into the storage a
+Picard loop keeps.
 
 Conventions (the discretisation contract, restated independently):
   * path = (w_bits, b_bits); bit j set means increment j equals +inc;
@@ -84,6 +87,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from mfbdsvie import lattice
 from mfbdsvie.comparison import HypothesesReport
 from mfbdsvie.drivers import DriverPartials, DriverSpec, ZPart, terminal_rv
 from mfbdsvie.errors import (
@@ -1601,8 +1605,9 @@ def unplanned_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
 # own, the reference for the one difference of `picard_solve`.
 
 
-def broadcast_onto(v: np.ndarray, op: tuple) -> np.ndarray:
-    """`lattice._onto` with every lift one broadcast copy."""
+def broadcast_onto(v: np.ndarray, op: tuple, out: np.ndarray | None = None
+                   ) -> np.ndarray:
+    """`lattice._onto` with every lift one broadcast copy, into out if given."""
     w, b, lift = op
     lead = v.shape[:-2]
     if w:
@@ -1614,7 +1619,8 @@ def broadcast_onto(v: np.ndarray, op: tuple) -> np.ndarray:
     if lift is None:
         return v
     _, known, full, table = lift
-    out = np.empty(lead + table)
+    if out is None:
+        out = np.empty(lead + table)
     np.copyto(out.reshape(lead + full), v.reshape(lead + known))
     return out
 
@@ -1779,3 +1785,83 @@ def per_lane_tables(driver, zetas, tables):
              for a, b in zip(y.values, z.values)]
     return tuple(_stacked(parts)
                  for parts in zip(*per_lane_particle_map(driver, zetas, pairs)))
+
+
+# -- the sweep on a new stack table at every step ------------------------------
+#
+# `lattice.clark_ocone_sweep` as the package ran it before its running stack
+# was written into the storage a Picard loop keeps (`lattice.SweepStacks`):
+# each lift onto a slot field and each W-bit halving made a new table.  The
+# reference for the sweep into kept storage, which must match it bit for bit.
+
+
+def allocating_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
+                     first: int = 0, term: Callable | None = None,
+                     swapped: bool = False, out: tuple | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """`lattice.clark_ocone_sweep` with a new table for every lift and
+    halving of its stack; out's stack storage, if any, goes unused."""
+    fields = tuple(v.field for v in x[0])
+    if any(tuple(v.field for v in xm) != fields for xm in x[1:]):
+        raise MeasurabilityViolation("the members' rows differ in field")
+    lat, size = fields[0].lattice, len(x)
+    lanes = np.ravel(lane).tolist()
+    if len(lanes) not in (1, size):
+        raise IndexOutOfRange(f"{len(lanes)} lanes for {size} members")
+    lane = tuple(lanes) if len(lanes) > 1 else lanes[0]
+    half, entries, steps, whole, _ = lattice._sweep_plan(
+        fields, i, lane, first, term is not None, swapped and term is not None)
+    onto = lattice._onto
+    if out is None:
+        ys = np.empty((size, len(fields), 1 << lat.n_bits))
+        zs = np.zeros((size, len(fields), lat.n_steps, 1 << lat.n_bits))
+    else:
+        ys, zs = out[:2]
+        if not whole:
+            zs.fill(0.0)
+    tables = {}
+    for k, own, joins in entries:
+        table = (x[0][k].values[None] if size == 1
+                 else np.stack([xm[k].values for xm in x]))
+        if own is not None:
+            table = onto(table, own)
+            ys[:, k] = table.reshape(size, -1)
+        tables[k] = table
+    stack = None
+    for m, join, add, bits, cols, done, trim, _, _ in steps:
+        if join is not None:
+            parts = [onto(tables[k][:, None], op) for k, op in join[0]]
+            stack = np.concatenate(parts + ([onto(stack, join[1])]
+                                            if join[1] else []), axis=1)
+        if add is not None:
+            rows, tf, restack, axes, padw, padb, naxes = add
+            got = term(m, rows)
+            stack = onto(stack, restack)
+            if got is not None:
+                gf, tv = got
+                if gf is not tf and gf != tf:
+                    raise MeasurabilityViolation(
+                        f"slot {m} term on ({gf.w_upto}, {gf.b_from}), not on "
+                        f"its slot field ({tf.w_upto}, {tf.b_from})")
+                lead = tv.shape[:tv.ndim - naxes]
+                view = stack.reshape(stack.shape[:2] + axes)
+                view[:, :len(rows)] += tv.reshape(lead + padw
+                                                  + tv.shape[len(lead):] + padb)
+        for on, col in bits:
+            pair = stack.reshape(stack.shape[:2] + (2, -1, stack.shape[-1]))
+            for sl in on:
+                d = pair[sl, :, 1] - pair[sl, :, 0]
+                d *= half
+                d = onto(d, col)
+                zs[sl, cols, m] = d.reshape(d.shape[:2] + (-1,))
+            stack = pair[:, :, 0] + pair[:, :, 1]
+            stack *= 0.5
+        if done is not None:
+            r, to_mid, back, to_own, row = done
+            y = onto(stack[:, r:r + 1], to_mid)
+            if back is not None:
+                stack[:, r] = onto(y, back)[:, 0]
+            ys[:, row] = onto(y, to_own).reshape(size, -1)
+        if trim is not None:
+            stack = stack[:, :trim] if trim else None
+    return ys, zs

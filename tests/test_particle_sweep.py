@@ -58,7 +58,7 @@ class TestOneSweep:
         rows = convergence_study(sc, [1, 2, 3])
         # solve_particles maps through the private form, the driver probed
         monkeypatch.setattr(particles, "_particle_map",
-                            lambda driver, swapped, zetas, tables:
+                            lambda driver, swapped, zetas, tables, out:
                             per_lane_tables(driver, zetas, tables))
         assert rows == convergence_study(sc, [1, 2, 3])
 

@@ -52,9 +52,14 @@ TERMINALS = [TERMINAL, TerminalSpec(phi=1e-3),
 
 
 def oracle(*args, swapped=False, out=None, **kwargs):
-    """`unplanned_sweep`, which reads each term's field off the term; out
-    goes unused, as the maps read the tables returned."""
-    return unplanned_sweep(*args, **kwargs)
+    """`unplanned_sweep`, which reads each term's field off the term, its
+    tables copied into out's (ys, zs) when given, as the sweep writes them:
+    a swapped map reads each row's tables there."""
+    ys, zs = unplanned_sweep(*args, **kwargs)
+    if out is None:
+        return ys, zs
+    out[0][...], out[1][...] = ys, zs
+    return out[:2]
 
 
 @contextmanager
