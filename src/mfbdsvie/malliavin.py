@@ -56,7 +56,7 @@ import numpy as np
 
 from .drivers import CustomDriver
 from .errors import IndexOutOfRange, ValidationError
-from .fields import AdaptedPath, VolterraKernel, zero_kernel, zero_path
+from .fields import AdaptedPath, VolterraKernel, _check_finite
 from .lattice import (
     SigmaField,
     _check_bit,
@@ -68,14 +68,7 @@ from .lattice import (
     slot_field,
     time_field,
 )
-from .solver import (
-    Scenario,
-    SlotReader,
-    iterate,
-    map_rows,
-    means,
-    sup_distance,
-)
+from .solver import Scenario, SlotReader, _map_tables, _pairs, iterate, means
 
 
 def flip_solution(y: AdaptedPath, z: VolterraKernel, r_idx: int
@@ -195,35 +188,41 @@ def _linearized_terms(ls: LinearizedScenario, read: SlotReader, j: int,
                            j, rows, swapped=swapped)
 
 
-def _linearized_map(ls: LinearizedScenario, pair
+def _linearized_map(ls: LinearizedScenario, pair, out: tuple | None = None
                     ) -> tuple[AdaptedPath, VolterraKernel]:
-    """One map of the flip equation frozen at pair = (u, v): one stack of
-    all rows for a driver blind to the swapped arguments, else a stack per
-    row, as in `solver.gamma_map`; the columns <= r left at zero (kernel
-    column r is blind to the flipped increment in every kernel) and the
-    path at rows <= r zero, as in the entrywise flip."""
+    """One map of the flip equation frozen at pair = (u, v), as paths and
+    kernels or `Stacked`: one stack of all rows for a driver blind to the
+    swapped arguments, else a stack per row, as in `solver.gamma_map`, into
+    out as `solver.map_rows` takes it; the columns <= r left at zero
+    (kernel column r is blind to the flipped increment in every kernel)
+    and the path at rows <= r zeroed in place, as in the entrywise flip,
+    once checked finite as the new pair's constructor checks it."""
+    r = ls.r_idx
     term = partial(_linearized_terms, ls, SlotReader(*pair, *means(*pair)))
-    (y,), (z,) = map_rows([ls.source], term, ls.scenario.swapped,
-                          first=ls.r_idx + 1)
-    ys = y.values.copy()
-    ys[:ls.r_idx + 1] = 0.0
-    return AdaptedPath(y.lattice, _owned(ys)), z
+    ys, zs = _map_tables([ls.source], term, ls.scenario.swapped, 0, r + 1, out)
+    _check_finite(ys[0, :r + 1])
+    ys[:, :r + 1] = 0.0
+    (y,), (z,) = _pairs(ls.scenario.lattice, (ys, zs), out is None)
+    return y, z
 
 
 def solve_linearized(ls: LinearizedScenario, tol: float = 1e-12,
                      max_iter: int = 300
                      ) -> tuple[AdaptedPath, VolterraKernel]:
-    """Fixed point of the flip equation.
+    """Fixed point of the flip equation from zero: `_linearized_map` as the
+    step of `solver.iterate`.
 
     Rows above the flip slot solve the full equation with swapped-kernel
     terms; rows at or below it carry only kernel values over slots >= r
     (their path component is zero and columns below r stay zero, the
     shape the entrywise flip produces).
     """
-    lat = ls.scenario.lattice
-    start = zero_path(lat), zero_kernel(lat)
-    return iterate(partial(_linearized_map, ls), start, sup_distance, tol,
-                   max_iter)[0]
+    def step(members, y, z, out):
+        _linearized_map(ls, (y, z), out)
+        return out[:2]
+
+    pairs, _, _ = iterate(step, {0: None}, ls.scenario.lattice, tol, max_iter)
+    return pairs[0]
 
 
 @dataclass

@@ -28,7 +28,6 @@ statement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -36,21 +35,12 @@ import numpy as np
 
 from .drivers import DriverSpec, TerminalSpec, terminal_rv
 from .errors import JointSpaceTooLarge, ValidationError
-from .fields import AdaptedPath, VolterraKernel, _check_finite
-from .lattice import (
-    LatticeSpec,
-    MeasurableRV,
-    SweepStacks,
-    _max_abs,
-    _owned,
-    bit_view,
-    full_field,
-)
+from .lattice import LatticeSpec, MeasurableRV, bit_view, full_field
 from .solver import (
     Scenario,
     SlotReader,
-    Stacked,
     _map_tables,
+    _pairs,
     _stacked,
     iterate,
     picard_solve,
@@ -67,8 +57,8 @@ class ParticleConfig:
 
     n_particles: int
     lattice: LatticeSpec  # single-lane template (n_steps, horizon)
-    driver: DriverSpec = None
-    terminal: TerminalSpec = None
+    driver: DriverSpec
+    terminal: TerminalSpec
     tol: float = 1e-12
     max_iter: int = 300
 
@@ -102,48 +92,30 @@ class ParticleReport:
 
 def solve_particles(pc: ParticleConfig
                     ) -> tuple[list[list[MeasurableRV]], ParticleReport]:
-    """Exact fixed point of the empirical-mean system.
+    """Exact fixed point of the empirical-mean system: `_particle_map` as
+    the step of `solver.iterate`, one member a particle, all stopping
+    together.
 
     Returns per-particle node values y[p][i] on the joint lattice plus a
     report carrying the exchangeability defect measured pathwise under
-    the particle-swap permutation.  The loop's state is the particles'
-    paths and kernels as `Stacked`, the last map's tables.
+    the particle-swap permutation.
     """
     joint = pc.joint_lattice()
     n = joint.n_steps
     zetas = [[terminal_rv(pc.terminal, joint, i, lane=p) for i in range(n + 1)]
              for p in range(pc.n_particles)]
-    shapes = [(pc.n_particles,) + dims + (1 << joint.n_bits,)
-              for dims in ((n + 1,), (n + 1, n))]
-    diff = [np.empty(s) for s in shapes]
-    # the tables of the last two maps: first the zero start's, which the
-    # second map writes, then each map writes those of two maps back
-    held = [tuple(np.zeros(s) for s in shapes)]
-    stacks = SweepStacks()  # every map's running stacks
     swapped = reads_swapped(pc.driver)
 
-    def step(tables):
-        out = held[0] if len(held) == 2 else tuple(map(np.empty, shapes))
-        held[:] = held[-1:] + [out]
-        return _particle_map(pc.driver, swapped, zetas, tables,
-                             out + (stacks,))
+    def step(members, y, z, out):
+        return _particle_map(pc.driver, swapped, zetas, (y, z), out)
 
-    def distance(new, old):  # the sup over every particle's pair
-        sups = [_max_abs(np.subtract(a.values, b.values, out=d))
-                for a, b, d in zip(new, old, diff)]
-        if not math.isfinite(sum(sups)):  # the first entry not finite
-            for table in new:  # of the paths, then of the kernels
-                for values in table.values:
-                    _check_finite(values)
-        return max(sups)
-
-    start = tuple(Stacked(joint, _owned(t.view())) for t in held[0])
-    (ys, _), iterations, sup = iterate(step, start, distance, pc.tol,
-                                       pc.max_iter)
-    y = [list(AdaptedPath(joint, v).y) for v in ys.values]
+    pairs, iterations, traces = iterate(
+        step, dict.fromkeys(range(pc.n_particles)), joint, pc.tol,
+        pc.max_iter, coupled=True)
+    y = [list(pairs[p][0].y) for p in range(pc.n_particles)]
     report = ParticleReport(
-        iterations=iterations,
-        sup_diff=sup,
+        iterations=iterations[0],
+        sup_diff=traces[0][-1],
         exchangeability=_exchangeability_defect(pc, joint, y),
     )
     return y, report
@@ -155,32 +127,25 @@ def particle_map(driver: DriverSpec, zetas, pairs):
     over all particles (dense random means) as every particle's mean
     arguments.
     """
-    tables = _particle_map(driver, reads_swapped(driver), zetas,
-                           [_stacked(parts) for parts in zip(*pairs)])
-    for table in tables:  # every path, then every kernel
-        for values in table.values:
-            _check_finite(values)
-    y, z = tables
-    return [(AdaptedPath(y.lattice, a), VolterraKernel(z.lattice, b))
-            for a, b in zip(y.values, z.values)]
+    tables = [_stacked(parts) for parts in zip(*pairs)]
+    return list(zip(*_pairs(tables[0].lattice, _particle_map(
+        driver, reads_swapped(driver), zetas, tables))))
 
 
 def _particle_map(driver: DriverSpec, swapped: bool, zetas, tables,
-                  out: tuple | None = None) -> tuple[Stacked, Stacked]:
+                  out: tuple | None = None) -> tuple:
     """`particle_map` on tables, the particles' paths and kernels as
     `Stacked`, read through one `SlotReader`, for a driver already probed:
     swapped is `reads_swapped(driver)`, which `solve_particles` finds once a
-    solve.  The new ones come as `Stacked` too, write-locked views of new
-    tables or of out's (`solver.map_rows`), not checked finite: the loop's
-    distance finds an entry that is not."""
+    solve.  Returns the new (ys, zs) tables (particle, row, ...), new ones
+    or out's (`solver.map_rows`)."""
     y, z = tables
     k = 1.0 / len(y.values)
     lanes = tuple(range(len(y.values)))
     read = SlotReader(y, z, y.values.sum(axis=0) * k, z.values.sum(axis=0) * k)
-    tables = _map_tables(zetas, partial(read.slot_terms, driver, lane=lanes,
-                                        swapped=swapped),
-                         swapped, lanes, 0, out)
-    return tuple(Stacked(y.lattice, _owned(table.view())) for table in tables)
+    return _map_tables(zetas, partial(read.slot_terms, driver, lane=lanes,
+                                      swapped=swapped),
+                       swapped, lanes, 0, out)
 
 
 def _exchangeability_defect(pc: ParticleConfig, joint: LatticeSpec,

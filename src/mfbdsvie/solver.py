@@ -30,8 +30,7 @@ knows the right-node convention), read through a `SlotReader` that a map
 builds once for its pair, `slot_terms` their terms f dt + g dB_j,
 `map_rows` runs the rows through `lattice.clark_ocone_sweep`, the one
 backward induction, `lattice.row_extremes` walks the same stacked terms
-to each row's worst pathwise defect (`residual`), `iterate` is the Picard
-loop.
+to each row's worst pathwise defect (`residual`).
 The flip equation (malliavin) and the particles are the same map with
 other terms, means and lanes; the stability functional reads the same
 arguments.  Each mean is an array shaped like its path or kernel, with
@@ -51,27 +50,20 @@ on, so each row is a stack of its own on (m + 1, i), O(4^N) a map.
 `residual` reads every path without a table of them: the walk keeps a
 max and a min table down the W bits, about the cost of a map.
 
-Solves that share a lattice, a driver and a beta and differ only in the
-terminal (the positions of a risk measure) are one batch: `picard_solve`
-on a list of scenarios runs one `iterate` loop in which each member
-leaves at the iteration where it would stop alone, and each map sweeps
-the running members as one stack, a member axis ahead of the row axis
-(`Stacked` pairs, means per member), so a member costs little more than
-its share of the arithmetic.  A single scenario is the batch of one.
+Every fixed point here (the solution, the particle system, the flip
+equation) is found by one Picard loop, `iterate`, over members: the
+scenarios of a batch, the particles, or the flip equation's one pair.
+The loop owns its tables, the new pairs' and the sweep's running stack,
+recycles them from map to map and frees them when it returns.
 
-Iterating the map from (0, 0) contracts in the beta-weighted norm once
-beta clears the threshold; the report keeps the successive-difference
-trace so the empirical ratios can be held against the theoretical
-contraction factor.  The loop owns its tables: the map writes the new
-pairs into the storage it is given (`out` of `gamma_map`, `map_rows` and
-the sweep), and `picard_solve` gives it that of the pairs two iterations
-back, never a table holding a pair it has handed out or the caller's
-start, with the sweep's running stack in one `lattice.SweepStacks` for
-all its maps (out's third entry), so past its first two maps an iteration
-allocates no kernel-sized table and no stack-sized one; each difference
-goes into one table pair, squared there for the weighted diff.  The
-particles' loop (`particles.solve_particles`) keeps its tables the same
-way.  All of it is the loop's, freed when the loop returns.
+Solves that share a lattice, a driver and a beta and differ only in the
+terminal (the positions of a risk measure) are one batch of
+`picard_solve`, a member axis ahead of the row axis (`Stacked` pairs,
+means per member), so a member costs little more than its share of the
+arithmetic.  A single scenario is the batch of one.  Iterating the map
+from (0, 0) contracts in the beta-weighted norm once beta clears the
+threshold; the report keeps the successive-difference trace so the
+empirical ratios can be held against the theoretical contraction factor.
 """
 
 from __future__ import annotations
@@ -92,7 +84,7 @@ from .drivers import (
     gamma_theory,
     terminal_rv,
 )
-from .errors import NoConvergence, ValidationError
+from .errors import LatticeMismatch, NoConvergence, ValidationError
 from .fields import (
     AdaptedPath,
     BetaWeight,
@@ -102,7 +94,6 @@ from .fields import (
     _unchecked,
     m_beta_norm,
     pair_diff,
-    pair_sup_diff,
 )
 from .lattice import (
     LatticeSpec,
@@ -230,9 +221,11 @@ class Stacked(NamedTuple):
 
 def _stacked(parts) -> Stacked:
     """The members' paths or kernels stacked; a batch of one is a view,
-    and a `Stacked` is kept."""
+    and a `Stacked` is kept.  Members on different lattices are refused."""
     if isinstance(parts, Stacked):
         return parts
+    if any(x.lattice != parts[0].lattice for x in parts):
+        raise LatticeMismatch("batch members on different lattices")
     values = [x.values for x in parts]
     return Stacked(parts[0].lattice,
                    values[0][None] if len(values) == 1 else np.stack(values))
@@ -461,13 +454,11 @@ def map_rows(zeta, term: Callable | None, swapped: bool,
     (ys, zs) pair of tables (member, row, ...) that receives them, with the
     sweeps' `lattice.SweepStacks` as a third entry if the caller keeps one.
     Those written into out are not re-read for finiteness: out is a Picard
-    loop's, whose distance finds a non-finite entry (`picard_solve`).
+    loop's, whose distance finds a non-finite entry (`iterate`).
     """
-    lat = zeta[0][0].lattice
-    ys, zs = _map_tables(zeta, term, swapped, lane, first, out)
-    return tuple([cls(lat, v) if out is None else _unchecked(cls, lat, v)
-                  for v in _owned(tables.view())]
-                 for cls, tables in ((AdaptedPath, ys), (VolterraKernel, zs)))
+    return _pairs(zeta[0][0].lattice,
+                  _map_tables(zeta, term, swapped, lane, first, out),
+                  out is None)
 
 
 def check_settings(tol: float, max_iter: int) -> None:
@@ -478,47 +469,104 @@ def check_settings(tol: float, max_iter: int) -> None:
         raise ValidationError(f"max_iter={max_iter} must be >= 1")
 
 
-def iterate(step: Callable, start, distance: Callable, tol: float,
-            max_iter: int):
-    """Picard loop: apply step until distance(new, old) <= tol.
+def _pairs(lat: LatticeSpec, tables, checked: bool = True) -> tuple:
+    """The paths and the kernels of (ys, zs) tables (member, row, ...), one
+    per member, as write-locked views: checked by their constructors, or
+    not re-read for finiteness (tables a Picard loop owns, whose distance
+    finds an entry that is not finite)."""
+    return tuple([cls(lat, v) if checked else _unchecked(cls, lat, v)
+                  for v in _owned(t.view())]
+                 for cls, t in zip((AdaptedPath, VolterraKernel), tables))
 
-    Returns (state, iterations, last distance).
 
-    A dict start is a batch of member states: step and distance take the
-    dict of the members still running, and give a dict over the same
-    members, of new states and of distances.  Each member leaves the
-    batch at the iteration where its own distance reaches tol, so it runs
-    as it would alone.  The state and iterations are then dicts over every
-    member, and the distance a list per member: its distance at each
-    iteration it ran.
+def iterate(step: Callable, members: dict, lat: LatticeSpec, tol: float,
+            max_iter: int, squares: Callable | None = None,
+            coupled: bool = False):
+    """The Picard loop: map the members' pairs until each moves by at most
+    tol in the pathwise sup norm.  Returns (pairs, iterations, traces),
+    dicts over the members: the last pair, the iterations run and the
+    distance at each.
+
+    members maps each member to its start pair, or each to None for zeros.
+    step(running, y, z, out) maps the members still running (a list of
+    keys) frozen at y and z, their paths and kernels as `Stacked`, and
+    returns the new (ys, zs) tables (member, row, ...), written into out,
+    whose third entry is the loop's `lattice.SweepStacks` for the sweep's
+    running stacks.  The loop owns the tables: the zero start lives in
+    them, out is those of the map two back (new ones for the first two
+    maps, or when a member stopped there: its pair has been handed out),
+    and y and z are the last map's, restacked when a member stops; a
+    caller's start is never written.  So past its second map an iteration
+    allocates no pair and no stack, and all of it is freed on return but
+    the tables of the pairs handed out.
+
+    A member's difference goes into one table pair; its sup is the
+    member's distance, and squares(m, y2, z2), if given, gets it squared
+    in place.  Coupled members (given no squares) are one system, with one
+    difference over all of them, and stop together; else each stops at
+    the iteration where it would alone.  The new pairs
+    are not re-read for finiteness: a distance that is not finite names
+    the first entry that is not, of the paths, then of the kernels (the
+    pairs' constructors' check), in the iteration that made it.
     """
     check_settings(tol, max_iter)
-    batch = isinstance(start, dict)
-    states = dict(start) if batch else {0: start}
-    traces = {m: [] for m in states}
-    running = dict(states)
+    n = lat.n_steps
+    shapes = ((n + 1, 1 << lat.n_bits), (n + 1, n, 1 << lat.n_bits))
+    width = len(members) if coupled else 1  # the members a difference spans
+    diff = [np.empty((width,) + s) for s in shapes]
+    stacks = SweepStacks()
+    running, done = list(members), {}
+    held = []  # (members, tables) of the last two maps, or of the zero start
+    if all(pair is None for pair in members.values()):
+        held.append((running, tuple(np.zeros((len(running),) + s)
+                                    for s in shapes)))
+        y, z = (Stacked(lat, _owned(t.view())) for t in held[0][1])
+    else:
+        y, z = (_stacked([members[m][k] for m in running]) for k in (0, 1))
+    traces = {m: [] for m in running}
     for _ in range(max_iter):
-        new = step(running) if batch else {0: step(running[0])}
-        d = distance(new, running) if batch else {
-            0: distance(new[0], running[0])}
-        states.update(new)
-        for m in new:
-            traces[m].append(d[m])
-        running = {m: x for m, x in new.items() if not d[m] <= tol}
-        if not running:
-            if batch:
-                return states, {m: len(t) for m, t in traces.items()}, traces
-            return states[0], len(traces[0]), traces[0][-1]
-    m = next(iter(running))
+        size = len(running)
+        if len(held) == 2 and held[0][0] == held[1][0]:
+            ys, zs = held[0][1]
+            out = ys[:size], zs[:size]
+        else:
+            out = tuple(np.empty((size,) + s) for s in shapes)
+        tables = step(running, y, z, (*out, stacks))
+        held[:] = held[-1:] + [(running, tables)]
+        ys, zs = (_owned(t.view()) for t in tables)
+        sups = []
+        for k in range(0, size, width):
+            dy, dz = (np.subtract(t[k:k + width], x.values[k:k + width], out=d)
+                      for t, x, d in zip((ys, zs), (y, z), diff))
+            sy, sz = _max_abs(dy), _max_abs(dz)
+            if not math.isfinite(sy + sz):
+                for table in (ys, zs):
+                    for values in table:
+                        _check_finite(values)
+            sups += [max(sy, sz)] * width
+            if squares:
+                squares(running[k], np.square(dy[0], out=dy[0]),
+                        np.square(dz[0], out=dz[0]))
+        keep = []
+        for k, (m, d) in enumerate(zip(running, sups)):
+            traces[m].append(d)
+            if d <= tol:  # the pair handed out
+                done[m] = (_unchecked(AdaptedPath, lat, ys[k]),
+                           _unchecked(VolterraKernel, lat, zs[k]))
+            else:
+                keep.append(k)
+        if not keep:
+            return ({m: done[m] for m in traces},
+                    {m: len(t) for m, t in traces.items()}, traces)
+        if len(keep) < size:  # the running members' rows restacked
+            ys, zs = _owned(ys[keep]), _owned(zs[keep])
+        running = [running[k] for k in keep]
+        y, z = Stacked(lat, ys), Stacked(lat, zs)
+    m = running[0]
     raise NoConvergence(
-        (f"member {m}: " if len(states) > 1 else "")
+        (f"member {m}: " if len(traces) > 1 and not coupled else "")
         + f"max_iter={max_iter} hit with successive difference "
         f"{traces[m][-1]:.3e} > tol={tol}")
-
-
-def sup_distance(new, old) -> float:
-    """Pathwise sup-norm distance between two (path, kernel) pairs."""
-    return pair_sup_diff(*new, *old)
 
 
 def means(y: AdaptedPath | Stacked, z: VolterraKernel | Stacked):
@@ -536,7 +584,10 @@ def _driver_terms(sc: Scenario, y, z) -> tuple[Callable, bool]:
     """The stacked slot terms of sc's driver frozen at (y, z), read through
     one `SlotReader`, and the `swapped` flag they are built with: whether
     the driver reads the swapped arguments, so that each row is a stack of
-    its own."""
+    its own.  The map's and the residual's one lattice check: a path or
+    kernel off sc's lattice is refused before any slot is read."""
+    if y.lattice != sc.lattice or z.lattice != sc.lattice:
+        raise LatticeMismatch("path or kernel not on the scenario's lattice")
     return (partial(SlotReader(y, z, *means(y, z)).slot_terms, sc.driver,
                     swapped=sc.swapped), sc.swapped)
 
@@ -561,7 +612,9 @@ def gamma_map(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
     they are mapped as one stack, and the new paths and kernels are lists
     too.  A pair is the batch of one.  out is the storage of the new
     pairs, as in `map_rows` (None: new tables), a Picard loop's: the pairs
-    written there are not re-read for finiteness.
+    written there are not re-read for finiteness.  A path or kernel off
+    the scenarios' lattice is refused with `LatticeMismatch` before any
+    sweep.
     """
     batch = not isinstance(sc, Scenario)
     scs, ys, zs = (sc, y, z) if batch else ([sc], [y], [z])
@@ -590,89 +643,48 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
                  start: tuple[AdaptedPath, VolterraKernel] | None = None,
                  report: bool = True
                  ) -> tuple[AdaptedPath, VolterraKernel, SolverReport | None]:
-    """Iterate the map until the successive difference drops below tol.
+    """Iterate the map from start (default zero) until the successive
+    difference drops below tol: `gamma_map` as the step of `iterate`.
 
     With report=False the third entry is None, and the weighted diffs,
     the exact `residual` and the final norms are never computed; the
     iterates are the same.
 
     sc may be a list of scenarios sharing a lattice, a driver and a beta
-    (`check_batch`), with start a list of pairs: they are the members of
-    one batch of `iterate`, mapped as one stack.  Each member stops at the
-    iteration where it would alone, with the same iterates, and each entry
-    of the result is a list, one item per member.  A single scenario is
-    the batch of one.
-
-    The loop owns its tables: each map writes into the storage of the
-    pairs two back (the zero start's, for the second map), unless a member
-    stopped there (its pair has been handed out), with its running stacks
-    in one `lattice.SweepStacks`, and reads a batch's pairs as the last
-    map's tables while no member stops; each difference goes into one
-    table pair, squared in place for the weighted diff, which then holds
-    the squares of the final norms.  A caller's start is
-    never written.  The maps' pairs are not re-read for finiteness: the
-    distance, NaN or inf when an entry is, names the first such entry,
-    as the pairs' constructors would, in the iteration that made it.
+    (`check_batch`), with start a list of pairs, one per scenario: they are
+    the members of one loop, mapped as one stack, each stopping at the
+    iteration where it would alone, and each entry of the result is a
+    list, one item per member.
     """
     batch = not isinstance(sc, Scenario)
     scs = list(sc) if batch else [sc]
     check_batch(scs)
+    if start is None:
+        start = [None] * len(scs)
+    elif not batch:
+        start = [start]
+    elif len(start) != len(scs):
+        raise ValidationError(f"{len(start)} start pairs for {len(scs)} "
+                              f"scenarios")
     lat, beta = scs[0].lattice, scs[0].beta
     w = BetaWeight(beta)
     # a Python float: a norm that overflows gives an inf diff and a nan
     # ratio, not a numpy warning
     scale = 1.0 / math.sqrt(_weight_mass(lat, beta))
     diffs = {m: [] for m in range(len(scs))}
-    n = lat.n_steps
-    shapes = ((n + 1, 1 << lat.n_bits), (n + 1, n, 1 << lat.n_bits))
-    diff = [np.empty(s) for s in shapes]
-    held = []  # (members, tables) of the last two maps, or of the start
-    stacks = SweepStacks()  # every map's running stacks
+    scratch = []  # the loop's difference tables, for the final norms
 
-    def step(pairs):
-        members = list(pairs)
-        y, z = zip(*pairs.values())
-        if batch and held and held[-1][0] == members:  # the last tables' rows
-            y, z = (Stacked(lat, _owned(t.view())) for t in held[-1][1])
-        # the tables two back, unless a member stopped there
-        if len(held) == 2 and held[0][0] == held[1][0]:
-            out = tuple(t[:len(pairs)] for t in held[0][1])
-        else:
-            out = tuple(np.empty((len(pairs),) + s) for s in shapes)
-        held[:] = held[-1:] + [(members, out)]
-        out += (stacks,)
-        if batch:
-            y, z = gamma_map([scs[m] for m in pairs], y, z, out=out)
-        else:  # the batch of one, as a map of one pair
-            y, z = ([x] for x in gamma_map(sc, y[0], z[0], out=out))
-        return dict(zip(pairs, zip(y, z)))
+    def step(members, y, z, out):
+        gamma_map([scs[m] for m in members], y, z, out=out)
+        return out[:2]
 
-    def distance(new, old):
-        sups = {}
-        for m in new:  # one difference serves both traces
-            dy, dz = (np.subtract(a.values, b.values, out=d)
-                      for a, b, d in zip(new[m], old[m], diff))
-            sy, sz = _max_abs(dy), _max_abs(dz)
-            if not math.isfinite(sy + sz):  # the first entry not finite
-                for k in (0, 1):  # of the paths, then of the kernels
-                    for pair in new.values():
-                        _check_finite(pair[k].values)
-            sups[m] = max(sy, sz)
-            if report:
-                diffs[m].append(scale * math.sqrt(_norm_squared(
-                    lat, np.square(dy, out=dy), np.square(dz, out=dz), w)[0]))
-        return sups
+    def squares(m, y2, z2):
+        diffs[m].append(scale * math.sqrt(_norm_squared(lat, y2, z2, w)[0]))
+        scratch[:] = y2, z2
 
-    if start is None:  # zeros in the loop's tables: the second map's storage
-        zeros = tuple(np.full((len(scs),) + s, 0.0) for s in shapes)
-        held.append((list(range(len(scs))), zeros))
-        start = [(AdaptedPath(lat, y), VolterraKernel(lat, z))
-                 for y, z in zip(*(_owned(t.view()) for t in zeros))]
-    elif not batch:
-        start = [start]
     pairs, iterations, traces = iterate(
-        step, dict(zip(range(len(scs)), start, strict=True)), distance, tol,
-        max_iter)
+        step, dict(enumerate(start)), lat, tol, max_iter,
+        squares if report else None)
     ys, zs = ([pairs[m][k] for m in range(len(scs))] for k in (0, 1))
     reports = None
     if report:
@@ -685,7 +697,7 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
             final_residual=residual(x, ys[m], zs[m]),
             final_norms=tuple(map(math.sqrt, _norm_squared(lat, *(
                 np.square(v.values, out=d)
-                for v, d in zip((ys[m], zs[m]), diff)), w))),
+                for v, d in zip((ys[m], zs[m]), scratch)), w))),
             sup_trace=traces[m],
         ) for m, x in enumerate(scs)]
     if batch:

@@ -64,7 +64,9 @@ sliced and reshaped at the slot (`_frozen_args`, `per_slot_terms`), the
 reference for the arrays a `solver.SlotReader` reshapes once a pair; and
 the sweep with a new table for every lift and halving of its stack
 (`allocating_sweep`), the reference for the sweep into the storage a
-Picard loop keeps.
+Picard loop keeps; and the Picard loop on pairs the step makes and a
+distance it is given (`iterate`, `sup_distance`), the reference for the
+loop of `solver.iterate`, which owns its tables.
 
 Conventions (the discretisation contract, restated independently):
   * path = (w_bits, b_bits); bit j set means increment j equals +inc;
@@ -94,6 +96,7 @@ from mfbdsvie.errors import (
     IndexOutOfRange,
     InvalidIndex,
     MeasurabilityViolation,
+    NoConvergence,
     ValidationError,
 )
 from mfbdsvie.fields import (
@@ -103,6 +106,7 @@ from mfbdsvie.fields import (
     _views,
     m_beta_norm,
     pair_diff,
+    pair_sup_diff,
     zero_kernel,
     zero_path,
 )
@@ -134,6 +138,7 @@ from mfbdsvie.solver import (
     _stacked,
     _times_db,
     _weight_mass,
+    check_settings,
     gamma_map,
     map_rows,
     means,
@@ -595,18 +600,26 @@ def zeta_first_assemble_phi(driver, zeta_i, y, z, ey, ez, i, lane=0):
     return phi
 
 
-def condexp_gamma_map(sc, y, z, out=None):
-    """One map application: the whole Phi_i of every row, split per slot.
-    out, the storage `picard_solve` offers a map, goes unused: the loop
-    reads the pair returned."""
-    lat = sc.lattice
-    ey, ez = entrywise_means(y, z)
-    ys, rows = zip(*(
-        condexp_split_row(
-            zeta_first_assemble_phi(sc.driver, sc.zeta[i], y, z, ey, ez, i),
-            i)
-        for i in range(lat.n_steps + 1)))
-    return AdaptedPath(lat, ys), VolterraKernel(lat, rows)
+def condexp_gamma_map(scs, y, z, out):
+    """One map application of each member of a batch, as `picard_solve`'s
+    loop calls `gamma_map`: the scenarios, the members' paths and kernels
+    as `Stacked`, and the tables out that receive the new pairs.  Each
+    member's whole Phi_i of every row, split per slot."""
+    new = []
+    for m, sc in enumerate(scs):
+        lat = sc.lattice
+        ym, zm = AdaptedPath(lat, y.values[m]), VolterraKernel(lat, z.values[m])
+        ey, ez = entrywise_means(ym, zm)
+        ys, rows = zip(*(
+            condexp_split_row(
+                zeta_first_assemble_phi(sc.driver, sc.zeta[i], ym, zm, ey, ez,
+                                        i),
+                i)
+            for i in range(lat.n_steps + 1)))
+        new.append((AdaptedPath(lat, ys), VolterraKernel(lat, rows)))
+        for table, x in zip(out, new[-1]):
+            table[m] = x.values
+    return tuple(map(list, zip(*new)))
 
 
 def assembled_residual(sc, y, z):
@@ -1865,3 +1878,53 @@ def allocating_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
         if trim is not None:
             stack = stack[:, :trim] if trim else None
     return ys, zs
+
+
+# -- the Picard loop on the step's own pairs -----------------------------------
+#
+# `solver.iterate` as it was before it owned its tables: the step makes each
+# new state, and the distance is given.  The reference for the loop that
+# recycles the maps' storage, run on allocating maps.
+
+
+def iterate(step: Callable, start, distance: Callable, tol: float,
+            max_iter: int):
+    """Picard loop: apply step until distance(new, old) <= tol.
+
+    Returns (state, iterations, last distance).
+
+    A dict start is a batch of member states: step and distance take the
+    dict of the members still running, and give a dict over the same
+    members, of new states and of distances.  Each member leaves the
+    batch at the iteration where its own distance reaches tol, so it runs
+    as it would alone.  The state and iterations are then dicts over every
+    member, and the distance a list per member: its distance at each
+    iteration it ran.
+    """
+    check_settings(tol, max_iter)
+    batch = isinstance(start, dict)
+    states = dict(start) if batch else {0: start}
+    traces = {m: [] for m in states}
+    running = dict(states)
+    for _ in range(max_iter):
+        new = step(running) if batch else {0: step(running[0])}
+        d = distance(new, running) if batch else {
+            0: distance(new[0], running[0])}
+        states.update(new)
+        for m in new:
+            traces[m].append(d[m])
+        running = {m: x for m, x in new.items() if not d[m] <= tol}
+        if not running:
+            if batch:
+                return states, {m: len(t) for m, t in traces.items()}, traces
+            return states[0], len(traces[0]), traces[0][-1]
+    m = next(iter(running))
+    raise NoConvergence(
+        (f"member {m}: " if len(states) > 1 else "")
+        + f"max_iter={max_iter} hit with successive difference "
+        f"{traces[m][-1]:.3e} > tol={tol}")
+
+
+def sup_distance(new, old) -> float:
+    """Pathwise sup-norm distance between two (path, kernel) pairs."""
+    return pair_sup_diff(*new, *old)

@@ -27,9 +27,14 @@ from mfbdsvie.malliavin import (
     check_delta_equation,
     solve_linearized,
 )
-from mfbdsvie.solver import Scenario, iterate, picard_solve, sup_distance
+from mfbdsvie.solver import Scenario, picard_solve
 
-from _oracles import per_entry_build_linearized, per_entry_linearized_map
+from _oracles import (
+    iterate,
+    per_entry_build_linearized,
+    per_entry_linearized_map,
+    sup_distance,
+)
 from test_slot_args import SWAPPED
 from test_stack import Counting
 from test_sweep import DRIVERS, TERMINAL, random_pair

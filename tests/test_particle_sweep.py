@@ -59,7 +59,8 @@ class TestOneSweep:
         # solve_particles maps through the private form, the driver probed
         monkeypatch.setattr(particles, "_particle_map",
                             lambda driver, swapped, zetas, tables, out:
-                            per_lane_tables(driver, zetas, tables))
+                            tuple(t.values for t in
+                                  per_lane_tables(driver, zetas, tables)))
         assert rows == convergence_study(sc, [1, 2, 3])
 
     def test_one_driver_call_per_slot_for_all_particles(self):

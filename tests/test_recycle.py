@@ -33,17 +33,18 @@ from test_sweep import TERMINAL, random_pair
 
 
 def _maps(monkeypatch):
-    """Record the new pairs of each `gamma_map` call, which still runs."""
-    pairs = []
+    """Record each `gamma_map` call, which still runs, as its input paths
+    and kernels and the new pair of its first member."""
+    calls = []
     original = solver.gamma_map
 
-    def recording(*args, **kwargs):
-        new = original(*args, **kwargs)
-        pairs.append(new)
-        return new
+    def recording(sc, y, z, out=None):
+        ys, zs = original(sc, y, z, out=out)
+        calls.append(((y, z), (ys[0], zs[0])))
+        return ys, zs
 
     monkeypatch.setattr(solver, "gamma_map", recording)
-    return pairs
+    return calls
 
 
 class TestRecycling:
@@ -54,7 +55,7 @@ class TestRecycling:
         maps = _maps(monkeypatch)
         _, _, rep = picard_solve(sc, tol=1e-12)
         assert rep.iterations == len(maps) >= 4
-        tables = [(y.values, z.values) for y, z in maps]
+        tables = [(y.values, z.values) for _, (y, z) in maps]
         for k in range(len(tables) - 1):
             for a, b in zip(tables[k], tables[k + 1]):
                 assert not np.shares_memory(a, b)
@@ -64,19 +65,11 @@ class TestRecycling:
 
     def test_the_zero_start_is_the_second_maps_storage(self, monkeypatch):
         sc = Scenario(build_lattice(4, 1.0), CASES["z_rev_blind"], TERMINAL)
-        starts = []
-        original = solver.iterate
-
-        def recording(step, start, *args):
-            starts.append(start[0])
-            return original(step, start, *args)
-
-        monkeypatch.setattr(solver, "iterate", recording)
         maps = _maps(monkeypatch)
         picard_solve(sc, tol=1e-12)
-        (y0, z0), = starts
-        assert np.shares_memory(z0.values, maps[1][1].values)
-        assert np.shares_memory(y0.values, maps[1][0].values)
+        (y0, z0), _ = maps[0]  # the first map reads the zero start
+        assert np.shares_memory(z0.values, maps[1][1][1].values)
+        assert np.shares_memory(y0.values, maps[1][1][0].values)
 
     def test_a_batch_reads_the_last_maps_tables(self, monkeypatch):
         lat = build_lattice(4, 1.0)

@@ -1,11 +1,12 @@
 """The sweep's running stack in storage its Picard loop keeps.
 
 `lattice.clark_ocone_sweep` writes each lift of its stack onto a slot
-field, and each W-bit halving, into a `lattice.SweepStacks`: `picard_solve`
-and `solve_particles` keep one for all their maps (through `out`), and any
-other sweep makes one table for the call.  `solve_particles` also writes
-each map into the tables of two maps back and takes each difference into
-one table it keeps.  Only the destinations of writes change, so every pair,
+field, and each W-bit halving, into a `lattice.SweepStacks`: the Picard
+loop (`solver.iterate`, under `picard_solve` and `solve_particles`) keeps
+one for all its maps (through `out`), and any other sweep makes one table
+for the call.  The particles' maps, too, write into the tables of two maps
+back, and each difference goes into one table pair the loop keeps.  Only
+the destinations of writes change, so every pair,
 trace and report equals, bit for bit, that of the sweep with a new table
 for every lift and halving (`allocating_sweep` of tests/_oracles.py).
 """
@@ -129,7 +130,7 @@ def stacks_used(monkeypatch):
             looked.append((self, self.table, id(plan), size, cut))
             return views
 
-    for module in (lattice, solver, particles):
+    for module in (lattice, solver):
         monkeypatch.setattr(module, "SweepStacks", Recording)
     return made, looked
 
@@ -181,23 +182,19 @@ class TestStorage:
 
     def test_the_particle_loop_writes_the_tables_of_two_maps_back(
             self, monkeypatch):
-        made, starts = [], []
+        starts, made = [], []
         original = particles._particle_map
-        iterate = particles.iterate
 
-        def recording(*args):
-            made.append(original(*args))
+        def recording(driver, swapped, zetas, tables, out):
+            starts.append(tables)
+            made.append(original(driver, swapped, zetas, tables, out))
             return made[-1]
 
-        def start(step, first, *args):
-            starts.append(first)
-            return iterate(step, first, *args)
-
         monkeypatch.setattr(particles, "_particle_map", recording)
-        monkeypatch.setattr(particles, "iterate", start)
         _, rep = solve_particles(particle_config(3))
         assert rep.iterations == len(made) >= 6
-        tables = [[x.values for x in pair] for pair in [starts[0]] + made]
+        # the first map reads the zero start
+        tables = [[x.values for x in starts[0]]] + made
         for k in range(len(tables) - 1):
             for a, b in zip(tables[k], tables[k + 1]):
                 assert not np.shares_memory(a, b)
@@ -304,9 +301,10 @@ def poisoned(at: int):
 class TestParticleDistance:
     def test_no_finiteness_read_of_the_loops_tables(self, monkeypatch):
         checks = []
-        check = particles._check_finite
-        monkeypatch.setattr(particles, "_check_finite",
-                            lambda values: checks.append(1) or check(values))
+        check = fields._check_finite
+        for module in (fields, solver):
+            monkeypatch.setattr(module, "_check_finite",
+                                lambda values: checks.append(1) or check(values))
         _, rep = solve_particles(particle_config(3))
         assert rep.iterations >= 6 and checks == []
 
@@ -324,8 +322,8 @@ class TestParticleDistance:
         def checked(*args):  # every map's tables checked where they are made
             tables = original(*args)
             for table in tables:
-                for values in table.values:
-                    particles._check_finite(values)
+                for values in table:
+                    fields._check_finite(values)
             return tables
 
         monkeypatch.setattr(particles, "_particle_map", checked)

@@ -11,7 +11,9 @@ its driver source itself.  The sweep and the map take a member list with
 no type test, the per-row decision is the `swapped` flag, and the flip
 equation's terms are `slot_terms`.  W(T) is built once per lattice and
 lane, and the terminal tables built on the shared walk are those of a
-walk built per node.
+walk built per node.  One Picard loop keeps the tables: `solver.iterate`
+has one call form, with no type test, and no module but the lattice and
+the solver names the sweep's stack storage.
 """
 
 import ast
@@ -30,7 +32,7 @@ from mfbdsvie.drivers import (
 )
 from mfbdsvie.lattice import build_lattice, clark_ocone_sweep
 from mfbdsvie.malliavin import _linearized_terms
-from mfbdsvie.solver import Scenario, map_rows, slot_args
+from mfbdsvie.solver import Scenario, iterate, map_rows, slot_args
 
 SRC = Path(mfbdsvie.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -41,7 +43,7 @@ RETIRED = (
     "eval_f", "eval_g", "eval_partials", "_check_grid", "lipschitz_audit",
     "partials_audit", "partial_bound_audit", "_entries", "f_coef", "g_coef",
     "row_defects", "_blocks", "BLOCK_BITS", "audit_z_flags", "from_bit_view",
-    "lift_single_to_joint", "_frozen_args",
+    "lift_single_to_joint", "_frozen_args", "sup_distance",
 )
 TERMINAL = TerminalSpec(phi=0.3, theta=lambda t: 1.0 + t,
                         smooth=[("tanh", 0.5), ("soft_abs", -0.2)])
@@ -120,6 +122,16 @@ class TestOneCallForm:
 
     def test_flip_terms_are_slot_terms(self):
         assert "slot_terms" in called(_linearized_terms)
+
+
+class TestOneLoop:
+    def test_iterate_makes_no_type_test(self):
+        assert "isinstance" not in called(iterate)
+
+    def test_stack_storage_named_only_in_the_lattice_and_the_solver(self):
+        naming = [p.name for p in MODULES
+                  if "SweepStacks" in set(identifiers(ast.parse(p.read_text())))]
+        assert naming == ["lattice.py", "solver.py"]
 
 
 class TestImportsAreRead:
