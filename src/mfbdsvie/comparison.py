@@ -19,6 +19,7 @@ checks both audits and solves the upper problem once.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -133,7 +134,10 @@ class HypothesesReport:
 
 def check_hypotheses(cs: ComparisonScenario, n_samples: int = 400,
                      seed: int = 20240604) -> HypothesesReport:
-    """Sampled audit of the ordering and monotonicity hypotheses."""
+    """Sampled audit of the ordering and monotonicity hypotheses; fewer
+    than one sample would pass it vacuously, so it is refused."""
+    if n_samples < 1:
+        raise ValidationError(f"n_samples={n_samples} must be >= 1")
     report = _sample_hypotheses(cs, n_samples, seed)
     if not report.passed:
         raise HypothesisViolated(
@@ -150,21 +154,23 @@ def _sample_hypotheses(cs: ComparisonScenario, n_samples: int, seed: int
                        ) -> HypothesesReport:
     """The six worst values of the audit.
 
-    The draws are made sample by sample (t, s, y, z, ybar, dy, zr, mzr,
-    mz), then each driver is called once per argument set on the arrays
-    of all samples.  The worst value is the largest over the samples,
-    skipping nan as a running max does.
+    The draws come from the standard library's `random.Random(seed)`, so
+    the audit never loads `numpy.random`.  They are made sample by sample
+    (t, s, y, z, ybar, dy, zr, mzr, mz) into one (9, n) array, then each
+    driver is called once per argument set on the arrays of all samples.
+    The worst value is the largest over the samples, skipping nan as a
+    running max does.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     lat = cs.lattice
-    draws = np.empty((9, n_samples))
-    for k in range(n_samples):
+    draws = []
+    for _ in range(n_samples):
         t = rng.uniform(0.0, lat.horizon)
-        draws[:, k] = (t, rng.uniform(t, lat.horizon),
-                       *rng.standard_normal(3) * 2.0,
-                       abs(rng.standard_normal()),
-                       *rng.standard_normal(3) * 3.0)
-    t, s, y, z, ybar, dy, zr, mzr, mz = draws
+        draws.append((t, rng.uniform(t, lat.horizon),
+                      *(rng.gauss(0.0, 2.0) for _ in range(3)),
+                      abs(rng.gauss(0.0, 1.0)),
+                      *(rng.gauss(0.0, 3.0) for _ in range(3))))
+    t, s, y, z, ybar, dy, zr, mzr, mz = np.array(draws).T
 
     def worst(v):
         v = np.broadcast_to(v, t.shape)

@@ -507,13 +507,33 @@ class SweepStacks:
     stack it reads, and no view of it is handed out.  Each plan's views of
     it for a member count are cut on the first sweep of that plan and
     count.  A Picard loop keeps one for all its maps; a sweep given none
-    cuts a table of its own for the call (`_cut`)."""
+    cuts a table of its own for the call (`_cut`).  It also keeps the
+    members' rows of x stacked on a member axis (`rows`): a loop's
+    terminals never change, so each row is stacked on its first map and
+    again only when a member stops."""
 
-    __slots__ = ("table", "views")
+    __slots__ = ("table", "views", "stacked")
 
     def __init__(self):
         self.table = np.empty(0)
         self.views = {}
+        self.stacked = {}
+
+    def rows(self, x: Sequence, k: int) -> np.ndarray:
+        """Row k of x's members as one write-locked table (member, ...),
+        stacked on the first sweep that reads these rows; a member count
+        not seen before (a member stopped) drops the tables of the last."""
+        rows = [xm[k] for xm in x]
+        key = tuple(map(id, rows))
+        got = self.stacked.get(key)
+        if got is None:
+            if any(len(old) != len(key) for old in self.stacked):
+                self.stacked.clear()
+            # the entry holds the rows, so their ids name no others while
+            # it is kept
+            got = self.stacked[key] = rows, _owned(
+                np.stack([v.values for v in rows]))
+        return got[1]
 
     def steps(self, plan: tuple, size: int) -> list:
         """Each step's (lift, halvings) destinations for plan's sweep of
@@ -591,8 +611,8 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     Each lift of the running stack onto a slot field and each W-bit
     halving is written into storage: out's third entry, a `SweepStacks`
     that a Picard loop keeps across its maps, so a warm sweep takes no
-    stack table and looks its views up once; else one table made for the
-    call.
+    stack table and looks its views up once, and restacks no member rows
+    of x; else one table made for the call.
     """
     fields = tuple(v.field for v in x[0])
     if any(tuple(v.field for v in xm) != fields for xm in x[1:]):
@@ -612,11 +632,13 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
         ys, zs = out[:2]
         if not whole:
             zs.fill(0.0)
-    views = (out[2].steps(plan, size) if out is not None and len(out) == 3
+    kept = out[2] if out is not None and len(out) == 3 else None
+    views = (kept.steps(plan, size) if kept is not None
              else _cut(np.empty(plan[4] * size), plan, size))
     tables = {}
     for k, own, joins in entries:
         table = (x[0][k].values[None] if size == 1
+                 else kept.rows(x, k) if kept is not None
                  else np.stack([xm[k].values for xm in x]))
         if own is not None:
             table = _onto(table, own)

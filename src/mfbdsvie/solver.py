@@ -493,12 +493,14 @@ def iterate(step: Callable, members: dict, lat: LatticeSpec, tol: float,
     returns the new (ys, zs) tables (member, row, ...), written into out,
     whose third entry is the loop's `lattice.SweepStacks` for the sweep's
     running stacks.  The loop owns the tables: the zero start lives in
-    them, out is those of the map two back (new ones for the first two
-    maps, or when a member stopped there: its pair has been handed out),
-    and y and z are the last map's, restacked when a member stops; a
-    caller's start is never written.  So past its second map an iteration
+    them, out is those of the map two back if it mapped the same members
+    (else new ones: for the first two maps and the two after a member
+    stops), and y and z are the last map's, restacked when a member stops;
+    a caller's start is never written.  So past its second map an iteration
     allocates no pair and no stack, and all of it is freed on return but
-    the tables of the pairs handed out.
+    the pairs handed out: a member that stops while others run on gets a
+    copy of its rows, so no pair keeps a co-member's rows alive but those
+    of the members that stop last, which share their map's tables.
 
     A member's difference goes into one table pair; its sup is the
     member's distance, and squares(m, y2, z2), if given, gets it squared
@@ -526,9 +528,8 @@ def iterate(step: Callable, members: dict, lat: LatticeSpec, tol: float,
     traces = {m: [] for m in running}
     for _ in range(max_iter):
         size = len(running)
-        if len(held) == 2 and held[0][0] == held[1][0]:
-            ys, zs = held[0][1]
-            out = ys[:size], zs[:size]
+        if len(held) == 2 and held[0][0] == running:
+            out = held[0][1]
         else:
             out = tuple(np.empty((size,) + s) for s in shapes)
         tables = step(running, y, z, (*out, stacks))
@@ -547,14 +548,14 @@ def iterate(step: Callable, members: dict, lat: LatticeSpec, tol: float,
             if squares:
                 squares(running[k], np.square(dy[0], out=dy[0]),
                         np.square(dz[0], out=dz[0]))
-        keep = []
+        keep = [k for k, d in enumerate(sups) if d > tol]
         for k, (m, d) in enumerate(zip(running, sups)):
             traces[m].append(d)
-            if d <= tol:  # the pair handed out
-                done[m] = (_unchecked(AdaptedPath, lat, ys[k]),
-                           _unchecked(VolterraKernel, lat, zs[k]))
-            else:
-                keep.append(k)
+            if d <= tol:  # the pair handed out, its own rows if others run on
+                done[m] = tuple(_unchecked(cls, lat, _owned(t[k].copy())
+                                           if keep else t[k])
+                                for cls, t in ((AdaptedPath, ys),
+                                               (VolterraKernel, zs)))
         if not keep:
             return ({m: done[m] for m in traces},
                     {m: len(t) for m, t in traces.items()}, traces)

@@ -83,6 +83,7 @@ Conventions (the discretisation contract, restated independently):
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Callable, Iterator, Sequence
@@ -1081,27 +1082,28 @@ def entrywise_stability(sc1, sc2, y1, z1, y2, z2):
 
 
 def per_sample_hypotheses(cs, n_samples=400, seed=20240604):
-    """The six worst values of the audit, one sample at a time."""
-    rng = np.random.default_rng(seed)
+    """The six worst values of the audit, one sample at a time, drawn from
+    the same `random.Random(seed)` stream in the same order."""
+    rng = random.Random(seed)
     lat = cs.lattice
     lo = hi = my = mm = rf = -np.inf
     for _ in range(n_samples):
         t = rng.uniform(0.0, lat.horizon)
         s = rng.uniform(t, lat.horizon)
-        y, z, ybar = rng.standard_normal(3) * 2.0
+        y, z, ybar = (rng.gauss(0.0, 2.0) for _ in range(3))
         args = (y, z, 0.0, ybar, 0.0, 0.0)
         v1 = cs.f1.f_values(t, s, *args)
         vb = cs.fbar.f_values(t, s, *args)
         v2 = cs.f2.f_values(t, s, *args)
         lo = max(lo, v1 - vb)
         hi = max(hi, vb - v2)
-        dy = abs(rng.standard_normal())
+        dy = abs(rng.gauss(0.0, 1.0))
         up_y = cs.fbar.f_values(t, s, y + dy, z, 0.0, ybar, 0.0, 0.0)
         my = max(my, vb - up_y)
         up_m = cs.fbar.f_values(t, s, y, z, 0.0, ybar + dy, 0.0, 0.0)
         mm = max(mm, vb - up_m)
         # reduced form: nothing may read the swapped-kernel slots
-        zr, mzr, mz = rng.standard_normal(3) * 3.0
+        zr, mzr, mz = (rng.gauss(0.0, 3.0) for _ in range(3))
         for d in (cs.f1, cs.fbar, cs.f2):
             rf = max(rf, abs(
                 d.f_values(t, s, y, z, zr, ybar, mz, mzr)
