@@ -54,7 +54,8 @@ Every fixed point here (the solution, the particle system, the flip
 equation) is found by one Picard loop, `iterate`, over members: the
 scenarios of a batch, the particles, or the flip equation's one pair.
 The loop owns its tables, the new pairs' and the sweep's running stack,
-recycles them from map to map and frees them when it returns.
+recycles them from map to map, takes each difference into the pair it
+replaces, and frees them when it returns.
 
 Solves that share a lattice, a driver and a beta and differ only in the
 terminal (the positions of a risk measure) are one batch of
@@ -69,6 +70,8 @@ empirical ratios can be held against the theoretical contraction factor.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -462,9 +465,21 @@ def map_rows(zeta, term: Callable | None, swapped: bool,
 
 
 def check_settings(tol: float, max_iter: int) -> None:
-    """Refuse a Picard tolerance or iteration budget `iterate` cannot run."""
+    """Refuse a Picard tolerance or iteration budget `iterate` cannot run:
+    tol a positive real number, max_iter a positive integer (numpy's
+    numbers too, but not a bool), before any map."""
+    if not isinstance(tol, numbers.Real):
+        raise ValidationError(f"tol={tol!r} must be a real number")
     if not tol > 0:
         raise ValidationError(f"tol={tol} must be > 0")
+    try:
+        operator.index(max_iter)
+    except TypeError:
+        integer = False
+    else:
+        integer = not isinstance(max_iter, bool)  # an int to operator.index
+    if not integer:
+        raise ValidationError(f"max_iter={max_iter!r} must be an integer")
     if not max_iter >= 1:
         raise ValidationError(f"max_iter={max_iter} must be >= 1")
 
@@ -502,27 +517,32 @@ def iterate(step: Callable, members: dict, lat: LatticeSpec, tol: float,
     copy of its rows, so no pair keeps a co-member's rows alive but those
     of the members that stop last, which share their map's tables.
 
-    A member's difference goes into one table pair; its sup is the
-    member's distance, and squares(m, y2, z2), if given, gets it squared
-    in place.  Coupled members (given no squares) are one system, with one
-    difference over all of them, and stop together; else each stops at
-    the iteration where it would alone.  The new pairs
-    are not re-read for finiteness: a distance that is not finite names
-    the first entry that is not, of the paths, then of the kernels (the
-    pairs' constructors' check), in the iteration that made it.
+    A member's difference goes into its rows of y's and z's tables when
+    the loop owns them (the zero start, a map's out, restacked rows): the
+    pair it replaces, whose storage the next map writes over.  Else (a
+    caller's start, or tables a step returns other than its out) it goes
+    into a pair made for the iteration.  So the loop holds two pairs, the
+    last two maps'.  The difference's sup is the member's distance, and
+    squares(m, y2, z2), if given, gets it squared in place.  Coupled
+    members (given no squares) are one system, with one difference over
+    all of them, and stop together; else each stops at the iteration
+    where it would alone.  The new pairs are not re-read for finiteness:
+    a distance that is not finite names the first entry that is not, of
+    the paths, then of the kernels (the pairs' constructors' check), in
+    the iteration that made it.
     """
     check_settings(tol, max_iter)
     n = lat.n_steps
     shapes = ((n + 1, 1 << lat.n_bits), (n + 1, n, 1 << lat.n_bits))
     width = len(members) if coupled else 1  # the members a difference spans
-    diff = [np.empty((width,) + s) for s in shapes]
     stacks = SweepStacks()
     running, done = list(members), {}
     held = []  # (members, tables) of the last two maps, or of the zero start
+    old = None  # the tables of y and z if the loop owns them, else None
     if all(pair is None for pair in members.values()):
-        held.append((running, tuple(np.zeros((len(running),) + s)
-                                    for s in shapes)))
-        y, z = (Stacked(lat, _owned(t.view())) for t in held[0][1])
+        old = tuple(np.zeros((len(running),) + s) for s in shapes)
+        held.append((running, old))
+        y, z = (Stacked(lat, _owned(t.view())) for t in old)
     else:
         y, z = (_stacked([members[m][k] for m in running]) for k in (0, 1))
     traces = {m: [] for m in running}
@@ -537,8 +557,9 @@ def iterate(step: Callable, members: dict, lat: LatticeSpec, tol: float,
         ys, zs = (_owned(t.view()) for t in tables)
         sups = []
         for k in range(0, size, width):
-            dy, dz = (np.subtract(t[k:k + width], x.values[k:k + width], out=d)
-                      for t, x, d in zip((ys, zs), (y, z), diff))
+            dy, dz = (np.subtract(t[k:k + width], x.values[k:k + width],
+                                  out=None if d is None else d[k:k + width])
+                      for t, x, d in zip((ys, zs), (y, z), old or (None,) * 2))
             sy, sz = _max_abs(dy), _max_abs(dz)
             if not math.isfinite(sy + sz):
                 for table in (ys, zs):
@@ -548,6 +569,7 @@ def iterate(step: Callable, members: dict, lat: LatticeSpec, tol: float,
             if squares:
                 squares(running[k], np.square(dy[0], out=dy[0]),
                         np.square(dz[0], out=dz[0]))
+        del dy, dz  # a pair made for the iteration is freed with it
         keep = [k for k, d in enumerate(sups) if d > tol]
         for k, (m, d) in enumerate(zip(running, sups)):
             traces[m].append(d)
@@ -560,7 +582,10 @@ def iterate(step: Callable, members: dict, lat: LatticeSpec, tol: float,
             return ({m: done[m] for m in traces},
                     {m: len(t) for m, t in traces.items()}, traces)
         if len(keep) < size:  # the running members' rows restacked
-            ys, zs = _owned(ys[keep]), _owned(zs[keep])
+            old = tuple(t[keep] for t in tables)
+            ys, zs = (_owned(t.view()) for t in old)
+        else:  # the last map's tables, if they are the out it was handed
+            old = tables if all(t is o for t, o in zip(tables, out)) else None
         running = [running[k] for k in keep]
         y, z = Stacked(lat, ys), Stacked(lat, zs)
     m = running[0]
@@ -673,7 +698,6 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
     # ratio, not a numpy warning
     scale = 1.0 / math.sqrt(_weight_mass(lat, beta))
     diffs = {m: [] for m in range(len(scs))}
-    scratch = []  # the loop's difference tables, for the final norms
 
     def step(members, y, z, out):
         gamma_map([scs[m] for m in members], y, z, out=out)
@@ -681,7 +705,6 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
 
     def squares(m, y2, z2):
         diffs[m].append(scale * math.sqrt(_norm_squared(lat, y2, z2, w)[0]))
-        scratch[:] = y2, z2
 
     pairs, iterations, traces = iterate(
         step, dict(enumerate(start)), lat, tol, max_iter,
@@ -696,9 +719,8 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
                          for p, d in zip(diffs[m], diffs[m][1:])],
             gamma_theory=x.gamma_theory,
             final_residual=residual(x, ys[m], zs[m]),
-            final_norms=tuple(map(math.sqrt, _norm_squared(lat, *(
-                np.square(v.values, out=d)
-                for v, d in zip((ys[m], zs[m]), scratch)), w))),
+            final_norms=tuple(map(math.sqrt, _norm_squared(
+                lat, np.square(ys[m].values), np.square(zs[m].values), w))),
             sup_trace=traces[m],
         ) for m, x in enumerate(scs)]
     if batch:

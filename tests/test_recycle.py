@@ -3,9 +3,11 @@
 From the second map on, `picard_solve`'s map writes into the storage of
 the pairs two iterations back (`gamma_map`, `map_rows` and
 `lattice.clark_ocone_sweep` with `out`), never into a table that holds a
-pair the loop has handed out or into the caller's start, and each
-iteration's difference goes into one table pair the loop owns.  Every
-iterate, trace and final figure equals that of the allocating map.
+pair the loop has handed out or into the caller's start.  Each
+iteration's difference goes into the tables of the pair it replaces when
+the loop owns them, so the loop holds two pairs; a caller's start takes
+its difference into a pair made for the iteration.  Every iterate, trace
+and final figure equals that of the allocating map.
 """
 
 from functools import partial
