@@ -11,14 +11,9 @@ from .errors import Error
 from .lattice import (
     LatticeSpec,
     MeasurableRV,
-    PathIndex,
     SigmaField,
-    b_increment,
     build_lattice,
     condexp,
-    expectation,
-    flip_derivative,
-    lift,
     time_field,
 )
 from .fields import (

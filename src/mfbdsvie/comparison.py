@@ -190,8 +190,9 @@ def _sample_hypotheses(cs: ComparisonScenario, n_samples: int, seed: int
                      - cs.g.g_values(t, s, *args)))
     term_gap = -np.inf
     for i in range(lat.n_steps + 1):
-        d = terminal_rv(cs.zeta1, lat, i) - terminal_rv(cs.zeta2, lat, i)
-        term_gap = max(term_gap, float(np.max(d.values)))
+        d = (terminal_rv(cs.zeta1, lat, i).values
+             - terminal_rv(cs.zeta2, lat, i).values)
+        term_gap = max(term_gap, float(np.max(d)))
     return HypothesesReport(
         worst_order_low=worst(v1 - vb), worst_order_high=worst(vb - v2),
         worst_monotone_y=worst(vb - up_y),

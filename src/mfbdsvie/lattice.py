@@ -26,10 +26,12 @@ only; no regression or Monte Carlo noise enters anywhere.
 axis per increment the finer field f knows, W increments f.w_upto-1
 down to 0, then B increments M-1 down to f.b_from, size 1 where x is
 blind.  Views on one field broadcast together and reshape for free to
-f.table_shape; arithmetic, lifts and driver arguments are built on it,
-and `fill_table` writes a value that broadcasts against it out as f's
-table.  Tables the package builds are write-locked and kept, never
-copied; only a caller's writable array is copied.
+f.table_shape; the sweep's lifts, the driver arguments and the walk of
+extremes are built on it.  A `MeasurableRV` is an entry record, a
+(field, table) pair with no arithmetic: the entry views of paths and
+kernels, the terminals and `condexp`'s result; the algebra on tables is
+numpy on these views.  Tables the package builds are write-locked and
+kept, never copied; only a caller's writable array is copied.
 The lowest known B increment, f.b_from, is innermost: a broadcast along
 it runs two entries at a time, so a lift onto one new such bit
 (`_onto_op`) and g dB_j (`solver._times_db`) go by the axis's halves.
@@ -159,34 +161,20 @@ def time_field(lat: LatticeSpec, i: int) -> SigmaField:
     return SigmaField(lat, i * lat.lanes, i * lat.lanes)
 
 
-def trivial_field(lat: LatticeSpec) -> SigmaField:
-    """No information at all: constants only."""
-    return SigmaField(lat, 0, lat.n_bits)
-
-
 def full_field(lat: LatticeSpec) -> SigmaField:
     return SigmaField(lat, lat.n_bits, 0)
 
 
-@dataclass(frozen=True)
-class PathIndex:
-    """One sample point: sign codes for all W and all B increments.
-
-    Bit j of w_bits (resp. b_bits) is 1 when increment j is +inc.
-    """
-
-    w_bits: int
-    b_bits: int
-
-
 class MeasurableRV:
-    """A random variable tagged with the field it is measurable against.
+    """An entry record: a random variable's table and the field it is
+    measurable against.
 
     values has shape field.table_shape; entries are the exact values on
-    each combination of known increments.  Instances are immutable:
-    every operation returns a fresh object and tables are write-locked.
-    A writable array is copied; a read-only one, such as a table the
-    package has just built and locked with `_owned`, is kept as it is.
+    each combination of known increments.  Instances are immutable and
+    their tables write-locked; they carry no arithmetic (numpy on
+    `values` and `bit_view` does it).  A writable array is copied; a
+    read-only one, such as a table the package has just built and locked
+    with `_owned`, is kept as it is.
     """
 
     __slots__ = ("field", "values")
@@ -211,50 +199,6 @@ class MeasurableRV:
     def lattice(self) -> LatticeSpec:
         return self.field.lattice
 
-    # -- construction helpers -------------------------------------------
-
-    @staticmethod
-    def constant(lat: LatticeSpec, value: float) -> MeasurableRV:
-        f = trivial_field(lat)
-        return MeasurableRV(f, _owned(np.full(f.table_shape, float(value))))
-
-    # -- elementwise algebra (operands lifted to the join field) --------
-
-    def _binary(self, other, op) -> MeasurableRV:
-        if isinstance(other, MeasurableRV):
-            if self.lattice != other.lattice:
-                raise LatticeMismatch("operands on different lattices")
-            f = self.field.join(other.field)
-            out = op(bit_view(self, f), bit_view(other, f))
-            return MeasurableRV(f, _owned(out.reshape(f.table_shape)))
-        return MeasurableRV(self.field, _owned(op(self.values, float(other))))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binary(other, np.multiply)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return MeasurableRV(self.field, _owned(-self.values))
-
-    # -- evaluation ------------------------------------------------------
-
-    def at(self, path: PathIndex) -> float:
-        w = path.w_bits & ((1 << self.field.w_upto) - 1)
-        b = path.b_bits >> self.field.b_from
-        return float(self.values[w, b])
-
     def max_abs(self) -> float:
         return _max_abs(self.values)
 
@@ -263,16 +207,6 @@ def _owned(table: np.ndarray) -> np.ndarray:
     """Write-lock a table only the package holds, so it is kept, not copied."""
     table.flags.writeable = False
     return table
-
-
-@lru_cache(maxsize=1024)
-def b_increment(lat: LatticeSpec, j: int) -> MeasurableRV:
-    """The j-th backward increment, +/- inc by sign bit j (shared: immutable)."""
-    _check_bit(lat, j)
-    f = SigmaField(lat, 0, j)
-    c = np.arange(1 << (lat.n_bits - j))
-    signs = 2.0 * (c & 1) - 1.0
-    return MeasurableRV(f, _owned((lat.inc * signs)[None, :]))
 
 
 def _check_bit(lat: LatticeSpec, j: int) -> None:
@@ -298,22 +232,6 @@ def bit_view(x: MeasurableRV, f: SigmaField) -> np.ndarray:
             f"non-refining ({f.w_upto},{f.b_from})"
         )
     return x.values.reshape(bit_view_shape(x.field, f))
-
-
-def fill_table(v, f: SigmaField) -> np.ndarray:
-    """A value broadcasting against f's bit axes, as f's C-ordered table.
-
-    The result is read-only: a fresh table, or a view of v when v already
-    is one.
-    """
-    axes = f.w_upto + f.lattice.n_bits - f.b_from
-    return _owned(np.ascontiguousarray(
-        np.broadcast_to(v, (2,) * axes).reshape(f.table_shape)))
-
-
-def lift(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
-    """Re-express x on the finer field f (no information change)."""
-    return MeasurableRV(f, fill_table(bit_view(x, f), f))
 
 
 def _onto_op(g: SigmaField, f: SigmaField) -> tuple:
@@ -689,11 +607,6 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     return ys, zs
 
 
-def expectation(x: MeasurableRV) -> float:
-    """Plain expectation: uniform average over all paths."""
-    return float(x.values.mean())
-
-
 def _max_abs(v: np.ndarray) -> float:
     """max |v| with no temporary; a NaN makes v.max() and v.min() NaN."""
     return abs(max(float(v.max()), -float(v.min())))
@@ -845,22 +758,13 @@ def _add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 # -- increment-flip derivative ----------------------------------------------
 
 
-def flip_derivative(x: MeasurableRV, j: int) -> MeasurableRV:
-    """Discrete Malliavin derivative in the W direction at slot j.
-
-    (x with dW_j = +inc minus x with dW_j = -inc) / (2 inc); linear,
-    annihilates anything blind to dW_j, and the result never depends on
-    dW_j itself.
-    """
-    _check_bit(x.lattice, j)
-    d = flip_rows(x.values.reshape(-1), x.field.w_upto, j, x.lattice.inc)
-    return MeasurableRV(x.field, _owned(d.reshape(x.field.table_shape)))
-
-
 def flip_rows(v: np.ndarray, a: int, j: int, inc: float) -> np.ndarray:
-    """`flip_derivative` at W bit j of tables flattened on the last axis,
-    each knowing the W bits below a: one strided difference over the
-    halves of bit j, on both halves, or zeros when j >= a."""
+    """Discrete Malliavin derivative in the W direction at bit j of tables
+    flattened on the last axis, each knowing the W bits below a: (x with
+    dW_j = +inc minus x with dW_j = -inc) / (2 inc), one strided difference
+    over the halves of bit j, on both halves, or zeros when j >= a.  It is
+    linear, annihilates anything blind to dW_j, and the result never
+    depends on dW_j itself."""
     if j >= a:
         return np.zeros_like(v)
     w = v.reshape(v.shape[:-1] + (-1, 2, (v.shape[-1] >> a) << j))

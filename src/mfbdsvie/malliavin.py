@@ -58,11 +58,12 @@ from .drivers import CustomDriver
 from .errors import IndexOutOfRange, ValidationError
 from .fields import AdaptedPath, VolterraKernel, _check_finite
 from .lattice import (
+    MeasurableRV,
     SigmaField,
     _check_bit,
+    _max_abs,
     _owned,
     condexp,
-    flip_derivative,
     flip_rows,
     row_extremes,
     slot_field,
@@ -160,7 +161,10 @@ def build_linearized(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
                 "driver blind to z_rev and mean_z_rev declares nonzero "
                 "partials in them")
         coefs.append((f, values))
-    source = [flip_derivative(sc.zeta[i], r_idx) for i in range(n + 1)]
+    tf = sc.zeta[0].field  # every node's terminal is on it
+    flips = _owned(flip_rows(np.stack([x.values.reshape(-1) for x in sc.zeta]),
+                             tf.w_upto, r_idx, lat.inc))
+    source = [MeasurableRV(tf, d.reshape(tf.table_shape)) for d in flips]
     return LinearizedScenario(sc, y, z, r_idx, coefs, source)
 
 
@@ -245,18 +249,21 @@ def check_clark_ocone(y: AdaptedPath, z: VolterraKernel, r_idx: int
     """Lower-triangle kernel against the conditional flip of Y.
 
     Exact on the lattice for every solved pair: max over nodes i > r and
-    paths of |Z(t_i, s_r) - E[D_r Y_i | (r, r)]|; a slot outside
-    0..N-1 raises IndexOutOfRange.
+    paths of |Z(t_i, s_r) - E[D_r Y_i | (r, r)]|, each flip one
+    `flip_rows` call on the dense path row; a slot outside 0..N-1 raises
+    IndexOutOfRange.
     """
     lat = y.lattice
     if not 0 <= r_idx < lat.n_steps:
         raise IndexOutOfRange(f"slot {r_idx} outside 0..{lat.n_steps - 1}")
     rows = []
     worst = 0.0
+    base = time_field(lat, r_idx)
     for i in range(r_idx + 1, lat.n_steps + 1):
-        lhs = z.at(i, r_idx)
-        rhs = condexp(flip_derivative(y[i], r_idx), time_field(lat, r_idx))
-        gap = (lhs - rhs).max_abs()
+        f = time_field(lat, i)
+        d = flip_rows(y.values[i], f.w_upto, r_idx, lat.inc)
+        rhs = condexp(MeasurableRV(f, _owned(d.reshape(f.table_shape))), base)
+        gap = _max_abs(z.values[i, r_idx] - rhs.values.reshape(-1))
         rows.append((i, r_idx, gap))
         worst = max(worst, gap)
     return IdentityReport(rows=rows, worst=worst)

@@ -104,11 +104,9 @@ from .lattice import (
     SweepStacks,
     _max_abs,
     _owned,
-    b_increment,
     bit_view_shape,
     check_lanes,
     clark_ocone_sweep,
-    expectation,
     row_extremes,
     slot_field,
     time_field,
@@ -253,7 +251,7 @@ def _slot_layout(lat: LatticeSpec, j: int, start: int, stop: int,
     def db_view(bit):  # the W axes, then the B bits from M - 1 down
         shape = [1] * axes
         shape[f.w_upto + lat.n_bits - 1 - bit] = 2
-        return b_increment(lat, bit).values[0, :2].reshape(shape)
+        return np.array([-lat.inc, lat.inc]).reshape(shape)
 
     db = _owned(np.stack(np.broadcast_arrays(*[
         db_view(lat.bit_of(j, ln)) for ln in check_lanes(lat, lane)])))
@@ -467,8 +465,8 @@ def map_rows(zeta, term: Callable | None, swapped: bool,
 def check_settings(tol: float, max_iter: int) -> None:
     """Refuse a Picard tolerance or iteration budget `iterate` cannot run:
     tol a positive real number, max_iter a positive integer (numpy's
-    numbers too, but not a bool), before any map."""
-    if not isinstance(tol, numbers.Real):
+    numbers too, but neither a bool), before any map."""
+    if not isinstance(tol, numbers.Real) or isinstance(tol, bool):
         raise ValidationError(f"tol={tol!r} must be a real number")
     if not tol > 0:
         raise ValidationError(f"tol={tol} must be > 0")
@@ -764,8 +762,8 @@ def stability_compare(sc1: Scenario, sc2: Scenario,
 
     zeta_term = 0.0
     for i in range(n + 1):
-        dz = sc1.zeta[i] - sc2.zeta[i]
-        zeta_term += w.at(lat.node(i)) * expectation(dz * dz) * dt
+        dz = sc1.zeta[i].values - sc2.zeta[i].values
+        zeta_term += w.at(lat.node(i)) * float(np.mean(dz * dz)) * dt
     read = SlotReader(y2, z2, *means(y2, z2))
     f_term = g_term = 0.0
     d1, d2 = sc1.driver, sc2.driver

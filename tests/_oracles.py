@@ -44,10 +44,15 @@ reference for the one sweep of `particles.particle_map`; and the
 particle gaps e_n taken on tables of all joint paths
 (`lift_single_to_joint`, `full_field_convergence_study`), the reference
 for the gaps of `particles.convergence_study` on the joint time field.
-The next two sections hold what the package once exported and no
-package code calls: the increments, walks, dependence audits and forward and
-backward integrals in `MeasurableRV` arithmetic (both integrals are
-`_source_sum` with no source), and the pointwise driver evaluators,
+The next three sections hold what the package once exported and no
+package code calls: the per-entry algebra (`MeasurableRV` arithmetic as
+the free functions `add`, `sub`, `mul` and `neg`, `constant`, `at` on a
+`PathIndex`, `lift` and `fill_table`, `expectation`, `flip_derivative`
+and `b_increment`), in which the lower-triangle identity one entry at a
+time (`per_entry_clark_ocone`) is the reference for
+`malliavin.check_clark_ocone`; the increments, walks, dependence audits
+and forward and backward integrals in that algebra (both integrals are
+`_source_sum` with no source); and the pointwise driver evaluators,
 sampled driver audits and the sampled audit of a z-map's derived flags
 (`audit_z_flags`, its slack scaled by max(1, |k1|)).  Then comes the
 backward induction as it worked out its fields on every call
@@ -85,7 +90,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -96,6 +101,7 @@ from mfbdsvie.drivers import DriverPartials, DriverSpec, ZPart, terminal_rv
 from mfbdsvie.errors import (
     IndexOutOfRange,
     InvalidIndex,
+    LatticeMismatch,
     MeasurabilityViolation,
     NoConvergence,
     ValidationError,
@@ -114,24 +120,19 @@ from mfbdsvie.fields import (
 from mfbdsvie.lattice import (
     LatticeSpec,
     MeasurableRV,
-    PathIndex,
     SigmaField,
     _check_bit,
     _owned,
-    b_increment,
     bit_view,
     bit_view_shape,
     clark_ocone_sweep,
     condexp,
-    expectation,
-    fill_table,
-    flip_derivative,
+    flip_rows,
     full_field,
-    lift,
     slot_field,
     time_field,
 )
-from mfbdsvie.malliavin import LinearizedScenario, flip_solution
+from mfbdsvie.malliavin import IdentityReport, LinearizedScenario, flip_solution
 from mfbdsvie.particles import ParticleConfig, solve_particles
 from mfbdsvie.solver import (
     Scenario,
@@ -503,7 +504,7 @@ def condexp_representation_row(y_i, j, lane=0):
     """E[Y_i dW_j | (j, j)] / dt with one conditional expectation."""
     lat = y_i.lattice
     wj = w_increment(lat, lat.bit_of(j, lane))
-    return condexp(y_i * wj, time_field(lat, j)) * (1.0 / lat.dt)
+    return mul(condexp(mul(y_i, wj), time_field(lat, j)), 1.0 / lat.dt)
 
 
 def condexp_split_row(phi, i, lane=0, first=0):
@@ -514,7 +515,8 @@ def condexp_split_row(phi, i, lane=0, first=0):
     row += [condexp_representation_row(yi, j, lane) for j in range(first, i)]
     for j in range(max(i, first), lat.n_steps):
         wj = w_increment(lat, lat.bit_of(j, lane))
-        row.append(condexp(phi * wj, time_field(lat, j)) * (1.0 / lat.dt))
+        row.append(mul(condexp(mul(phi, wj), time_field(lat, j)),
+                       1.0 / lat.dt))
     return yi, row
 
 
@@ -595,9 +597,9 @@ def zeta_first_assemble_phi(driver, zeta_i, y, z, ey, ez, i, lane=0):
     for j in range(i, lat.n_steps):
         left, right = frozen_args(y, z, ey, ez, i, j)
         f = evaluate_driver(driver.f_values, t, lat.node(j), left)
-        phi = phi + f * lat.dt
+        phi = add(phi, mul(f, lat.dt))
         g = evaluate_driver(driver.g_values, t, lat.node(j + 1), right)
-        phi = phi + g * b_increment(lat, lat.bit_of(j, lane))
+        phi = add(phi, mul(g, b_increment(lat, lat.bit_of(j, lane))))
     return phi
 
 
@@ -628,8 +630,9 @@ def assembled_residual(sc, y, z):
     n = sc.lattice.n_steps
     ey, ez = entrywise_means(y, z)
     return max(
-        (zeta_first_assemble_phi(sc.driver, sc.zeta[i], y, z, ey, ez, i)
-         - y[i] - forward_integral(z.z[i], i, n)).max_abs()
+        sub(sub(zeta_first_assemble_phi(sc.driver, sc.zeta[i], y, z, ey, ez,
+                                        i), y[i]),
+            forward_integral(z.z[i], i, n)).max_abs()
         for i in range(n + 1))
 
 
@@ -793,7 +796,8 @@ def _linearized_phi(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
     """Row-i driver sums of the flip equation over slots >= max(i, r)."""
     phi = ls.source[i]
     for j in range(max(i, ls.r_idx), ls.scenario.lattice.n_steps):
-        phi = phi + _linearized_term(ls, u, v, eu, ev, i, j, include_swapped)
+        phi = add(phi, _linearized_term(ls, u, v, eu, ev, i, j,
+                                        include_swapped))
     return phi
 
 
@@ -841,10 +845,10 @@ def _source_sum(vals: Sequence[MeasurableRV], j_lo: int, j_hi: int,
                 f"{kind} integrand at slot {j} depends on increments "
                 f"unknown at ({k}, {k})"
             )
-        term = vals[j] * increment(lat, j)
+        term = mul(vals[j], increment(lat, j))
         if source is not None:
-            term = source(j) - term
-        out = term if out is None else out + term
+            term = sub(source(j), term)
+        out = term if out is None else add(out, term)
     return zero_rv(lat) if out is None else out
 
 
@@ -852,9 +856,9 @@ def per_row_residual(sc, y, z):
     """Worst pathwise defect, each row's audited sum over its slot_term."""
     n = sc.lattice.n_steps
     ey, ez = means(y, z)
-    return max((_source_sum(z.z[i], i, n, 0, w_increment, "forward",
-                            partial(slot_term, sc.driver, y, z, ey, ez, i))
-                + (sc.zeta[i] - y[i])).max_abs()
+    return max(add(_source_sum(z.z[i], i, n, 0, w_increment, "forward",
+                               partial(slot_term, sc.driver, y, z, ey, ez, i)),
+                   sub(sc.zeta[i], y[i])).max_abs()
                for i in range(n + 1))
 
 
@@ -862,8 +866,8 @@ def whole_table_m_identity(y, z):
     """`fields.m_identity_residual` with each row's defect made whole, as
     one table on (i, 0), before it was read a block at a time."""
     base_field = SigmaField(y.lattice, 0, 0)
-    return max((condexp(y[i], base_field) - y[i]
-                + forward_integral(z.z[i], 0, i)).max_abs()
+    return max(add(sub(condexp(y[i], base_field), y[i]),
+                   forward_integral(z.z[i], 0, i)).max_abs()
                for i in range(len(y)))
 
 
@@ -878,12 +882,13 @@ def per_row_delta_equation(ls):
     worst = 0.0
     l2 = 0.0
     for i in range(r + 1):
-        acc = (_linearized_phi(ls, u, v, eu, ev, i, include_swapped=False)
-               - forward_integral(v.z[i], r, n) - ls.base_z.at(i, r))
+        acc = sub(sub(_linearized_phi(ls, u, v, eu, ev, i,
+                                      include_swapped=False),
+                      forward_integral(v.z[i], r, n)), ls.base_z.at(i, r))
         gap = acc.max_abs()
         rows.append((i, r, gap))
         worst = max(worst, gap)
-        l2 += lat.dt * expectation(acc * acc)
+        l2 += lat.dt * expectation(mul(acc, acc))
     return rows, worst, float(np.sqrt(l2))
 
 
@@ -906,11 +911,11 @@ def _ordered_defects(x, target, z, term, slots):
     for i, row in enumerate(slots):
         acc, scale = x[i], x[i].max_abs() + target[i].max_abs()
         for j in reversed(row):
-            zdw = z.at(i, j) * w_increment(lat, j)
-            s = -zdw if term is None else term(i, j) - zdw
-            acc = acc + s
+            zdw = mul(z.at(i, j), w_increment(lat, j))
+            s = neg(zdw) if term is None else sub(term(i, j), zdw)
+            acc = add(acc, s)
             scale += s.max_abs()
-        yield acc - target[i], len(row), scale
+        yield sub(acc, target[i]), len(row), scale
 
 
 def ordered_row_extremes(x, target, z, term, slots):
@@ -923,7 +928,7 @@ def ordered_row_extremes(x, target, z, term, slots):
 def ordered_mean_squares(x, target, z, term, slots):
     """Per row i, E[D_i^2] of the ordered defect, averaged over its whole
     table."""
-    return [expectation(d * d)
+    return [expectation(mul(d, d))
             for d, _, _ in _ordered_defects(x, target, z, term, slots)]
 
 
@@ -979,8 +984,9 @@ def per_row_particle_map(driver, zetas, pairs):
 # -- per-entry whole-pair statistics -------------------------------------------
 #
 # One Python step per path or kernel entry, through y[i] and z.at(i, j):
-# the references for the array expressions of fields and solver, and for
-# the flip of a whole pair in `malliavin.flip_solution`.
+# the references for the array expressions of fields and solver, for the
+# flip of a whole pair in `malliavin.flip_solution`, and for the
+# lower-triangle identity of `malliavin.check_clark_ocone`.
 
 
 def entrywise_flip_solution(y, z, r_idx):
@@ -990,20 +996,37 @@ def entrywise_flip_solution(y, z, r_idx):
                                         for zij in row] for row in z.z]))
 
 
+def per_entry_clark_ocone(y, z, r_idx):
+    """`malliavin.check_clark_ocone` on the entry views: each row's flip a
+    variable, conditioned, less the kernel entry."""
+    lat = y.lattice
+    if not 0 <= r_idx < lat.n_steps:
+        raise IndexOutOfRange(f"slot {r_idx} outside 0..{lat.n_steps - 1}")
+    rows = []
+    worst = 0.0
+    for i in range(r_idx + 1, lat.n_steps + 1):
+        lhs = z.at(i, r_idx)
+        rhs = condexp(flip_derivative(y[i], r_idx), time_field(lat, r_idx))
+        gap = sub(lhs, rhs).max_abs()
+        rows.append((i, r_idx, gap))
+        worst = max(worst, gap)
+    return IdentityReport(rows=rows, worst=worst)
+
+
 def entrywise_pair_sup_diff(y1, z1, y2, z2):
     lat = y1.lattice
     worst = 0.0
     for i in range(lat.n_steps + 1):
-        worst = max(worst, (y1[i] - y2[i]).max_abs())
+        worst = max(worst, sub(y1[i], y2[i]).max_abs())
         for j in range(lat.n_steps):
-            worst = max(worst, (z1.at(i, j) - z2.at(i, j)).max_abs())
+            worst = max(worst, sub(z1.at(i, j), z2.at(i, j)).max_abs())
     return worst
 
 
 def entrywise_pair_diff(y1, z1, y2, z2):
     lat = y1.lattice
-    dy = AdaptedPath(lat, [y1[i] - y2[i] for i in range(lat.n_steps + 1)])
-    dz = VolterraKernel(lat, [[z1.at(i, j) - z2.at(i, j)
+    dy = AdaptedPath(lat, [sub(y1[i], y2[i]) for i in range(lat.n_steps + 1)])
+    dz = VolterraKernel(lat, [[sub(z1.at(i, j), z2.at(i, j))
                                for j in range(lat.n_steps)]
                               for i in range(lat.n_steps + 1)])
     return dy, dz
@@ -1014,11 +1037,11 @@ def entrywise_norm_squared(y, z, w, full_square):
     dt = lat.dt
     total = 0.0
     for i in range(lat.n_steps + 1):
-        total += w.at(lat.node(i)) * expectation(y[i] * y[i]) * dt
+        total += w.at(lat.node(i)) * expectation(mul(y[i], y[i])) * dt
     for i in range(lat.n_steps + 1):
         for j in range(0 if full_square else i, lat.n_steps):
             zij = z.at(i, j)
-            total += w.at(lat.node(j)) * expectation(zij * zij) * dt * dt
+            total += w.at(lat.node(j)) * expectation(mul(zij, zij)) * dt * dt
     return total
 
 
@@ -1032,7 +1055,7 @@ def entrywise_means(y, z):
 def entrywise_node_gaps(a, b, from_node=0, absolute=False):
     rows = []
     for i in range(from_node, len(a)):
-        d = (a[i] - b[i]).values
+        d = sub(a[i], b[i]).values
         rows.append((i, float(np.max(np.abs(d) if absolute else d))))
     return rows
 
@@ -1054,8 +1077,8 @@ def entrywise_stability(sc1, sc2, y1, z1, y2, z2):
                                  full_square=False)
     zeta_term = 0.0
     for i in range(n + 1):
-        dz = sc1.zeta[i] - sc2.zeta[i]
-        zeta_term += w.at(lat.node(i)) * expectation(dz * dz) * dt
+        dz = sub(sc1.zeta[i], sc2.zeta[i])
+        zeta_term += w.at(lat.node(i)) * expectation(mul(dz, dz)) * dt
     ey, ez = entrywise_means(y2, z2)
     f_term = g_term = 0.0
     d1, d2 = sc1.driver, sc2.driver
@@ -1064,12 +1087,12 @@ def entrywise_stability(sc1, sc2, y1, z1, y2, z2):
         for j in range(i, n):
             left, right = frozen_args(y2, z2, ey, ez, i, j)
             s, sr = lat.node(j), lat.node(j + 1)
-            df = (evaluate_driver(d1.f_values, t, s, left)
-                  - evaluate_driver(d2.f_values, t, s, left))
-            f_term += w.at(s) * expectation(df * df) * dt * dt
-            dg = (evaluate_driver(d1.g_values, t, sr, right)
-                  - evaluate_driver(d2.g_values, t, sr, right))
-            g_term += w.at(s) * expectation(dg * dg) * dt * dt
+            df = sub(evaluate_driver(d1.f_values, t, s, left),
+                     evaluate_driver(d2.f_values, t, s, left))
+            f_term += w.at(s) * expectation(mul(df, df)) * dt * dt
+            dg = sub(evaluate_driver(d1.g_values, t, sr, right),
+                     evaluate_driver(d2.g_values, t, sr, right))
+            g_term += w.at(s) * expectation(mul(dg, dg)) * dt * dt
     return lhs, zeta_term, f_term, g_term
 
 
@@ -1115,7 +1138,7 @@ def per_sample_hypotheses(cs, n_samples=400, seed=20240604):
         ))
     term_gap = -np.inf
     for i in range(lat.n_steps + 1):
-        d = terminal_rv(cs.zeta1, lat, i) - terminal_rv(cs.zeta2, lat, i)
+        d = sub(terminal_rv(cs.zeta1, lat, i), terminal_rv(cs.zeta2, lat, i))
         term_gap = max(term_gap, float(np.max(d.values)))
     return HypothesesReport(
         worst_order_low=float(lo), worst_order_high=float(hi),
@@ -1212,6 +1235,111 @@ def full_field_convergence_study(base: Scenario, n_list: list[int],
     return rows
 
 
+# -- the per-entry algebra ---------------------------------------------------
+#
+# `MeasurableRV` arithmetic, lifts, evaluation at one path, plain
+# expectations, the flip of one variable and the backward increments, as
+# the package kept them before its callers worked on the dense arrays and
+# its entry type became a (field, table) record.  The operators are free
+# functions on a variable and a variable or a number, two variables lifted
+# to the join of their fields.
+
+
+@dataclass(frozen=True)
+class PathIndex:
+    """One sample point: sign codes for all W and all B increments.
+
+    Bit j of w_bits (resp. b_bits) is 1 when increment j is +inc.
+    """
+
+    w_bits: int
+    b_bits: int
+
+
+def constant(lat: LatticeSpec, value: float) -> MeasurableRV:
+    """value on the trivial field (no information: constants only)."""
+    f = SigmaField(lat, 0, lat.n_bits)
+    return MeasurableRV(f, _owned(np.full(f.table_shape, float(value))))
+
+
+def _binary(x: MeasurableRV, other, op) -> MeasurableRV:
+    """op(x, other), other a variable or a number: two variables on the join
+    of their fields, a number against x's table."""
+    if isinstance(other, MeasurableRV):
+        if x.lattice != other.lattice:
+            raise LatticeMismatch("operands on different lattices")
+        f = x.field.join(other.field)
+        out = op(bit_view(x, f), bit_view(other, f))
+        return MeasurableRV(f, _owned(out.reshape(f.table_shape)))
+    return MeasurableRV(x.field, _owned(op(x.values, float(other))))
+
+
+def add(x: MeasurableRV, other) -> MeasurableRV:
+    return _binary(x, other, np.add)
+
+
+def sub(x: MeasurableRV, other) -> MeasurableRV:
+    return _binary(x, other, np.subtract)
+
+
+def mul(x: MeasurableRV, other) -> MeasurableRV:
+    return _binary(x, other, np.multiply)
+
+
+def neg(x: MeasurableRV) -> MeasurableRV:
+    return MeasurableRV(x.field, _owned(-x.values))
+
+
+def at(x: MeasurableRV, path: PathIndex) -> float:
+    """x's value on one path."""
+    w = path.w_bits & ((1 << x.field.w_upto) - 1)
+    b = path.b_bits >> x.field.b_from
+    return float(x.values[w, b])
+
+
+def fill_table(v, f: SigmaField) -> np.ndarray:
+    """A value broadcasting against f's bit axes, as f's C-ordered table.
+
+    The result is read-only: a fresh table, or a view of v when v already
+    is one.
+    """
+    axes = f.w_upto + f.lattice.n_bits - f.b_from
+    return _owned(np.ascontiguousarray(
+        np.broadcast_to(v, (2,) * axes).reshape(f.table_shape)))
+
+
+def lift(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
+    """Re-express x on the finer field f (no information change)."""
+    return MeasurableRV(f, fill_table(bit_view(x, f), f))
+
+
+def expectation(x: MeasurableRV) -> float:
+    """Plain expectation: uniform average over all paths."""
+    return float(x.values.mean())
+
+
+def flip_derivative(x: MeasurableRV, j: int) -> MeasurableRV:
+    """Discrete Malliavin derivative in the W direction at slot j.
+
+    (x with dW_j = +inc minus x with dW_j = -inc) / (2 inc); linear,
+    annihilates anything blind to dW_j, and the result never depends on
+    dW_j itself.
+    """
+    _check_bit(x.lattice, j)
+    d = flip_rows(x.values.reshape(-1), x.field.w_upto, j, x.lattice.inc)
+    return MeasurableRV(x.field, _owned(d.reshape(x.field.table_shape)))
+
+
+@lru_cache(maxsize=1024)
+def b_increment(lat: LatticeSpec, j: int) -> MeasurableRV:
+    """The j-th backward increment, +/- inc by sign bit j (shared: immutable)."""
+    _check_bit(lat, j)
+    f = SigmaField(lat, 0, j)
+    c = np.arange(1 << (lat.n_bits - j))
+    signs = 2.0 * (c & 1) - 1.0
+    return MeasurableRV(f, _owned((lat.inc * signs)[None, :]))
+
+
 # -- increments, walks, dependence audits and integrals --------------------
 #
 # `MeasurableRV` arithmetic the package once kept as public API; every
@@ -1228,7 +1356,7 @@ def all_paths(lat: LatticeSpec) -> Iterator[PathIndex]:
 
 
 def zero_rv(lat: LatticeSpec) -> MeasurableRV:
-    return MeasurableRV.constant(lat, 0.0)
+    return constant(lat, 0.0)
 
 
 def w_increment(lat: LatticeSpec, j: int) -> MeasurableRV:
@@ -1244,7 +1372,7 @@ def w_level(lat: LatticeSpec, i: int) -> MeasurableRV:
     """Walk value W(t_i) = sum of the first i*lanes forward increments."""
     out = zero_rv(lat)
     for j in range(i * lat.lanes):
-        out = out + w_increment(lat, j)
+        out = add(out, w_increment(lat, j))
     return out
 
 
@@ -1252,7 +1380,7 @@ def b_tail(lat: LatticeSpec, i: int) -> MeasurableRV:
     """B(T) - B(t_i) = sum of backward increments with index >= i*lanes."""
     out = zero_rv(lat)
     for j in range(i * lat.lanes, lat.n_bits):
-        out = out + b_increment(lat, j)
+        out = add(out, b_increment(lat, j))
     return out
 
 

@@ -13,6 +13,8 @@ from mfbdsvie.comparison import (
 from mfbdsvie.drivers import LinearDriver, TerminalSpec
 from mfbdsvie.lattice import build_lattice
 
+from _oracles import sub
+
 TOL = 1e-12
 
 
@@ -186,7 +188,7 @@ class TestMonotoneIteration:
         sups = []
         for p in range(1, len(chain)):
             sups.append(max(
-                (chain[p][i] - chain[p - 1][i]).max_abs()
+                sub(chain[p][i], chain[p - 1][i]).max_abs()
                 for i in range(cs.lattice.n_steps + 1)
             ))
         for k in range(2, len(sups)):

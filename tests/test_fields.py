@@ -19,15 +19,23 @@ from mfbdsvie.fields import (
 )
 from mfbdsvie.lattice import (
     MeasurableRV,
-    PathIndex,
     SigmaField,
     build_lattice,
     condexp,
     time_field,
-    b_increment,
 )
 
-from _oracles import measurable_wrt, w_increment, w_level
+from _oracles import (
+    PathIndex,
+    add,
+    at,
+    b_increment,
+    constant,
+    measurable_wrt,
+    mul,
+    w_increment,
+    w_level,
+)
 
 TOL = 1e-12
 
@@ -49,7 +57,7 @@ def random_delta_kernel(lat, rng, scale=1.0):
             if j >= i:
                 row.append(MeasurableRV(f, scale * rng.standard_normal(f.table_shape)))
             else:
-                row.append(condexp(MeasurableRV.constant(lat, 0.0), f))
+                row.append(condexp(constant(lat, 0.0), f))
         rows.append(row)
     return VolterraKernel(lat, rows)
 
@@ -57,7 +65,7 @@ def random_delta_kernel(lat, rng, scale=1.0):
 class TestMExtend:
     def test_deterministic_path_gives_zero_extension(self):
         lat = build_lattice(3, 1.0)
-        ys = [condexp(MeasurableRV.constant(lat, 2.5), time_field(lat, i))
+        ys = [condexp(constant(lat, 2.5), time_field(lat, i))
               for i in range(4)]
         z = m_extend(AdaptedPath(lat, ys), zero_kernel(lat))
         for i in range(4):
@@ -80,15 +88,16 @@ class TestMExtend:
         from _oracles import representation_row
 
         lat = build_lattice(2, 1.0)
-        y2 = w_increment(lat, 0) * b_increment(lat, 1)
+        y2 = mul(w_increment(lat, 0), b_increment(lat, 1))
         z0 = representation_row(y2, 0)
         z1 = representation_row(y2, 1)
         base = condexp(y2, SigmaField(lat, 0, 0))
         want = b_increment(lat, 1)
-        resum = base + z0 * w_increment(lat, 0) + z1 * w_increment(lat, 1)
+        resum = add(add(base, mul(z0, w_increment(lat, 0))),
+                    mul(z1, w_increment(lat, 1)))
         for p in [PathIndex(w, b) for w in range(4) for b in range(4)]:
-            assert z0.at(p) == pytest.approx(want.at(p), abs=TOL)
-            assert resum.at(p) == pytest.approx(y2.at(p), abs=TOL)
+            assert at(z0, p) == pytest.approx(at(want, p), abs=TOL)
+            assert at(resum, p) == pytest.approx(at(y2, p), abs=TOL)
 
     def test_identity_resums_exactly(self):
         lat = build_lattice(3, 0.75)
@@ -117,7 +126,7 @@ class TestNorms:
     def test_unit_path_hand_sum(self):
         # N=1, T=1, beta=0: two nodes with weight dt=1 give sqrt(2)
         lat = build_lattice(1, 1.0)
-        ys = [condexp(MeasurableRV.constant(lat, 1.0), time_field(lat, i))
+        ys = [condexp(constant(lat, 1.0), time_field(lat, i))
               for i in range(2)]
         got = m_beta_norm(AdaptedPath(lat, ys), zero_kernel(lat), BetaWeight(0.0))
         assert got == pytest.approx(math.sqrt(2.0), abs=TOL)
@@ -128,7 +137,7 @@ class TestNorms:
         y = random_adapted_path(lat, rng)
         z1 = m_extend(y, random_delta_kernel(lat, rng))
         rows = [
-            [z1.at(i, j) * (2.0 if j >= i else 1.0) for j in range(2)]
+            [mul(z1.at(i, j), 2.0 if j >= i else 1.0) for j in range(2)]
             for i in range(3)
         ]
         z2 = VolterraKernel(lat, rows)
@@ -163,7 +172,7 @@ class TestNorms:
 class TestValidation:
     def test_path_needs_time_fields(self):
         lat = build_lattice(2, 1.0)
-        bad = [MeasurableRV.constant(lat, 1.0)] * 3
+        bad = [constant(lat, 1.0)] * 3
         with pytest.raises(errors.MeasurabilityViolation):
             AdaptedPath(lat, bad)
 
@@ -181,13 +190,14 @@ class TestLowerTriangleControl:
         rng = np.random.default_rng(17)
         y = random_adapted_path(lat, rng)
         z = m_extend(y, random_delta_kernel(lat, rng))
-        from mfbdsvie.lattice import expectation
+        from _oracles import expectation
         for i in range(1, 4):
             lhs = sum(
-                expectation(z.at(i, j) * z.at(i, j)) * lat.dt for j in range(i)
+                expectation(mul(z.at(i, j), z.at(i, j))) * lat.dt
+                for j in range(i)
             )
             y0 = condexp(y[i], SigmaField(lat, 0, 0))
-            rhs = expectation(y[i] * y[i]) - expectation(y0 * y0)
+            rhs = expectation(mul(y[i], y[i])) - expectation(mul(y0, y0))
             assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
@@ -206,7 +216,7 @@ class TestNodeGaps:
                 rows = node_gaps(a, b, from_node=start, absolute=absolute)
                 assert [i for i, _ in rows] == list(range(start, 3))
                 for i, gap in rows:
-                    d = [a[i].at(p) - b[i].at(p) for p in all_paths(lat)]
+                    d = [at(a[i], p) - at(b[i], p) for p in all_paths(lat)]
                     want = max(abs(v) for v in d) if absolute else max(d)
                     assert gap == want
 

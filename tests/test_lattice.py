@@ -1,4 +1,10 @@
-"""Exact probability-space checks: fields, conditioning, integrals, flips."""
+"""Exact probability-space checks: fields, conditioning, integrals, flips.
+
+The arithmetic, lifts, expectations and flips of single variables are the
+per-entry algebra of tests/_oracles.py (`add`, `sub`, `mul`, `neg`,
+`constant`, `lift`, `expectation`, `flip_derivative`, `b_increment`);
+`MeasurableRV` itself is the package's (field, table) record.
+"""
 
 import tracemalloc
 
@@ -10,28 +16,34 @@ from hypothesis import strategies as st
 from mfbdsvie import errors
 from mfbdsvie.lattice import (
     MeasurableRV,
-    PathIndex,
     SigmaField,
-    b_increment,
     build_lattice,
     condexp,
-    expectation,
-    flip_derivative,
     full_field,
-    lift,
     time_field,
 )
 
 from _oracles import (
+    PathIndex,
+    add,
     all_paths,
+    at,
+    b_increment,
     b_tail,
     backward_integral,
     brute_condexp,
+    constant,
     depends_on_b_bit,
     depends_on_w_bit,
+    expectation,
+    flip_derivative,
     forward_integral,
     inc_of,
+    lift,
     measurable_wrt,
+    mul,
+    neg,
+    sub,
     w_increment,
     w_level,
     zero_rv,
@@ -46,7 +58,7 @@ def full_table(rv):
     out = np.empty((1 << m, 1 << m))
     for w in range(1 << m):
         for b in range(1 << m):
-            out[w, b] = rv.at(PathIndex(w, b))
+            out[w, b] = at(rv, PathIndex(w, b))
     return out
 
 
@@ -86,13 +98,13 @@ class TestBuildLattice:
 class TestCondexp:
     def test_measurable_input_unchanged(self):
         lat = build_lattice(2, 1.0)
-        x = w_increment(lat, 0) * b_increment(lat, 1)
+        x = mul(w_increment(lat, 0), b_increment(lat, 1))
         out = condexp(x, time_field(lat, 1))
         assert np.allclose(full_table(out), full_table(x))
 
     def test_lost_backward_information_averages_to_zero(self):
         lat = build_lattice(2, 1.0)
-        x = w_increment(lat, 0) * b_increment(lat, 1)
+        x = mul(w_increment(lat, 0), b_increment(lat, 1))
         out = condexp(x, time_field(lat, 2))
         assert out.max_abs() <= TOL
 
@@ -123,7 +135,7 @@ class TestCondexp:
         # t_2 has already lost the backward increment dB_1 that t_1 knows,
         # so the time fields are not nested in either direction
         lat = build_lattice(2, 1.0)
-        x = w_increment(lat, 0) * b_increment(lat, 1)
+        x = mul(w_increment(lat, 0), b_increment(lat, 1))
         twice = condexp(condexp(x, time_field(lat, 2)), time_field(lat, 1))
         once = condexp(x, time_field(lat, 1))
         assert np.max(np.abs(full_table(twice) - full_table(once))) > 0.1
@@ -180,20 +192,20 @@ class TestExpectation:
     def test_quadratic_variation(self):
         lat = build_lattice(3, 1.5)
         dw = w_increment(lat, 1)
-        assert expectation(dw * dw) == pytest.approx(lat.dt, abs=TOL)
+        assert expectation(mul(dw, dw)) == pytest.approx(lat.dt, abs=TOL)
 
     def test_forward_backward_orthogonality(self):
         lat = build_lattice(2, 1.0)
         for i in range(2):
             for j in range(2):
-                prod = w_increment(lat, i) * b_increment(lat, j)
+                prod = mul(w_increment(lat, i), b_increment(lat, j))
                 assert expectation(prod) == pytest.approx(0.0, abs=TOL)
 
 
 class TestForwardIntegral:
     def test_constant_integrand_telescopes(self):
         lat = build_lattice(3, 1.0)
-        ones = [MeasurableRV.constant(lat, 1.0)] * 3
+        ones = [constant(lat, 1.0)] * 3
         out = forward_integral(ones, 0, 3)
         assert np.allclose(full_table(out), full_table(w_level(lat, 3)))
 
@@ -212,7 +224,7 @@ class TestForwardIntegral:
         for w in range(4):
             want[w, :] = inc_of(w, 0, lat.inc) * inc_of(w, 1, lat.inc)
         assert np.allclose(full_table(out), want, atol=TOL)
-        assert expectation(out * out) == pytest.approx(lat.dt ** 2, abs=TOL)
+        assert expectation(mul(out, out)) == pytest.approx(lat.dt ** 2, abs=TOL)
 
     def test_integrand_seeing_own_increment_rejected(self):
         lat = build_lattice(2, 1.0)
@@ -223,13 +235,13 @@ class TestForwardIntegral:
     def test_isometry_holds_exactly(self):
         lat = build_lattice(3, 1.0)
         z = [
-            MeasurableRV.constant(lat, 0.7),
-            w_increment(lat, 0) + 0.3,
-            b_increment(lat, 2) * w_increment(lat, 1),
+            constant(lat, 0.7),
+            add(w_increment(lat, 0), 0.3),
+            mul(b_increment(lat, 2), w_increment(lat, 1)),
         ]
         out = forward_integral(z, 0, 3)
-        want = sum(expectation(zj * zj) * lat.dt for zj in z)
-        assert expectation(out * out) == pytest.approx(want, abs=TOL)
+        want = sum(expectation(mul(zj, zj)) * lat.dt for zj in z)
+        assert expectation(mul(out, out)) == pytest.approx(want, abs=TOL)
         # E[integral | B-only field] = 0
         proj = condexp(out, SigmaField(lat, 0, 0))
         assert proj.max_abs() <= TOL
@@ -238,7 +250,7 @@ class TestForwardIntegral:
 class TestBackwardIntegral:
     def test_constant_integrand_telescopes(self):
         lat = build_lattice(3, 1.0)
-        ones = [MeasurableRV.constant(lat, 1.0)] * 3
+        ones = [constant(lat, 1.0)] * 3
         for i in range(3):
             out = backward_integral(ones, i, 3)
             assert np.allclose(full_table(out), full_table(b_tail(lat, i)))
@@ -259,18 +271,18 @@ class TestBackwardIntegral:
         for b in range(4):
             want[:, b] = inc_of(b, 1, lat.inc) * inc_of(b, 0, lat.inc)
         assert np.allclose(full_table(out), want, atol=TOL)
-        assert expectation(out * out) == pytest.approx(lat.dt ** 2, abs=TOL)
+        assert expectation(mul(out, out)) == pytest.approx(lat.dt ** 2, abs=TOL)
 
     def test_isometry_holds_exactly(self):
         lat = build_lattice(3, 1.0)
         g = [
-            b_increment(lat, 2) + 0.5,
-            w_increment(lat, 1) * b_increment(lat, 2),
-            MeasurableRV.constant(lat, -1.25),
+            add(b_increment(lat, 2), 0.5),
+            mul(w_increment(lat, 1), b_increment(lat, 2)),
+            constant(lat, -1.25),
         ]
         out = backward_integral(g, 0, 3)
-        want = sum(expectation(gj * gj) * lat.dt for gj in g)
-        assert expectation(out * out) == pytest.approx(want, abs=TOL)
+        want = sum(expectation(mul(gj, gj)) * lat.dt for gj in g)
+        assert expectation(mul(out, out)) == pytest.approx(want, abs=TOL)
 
 
 class TestFlipDerivative:
@@ -289,7 +301,7 @@ class TestFlipDerivative:
         # flip of W(T)^2 at slot 0 is 2 W(T) - 2 dW_0 = 2 dW_1 for N=2
         lat = build_lattice(2, 1.0)
         wt = w_level(lat, 2)
-        d = flip_derivative(wt * wt, 0)
+        d = flip_derivative(mul(wt, wt), 0)
         want = np.empty((4, 4))
         for w in range(4):
             want[w, :] = 2.0 * inc_of(w, 1, lat.inc)
@@ -297,7 +309,7 @@ class TestFlipDerivative:
 
     def test_result_blind_to_flipped_increment(self):
         lat = build_lattice(3, 1.0)
-        x = w_level(lat, 3) * w_level(lat, 2) + b_tail(lat, 1)
+        x = add(mul(w_level(lat, 3), w_level(lat, 2)), b_tail(lat, 1))
         for j in range(3):
             d = flip_derivative(x, j)
             assert not depends_on_w_bit(d, j)
@@ -348,9 +360,9 @@ class TestTableOwnership:
 
     def test_results_are_read_only(self):
         lat = build_lattice(2, 1.0)
-        x = w_increment(lat, 0) * b_increment(lat, 1) + 0.5
-        for rv in (x, -x, x - 1.0, condexp(x, time_field(lat, 1)),
-                   flip_derivative(x, 0), MeasurableRV.constant(lat, 2.0)):
+        x = add(mul(w_increment(lat, 0), b_increment(lat, 1)), 0.5)
+        for rv in (x, neg(x), sub(x, 1.0), condexp(x, time_field(lat, 1)),
+                   flip_derivative(x, 0), constant(lat, 2.0)):
             assert not rv.values.flags.writeable
 
     def test_built_tables_are_kept_not_copied(self):
@@ -358,9 +370,9 @@ class TestTableOwnership:
         lat = build_lattice(8, 1.0)
         f = full_field(lat)
         x = MeasurableRV(f, np.ones(f.table_shape))
-        small = MeasurableRV.constant(lat, 1.0)
-        ops = {"add": lambda: x + x, "neg": lambda: -x,
-               "scale": lambda: x * 2.0, "lift": lambda: lift(small, f),
+        small = constant(lat, 1.0)
+        ops = {"add": lambda: add(x, x), "neg": lambda: neg(x),
+               "scale": lambda: mul(x, 2.0), "lift": lambda: lift(small, f),
                "condexp": lambda: condexp(x, SigmaField(lat, 8, 1))}
         started = not tracemalloc.is_tracing()
         tracemalloc.start()

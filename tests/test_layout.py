@@ -1,4 +1,8 @@
-"""Table layout: bit views, lifts and mixed-field arithmetic against paths."""
+"""Table layout: bit views, lifts and mixed-field arithmetic against paths.
+
+The lifts and the arithmetic are the per-entry algebra of
+tests/_oracles.py, read at single paths with its `at`.
+"""
 
 import numpy as np
 import pytest
@@ -7,16 +11,24 @@ from mfbdsvie import errors
 from mfbdsvie.lattice import (
     LatticeSpec,
     MeasurableRV,
-    PathIndex,
     SigmaField,
-    b_increment,
     bit_view,
     build_lattice,
     full_field,
-    lift,
 )
 
-from _oracles import all_paths, lift_single_to_joint, w_increment, zero_rv
+from _oracles import (
+    PathIndex,
+    add,
+    all_paths,
+    at,
+    b_increment,
+    lift,
+    lift_single_to_joint,
+    mul,
+    w_increment,
+    zero_rv,
+)
 
 LAT = build_lattice(3, 1.0)
 FIELDS = [SigmaField(LAT, a, b) for a in range(4) for b in range(4)]
@@ -43,17 +55,17 @@ class TestAgainstPaths:
             lifted = lift(x, f2)
             assert lifted.field == f2
             for p in all_paths(LAT):
-                assert lifted.at(p) == x.at(p)
+                assert at(lifted, p) == at(x, p)
 
     def test_mixed_field_arithmetic_is_pathwise(self, f1):
         x = random_rv(f1, 2)
         for k, f2 in enumerate(FIELDS):
             y = random_rv(f2, 3 + k)
-            total, product = x + y, x * y
+            total, product = add(x, y), mul(x, y)
             assert total.field == product.field == f1.join(f2)
             for p in all_paths(LAT):
-                assert total.at(p) == x.at(p) + y.at(p)
-                assert product.at(p) == x.at(p) * y.at(p)
+                assert at(total, p) == at(x, p) + at(y, p)
+                assert at(product, p) == at(x, p) * at(y, p)
 
 
 class TestBitView:
@@ -96,5 +108,5 @@ def test_lift_single_to_joint_matches_path_enumeration(lane):
             assert table.shape == (1 << joint.n_bits, 1 << joint.n_bits)
             for w in range(1 << joint.n_bits):
                 for bb in range(1 << joint.n_bits):
-                    expected = rv.at(PathIndex(own_bits(w), own_bits(bb)))
+                    expected = at(rv, PathIndex(own_bits(w), own_bits(bb)))
                     assert table[w, bb] == expected

@@ -16,7 +16,7 @@ from mfbdsvie.malliavin import (
 )
 from mfbdsvie.solver import Scenario, picard_solve
 
-from _oracles import entrywise_flip_solution, f_coef, g_coef, w_level
+from _oracles import entrywise_flip_solution, f_coef, g_coef, mul, w_level
 from test_extremes import pairs
 from test_stack import CASES
 
@@ -55,7 +55,7 @@ class TestFlipSolution:
                           TerminalSpec(theta=1.0))
         c = {2: 1.0, 1: 4.0 / 3.0, 0: 16.0 / 9.0}
         for i in range(3):
-            want = w_level(sc.lattice, i) * c[i]
+            want = mul(w_level(sc.lattice, i), c[i])
             assert np.allclose(y[i].values, want.values, atol=1e-11)
         for r in range(2):
             dy, _ = flip_solution(y, z, r)

@@ -17,13 +17,13 @@ from pathlib import Path
 
 import pytest
 
-from mfbdsvie import errors, lattice, particles
+from mfbdsvie import errors, particles
 from mfbdsvie.drivers import LinearDriver, TerminalSpec
 from mfbdsvie.lattice import build_lattice, full_field
 from mfbdsvie.particles import convergence_study
 from mfbdsvie.solver import Scenario
 
-from _oracles import full_field_convergence_study
+from _oracles import fill_table, full_field_convergence_study
 from test_cli import _assert_input_error, _never
 from test_sweep import DRIVERS
 
@@ -63,7 +63,7 @@ class TestNoFullJointTable:
         assert peak < 0.5 * 8 * 4 ** (3 * 4)
 
     def test_no_table_filled_on_the_full_joint_field(self, monkeypatch):
-        fill = lattice.fill_table
+        fill = fill_table
 
         def guarded(v, f):
             if f.lattice.lanes > 1 and f == full_field(f.lattice):

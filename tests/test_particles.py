@@ -5,7 +5,7 @@ import pytest
 
 from mfbdsvie import errors
 from mfbdsvie.drivers import LinearDriver, TerminalSpec
-from mfbdsvie.lattice import PathIndex, build_lattice, full_field, lift
+from mfbdsvie.lattice import build_lattice, full_field
 from mfbdsvie.particles import (
     ParticleConfig,
     convergence_study,
@@ -13,7 +13,13 @@ from mfbdsvie.particles import (
 )
 from mfbdsvie.solver import Scenario, picard_solve
 
-from _oracles import ParticleLinearSystem, lift_single_to_joint
+from _oracles import (
+    ParticleLinearSystem,
+    PathIndex,
+    at,
+    lift,
+    lift_single_to_joint,
+)
 
 TOL = 1e-10
 
@@ -95,7 +101,7 @@ class TestOracle:
             for i in range(n + 1):
                 for w in range(size):
                     for b in range(size):
-                        got = y[p][i].at(PathIndex(w, b))
+                        got = at(y[p][i], PathIndex(w, b))
                         want = oy[p][i][oracle._cidx(i, w, b)]
                         assert got == pytest.approx(want, abs=1e-8)
 

@@ -1,9 +1,10 @@
 """The Picard settings are checked before any map (`solver.check_settings`).
 
 max_iter is an integer that `operator.index` takes, but not a bool, and
-tol a real number; numpy's integers and floats pass.  `picard_solve`,
-`risk.RiskSpec` and `comparison.ComparisonScenario` share the check, so
-each refuses a setting the loop could not run with `ValidationError`.
+tol a real number, not a bool either; numpy's integers and floats pass.
+`picard_solve`, `solver.iterate`, `risk.RiskSpec` and
+`comparison.ComparisonScenario` share the check, so each refuses a setting
+the loop could not run with `ValidationError`.
 """
 
 import numpy as np
@@ -28,6 +29,9 @@ REFUSED = [
     ({"max_iter": np.bool_(True)}, r"must be an integer$"),
     ({"tol": "1e-9"}, r"^tol='1e-9' must be a real number$"),
     ({"tol": None}, r"^tol=None must be a real number$"),
+    ({"tol": True}, r"^tol=True must be a real number$"),
+    ({"tol": False}, r"^tol=False must be a real number$"),
+    ({"tol": np.bool_(True)}, r"must be a real number$"),
 ]
 ACCEPTED = [{"max_iter": np.int64(50)}, {"max_iter": np.uint8(50)},
             {"tol": np.float64(1e-9)}, {"tol": np.float32(1e-6)}]
@@ -43,6 +47,16 @@ def solve(settings):
                         **{"tol": 1e-9, **settings})
 
 
+def loop(settings):
+    def step(members, y, z, out):  # the zero pair is its own image
+        for table in out[:2]:
+            table.fill(0.0)
+        return out[:2]
+
+    return solver.iterate(step, {0: None}, LAT,
+                          **{"tol": 1e-9, "max_iter": 50, **settings})
+
+
 def risk_spec(settings):
     return RiskSpec(LAT, 0.1, **settings)
 
@@ -52,7 +66,7 @@ def comparison(settings):
                               TerminalSpec(), **settings)
 
 
-BUILDERS = {"picard_solve": solve, "RiskSpec": risk_spec,
+BUILDERS = {"picard_solve": solve, "iterate": loop, "RiskSpec": risk_spec,
             "ComparisonScenario": comparison}
 
 

@@ -14,7 +14,7 @@ from mfbdsvie.fields import (
     zero_kernel,
     zero_path,
 )
-from mfbdsvie.lattice import PathIndex, build_lattice
+from mfbdsvie.lattice import build_lattice
 from mfbdsvie.solver import (
     Scenario,
     gamma_map,
@@ -24,7 +24,7 @@ from mfbdsvie.solver import (
     stability_compare,
 )
 
-from _oracles import LinearSystem, b_tail, cidx, w_level
+from _oracles import LinearSystem, PathIndex, at, b_tail, cidx, w_level
 
 TOL = 1e-12
 
@@ -118,14 +118,14 @@ class TestPicardSolve:
         for i in range(n + 1):
             for w in range(1 << n):
                 for b in range(1 << n):
-                    got = y[i].at(PathIndex(w, b))
+                    got = at(y[i], PathIndex(w, b))
                     want = oy[i][cidx(i, w, b, n)]
                     assert got == pytest.approx(want, abs=1e-9)
         for i in range(n + 1):
             for j in range(n):
                 for w in range(1 << n):
                     for b in range(1 << n):
-                        got = z.at(i, j).at(PathIndex(w, b))
+                        got = at(z.at(i, j), PathIndex(w, b))
                         want = oz[i][j][cidx(j, w, b, n)]
                         assert got == pytest.approx(want, abs=1e-9)
 
@@ -149,7 +149,7 @@ class TestPicardSolve:
         for i in range(n + 1):
             for w in range(1 << n):
                 for b in range(1 << n):
-                    got = y[i].at(PathIndex(w, b))
+                    got = at(y[i], PathIndex(w, b))
                     want = oy[i][cidx(i, w, b, n)]
                     assert got == pytest.approx(want, abs=1e-8)
 
@@ -171,7 +171,7 @@ class TestPicardSolve:
         for i in range(n + 1):
             for w in range(1 << n):
                 for b in range(1 << n):
-                    got = y[i].at(PathIndex(w, b))
+                    got = at(y[i], PathIndex(w, b))
                     assert got == pytest.approx(oy[i][cidx(i, w, b, n)], abs=1e-8)
 
     def test_contraction_ratios_below_theory(self):

@@ -5,10 +5,11 @@ field, and each W-bit halving, into a `lattice.SweepStacks`: the Picard
 loop (`solver.iterate`, under `picard_solve` and `solve_particles`) keeps
 one for all its maps (through `out`), and any other sweep makes one table
 for the call.  The particles' maps, too, write into the tables of two maps
-back, and each difference goes into one table pair the loop keeps.  Only
-the destinations of writes change, so every pair,
-trace and report equals, bit for bit, that of the sweep with a new table
-for every lift and halving (`allocating_sweep` of tests/_oracles.py).
+back, and each difference goes into the pair it replaces, whose storage
+the next map writes over.  Only the destinations of writes change, so
+every pair, trace and report equals, bit for bit, that of the sweep with
+a new table for every lift and halving (`allocating_sweep` of
+tests/_oracles.py).
 """
 
 import sys

@@ -13,7 +13,10 @@ equation's terms are `slot_terms`.  W(T) is built once per lattice and
 lane, and the terminal tables built on the shared walk are those of a
 walk built per node.  One Picard loop keeps the tables: `solver.iterate`
 has one call form, with no type test, and no module but the lattice and
-the solver names the sweep's stack storage.
+the solver names the sweep's stack storage.  `MeasurableRV` is a (field,
+table) record: the per-entry algebra (its operators, `at`, `constant`,
+`PathIndex`, `lift`, `fill_table`, `expectation`, `flip_derivative`,
+`b_increment`) lives in tests/_oracles.py, and `condexp` stays exported.
 """
 
 import ast
@@ -30,7 +33,8 @@ from mfbdsvie.drivers import (
     terminal_rv,
     terminal_walk_values,
 )
-from mfbdsvie.lattice import build_lattice, clark_ocone_sweep
+from mfbdsvie import lattice
+from mfbdsvie.lattice import MeasurableRV, build_lattice, clark_ocone_sweep
 from mfbdsvie.malliavin import _linearized_terms
 from mfbdsvie.solver import Scenario, iterate, map_rows, slot_args
 
@@ -45,6 +49,11 @@ RETIRED = (
     "row_defects", "_blocks", "BLOCK_BITS", "audit_z_flags", "from_bit_view",
     "lift_single_to_joint", "_frozen_args", "sup_distance",
 )
+# the per-entry layer, moved to tests/_oracles.py or deleted; `lift` is not
+# in RETIRED, as the sweep's code binds locals of that name
+MOVED = ("PathIndex", "b_increment", "expectation", "fill_table",
+         "flip_derivative", "lift", "trivial_field")
+RECORD = {"__init__", "__setattr__", "lattice", "max_abs"}
 TERMINAL = TerminalSpec(phi=0.3, theta=lambda t: 1.0 + t,
                         smooth=[("tanh", 0.5), ("soft_abs", -0.2)])
 
@@ -86,6 +95,43 @@ class TestRetired:
     def test_not_exported(self):
         assert not set(RETIRED) & set(mfbdsvie.__all__)
         assert not [name for name in RETIRED if hasattr(mfbdsvie, name)]
+
+
+def module_definitions(tree):
+    """The names a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+
+class TestEntryRecord:
+    @pytest.mark.parametrize("module", [mfbdsvie, lattice],
+                             ids=lambda m: m.__name__)
+    def test_moved_names_are_gone(self, module):
+        assert [name for name in MOVED if hasattr(module, name)] == []
+
+    def test_moved_names_not_exported(self):
+        assert not set(MOVED) & set(mfbdsvie.__all__)
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_moved_names_not_defined_in_the_package(self, path):
+        defined = set(module_definitions(ast.parse(path.read_text())))
+        assert not defined & set(MOVED)
+
+    def test_record_has_no_arithmetic(self):
+        members = {name for name, v in vars(MeasurableRV).items()
+                   if inspect.isfunction(v)
+                   or isinstance(v, (property, staticmethod, classmethod))}
+        assert members == RECORD
+        assert not {"_binary", "__add__", "__radd__", "__sub__", "__rsub__",
+                    "__mul__", "__rmul__", "__neg__", "at",
+                    "constant"} & set(vars(MeasurableRV))
+
+    def test_condexp_is_still_exported(self):
+        assert "condexp" in mfbdsvie.__all__
+        assert mfbdsvie.condexp is lattice.condexp
 
 
 class TestOneMeanForm:

@@ -40,11 +40,13 @@ from mfbdsvie.solver import (
 from _oracles import (
     _linearized_phi,
     _linearized_row,
+    add,
     assembled_residual,
     condexp_gamma_map,
     condexp_m_extend,
     condexp_representation_row,
     condexp_split_row,
+    mul,
     representation_row,
     slot_term,
     split_row,
@@ -217,7 +219,7 @@ class TestAdaptedness:
         _, z = representation_pair(sc)
         # entry (0, 1) on (2, 1): it sees its own increment dW_1
         rows = [list(row) for row in z.z]
-        rows[0][1] = w_increment(lat, 1) * rows[0][1] + rows[0][1]
+        rows[0][1] = add(mul(w_increment(lat, 1), rows[0][1]), rows[0][1])
         assert rows[0][1].field == SigmaField(lat, 2, 1)
         with pytest.raises(MeasurabilityViolation, match=r"entry \(0, 1\)"):
             VolterraKernel(lat, rows)
