@@ -245,18 +245,30 @@ def node_gaps(a: AdaptedPath, b: AdaptedPath, from_node: int = 0,
     return list(enumerate(gaps.tolist(), start=from_node))
 
 
+def _mean_squares(values: np.ndarray) -> np.ndarray:
+    """The means over the paths of a dense path's or kernel's squared
+    entries, (N + 1,) or (N + 1, N): `np.mean`'s sum and division of each
+    node row's squares, one row at a time, so no squared copy of the whole
+    table is made."""
+    out = np.empty(values.shape[:-1])
+    for i, row in enumerate(values):
+        np.add.reduce(np.square(row), axis=-1, out=out[i, ...])
+    out /= values.shape[-1]
+    return out
+
+
 def _norm_squared(lat: LatticeSpec, y2: np.ndarray, z2: np.ndarray,
                   w: BetaWeight) -> tuple[float, float]:
     """The squared weighted norms, restricted and full, of a dense path and
-    kernel on lat, from their entries' squares y2 and z2: one set of terms
-    serves both sums."""
+    kernel on lat, from the means over the paths of their squared entries,
+    y2 (N + 1,) and z2 (N + 1, N): one set of terms serves both sums."""
     # terms in node order, then row by row, added as one running float:
     # a dot product or a pairwise sum would move the last digit
     dt = lat.dt
     n = lat.n_steps
     weights = np.array([w.at(lat.node(i)) for i in range(n + 1)])
-    y_terms = weights * np.mean(y2, axis=-1) * dt
-    z_terms = weights[:n] * np.mean(z2, axis=-1) * dt * dt
+    y_terms = weights * y2 * dt
+    z_terms = weights[:n] * z2 * dt * dt
     upper = z_terms[np.arange(n) >= np.arange(n + 1)[:, None]]
     return tuple(float(np.add.accumulate(np.concatenate([y_terms, t]))[-1])
                  for t in (upper, z_terms.ravel()))
@@ -264,14 +276,14 @@ def _norm_squared(lat: LatticeSpec, y2: np.ndarray, z2: np.ndarray,
 
 def m_beta_norm(y: AdaptedPath, z: VolterraKernel, w: BetaWeight) -> float:
     """Weighted norm with the kernel summed over the upper triangle."""
-    return math.sqrt(_norm_squared(y.lattice, np.square(y.values),
-                                   np.square(z.values), w)[0])
+    return math.sqrt(_norm_squared(y.lattice, _mean_squares(y.values),
+                                   _mean_squares(z.values), w)[0])
 
 
 def l_beta_norm(y: AdaptedPath, z: VolterraKernel, w: BetaWeight) -> float:
     """Weighted norm with the kernel summed over the whole square."""
-    return math.sqrt(_norm_squared(y.lattice, np.square(y.values),
-                                   np.square(z.values), w)[1])
+    return math.sqrt(_norm_squared(y.lattice, _mean_squares(y.values),
+                                   _mean_squares(z.values), w)[1])
 
 
 def pair_sup_diff(

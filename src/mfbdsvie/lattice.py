@@ -428,14 +428,20 @@ class SweepStacks:
     cuts a table of its own for the call (`_cut`).  It also keeps the
     members' rows of x stacked on a member axis (`rows`): a loop's
     terminals never change, so each row is stacked on its first map and
-    again only when a member stops."""
+    again only when a member stops.
 
-    __slots__ = ("table", "views", "stacked")
+    A loop whose maps write over the kernel they read sets `moved` before
+    each map to (tops, squares), zeros shaped (member, row, column) (and
+    None for squares if it takes none), which the sweeps fill
+    (`_take_moved`)."""
+
+    __slots__ = ("table", "views", "stacked", "moved")
 
     def __init__(self):
         self.table = np.empty(0)
         self.views = {}
         self.stacked = {}
+        self.moved = None
 
     def rows(self, x: Sequence, k: int) -> np.ndarray:
         """Row k of x's members as one write-locked table (member, ...),
@@ -531,6 +537,16 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     that a Picard loop keeps across its maps, so a warm sweep takes no
     stack table and looks its views up once, and restacks no member rows
     of x; else one table made for the call.
+
+    The sweep takes slot m - 1's terms before step m's halvings write
+    column m, so each term reads its kernel entries before the writes that
+    replace them: slot m - 1 reads columns m - 1 and m, and z_rev of a row
+    i that is a stack of its own (`solver.map_rows` sweeps those in row
+    order) reads column i of rows k >= i, written by later sweeps, and
+    entry (i, i), written at step i.  So a Picard loop's map may write
+    over the kernel it reads: the loop sets the storage's `moved`, zs is
+    then not zeroed, and the sweep copies column m before each step's
+    writes and takes its move from the copy (`_take_moved`).
     """
     fields = tuple(v.field for v in x[0])
     if any(tuple(v.field for v in xm) != fields for xm in x[1:]):
@@ -543,14 +559,17 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     plan = _sweep_plan(fields, i, lane, first, term is not None,
                        swapped and term is not None)
     half, entries, steps, whole, _ = plan
+    kept = moved = None
     if out is None:
         ys = np.empty((size, len(fields), 1 << lat.n_bits))
         zs = np.zeros((size, len(fields), lat.n_steps, 1 << lat.n_bits))
     else:
         ys, zs = out[:2]
-        if not whole:
+        if len(out) == 3:
+            kept = out[2]
+            moved = kept.moved
+        if not whole and moved is None:
             zs.fill(0.0)
-    kept = out[2] if out is not None and len(out) == 3 else None
     views = (kept.steps(plan, size) if kept is not None
              else _cut(np.empty(plan[4] * size), plan, size))
     tables = {}
@@ -562,6 +581,10 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
             table = _onto(table, own)
             ys[:, k] = table.reshape(size, -1)
         tables[k] = table
+    # each slot's terms are made one add ahead, before the halvings of the
+    # step above write the kernel column they read at the right node
+    terms = (term(m, add[0]) for m, _, add, *_ in steps if add is not None)
+    ahead = next(terms, None)
     stack = None
     for (m, join, add, bits, cols, done, trim, _, _), (lift, halves) in zip(
             steps, views):
@@ -570,19 +593,15 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
             stack = np.concatenate(parts + ([_onto(stack, join[1])]
                                             if join[1] else []), axis=1)
         if add is not None:
-            rows, tf, restack, axes, padw, padb, naxes = add
-            got = term(m, rows)
-            stack = _onto(stack, restack, lift)
-            if got is not None:
-                gf, tv = got
-                if gf is not tf and gf != tf:
-                    raise MeasurabilityViolation(
-                        f"slot {m} term on ({gf.w_upto}, {gf.b_from}), not on "
-                        f"its slot field ({tf.w_upto}, {tf.b_from})")
-                lead = tv.shape[:tv.ndim - naxes]
-                view = stack.reshape(stack.shape[:2] + axes)
-                view[:, :len(rows)] += tv.reshape(lead + padw
-                                                  + tv.shape[len(lead):] + padb)
+            stack = _onto(stack, add[2], lift)
+            if ahead is not None:
+                _add_terms(stack, m, add, ahead)
+            ahead = None  # dropped before the next slot's terms are made
+            ahead = next(terms, None)
+        old = None  # column m as the map found it
+        if moved is not None and m >= first:
+            new = zs[:, cols, m]
+            old = new.copy()
         # each halving applied at once (halving is exact, so the order of
         # the halvings does not matter); bit k tops the W index
         for (on, col), into in zip(bits, halves):
@@ -594,6 +613,8 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
                 zs[sl, cols, m] = d.reshape(d.shape[:2] + (-1,))
             stack = np.add(pair[:, :, 0], pair[:, :, 1], out=into)
             stack *= 0.5
+        if old is not None:
+            _take_moved(moved, new, old, i + cols.start, len(old[0]), m)
         if done is not None:
             # row m is done: Y_m is its table conditioned on (m, m), and
             # the lower triangle is the representation of Y_m
@@ -605,6 +626,39 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
         if trim is not None:
             stack = stack[:, :trim] if trim else None
     return ys, zs
+
+
+def _add_terms(stack: np.ndarray, m: int, add: tuple, got: tuple) -> None:
+    """Add step m's slot terms got = (field, values) into the stack lifted
+    onto their slot field, as the plan's add lays them out."""
+    rows, tf, _, axes, padw, padb, naxes = add
+    gf, tv = got
+    if gf is not tf and gf != tf:
+        raise MeasurabilityViolation(
+            f"slot {m} term on ({gf.w_upto}, {gf.b_from}), not on its slot "
+            f"field ({tf.w_upto}, {tf.b_from})")
+    lead = tv.shape[:tv.ndim - naxes]
+    view = stack.reshape(stack.shape[:2] + axes)
+    view[:, :len(rows)] += tv.reshape(lead + padw + tv.shape[len(lead):]
+                                      + padb)
+
+
+def _take_moved(moved: tuple, new: np.ndarray, old: np.ndarray, r: int,
+                rows: int, m: int) -> None:
+    """Fold the move of kernel column m, rows r .. r + rows - 1, into a loop's
+    record moved = (tops, squares), each (member, row, column): old, the
+    copy of new taken before its writes, becomes |new - old|, its max over
+    those rows and the paths goes into tops[:, r, m] and, with squares,
+    each entry's mean square into squares[:, r:r + rows, m] (`np.mean`'s
+    sum and division, without its Python wrapper)."""
+    tops, squares = moved
+    d = np.subtract(new, old, out=old)
+    np.abs(d, out=d)
+    np.maximum.reduce(d.reshape(len(d), -1), axis=1, out=tops[:, r, m])
+    if squares is not None:
+        total = np.add.reduce(np.square(d, out=d), axis=-1,
+                              out=squares[:, r:r + rows, m])
+        total /= d.shape[-1]
 
 
 def _max_abs(v: np.ndarray) -> float:

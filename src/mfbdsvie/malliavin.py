@@ -223,7 +223,6 @@ def solve_linearized(ls: LinearizedScenario, tol: float = 1e-12,
     """
     def step(members, y, z, out):
         _linearized_map(ls, (y, z), out)
-        return out[:2]
 
     pairs, _, _ = iterate(step, {0: None}, ls.scenario.lattice, tol, max_iter)
     return pairs[0]

@@ -107,7 +107,7 @@ def solve_particles(pc: ParticleConfig
     swapped = reads_swapped(pc.driver)
 
     def step(members, y, z, out):
-        return _particle_map(pc.driver, swapped, zetas, (y, z), out)
+        _particle_map(pc.driver, swapped, zetas, (y, z), out)
 
     pairs, iterations, traces = iterate(
         step, dict.fromkeys(range(pc.n_particles)), joint, pc.tol,

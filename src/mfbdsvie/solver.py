@@ -53,9 +53,9 @@ max and a min table down the W bits, about the cost of a map.
 Every fixed point here (the solution, the particle system, the flip
 equation) is found by one Picard loop, `iterate`, over members: the
 scenarios of a batch, the particles, or the flip equation's one pair.
-The loop owns its tables, the new pairs' and the sweep's running stack,
-recycles them from map to map, takes each difference into the pair it
-replaces, and frees them when it returns.
+The loop owns its tables and frees them when it returns: one kernel,
+which each map writes over column by column once it has read each column,
+two path tables it alternates between, and the sweep's running stack.
 
 Solves that share a lattice, a driver and a beta and differ only in the
 terminal (the positions of a risk measure) are one batch of
@@ -93,6 +93,7 @@ from .fields import (
     BetaWeight,
     VolterraKernel,
     _check_finite,
+    _mean_squares,
     _norm_squared,
     _unchecked,
     m_beta_norm,
@@ -502,90 +503,84 @@ def iterate(step: Callable, members: dict, lat: LatticeSpec, tol: float,
 
     members maps each member to its start pair, or each to None for zeros.
     step(running, y, z, out) maps the members still running (a list of
-    keys) frozen at y and z, their paths and kernels as `Stacked`, and
-    returns the new (ys, zs) tables (member, row, ...), written into out,
-    whose third entry is the loop's `lattice.SweepStacks` for the sweep's
-    running stacks.  The loop owns the tables: the zero start lives in
-    them, out is those of the map two back if it mapped the same members
-    (else new ones: for the first two maps and the two after a member
-    stops), and y and z are the last map's, restacked when a member stops;
-    a caller's start is never written.  So past its second map an iteration
-    allocates no pair and no stack, and all of it is freed on return but
+    keys) frozen at y and z, their paths and kernels as `Stacked`, into
+    out = (ys, zs, stacks): a path table (member, row, ...), the table of
+    z itself, and the loop's `lattice.SweepStacks`.  The loop owns its
+    tables: one kernel for the running members, which each map writes
+    over, and two path tables it alternates between, the new path going
+    into the one the map before last read.  A caller's start is copied in
+    once and never written; columns a step never writes keep the start's
+    values (the zero start's zeros, which the flip equation's columns
+    <= r need).  Writing over z is safe because `lattice.clark_ocone_sweep`
+    reads every kernel column before the write that replaces it, and it
+    takes the kernel's distance column by column into `stacks.moved`; the
+    path's difference goes into the path table the map read.  Past its
+    first map an iteration allocates no stack and no table of a path's
+    size but the sweep's column copies.  All of it is freed on return but
     the pairs handed out: a member that stops while others run on gets a
-    copy of its rows, so no pair keeps a co-member's rows alive but those
-    of the members that stop last, which share their map's tables.
+    copy of its rows and the others are restacked, so no pair keeps a
+    co-member's rows alive but those of the members that stop last, which
+    share the loop's tables.
 
-    A member's difference goes into its rows of y's and z's tables when
-    the loop owns them (the zero start, a map's out, restacked rows): the
-    pair it replaces, whose storage the next map writes over.  Else (a
-    caller's start, or tables a step returns other than its out) it goes
-    into a pair made for the iteration.  So the loop holds two pairs, the
-    last two maps'.  The difference's sup is the member's distance, and
-    squares(m, y2, z2), if given, gets it squared in place.  Coupled
-    members (given no squares) are one system, with one difference over
-    all of them, and stop together; else each stops at the iteration
-    where it would alone.  The new pairs are not re-read for finiteness:
-    a distance that is not finite names the first entry that is not, of
-    the paths, then of the kernels (the pairs' constructors' check), in
-    the iteration that made it.
+    The sup of the path's and kernel's differences is the member's
+    distance, and squares(m, y2, z2), if given, gets their means over the
+    paths of the squares, (N + 1,) for the path and (N + 1, N) for the
+    kernel.  Coupled members (given no squares) are one system, with one
+    distance over all of them, and stop together; else each stops at the
+    iteration where it would alone.  The new pairs are not re-read for
+    finiteness: a distance that is not finite names the first entry that
+    is not, of the paths, then of the kernels (the pairs' constructors'
+    check), in the iteration that made it.
     """
     check_settings(tol, max_iter)
-    n = lat.n_steps
-    shapes = ((n + 1, 1 << lat.n_bits), (n + 1, n, 1 << lat.n_bits))
-    width = len(members) if coupled else 1  # the members a difference spans
-    stacks = SweepStacks()
+    n, size = lat.n_steps, len(members)
     running, done = list(members), {}
-    held = []  # (members, tables) of the last two maps, or of the zero start
-    old = None  # the tables of y and z if the loop owns them, else None
     if all(pair is None for pair in members.values()):
-        old = tuple(np.zeros((len(running),) + s) for s in shapes)
-        held.append((running, old))
-        y, z = (Stacked(lat, _owned(t.view())) for t in old)
+        y = np.zeros((size, n + 1, 1 << lat.n_bits))
+        zs = np.zeros((size, n + 1, n, 1 << lat.n_bits))
     else:
-        y, z = (_stacked([members[m][k] for m in running]) for k in (0, 1))
+        if any(x.lattice != lat for m in running for x in members[m]):
+            raise LatticeMismatch("start pair not on the loop's lattice")
+        y, zs = (np.stack([members[m][k].values for m in running])
+                 for k in (0, 1))
+    ys = np.empty_like(y)
+    width = size if coupled else 1  # the members a distance spans
+    stacks = SweepStacks()
     traces = {m: [] for m in running}
     for _ in range(max_iter):
         size = len(running)
-        if len(held) == 2 and held[0][0] == running:
-            out = held[0][1]
-        else:
-            out = tuple(np.empty((size,) + s) for s in shapes)
-        tables = step(running, y, z, (*out, stacks))
-        held[:] = held[-1:] + [(running, tables)]
-        ys, zs = (_owned(t.view()) for t in tables)
+        tops = np.zeros((size, n + 1, n))
+        stacks.moved = tops, np.zeros_like(tops) if squares else None
+        step(running, Stacked(lat, _owned(y.view())),
+             Stacked(lat, _owned(zs.view())), (ys, zs, stacks))
+        d = np.subtract(ys, y, out=y)  # over the path the map has read
         sups = []
         for k in range(0, size, width):
-            dy, dz = (np.subtract(t[k:k + width], x.values[k:k + width],
-                                  out=None if d is None else d[k:k + width])
-                      for t, x, d in zip((ys, zs), (y, z), old or (None,) * 2))
-            sy, sz = _max_abs(dy), _max_abs(dz)
+            sy = _max_abs(d[k:k + width])
+            sz = float(np.max(tops[k:k + width]))
             if not math.isfinite(sy + sz):
                 for table in (ys, zs):
                     for values in table:
                         _check_finite(values)
             sups += [max(sy, sz)] * width
             if squares:
-                squares(running[k], np.square(dy[0], out=dy[0]),
-                        np.square(dz[0], out=dz[0]))
-        del dy, dz  # a pair made for the iteration is freed with it
-        keep = [k for k, d in enumerate(sups) if d > tol]
-        for k, (m, d) in enumerate(zip(running, sups)):
-            traces[m].append(d)
-            if d <= tol:  # the pair handed out, its own rows if others run on
-                done[m] = tuple(_unchecked(cls, lat, _owned(t[k].copy())
-                                           if keep else t[k])
-                                for cls, t in ((AdaptedPath, ys),
-                                               (VolterraKernel, zs)))
+                squares(running[k], np.mean(np.square(d[k], out=d[k]),
+                                            axis=-1), stacks.moved[1][k])
+        keep = [k for k, dist in enumerate(sups) if dist > tol]
+        for k, (m, dist) in enumerate(zip(running, sups)):
+            traces[m].append(dist)
+            if dist <= tol:  # the pair handed out, its own rows if others run on
+                done[m] = tuple(_unchecked(cls, lat, _owned(
+                    t[k].copy() if keep else t[k]))
+                    for cls, t in ((AdaptedPath, ys), (VolterraKernel, zs)))
         if not keep:
             return ({m: done[m] for m in traces},
                     {m: len(t) for m, t in traces.items()}, traces)
         if len(keep) < size:  # the running members' rows restacked
-            old = tuple(t[keep] for t in tables)
-            ys, zs = (_owned(t.view()) for t in old)
-        else:  # the last map's tables, if they are the out it was handed
-            old = tables if all(t is o for t, o in zip(tables, out)) else None
+            ys, zs = ys[keep], zs[keep]
+            y = np.empty_like(ys)
         running = [running[k] for k in keep]
-        y, z = Stacked(lat, ys), Stacked(lat, zs)
+        y, ys = ys, y
     m = running[0]
     raise NoConvergence(
         (f"member {m}: " if len(traces) > 1 and not coupled else "")
@@ -699,7 +694,6 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
 
     def step(members, y, z, out):
         gamma_map([scs[m] for m in members], y, z, out=out)
-        return out[:2]
 
     def squares(m, y2, z2):
         diffs[m].append(scale * math.sqrt(_norm_squared(lat, y2, z2, w)[0]))
@@ -718,7 +712,8 @@ def picard_solve(sc: Scenario, tol: float = 1e-10, max_iter: int = 200,
             gamma_theory=x.gamma_theory,
             final_residual=residual(x, ys[m], zs[m]),
             final_norms=tuple(map(math.sqrt, _norm_squared(
-                lat, np.square(ys[m].values), np.square(zs[m].values), w))),
+                lat, _mean_squares(ys[m].values), _mean_squares(zs[m].values),
+                w))),
             sup_trace=traces[m],
         ) for m, x in enumerate(scs)]
     if batch:

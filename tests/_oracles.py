@@ -69,7 +69,9 @@ sliced and reshaped at the slot (`_frozen_args`, `per_slot_terms`), the
 reference for the arrays a `solver.SlotReader` reshapes once a pair; and
 the sweep with a new table for every lift and halving of its stack
 (`allocating_sweep`), the reference for the sweep into the storage a
-Picard loop keeps; and the Picard loop on pairs the step makes and a
+Picard loop keeps, and a map's own new tables written into a loop's
+storage with the kernel's move folded in (`into_loop`), for maps that do
+not sweep into it; and the Picard loop on pairs the step makes and a
 distance it is given (`iterate`, `sup_distance`), the reference for the
 loop of `solver.iterate`, which owns its tables.
 
@@ -1943,7 +1945,9 @@ def allocating_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
                      swapped: bool = False, out: tuple | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """`lattice.clark_ocone_sweep` with a new table for every lift and
-    halving of its stack; out's stack storage, if any, goes unused."""
+    halving of its stack; out's stack storage, if any, goes unused but for
+    a loop's record of the kernel's move (`moved`), which it fills from a
+    copy of each column it writes."""
     fields = tuple(v.field for v in x[0])
     if any(tuple(v.field for v in xm) != fields for xm in x[1:]):
         raise MeasurabilityViolation("the members' rows differ in field")
@@ -1958,9 +1962,10 @@ def allocating_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     if out is None:
         ys = np.empty((size, len(fields), 1 << lat.n_bits))
         zs = np.zeros((size, len(fields), lat.n_steps, 1 << lat.n_bits))
-    else:
+    moved = out[2].moved if out is not None and len(out) == 3 else None
+    if out is not None:
         ys, zs = out[:2]
-        if not whole:
+        if not whole and moved is None:
             zs.fill(0.0)
     tables = {}
     for k, own, joins in entries:
@@ -1970,6 +1975,9 @@ def allocating_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
             table = onto(table, own)
             ys[:, k] = table.reshape(size, -1)
         tables[k] = table
+    # every slot's terms before the column writes of the step above
+    asks = [(m, add[0]) for m, _, add, *_ in steps if add is not None]
+    got = {}
     stack = None
     for m, join, add, bits, cols, done, trim, _, _ in steps:
         if join is not None:
@@ -1978,10 +1986,10 @@ def allocating_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
                                             if join[1] else []), axis=1)
         if add is not None:
             rows, tf, restack, axes, padw, padb, naxes = add
-            got = term(m, rows)
+            terms = got.pop(m) if m in got else term(m, rows)
             stack = onto(stack, restack)
-            if got is not None:
-                gf, tv = got
+            if terms is not None:
+                gf, tv = terms
                 if gf is not tf and gf != tf:
                     raise MeasurabilityViolation(
                         f"slot {m} term on ({gf.w_upto}, {gf.b_from}), not on "
@@ -1990,6 +1998,10 @@ def allocating_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
                 view = stack.reshape(stack.shape[:2] + axes)
                 view[:, :len(rows)] += tv.reshape(lead + padw
                                                   + tv.shape[len(lead):] + padb)
+        below = [ask for ask in asks if ask[0] < m]
+        if below and below[0][0] not in got:
+            got[below[0][0]] = term(*below[0])
+        old = zs[:, cols, m].copy() if moved is not None else None
         for on, col in bits:
             pair = stack.reshape(stack.shape[:2] + (2, -1, stack.shape[-1]))
             for sl in on:
@@ -1999,6 +2011,12 @@ def allocating_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
                 zs[sl, cols, m] = d.reshape(d.shape[:2] + (-1,))
             stack = pair[:, :, 0] + pair[:, :, 1]
             stack *= 0.5
+        if old is not None:
+            d = np.abs(zs[:, cols, m] - old)
+            moved[0][:, i + cols.start:i + cols.stop, m] = np.max(d, axis=-1)
+            if moved[1] is not None:
+                moved[1][:, i + cols.start:i + cols.stop, m] = np.mean(
+                    d * d, axis=-1)
         if done is not None:
             r, to_mid, back, to_own, row = done
             y = onto(stack[:, r:r + 1], to_mid)
@@ -2008,6 +2026,20 @@ def allocating_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
         if trim is not None:
             stack = stack[:, :trim] if trim else None
     return ys, zs
+
+
+def into_loop(out: tuple, tables) -> None:
+    """A map's new (ys, zs) tables of its own written into a loop's out, as
+    `solver.iterate` takes a step's: each member's kernel move (and, if the
+    loop asks, its entries' mean squares) folded into out's `moved` from
+    the whole tables, then both tables copied over out's."""
+    ys, zs, stacks = out
+    tops, squares = stacks.moved
+    d = np.abs(tables[1] - zs)
+    tops[:] = np.max(d, axis=-1)
+    if squares is not None:
+        squares[:] = np.mean(d * d, axis=-1)
+    ys[:], zs[:] = tables
 
 
 # -- the Picard loop on the step's own pairs -----------------------------------

@@ -1,7 +1,8 @@
 """One Picard loop for the solver, the particles and the flip equation.
 
 `solver.iterate` owns the tables of every fixed point: the flip equation's
-maps, too, write into the tables of two maps back, and a driver that turns
+maps, too, write their paths into the path table of two maps back and
+their kernels over the kernel they read, and a driver that turns
 NaN fails in the iteration that made it, with the error of a map that
 checks its own pair (the reference loop of tests/_oracles.py).  The map
 refuses a pair off its scenario's lattice before any sweep, a batch's
@@ -50,15 +51,15 @@ class TestFlipLoop:
         monkeypatch.setattr(malliavin, "_linearized_map", recording)
         got = solve_linearized(ls)
         assert len(calls) >= 4
-        # the first map reads the zero start, which the second map writes
-        tables = [[x.values for x in calls[0][0]]] + [
-            [x.values for x in new] for _, new in calls]
-        for k in range(len(tables) - 1):
-            for a, b in zip(tables[k], tables[k + 1]):
-                assert not np.shares_memory(a, b)
-        for k in range(len(tables) - 2):
-            for a, b in zip(tables[k], tables[k + 2]):
-                assert np.shares_memory(a, b)
+        # the first map reads the zero start, whose path table the second
+        # map writes; every map writes its kernel over the one it reads
+        paths = [calls[0][0][0].values] + [new[0].values for _, new in calls]
+        for k in range(len(paths) - 1):
+            assert not np.shares_memory(paths[k], paths[k + 1])
+        for k in range(len(paths) - 2):
+            assert np.shares_memory(paths[k], paths[k + 2])
+        for pair, new in calls:
+            assert np.shares_memory(pair[1].values, new[1].values)
         assert_pairs_equal(got, calls[-1][1])
 
     # N - r calls a map: mid-map and in later maps

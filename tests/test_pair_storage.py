@@ -20,6 +20,7 @@ from mfbdsvie.fields import (
     AdaptedPath,
     BetaWeight,
     VolterraKernel,
+    _mean_squares,
     _norm_squared,
     node_gaps,
     pair_diff,
@@ -71,8 +72,8 @@ class TestAgainstEntrywise:
         rng = np.random.default_rng(2)
         y, z = random_pair(lat, rng)
         w = BetaWeight(1.7)
-        assert (_norm_squared(lat, np.square(y.values), np.square(z.values),
-                              w)[full_square]
+        assert (_norm_squared(lat, _mean_squares(y.values),
+                              _mean_squares(z.values), w)[full_square]
                 == entrywise_norm_squared(y, z, w, full_square))
 
     def test_means(self, lat):

@@ -11,7 +11,6 @@ checked against the enumeration guard before the first solve.
 """
 
 import json
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -19,11 +18,11 @@ import pytest
 
 from mfbdsvie import errors, particles
 from mfbdsvie.drivers import LinearDriver, TerminalSpec
-from mfbdsvie.lattice import build_lattice, full_field
+from mfbdsvie.lattice import MeasurableRV, SigmaField, build_lattice, full_field
 from mfbdsvie.particles import convergence_study
 from mfbdsvie.solver import Scenario
 
-from _oracles import fill_table, full_field_convergence_study
+from _oracles import full_field_convergence_study
 from test_cli import _assert_input_error, _never
 from test_sweep import DRIVERS
 
@@ -63,18 +62,23 @@ class TestNoFullJointTable:
         assert peak < 0.5 * 8 * 4 ** (3 * 4)
 
     def test_no_table_filled_on_the_full_joint_field(self, monkeypatch):
-        fill = fill_table
+        def refuse(field):
+            if field.lattice.lanes > 1 and field == full_field(field.lattice):
+                raise AssertionError("a table of all joint paths was made")
 
-        def guarded(v, f):
-            if f.lattice.lanes > 1 and f == full_field(f.lattice):
-                raise AssertionError("a table of all joint paths was filled")
-            return fill(v, f)
+        # a table sized for the full joint field, or a record declared on it
+        shape, init = SigmaField.table_shape, MeasurableRV.__init__
 
-        # every package module that binds it, not only the lattice's
-        for name, mod in list(sys.modules.items()):
-            if (name.partition(".")[0] == "mfbdsvie"
-                    and getattr(mod, "fill_table", None) is fill):
-                monkeypatch.setattr(mod, "fill_table", guarded)
+        def table_shape(field):
+            refuse(field)
+            return shape.fget(field)
+
+        def record(self, field, values):
+            refuse(field)
+            init(self, field, values)
+
+        monkeypatch.setattr(SigmaField, "table_shape", property(table_shape))
+        monkeypatch.setattr(MeasurableRV, "__init__", record)
         rows = convergence_study(scenario(2), [1, 2, 3])
         assert len(rows) == 9
 

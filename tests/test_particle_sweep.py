@@ -19,7 +19,7 @@ from mfbdsvie.lattice import LatticeSpec, build_lattice, clark_ocone_sweep, time
 from mfbdsvie.particles import ParticleConfig, convergence_study, particle_map
 from mfbdsvie.solver import Scenario, _slot_layout
 
-from _oracles import per_lane_particle_map, per_lane_tables
+from _oracles import into_loop, per_lane_particle_map, per_lane_tables
 from test_stack import BLIND, CASES, Counting
 from test_sweep import TERMINAL, random_pair, random_rv
 
@@ -59,8 +59,8 @@ class TestOneSweep:
         # solve_particles maps through the private form, the driver probed
         monkeypatch.setattr(particles, "_particle_map",
                             lambda driver, swapped, zetas, tables, out:
-                            tuple(t.values for t in
-                                  per_lane_tables(driver, zetas, tables)))
+                            into_loop(out, [t.values for t in per_lane_tables(
+                                driver, zetas, tables)]))
         assert rows == convergence_study(sc, [1, 2, 3])
 
     def test_one_driver_call_per_slot_for_all_particles(self):

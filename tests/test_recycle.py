@@ -1,13 +1,13 @@
 """The Picard loop owns its tables and recycles them.
 
-From the second map on, `picard_solve`'s map writes into the storage of
-the pairs two iterations back (`gamma_map`, `map_rows` and
-`lattice.clark_ocone_sweep` with `out`), never into a table that holds a
-pair the loop has handed out or into the caller's start.  Each
-iteration's difference goes into the tables of the pair it replaces when
-the loop owns them, so the loop holds two pairs; a caller's start takes
-its difference into a pair made for the iteration.  Every iterate, trace
-and final figure equals that of the allocating map.
+`picard_solve`'s map writes its new kernel over the kernel it reads, and
+its new path into the path table of two iterations back (`gamma_map`,
+`map_rows` and `lattice.clark_ocone_sweep` with `out`), never into a
+table that holds a pair the loop has handed out or into the caller's
+start, which the loop copies once.  The path's difference goes into the
+path table the map read; the kernel's is taken column by column in the
+sweep.  Every iterate, trace and final figure equals that of the
+allocating map.
 """
 
 from functools import partial
@@ -57,13 +57,16 @@ class TestRecycling:
         maps = _maps(monkeypatch)
         _, _, rep = picard_solve(sc, tol=1e-12)
         assert rep.iterations == len(maps) >= 4
-        tables = [(y.values, z.values) for _, (y, z) in maps]
-        for k in range(len(tables) - 1):
-            for a, b in zip(tables[k], tables[k + 1]):
-                assert not np.shares_memory(a, b)
-        for k in range(len(tables) - 2):
-            for a, b in zip(tables[k], tables[k + 2]):
-                assert np.shares_memory(a, b)
+        # the paths alternate between two tables; every kernel is written
+        # over the one its map reads, so all share one table
+        paths = [y.values for _, (y, _) in maps]
+        for k in range(len(paths) - 1):
+            assert not np.shares_memory(paths[k], paths[k + 1])
+        for k in range(len(paths) - 2):
+            assert np.shares_memory(paths[k], paths[k + 2])
+        for (_, z), (_, new) in maps:
+            assert np.shares_memory(z.values, new.values)
+            assert np.shares_memory(new.values, maps[0][1][1].values)
 
     def test_the_zero_start_is_the_second_maps_storage(self, monkeypatch):
         sc = Scenario(build_lattice(4, 1.0), CASES["z_rev_blind"], TERMINAL)

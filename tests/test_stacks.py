@@ -4,9 +4,10 @@
 field, and each W-bit halving, into a `lattice.SweepStacks`: the Picard
 loop (`solver.iterate`, under `picard_solve` and `solve_particles`) keeps
 one for all its maps (through `out`), and any other sweep makes one table
-for the call.  The particles' maps, too, write into the tables of two maps
-back, and each difference goes into the pair it replaces, whose storage
-the next map writes over.  Only the destinations of writes change, so
+for the call.  The particles' maps, too, write their paths into the path
+table of two maps back and their kernels over the kernel they read, the
+sweep taking the kernel's difference column by column before each column
+is written.  Only the destinations of writes change, so
 every pair, trace and report equals, bit for bit, that of the sweep with
 a new table for every lift and halving (`allocating_sweep` of
 tests/_oracles.py).
@@ -194,14 +195,15 @@ class TestStorage:
         monkeypatch.setattr(particles, "_particle_map", recording)
         _, rep = solve_particles(particle_config(3))
         assert rep.iterations == len(made) >= 6
-        # the first map reads the zero start
-        tables = [[x.values for x in starts[0]]] + made
-        for k in range(len(tables) - 1):
-            for a, b in zip(tables[k], tables[k + 1]):
-                assert not np.shares_memory(a, b)
-        for k in range(len(tables) - 2):  # the zero start's, then each map's
-            for a, b in zip(tables[k], tables[k + 2]):
-                assert np.shares_memory(a, b)
+        # the first map reads the zero start; the paths alternate between
+        # two tables, and every map writes its kernel over the one it reads
+        paths = [starts[0][0].values] + [ys for ys, _ in made]
+        for k in range(len(paths) - 1):
+            assert not np.shares_memory(paths[k], paths[k + 1])
+        for k in range(len(paths) - 2):  # the zero start's, then each map's
+            assert np.shares_memory(paths[k], paths[k + 2])
+        for (_, z), (_, zs) in zip(starts, made):
+            assert np.shares_memory(z.values, zs)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_one_table_and_views_once_per_plan(self, monkeypatch, name):
