@@ -13,7 +13,6 @@ from .lattice import (
     MeasurableRV,
     SigmaField,
     build_lattice,
-    condexp,
     time_field,
 )
 from .fields import (

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .drivers import DriverSpec, TerminalSpec, terminal_rv
+from .drivers import DriverSpec, TerminalSpec, terminal_table
 from .errors import HypothesisViolated, MonotonicityBroken, ValidationError
 from .fields import AdaptedPath, node_gaps
 from .lattice import LatticeSpec
@@ -188,11 +188,8 @@ def _sample_hypotheses(cs: ComparisonScenario, n_samples: int, seed: int
           for d, v in ((cs.f1, v1), (cs.fbar, vb), (cs.f2, v2))]
     rf.append(np.abs(cs.g.g_values(t, s, *swapped)
                      - cs.g.g_values(t, s, *args)))
-    term_gap = -np.inf
-    for i in range(lat.n_steps + 1):
-        d = (terminal_rv(cs.zeta1, lat, i).values
-             - terminal_rv(cs.zeta2, lat, i).values)
-        term_gap = max(term_gap, float(np.max(d)))
+    term_gap = np.max(terminal_table(cs.zeta1, lat)
+                      - terminal_table(cs.zeta2, lat))
     return HypothesesReport(
         worst_order_low=worst(v1 - vb), worst_order_high=worst(vb - v2),
         worst_monotone_y=worst(vb - up_y),

@@ -41,11 +41,10 @@ import numpy as np
 
 from .errors import (
     AlphaTooLarge,
-    InvalidIndex,
     PartialsUnavailable,
     ValidationError,
 )
-from .lattice import LatticeSpec, MeasurableRV, SigmaField
+from .lattice import LatticeSpec, check_lanes
 
 
 def _as_time_fn(x) -> Callable[[float], float]:
@@ -431,15 +430,18 @@ def terminal_walk_values(lat: LatticeSpec, lane: int = 0) -> np.ndarray:
     return walk
 
 
-def terminal_rv(term: TerminalSpec, lat: LatticeSpec, t_idx: int,
-                lane: int = 0) -> MeasurableRV:
-    """zeta(t_idx) as a lattice variable on the terminal field."""
-    if not 0 <= t_idx <= lat.n_steps:
-        raise InvalidIndex(f"node {t_idx} outside the grid")
+def terminal_table(term: TerminalSpec, lat: LatticeSpec, lane: int = 0
+                   ) -> np.ndarray:
+    """zeta(t_i) at every node i as one write-locked (N + 1, 2^M) table,
+    row i a function of the lane's W(T) on the shared walk; a lane outside
+    0..lanes - 1 raises IndexOutOfRange."""
+    check_lanes(lat, lane)
     w = terminal_walk_values(lat, lane)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = term.value(lat.node(t_idx), w)
-    if not np.isfinite(vals).all():
-        raise ValidationError(f"terminal at node {t_idx} overflows a float")
-    f = SigmaField(lat, lat.n_bits, lat.n_bits)
-    return MeasurableRV(f, np.asarray(vals, dtype=float)[:, None])
+    table = np.empty((lat.n_steps + 1, len(w)))
+    for i, row in enumerate(table):
+        with np.errstate(over="ignore", invalid="ignore"):
+            row[:] = term.value(lat.node(i), w)
+        if not np.isfinite(row).all():
+            raise ValidationError(f"terminal at node {i} overflows a float")
+    table.flags.writeable = False
+    return table

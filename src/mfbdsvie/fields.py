@@ -50,9 +50,10 @@ from .lattice import (
     MeasurableRV,
     SigmaField,
     _max_abs,
+    _onto,
+    _onto_op,
     _owned,
     clark_ocone_sweep,
-    condexp,
     row_extremes,
     time_field,
 )
@@ -170,6 +171,12 @@ def _check_finite(values: np.ndarray) -> None:
             f"entry {bad[0] if len(bad) == 1 else tuple(bad)} is not finite")
 
 
+def _same_lattice(*xs) -> None:
+    """Refuse paths and kernels that are not all on one lattice."""
+    if any(x.lattice != xs[0].lattice for x in xs[1:]):
+        raise LatticeMismatch("operands on different lattices")
+
+
 def _unchecked(cls, lat: LatticeSpec, values: np.ndarray):
     """An `AdaptedPath` or `VolterraKernel` on values, a write-locked dense
     table of its shape that a Picard loop owns, not re-read for finiteness:
@@ -178,6 +185,13 @@ def _unchecked(cls, lat: LatticeSpec, values: np.ndarray):
     x = object.__new__(cls)
     x.lattice, x.values, x._cells = lat, values, None
     return x
+
+
+def _path_rows(y: AdaptedPath) -> tuple:
+    """The rows of y as `lattice.clark_ocone_sweep` and
+    `lattice.row_extremes` take them: (fields, values), node k on (k, k)."""
+    lat = y.lattice
+    return tuple(time_field(lat, k) for k in range(len(y))), y.values
 
 
 def _views(lat: LatticeSpec, values: np.ndarray):
@@ -210,11 +224,10 @@ def m_extend(y: AdaptedPath, z_delta: VolterraKernel) -> VolterraKernel:
     j < i entry is replaced by the representation coefficient of Y_i.  The
     rows are one stack: row i joins the backward induction at step i - 1.
     """
-    lat = y.lattice
-    if z_delta.lattice != lat:
-        raise LatticeMismatch("path and kernel on different lattices")
-    n = lat.n_steps
-    _, (lower,) = clark_ocone_sweep([y.y], 0)
+    _same_lattice(y, z_delta)
+    lat, n = y.lattice, y.lattice.n_steps
+    fields, values = _path_rows(y)
+    _, (lower,) = clark_ocone_sweep((fields, values[None]), 0)
     upper = np.arange(n) >= np.arange(n + 1)[:, None]
     return VolterraKernel(lat, _owned(np.where(upper[..., None],
                                                z_delta.values, lower)))
@@ -225,11 +238,15 @@ def m_identity_residual(y: AdaptedPath, z: VolterraKernel) -> float:
 
     max over nodes i and paths of
     | Y_i - E[Y_i | (0,0)] - sum_{j<i} Z_ij dW_j |, exact and with no table
-    of them: `lattice.row_extremes` over the slots j < i, no term.
+    of them: `lattice.row_extremes` over the slots j < i, no term, each
+    E[Y_i | (0,0)] an exact average of Y_i (`lattice._onto`).
     """
     base = SigmaField(y.lattice, 0, 0)
+    x = _path_rows(y)
+    means = np.concatenate([_onto(v.reshape((1,) + f.table_shape),
+                                  _onto_op(f, base))[0] for f, v in zip(*x)])
     return float(np.max(row_extremes(
-        y.y, [condexp(yi, base) for yi in y.y], z, None, False,
+        x, ((base,) * len(y), means), z, None, False,
         [range(i) for i in range(len(y))])))
 
 
@@ -238,8 +255,10 @@ def node_gaps(a: AdaptedPath, b: AdaptedPath, from_node: int = 0,
     """Rows (i, worst over paths of a_i - b_i, or of |a_i - b_i|).
 
     One row per node from from_node on; a pathwise order or equality
-    between two profiles holds when every gap is at most zero.
+    between two profiles holds when every gap is at most zero.  Paths on
+    different lattices are refused.
     """
+    _same_lattice(a, b)
     d = a.values[from_node:] - b.values[from_node:]
     gaps = np.max(np.abs(d) if absolute else d, axis=-1)
     return list(enumerate(gaps.tolist(), start=from_node))
@@ -289,7 +308,9 @@ def l_beta_norm(y: AdaptedPath, z: VolterraKernel, w: BetaWeight) -> float:
 def pair_sup_diff(
     y1: AdaptedPath, z1: VolterraKernel, y2: AdaptedPath, z2: VolterraKernel
 ) -> float:
-    """Pathwise sup-norm distance between two pairs (beta-independent)."""
+    """Pathwise sup-norm distance (beta-independent) between two pairs on
+    one lattice."""
+    _same_lattice(y1, z1, y2, z2)
     return max(_max_abs(y1.values - y2.values),
                _max_abs(z1.values - z2.values))
 
@@ -297,7 +318,7 @@ def pair_sup_diff(
 def pair_diff(
     y1: AdaptedPath, z1: VolterraKernel, y2: AdaptedPath, z2: VolterraKernel
 ) -> tuple[AdaptedPath, VolterraKernel]:
-    """Entrywise difference of two solution pairs."""
+    """Entrywise difference of two solution pairs on one lattice."""
+    _same_lattice(y1, z1, y2, z2)
     return (AdaptedPath(y1.lattice, _owned(y1.values - y2.values)),
             VolterraKernel(y1.lattice, _owned(z1.values - z2.values)))
-

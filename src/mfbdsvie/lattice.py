@@ -22,15 +22,16 @@ conditional expectations are exact finite averages over the unknown
 axes, so every identity checked downstream holds to rounding error
 only; no regression or Monte Carlo noise enters anywhere.
 
-`bit_view(x, f)` owns this layout: it reshapes the table of x to one
-axis per increment the finer field f knows, W increments f.w_upto-1
-down to 0, then B increments M-1 down to f.b_from, size 1 where x is
-blind.  Views on one field broadcast together and reshape for free to
-f.table_shape; the sweep's lifts, the driver arguments and the walk of
-extremes are built on it.  A `MeasurableRV` is an entry record, a
-(field, table) pair with no arithmetic: the entry views of paths and
-kernels, the terminals and `condexp`'s result; the algebra on tables is
-numpy on these views.  Tables the package builds are write-locked and
+`bit_view_shape(g, f)` owns this layout: the shape that takes a table on
+g to one axis per increment the finer field f knows, W increments
+f.w_upto-1 down to 0, then B increments M-1 down to f.b_from, size 1
+where g is blind.  Tables on one field so reshaped broadcast together
+and reshape for free to f.table_shape; the sweep's lifts, the driver
+arguments and the walk of extremes are built on it.  The walks take
+rows as (fields, values): the rows' fields and one dense table of the
+rows flattened, as a path's values are.  A `MeasurableRV` is the (field,
+table) record of one entry view, `y[i]` or `z.at(i, j)`, with no
+arithmetic.  Tables the package builds are write-locked and
 kept, never copied; only a caller's writable array is copied.
 The lowest known B increment, f.b_from, is innermost: a broadcast along
 it runs two entries at a time, so a lift onto one new such bit
@@ -165,14 +166,21 @@ def full_field(lat: LatticeSpec) -> SigmaField:
     return SigmaField(lat, lat.n_bits, 0)
 
 
+def terminal_rows(lat: LatticeSpec, values: np.ndarray) -> tuple:
+    """Terminal tables (a scenario's zeta, a flip equation's source), rows
+    on the last axis but one, as the walks take rows: (fields, values), each
+    row on the time field of node N, which knows W(T)."""
+    return (time_field(lat, lat.n_steps),) * values.shape[-2], values
+
+
 class MeasurableRV:
-    """An entry record: a random variable's table and the field it is
-    measurable against.
+    """An entry view's record: a random variable's table and the field it
+    is measurable against (`AdaptedPath.y` and `VolterraKernel.z`).
 
     values has shape field.table_shape; entries are the exact values on
     each combination of known increments.  Instances are immutable and
     their tables write-locked; they carry no arithmetic (numpy on
-    `values` and `bit_view` does it).  A writable array is copied; a
+    `values` and `bit_view_shape` does it).  A writable array is copied; a
     read-only one, such as a table the package has just built and locked
     with `_owned`, is kept as it is.
     """
@@ -199,9 +207,6 @@ class MeasurableRV:
     def lattice(self) -> LatticeSpec:
         return self.field.lattice
 
-    def max_abs(self) -> float:
-        return _max_abs(self.values)
-
 
 def _owned(table: np.ndarray) -> np.ndarray:
     """Write-lock a table only the package holds, so it is kept, not copied."""
@@ -222,16 +227,6 @@ def bit_view_shape(g: SigmaField, f: SigmaField) -> tuple[int, ...]:
     known = g.w_upto + g.lattice.n_bits - g.b_from
     return ((1,) * (f.w_upto - g.w_upto) + (2,) * known
             + (1,) * (g.b_from - f.b_from))
-
-
-def bit_view(x: MeasurableRV, f: SigmaField) -> np.ndarray:
-    """x's table with one axis per increment f knows (see module doc)."""
-    if not f.contains(x.field):
-        raise MeasurabilityViolation(
-            f"cannot lift ({x.field.w_upto},{x.field.b_from}) onto "
-            f"non-refining ({f.w_upto},{f.b_from})"
-        )
-    return x.values.reshape(bit_view_shape(x.field, f))
 
 
 def _onto_op(g: SigmaField, f: SigmaField) -> tuple:
@@ -281,18 +276,6 @@ def _onto(v: np.ndarray, op: tuple, out: np.ndarray | None = None
         out = np.empty(lead + table)
     copy(out.reshape(lead + full), v.reshape(lead + known))
     return out
-
-
-def condexp(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
-    """Exact conditional expectation of x given the two-sided field f.
-
-    Averages uniformly over the W increments with index >= f.w_upto and
-    the B increments with index < f.b_from; the result is declared
-    f-measurable.
-    """
-    if x.lattice != f.lattice:
-        raise LatticeMismatch("value and field on different lattices")
-    return MeasurableRV(f, _owned(_onto(x.values[None], _onto_op(x.field, f))[0]))
 
 
 @lru_cache(maxsize=1024)
@@ -425,39 +408,19 @@ class SweepStacks:
     stack it reads, and no view of it is handed out.  Each plan's views of
     it for a member count are cut on the first sweep of that plan and
     count.  A Picard loop keeps one for all its maps; a sweep given none
-    cuts a table of its own for the call (`_cut`).  It also keeps the
-    members' rows of x stacked on a member axis (`rows`): a loop's
-    terminals never change, so each row is stacked on its first map and
-    again only when a member stops.
+    cuts a table of its own for the call (`_cut`).
 
     A loop whose maps write over the kernel they read sets `moved` before
     each map to (tops, squares), zeros shaped (member, row, column) (and
     None for squares if it takes none), which the sweeps fill
     (`_take_moved`)."""
 
-    __slots__ = ("table", "views", "stacked", "moved")
+    __slots__ = ("table", "views", "moved")
 
     def __init__(self):
         self.table = np.empty(0)
         self.views = {}
-        self.stacked = {}
         self.moved = None
-
-    def rows(self, x: Sequence, k: int) -> np.ndarray:
-        """Row k of x's members as one write-locked table (member, ...),
-        stacked on the first sweep that reads these rows; a member count
-        not seen before (a member stopped) drops the tables of the last."""
-        rows = [xm[k] for xm in x]
-        key = tuple(map(id, rows))
-        got = self.stacked.get(key)
-        if got is None:
-            if any(len(old) != len(key) for old in self.stacked):
-                self.stacked.clear()
-            # the entry holds the rows, so their ids name no others while
-            # it is kept
-            got = self.stacked[key] = rows, _owned(
-                np.stack([v.values for v in rows]))
-        return got[1]
 
     def steps(self, plan: tuple, size: int) -> list:
         """Each step's (lift, halvings) destinations for plan's sweep of
@@ -486,7 +449,7 @@ def _cut(table: np.ndarray, plan: tuple, size: int) -> list:
     return views
 
 
-def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
+def clark_ocone_sweep(x: tuple, i: int, lane: int | Sequence[int] = 0,
                       first: int = 0, term: Callable | None = None,
                       swapped: bool = False, out: tuple | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
@@ -507,9 +470,11 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     representation of Y_r.  Terms on the field (m + 1, m) keep the stack
     at 2^(M + lanes) entries a row.
 
-    x holds one row sequence per member, the members' rows on the same
-    fields, on a leading member axis ahead of the row axis; the members
-    advance together, each as it would alone, on one lane or a lane each.
+    x is (fields, values): the rows' fields and a table (member, row,
+    entries) of the rows flattened, the members' rows on the same fields,
+    whose member axis goes ahead of the row axis; member p's row k is read
+    as the view values[p, k].  The members advance together, each as it
+    would alone, on one lane or a lane each.
 
     term(m, rows) gives the slot-m terms of the rows `rows` (those at or
     below m) as (field, values), or None: values is an array broadcasting
@@ -535,8 +500,8 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     Each lift of the running stack onto a slot field and each W-bit
     halving is written into storage: out's third entry, a `SweepStacks`
     that a Picard loop keeps across its maps, so a warm sweep takes no
-    stack table and looks its views up once, and restacks no member rows
-    of x; else one table made for the call.
+    stack table and looks its views up once; else one table made for the
+    call.
 
     The sweep takes slot m - 1's terms before step m's halvings write
     column m, so each term reads its kernel entries before the writes that
@@ -548,10 +513,8 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     then not zeroed, and the sweep copies column m before each step's
     writes and takes its move from the copy (`_take_moved`).
     """
-    fields = tuple(v.field for v in x[0])
-    if any(tuple(v.field for v in xm) != fields for xm in x[1:]):
-        raise MeasurabilityViolation("the members' rows differ in field")
-    lat, size = fields[0].lattice, len(x)
+    fields, values = x
+    lat, size = fields[0].lattice, len(values)
     lanes = np.ravel(lane).tolist()  # one lane for all, or one a member
     if len(lanes) not in (1, size):
         raise IndexOutOfRange(f"{len(lanes)} lanes for {size} members")
@@ -574,9 +537,7 @@ def clark_ocone_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
              else _cut(np.empty(plan[4] * size), plan, size))
     tables = {}
     for k, own, joins in entries:
-        table = (x[0][k].values[None] if size == 1
-                 else kept.rows(x, k) if kept is not None
-                 else np.stack([xm[k].values for xm in x]))
+        table = values[:, k].reshape((size,) + fields[k].table_shape)
         if own is not None:
             table = _onto(table, own)
             ys[:, k] = table.reshape(size, -1)
@@ -666,8 +627,9 @@ def _max_abs(v: np.ndarray) -> float:
     return abs(max(float(v.max()), -float(v.min())))
 
 
-def row_extremes(x, target, z, term: Callable | None, swapped: bool,
-                 slots: Sequence[range], mean_square: bool = False):
+def row_extremes(x: tuple, target: tuple, z, term: Callable | None,
+                 swapped: bool, slots: Sequence[range],
+                 mean_square: bool = False):
     """Row i's sup over paths of |D_i| for each i < len(slots), D_i = x_i
     + s_ij over j in slots[i] from the last down - target_i in that order,
     s_ij = term_ij - Z_ij dW_j (a missing term is zero), with no table of
@@ -683,14 +645,17 @@ def row_extremes(x, target, z, term: Callable | None, swapped: bool,
     known there: blind to W bits from that slot on.  Variable elimination
     in the (max, +) semiring, exact as rounded addition is monotone; NaN
     propagates.  The tables are on (k, b), 2^N entries a row for terms
-    blind to the swapped arguments, O(N^2 2^N) in all.
+    blind to the swapped arguments, O(N^2 2^N) in all.  x and target are
+    (fields, values), values a table (row, entries) of the rows flattened,
+    as `clark_ocone_sweep` takes a member's rows.
 
     With mean_square a row also carries the mean and the centred variance
     of x_i + s_ij over the W bits eliminated so far, merged by halves as
     Chan, Golub and LeVeque do (no raw moment is subtracted), and the
     result is (sups, E[D_i^2]): the mean of var + (mean - target_i)^2.
     """
-    if any(v.lattice != z.lattice for v in (*x, *target)):
+    (xf, xv), (tf, tv) = x, target
+    if any(f.lattice != z.lattice for f in (*xf, *tf)):
         raise LatticeMismatch("rows and kernel on different lattices")
     sups, squares = np.empty(len(slots)), np.empty(len(slots))
     for group in ([range(i, i + 1) for i in range(len(slots))] if swapped
@@ -698,8 +663,9 @@ def row_extremes(x, target, z, term: Callable | None, swapped: bool,
         live = [i for i in group if slots[i]]
         for i in group:
             if not slots[i]:
-                g = x[i].field.join(target[i].field)
-                d = bit_view(x[i], g) - bit_view(target[i], g)
+                g = xf[i].join(tf[i])
+                d = (xv[i].reshape(bit_view_shape(xf[i], g))
+                     - tv[i].reshape(bit_view_shape(tf[i], g)))
                 sups[i] = _max_abs(d)
                 if mean_square:
                     squares[i] = np.mean(d * d)
@@ -715,8 +681,8 @@ def row_extremes(x, target, z, term: Callable | None, swapped: bool,
                                 k, mean_square)
             for p, i in enumerate(order):
                 if slots[i].start == k:
-                    g = f.join(target[i].field)
-                    t = bit_view(target[i], g)
+                    g = f.join(tf[i])
+                    t = tv[i].reshape(bit_view_shape(tf[i], g))
                     hi, lo, *moments = ext[:, p].reshape(
                         (len(ext),) + bit_view_shape(f, g))
                     sups[i] = np.maximum(np.max(hi - t), -np.min(lo - t))
@@ -731,14 +697,16 @@ def row_extremes(x, target, z, term: Callable | None, swapped: bool,
     return (sups, squares) if mean_square else sups
 
 
-def _join(x, new: list, order: list, ext, f, k: int) -> tuple:
+def _join(x: tuple, new: list, order: list, ext, f, k: int) -> tuple:
     """The rows `new` at x_i joined below or above the stack ext on f of
     the rows `order`, at slot k: (rows, stack, its field); a new stack
     holds hi, lo and the mean as one table, with no variance."""
-    g = SigmaField(x[new[0]].lattice, k + 1, min(
-        [x[i].field.b_from for i in new] + ([f.b_from] if order else [])))
+    fields, values = x
+    g = SigmaField(fields[new[0]].lattice, k + 1, min(
+        [fields[i].b_from for i in new] + ([f.b_from] if order else [])))
     shape = (len(ext) if order else 1, 1) + (2,) * len(bit_view_shape(g, g))
-    parts = [np.broadcast_to(bit_view(x[i], g), shape) for i in new]
+    parts = [np.broadcast_to(values[i].reshape(bit_view_shape(fields[i], g)),
+                             shape) for i in new]
     if order:
         below = sum(i < order[0] for i in new)
         lifted = ext.reshape(ext.shape[:2] + bit_view_shape(f, g))

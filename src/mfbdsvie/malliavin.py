@@ -28,9 +28,10 @@ contributes a source.
 
 The linearized equation is the solver's map with the frozen partials
 as coefficients: `build_linearized` evaluates them once a slot from r
-on, on the stack of rows `solver.slot_args` gives, cut to each stack of
-rows once, they drive `solver.slot_terms` (each map, and the identity,
-reading its pair through one `solver.SlotReader`), and
+on, on the stack of rows `solver.SlotReader.slot_args` gives, cut to
+each stack of rows once, they drive `SlotReader.slot_terms` (each map,
+and the identity, reading its pair through one reader), its source is
+the flip of the terminal table, and
 `solver.map_rows` sweeps the rows as in
 `gamma_map`: one stack for a driver blind to the swapped arguments, else
 a stack per row.  The upper-triangle identity is the walk of
@@ -58,15 +59,16 @@ from .drivers import CustomDriver
 from .errors import IndexOutOfRange, ValidationError
 from .fields import AdaptedPath, VolterraKernel, _check_finite
 from .lattice import (
-    MeasurableRV,
     SigmaField,
     _check_bit,
     _max_abs,
+    _onto,
+    _onto_op,
     _owned,
-    condexp,
     flip_rows,
     row_extremes,
     slot_field,
+    terminal_rows,
     time_field,
 )
 from .solver import Scenario, SlotReader, _map_tables, _pairs, iterate, means
@@ -96,12 +98,13 @@ class LinearizedScenario:
     """Coefficient fields and sources of the flip equation at one slot.
 
     coefs[j] is slot j's (field, partials) over the rows 0..j, frozen
-    along the base solution on one `solver.slot_args` stack: six f-partials
+    along the base solution on one `SlotReader.slot_args` stack: six f-partials
     at the left nodes, six g-partials at the right nodes, each an array on
     the field's bit axes (a leading row axis if they differ by row), and
     None below slot r: the map and the pinned rows i <= r read slots from
     r on.  The rows of a map make one stack unless `scenario.swapped`.
-    source[i] is the flip of the terminal at node i.  cuts holds the
+    source is the flip of the terminal table, one write-locked (N + 1, 2^M)
+    table, row i that of the terminal at node i.  cuts holds the
     partials of each slot and stack of rows once `slot_coefs` has cut them.
     """
 
@@ -110,7 +113,7 @@ class LinearizedScenario:
     base_z: VolterraKernel
     r_idx: int
     coefs: list
-    source: list
+    source: np.ndarray
     cuts: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
 
@@ -161,10 +164,7 @@ def build_linearized(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
                 "driver blind to z_rev and mean_z_rev declares nonzero "
                 "partials in them")
         coefs.append((f, values))
-    tf = sc.zeta[0].field  # every node's terminal is on it
-    flips = _owned(flip_rows(np.stack([x.values.reshape(-1) for x in sc.zeta]),
-                             tf.w_upto, r_idx, lat.inc))
-    source = [MeasurableRV(tf, d.reshape(tf.table_shape)) for d in flips]
+    source = _owned(flip_rows(sc.zeta, lat.n_bits, r_idx, lat.inc))
     return LinearizedScenario(sc, y, z, r_idx, coefs, source)
 
 
@@ -174,7 +174,7 @@ def _linearized_terms(ls: LinearizedScenario, read: SlotReader, j: int,
     rows, frozen at the pair and means of read, as (field, values); none
     below slot r.
 
-    `solver.slot_terms` with the partials cut to the rows as the driver
+    `SlotReader.slot_terms` with the partials cut to the rows as the driver
     (whose constants it never reads): each partial times its argument,
     added in the order y, z, mean_y, mean_z, then z_rev and mean_z_rev,
     left out on the pinned rows and for a blind driver (partials zero)."""
@@ -203,10 +203,12 @@ def _linearized_map(ls: LinearizedScenario, pair, out: tuple | None = None
     once checked finite as the new pair's constructor checks it."""
     r = ls.r_idx
     term = partial(_linearized_terms, ls, SlotReader(*pair, *means(*pair)))
-    ys, zs = _map_tables([ls.source], term, ls.scenario.swapped, 0, r + 1, out)
+    lat = ls.scenario.lattice
+    ys, zs = _map_tables(terminal_rows(lat, ls.source[None]), term,
+                         ls.scenario.swapped, 0, r + 1, out)
     _check_finite(ys[0, :r + 1])
     ys[:, :r + 1] = 0.0
-    (y,), (z,) = _pairs(ls.scenario.lattice, (ys, zs), out is None)
+    (y,), (z,) = _pairs(lat, (ys, zs), out is None)
     return y, z
 
 
@@ -249,8 +251,8 @@ def check_clark_ocone(y: AdaptedPath, z: VolterraKernel, r_idx: int
 
     Exact on the lattice for every solved pair: max over nodes i > r and
     paths of |Z(t_i, s_r) - E[D_r Y_i | (r, r)]|, each flip one
-    `flip_rows` call on the dense path row; a slot outside 0..N-1 raises
-    IndexOutOfRange.
+    `flip_rows` call on the dense path row, conditioned by an exact average
+    (`lattice._onto`); a slot outside 0..N-1 raises IndexOutOfRange.
     """
     lat = y.lattice
     if not 0 <= r_idx < lat.n_steps:
@@ -261,8 +263,8 @@ def check_clark_ocone(y: AdaptedPath, z: VolterraKernel, r_idx: int
     for i in range(r_idx + 1, lat.n_steps + 1):
         f = time_field(lat, i)
         d = flip_rows(y.values[i], f.w_upto, r_idx, lat.inc)
-        rhs = condexp(MeasurableRV(f, _owned(d.reshape(f.table_shape))), base)
-        gap = _max_abs(z.values[i, r_idx] - rhs.values.reshape(-1))
+        rhs = _onto(d.reshape((1,) + f.table_shape), _onto_op(f, base))
+        gap = _max_abs(z.values[i, r_idx] - rhs.reshape(-1))
         rows.append((i, r_idx, gap))
         worst = max(worst, gap)
     return IdentityReport(rows=rows, worst=worst)
@@ -288,8 +290,9 @@ def check_delta_equation(ls: LinearizedScenario) -> IdentityReport:
     term = partial(_linearized_terms, ls, SlotReader(u, v, *means(u, v)),
                    include_swapped=False)
     sups, squares = row_extremes(
-        ls.source[:r + 1], [row[r] for row in ls.base_z.z[:r + 1]], v, term,
-        ls.scenario.swapped, [range(r, lat.n_steps)] * (r + 1),
+        terminal_rows(lat, ls.source[:r + 1]),
+        ((time_field(lat, r),) * (r + 1), ls.base_z.values[:r + 1, r]), v,
+        term, ls.scenario.swapped, [range(r, lat.n_steps)] * (r + 1),
         mean_square=True)
     return IdentityReport(rows=[(i, r, float(gap))
                                 for i, gap in enumerate(sups)],

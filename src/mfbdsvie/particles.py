@@ -5,7 +5,7 @@ joint lattice with n lanes per time step).  Each particle solves the
 equation with its own terminal data and its own backward and forward
 integrals, while every expectation argument is replaced by the
 empirical mean over the n particles, the own value included: a dense
-path or kernel, the random means `solver.slot_args` reads.  The solve
+path or kernel, the random means `solver.SlotReader` reads.  The solve
 is the fixed point of the natural map: each particle's frozen right
 side, conditioned on the joint time field, with the kernel extracted
 against the particle's own forward increments.  The particles are the
@@ -33,9 +33,17 @@ from functools import partial
 
 import numpy as np
 
-from .drivers import DriverSpec, TerminalSpec, terminal_rv
+from .drivers import DriverSpec, TerminalSpec, terminal_table
 from .errors import JointSpaceTooLarge, ValidationError
-from .lattice import LatticeSpec, MeasurableRV, bit_view, full_field
+from .fields import AdaptedPath
+from .lattice import (
+    LatticeSpec,
+    _owned,
+    bit_view_shape,
+    full_field,
+    terminal_rows,
+    time_field,
+)
 from .solver import (
     Scenario,
     SlotReader,
@@ -91,19 +99,18 @@ class ParticleReport:
 
 
 def solve_particles(pc: ParticleConfig
-                    ) -> tuple[list[list[MeasurableRV]], ParticleReport]:
+                    ) -> tuple[list[AdaptedPath], ParticleReport]:
     """Exact fixed point of the empirical-mean system: `_particle_map` as
     the step of `solver.iterate`, one member a particle, all stopping
     together.
 
-    Returns per-particle node values y[p][i] on the joint lattice plus a
-    report carrying the exchangeability defect measured pathwise under
-    the particle-swap permutation.
+    Returns each particle's path on the joint lattice, the loop's own,
+    plus a report carrying the exchangeability defect measured pathwise
+    under the particle-swap permutation.
     """
     joint = pc.joint_lattice()
-    n = joint.n_steps
-    zetas = [[terminal_rv(pc.terminal, joint, i, lane=p) for i in range(n + 1)]
-             for p in range(pc.n_particles)]
+    zetas = _owned(np.stack([terminal_table(pc.terminal, joint, lane=p)
+                             for p in range(pc.n_particles)]))
     swapped = reads_swapped(pc.driver)
 
     def step(members, y, z, out):
@@ -112,7 +119,7 @@ def solve_particles(pc: ParticleConfig
     pairs, iterations, traces = iterate(
         step, dict.fromkeys(range(pc.n_particles)), joint, pc.tol,
         pc.max_iter, coupled=True)
-    y = [list(pairs[p][0].y) for p in range(pc.n_particles)]
+    y = [pairs[p][0] for p in range(pc.n_particles)]
     report = ParticleReport(
         iterations=iterations[0],
         sup_diff=traces[0][-1],
@@ -125,7 +132,7 @@ def particle_map(driver: DriverSpec, zetas, pairs):
     """One map application for every particle on the joint lattice: one
     sweep, particle p on its own lane's increments, and the empirical means
     over all particles (dense random means) as every particle's mean
-    arguments.
+    arguments.  zetas stacks each particle's lane's `terminal_table`.
     """
     tables = [_stacked(parts) for parts in zip(*pairs)]
     return list(zip(*_pairs(tables[0].lattice, _particle_map(
@@ -143,18 +150,18 @@ def _particle_map(driver: DriverSpec, swapped: bool, zetas, tables,
     k = 1.0 / len(y.values)
     lanes = tuple(range(len(y.values)))
     read = SlotReader(y, z, y.values.sum(axis=0) * k, z.values.sum(axis=0) * k)
-    return _map_tables(zetas, partial(read.slot_terms, driver, lane=lanes,
-                                      swapped=swapped),
+    return _map_tables(terminal_rows(y.lattice, zetas),
+                       partial(read.slot_terms, driver, lane=lanes,
+                               swapped=swapped),
                        swapped, lanes, 0, out)
 
 
 def _exchangeability_defect(pc: ParticleConfig, joint: LatticeSpec,
-                            y: list) -> float:
+                            y: list[AdaptedPath]) -> float:
     """Worst pathwise defect of Y under swapping two particle labels."""
     if pc.n_particles == 1:
         return 0.0
     m = joint.n_bits
-    ff = full_field(joint)
     # bit views hold bit m-1-k at axis k of each half (W, then B): swap the
     # axes of particles 0 and 1 at every step
     swap = list(range(2 * m))
@@ -164,18 +171,24 @@ def _exchangeability_defect(pc: ParticleConfig, joint: LatticeSpec,
             swap[a], swap[a - 1] = swap[a - 1], swap[a]
     worst = 0.0
     for i in range(joint.n_steps + 1):
-        d = bit_view(y[0][i], ff).transpose(swap) - bit_view(y[1][i], ff)
+        d = _full_view(y[0], i).transpose(swap) - _full_view(y[1], i)
         worst = max(worst, float(np.max(np.abs(d))))
     return worst
 
 
-def lane_view(rv: MeasurableRV, joint: LatticeSpec, lane: int
+def _full_view(y: AdaptedPath, i: int) -> np.ndarray:
+    """Row i of y with one axis per increment of its lattice."""
+    lat = y.lattice
+    return y.values[i].reshape(bit_view_shape(time_field(lat, i),
+                                              full_field(lat)))
+
+
+def lane_view(view: np.ndarray, joint: LatticeSpec, lane: int
               ) -> np.ndarray:
-    """A single-lattice variable's bit view on the joint lattice's full
-    field, reading only the given lane's increments: each single-lattice
-    bit axis becomes its step's group of lane axes (lanes descending), with
-    size 1 for the other lanes."""
-    view = bit_view(rv, full_field(rv.lattice))
+    """A single-lattice `_full_view` as a bit view on the joint lattice's
+    full field, reading only the given lane's increments: each
+    single-lattice bit axis becomes its step's group of lane axes (lanes
+    descending), with size 1 for the other lanes."""
     above, below = (1,) * (joint.lanes - 1 - lane), (1,) * lane
     return view.reshape([k for d in view.shape
                          for k in (*above, d, *below)])
@@ -199,9 +212,8 @@ def convergence_study(base: Scenario, n_list: list[int],
     rows = []
     for pc in configs:
         joint = pc.joint_lattice()
-        ff = full_field(joint)
         y, _ = solve_particles(pc)
-        for i, mf in enumerate(y_mf):
-            d = bit_view(y[0][i], ff) - lane_view(mf, joint, 0)
+        for i in range(len(y_mf)):
+            d = _full_view(y[0], i) - lane_view(_full_view(y_mf, i), joint, 0)
             rows.append((pc.n_particles, i, float(np.mean(d ** 2))))
     return rows

@@ -24,13 +24,15 @@ states) the split is exact pathwise:
 
 which is what `residual` measures with self-consistent arguments.
 
-The map is written once and shared: `slot_args` gives the frozen
-arguments of a stack of rows at a slot as bit views (the only place that
-knows the right-node convention), read through a `SlotReader` that a map
-builds once for its pair, `slot_terms` their terms f dt + g dB_j,
-`map_rows` runs the rows through `lattice.clark_ocone_sweep`, the one
-backward induction, `lattice.row_extremes` walks the same stacked terms
-to each row's worst pathwise defect (`residual`).
+The map is written once and shared: a `SlotReader`, built once for a
+map's pair, gives the frozen arguments of a stack of rows at a slot as
+bit views (`SlotReader.slot_args`, the only place that knows the
+right-node convention) and their terms f dt + g dB_j
+(`SlotReader.slot_terms`); `map_rows` runs the rows through
+`lattice.clark_ocone_sweep`, the one backward induction, and
+`lattice.row_extremes` walks the same stacked terms to each row's worst
+pathwise defect (`residual`).  Both take rows as (fields, values): a
+scenario's terminals are one dense (N + 1, 2^M) table (`zeta`).
 The flip equation (malliavin) and the particles are the same map with
 other terms, means and lanes; the stability functional reads the same
 arguments.  Each mean is an array shaped like its path or kernel, with
@@ -85,7 +87,7 @@ from .drivers import (
     beta_default,
     contraction_threshold,
     gamma_theory,
-    terminal_rv,
+    terminal_table,
 )
 from .errors import LatticeMismatch, NoConvergence, ValidationError
 from .fields import (
@@ -95,6 +97,7 @@ from .fields import (
     _check_finite,
     _mean_squares,
     _norm_squared,
+    _path_rows,
     _unchecked,
     m_beta_norm,
     pair_diff,
@@ -110,6 +113,7 @@ from .lattice import (
     clark_ocone_sweep,
     row_extremes,
     slot_field,
+    terminal_rows,
     time_field,
 )
 
@@ -119,7 +123,8 @@ MAX_EXPONENT = math.log(sys.float_info.max)  # e^x overflows past this
 class Scenario:
     """A validated problem instance: lattice + driver + terminal + beta;
     swapped: whether the driver reads the swapped arguments, probed once
-    (`reads_swapped`)."""
+    (`reads_swapped`); zeta: the terminal at every node as one write-locked
+    (N + 1, 2^M) table (`drivers.terminal_table`)."""
 
     def __init__(self, lattice: LatticeSpec, driver: DriverSpec,
                  terminal: TerminalSpec, beta: float | None = None,
@@ -143,16 +148,12 @@ class Scenario:
         self.terminal = terminal
         self.beta = float(beta)
         self.swapped = reads_swapped(driver)
-        self.zeta = tuple(
-            terminal_rv(terminal, lattice, i)
-            for i in range(lattice.n_steps + 1)
-        )
+        self.zeta = terminal_table(terminal, lattice)
         # the norms form weight * E[y^2] and weight * E[z^2], with |y| <= peak
         # and |z| <= peak / inc, and add up at most (N + 2) times the weight
         # mass times peak^2: checked in logs.  peak is the terminal plus the
         # driver at the zero state summed over the slots of a row (`_source`)
-        peak = (max(zeta_i.max_abs() for zeta_i in self.zeta)
-                + _source(driver, lattice))
+        peak = _max_abs(self.zeta) + _source(driver, lattice)
         top = self.beta * lattice.horizon + max(0.0, -math.log(lattice.dt))
         total = math.log((lattice.n_steps + 2) * _weight_mass(lattice, self.beta))
         if peak and not 2 * math.log(peak) + max(top, total) <= MAX_EXPONENT:
@@ -275,10 +276,9 @@ class SlotReader:
     use, and kept, so a slot takes basic slices of them.  For a driver blind to the swapped
     arguments every slot reads the same two shapes: the left node is blind
     to step j's W bits, the right node to its B bits.  A stack of rows
-    that reads the swapped arguments reads a shape per row.  `slot_args`
-    and `slot_terms` are one slot through a reader of their own; a map, a
-    residual, a flip equation's map and the stability functional read
-    every slot through one.
+    that reads the swapped arguments reads a shape per row.  A map, a
+    residual, a flip equation's map, the flip equation's coefficients and
+    the stability functional read every slot through one.
     """
 
     def __init__(self, y: AdaptedPath | Stacked, z: VolterraKernel | Stacked,
@@ -329,13 +329,27 @@ class SlotReader:
 
     def slot_args(self, j: int, rows: range, swapped: bool = True
                   ) -> tuple[SigmaField, np.ndarray, tuple, tuple]:
-        """`solver.slot_args` of the reader's pair and means."""
+        """Frozen driver arguments of the rows `rows` (each <= j) at slot
+        j: (field, t, left, right).  left feeds f at the left node (t_i,
+        s_j), right feeds g at the right node (t_i, s_{j+1}) with kernel
+        column N and its mean read as zero, each in driver order (y, z,
+        z_rev, mean_y, mean_z, mean_z_rev) as bit views on the field
+        ((j + 1) lanes, j lanes), the kernel entries on a leading row axis,
+        behind the member axis for a batch (of size 1 in t, the column of
+        row times); a mean's only entry is a float.  With swapped=False,
+        z_rev and mean_z_rev are zeros (`reads_swapped`); else the field
+        knows the B bits from the first row on, and the rows' swapped
+        entries, on time fields by row, are broadcast and stacked."""
         return self._args(j, rows, swapped, 0)[:4]
 
     def slot_terms(self, driver: DriverSpec, j: int, rows: range,
                    lane: int | tuple = 0, swapped: bool = True
                    ) -> tuple[SigmaField, np.ndarray]:
-        """`solver.slot_terms` of the reader's pair and means."""
+        """The slot-j terms f dt + g dB_j of the rows `rows` (each <= j) as
+        (field, values), stacked as `slot_args` stacks them: one f and one
+        g call for every row, with the lane's dB_j (each member's own for a
+        lane per member), g dB_j by halves where it can (`_times_db`) and
+        f dt added into its table where it fits."""
         dt = self.dt  # s_j = j dt, as `LatticeSpec.node` has it
         f, t, left, right, db = self._args(j, rows, swapped, lane)
         fdt = driver.f_values(t, j * dt, *left) * dt
@@ -349,46 +363,6 @@ class SlotReader:
         if v.ndim < t.ndim:  # dB_j is an array: v is one
             v = v.reshape((1,) * (t.ndim - v.ndim) + v.shape)
         return f, v
-
-
-def slot_args(y: AdaptedPath | Stacked, z: VolterraKernel | Stacked, ey, ez,
-              j: int, rows: range, swapped: bool = True
-              ) -> tuple[SigmaField, np.ndarray, tuple, tuple]:
-    """Frozen driver arguments of the rows `rows` (each <= j) at slot j.
-
-    Returns (field, t, left, right): left feeds f at the left node
-    (t_i, s_j), right feeds g at the right node (t_i, s_{j+1}) with kernel
-    column N and its mean read as zero, each in driver order (y, z, z_rev,
-    mean_y, mean_z, mean_z_rev) as bit views on the field ((j + 1) lanes,
-    j lanes); t is the column of row times.  The path is shared, the
-    kernel entries are stacked on a leading row axis, and the means
-    (`means`: one entry on the last axis, passed as a float when it is an
-    argument's only one, or 2^M, the particles' random means) are read as
-    the path and the kernel are.  With swapped=False, z_rev and mean_z_rev
-    are zeros, for a driver blind to them (`reads_swapped`); else the
-    field knows the B bits from the first row on, and the rows' swapped
-    entries, on time fields by row, are broadcast and stacked.  For a
-    batch's `Stacked` y and z every argument has a leading member axis
-    (of size 1 in t); a mean without one is every member's.  One slot
-    through a `SlotReader` of its own.
-    """
-    return SlotReader(y, z, ey, ez).slot_args(j, rows, swapped)
-
-
-def slot_terms(driver: DriverSpec, y: AdaptedPath, z: VolterraKernel, ey, ez,
-               j: int, rows: range, lane: int | tuple = 0, swapped: bool = True
-               ) -> tuple[SigmaField, np.ndarray]:
-    """The slot-j terms f dt + g dB_j of the rows `rows` (each <= j), stacked.
-
-    One f call and one g call serve every row, on the arguments of
-    `slot_args`, with the given lane's dB_j, or each member's own for one
-    lane per member, g dB_j by halves where it can (`_times_db`), and f dt
-    added into its table where it fits.  Returns
-    the field and values with a leading row axis and the field's bit axes,
-    behind the member axis for a batch.  One slot through a `SlotReader` of
-    its own.
-    """
-    return SlotReader(y, z, ey, ez).slot_terms(driver, j, rows, lane, swapped)
 
 
 def _times_db(g, db: np.ndarray) -> np.ndarray:
@@ -418,34 +392,46 @@ def reads_swapped(driver: DriverSpec) -> bool:
                for fn in (driver.f_values, driver.g_values))
 
 
-def _map_tables(zeta, term: Callable | None, swapped: bool,
+@lru_cache(maxsize=1)
+def _terminals(scs: tuple) -> np.ndarray:
+    """The members' terminals as one write-locked table (member, node,
+    path), a view for a batch of one; the last member set is kept, so a
+    Picard loop stacks them once, and again only when a member stops."""
+    if len(scs) == 1:
+        return scs[0].zeta[None]
+    return _owned(np.stack([sc.zeta for sc in scs]))
+
+
+def _map_tables(x: tuple, term: Callable | None, swapped: bool,
                 lane: int | tuple, first: int, out: tuple | None
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The tables (member, row, ...) of `map_rows`'s paths and kernels, in
     out as `clark_ocone_sweep` takes it; swapped, each row's sweep writes
     its rows of the tables."""
     if not swapped:
-        return clark_ocone_sweep(zeta, 0, lane, first, term, out=out)
-    lat, size, rows = zeta[0][0].lattice, len(zeta), len(zeta[0])
+        return clark_ocone_sweep(x, 0, lane, first, term, out=out)
+    fields, values = x
+    lat, (size, rows) = fields[0].lattice, values.shape[:2]
     if out is None:
         out = (np.empty((size, rows, 1 << lat.n_bits)),
                np.empty((size, rows, lat.n_steps, 1 << lat.n_bits)))
     ys, zs = out[:2]
     for i in range(rows):
-        clark_ocone_sweep([x[i:i + 1] for x in zeta], i, lane, first, term,
-                          swapped=True,
+        clark_ocone_sweep((fields[i:i + 1], values[:, i:i + 1]), i, lane,
+                          first, term, swapped=True,
                           out=(ys[:, i:i + 1], zs[:, i:i + 1], *out[2:]))
     return ys, zs
 
 
-def map_rows(zeta, term: Callable | None, swapped: bool,
+def map_rows(x: tuple, term: Callable | None, swapped: bool,
              lane: int | tuple = 0, first: int = 0, out: tuple | None = None
              ) -> tuple[list[AdaptedPath], list[VolterraKernel]]:
-    """The rows of one map application, from their terminals zeta, one
-    sequence per member, with terms for the members' stacked pairs.
+    """The rows of one map application, from their terminals x = (fields,
+    values), values a table (member, row, ...) as `clark_ocone_sweep`
+    takes it (`terminal_rows`), with terms for the members' stacked pairs.
 
     term(j, rows) gives the slot-j terms of a stack of rows as
-    `lattice.clark_ocone_sweep` takes them (`slot_terms`, the flip
+    `lattice.clark_ocone_sweep` takes them (`SlotReader.slot_terms`, the flip
     equation's, or none for the split of zeta itself).  Frozen at a pair,
     each row is a backward equation in s, so the rows advance as one
     stack, unless swapped: terms that read the swapped arguments know B
@@ -458,8 +444,8 @@ def map_rows(zeta, term: Callable | None, swapped: bool,
     Those written into out are not re-read for finiteness: out is a Picard
     loop's, whose distance finds a non-finite entry (`iterate`).
     """
-    return _pairs(zeta[0][0].lattice,
-                  _map_tables(zeta, term, swapped, lane, first, out),
+    return _pairs(x[0][0].lattice,
+                  _map_tables(x, term, swapped, lane, first, out),
                   out is None)
 
 
@@ -637,14 +623,16 @@ def gamma_map(sc: Scenario, y: AdaptedPath, z: VolterraKernel,
     """
     batch = not isinstance(sc, Scenario)
     scs, ys, zs = (sc, y, z) if batch else ([sc], [y], [z])
-    new = map_rows([x.zeta for x in scs], *_driver_terms(
-        scs[0], _stacked(ys), _stacked(zs)), out=out)
+    new = map_rows(terminal_rows(scs[0].lattice, _terminals(tuple(scs))),
+                   *_driver_terms(scs[0], _stacked(ys), _stacked(zs)),
+                   out=out)
     return new if batch else (new[0][0], new[1][0])
 
 
 def representation_pair(sc: Scenario) -> tuple[AdaptedPath, VolterraKernel]:
     """The source-free solution: conditional terminal plus its kernel."""
-    (y,), (z,) = map_rows([sc.zeta], None, False)
+    (y,), (z,) = map_rows(terminal_rows(sc.lattice, sc.zeta[None]), None,
+                          False)
     return y, z
 
 
@@ -654,7 +642,8 @@ def residual(sc: Scenario, y: AdaptedPath, z: VolterraKernel) -> float:
     paths, exact and with no table of them (`lattice.row_extremes` on the
     map's stacked slot terms), about the cost of a map.  NaN propagates."""
     return float(np.max(row_extremes(
-        sc.zeta, y.y, z, *_driver_terms(sc, y, z),
+        terminal_rows(sc.lattice, sc.zeta), _path_rows(y), z,
+        *_driver_terms(sc, y, z),
         [range(i, sc.lattice.n_steps) for i in range(len(y))])))
 
 
@@ -757,7 +746,7 @@ def stability_compare(sc1: Scenario, sc2: Scenario,
 
     zeta_term = 0.0
     for i in range(n + 1):
-        dz = sc1.zeta[i].values - sc2.zeta[i].values
+        dz = sc1.zeta[i] - sc2.zeta[i]
         zeta_term += w.at(lat.node(i)) * float(np.mean(dz * dz)) * dt
     read = SlotReader(y2, z2, *means(y2, z2))
     f_term = g_term = 0.0

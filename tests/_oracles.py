@@ -10,7 +10,7 @@ frozen-argument wiring (`frozen_args` for one row's arguments at one
 slot, `evaluate_driver` for a driver call on them as lattice
 variables, each output put back on the coarsest field it needs by
 `from_bit_view`), which the package replaced by the stacked bit views
-of `solver.slot_args`; a per-slot split of the whole assembled right side
+of `solver.SlotReader.slot_args`; a per-slot split of the whole assembled right side
 Phi_i, built zeta-first on that wiring, and the map and residual made of
 them, the references for the backward induction of `split_row` (which
 never builds Phi_i) and for `gamma_map` and `residual`; the flip
@@ -54,7 +54,11 @@ time (`per_entry_clark_ocone`) is the reference for
 and forward and backward integrals in that algebra (both integrals are
 `_source_sum` with no source); and the pointwise driver evaluators,
 sampled driver audits and the sampled audit of a z-map's derived flags
-(`audit_z_flags`, its slack scaled by max(1, |k1|)).  Then comes the
+(`audit_z_flags`, its slack scaled by max(1, |k1|)), and before them the
+names the per-entry layer kept last (`condexp`, `bit_view`, `max_abs`,
+`terminal_rv` and the one-slot `slot_args` and `slot_terms`) with the
+conversions between variables and the rows the walks take as (fields,
+values) (`rvs`, `rows_of`, `zeta_rvs`, `source_rvs`).  Then comes the
 backward induction as it worked out its fields on every call
 (`unplanned_sweep`), the reference
 for the plan that `lattice.clark_ocone_sweep` replays.  The next holds
@@ -64,7 +68,7 @@ two differences an iteration (`two_difference_traces`), the references
 for the lifts and products by halves and the one difference of
 `picard_solve`; then the frozen arguments read with the means in three
 forms (`three_form_slot_args`, on `list_means`), the reference for the
-one mean form that `solver.slot_args` reads; and every slot's arguments
+one mean form that `solver.SlotReader.slot_args` reads; and every slot's arguments
 sliced and reshaped at the slot (`_frozen_args`, `per_slot_terms`), the
 reference for the arrays a `solver.SlotReader` reshapes once a pair; and
 the sweep with a new table for every lift and halving of its stack
@@ -99,7 +103,13 @@ import numpy as np
 
 from mfbdsvie import lattice
 from mfbdsvie.comparison import HypothesesReport
-from mfbdsvie.drivers import DriverPartials, DriverSpec, ZPart, terminal_rv
+from mfbdsvie.drivers import (
+    DriverPartials,
+    DriverSpec,
+    TerminalSpec,
+    ZPart,
+    terminal_walk_values,
+)
 from mfbdsvie.errors import (
     IndexOutOfRange,
     InvalidIndex,
@@ -112,6 +122,7 @@ from mfbdsvie.fields import (
     AdaptedPath,
     BetaWeight,
     VolterraKernel,
+    _path_rows,
     _views,
     m_beta_norm,
     pair_diff,
@@ -124,20 +135,21 @@ from mfbdsvie.lattice import (
     MeasurableRV,
     SigmaField,
     _check_bit,
+    _max_abs,
     _owned,
-    bit_view,
     bit_view_shape,
     clark_ocone_sweep,
-    condexp,
     flip_rows,
     full_field,
     slot_field,
+    terminal_rows,
     time_field,
 )
 from mfbdsvie.malliavin import IdentityReport, LinearizedScenario, flip_solution
 from mfbdsvie.particles import ParticleConfig, solve_particles
 from mfbdsvie.solver import (
     Scenario,
+    SlotReader,
     _slot_layout,
     _stacked,
     _times_db,
@@ -148,8 +160,6 @@ from mfbdsvie.solver import (
     means,
     picard_solve,
     reads_swapped,
-    slot_args,
-    slot_terms,
 )
 
 
@@ -477,7 +487,7 @@ def split_row(x: MeasurableRV, i: int, lane: int = 0, first: int = 0,
         f = f if f.contains(t.field) else t.field
         return f, bit_view(t, f)[None]
 
-    (ys,), (zs,) = clark_ocone_sweep([[x]], i, lane, first,
+    (ys,), (zs,) = clark_ocone_sweep(rows_of([[x]]), i, lane, first,
                                      None if term is None else stacked,
                                      swapped=True)
     f = time_field(lat, i)
@@ -617,8 +627,8 @@ def condexp_gamma_map(scs, y, z, out):
         ey, ez = entrywise_means(ym, zm)
         ys, rows = zip(*(
             condexp_split_row(
-                zeta_first_assemble_phi(sc.driver, sc.zeta[i], ym, zm, ey, ez,
-                                        i),
+                zeta_first_assemble_phi(sc.driver, zeta_rvs(sc)[i], ym, zm,
+                                        ey, ez, i),
                 i)
             for i in range(lat.n_steps + 1)))
         new.append((AdaptedPath(lat, ys), VolterraKernel(lat, rows)))
@@ -632,9 +642,9 @@ def assembled_residual(sc, y, z):
     n = sc.lattice.n_steps
     ey, ez = entrywise_means(y, z)
     return max(
-        sub(sub(zeta_first_assemble_phi(sc.driver, sc.zeta[i], y, z, ey, ez,
-                                        i), y[i]),
-            forward_integral(z.z[i], i, n)).max_abs()
+        max_abs(sub(sub(zeta_first_assemble_phi(sc.driver, zeta_rvs(sc)[i],
+                                                y, z, ey, ez, i), y[i]),
+                    forward_integral(z.z[i], i, n)))
         for i in range(n + 1))
 
 
@@ -655,7 +665,7 @@ class PerEntryLinearized:
 
     f_coef[i][j] holds the six f-partials at the left node (t_i, s_j),
     g_coef[i][j] the six g-partials at the right node (t_i, s_{j+1}),
-    both frozen along the base solution (`solver.slot_args`); source[i]
+    both frozen along the base solution (`solver.SlotReader.slot_args`); source[i]
     is the flip of the terminal at node i.  Coefficients are kept for
     every j >= i row because the pinned rows i <= r read slots from r on.
     """
@@ -689,7 +699,7 @@ def per_entry_build_linearized(sc: Scenario, y: AdaptedPath,
                             sc.driver.partials(t, lat.node(j), *left)[:6]]
             g_coef[i][j] = [one_row(f, c) for c in
                             sc.driver.partials(t, lat.node(j + 1), *right)[6:]]
-    source = [flip_derivative(sc.zeta[i], r_idx) for i in range(n + 1)]
+    source = [flip_derivative(x, r_idx) for x in zeta_rvs(sc)]
     return PerEntryLinearized(sc, y, z, r_idx, f_coef, g_coef, source)
 
 
@@ -699,7 +709,7 @@ def _linearized_terms(ls: PerEntryLinearized | LinearizedScenario,
     """The slot-j term f dt + g dB_j of the flip equation for a stack of
     one row, as (field, values); none below slot r.
 
-    Numpy on the bit views of `solver.slot_args` and of the frozen
+    Numpy on the bit views of `solver.SlotReader.slot_args` and of the frozen
     coefficients, added in the order y, z, mean_y, mean_z, then the
     swapped-kernel pair (z_rev, mean_z_rev), left out on the pinned rows.
     """
@@ -757,7 +767,8 @@ def per_entry_linearized_map(ls: PerEntryLinearized, pair
     increment in every kernel) and the path at rows <= r zero, as in the
     entrywise flip."""
     term = partial(_linearized_terms, ls, *pair, *means(*pair))
-    (y,), (z,) = map_rows([ls.source], term, True, first=ls.r_idx + 1)
+    (y,), (z,) = map_rows(rows_of([ls.source]), term, True,
+                          first=ls.r_idx + 1)
     ys = y.values.copy()
     ys[:ls.r_idx + 1] = 0.0
     return AdaptedPath(y.lattice, _owned(ys)), z
@@ -796,7 +807,7 @@ def _linearized_term(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
 def _linearized_phi(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
                     eu, ev, i: int, include_swapped: bool) -> MeasurableRV:
     """Row-i driver sums of the flip equation over slots >= max(i, r)."""
-    phi = ls.source[i]
+    phi = source_rvs(ls)[i]
     for j in range(max(i, ls.r_idx), ls.scenario.lattice.n_steps):
         phi = add(phi, _linearized_term(ls, u, v, eu, ev, i, j,
                                         include_swapped))
@@ -812,7 +823,7 @@ def _linearized_row(ls: LinearizedScenario, u: AdaptedPath, v: VolterraKernel,
     entrywise flip's shape.
     """
     term = partial(_linearized_term, ls, u, v, eu, ev, i, include_swapped=True)
-    return split_row(ls.source[i], i, first=ls.r_idx + 1, term=term)
+    return split_row(source_rvs(ls)[i], i, first=ls.r_idx + 1, term=term)
 
 
 def one_row(f: SigmaField, v) -> MeasurableRV:
@@ -858,9 +869,11 @@ def per_row_residual(sc, y, z):
     """Worst pathwise defect, each row's audited sum over its slot_term."""
     n = sc.lattice.n_steps
     ey, ez = means(y, z)
-    return max(add(_source_sum(z.z[i], i, n, 0, w_increment, "forward",
-                               partial(slot_term, sc.driver, y, z, ey, ez, i)),
-                   sub(sc.zeta[i], y[i])).max_abs()
+    zeta = zeta_rvs(sc)
+    return max(max_abs(add(_source_sum(z.z[i], i, n, 0, w_increment, "forward",
+                                       partial(slot_term, sc.driver, y, z, ey,
+                                               ez, i)),
+                           sub(zeta[i], y[i])))
                for i in range(n + 1))
 
 
@@ -868,8 +881,8 @@ def whole_table_m_identity(y, z):
     """`fields.m_identity_residual` with each row's defect made whole, as
     one table on (i, 0), before it was read a block at a time."""
     base_field = SigmaField(y.lattice, 0, 0)
-    return max(add(sub(condexp(y[i], base_field), y[i]),
-                   forward_integral(z.z[i], 0, i)).max_abs()
+    return max(max_abs(add(sub(condexp(y[i], base_field), y[i]),
+                           forward_integral(z.z[i], 0, i)))
                for i in range(len(y)))
 
 
@@ -887,7 +900,7 @@ def per_row_delta_equation(ls):
         acc = sub(sub(_linearized_phi(ls, u, v, eu, ev, i,
                                       include_swapped=False),
                       forward_integral(v.z[i], r, n)), ls.base_z.at(i, r))
-        gap = acc.max_abs()
+        gap = max_abs(acc)
         rows.append((i, r, gap))
         worst = max(worst, gap)
         l2 += lat.dt * expectation(mul(acc, acc))
@@ -908,22 +921,24 @@ def _ordered_defects(x, target, z, term, slots):
     """Per row i, (D_i, n_i, S_i): D_i = x_i + s_{i,last} + ... +
     s_{i,first} - target_i, summed in that order on whole tables, s_ij =
     term(i, j) - Z_ij dW_j (-Z_ij dW_j for term None), n_i the row's slot
-    count and S_i = sup|x_i| + sup|target_i| + sum_j sup|s_ij|."""
+    count and S_i = sup|x_i| + sup|target_i| + sum_j sup|s_ij|.  x and
+    target are rows as `lattice.row_extremes` takes them."""
     lat = z.lattice
+    x, target = rvs(x), rvs(target)
     for i, row in enumerate(slots):
-        acc, scale = x[i], x[i].max_abs() + target[i].max_abs()
+        acc, scale = x[i], max_abs(x[i]) + max_abs(target[i])
         for j in reversed(row):
             zdw = mul(z.at(i, j), w_increment(lat, j))
             s = neg(zdw) if term is None else sub(term(i, j), zdw)
             acc = add(acc, s)
-            scale += s.max_abs()
+            scale += max_abs(s)
         yield sub(acc, target[i]), len(row), scale
 
 
 def ordered_row_extremes(x, target, z, term, slots):
     """Per row i, (sup over every path of |D_i|, slack) of the ordered
     defect (`_ordered_defects`).  The slack is 2 (n_i + 2) eps S_i."""
-    return [(d.max_abs(), 2 * (n + 2) * EPS * scale)
+    return [(max_abs(d), 2 * (n + 2) * EPS * scale)
             for d, n, scale in _ordered_defects(x, target, z, term, slots)]
 
 
@@ -943,15 +958,16 @@ def ordered_residual(sc, y, z):
     and the largest slack, on each row's own slot terms (`slot_term`)."""
     n = sc.lattice.n_steps
     term = partial(slot_term, sc.driver, y, z, *means(y, z))
-    return _worst(ordered_row_extremes(sc.zeta, y.y, z, term,
-                                       [range(i, n) for i in range(n + 1)]))
+    return _worst(ordered_row_extremes(
+        terminal_rows(sc.lattice, sc.zeta), _path_rows(y), z, term,
+        [range(i, n) for i in range(n + 1)]))
 
 
 def ordered_m_identity(y, z):
     """(sup, slack) of `fields.m_identity_residual` in the walk's order."""
     base = SigmaField(y.lattice, 0, 0)
     return _worst(ordered_row_extremes(
-        y.y, [condexp(yi, base) for yi in y.y], z, None,
+        _path_rows(y), rows_of([condexp(yi, base) for yi in y.y]), z, None,
         [range(i) for i in range(len(y))]))
 
 
@@ -962,7 +978,10 @@ def ordered_m_identity(y, z):
 
 
 def per_row_map(driver, zetas, y, z, ey, ez, lane=0):
+    """One map of the rows of a terminal table zetas, each row swept
+    alone."""
     lat = y.lattice
+    zetas = rvs(terminal_rows(lat, zetas))
     ys, rows = zip(*(
         split_row(zetas[i], i, lane=lane,
                   term=partial(slot_term, driver, y, z, ey, ez, i, lane=lane))
@@ -1009,7 +1028,7 @@ def per_entry_clark_ocone(y, z, r_idx):
     for i in range(r_idx + 1, lat.n_steps + 1):
         lhs = z.at(i, r_idx)
         rhs = condexp(flip_derivative(y[i], r_idx), time_field(lat, r_idx))
-        gap = sub(lhs, rhs).max_abs()
+        gap = max_abs(sub(lhs, rhs))
         rows.append((i, r_idx, gap))
         worst = max(worst, gap)
     return IdentityReport(rows=rows, worst=worst)
@@ -1019,9 +1038,9 @@ def entrywise_pair_sup_diff(y1, z1, y2, z2):
     lat = y1.lattice
     worst = 0.0
     for i in range(lat.n_steps + 1):
-        worst = max(worst, sub(y1[i], y2[i]).max_abs())
+        worst = max(worst, max_abs(sub(y1[i], y2[i])))
         for j in range(lat.n_steps):
-            worst = max(worst, sub(z1.at(i, j), z2.at(i, j)).max_abs())
+            worst = max(worst, max_abs(sub(z1.at(i, j), z2.at(i, j))))
     return worst
 
 
@@ -1079,7 +1098,7 @@ def entrywise_stability(sc1, sc2, y1, z1, y2, z2):
                                  full_square=False)
     zeta_term = 0.0
     for i in range(n + 1):
-        dz = sub(sc1.zeta[i], sc2.zeta[i])
+        dz = sub(zeta_rvs(sc1)[i], zeta_rvs(sc2)[i])
         zeta_term += w.at(lat.node(i)) * expectation(mul(dz, dz)) * dt
     ey, ez = entrywise_means(y2, z2)
     f_term = g_term = 0.0
@@ -1188,8 +1207,9 @@ def per_lane_particle_map(driver, zetas, pairs):
     mean_z = reduce(np.add, [z.values for _, z in pairs]) * k
     swapped = reads_swapped(driver)
     return [tuple(x[0] for x in map_rows(
-        [zetas[p]], partial(slot_terms, driver, y, z, mean_y, mean_z, lane=p,
-                            swapped=swapped), swapped, lane=p))
+        terminal_rows(joint, zetas[p:p + 1]),
+        partial(slot_terms, driver, y, z, mean_y, mean_z, lane=p,
+                swapped=swapped), swapped, lane=p))
             for p, (y, z) in enumerate(pairs)]
 
 
@@ -1235,6 +1255,98 @@ def full_field_convergence_study(base: Scenario, n_list: list[int],
             gap = float(np.mean((a - b) ** 2))
             rows.append((npart, i, gap))
     return rows
+
+
+# -- the per-entry layer's last names and the row form ------------------------
+#
+# What the package kept of its per-entry layer until every walk took its
+# rows as (fields, values): the conditional expectation of one variable
+# (`condexp`), a variable's bit view (`bit_view`) and sup (`max_abs`), the
+# terminal built one node at a time (`terminal_rv`, the reference for
+# `drivers.terminal_table`), and one slot read through a reader of its own
+# (`slot_args`, `slot_terms`); and the conversions between variables and
+# the row form (`rvs`, `rows_of`, `zeta_rvs`, `source_rvs`).
+
+
+def condexp(x: MeasurableRV, f: SigmaField) -> MeasurableRV:
+    """Exact conditional expectation of x given the two-sided field f.
+
+    Averages uniformly over the W increments with index >= f.w_upto and
+    the B increments with index < f.b_from; the result is declared
+    f-measurable.
+    """
+    if x.lattice != f.lattice:
+        raise LatticeMismatch("value and field on different lattices")
+    return MeasurableRV(f, _owned(lattice._onto(
+        x.values[None], lattice._onto_op(x.field, f))[0]))
+
+
+def bit_view(x: MeasurableRV, f: SigmaField) -> np.ndarray:
+    """x's table with one axis per increment the finer field f knows."""
+    if not f.contains(x.field):
+        raise MeasurabilityViolation(
+            f"cannot lift ({x.field.w_upto},{x.field.b_from}) onto "
+            f"non-refining ({f.w_upto},{f.b_from})")
+    return x.values.reshape(bit_view_shape(x.field, f))
+
+
+def max_abs(x: MeasurableRV) -> float:
+    return _max_abs(x.values)
+
+
+def terminal_rv(term: TerminalSpec, lat: LatticeSpec, t_idx: int,
+                lane: int = 0) -> MeasurableRV:
+    """zeta(t_idx) as a lattice variable on the terminal field."""
+    if not 0 <= t_idx <= lat.n_steps:
+        raise InvalidIndex(f"node {t_idx} outside the grid")
+    w = terminal_walk_values(lat, lane)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = term.value(lat.node(t_idx), w)
+    if not np.isfinite(vals).all():
+        raise ValidationError(f"terminal at node {t_idx} overflows a float")
+    f = SigmaField(lat, lat.n_bits, lat.n_bits)
+    return MeasurableRV(f, np.asarray(vals, dtype=float)[:, None])
+
+
+def rvs(x: tuple) -> list[MeasurableRV]:
+    """Rows (fields, values), values (row, entries), as variables."""
+    return [MeasurableRV(f, v.reshape(f.table_shape)) for f, v in zip(*x)]
+
+
+def rows_of(x: Sequence) -> tuple:
+    """Variables as the walks take rows: a sequence of them gives (fields,
+    values) with values (row, entries), a list of such sequences, one a
+    member on the same fields, values (member, row, entries)."""
+    if isinstance(x[0], MeasurableRV):
+        fields, values = rows_of([x])
+        return fields, values[0]
+    fields = tuple(v.field for v in x[0])
+    return fields, np.array([[v.values.reshape(-1) for v in xm] for xm in x])
+
+
+def zeta_rvs(sc: Scenario) -> list[MeasurableRV]:
+    """A scenario's terminals as variables, one a node."""
+    return rvs(terminal_rows(sc.lattice, sc.zeta))
+
+
+def source_rvs(ls) -> list[MeasurableRV]:
+    """A flip equation's source as variables, one a node."""
+    if isinstance(ls, PerEntryLinearized):
+        return ls.source
+    return rvs(terminal_rows(ls.scenario.lattice, ls.source))
+
+
+def slot_args(y, z, ey, ez, j: int, rows: range, swapped: bool = True
+              ) -> tuple[SigmaField, np.ndarray, tuple, tuple]:
+    """`SlotReader.slot_args` of one slot through a reader of its own."""
+    return SlotReader(y, z, ey, ez).slot_args(j, rows, swapped)
+
+
+def slot_terms(driver: DriverSpec, y, z, ey, ez, j: int, rows: range,
+               lane: int | tuple = 0, swapped: bool = True
+               ) -> tuple[SigmaField, np.ndarray]:
+    """`SlotReader.slot_terms` of one slot through a reader of its own."""
+    return SlotReader(y, z, ey, ez).slot_terms(driver, j, rows, lane, swapped)
 
 
 # -- the per-entry algebra ---------------------------------------------------
@@ -1606,7 +1718,7 @@ def _onto(v: np.ndarray, g: SigmaField, f: SigmaField) -> np.ndarray:
     return _lift_rows(v, coarse, f)
 
 
-def unplanned_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
+def unplanned_sweep(x: tuple, i: int, lane: int | Sequence[int] = 0,
                       first: int = 0, term: Callable | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Y and the kernel rows of a stack of rows i, i + 1, ..., one per x.
@@ -1626,11 +1738,11 @@ def unplanned_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     representation of Y_r.  Each bit costs a few passes over the stack:
     terms on the field (m + 1, m) keep it at 2^(M + lanes) entries a row.
 
-    x is the rows' variables, or a batch: one such sequence per member,
-    the members' rows on the same fields.  The table then has a leading
-    member axis ahead of the row axis, and the members advance together;
-    every operation is the same on each member's rows as on a stack of
-    them alone.
+    x is (fields, values), values a table (member, row, entries) of the
+    members' rows on the same fields, each row a new contiguous copy.  The
+    stack has a leading member axis ahead of the row axis, and the members
+    advance together; every operation is the same on each member's rows as
+    on a stack of them alone.
 
     term(m, rows) gives the slot-m terms of the rows `rows` (those at or
     below m) as (field, values), values broadcasting against the leading
@@ -1642,19 +1754,14 @@ def unplanned_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     reaches them; rows that join at one step are a block right below
     those that joined earlier.
 
-    Columns j < first are not computed.  Returns (ys, zs): ys[k] is
-    the table of Y_{i+k} on its time field and zs[k, j] that of its
-    column j, each flattened as in the dense path and kernel, behind the
-    member axis for a batch; columns not computed, and those at bits S is
-    blind to, are zero.
+    Columns j < first are not computed.  Returns (ys, zs): ys[p, k] is
+    the table of member p's Y_{i+k} on its time field and zs[p, k, j] that
+    of its column j, each flattened as in the dense path and kernel;
+    columns not computed, and those at bits S is blind to, are zero.
     """
-    batch = not isinstance(x[0], MeasurableRV)
-    members = x if batch else [x]
-    fields = [v.field for v in members[0]]
-    if any([v.field for v in xm] != fields for xm in members):
-        raise MeasurabilityViolation("the members' rows differ in field")
+    fields, values = x
     lat = fields[0].lattice
-    n, lanes, rows, size = lat.n_steps, lat.lanes, len(fields), len(members)
+    n, lanes, rows, size = lat.n_steps, lat.lanes, len(fields), len(values)
     ys = np.empty((size, rows, 1 << lat.n_bits))
     zs = np.zeros((size, rows, n, 1 << lat.n_bits))
     on_lane = {lane: [slice(None)]} if isinstance(lane, int) else {}
@@ -1668,8 +1775,7 @@ def unplanned_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     starts = {}  # step -> tables of the rows that join there, by row
     for k in range(rows):
         e, r, field = enters[k], i + k, fields[k]
-        table = (members[0][k].values[None] if size == 1
-                 else np.stack([xm[k].values for xm in members]))
+        table = values[:, k].reshape((size,) + field.table_shape).copy()
         if e < r:  # it joins after its own step: Y is its conditioned x
             own = time_field(lat, r)
             table, field = _onto(table, field, own), own
@@ -1737,7 +1843,7 @@ def unplanned_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
         if first >= m:
             hi = min(hi, m)
             stack = stack[:, :hi - lo] if hi > lo else None
-    return (ys, zs) if batch else (ys[0], zs[0])
+    return ys, zs
 
 
 # -- lifts and g dB_j as one broadcast each ---------------------------------
@@ -1795,7 +1901,7 @@ def two_difference_traces(sc: Scenario, tol: float, max_iter: int):
 
 # -- the mean arguments in three forms -----------------------------------------
 #
-# `solver.slot_args` as it read the mean arguments before they had one form,
+# `solver.SlotReader.slot_args` as it read the mean arguments before they had one form,
 # a code path for each: lists of floats for a pair (`list_means`), arrays
 # behind the member axis for a batch, and nested lists of variables for the
 # particles' empirical means.  Its field, row times and bit-view shapes are
@@ -1812,7 +1918,7 @@ def list_means(y, z):
 
 def three_form_slot_args(y, z, ey, ez, j: int, rows: range,
                          swapped: bool = True):
-    """(field, t, left, right) of `solver.slot_args`, the means read in
+    """(field, t, left, right) of `solver.SlotReader.slot_args`, the means read in
     the form they come in."""
     lat = y.lattice
     jr = j + 1
@@ -1871,7 +1977,7 @@ def three_form_slot_args(y, z, ey, ez, j: int, rows: range,
 
 # -- every slot's arguments sliced and reshaped at the slot ----------------------
 #
-# `solver.slot_args` and `solver.slot_terms` as they read a slot before one
+# `solver.SlotReader.slot_args` and `solver.SlotReader.slot_terms` as they read a slot before one
 # `SlotReader` served a pair: twelve slices of the path, the kernel and the
 # means, each reshaped on every call to the shape it is read in at that
 # slot (`_frozen_args`); the reference for the reader, whose basic slices
@@ -1913,7 +2019,7 @@ def _frozen_args(y, z, ey, ez, j: int, rows: range, swapped: bool = True,
 
 def per_slot_terms(driver: DriverSpec, y, z, ey, ez, j: int, rows: range,
                    lane: int | tuple = 0, swapped: bool = True):
-    """`solver.slot_terms` on the arguments of `_frozen_args`."""
+    """`solver.SlotReader.slot_terms` on the arguments of `_frozen_args`."""
     lat = y.lattice
     f, t, left, right, db = _frozen_args(y, z, ey, ez, j, rows, swapped,
                                          lane)
@@ -1947,11 +2053,10 @@ def allocating_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
     """`lattice.clark_ocone_sweep` with a new table for every lift and
     halving of its stack; out's stack storage, if any, goes unused but for
     a loop's record of the kernel's move (`moved`), which it fills from a
-    copy of each column it writes."""
-    fields = tuple(v.field for v in x[0])
-    if any(tuple(v.field for v in xm) != fields for xm in x[1:]):
-        raise MeasurabilityViolation("the members' rows differ in field")
-    lat, size = fields[0].lattice, len(x)
+    copy of each column it writes.  Each row of x is read as a new
+    contiguous copy."""
+    fields, values = x
+    lat, size = fields[0].lattice, len(values)
     lanes = np.ravel(lane).tolist()
     if len(lanes) not in (1, size):
         raise IndexOutOfRange(f"{len(lanes)} lanes for {size} members")
@@ -1969,8 +2074,7 @@ def allocating_sweep(x: Sequence, i: int, lane: int | Sequence[int] = 0,
             zs.fill(0.0)
     tables = {}
     for k, own, joins in entries:
-        table = (x[0][k].values[None] if size == 1
-                 else np.stack([xm[k].values for xm in x]))
+        table = values[:, k].reshape((size,) + fields[k].table_shape).copy()
         if own is not None:
             table = onto(table, own)
             ys[:, k] = table.reshape(size, -1)

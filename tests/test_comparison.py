@@ -13,7 +13,7 @@ from mfbdsvie.comparison import (
 from mfbdsvie.drivers import LinearDriver, TerminalSpec
 from mfbdsvie.lattice import build_lattice
 
-from _oracles import sub
+from _oracles import max_abs, sub
 
 TOL = 1e-12
 
@@ -188,7 +188,7 @@ class TestMonotoneIteration:
         sups = []
         for p in range(1, len(chain)):
             sups.append(max(
-                sub(chain[p][i], chain[p - 1][i]).max_abs()
+                max_abs(sub(chain[p][i], chain[p - 1][i]))
                 for i in range(cs.lattice.n_steps + 1)
             ))
         for k in range(2, len(sups)):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from mfbdsvie import errors
@@ -14,9 +15,9 @@ from mfbdsvie.drivers import (
     alpha_limit,
     beta_default,
     gamma_theory,
-    terminal_rv,
+    terminal_table,
 )
-from mfbdsvie.lattice import build_lattice
+from mfbdsvie.lattice import build_lattice, terminal_rows
 
 from _oracles import (
     depends_on_b_bit,
@@ -26,6 +27,8 @@ from _oracles import (
     lipschitz_audit,
     partial_bound_audit,
     partials_audit,
+    rvs,
+    terminal_rv,
 )
 
 TOL = 1e-12
@@ -195,10 +198,27 @@ class TestTerminal:
         lat = build_lattice(3, 1.0)
         term = TerminalSpec(phi=lambda t: t, theta=0.5,
                             smooth=[("soft_abs", -1.0)])
-        for i in range(4):
-            rv = terminal_rv(term, lat, i)
+        for rv in rvs(terminal_rows(lat, terminal_table(term, lat))):
             for j in range(3):
                 assert not depends_on_b_bit(rv, j)
+
+    @pytest.mark.parametrize("lane", [3, -1])
+    def test_table_lane_outside_the_lattice_refused(self, lane):
+        lat = build_lattice(2, 1.0, lanes=3)
+        with pytest.raises(errors.IndexOutOfRange,
+                           match=f"lane {lane} outside 0..2"):
+            terminal_table(TerminalSpec(theta=1.0), lat, lane=lane)
+
+    def test_table_is_every_node_on_its_lane(self):
+        lat = build_lattice(2, 1.0, lanes=3)
+        term = TerminalSpec(phi=0.3, theta=lambda t: 1.0 + t,
+                            smooth=[("tanh", 0.5)])
+        for lane in range(3):
+            table = terminal_table(term, lat, lane=lane)
+            assert table.shape == (3, 1 << 6) and not table.flags.writeable
+            for i, row in enumerate(table):
+                want = terminal_rv(term, lat, i, lane=lane).values[:, 0]
+                assert np.array_equal(row, want)
 
     def test_algebra(self):
         t1 = TerminalSpec(phi=1.0, theta=2.0)

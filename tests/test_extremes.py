@@ -27,8 +27,14 @@ from mfbdsvie import lattice, malliavin, solver
 from mfbdsvie.cli import run
 from mfbdsvie.drivers import DriverSpec
 from mfbdsvie.errors import IndexOutOfRange, LatticeMismatch
-from mfbdsvie.fields import m_identity_residual
-from mfbdsvie.lattice import SigmaField, build_lattice, condexp, row_extremes
+from mfbdsvie.fields import _path_rows, m_identity_residual
+from mfbdsvie.lattice import (
+    SigmaField,
+    build_lattice,
+    row_extremes,
+    terminal_rows,
+    time_field,
+)
 from mfbdsvie.malliavin import (
     build_linearized,
     check_clark_ocone,
@@ -48,10 +54,12 @@ from mfbdsvie.solver import (
 
 from _oracles import (
     _linearized_term,
+    condexp,
     ordered_m_identity,
     ordered_mean_squares,
     ordered_residual,
     ordered_row_extremes,
+    rows_of,
     slot_term,
 )
 from test_residual_table import peak_bytes, perturbed
@@ -81,10 +89,11 @@ class TestOrderedSum:
         sc, both = pairs(name, n)
         slots = [range(i, n) for i in range(n + 1)]
         for y, z in both:
-            got = row_extremes(sc.zeta, y.y, z, *_driver_terms(sc, y, z),
+            x = terminal_rows(sc.lattice, sc.zeta)
+            got = row_extremes(x, _path_rows(y), z, *_driver_terms(sc, y, z),
                                slots)
             want = ordered_row_extremes(
-                sc.zeta, y.y, z,
+                x, _path_rows(y), z,
                 partial(slot_term, sc.driver, y, z, *means(y, z)), slots)
             assert got.tolist() == [sup for sup, _ in want]
             assert residual(sc, y, z) == ordered_residual(sc, y, z)[0]
@@ -96,9 +105,9 @@ class TestOrderedSum:
         for y, z in both:
             base = SigmaField(y.lattice, 0, 0)
             slots = [range(i) for i in range(n + 1)]
-            targets = [condexp(yi, base) for yi in y.y]
-            got = row_extremes(y.y, targets, z, None, False, slots)
-            want = ordered_row_extremes(y.y, targets, z, None, slots)
+            targets = rows_of([condexp(yi, base) for yi in y.y])
+            got = row_extremes(_path_rows(y), targets, z, None, False, slots)
+            want = ordered_row_extremes(_path_rows(y), targets, z, None, slots)
             assert got.tolist() == [sup for sup, _ in want]
             assert m_identity_residual(y, z) == ordered_m_identity(y, z)[0]
 
@@ -108,11 +117,11 @@ class TestOrderedSum:
         _, both = pairs("linear_mean_field", 6)
         for y, z in both:
             base = SigmaField(y.lattice, 0, 0)
-            targets = [condexp(yi, base) for yi in y.y]
+            targets = rows_of([condexp(yi, base) for yi in y.y])
             slots = [range(i) for i in range(7)]
             assert np.array_equal(
-                row_extremes(y.y, targets, z, None, False, slots),
-                row_extremes(y.y, targets, z, None, True, slots))
+                row_extremes(_path_rows(y), targets, z, None, False, slots),
+                row_extremes(_path_rows(y), targets, z, None, True, slots))
 
 
 def flip_rows(ls):
@@ -121,7 +130,9 @@ def flip_rows(ls):
     r, n = ls.r_idx, ls.scenario.lattice.n_steps
     u, v = flip_solution(ls.base_y, ls.base_z, r)
     args = (ls, u, v, *means(u, v))
-    return (ls.source[:r + 1], [row[r] for row in ls.base_z.z[:r + 1]], v,
+    lat = ls.scenario.lattice
+    return (terminal_rows(lat, ls.source[:r + 1]),
+            ((time_field(lat, r),) * (r + 1), ls.base_z.values[:r + 1, r]), v,
             [range(r, n)] * (r + 1),
             partial(malliavin._linearized_terms, ls,
                     SlotReader(*args[1:]), include_swapped=False),
@@ -177,11 +188,13 @@ class TestMeanSquare:
         every r, on the solved and the perturbed pair."""
         sc, both = pairs(name, n)
         for y, z in both:
-            yield (sc.zeta, y.y, z, *_driver_terms(sc, y, z),
+            yield (terminal_rows(sc.lattice, sc.zeta), _path_rows(y), z,
+                   *_driver_terms(sc, y, z),
                    partial(slot_term, sc.driver, y, z, *means(y, z)),
                    [range(i, n) for i in range(n + 1)])
             base = SigmaField(y.lattice, 0, 0)
-            yield (y.y, [condexp(yi, base) for yi in y.y], z, None, False,
+            yield (_path_rows(y), rows_of([condexp(yi, base) for yi in y.y]),
+                   z, None, False,
                    None, [range(i) for i in range(n + 1)])
             for r in range(n):
                 ls = build_linearized(sc, y, z, r)

@@ -21,7 +21,6 @@ from mfbdsvie.lattice import (
     MeasurableRV,
     SigmaField,
     build_lattice,
-    condexp,
     time_field,
 )
 
@@ -30,7 +29,9 @@ from _oracles import (
     add,
     at,
     b_increment,
+    condexp,
     constant,
+    max_abs,
     measurable_wrt,
     mul,
     w_increment,
@@ -70,7 +71,7 @@ class TestMExtend:
         z = m_extend(AdaptedPath(lat, ys), zero_kernel(lat))
         for i in range(4):
             for j in range(i):
-                assert z.at(i, j).max_abs() <= TOL
+                assert max_abs(z.at(i, j)) <= TOL
 
     def test_walk_path_has_unit_extension(self):
         lat = build_lattice(3, 1.0)
@@ -226,3 +227,35 @@ class TestNodeGaps:
         lat = build_lattice(2, 1.0)
         a = random_adapted_path(lat, np.random.default_rng(12))
         assert node_gaps(a, a) == [(0, 0.0), (1, 0.0), (2, 0.0)]
+
+
+class TestOneLattice:
+    """Pair and path comparisons refuse operands on different lattices, as
+    `m_extend` does, before any arithmetic."""
+
+    @staticmethod
+    def zeros(n_steps, horizon):
+        lat = build_lattice(n_steps, horizon)
+        return zero_path(lat), zero_kernel(lat)
+
+    @pytest.mark.parametrize("other", [(3, 2.0), (4, 1.0)],
+                             ids=["horizon", "steps"])
+    def test_refused(self, other):
+        from mfbdsvie.fields import node_gaps, pair_diff, pair_sup_diff
+
+        y1, z1 = self.zeros(3, 1.0)
+        y2, z2 = self.zeros(*other)
+        for call in (lambda: pair_diff(y1, z1, y2, z2),
+                     lambda: pair_sup_diff(y1, z1, y2, z2),
+                     lambda: pair_sup_diff(y1, z2, y1, z1),
+                     lambda: node_gaps(y1, y2)):
+            with pytest.raises(errors.LatticeMismatch):
+                call()
+
+    def test_one_lattice_compares(self):
+        from mfbdsvie.fields import node_gaps, pair_diff, pair_sup_diff
+
+        y, z = self.zeros(3, 1.0)
+        assert pair_sup_diff(y, z, *self.zeros(3, 1.0)) == 0.0
+        assert pair_diff(y, z, y, z)[0].lattice == y.lattice
+        assert [gap for _, gap in node_gaps(y, y)] == [0.0] * 4

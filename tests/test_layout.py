@@ -12,13 +12,13 @@ from mfbdsvie.lattice import (
     LatticeSpec,
     MeasurableRV,
     SigmaField,
-    bit_view,
     build_lattice,
     full_field,
 )
 
 from _oracles import (
     PathIndex,
+    bit_view,
     add,
     all_paths,
     at,

@@ -3,18 +3,19 @@
 A batch member that stops while others run on gets its pair as a copy of
 its rows, so it keeps none of its co-members' rows of that map alive; a
 batch of one, and the members that stop last, keep the view of their
-map's tables.  The sweep's member rows of x (the particles' terminals, a
-batch's zeta) are stacked once per loop, in the loop's
-`lattice.SweepStacks`, and again only when a member stops.  Values,
-iteration counts and reports stay those of the solo solves and of the
-sweep that stacks its rows at every call (`allocating_sweep`).
+map's tables.  The terminals the sweep reads are stacked on a member
+axis once per loop: the particles' once a solve, a batch's on its first
+map (`solver._terminals`, which keeps the last member set) and again
+only when a member stops; the sweep reads each row of them as a view.
+Values, iteration counts and reports stay those of the solo solves and
+of the sweep that copies each row it reads (`allocating_sweep`).
 """
 
 import sys
 
 import numpy as np
 
-from mfbdsvie import lattice
+from mfbdsvie import solver
 from mfbdsvie.lattice import build_lattice
 from mfbdsvie.particles import solve_particles
 from mfbdsvie.solver import Scenario, picard_solve
@@ -40,12 +41,14 @@ def batch():
 
 
 def counting_stacks(monkeypatch):
-    """The `np.stack` calls made by the sweep and its stack storage."""
+    """The `np.stack` calls that stack terminals on a member axis, and the
+    sweep's."""
     calls = []
     original = np.stack
 
     def stack(arrays, *args, **kwargs):
-        if sys._getframe(1).f_code.co_name in ("clark_ocone_sweep", "rows"):
+        if sys._getframe(1).f_code.co_name in (
+                "clark_ocone_sweep", "_terminals", "solve_particles"):
             calls.append(len(arrays))
         return original(arrays, *args, **kwargs)
 
@@ -85,9 +88,8 @@ class TestMemberRowsStackedOncePerLoop:
         solve_particles(pc)  # warm
         calls = counting_stacks(monkeypatch)
         _, rep = solve_particles(pc)
-        rows = pc.lattice.n_steps + 1
         assert rep.iterations > 2
-        assert calls == [3] * rows  # one loop, no stop
+        assert calls == [3]  # one loop, no stop
 
     def test_particles_bit_identical_to_stacking_every_sweep(self):
         pc = particle_config(3)
@@ -99,19 +101,17 @@ class TestMemberRowsStackedOncePerLoop:
         picard_solve(scs, tol=1e-12)  # warm
         calls = counting_stacks(monkeypatch)
         _, _, reps = picard_solve(scs, tol=1e-12)
-        # the rows of three members, then of two; one member reads them
-        # as a view
-        rows = N + 1
-        assert sorted(calls) == [2] * rows + [3] * rows
+        # the terminals of three members, then of two; one member reads
+        # its own as a view
+        assert sorted(calls) == [2, 3]
         assert sum(rep.iterations for rep in reps) > len(calls)
 
-    def test_storage_holds_one_member_set(self):
-        stacks = lattice.SweepStacks()
-        zetas = [sc.zeta for sc in batch()]
-        for size in range(3, 1, -1):
-            for k in range(N + 1):
-                got = stacks.rows(zetas[:size], k)
-                assert got is stacks.rows(zetas[:size], k)
-                assert np.array_equal(got, np.stack(
-                    [x[k].values for x in zetas[:size]]))
-            assert {len(key) for key in stacks.stacked} == {size}
+    def test_one_member_set_is_kept(self):
+        scs = tuple(batch())
+        for size in range(3, 0, -1):
+            got = solver._terminals(scs[:size])
+            assert got is solver._terminals(scs[:size])
+            assert not got.flags.writeable
+            assert np.array_equal(got, np.stack([sc.zeta for sc in scs[:size]]))
+        assert np.shares_memory(got, scs[0].zeta)  # a batch of one: a view
+        assert solver._terminals.cache_info().currsize == 1

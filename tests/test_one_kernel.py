@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from mfbdsvie import malliavin, particles, solver
-from mfbdsvie.drivers import TerminalSpec, terminal_rv
+from mfbdsvie.drivers import TerminalSpec, terminal_table
 from mfbdsvie.fields import (
     BetaWeight,
     _mean_squares,
@@ -156,8 +156,8 @@ class TestAgainstTheReferenceLoop:
         y, rep = solve_particles(pc)
         pairs, iterations, traces = runs[0]
         joint = pc.joint_lattice()
-        zetas = [[terminal_rv(pc.terminal, joint, i, lane=p)
-                  for i in range(joint.n_steps + 1)] for p in range(n)]
+        zetas = np.stack([terminal_table(pc.terminal, joint, lane=p)
+                          for p in range(n)])
         start = [(zero_path(joint), zero_kernel(joint))] * n
         want, k, sups = iterate(
             lambda running: {0: particle_map(pc.driver, zetas, running[0])},

@@ -6,14 +6,17 @@ lattice: particle 1's Y knows the joint time field, the mean-field Y only
 particle 1's increments, so the difference spans at most the 2^(nN)
 entries of that field.  Its mean square must match, to rounding, the
 mean over the table of all 4^(nN) joint paths (tests/_oracles.py); no
-table is filled onto the full joint field, and every particle count is
-checked against the enumeration guard before the first solve.
+table is filled onto the full joint field (a table planted there trips
+the guard that shows it), the study builds no `MeasurableRV`, and every
+particle count is checked against the enumeration guard before the first
+solve.
 """
 
 import json
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mfbdsvie import errors, particles
@@ -61,13 +64,16 @@ class TestNoFullJointTable:
             tracemalloc.stop()
         assert peak < 0.5 * 8 * 4 ** (3 * 4)
 
-    def test_no_table_filled_on_the_full_joint_field(self, monkeypatch):
+    @staticmethod
+    def guard(monkeypatch):
+        """Fail on a table sized for, or a record declared on, the full
+        field of a multi-lane lattice; return the records built."""
         def refuse(field):
             if field.lattice.lanes > 1 and field == full_field(field.lattice):
                 raise AssertionError("a table of all joint paths was made")
 
-        # a table sized for the full joint field, or a record declared on it
         shape, init = SigmaField.table_shape, MeasurableRV.__init__
+        records = []
 
         def table_shape(field):
             refuse(field)
@@ -75,12 +81,30 @@ class TestNoFullJointTable:
 
         def record(self, field, values):
             refuse(field)
+            records.append(field)
             init(self, field, values)
 
         monkeypatch.setattr(SigmaField, "table_shape", property(table_shape))
         monkeypatch.setattr(MeasurableRV, "__init__", record)
+        return records
+
+    def test_no_table_filled_on_the_full_joint_field(self, monkeypatch):
+        records = self.guard(monkeypatch)
         rows = convergence_study(scenario(2), [1, 2, 3])
         assert len(rows) == 9
+        assert records == []  # the study builds no record at all
+
+    def test_a_planted_joint_table_trips_the_guard(self, monkeypatch):
+        lane_view = particles.lane_view
+
+        def planted(view, joint, lane):
+            np.zeros(full_field(joint).table_shape)
+            return lane_view(view, joint, lane)
+
+        monkeypatch.setattr(particles, "lane_view", planted)
+        self.guard(monkeypatch)
+        with pytest.raises(AssertionError, match="all joint paths was made"):
+            convergence_study(scenario(2), [1, 2])
 
 
 class TestRefusedBeforeComputing:

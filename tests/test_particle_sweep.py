@@ -14,12 +14,17 @@ import numpy as np
 import pytest
 
 from mfbdsvie import particles
-from mfbdsvie.drivers import LinearDriver, TerminalSpec, terminal_rv
+from mfbdsvie.drivers import LinearDriver, TerminalSpec, terminal_table
 from mfbdsvie.lattice import LatticeSpec, build_lattice, clark_ocone_sweep, time_field
 from mfbdsvie.particles import ParticleConfig, convergence_study, particle_map
 from mfbdsvie.solver import Scenario, _slot_layout
 
-from _oracles import into_loop, per_lane_particle_map, per_lane_tables
+from _oracles import (
+    into_loop,
+    per_lane_particle_map,
+    per_lane_tables,
+    rows_of,
+)
 from test_stack import BLIND, CASES, Counting
 from test_sweep import TERMINAL, random_pair, random_rv
 
@@ -27,8 +32,8 @@ from test_sweep import TERMINAL, random_pair, random_rv
 def joint_system(n, driver, n_steps=3):
     joint = ParticleConfig(n, build_lattice(n_steps, 1.0), driver=driver,
                            terminal=TERMINAL).joint_lattice()
-    zetas = [[terminal_rv(TERMINAL, joint, i, lane=p)
-              for i in range(joint.n_steps + 1)] for p in range(n)]
+    zetas = np.stack([terminal_table(TERMINAL, joint, lane=p)
+                      for p in range(n)])
     return joint, zetas
 
 
@@ -83,9 +88,10 @@ class TestLaneMembers:
         rng = np.random.default_rng(5)
         rows = [[random_rv(time_field(lat, lat.n_steps), rng)
                  for _ in range(lat.n_steps + 1)] for _ in lanes]
-        ys, zs = clark_ocone_sweep(rows, 0, lanes, first)
+        ys, zs = clark_ocone_sweep(rows_of(rows), 0, lanes, first)
         for p, lane in enumerate(lanes):
-            (y,), (z,) = clark_ocone_sweep([rows[p]], 0, lane, first)
+            (y,), (z,) = clark_ocone_sweep(rows_of([rows[p]]), 0, lane,
+                                           first)
             assert np.array_equal(ys[p], y)
             assert np.array_equal(zs[p], z)
 

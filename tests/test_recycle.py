@@ -17,7 +17,7 @@ import pytest
 
 from mfbdsvie import solver
 from mfbdsvie.drivers import TerminalSpec
-from mfbdsvie.lattice import build_lattice, clark_ocone_sweep
+from mfbdsvie.lattice import build_lattice, clark_ocone_sweep, terminal_rows
 from mfbdsvie.solver import (
     Scenario,
     _stacked,
@@ -25,10 +25,9 @@ from mfbdsvie.solver import (
     map_rows,
     means,
     picard_solve,
-    slot_terms,
 )
 
-from _oracles import two_difference_traces
+from _oracles import slot_terms, two_difference_traces
 from test_members import _report_bits, _same_bits
 from test_stack import CASES
 from test_sweep import TERMINAL, random_pair
@@ -175,7 +174,8 @@ class TestSameFigures:
         term = partial(slot_terms, sc.driver, y, z, *means(y, z),
                        swapped=sc.swapped)
         # a stack of every row for a blind driver, else row 0 alone
-        rows = [sc.zeta[:1] if sc.swapped else sc.zeta]
+        rows = terminal_rows(sc.lattice, sc.zeta[None, :1] if sc.swapped
+                              else sc.zeta[None])
         for first in (0, 2):  # every column written, then columns 0, 1 not
             want = clark_ocone_sweep(rows, 0, 0, first, term, sc.swapped)
             out = tuple(np.full(t.shape, np.nan) for t in want)
@@ -187,7 +187,8 @@ class TestSameFigures:
         n = sc.lattice.n_steps
         out = (np.full((1, n + 1, 1 << n), np.nan),
                np.full((1, n + 1, n, 1 << n), np.nan))
-        got = map_rows([sc.zeta], term, sc.swapped, first=2, out=out)
-        want = map_rows([sc.zeta], term, sc.swapped, first=2)
+        zeta = terminal_rows(sc.lattice, sc.zeta[None])
+        got = map_rows(zeta, term, sc.swapped, first=2, out=out)
+        want = map_rows(zeta, term, sc.swapped, first=2)
         for a, b in zip(got, want):
             assert _same_bits(a[0], b[0])

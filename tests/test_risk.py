@@ -23,7 +23,7 @@ from mfbdsvie.risk import (
     solve_positions,
 )
 
-from _oracles import audit_z_flags
+from _oracles import audit_z_flags, max_abs
 
 TOL = 1e-10
 
@@ -41,7 +41,7 @@ class TestRho:
         rs = make_rs()
         out = rho(rs, const_payoff(0.0))
         for i in range(3):
-            assert out[i].max_abs() <= 1e-11
+            assert max_abs(out[i]) <= 1e-11
 
     def test_constant_position_discounting_recursion(self):
         # scalar oracle: m_i = m_{i+1} / (1 + r dt), m_N = -c

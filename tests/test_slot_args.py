@@ -1,12 +1,13 @@
-"""Every frozen-argument driver evaluation reads `solver.slot_args`.
+"""Every frozen-argument driver evaluation reads `SlotReader.slot_args`.
 
 The map's slot terms, the flip equation's coefficients and terms, and
 the stability functional's driver differences all take their arguments
-from the stacked bit views of `slot_args`.  A stack of rows that read
-the swapped arguments must agree with its rows stacked one at a time,
-one map of the flip equation with its rows split one at a time by
-`_linearized_row` (tests/_oracles.py), and `stability_compare` with the per-entry wiring of
-tests/_oracles.py.  The means come in one dense form, and `slot_args`
+from the stacked bit views of `slot_args` (here one slot through a
+reader of its own, `slot_args` and `slot_terms` of tests/_oracles.py).
+A stack of rows that read the swapped arguments must agree with its rows
+stacked one at a time, one map of the flip equation with its rows split
+one at a time by `_linearized_row` (tests/_oracles.py), and
+`stability_compare` with the per-entry wiring of tests/_oracles.py.  The means come in one dense form, and `slot_args`
 reads them as the three-form reader of tests/_oracles.py read lists of
 floats, arrays behind the members and lists of variables.
 """
@@ -24,8 +25,6 @@ from mfbdsvie.solver import (
     means,
     picard_solve,
     reads_swapped,
-    slot_args,
-    slot_terms,
     stability_compare,
 )
 
@@ -35,6 +34,8 @@ from _oracles import (
     lift,
     list_means,
     one_row,
+    slot_args,
+    slot_terms,
     three_form_slot_args,
 )
 from test_stack import CASES

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mfbdsvie.comparison import FrozenMeanDriver, _CombinedDriver
-from mfbdsvie.drivers import DriverSpec, LinearDriver, terminal_rv
+from mfbdsvie.drivers import DriverSpec, LinearDriver, terminal_table
 from mfbdsvie.lattice import build_lattice
 from mfbdsvie.particles import ParticleConfig, particle_map
 from mfbdsvie.solver import Scenario, gamma_map, reads_swapped, representation_pair
@@ -58,8 +58,8 @@ class TestStackedMap:
         pc = ParticleConfig(lanes, build_lattice(3, 1.0), driver=CASES[name],
                             terminal=TERMINAL)
         joint = pc.joint_lattice()
-        zetas = [[terminal_rv(TERMINAL, joint, i, lane=p)
-                  for i in range(joint.n_steps + 1)] for p in range(lanes)]
+        zetas = np.stack([terminal_table(TERMINAL, joint, lane=p)
+                          for p in range(lanes)])
         rng = np.random.default_rng(lanes)
         pairs = [random_pair(joint, rng) for _ in range(lanes)]
         for got, want in zip(particle_map(pc.driver, zetas, pairs),

@@ -340,10 +340,7 @@ class TestParticleDistance:
         joint = pc.joint_lattice()
         driver, state = poisoned(1)
         state["armed"] = True
-        zetas = [[lattice.MeasurableRV(lattice.time_field(joint, joint.n_steps),
-                                       np.zeros(lattice.time_field(
-                                           joint, joint.n_steps).table_shape))
-                  for _ in range(joint.n_steps + 1)] for _ in range(2)]
+        zetas = np.zeros((2, joint.n_steps + 1, 1 << joint.n_bits))
         pairs = [(fields.zero_path(joint), fields.zero_kernel(joint))] * 2
         with pytest.raises(ValidationError, match="entry 0 is not finite"):
             particles.particle_map(driver, zetas, pairs)

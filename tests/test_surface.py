@@ -7,20 +7,24 @@ tests/_oracles.py, and no package module defines or exports them, nor
 the defect table and block walk the walk of extremes replaced.  Every
 module-level import of a package module is read in it.  `slot_args`
 reads the means in one form, with no type test, and a scenario works out
-its driver source itself.  The sweep and the map take a member list with
-no type test, the per-row decision is the `swapped` flag, and the flip
-equation's terms are `slot_terms`.  W(T) is built once per lattice and
+its driver source itself.  The sweep and the map take their rows as
+(fields, values) with no type test, the walks read no row's `.field`,
+the per-row decision is the `swapped` flag, and the flip equation's
+terms are `SlotReader.slot_terms`.  W(T) is built once per lattice and
 lane, and the terminal tables built on the shared walk are those of a
 walk built per node.  One Picard loop keeps the tables: `solver.iterate`
-has one call form, with no type test, and no module but the lattice and
-the solver names the sweep's stack storage.  `MeasurableRV` is a (field,
-table) record: the per-entry algebra (its operators, `at`, `constant`,
-`PathIndex`, `lift`, `fill_table`, `expectation`, `flip_derivative`,
-`b_increment`) lives in tests/_oracles.py, and `condexp` stays exported.
+has one call form, with no type test, no module but the lattice and the
+solver names the sweep's stack storage, and the storage keeps no rows.
+`MeasurableRV` is the (field, table) record of an entry view: the
+per-entry algebra (its operators, `at`, `constant`, `PathIndex`, `lift`,
+`fill_table`, `expectation`, `flip_derivative`, `b_increment`), `condexp`,
+`terminal_rv` and the free one-slot `slot_args` and `slot_terms` live in
+tests/_oracles.py.
 """
 
 import ast
 import inspect
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +34,19 @@ import mfbdsvie
 from mfbdsvie.drivers import (
     LinearDriver,
     TerminalSpec,
-    terminal_rv,
+    terminal_table,
     terminal_walk_values,
 )
 from mfbdsvie import lattice
-from mfbdsvie.lattice import MeasurableRV, build_lattice, clark_ocone_sweep
+from mfbdsvie.lattice import (
+    MeasurableRV,
+    SweepStacks,
+    build_lattice,
+    clark_ocone_sweep,
+    row_extremes,
+)
 from mfbdsvie.malliavin import _linearized_terms
-from mfbdsvie.solver import Scenario, iterate, map_rows, slot_args
+from mfbdsvie.solver import Scenario, SlotReader, iterate, map_rows
 
 SRC = Path(mfbdsvie.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -50,10 +60,12 @@ RETIRED = (
     "lift_single_to_joint", "_frozen_args", "sup_distance",
 )
 # the per-entry layer, moved to tests/_oracles.py or deleted; `lift` is not
-# in RETIRED, as the sweep's code binds locals of that name
+# in RETIRED, as the sweep's code binds locals of that name, nor are
+# `slot_args` and `slot_terms`, the names of `SlotReader`'s methods
 MOVED = ("PathIndex", "b_increment", "expectation", "fill_table",
-         "flip_derivative", "lift", "trivial_field")
-RECORD = {"__init__", "__setattr__", "lattice", "max_abs"}
+         "flip_derivative", "lift", "trivial_field", "condexp", "terminal_rv",
+         "slot_args", "slot_terms")
+RECORD = {"__init__", "__setattr__", "lattice"}
 TERMINAL = TerminalSpec(phi=0.3, theta=lambda t: 1.0 + t,
                         smooth=[("tanh", 0.5), ("soft_abs", -0.2)])
 
@@ -71,7 +83,8 @@ def called(fn):
     """The names fn's body calls, as plain names or attributes."""
     return {node.func.id if isinstance(node.func, ast.Name)
             else getattr(node.func, "attr", None)
-            for node in ast.walk(ast.parse(inspect.getsource(fn)))
+            for node in ast.walk(ast.parse(textwrap.dedent(
+                inspect.getsource(fn))))
             if isinstance(node, ast.Call)}
 
 
@@ -129,30 +142,41 @@ class TestEntryRecord:
                     "__mul__", "__rmul__", "__neg__", "at",
                     "constant"} & set(vars(MeasurableRV))
 
-    def test_condexp_is_still_exported(self):
-        assert "condexp" in mfbdsvie.__all__
-        assert mfbdsvie.condexp is lattice.condexp
+
+
+class TestRowForm:
+    """The walks take rows as (fields, values): no row is a record."""
+
+    @pytest.mark.parametrize("fn", [
+        lattice.clark_ocone_sweep, lattice.row_extremes, lattice._join,
+        lattice._eliminate], ids=lambda fn: fn.__name__)
+    def test_no_row_field_is_read(self, fn):
+        tree = ast.parse(inspect.getsource(fn))
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "field"]
+
+    def test_the_stack_storage_keeps_no_rows(self):
+        for name in ("rows", "stacked"):
+            assert not hasattr(SweepStacks, name)
+            assert not hasattr(SweepStacks(), name)
 
 
 class TestOneMeanForm:
     def test_slot_args_makes_no_type_test(self):
-        tree = ast.parse(inspect.getsource(slot_args))
-        called = {node.func.id for node in ast.walk(tree)
-                  if isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Name)}
-        assert "isinstance" not in called
+        for fn in (SlotReader.slot_args, SlotReader._args):
+            assert "isinstance" not in called(fn)
 
     def test_scenario_takes_no_source(self):
         assert "source" not in inspect.signature(Scenario).parameters
 
 
 class TestOneCallForm:
-    """The walks and the map take a member list, and each carries the
-    `swapped` flag its terms are built with; the flip equation's slot terms
-    come from `slot_terms`."""
+    """The walks and the map take rows as (fields, values), and each
+    carries the `swapped` flag its terms are built with; the flip
+    equation's slot terms come from `SlotReader.slot_terms`."""
 
-    @pytest.mark.parametrize("fn", [clark_ocone_sweep, map_rows],
-                             ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("fn", [clark_ocone_sweep, row_extremes,
+                                    map_rows], ids=lambda fn: fn.__name__)
     def test_no_type_test(self, fn):
         assert "isinstance" not in called(fn)
 
@@ -217,17 +241,20 @@ class TestTerminalWalk:
         terminal_walk_values.cache_clear()
         sc = Scenario(lat, LinearDriver(f={"y": -0.2}), TERMINAL)
         info = terminal_walk_values.cache_info()
-        assert (info.misses, info.hits) == (1, lat.n_steps)
+        # one table of every node on one walk, built once and read once
+        assert (info.misses, info.hits) == (1, 0)
         # the body without the cache, as every node built it before
         walk = terminal_walk_values.__wrapped__(lat, 0)
+        assert sc.zeta.shape == (lat.n_steps + 1, 1 << lat.n_bits)
+        assert not sc.zeta.flags.writeable
         for i, zeta in enumerate(sc.zeta):
             want = TERMINAL.value(lat.node(i), walk)
-            assert np.array_equal(bits(zeta.values[:, 0]), bits(want))
+            assert np.array_equal(bits(zeta), bits(want))
 
     def test_each_lane_has_its_walk(self):
         lat = build_lattice(3, 1.0, lanes=3)
         for lane in range(3):
-            got = terminal_rv(TERMINAL, lat, 2, lane=lane).values[:, 0]
+            got = terminal_table(TERMINAL, lat, lane=lane)[2]
             want = TERMINAL.value(
                 lat.node(2), terminal_walk_values.__wrapped__(lat, lane))
             assert np.array_equal(bits(got), bits(want))

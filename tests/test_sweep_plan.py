@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from mfbdsvie import fields, solver
-from mfbdsvie.drivers import TerminalSpec, terminal_rv
+from mfbdsvie.drivers import TerminalSpec
 from mfbdsvie.errors import IndexOutOfRange, MeasurabilityViolation
 from mfbdsvie.fields import m_extend
 from mfbdsvie.lattice import (
@@ -26,6 +26,7 @@ from mfbdsvie.lattice import (
     SigmaField,
     build_lattice,
     clark_ocone_sweep,
+    terminal_rows,
     time_field,
 )
 from mfbdsvie.malliavin import _linearized_map, build_linearized
@@ -38,10 +39,9 @@ from mfbdsvie.solver import (
     means,
     picard_solve,
     representation_pair,
-    slot_terms,
 )
 
-from _oracles import unplanned_sweep
+from _oracles import rows_of, slot_terms, terminal_rv, unplanned_sweep
 from test_particle_sweep import joint_system
 from test_stack import CASES
 from test_sweep import TERMINAL, random_pair, random_rv
@@ -165,7 +165,8 @@ class TestSweeps:
                        swapped=swapped)
         for i in range(n_steps + 1):
             # a stack of the rows i.. for a blind driver, else row i alone
-            rows = [[sc.zeta[i]] if swapped else list(sc.zeta[i:])]
+            rows = terminal_rows(sc.lattice, sc.zeta[None, i:i + 1]
+                                  if swapped else sc.zeta[None, i:])
             for first in range(n_steps + 1):
                 for t in (term, None):
                     got = clark_ocone_sweep(rows, i, 0, first, t,
@@ -181,8 +182,8 @@ class TestSweeps:
         rng = np.random.default_rng(7)
         rows = [[random_rv(time_field(lat, k), rng) for k in range(4)]
                 for _ in range(3)]
-        got = clark_ocone_sweep(rows, 0, lanes, first)
-        want = unplanned_sweep(rows, 0, lanes, first)
+        got = clark_ocone_sweep(rows_of(rows), 0, lanes, first)
+        want = unplanned_sweep(rows_of(rows), 0, lanes, first)
         for a, b in zip(got, want):
             assert_same(a, b)
 
@@ -252,8 +253,8 @@ class TestLanes:
         lat = LatticeSpec(n_steps=3, horizon=1.0, lanes=3)
         rows = self.rows(lat)
         with pytest.raises(IndexOutOfRange, match=r"lane -?\d outside 0\.\.2"):
-            clark_ocone_sweep([rows, rows] if isinstance(lane, tuple)
-                              else [rows], 0, lane)
+            clark_ocone_sweep(rows_of([rows, rows] if isinstance(lane, tuple)
+                                      else [rows]), 0, lane)
 
     @pytest.mark.parametrize("lane", [5, -1, (1, 3)])
     def test_refused_by_the_slot_layout(self, lane):
@@ -265,17 +266,17 @@ class TestLanes:
     def test_lanes_inside_unchanged(self, lane):
         lat = LatticeSpec(n_steps=3, horizon=1.0, lanes=3)
         rows = self.rows(lat)
-        got = clark_ocone_sweep([rows], 0, lane)
-        want = unplanned_sweep(rows, 0, lane)
-        assert_same(got[0][0], want[0])
-        assert_same(got[1][0], want[1])
+        got = clark_ocone_sweep(rows_of([rows]), 0, lane)
+        want = unplanned_sweep(rows_of([rows]), 0, lane)
+        assert_same(got[0], want[0])
+        assert_same(got[1], want[1])
         assert np.max(np.abs(got[1])) > 0.0  # every lane reads its columns
 
     def test_one_lane_per_member(self):
         lat = LatticeSpec(n_steps=3, horizon=1.0, lanes=3)
         rows = self.rows(lat)
         with pytest.raises(IndexOutOfRange, match="2 lanes for 3 members"):
-            clark_ocone_sweep([rows] * 3, 0, (0, 1))
+            clark_ocone_sweep(rows_of([rows] * 3), 0, (0, 1))
 
 
 class TestTermFields:
@@ -297,4 +298,4 @@ class TestTermFields:
                 f.w_upto + lat.n_bits - f.b_from))
 
         with pytest.raises(MeasurabilityViolation, match="slot 2 term on"):
-            clark_ocone_sweep([[zeta]], 0, term=term)
+            clark_ocone_sweep(rows_of([[zeta]]), 0, term=term)
